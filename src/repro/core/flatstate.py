@@ -147,6 +147,19 @@ class FlatSubscriptionView:
             return False
         return int(self._flat.count[slot]) + self._flat.count_shared > 0
 
+    def staleness_deadline(self) -> float | None:
+        """``oldest_pending_time + bounds.staleness_ms`` read straight off
+        the columns, or ``None`` when nothing is pending or the staleness
+        bound is infinite. What the manager's deadline heap arms on."""
+        flat = self._flat
+        slot = flat.slots.get(self.subscriber.subscriber_id)
+        if slot is None or flat.count.item(slot) + flat.count_shared == 0:
+            return None
+        staleness = flat.b_stale.item(slot)
+        if staleness == math.inf:
+            return None
+        return flat.oldest.item(slot) + staleness
+
     def oldest_age_ms(self, now: float) -> float:
         oldest = self.oldest_pending_time
         if oldest is None:
@@ -212,7 +225,9 @@ class FlatDyconitState:
         #: per-subscriber sorted absolute indices of entries excluding them
         self.excl_by_sub: dict[int, list[int]] = {}
         self._drain_cache: tuple[int, int, list[tuple[tuple, Update]]] | None = None
-        # conservative scalar gates / aggregates
+        # conservative scalar gates / aggregates; read only by commit(),
+        # so bound changes just mark them dirty (see set_bounds_slot)
+        self._gates_dirty = False
         self.max_cursor = 0
         self.min_cursor_lb = 0
         self.n_finite_bnum = 0
@@ -252,7 +267,15 @@ class FlatDyconitState:
             setattr(self, name, fresh)
         self._tripbuf = np.zeros(self._cap, dtype=bool)
 
+    def refresh_gates(self) -> None:
+        """Bring the scalar gates up to date if a bound change left them
+        stale. ``commit`` calls this before reading any gate; the auditor
+        calls it before checking them."""
+        if self._gates_dirty:
+            self._recompute_aggregates()
+
     def _recompute_aggregates(self) -> None:
+        self._gates_dirty = False
         n = self.n
         if n == 0:
             end = self.base + len(self.log)
@@ -345,8 +368,10 @@ class FlatDyconitState:
         self.b_stale[slot] = bounds.staleness_ms
         self.b_order[slot] = bounds.order
         # A tightened staleness bound can move the earliest deadline
-        # before the current gate value; recompute all gates exactly.
-        self._recompute_aggregates()
+        # before the current gate value, so every gate must be recomputed
+        # — but only commit() reads them, and a retune sweep changes the
+        # bounds of many slots between two commits. Defer to the next one.
+        self._gates_dirty = True
 
     # ------------------------------------------------------------------
     # Materialization (drains, audits, private-mode conversion)
@@ -563,6 +588,7 @@ class FlatDyconitState:
         must flush now, ``None`` means it just became pending (arm the
         staleness deadline).
         """
+        self.refresh_gates()
         n = self.n
         e = -1
         if exclude_subscriber is not None:

@@ -28,10 +28,16 @@ I1  alias table acyclicity; ``_aliases`` ↔ ``_alias_sources`` exact
 I2  ``_subscriptions_by_subscriber`` ≡ union of per-dyconit
     ``SubscriptionState`` membership, and both sides only reference
     registered subscribers.
-I3  deadline-heap coverage: every pending state with a finite staleness
-    bound has a live heap entry under its *current* dyconit id with
-    deadline ≤ ``oldest_pending_time + staleness_ms`` (entries under
-    merged-away ids are skipped lazily and provide no coverage).
+I3  deadline-heap coverage: each (dyconit, subscriber) pair has at most
+    one *live* heap entry, the one whose deadline ``_armed`` records
+    (entries with any other deadline are dropped unchecked when they
+    pop). Every ``_armed`` key must have a heap entry with exactly that
+    deadline (``I3.armed-live`` — an orphan armed deadline suppresses
+    every later push for the pair: a missed flush), and every pending
+    state with a finite staleness bound must be armed under its
+    *current* dyconit id with a live deadline ≤ ``oldest_pending_time +
+    staleness_ms`` (entries under merged-away ids are skipped lazily
+    and provide no coverage).
 I4  queue accounting: empty queue ⇔ zeroed error and no oldest-pending
     timestamp; ``pending`` in nondecreasing ``update.time`` order;
     ``oldest_pending_time`` ≤ the first pending update's time;
@@ -60,7 +66,9 @@ I9  flat columnar store (S17): per slot, a naive replay of the shared
     ``empty_subs`` ≡ zero-count slots; log bookkeeping (``last_key``,
     back-pointers, per-subscriber exclusion indices) matches a fresh
     scan; the scalar gates are conservative (may fire early, never
-    late); no slot pins a dead log prefix longer than the compaction
+    late) — gates a bound change left dirty are refreshed first, exactly
+    as the next commit would, so what is checked is what a commit
+    reads; no slot pins a dead log prefix longer than the compaction
     period (a stalled or excluded-only subscriber must not hold the
     shared log hostage). Server-side: the engine's commit buffer is
     drained at every audit barrier — a tick never ends with commits
@@ -271,22 +279,33 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
 
     def _check_deadline_coverage(self, system, violations: list[Violation]) -> None:
-        # Min live deadline per (dyconit, subscriber). Entries under
-        # merged-away ids find no dyconit at pop time and are skipped, so
-        # they must not count as coverage.
-        best: dict[tuple[Hashable, int], float] = {}
-        for deadline, __, dyconit_id, subscriber_id in system._deadline_heap:
-            if dyconit_id not in system._dyconits:
-                continue
-            key = (dyconit_id, subscriber_id)
-            if deadline < best.get(key, math.inf):
-                best[key] = deadline
+        in_heap = {
+            (dyconit_id, subscriber_id, deadline)
+            for deadline, __, dyconit_id, subscriber_id in system._deadline_heap
+        }
+        # The live deadline per (dyconit, subscriber): the armed one, if
+        # the heap really holds it. Entries under merged-away ids find no
+        # dyconit at pop time and are skipped, so they are no coverage.
+        live: dict[tuple[Hashable, int], float] = {}
+        for key, deadline in system._armed.items():
+            if (*key, deadline) not in in_heap:
+                violations.append(
+                    Violation(
+                        "I3.armed-live",
+                        f"({key[0]!r}, subscriber {key[1]})",
+                        f"armed deadline {deadline:g} has no heap entry — "
+                        f"later pushes for the pair are suppressed and its "
+                        f"backlog never flushes by deadline",
+                    )
+                )
+            elif key[0] in system._dyconits:
+                live[key] = deadline
         for dyconit_id, dyconit in system._dyconits.items():
             for state in dyconit.subscription_states():
                 if not state.has_pending or math.isinf(state.bounds.staleness_ms):
                     continue
                 required = state.oldest_pending_time + state.bounds.staleness_ms
-                covering = best.get((dyconit_id, state.subscriber.subscriber_id))
+                covering = live.get((dyconit_id, state.subscriber.subscriber_id))
                 if covering is None:
                     violations.append(
                         Violation(
@@ -304,7 +323,7 @@ class InvariantAuditor:
                             "I3.heap-coverage",
                             f"({dyconit_id!r}, subscriber "
                             f"{state.subscriber.subscriber_id})",
-                            f"earliest heap deadline {covering:g} is later than "
+                            f"armed heap deadline {covering:g} is later than "
                             f"the bound-implied deadline {required:g} — the "
                             f"queue will flush late",
                         )
@@ -509,7 +528,8 @@ class InvariantAuditor:
         seen_last: dict = {}
         for i, update in enumerate(flat.log):
             key = update.merge_key
-            expected_prev = seen_last.get(key)
+            # With merging off nothing supersedes: commit chains nothing.
+            expected_prev = seen_last.get(key) if flat.merging else None
             prev = flat.log_prev[i]
             if expected_prev is None:
                 if prev >= base:
@@ -681,6 +701,9 @@ class InvariantAuditor:
 
         # Scalar gates: exact where claimed exact, conservative otherwise
         # (a gate that can fire late silently breaks a bound promise).
+        # Bound changes only mark the gates dirty; refresh them the way
+        # the next commit will before it reads any of them.
+        flat.refresh_gates()
         if flat.n:
             cursors = [int(flat.cursor[slot]) for slot in range(flat.n)]
             if flat.max_cursor != max(cursors):

@@ -10,10 +10,18 @@ Responsibilities:
 * exposes :class:`~repro.core.stats.DyconitStats` to the evaluation.
 
 Performance note: staleness deadlines live in a lazy min-heap keyed by
-``oldest_pending_time + staleness_bound``. The tick only examines entries
-that are due, so tick cost scales with the number of *flushes*, not with
-the number of subscriptions — the property that keeps the middleware
-"thin" as the paper requires.
+``oldest_pending_time + staleness_bound``, and the tick only examines
+entries that are due. What makes its cost scale with the number of
+*flushes* rather than with subscriptions or past commits is the ``_armed``
+map: each (dyconit, subscriber) pair has at most one *live* heap entry,
+whose deadline ``_armed`` records. A push happens only when no entry is
+armed or the new deadline is earlier; a popped entry whose deadline is not
+the armed one is dropped without a bound check; an armed entry that pops
+before the queue is due (it was flushed numerically and refilled, or its
+bound was loosened) re-arms once at the true deadline. So a pair costs at
+most one wasted pop per staleness period, however often it flushes
+numerically and refills in between (each refill would otherwise leave one
+more entry to pop, check and re-push).
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from repro.backends.base import (
 from repro.backends.registry import create_event_bus, create_state_store
 from repro.core.bounds import Bounds
 from repro.core.dyconit import Dyconit, SubscriptionState
+from repro.core.flatstate import FlatSubscriptionView
 from repro.core.partition import ChunkPartitioner, DyconitPartitioner
 from repro.core.policy import LoadSignals, Policy
 from repro.core.stats import DyconitStats
@@ -80,6 +89,24 @@ class SystemSnapshot:
     policy: Policy
     merging_enabled: bool
     use_batched_commit: bool
+    #: (dyconit id, subscriber id) -> deadline of the pair's live heap
+    #: entry. ``None`` in snapshots that predate the field; restore then
+    #: rebuilds it as the minimum heap deadline per pair.
+    armed: dict[tuple[Hashable, int], float] | None = None
+
+
+def _staleness_deadline(state: SubscriptionState) -> float | None:
+    """``oldest_pending_time + staleness_ms``, or ``None`` when the queue
+    is empty or its staleness bound is infinite (nothing to arm)."""
+    if type(state) is FlatSubscriptionView:
+        return state.staleness_deadline()  # one slot lookup, no Bounds
+    oldest = state.oldest_pending_time
+    if oldest is None:
+        return None
+    staleness = state.bounds.staleness_ms
+    if math.isinf(staleness):
+        return None
+    return oldest + staleness
 
 
 class DyconitSystem:
@@ -142,6 +169,10 @@ class DyconitSystem:
         #: Lazy staleness-deadline heap: (deadline, seq, dyconit_id, subscriber_id).
         self._deadline_heap: list[tuple[float, int, Hashable, int]] = []
         self._heap_seq = 0
+        #: (dyconit id, subscriber id) -> deadline of that pair's one
+        #: *live* heap entry; entries with any other deadline are dead
+        #: and dropped unchecked when they pop.
+        self._armed: dict[tuple[Hashable, int], float] = {}
         self._last_policy_evaluation = -math.inf
         self.stats = DyconitStats()
         #: Optional DyconitTracer recording middleware decisions.
@@ -244,6 +275,7 @@ class DyconitSystem:
             policy=self.policy,
             merging_enabled=self.merging_enabled,
             use_batched_commit=self.use_batched_commit,
+            armed=dict(self._armed),
         )
 
     def restore(self, snap: SystemSnapshot, subscribers: dict[int, Subscriber]) -> None:
@@ -301,6 +333,16 @@ class DyconitSystem:
         # pushes identical to the unkilled run.
         self._deadline_heap = [tuple(entry) for entry in snap.deadline_heap]
         self._heap_seq = snap.heap_seq
+        if snap.armed is not None:
+            self._armed = dict(snap.armed)
+        else:
+            # A pre-``armed`` snapshot may hold several entries per pair;
+            # the earliest is the one that guarantees the flush.
+            self._armed = {}
+            for deadline, __, dyconit_id, subscriber_id in self._deadline_heap:
+                key = (dyconit_id, subscriber_id)
+                if deadline < self._armed.get(key, math.inf):
+                    self._armed[key] = deadline
         self._last_policy_evaluation = snap.last_policy_evaluation
         self._repartition_epoch = snap.repartition_epoch
         self.stats = snap.stats
@@ -311,12 +353,15 @@ class DyconitSystem:
 
     def resolve(self, dyconit_id: Hashable) -> Hashable:
         """Follow merge aliases to the dyconit that currently owns ``dyconit_id``."""
+        aliases = self._aliases
+        if dyconit_id not in aliases:  # the hot case: never merged
+            return dyconit_id
         seen = set()
-        while dyconit_id in self._aliases:
+        while dyconit_id in aliases:
             if dyconit_id in seen:  # defensive: a cycle would hang commits
                 raise RuntimeError(f"alias cycle involving {dyconit_id!r}")
             seen.add(dyconit_id)
-            dyconit_id = self._aliases[dyconit_id]
+            dyconit_id = aliases[dyconit_id]
         return dyconit_id
 
     def get_or_create(self, dyconit_id: Hashable) -> Dyconit:
@@ -737,14 +782,19 @@ class DyconitSystem:
     def _flush_due_deadlines(self, now: float) -> int:
         flushed = 0
         heap = self._deadline_heap
+        armed = self._armed
         while heap and heap[0][0] <= now:
-            __, __, dyconit_id, subscriber_id = heapq.heappop(heap)
+            deadline, __, dyconit_id, subscriber_id = heapq.heappop(heap)
+            key = (dyconit_id, subscriber_id)
+            if armed.get(key) != deadline:
+                continue  # dead entry: superseded by an earlier deadline
+            del armed[key]
             dyconit = self._dyconits.get(dyconit_id)
             if dyconit is None:
                 continue
             state = dyconit.get_state(subscriber_id)
             if state is None or not state.has_pending:
-                continue  # lazy entry: already flushed or unsubscribed
+                continue  # already flushed or unsubscribed
             self.stats.bound_checks += 1
             reason = state.tripped_dimension(now)
             if reason is not None:
@@ -753,39 +803,41 @@ class DyconitSystem:
                 # or order dimension first; report what actually tripped.
                 self._deliver(dyconit_id, state, reason=reason)
                 flushed += 1
+                continue
+            # The entry popped early (queue drained and refilled, or bounds
+            # loosened, since it was armed): re-arm at the true deadline —
+            # unless float arithmetic cannot place it in the future (a
+            # staleness bound so small that ``oldest + staleness <= now``
+            # while ``now - oldest < staleness``, e.g. a subnormal from a
+            # multiplicatively-decayed or live-retuned bound). That
+            # deadline is due *now* for every representable purpose;
+            # re-pushing it would live-lock this loop.
+            fresh = _staleness_deadline(state)
+            if fresh is None:
+                continue  # staleness bound is infinite now: nothing to arm
+            if fresh <= now:
+                self._deliver(dyconit_id, state, reason="staleness")
+                flushed += 1
             else:
-                # Deadline moved (bounds loosened or queue drained and
-                # refilled); push the fresh deadline — unless float
-                # arithmetic cannot place it in the future (a staleness
-                # bound so small that ``oldest + staleness <= now`` while
-                # ``now - oldest < staleness``, e.g. a subnormal from a
-                # multiplicatively-decayed or live-retuned bound). That
-                # deadline is due *now* for every representable purpose;
-                # re-pushing it would live-lock this loop.
-                oldest = state.oldest_pending_time
-                staleness = state.bounds.staleness_ms
-                if (
-                    oldest is not None
-                    and not math.isinf(staleness)
-                    and oldest + staleness <= now
-                ):
-                    self._deliver(dyconit_id, state, reason="staleness")
-                    flushed += 1
-                else:
-                    self._push_deadline(dyconit_id, state)
+                self._arm(key, fresh)
         return flushed
 
     def _push_deadline(self, dyconit_id: Hashable, state: SubscriptionState) -> None:
-        if state.oldest_pending_time is None:
+        """Make sure the heap will pop this pair no later than its
+        staleness deadline: push unless an entry at least as early is
+        already armed."""
+        deadline = _staleness_deadline(state)
+        if deadline is None:
             return
-        if math.isinf(state.bounds.staleness_ms):
-            return
-        deadline = state.oldest_pending_time + state.bounds.staleness_ms
+        key = (dyconit_id, state.subscriber.subscriber_id)
+        armed = self._armed.get(key)
+        if armed is None or deadline < armed:
+            self._arm(key, deadline)
+
+    def _arm(self, key: tuple[Hashable, int], deadline: float) -> None:
+        self._armed[key] = deadline
         self._heap_seq += 1
-        heapq.heappush(
-            self._deadline_heap,
-            (deadline, self._heap_seq, dyconit_id, state.subscriber.subscriber_id),
-        )
+        heapq.heappush(self._deadline_heap, (deadline, self._heap_seq, *key))
 
     # ------------------------------------------------------------------
     # Flushing
@@ -830,7 +882,6 @@ class DyconitSystem:
         else:
             self.stats.flushes_forced += 1
         self.stats.updates_delivered += len(updates)
-        self.stats.per_flush_batch_sizes.append(len(updates))
         if self._tm_delivered is not None:
             self._tm_delivered.increment(len(updates))
             self._tm_batch_size.record(len(updates))

@@ -8,7 +8,7 @@ bookkeeping the server paid for (the tick cost model charges for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -41,7 +41,6 @@ class DyconitStats:
     #: how much extra latency bounding introduced.
     queue_delay_total_ms: float = 0.0
     queue_delay_samples: int = 0
-    per_flush_batch_sizes: list[int] = field(default_factory=list)
 
     @property
     def merge_ratio(self) -> float:

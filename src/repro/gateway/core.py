@@ -38,9 +38,8 @@ def _json_float(value: float) -> "float | str":
 
 def _stats_dict(stats) -> dict:
     out = dataclasses.asdict(stats)
-    # The raw per-flush list grows with the run; summarize it.
-    sizes = out.pop("per_flush_batch_sizes", [])
-    out["per_flush_batch_count"] = len(sizes)
+    # Every flush delivers exactly one batch.
+    out["per_flush_batch_count"] = stats.flushes
     return out
 
 

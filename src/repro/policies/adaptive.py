@@ -26,7 +26,8 @@ from typing import Hashable
 from repro.core.bounds import Bounds
 from repro.core.policy import LoadSignals, Policy
 from repro.core.subscription import Subscriber
-from repro.policies.distance import DistanceBasedPolicy
+from repro.policies.distance import DistanceBasedPolicy, reapply_bounds
+from repro.world.geometry import Vec3
 
 
 class AdaptiveBoundsPolicy(Policy):
@@ -71,7 +72,13 @@ class AdaptiveBoundsPolicy(Policy):
     def bounds_for(
         self, system, dyconit_id: Hashable, subscriber: Subscriber
     ) -> Bounds:
-        base = self.shape.bounds_for(system, dyconit_id, subscriber)
+        return self.bounds_from(system, dyconit_id, subscriber.position)
+
+    def bounds_from(
+        self, system, dyconit_id: Hashable, position: Vec3 | None
+    ) -> Bounds:
+        """:meth:`bounds_for` with the subscriber's position already read."""
+        base = self.shape.bounds_from(system, dyconit_id, position)
         if base.is_zero or base.is_infinite:
             return base
         return base.scaled(self.factor)
@@ -82,12 +89,7 @@ class AdaptiveBoundsPolicy(Policy):
         return self.bounds_for(system, dyconit_id, subscriber)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
-        for dyconit_id in system.subscription_ids_of(subscriber.subscriber_id):
-            system.set_bounds(
-                dyconit_id,
-                subscriber.subscriber_id,
-                self.bounds_for(system, dyconit_id, subscriber),
-            )
+        reapply_bounds(system, subscriber, self.bounds_from)
 
     # ------------------------------------------------------------------
     # Dynamic evaluation
@@ -137,12 +139,7 @@ class AdaptiveBoundsPolicy(Policy):
                 # the *subscribing* shard; the publisher's load servo has
                 # no business rewriting another server's error budget.
                 continue
-            for dyconit_id in system.subscription_ids_of(subscriber.subscriber_id):
-                system.set_bounds(
-                    dyconit_id,
-                    subscriber.subscriber_id,
-                    self.bounds_for(system, dyconit_id, subscriber),
-                )
+            reapply_bounds(system, subscriber, self.bounds_from)
 
     def __repr__(self) -> str:
         return (

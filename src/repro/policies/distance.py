@@ -15,18 +15,35 @@ et al.) exploits, recast as conit bounds.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable
 
 from repro.core.bounds import Bounds
 from repro.core.partition import GLOBAL_DYCONIT, centroid_of
 from repro.core.policy import Policy
 from repro.core.subscription import Subscriber
-from repro.world.geometry import CHUNK_SIZE
+from repro.world.geometry import CHUNK_SIZE, Vec3
 
 #: Bounds for the global (chat) dyconit: chat batches briefly but a chat
 #: event's weight (10) exceeds the numerical bound, so messages flush on
 #: arrival of the next event or within a quarter second.
 GLOBAL_BOUNDS = Bounds(numerical=5.0, staleness_ms=250.0)
+
+#: The centroid cache is emptied when it reaches this many ids (a view
+#: holds ~120; only a world-crossing trek ever gets here).
+_CENTROID_CACHE_SIZE = 16384
+
+
+def reapply_bounds(system, subscriber: Subscriber, bounds_from) -> None:
+    """Re-derive and install the bounds of every subscription of
+    ``subscriber``: ``set_bounds(bounds_from(system, dyconit_id,
+    position))`` per dyconit, with the subscriber's position read once."""
+    subscriber_id = subscriber.subscriber_id
+    position = subscriber.position
+    for dyconit_id in system.subscription_ids_of(subscriber_id):
+        system.set_bounds(
+            dyconit_id, subscriber_id, bounds_from(system, dyconit_id, position)
+        )
 
 
 class DistanceBasedPolicy(Policy):
@@ -67,6 +84,20 @@ class DistanceBasedPolicy(Policy):
         #: imperceptible (numerical 2*0.25^2 = 0.125 blocks).
         self.min_chunk_distance = min_chunk_distance
         self.global_bounds = global_bounds
+        #: dyconit id -> centroid ``(x, z)``, or ``None`` for ids with no
+        #: place in the world (global). An id's centroid never changes (a
+        #: policy serves one system, hence one partitioner), and a bound
+        #: sweep asks for it once per (subscriber, dyconit) pair.
+        self._centroids: dict[Hashable, tuple[float, float] | None] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_centroids"]  # derived data: keep it out of checkpoints
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._centroids = {}
 
     # ------------------------------------------------------------------
     # Bound surface
@@ -86,17 +117,41 @@ class DistanceBasedPolicy(Policy):
     def bounds_for(
         self, system, dyconit_id: Hashable, subscriber: Subscriber
     ) -> Bounds:
-        if dyconit_id == GLOBAL_DYCONIT:
-            return self.global_bounds
-        centroid = centroid_of(dyconit_id, system.partitioner)
-        position = subscriber.position
+        return self.bounds_from(system, dyconit_id, subscriber.position)
+
+    def bounds_from(
+        self, system, dyconit_id: Hashable, position: Vec3 | None
+    ) -> Bounds:
+        """:meth:`bounds_for` with the subscriber's position already read,
+        so a sweep over one subscriber's dyconits reads it once."""
+        try:
+            centroid = self._centroids[dyconit_id]
+        except KeyError:
+            centroid = self._remember_centroid(system, dyconit_id)
         if centroid is None or position is None:
             return self.global_bounds
-        distance_blocks = position.horizontal_distance_to(centroid)
+        # Vec3.horizontal_distance_to, inlined: the same IEEE operations
+        # in the same order, without the intermediate Vec3.
+        dx = position.x - centroid[0]
+        dz = position.z - centroid[1]
+        distance_blocks = math.sqrt(dx * dx + dz * dz)
         chunk_distance = max(
             self.min_chunk_distance, distance_blocks / CHUNK_SIZE - 0.5
         )
         return self.bounds_at_distance(chunk_distance)
+
+    def _remember_centroid(
+        self, system, dyconit_id: Hashable
+    ) -> tuple[float, float] | None:
+        centroid = None
+        if dyconit_id != GLOBAL_DYCONIT:
+            center = centroid_of(dyconit_id, system.partitioner)
+            if center is not None:
+                centroid = (center.x, center.z)
+        if len(self._centroids) >= _CENTROID_CACHE_SIZE:
+            self._centroids.clear()  # a long trek leaves dead ids behind
+        self._centroids[dyconit_id] = centroid
+        return centroid
 
     # ------------------------------------------------------------------
     # Policy hooks
@@ -110,12 +165,7 @@ class DistanceBasedPolicy(Policy):
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
         # Crossing a chunk border shifts every distance; re-derive the
         # subscriber's whole bound set.
-        for dyconit_id in system.subscription_ids_of(subscriber.subscriber_id):
-            system.set_bounds(
-                dyconit_id,
-                subscriber.subscriber_id,
-                self.bounds_for(system, dyconit_id, subscriber),
-            )
+        reapply_bounds(system, subscriber, self.bounds_from)
 
     def __repr__(self) -> str:
         return (

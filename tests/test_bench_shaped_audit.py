@@ -1,0 +1,141 @@
+"""A bench-shaped run under audit, inside tier-1.
+
+``bench/run.py`` checks the invariants once, after its last window, at 40
+bots — so a bound-bookkeeping bug that only a retune storm on a live crowd
+exposes would surface in the benchmark pipeline, not in ``pytest``. This is
+``adaptive-hotspot`` in small: the same public constructors and settings as
+``bench/workloads.py`` (hotspot crowd, ``BUILDER_MIX``, joins 10 ms apart,
+``AdaptiveBoundsPolicy(tighten_factor=0.95)`` on the memory store), 16 bots,
+8 simulated seconds — one full retune sweep per second — with the auditor
+on every fifth tick, and a kill-at-tick-K + resume in the middle that must
+stay packet-identical per client (the resumed half runs its restored
+subscriptions on per-object state and its new ones on flat columns, both
+behind the one deadline heap and its ``_armed`` map).
+"""
+
+from repro.backends.memory import InMemoryStateStore
+from repro.bots.workload import BUILDER_MIX, Workload, WorkloadSpec
+from repro.gateway.control import ControlPlane
+from repro.policies import AdaptiveBoundsPolicy
+from repro.server.config import ServerConfig
+from repro.server.engine import GameServer
+from repro.server.snapshot import restore_server_from_store
+from repro.sim.simulator import Simulation
+
+TICK_MS = 50.0
+BOTS = 16
+SEED = 1
+END_MS = 8000.0
+#: Between the retunes at 4 s and 5 s, with backlog and dead entries queued.
+KILL_TICK = 93
+
+
+def launch(*, until_ms):
+    """Start the crowd; returns ``(server, logs, tape)`` after running to
+    ``until_ms``. ``logs`` holds every packet per client id, ``tape`` every
+    action as it reached the server ``(time, client id, action)``."""
+    sim = Simulation()
+    store = InMemoryStateStore()
+    config = ServerConfig(
+        synchronous_delivery=True,
+        state_store=store,
+        seed=SEED,
+        audit_every_n_ticks=5,
+    )
+    server = GameServer(
+        sim, config=config, policy=AdaptiveBoundsPolicy(tighten_factor=0.95)
+    )
+    server.control_plane = ControlPlane()
+    logs: dict[int, list[str]] = {}
+    tape: list[tuple[float, int, object]] = []
+
+    connect, submit_action = server.connect, server.submit_action
+
+    def recording_connect(name, handler, **kwargs):
+        log: list[str] = []
+
+        def tee(delivered):
+            log.append(repr(delivered.packet))
+            handler(delivered)
+
+        session = connect(name, handler=tee, **kwargs)
+        logs[session.client_id] = log
+        return session
+
+    def recording_submit(client_id, action):
+        tape.append((sim.now, client_id, action))
+        submit_action(client_id, action)
+
+    server.connect = recording_connect
+    server.submit_action = recording_submit
+    server.start()
+    Workload(
+        sim,
+        server,
+        WorkloadSpec(
+            bots=BOTS,
+            seed=SEED,
+            movement="hotspot",
+            behavior=BUILDER_MIX,
+            arrival_stagger_ms=10.0,
+            measure_interval_ms=0.0,
+        ),
+    ).start()
+    sim.schedule_at(
+        KILL_TICK * TICK_MS - 1.0,
+        lambda: server.control_plane.submit({"kind": "checkpoint", "key": "ck"}),
+    )
+    sim.run_until(until_ms)
+    return server, logs, tape
+
+
+def test_audited_retune_storms_and_mid_run_kill_resume():
+    baseline, baseline_logs, tape = launch(until_ms=END_MS)
+    baseline.audit_now()
+    policy = baseline.dyconits.policy
+    factors = [factor for __, factor in policy.factor_history]
+    retunes = sum(1 for a, b in zip([1.0] + factors, factors) if a != b)
+    assert retunes >= 7, factors
+    stats = baseline.dyconits.stats
+    assert stats.flushes_numerical > 100 and stats.flushes_staleness > 1000
+    # Bots act every 100 ms from joins 10 ms apart and their actions take
+    # 25 ms upstream: nothing on the tape arrives on a tick barrier, so
+    # "after the checkpoint" is unambiguous.
+    assert all(time % TICK_MS for time, __, ___ in tape)
+
+    # The same run again, killed a few ticks past its checkpoint: objects
+    # abandoned, only the store (with the blob) survives.
+    killed, __, ___ = launch(until_ms=(KILL_TICK + 4) * TICK_MS)
+    store = killed.dyconits.state_store
+    assert len(killed.dyconits._deadline_heap) > len(killed.dyconits._armed) > 0
+    del killed
+
+    resumed_logs = {client_id: [] for client_id in baseline_logs}
+    resumed = restore_server_from_store(
+        store,
+        "ck",
+        handlers={
+            client_id: (lambda delivered, log=log: log.append(repr(delivered.packet)))
+            for client_id, log in resumed_logs.items()
+        },
+    )
+    sim = resumed.sim
+    assert sim.now == KILL_TICK * TICK_MS
+    for time, client_id, action in tape:
+        if time > sim.now:
+            sim.schedule_at(
+                time, lambda c=client_id, a=action: resumed.submit_action(c, a)
+            )
+    sim.run_until(END_MS)
+    resumed.audit_now()
+
+    assert resumed.tick_count == baseline.tick_count
+    for client_id, baseline_log in baseline_logs.items():
+        resumed_log = resumed_logs[client_id]
+        assert len(resumed_log) > 200
+        assert resumed_log == baseline_log[-len(resumed_log):], (
+            f"client {client_id} diverged after the resume"
+        )
+    assert resumed.dyconits.policy.factor_history == policy.factor_history
+    baseline.close()
+    resumed.close()

@@ -222,6 +222,47 @@ def test_i3_entries_under_merged_away_ids_are_not_coverage(system, auditor):
     assert "I3.heap-coverage" in keys(auditor.check(system))
 
 
+def test_i3_heap_cleared_with_armed_kept_is_an_orphan(system, auditor):
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    system.commit_to(CHUNK_A, move(1, time=0.0))
+    key = (CHUNK_A, rec.subscriber.subscriber_id)
+    assert system._armed == {key: 1000.0}
+    system._deadline_heap.clear()
+    # The armed record outlived its entry: every later push for the pair
+    # is suppressed ("already armed"), so the backlog never flushes by
+    # deadline — and the state it was meant to cover is uncovered.
+    found = keys(auditor.check(system))
+    assert "I3.armed-live" in found and "I3.heap-coverage" in found
+
+
+def test_i3_detects_forged_armed_deadline_earlier_than_any_entry(system, auditor):
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    system.commit_to(CHUNK_A, move(1, time=0.0))
+    key = (CHUNK_A, rec.subscriber.subscriber_id)
+    # The heap entry (deadline 1000) no longer matches the armed record,
+    # so it pops as dead and nothing live is left for the pair.
+    system._armed[key] = 400.0
+    assert "I3.armed-live" in keys(auditor.check(system))
+
+
+def test_i3_dead_entries_beside_the_armed_one_are_clean(system, auditor, clock):
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    system.commit_to(CHUNK_A, move(1, time=0.0))
+    # Tightening pushes an earlier entry and leaves the old one dead.
+    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(50.0, 300.0))
+    assert sorted(entry[0] for entry in system._deadline_heap) == [300.0, 1000.0]
+    assert system._armed == {(CHUNK_A, rec.subscriber.subscriber_id): 300.0}
+    assert auditor.check(system) == []
+    clock["now"] = 300.0
+    assert system.tick() == 1
+    # The dead entry is still queued and covers nothing; nothing pends.
+    assert len(system._deadline_heap) == 1 and system._armed == {}
+    assert auditor.check(system) == []
+
+
 def test_i3_ignores_infinite_staleness(system, auditor):
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(math.inf, math.inf))

@@ -1,0 +1,319 @@
+"""Bound bookkeeping that costs what changed.
+
+* one *live* deadline-heap entry per (dyconit, subscriber): ``_armed``
+  records its deadline, pushes happen only for an earlier deadline, dead
+  entries pop without a bound check, an early pop re-arms once;
+* the flat store's scalar gates refresh lazily, at the next commit —
+  never late;
+* ``resolve`` skips the alias walk for ids that were never merged.
+
+Every state kind shares the manager's heap code, so the heap tests run
+on the flat store, the per-object states and the sqlite rows alike.
+"""
+
+import math
+import pickle
+
+import pytest
+
+from repro.core.bounds import Bounds
+from repro.core.invariants import InvariantAuditor
+from repro.core.manager import DyconitSystem
+from repro.core.partition import ChunkPartitioner
+from repro.core.policy import Policy
+from repro.world.events import EntityMoveEvent
+from repro.world.geometry import Vec3
+
+from tests.conftest import RecordingSubscriber
+
+
+class StaticPolicy(Policy):
+    def __init__(self, bounds):
+        self.bounds = bounds
+
+    def initial_bounds(self, system, dyconit_id, subscriber):
+        return self.bounds
+
+
+def move(entity_id=1, time=0.0, x=0.0):
+    return EntityMoveEvent(time, entity_id, Vec3(x, 0, 0), Vec3(x + 1, 0, 0))
+
+
+CHUNK_A = ("chunk", 0, 0)
+CHUNK_B = ("chunk", 1, 0)
+
+#: (use_batched_commit, state_store): flat columns, per-object, sqlite rows.
+STATE_KINDS = [
+    pytest.param((True, "memory"), id="flat"),
+    pytest.param((False, "memory"), id="legacy"),
+    pytest.param((True, "sqlite"), id="sqlite"),
+]
+
+
+@pytest.fixture
+def clock():
+    return {"now": 0.0}
+
+
+def make_system(clock, bounds=Bounds(math.inf, 1000.0), **kwargs) -> DyconitSystem:
+    return DyconitSystem(
+        StaticPolicy(bounds),
+        ChunkPartitioner(),
+        time_source=lambda: clock["now"],
+        **kwargs,
+    )
+
+
+@pytest.fixture(params=STATE_KINDS)
+def system(request, clock):
+    batched, store = request.param
+    with make_system(clock, use_batched_commit=batched, state_store=store) as system:
+        yield system
+
+
+def deadlines(system):
+    return sorted(entry[0] for entry in system._deadline_heap)
+
+
+# ----------------------------------------------------------------------
+# One live heap entry per pair
+# ----------------------------------------------------------------------
+
+
+def test_refill_after_numerical_flush_pushes_no_duplicate(system, clock):
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(2.5, 1000.0))
+    key = (CHUNK_A, rec.subscriber.subscriber_id)
+    system.commit_to(CHUNK_A, move(time=0.0))
+    assert deadlines(system) == [1000.0] and system._armed == {key: 1000.0}
+    clock["now"] = 100.0
+    system.commit_to(CHUNK_A, move(time=100.0))
+    system.commit_to(CHUNK_A, move(time=100.0))  # error 3 > 2.5: flush
+    assert system.stats.flushes_numerical == 1
+    clock["now"] = 200.0
+    system.commit_to(CHUNK_A, move(time=200.0))  # refill: true deadline 1200
+    # The armed entry (1000) pops before the refilled queue is due, so it
+    # already guarantees the flush: no second entry.
+    assert deadlines(system) == [1000.0] and system._armed == {key: 1000.0}
+    assert InvariantAuditor().check(system) == []
+
+
+def test_early_pop_rearms_once_at_the_true_deadline(system, clock):
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    key = (CHUNK_A, rec.subscriber.subscriber_id)
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.set_bounds(CHUNK_A, key[1], Bounds(math.inf, 5000.0))  # loosen
+    assert deadlines(system) == [1000.0]  # later deadline: no push
+    checks = system.stats.bound_checks
+    clock["now"] = 1000.0
+    assert system.tick() == 0
+    assert system.stats.bound_checks == checks + 1
+    assert deadlines(system) == [5000.0] and system._armed == {key: 5000.0}
+    clock["now"] = 4999.0
+    assert system.tick() == 0 and system.stats.bound_checks == checks + 1
+    clock["now"] = 5000.0
+    assert system.tick() == 1
+    assert system._deadline_heap == [] and system._armed == {}
+    assert rec.delivered_updates
+
+
+def test_dead_entry_pops_without_a_bound_check(system, clock):
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    sub_id = rec.subscriber.subscriber_id
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.set_bounds(CHUNK_A, sub_id, Bounds(math.inf, 300.0))  # tighten
+    assert deadlines(system) == [300.0, 1000.0]
+    clock["now"] = 300.0
+    assert system.tick() == 1
+    clock["now"] = 400.0
+    system.commit_to(CHUNK_A, move(time=400.0))  # pending again, due 700
+    assert deadlines(system) == [700.0, 1000.0]
+    system.set_bounds(CHUNK_A, sub_id, Bounds(math.inf, 5000.0))  # due 5400
+    checks = system.stats.bound_checks
+    clock["now"] = 1000.0
+    # 700 is the armed entry: one check, re-armed at 5400. 1000 is dead:
+    # dropped unchecked although the queue is pending.
+    assert system.tick() == 0
+    assert system.stats.bound_checks == checks + 1
+    assert deadlines(system) == [5400.0]
+    assert InvariantAuditor().check(system) == []
+
+
+def test_armed_entry_survives_unsubscribe_and_covers_the_resubscription(
+    system, clock
+):
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    sub_id = rec.subscriber.subscriber_id
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.unsubscribe(CHUNK_A, sub_id)
+    clock["now"] = 500.0
+    system.subscribe(CHUNK_A, rec.subscriber)
+    system.commit_to(CHUNK_A, move(time=500.0))  # due 1500, armed at 1000
+    assert deadlines(system) == [1000.0]
+    assert InvariantAuditor().check(system) == []
+    clock["now"] = 1000.0
+    assert system.tick() == 0
+    assert deadlines(system) == [1500.0]
+    clock["now"] = 1500.0
+    assert system.tick() == 1
+
+
+def test_heap_stays_proportional_to_pending_pairs(system, clock):
+    """A crowd whose queues flush numerically several times per staleness
+    period: without ``_armed`` every flush + refill left one more entry
+    behind (~3x the pending pairs at steady state)."""
+    recs = [RecordingSubscriber(subscriber_id=i) for i in range(1, 9)]
+    chunks = [("chunk", cx, 0) for cx in range(4)]
+    for rec in recs:
+        for chunk in chunks:
+            system.subscribe(chunk, rec.subscriber, bounds=Bounds(2.5, 1000.0))
+    for tick in range(200):  # 10 simulated seconds at 20 Hz
+        clock["now"] = tick * 50.0
+        for index, chunk in enumerate(chunks):
+            # weight 1 per commit: a numerical flush every third one
+            system.commit_to(chunk, move(entity_id=index + 1, time=clock["now"]))
+        system.tick()
+    assert system.stats.flushes_numerical > 10 * system.stats.flushes_staleness
+    pending = sum(
+        1
+        for dyconit in system.dyconits()
+        for state in dyconit.subscription_states()
+        if state.has_pending
+    )
+    assert pending == len(recs) * len(chunks)
+    assert len(system._deadline_heap) <= 1.1 * pending
+    assert InvariantAuditor().check(system) == []
+
+
+# ----------------------------------------------------------------------
+# Snapshots carry the armed map
+# ----------------------------------------------------------------------
+
+
+def _resume(snap, clock, recs):
+    fresh = make_system(clock)
+    fresh.restore(
+        pickle.loads(pickle.dumps(snap)),
+        {rec.subscriber.subscriber_id: rec.subscriber for rec in recs},
+    )
+    return fresh
+
+
+def _backlog_with_a_dead_entry(clock):
+    system = make_system(clock)
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    system.subscribe(CHUNK_B, rec.subscriber)
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.commit_to(CHUNK_B, move(time=0.0))
+    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(math.inf, 300.0))
+    return system, rec
+
+
+def test_snapshot_round_trips_the_armed_map(clock):
+    system, rec = _backlog_with_a_dead_entry(clock)
+    resumed = _resume(system.snapshot(), clock, [rec])
+    assert resumed._armed == system._armed
+    assert resumed._deadline_heap == system._deadline_heap
+    assert InvariantAuditor().check(resumed) == []
+
+
+def test_restore_rebuilds_armed_for_snapshots_that_predate_it(clock):
+    system, rec = _backlog_with_a_dead_entry(clock)
+    snap = system.snapshot()
+    snap.armed = None  # what unpickling an older SystemSnapshot yields
+    resumed = _resume(snap, clock, [rec])
+    sub_id = rec.subscriber.subscriber_id
+    # Earliest entry per pair: it is the one that guarantees the flush.
+    assert resumed._armed == {(CHUNK_A, sub_id): 300.0, (CHUNK_B, sub_id): 1000.0}
+    assert InvariantAuditor().check(resumed) == []
+    clock["now"] = 1000.0
+    assert resumed.tick() == 2
+
+
+# ----------------------------------------------------------------------
+# Lazy gates: refreshed by the next commit, never late
+# ----------------------------------------------------------------------
+
+
+def test_tightened_staleness_flushes_at_the_very_next_commit(clock):
+    system = make_system(clock, Bounds(math.inf, 10_000.0))
+    near, far = RecordingSubscriber(1), RecordingSubscriber(2)
+    system.subscribe(CHUNK_A, near.subscriber)
+    system.subscribe(CHUNK_A, far.subscriber)
+    system.commit_to(CHUNK_A, move(time=0.0))
+    flat = system.get(CHUNK_A)._flat
+    assert flat.min_deadline == 10_000.0 and not flat._gates_dirty
+    # A retune tightens one backlog's staleness to a deadline of 600 —
+    # not due yet, so set_bounds itself flushes nothing and only marks
+    # the gates dirty (their values still say "nothing due before 10 s").
+    clock["now"] = 500.0
+    system.set_bounds(CHUNK_A, 1, Bounds(math.inf, 600.0))
+    assert flat._gates_dirty and flat.min_deadline == 10_000.0
+    assert not near.deliveries
+    # No tick in between: the commit's own staleness scan must catch it.
+    clock["now"] = 650.0
+    system.commit_to(CHUNK_A, move(entity_id=2, time=650.0))
+    assert not flat._gates_dirty
+    assert len(near.delivered_updates) == 2 and not far.deliveries
+    assert system.stats.flushes_staleness == 1
+
+
+def test_sweep_recomputes_gates_once_not_per_set_bounds(clock, monkeypatch):
+    system = make_system(clock, Bounds(50.0, 1000.0))
+    recs = [RecordingSubscriber(subscriber_id=i) for i in range(1, 11)]
+    for rec in recs:
+        system.subscribe(CHUNK_A, rec.subscriber)
+    flat = system.get(CHUNK_A)._flat
+    recomputes = []
+    original = flat._recompute_aggregates
+    monkeypatch.setattr(
+        flat, "_recompute_aggregates", lambda: (recomputes.append(1), original())
+    )
+    for rec in recs:
+        system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(40.0, 900.0))
+    assert recomputes == []
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.commit_to(CHUNK_A, move(time=0.0))
+    assert recomputes == [1]
+    assert flat.min_bstale == 900.0 and flat.min_deadline == 900.0
+
+
+def test_auditor_checks_gates_exactly_after_refreshing_them(clock):
+    system = make_system(clock, Bounds(50.0, 1000.0))
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(40.0, 900.0))
+    flat = system.get(CHUNK_A)._flat
+    assert flat._gates_dirty
+    assert InvariantAuditor().check(system) == []  # refreshed, then exact
+    assert not flat._gates_dirty and flat.min_bstale == 900.0
+    # Clean gates get no such grace: a wrong value is a violation.
+    flat.min_deadline = 5000.0
+    assert "I9.gates" in {v.invariant for v in InvariantAuditor().check(system)}
+
+
+# ----------------------------------------------------------------------
+# resolve(): no alias walk for ids that were never merged
+# ----------------------------------------------------------------------
+
+
+def test_resolve_returns_unaliased_ids_untouched(clock):
+    system = make_system(clock, Bounds.ZERO)
+    assert system.resolve(CHUNK_A) is CHUNK_A
+    system.merge_dyconits([CHUNK_A], ("region", 4, 0, 0))
+    system.merge_dyconits([("region", 4, 0, 0)], ("region", 8, 0, 0))
+    assert system.resolve(CHUNK_A) == ("region", 8, 0, 0)
+    assert system.resolve(CHUNK_B) is CHUNK_B
+
+
+def test_resolve_still_refuses_an_alias_cycle(clock):
+    system = make_system(clock, Bounds.ZERO)
+    system._aliases[CHUNK_A] = CHUNK_B
+    system._aliases[CHUNK_B] = CHUNK_A
+    with pytest.raises(RuntimeError, match="alias cycle"):
+        system.resolve(CHUNK_A)

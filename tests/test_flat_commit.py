@@ -228,6 +228,9 @@ def test_differential_with_merging_disabled(seed):
     for sid in (1, 2, 3):
         assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
     assert flat_system.stats == legacy_system.stats
+    # With merging off commit chains no back-pointers, and I9.log-chain
+    # must not demand them (every audited E8(a) run audits such a store).
+    assert InvariantAuditor().check(flat_system) == []
     assert final_states(flat_system) == final_states(legacy_system)
 
 

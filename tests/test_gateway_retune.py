@@ -221,6 +221,34 @@ def test_subnormal_staleness_bound_cannot_livelock_the_tick():
     assert recorder.delivered_updates
 
 
+def test_stats_payload_does_not_grow_with_run_length():
+    """``GET /stats`` is a fixed set of scalars per dyconit system: the
+    per-flush batch list that used to be deep-copied into every response
+    (and pickled into every checkpoint) is gone; its one reader wanted
+    the number of batches, which is the number of flushes."""
+    sim, server = boot_server(seed=7, bots=3, audit_every_n_ticks=0)
+    core = GatewayCore(server)
+
+    def stats_at(t):
+        sim.run_until(t)
+        status, __, body = core.handle("GET", "/stats")
+        assert status == 200
+        (stats,) = json.loads(body)["stats"]
+        return stats
+
+    early, late = stats_at(1_000.0), stats_at(6_000.0)
+    assert late["flushes"] > 4 * early["flushes"] > 0
+    for stats in (early, late):
+        assert stats["per_flush_batch_count"] == stats["flushes"]
+        assert all(isinstance(value, (int, float)) for value in stats.values())
+    assert set(late) == set(early)
+    assert len(json.dumps(late)) < len(json.dumps(early)) + 64  # digits only
+    assert all(
+        isinstance(value, (int, float))
+        for value in vars(server.dyconits.stats).values()
+    )
+
+
 class TestValidation:
     def test_malformed_requests_rejected_and_not_queued(self):
         __, server = boot_server(seed=5, bots=0)

@@ -182,6 +182,43 @@ class DyconitMachine(RuleBasedStateMachine):
     def set_bounds(self, chunk, sub_id, bounds):
         self.system.set_bounds(chunk, sub_id, bounds)  # may flush via callback
 
+    @rule(sub_id=subscriber_ids, entity=st.integers(min_value=1, max_value=5),
+          bounds=bounds_strategy, delta=st.sampled_from([0.0, 30.0, 150.0]))
+    def retune_storm(self, sub_id, entity, bounds, delta):
+        """commit, sweep ``set_bounds`` over every subscription of one
+        subscriber, let time pass *without* a tick, commit again — what a
+        policy retune does between two commits of a server tick. No audit
+        runs in between, so on flat state the second commit is the one
+        that must refresh the gates the sweep left dirty (a stale gate
+        flushes late: the reference model and the overdue check catch
+        it); on every state kind the sweep re-arms deadlines through
+        ``_armed`` while the heap still holds the old entries."""
+        chunks = self.system.subscription_ids_of(sub_id)
+        if not chunks:
+            return
+        self.commit(chunks[0], entity, 1.0)
+        for chunk in chunks:
+            self.system.set_bounds(chunk, sub_id, bounds)
+        self.now += delta
+        self.commit(chunks[-1], entity, 0.5)
+        self._assert_nothing_overdue(committed_to=self.system.resolve(chunks[-1]))
+
+    def _assert_nothing_overdue(self, committed_to=None) -> None:
+        """No backlog may be at or past its staleness bound — everywhere
+        right after a tick, and on the dyconit a commit just went to
+        (commits re-check every queue they touch)."""
+        for dyconit in self.system.dyconits():
+            if committed_to is not None and dyconit.dyconit_id != committed_to:
+                continue
+            for state in dyconit.subscription_states():
+                if state.has_pending and not math.isinf(state.bounds.staleness_ms):
+                    age = self.now - state.oldest_pending_time
+                    assert age < state.bounds.staleness_ms, (
+                        f"({dyconit.dyconit_id!r}, subscriber "
+                        f"{state.subscriber.subscriber_id}) is {age:g} ms stale, "
+                        f"bound {state.bounds.staleness_ms:g} ms"
+                    )
+
     @rule(region_index=st.sampled_from([0, 1]))
     def merge_region(self, region_index):
         region = REGIONS[region_index]
@@ -229,15 +266,7 @@ class DyconitMachine(RuleBasedStateMachine):
         # Behavioural staleness check: after a tick nothing may still be
         # older than its staleness bound — a backlog that survives here
         # lost its deadline-heap entry (the merge/re-subscribe bugs).
-        for dyconit in self.system.dyconits():
-            for state in dyconit.subscription_states():
-                if state.has_pending and not math.isinf(state.bounds.staleness_ms):
-                    age = self.now - state.oldest_pending_time
-                    assert age < state.bounds.staleness_ms, (
-                        f"({dyconit.dyconit_id!r}, subscriber "
-                        f"{state.subscriber.subscriber_id}) is {age:g} ms stale "
-                        f"after a tick, bound {state.bounds.staleness_ms:g} ms"
-                    )
+        self._assert_nothing_overdue()
 
     # -- checked after every rule ---------------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
 from repro.core.policy import LoadSignals
@@ -129,3 +130,33 @@ def test_on_subscriber_moved_uses_current_factor():
     loosened = state.bounds
     policy.on_subscriber_moved(system, rec.subscriber)
     assert state.bounds == loosened  # same position, same factor
+
+
+def test_retune_sweep_installs_exactly_bounds_for_on_every_pair():
+    """``_reapply_all`` goes through the position-hoisting sweep; what it
+    installs must be ``bounds_for`` of each pair, bit for bit, and peer
+    subscriptions must stay untouched."""
+    system, policy = build()
+    rec = RecordingSubscriber(subscriber_id=1, position=Vec3(8.0, 30.0, 8.0))
+    other = RecordingSubscriber(subscriber_id=2, position=Vec3(-40.0, 30.0, 21.5))
+    peer = RecordingSubscriber(subscriber_id=-1)
+    peer.subscriber.kind = "peer"
+    ids = [("chunk", cx, cz) for cx in range(-2, 3) for cz in (0, 3)] + [("global",)]
+    for dyconit_id in ids:
+        system.subscribe(dyconit_id, rec.subscriber)
+        system.subscribe(dyconit_id, other.subscriber)
+        system.subscribe(dyconit_id, peer.subscriber, bounds=Bounds(1.0, 10.0))
+    policy.evaluate(system, signals(2.0))  # overload: factor moves, sweep runs
+    assert policy.factor != 1.0
+    for dyconit_id in ids:
+        dyconit = system.get(dyconit_id)
+        for subscriber in (rec.subscriber, other.subscriber):
+            assert dyconit.get_state(subscriber.subscriber_id).bounds == (
+                policy.bounds_for(system, dyconit_id, subscriber)
+            )
+            assert policy.bounds_for(system, dyconit_id, subscriber) == (
+                policy.shape.bounds_for(system, dyconit_id, subscriber).scaled(
+                    policy.factor
+                )
+            )
+        assert dyconit.get_state(-1).bounds == Bounds(1.0, 10.0)

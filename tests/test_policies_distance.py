@@ -1,12 +1,16 @@
 """Unit tests for the distance-based policy."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner
+from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner, centroid_of
+from repro.policies import distance
 from repro.policies.distance import DistanceBasedPolicy
-from repro.world.geometry import Vec3
+from repro.world.geometry import CHUNK_SIZE, Vec3
 
 from tests.conftest import RecordingSubscriber
 
@@ -111,3 +115,79 @@ def test_rejects_negative_coefficients():
 
 def test_repr_mentions_surface():
     assert "d^2" in repr(DistanceBasedPolicy(numerical_exponent=2.0))
+
+
+# ----------------------------------------------------------------------
+# The cached, inlined derivation ≡ the object-walking one, bit for bit
+# ----------------------------------------------------------------------
+
+
+def reference_bounds_for(policy, system, dyconit_id, subscriber):
+    """``bounds_for`` as first written: parse the id, build the chunk and
+    its centre, measure with ``Vec3.horizontal_distance_to``."""
+    if dyconit_id == GLOBAL_DYCONIT:
+        return policy.global_bounds
+    centroid = centroid_of(dyconit_id, system.partitioner)
+    position = subscriber.position
+    if centroid is None or position is None:
+        return policy.global_bounds
+    distance_blocks = position.horizontal_distance_to(centroid)
+    chunk_distance = max(policy.min_chunk_distance, distance_blocks / CHUNK_SIZE - 0.5)
+    return policy.bounds_at_distance(chunk_distance)
+
+
+SPATIAL_IDS = [
+    GLOBAL_DYCONIT,
+    "not-spatial",
+    ("chunk", 0, 0),
+    ("chunk", -3, 7),
+    ("chunk", 12, -9),
+    ("region", 4, 0, 0),
+    ("region", 4, -2, 1),
+]
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.7])
+def test_bounds_for_is_bit_identical_to_the_reference_derivation(exponent):
+    rng = random.Random(1234)
+    policy = DistanceBasedPolicy(numerical_exponent=exponent)
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+    for __ in range(200):
+        position = Vec3(
+            rng.uniform(-300.0, 300.0), rng.uniform(0.0, 80.0), rng.uniform(-300.0, 300.0)
+        )
+        rec = RecordingSubscriber(position=position)
+        for dyconit_id in SPATIAL_IDS:
+            expected = reference_bounds_for(policy, system, dyconit_id, rec.subscriber)
+            # Twice: the second answer comes out of the centroid cache.
+            assert policy.bounds_for(system, dyconit_id, rec.subscriber) == expected
+            assert policy.bounds_for(system, dyconit_id, rec.subscriber) == expected
+
+
+def test_sweep_reads_the_subscriber_position_once():
+    reads = []
+    policy = DistanceBasedPolicy()
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+    rec = RecordingSubscriber(position=Vec3(8.0, 30.0, 8.0))
+    provider = rec.subscriber.position_provider
+    rec.subscriber.position_provider = lambda: (reads.append(1), provider())[1]
+    for cx in range(6):
+        system.subscribe(("chunk", cx, 0), rec.subscriber)
+    reads.clear()
+    system.notify_subscriber_moved(rec.subscriber.subscriber_id)
+    assert reads == [1]
+
+
+def test_centroid_cache_is_bounded_and_stays_out_of_pickles(monkeypatch):
+    monkeypatch.setattr(distance, "_CENTROID_CACHE_SIZE", 8)
+    system, rec, policy = build()
+    expected = {
+        cx: reference_bounds_for(policy, system, ("chunk", cx, 0), rec.subscriber)
+        for cx in range(20)
+    }
+    for cx in range(20):
+        assert policy.bounds_for(system, ("chunk", cx, 0), rec.subscriber) == expected[cx]
+        assert len(policy._centroids) <= 8
+    clone = pickle.loads(pickle.dumps(policy))
+    assert clone._centroids == {}
+    assert clone.bounds_for(system, ("chunk", 3, 0), rec.subscriber) == expected[3]
