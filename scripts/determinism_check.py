@@ -3,13 +3,15 @@
 
 Usage: [PYTHONPATH=src] python scripts/determinism_check.py [--jobs N]
 
-Runs a seven-cell sweep — four E1+E9-shaped single-server cells, a
+Runs an eight-cell sweep — four E1+E9-shaped single-server cells, a
 2-shard cluster cell (S16), its shard-parallel twin (S18; worker
-processes must reproduce the serial cell's result byte-for-byte), and a
+processes must reproduce the serial cell's result byte-for-byte), a
 legacy-commit-path cell (S17 toggle off; the default cells all run the
-batched columnar path) — and prints, one per line, each cell's cache
-key (the content-addressed config digest) followed by the sha256 of the
-merged result store. The S18 twin is additionally diffed against the
+batched columnar path), and a direct-mode cell on lossy links (the
+shared-packet broadcast and the corked per-client egress frames, with
+the fault layer drawing per packet inside them) — and prints, one per
+line, each cell's cache key (the content-addressed config digest)
+followed by the sha256 of the merged result store. The S18 twin is additionally diffed against the
 serial cell in-process: its traffic totals and handoff counts must be
 identical, or the script exits non-zero. CI runs this twice under different
 ``PYTHONHASHSEED`` values and diffs the output: any dependence on dict
@@ -32,6 +34,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.configs import ExperimentConfig  # noqa: E402
+from repro.experiments.figures import make_fault_plan  # noqa: E402
 from repro.experiments.parallel import (  # noqa: E402
     config_digest,
     default_bench_cells,
@@ -75,6 +78,21 @@ def main() -> None:
             warmup_ms=500.0,
             seed=23,
             use_batched_commit=False,
+        )
+    )
+    # Direct mode on lossy links: one packet object shared by a move's
+    # viewers, one egress frame per client per tick, FaultyLink drawing
+    # per packet inside each frame.
+    cells.append(
+        ExperimentConfig(
+            name="det-vanilla-direct",
+            policy="vanilla",
+            movement="hotspot",
+            bots=6,
+            duration_ms=2_000.0,
+            warmup_ms=500.0,
+            seed=29,
+            faults=make_fault_plan(0.02),
         )
     )
     for cell in cells:

@@ -52,34 +52,33 @@ class PerceivedWorld:
     def apply(self, delivered: DeliveredPacket) -> None:
         packet = delivered.packet
         now = delivered.delivered_at
-        if isinstance(packet, SpawnEntityPacket):
-            self.entity_positions[packet.entity_id] = packet.position
-            self.entity_last_update[packet.entity_id] = now
-        elif isinstance(packet, EntityPositionPacket):
+        kind = type(packet)
+        if kind is EntityPositionPacket:  # nine packets in ten
             current = self.entity_positions.get(packet.entity_id)
             if current is not None:
                 self.entity_positions[packet.entity_id] = current + packet.delta
                 self.entity_last_update[packet.entity_id] = now
-        elif isinstance(packet, EntityTeleportPacket):
+        elif kind is SpawnEntityPacket or kind is EntityTeleportPacket:
             self.entity_positions[packet.entity_id] = packet.position
             self.entity_last_update[packet.entity_id] = now
-        elif isinstance(packet, DestroyEntitiesPacket):
+        elif kind is DestroyEntitiesPacket:
             for entity_id in packet.entity_ids:
                 self.entity_positions.pop(entity_id, None)
                 self.entity_last_update.pop(entity_id, None)
-        elif isinstance(packet, BlockChangePacket):
+        elif kind is BlockChangePacket:
             self.blocks[packet.pos] = packet.block
-        elif isinstance(packet, MultiBlockChangePacket):
+        elif kind is MultiBlockChangePacket:
             for pos, block in packet.changes:
                 self.blocks[pos] = block
-        elif isinstance(packet, ChunkDataPacket):
+        elif kind is ChunkDataPacket:
             self.loaded_chunks.add(packet.chunk)
-        elif isinstance(packet, ChunkUnloadPacket):
+        elif kind is ChunkUnloadPacket:
             self.loaded_chunks.discard(packet.chunk)
             # Forget overlay blocks in the unloaded chunk.
-            for pos in [p for p in self.blocks if p.to_chunk_pos() == packet.chunk]:
+            cx, cz = packet.chunk.cx, packet.chunk.cz
+            for pos in [p for p in self.blocks if p.x >> 4 == cx and p.z >> 4 == cz]:
                 del self.blocks[pos]
-        elif isinstance(packet, ChatMessagePacket):
+        elif kind is ChatMessagePacket:
             self.chat_log.append(packet.text)
 
 
@@ -174,7 +173,7 @@ class BotClient:
     def on_packet(self, delivered: DeliveredPacket) -> None:
         self.packets_received += 1
         packet = delivered.packet
-        if isinstance(packet, JoinGamePacket):
+        if type(packet) is JoinGamePacket:
             self.entity_id = packet.entity_id
             # A JoinGame marks a brand-new server-side session — either
             # this connect, or a cross-shard handoff (S16) that rebuilt

@@ -47,6 +47,9 @@ I5  viewer index ≡ brute-force scan of per-session state (the
     differential ground truth promoted from the viewindex tests).
 I6  per-link FIFO monotone delivery (observed at delivery time by the
     transport's checked mode; the auditor reports what it recorded).
+    ``I6.cork-drained``: the transport holds no pending frame at an
+    audit barrier — the tick uncorks before pricing and before the
+    audit, so a packet still waiting here would never be sent.
 I7  unique entity ownership (cluster, S16): every entity id is
     authoritative — present in a shard's world and not in its ghost
     set — on *exactly one* shard; ids riding the bus inside a pending
@@ -412,6 +415,16 @@ class InvariantAuditor:
     def _check_link_fifo(self, server, violations: list[Violation]) -> None:
         for message in getattr(server.transport, "fifo_violations", ()):
             violations.append(Violation("I6.link-fifo", "Transport", message))
+        pending = getattr(server.transport, "pending_packets", 0)
+        if pending:
+            violations.append(
+                Violation(
+                    "I6.cork-drained",
+                    "Transport",
+                    f"{pending} packets still in pending frames at the audit "
+                    f"barrier — the transport must be uncorked between phases",
+                )
+            )
 
     # ------------------------------------------------------------------
     # I7 — unique entity ownership across shards

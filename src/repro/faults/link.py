@@ -11,6 +11,9 @@ and draws happen in a fixed per-packet order — burst-state transition,
 burst-loss draw, independent-loss draw, then (for surviving packets)
 spike draw. Adding a new fault type must append to this order, never
 reorder it, or same-seed runs stop being comparable across versions.
+For the same reason an egress frame (``ClientLink.transmit_frame``) on
+this link is a plain loop over :meth:`~ClientLink.transmit`: the base
+class takes its batched path only when ``type(self) is ClientLink``.
 """
 
 from __future__ import annotations

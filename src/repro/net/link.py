@@ -14,11 +14,23 @@ capped pipe).
 The link also accumulates byte/packet counters that the transport exposes
 to the metrics layer — this is where the paper's bandwidth numbers come
 from.
+
+Two entry points, one arithmetic. :meth:`ClientLink.transmit` is the
+per-packet path with the fault-layer hooks; :meth:`ClientLink.transmit_frame`
+takes everything the transport queued for this client at one simulated
+instant (one frame per client per tick, see ``net/transport.py``). On a
+healthy, jitter-free link the frame runs the same float operations in the
+same order per packet — every delivery time is bit-identical to sending
+the packets one by one — but reads the link state once, writes it once and
+commits :class:`LinkStats` once per run of same-class packets. A link with
+a jitter source or fault hooks must keep its per-packet draw order, so its
+frame is simply a loop over :meth:`~ClientLink.transmit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.net.protocol import Packet
 
@@ -47,12 +59,12 @@ class LinkStats:
     bytes_by_kind: dict[str, int] = field(default_factory=dict)
     packets_by_kind: dict[str, int] = field(default_factory=dict)
 
-    def record(self, packet: Packet, size: int) -> None:
-        self.packets += 1
+    def add(self, kind: str, packets: int, size: int) -> None:
+        """Account ``packets`` packets of one kind totalling ``size`` bytes."""
+        self.packets += packets
         self.bytes += size
-        kind = packet.kind
         self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
-        self.packets_by_kind[kind] = self.packets_by_kind.get(kind, 0) + 1
+        self.packets_by_kind[kind] = self.packets_by_kind.get(kind, 0) + packets
 
 
 class ClientLink:
@@ -80,7 +92,7 @@ class ClientLink:
         downstream of its egress.
         """
         size = packet.wire_size()
-        self.stats.record(packet, size)
+        self.stats.add(packet.kind, 1, size)
         serialization_ms = size * 8.0 / self.bandwidth_at(now) * 1000.0
         start = max(now, self._busy_until)
         self._busy_until = start + serialization_ms
@@ -98,6 +110,49 @@ class ClientLink:
             delivery = self._last_delivery_time
         self._last_delivery_time = delivery
         return delivery
+
+    def transmit_frame(
+        self, packets: Sequence[Packet], now: float
+    ) -> list[float | None]:
+        """Account for ``packets`` all leaving at ``now``, in order;
+        return one delivery time per packet (``None`` = lost).
+
+        Same arithmetic as :meth:`transmit` packet by packet (the jitter
+        and spike terms of a healthy link are exact zeros, so leaving
+        them out moves no bit), with the link state read and written
+        once and the stats committed once per run of same-class packets.
+        """
+        if self._jitter is not None or type(self) is not ClientLink:
+            # A jitter source or a subclass's fault hooks draw per
+            # packet in a fixed order: nothing reordered, nothing skipped.
+            return [self.transmit(packet, now) for packet in packets]
+        bandwidth = self.config.bandwidth_bps
+        latency_ms = self.config.latency_ms
+        busy = self._busy_until
+        last = self._last_delivery_time
+        deliveries: list[float | None] = []
+        run_class = None
+        run_packets = run_bytes = 0
+        for packet in packets:
+            size = packet.wire_size()
+            if packet.__class__ is not run_class:
+                if run_packets:
+                    self.stats.add(run_class.__name__, run_packets, run_bytes)
+                run_class = packet.__class__
+                run_packets = run_bytes = 0
+            run_packets += 1
+            run_bytes += size
+            busy = (busy if busy > now else now) + size * 8.0 / bandwidth * 1000.0
+            delivery = busy + latency_ms
+            if delivery < last:
+                delivery = last
+            last = delivery
+            deliveries.append(delivery)
+        if run_packets:
+            self.stats.add(run_class.__name__, run_packets, run_bytes)
+        self._busy_until = busy
+        self._last_delivery_time = last
+        return deliveries
 
     # -- fault-layer hooks (no-ops on a healthy link) -------------------
 

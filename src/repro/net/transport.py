@@ -4,13 +4,34 @@ The transport owns one :class:`ClientLink` per connected client, delivers
 packets through the simulation's event queue, and exposes fleet-wide
 accounting. Receivers register a callback invoked at delivery time with a
 :class:`DeliveredPacket` carrying the end-to-end latency.
+
+Egress is *framed*. :meth:`Transport.send` is the only way a packet
+enters a link, and what it hands the link is always a frame — the
+packets one client is sent at one simulated instant:
+
+* uncorked (joins, handoffs, cluster pump handlers, anything outside a
+  server tick), ``send`` is a one-packet frame, immediately;
+* between :meth:`Transport.cork` and :meth:`Transport.uncork` (the
+  server tick's phases), ``send`` only appends to that client's pending
+  frame, and the uncork sends each client's frame once, in the order
+  clients were first sent to: one link lookup, one clock read, one
+  :meth:`ClientLink.transmit_frame` and one accounting update per client
+  per tick instead of per packet.
+
+What stays per packet, because it is observable: the size model and the
+link arithmetic (byte counts and every ``delivered_at`` are bit-identical
+to sending one by one), the fault layer's draws and their order, latency
+samples, drop counts, the checked-mode FIFO comparison, and the handler
+call — one :class:`DeliveredPacket` per packet, in send order per client.
+What a cork changes is only the interleaving of handler calls *across*
+clients inside one tick (client order instead of event order).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from repro.faults.link import FaultyLink
 from repro.faults.plan import FaultPlan
@@ -57,13 +78,28 @@ class LatencyReservoir:
         self.count = 0
 
     def record(self, value: float) -> None:
-        self.count += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self.samples[slot] = value
+        self.record_many((value,))
+
+    def record_many(self, values: Iterable[float]) -> None:
+        """Offer ``values`` in order; same draws as one ``randrange(count)``
+        per value past capacity (``getrandbits`` with rejection is what
+        ``randrange`` does), without three calls per packet."""
+        samples = self.samples
+        capacity = self.capacity
+        getrandbits = self._rng.getrandbits
+        count = self.count
+        for value in values:
+            count += 1
+            if count <= capacity:
+                samples.append(value)
+                continue
+            bits = count.bit_length()
+            slot = getrandbits(bits)
+            while slot >= count:
+                slot = getrandbits(bits)
+            if slot < capacity:
+                samples[slot] = value
+        self.count = count
 
 
 class Transport:
@@ -132,6 +168,10 @@ class Transport:
         #: the delivery hot path pays one attribute check and nothing else.
         self._fifo_last: dict[int, float] | None = None
         self.fifo_violations: list[str] = []
+        #: ``None`` = uncorked. Corked: client id -> the packets sent to
+        #: it since :meth:`cork`, in send order. Insertion ordered, so
+        #: the flush order is a function of the run alone.
+        self._pending: dict[int, list[Packet]] | None = None
 
     @property
     def latencies_ms(self) -> list[float]:
@@ -163,13 +203,14 @@ class Transport:
             )
         self._fifo_last[client_id] = delivered_at
 
-    def _record_latency(self, latency_ms: float) -> None:
+    def _record_latencies(self, latencies_ms: Sequence[float]) -> None:
         if self.record_latencies:
-            self._exact_latencies.append(latency_ms)
+            self._exact_latencies.extend(latencies_ms)
         else:
-            self._latency_reservoir.record(latency_ms)
+            self._latency_reservoir.record_many(latencies_ms)
         if self._tm_latency is not None:
-            self._tm_latency.record(latency_ms)
+            for latency_ms in latencies_ms:
+                self._tm_latency.record(latency_ms)
 
     # ------------------------------------------------------------------
     # Connections
@@ -222,6 +263,12 @@ class Transport:
         return client_link
 
     def disconnect(self, client_id: int) -> None:
+        if self._pending:
+            # What was sent before the close reaches the old connection
+            # first (scheduled deliveries then die with its generation).
+            frame = self._pending.pop(client_id, None)
+            if frame is not None:
+                self._send_frame(client_id, frame)
         link = self._links.pop(client_id, None)
         if link is not None:
             self._closed_stats.append(link.stats)
@@ -240,54 +287,99 @@ class Transport:
 
     def send(self, client_id: int, packet: Packet) -> None:
         """Queue ``packet`` for delivery to ``client_id``."""
+        pending = self._pending
+        if pending is None:
+            self._send_frame(client_id, (packet,))
+            return
+        frame = pending.get(client_id)
+        if frame is not None:
+            frame.append(packet)
+        elif client_id in self._links:
+            pending[client_id] = [packet]
+        # else: client raced a disconnect; drop silently like a closed socket
+
+    def cork(self) -> None:
+        """Hold every :meth:`send` back, per client, until :meth:`uncork`.
+
+        The caller pairs the two with ``try``/``finally``: packets sent
+        before an error had reached their links without a cork, so they
+        still must, and the transport is never left corked.
+        """
+        if self._pending is not None:
+            raise RuntimeError("transport is already corked")
+        self._pending = {}
+
+    def uncork(self) -> None:
+        """Send each client's pending packets as one frame, in the order
+        clients were first sent to. A no-op when not corked."""
+        pending, self._pending = self._pending, None
+        if pending:
+            for client_id, frame in pending.items():
+                self._send_frame(client_id, frame)
+
+    @property
+    def pending_packets(self) -> int:
+        """Packets held in pending frames; 0 whenever uncorked."""
+        if self._pending is None:
+            return 0
+        return sum(len(frame) for frame in self._pending.values())
+
+    def _send_frame(self, client_id: int, packets: Sequence[Packet]) -> None:
+        """Transmit ``packets`` to one client as one frame leaving now."""
         link = self._links.get(client_id)
         if link is None:
             return  # client raced a disconnect; drop silently like a closed socket
         now = self.sim.now
-        delivery_time = link.transmit(packet, now)
+        deliveries = link.transmit_frame(packets, now)
         if self._tm_sent is not None:
-            self._tm_sent.increment()
-        if delivery_time is None:
+            self._tm_sent.increment(len(packets))
+        if None in deliveries:
             # Lost on the wire by the fault layer. Bytes were already
             # accounted (the server did transmit them); nothing arrives.
-            self.packets_dropped += 1
+            dropped = deliveries.count(None)
+            self.packets_dropped += dropped
             if self._tm_dropped is not None:
-                self._tm_dropped.increment()
-            return
+                self._tm_dropped.increment(dropped)
+            packets = [p for p, at in zip(packets, deliveries) if at is not None]
+            deliveries = [at for at in deliveries if at is not None]
         handler = self._handlers[client_id]
-
         if self.synchronous_delivery:
-            delivered = DeliveredPacket(
-                packet=packet, sent_at=now, delivered_at=delivery_time
-            )
-            self._record_latency(delivered.latency_ms)
+            self._record_latencies([at - now for at in deliveries])
             if self._fifo_last is not None:
-                self._check_fifo(client_id, delivery_time)
-            handler(delivered)
+                for delivered_at in deliveries:
+                    self._check_fifo(client_id, delivered_at)
+            for packet, delivered_at in zip(packets, deliveries):
+                handler(DeliveredPacket(packet, now, delivered_at))
             return
-
         generation = self._generations.get(client_id, 0)
+        for packet, delivered_at in zip(packets, deliveries):
+            self.sim.schedule_at(
+                delivered_at,
+                self._scheduled_delivery(client_id, generation, handler, packet, now),
+            )
 
+    def _scheduled_delivery(
+        self,
+        client_id: int,
+        generation: int,
+        handler: PacketHandler,
+        packet: Packet,
+        sent_at: float,
+    ) -> Callable[[], None]:
         def deliver() -> None:
-            if not self.is_connected(client_id):
-                return
             if self._generations.get(client_id, 0) != generation:
                 # The sending connection closed and the client id was
                 # reused; this packet belongs to the dead socket.
                 return
-            delivered = DeliveredPacket(
-                packet=packet, sent_at=now, delivered_at=self.sim.now
-            )
-            self._record_latency(delivered.latency_ms)
+            if client_id not in self._links:
+                return
+            delivered_at = self.sim.now
+            self._record_latencies((delivered_at - sent_at,))
             if self._fifo_last is not None:
-                self._check_fifo(client_id, self.sim.now)
-            handler(delivered)
+                self._check_fifo(client_id, delivered_at)
+            handler(DeliveredPacket(packet, sent_at, delivered_at))
 
-        self.sim.schedule_at(delivery_time, deliver)
-
-    def send_many(self, client_id: int, packets: list[Packet]) -> None:
-        for packet in packets:
-            self.send(client_id, packet)
+        return deliver
 
     # ------------------------------------------------------------------
     # Accounting

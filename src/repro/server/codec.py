@@ -15,7 +15,7 @@ makes relative-move packets valid:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.net.protocol import (
     BlockChangePacket,
@@ -27,7 +27,6 @@ from repro.net.protocol import (
     Packet,
     SpawnEntityPacket,
 )
-from repro.world.entity import EntityKind
 from repro.world.events import (
     BlockChangeEvent,
     ChatEvent,
@@ -36,6 +35,7 @@ from repro.world.events import (
     EntitySpawnEvent,
     WorldEvent,
 )
+from repro.world.geometry import ChunkPos, Vec3
 from repro.server.session import PlayerSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -57,7 +57,12 @@ class SessionCodec:
         despawned: list[int] = []
 
         for update in updates:
-            if isinstance(update, BlockChangeEvent):
+            kind = type(update)
+            if kind is EntityMoveEvent:
+                packet = self._encode_move(session, update)
+                if packet is not None:
+                    packets.append(packet)
+            elif kind is BlockChangeEvent:
                 chunk = update.pos.to_chunk_pos()
                 if not session.sees_chunk(chunk):
                     # The client has not loaded that chunk; it would
@@ -66,11 +71,7 @@ class SessionCodec:
                     continue
                 chunk_changes = block_changes.setdefault(chunk, {})
                 chunk_changes[update.pos] = update.new_block
-            elif isinstance(update, EntityMoveEvent):
-                packet = self._encode_move(session, update)
-                if packet is not None:
-                    packets.append(packet)
-            elif isinstance(update, EntitySpawnEvent):
+            elif kind is EntitySpawnEvent:
                 if update.entity_id == session.entity_id:
                     continue  # the client spawns its own avatar locally
                 if not session.sees_chunk(update.position.to_chunk_pos()):
@@ -89,10 +90,10 @@ class SessionCodec:
                             name=update.name,
                         )
                     )
-            elif isinstance(update, EntityDespawnEvent):
+            elif kind is EntityDespawnEvent:
                 if session.forget_entity(update.entity_id):
                     despawned.append(update.entity_id)
-            elif isinstance(update, ChatEvent):
+            elif kind is ChatEvent:
                 packets.append(
                     ChatMessagePacket(sender_id=update.sender_id, text=update.text)
                 )
@@ -145,21 +146,72 @@ class SessionCodec:
                 position=update.new_position,
                 name=entity.name,
             )
-        delta = update.new_position - last_sent
-        session.known_entities[update.entity_id] = update.new_position
-        if EntityPositionPacket.fits(delta):
-            return EntityPositionPacket(
-                entity_id=update.entity_id,
-                delta=delta,
-                yaw=update.yaw,
-                pitch=update.pitch,
-            )
-        return EntityTeleportPacket(
-            entity_id=update.entity_id,
-            position=update.new_position,
-            yaw=update.yaw,
-            pitch=update.pitch,
-        )
+        session.known_entities.overwrite(update.entity_id, update.new_position)
+        return _move_packet(update, last_sent)
+
+    def encode_move_for_viewers(
+        self,
+        sessions: Iterable[PlayerSession],
+        update: EntityMoveEvent,
+        chunk: ChunkPos,
+        exclude: int | None,
+    ) -> list[tuple[PlayerSession, Packet]]:
+        """One move fanned out to the viewers of its chunk (vanilla
+        broadcast): ``(session, packet)`` for every session owed one, in
+        session order.
+
+        Per session this is :meth:`_encode_move` step for step — the
+        bookkeeping is per client and stays so. What is shared is the
+        immutable result: the move packet is a function of ``(update,
+        last_sent)``, and the viewers of one move almost always hold the
+        very same last-sent position object (the previous move's
+        ``new_position``), so the packet is built once and handed to each
+        of them. The memo is that one position, held by reference and
+        compared by identity: holding it is what makes identity safe
+        while the overwrite below drops the sessions' own references.
+        """
+        entity_id = update.entity_id
+        time = update.time
+        new_position = update.new_position
+        shared_last = shared_move = spawn = destroy = None
+        out: list[tuple[PlayerSession, Packet]] = []
+        for session in sessions:
+            if session.client_id == exclude or session.entity_id == entity_id:
+                continue
+            update_times = session.entity_update_times
+            last_time = update_times.get(entity_id)
+            if last_time is not None and time < last_time:
+                continue
+            update_times[entity_id] = time
+            if chunk not in session.view_chunks:
+                if session.forget_entity(entity_id):
+                    if destroy is None:
+                        destroy = DestroyEntitiesPacket(entity_ids=(entity_id,))
+                    out.append((session, destroy))
+                continue
+            known = session.known_entities
+            last_sent = known.get(entity_id)
+            if last_sent is None:
+                if spawn is None:
+                    entity = self.world.get_entity(entity_id)
+                    if entity is None:
+                        del update_times[entity_id]
+                        continue
+                    spawn = SpawnEntityPacket(
+                        entity_id=entity_id,
+                        entity_kind=entity.kind,
+                        position=new_position,
+                        name=entity.name,
+                    )
+                known[entity_id] = new_position
+                out.append((session, spawn))
+                continue
+            known.overwrite(entity_id, new_position)
+            if last_sent is not shared_last:
+                shared_last = last_sent
+                shared_move = _move_packet(update, last_sent)
+            out.append((session, shared_move))
+        return out
 
     def encode_entity_snapshot(
         self, session: PlayerSession, entity_id: int
@@ -182,5 +234,20 @@ class SessionCodec:
         )
 
 
-def entity_kind_or_unknown(kind: EntityKind | None) -> EntityKind:
-    return kind if kind is not None else EntityKind.ITEM
+def _move_packet(update: EntityMoveEvent, last_sent: Vec3) -> Packet:
+    """The packet that takes a replica from ``last_sent`` to the move's
+    position: relative when the delta fits, a teleport otherwise."""
+    delta = update.new_position - last_sent
+    if EntityPositionPacket.fits(delta):
+        return EntityPositionPacket(
+            entity_id=update.entity_id,
+            delta=delta,
+            yaw=update.yaw,
+            pitch=update.pitch,
+        )
+    return EntityTeleportPacket(
+        entity_id=update.entity_id,
+        position=update.new_position,
+        yaw=update.yaw,
+        pitch=update.pitch,
+    )

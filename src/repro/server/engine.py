@@ -8,6 +8,10 @@ player actions, and broadcasts world events through one of two paths:
 * ``direct_mode=False`` — events are committed to the dyconit middleware,
   which queues, merges, and flushes per the installed policy.
 
+Either way a packet leaves through :meth:`GameServer.send_packets` →
+``Transport.send``; inside a tick the transport is corked, so each client
+is sent one frame per tick, before the tick is priced.
+
 Every tick's work is folded into a :class:`TickWorkload` and priced by
 the :class:`TickCostModel`; when the priced duration exceeds the tick
 interval the next tick is delayed accordingly, so an overloaded server
@@ -440,6 +444,14 @@ class GameServer:
         sessions = (
             self.sessions.values() if chunk is None else self.viewers.viewers(chunk)
         )
+        if type(event) is EntityMoveEvent:
+            # The dominant case: one packet object per event, shared by
+            # every viewer whose replica stands where the others' do.
+            for session, packet in self.codec.encode_move_for_viewers(
+                sessions, event, chunk, exclude
+            ):
+                self.send_packets(session, (packet,))
+            return
         for session in sessions:
             if session.client_id == exclude:
                 continue
@@ -494,10 +506,27 @@ class GameServer:
         return position
 
     def send_packets(self, session: PlayerSession, packets: Sequence[Packet]) -> None:
+        send = self.transport.send
+        client_id = session.client_id
         for packet in packets:
-            self.transport.send(session.client_id, packet)
+            send(client_id, packet)
         session.packets_sent += len(packets)
         self.messages_sent += len(packets)
+
+    @contextmanager
+    def _egress_frames(self):
+        """Cork the transport over a run of tick phases: every packet
+        they send waits in its client's pending frame, and the frames go
+        out together — one per client — when the scope ends, inside the
+        ``tick.egress`` span. They go out even if a phase raises (those
+        packets had reached their links before the error without a
+        cork), so the transport is never left corked."""
+        self.transport.cork()
+        try:
+            yield
+        finally:
+            with self.telemetry.span("tick.egress"):
+                self.transport.uncork()
 
     # ------------------------------------------------------------------
     # Tick loop
@@ -515,7 +544,8 @@ class GameServer:
 
     def tick_once(self) -> float:
         """Run one tick's phases (input, simulate, flush, keepalive,
-        pricing, policy, audit) and return the priced duration in ms.
+        egress, pricing, policy + egress, audit) and return the priced
+        duration in ms.
 
         This is the whole tick *except* scheduling the next one — the
         seam the parallel shard runner drives from a worker process,
@@ -541,29 +571,34 @@ class GameServer:
 
         telemetry = self.telemetry
 
-        # 1. Inbound actions (commit-batched: the burst's bufferable
-        #    events go through commit_many at scope exit).
-        inbound, self._inbound = self._inbound, []
-        with telemetry.span("tick.input"), self._commit_batching():
-            for client_id, action in inbound:
-                self._apply_action(client_id, action)
+        # Phases 1-4 send into per-client pending frames; the frames
+        # leave before pricing, which reads this tick's bytes.
+        with self._egress_frames():
+            # 1. Inbound actions (commit-batched: the burst's bufferable
+            #    events go through commit_many at scope exit).
+            inbound, self._inbound = self._inbound, []
+            with telemetry.span("tick.input"), self._commit_batching():
+                for client_id, action in inbound:
+                    self._apply_action(client_id, action)
 
-        # 2. Ambient mobs.
-        if self._mob_ids and self.tick_count % self.config.mob_step_ticks == 0:
-            with telemetry.span("tick.simulate"), self._commit_batching():
-                self._step_mobs()
+            # 2. Ambient mobs.
+            if self._mob_ids and self.tick_count % self.config.mob_step_ticks == 0:
+                with telemetry.span("tick.simulate"), self._commit_batching():
+                    self._step_mobs()
 
-        # 3. Middleware staleness flushes.
-        if self.dyconits is not None:
-            with telemetry.span("tick.flush"):
-                self.dyconits.tick()
+            # 3. Middleware staleness flushes.
+            if self.dyconits is not None:
+                with telemetry.span("tick.flush"):
+                    self.dyconits.tick()
 
-        # 4. Keepalives.
-        if self.sim.now - self._last_keepalive >= self.config.keepalive_interval_ms:
-            self._last_keepalive = self.sim.now
-            with telemetry.span("tick.keepalive"):
-                for session in self.sessions.values():
-                    self.send_packets(session, [KeepAlivePacket(nonce=self.tick_count)])
+            # 4. Keepalives.
+            if self.sim.now - self._last_keepalive >= self.config.keepalive_interval_ms:
+                self._last_keepalive = self.sim.now
+                with telemetry.span("tick.keepalive"):
+                    for session in self.sessions.values():
+                        self.send_packets(
+                            session, [KeepAlivePacket(nonce=self.tick_count)]
+                        )
 
         # 5. Price the tick.
         if self.dyconits is not None:
@@ -602,9 +637,11 @@ class GameServer:
             telemetry.gauge("viewer_index_size").set(self.viewers.pair_count)
             telemetry.histogram("server_tick_priced_ms", min_value=0.1).record(duration)
 
-        # 6. Policy evaluation (rate-limited inside the system).
+        # 6. Policy evaluation (rate-limited inside the system). A
+        #    tightening retune flushes through ``deliver``: framed too,
+        #    and out before the audit.
         if self.dyconits is not None:
-            with telemetry.span("tick.policy"):
+            with self._egress_frames(), telemetry.span("tick.policy"):
                 self.dyconits.evaluate_policy(self.load_signals(duration))
 
         # 7. Checked mode: audit the middleware + server structure pairs.

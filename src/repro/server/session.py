@@ -24,10 +24,16 @@ class KnownEntityMap(dict):
 
     Only the mutators the session/codec actually use are hooked:
     ``[...] = ...``, ``pop`` and ``clear``. Value-only overwrites of an
-    existing key (the per-move hot path) do not touch the index.
+    existing key (the per-move hot path) do not touch the index: the
+    codec, which has just read the old value, makes them through
+    :attr:`overwrite` and skips the hook altogether.
     """
 
     __slots__ = ("session", "index")
+
+    #: ``overwrite(entity_id, position)`` for a key known to be present:
+    #: membership is unchanged, so this is the plain dict store.
+    overwrite = dict.__setitem__
 
     def __init__(self) -> None:
         super().__init__()

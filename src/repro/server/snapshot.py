@@ -246,6 +246,9 @@ def capture_server(server: GameServer) -> ServerSnapshot:
         )
     if server._commit_buffer:
         raise RuntimeError("capture_server called inside a commit burst")
+    if server.transport.pending_packets:
+        # I6.cork-drained: a snapshot never carries a pending frame.
+        raise RuntimeError("capture_server called while the transport is corked")
     return ServerSnapshot(
         sim_now=server.sim.now,
         tick_count=server.tick_count,

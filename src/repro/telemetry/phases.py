@@ -21,6 +21,7 @@ TICK_PHASES = (
     "tick.flush",
     "tick.keepalive",
     "tick.serialize",
+    "tick.egress",
     "tick.policy",
     "link.delivery",
 )

@@ -11,6 +11,13 @@ on every fifth tick, and a kill-at-tick-K + resume in the middle that must
 stay packet-identical per client (the resumed half runs its restored
 subscriptions on per-object state and its new ones on flat columns, both
 behind the one deadline heap and its ``_armed`` map).
+
+``vanilla-hotspot`` in small rides along: the same crowd in direct mode,
+where every move is encoded once and shared by its viewers and every client
+is sent one egress frame per tick, held packet for packet against the
+per-session ``_broadcast_direct_scan`` reference (the auditor's period also
+turns on per-link FIFO checking) — so a fan-out bug the bench would only hit
+at 40 bots surfaces here.
 """
 
 from repro.backends.memory import InMemoryStateStore
@@ -30,7 +37,7 @@ END_MS = 8000.0
 KILL_TICK = 93
 
 
-def launch(*, until_ms):
+def launch(*, until_ms, direct_mode=False, use_viewer_index=True):
     """Start the crowd; returns ``(server, logs, tape)`` after running to
     ``until_ms``. ``logs`` holds every packet per client id, ``tape`` every
     action as it reached the server ``(time, client id, action)``."""
@@ -41,9 +48,13 @@ def launch(*, until_ms):
         state_store=store,
         seed=SEED,
         audit_every_n_ticks=5,
+        use_viewer_index=use_viewer_index,
     )
     server = GameServer(
-        sim, config=config, policy=AdaptiveBoundsPolicy(tighten_factor=0.95)
+        sim,
+        config=config,
+        policy=None if direct_mode else AdaptiveBoundsPolicy(tighten_factor=0.95),
+        direct_mode=direct_mode,
     )
     server.control_plane = ControlPlane()
     logs: dict[int, list[str]] = {}
@@ -81,10 +92,11 @@ def launch(*, until_ms):
             measure_interval_ms=0.0,
         ),
     ).start()
-    sim.schedule_at(
-        KILL_TICK * TICK_MS - 1.0,
-        lambda: server.control_plane.submit({"kind": "checkpoint", "key": "ck"}),
-    )
+    if not direct_mode:  # a direct-mode server has no store to checkpoint to
+        sim.schedule_at(
+            KILL_TICK * TICK_MS - 1.0,
+            lambda: server.control_plane.submit({"kind": "checkpoint", "key": "ck"}),
+        )
     sim.run_until(until_ms)
     return server, logs, tape
 
@@ -139,3 +151,19 @@ def test_audited_retune_storms_and_mid_run_kill_resume():
     assert resumed.dyconits.policy.factor_history == policy.factor_history
     baseline.close()
     resumed.close()
+
+
+def test_audited_direct_mode_fanout_equals_the_per_session_scan():
+    indexed, indexed_logs, __ = launch(until_ms=END_MS, direct_mode=True)
+    scanned, scanned_logs, __ = launch(
+        until_ms=END_MS, direct_mode=True, use_viewer_index=False
+    )
+    for server in (indexed, scanned):
+        server.audit_now()
+        assert server.transport._fifo_last  # FIFO checked on every delivery
+    assert len(indexed_logs) == BOTS
+    assert sum(len(log) for log in indexed_logs.values()) > 20_000
+    for client_id, log in indexed_logs.items():
+        assert log == scanned_logs[client_id], f"client {client_id} diverged"
+    assert indexed.transport.bytes_by_kind() == scanned.transport.bytes_by_kind()
+    assert indexed.messages_sent == scanned.messages_sent

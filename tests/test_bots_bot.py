@@ -11,6 +11,8 @@ from repro.net.protocol import (
     DestroyEntitiesPacket,
     EntityPositionPacket,
     EntityTeleportPacket,
+    KeepAlivePacket,
+    MultiBlockChangePacket,
     SpawnEntityPacket,
 )
 from repro.net.transport import DeliveredPacket
@@ -64,6 +66,30 @@ class TestPerceivedWorld:
         replica.apply(delivered(ChunkUnloadPacket(ChunkPos(0, 0))))
         assert ChunkPos(0, 0) not in replica.loaded_chunks
         assert replica.blocks == {}
+
+    @pytest.mark.parametrize("chunk", [ChunkPos(0, 0), ChunkPos(-1, -2), ChunkPos(3, -1)])
+    def test_chunk_unload_drops_exactly_that_chunks_overlay(self, chunk):
+        """Corners of the chunk and its eight neighbours' nearest blocks,
+        negative coordinates included: only the chunk's own go."""
+        replica = PerceivedWorld()
+        x0, z0 = chunk.cx * 16, chunk.cz * 16
+        inside = [BlockPos(x0 + dx, y, z0 + dz) for dx in (0, 15) for dz in (0, 15)
+                  for y in (1, 90)]
+        outside = [BlockPos(x0 + dx, 30, z0 + dz) for dx in (-1, 0, 15, 16)
+                   for dz in (-1, 0, 15, 16) if dx in (-1, 16) or dz in (-1, 16)]
+        for pos in inside + outside:
+            assert (pos.to_chunk_pos() == chunk) == (pos in inside)
+            replica.apply(delivered(BlockChangePacket(pos, BlockType.BRICK)))
+        replica.apply(
+            delivered(MultiBlockChangePacket(chunk, ((inside[0], BlockType.STONE),)))
+        )
+        replica.apply(delivered(ChunkUnloadPacket(chunk)))
+        assert set(replica.blocks) == set(outside)
+
+    def test_unknown_packets_are_ignored(self):
+        replica = PerceivedWorld()
+        replica.apply(delivered(KeepAlivePacket()))
+        assert replica == PerceivedWorld()
 
 
 class TestBotClient:

@@ -132,12 +132,36 @@ def test_synchronous_delivery_calls_handler_immediately(sim):
     assert received[0].latency_ms >= 20.0  # latency still modelled
 
 
-def test_send_many(sim, transport):
+def test_corked_sends_leave_as_one_frame_per_client(sim):
+    transport = Transport(sim, LinkConfig(latency_ms=20.0), synchronous_delivery=True)
     received = []
-    transport.connect(1, received.append)
-    transport.send_many(1, [KeepAlivePacket(), KeepAlivePacket()])
-    sim.run()
-    assert len(received) == 2
+    transport.connect(1, lambda d: received.append((1, d.packet)))
+    transport.connect(2, lambda d: received.append((2, d.packet)))
+    a, b, c = (KeepAlivePacket(nonce=n) for n in range(3))
+    transport.cork()
+    transport.send(2, a)
+    transport.send(1, b)
+    transport.send(2, c)
+    transport.send(99, a)  # never connected: dropped at send, as uncorked
+    assert received == [] and transport.total_packets() == 0
+    assert transport.pending_packets == 3
+    transport.uncork()
+    # Client order (first sent to first), send order within a client.
+    assert received == [(2, a), (2, c), (1, b)]
+    assert transport.total_packets() == 3
+    assert transport.pending_packets == 0
+    transport.uncork()  # not corked: a no-op
+    transport.send(1, a)  # and sends are immediate again
+    assert received[-1] == (1, a)
+
+
+def test_cork_does_not_nest(transport):
+    transport.cork()
+    with pytest.raises(RuntimeError):
+        transport.cork()
+    transport.uncork()
+    transport.cork()  # reusable after an uncork
+    transport.uncork()
 
 
 def test_fifo_delivery_order(sim, transport):

@@ -183,3 +183,113 @@ class TestSnapshots:
 
     def test_snapshot_of_dead_entity_is_none(self, codec, session):
         assert codec.encode_entity_snapshot(session, 424242) is None
+
+
+class TestSharedMoveFanOut:
+    """``encode_move_for_viewers`` hands one packet object to every viewer
+    that shares a last-sent position; each viewer must still receive
+    exactly what the per-session ``encode`` would have built for it."""
+
+    ENTITY = 7
+    START = Vec3(4.0, 30.0, 4.0)
+
+    def viewer(self, client_id, last_sent=None, view=True, update_time=None):
+        s = PlayerSession(
+            client_id=client_id, entity_id=100 + client_id, name=f"v{client_id}",
+            view_distance=5,
+        )
+        if view:
+            s.view_chunks = set(chunks_in_radius(ChunkPos(0, 0), 5))
+        if last_sent is not None:
+            s.known_entities[self.ENTITY] = last_sent
+        if update_time is not None:
+            s.entity_update_times[self.ENTITY] = update_time
+        return s
+
+    def crowd(self, shared):
+        """Every way a viewer can stand towards one move, in one crowd."""
+        return [
+            self.viewer(1, shared),
+            self.viewer(2, shared),
+            # Joined late: its snapshot saw the entity somewhere else.
+            self.viewer(3, Vec3(3.25, 30.0, 4.5)),
+            # Last heard of it far away: the delta no longer fits.
+            self.viewer(4, Vec3(40.0, 30.0, 4.0)),
+            # No replica: the spawn is synthesized.
+            self.viewer(5),
+            self.viewer(6),
+            # Knows it but no longer views the chunk: destroy on exit.
+            self.viewer(7, shared, view=False),
+            # Already applied something newer: skipped, state untouched.
+            self.viewer(8, shared, update_time=5.0),
+            self.viewer(9, shared),
+            # Back to the shared position after others intervened.
+            self.viewer(10, shared),
+        ]
+
+    def state(self, session):
+        return (
+            dict(session.known_entities),
+            dict(session.entity_update_times),
+        )
+
+    def test_each_viewer_gets_what_per_session_encode_builds(self, codec, world):
+        entity = world.spawn_entity(EntityKind.COW, self.START, entity_id=self.ENTITY)
+        assert entity.entity_id == self.ENTITY
+        event = move_event(old=self.START, new=Vec3(4.5, 30.0, 4.25))
+        fanned, reference = self.crowd(Vec3(4.0, 30.0, 4.0)), self.crowd(self.START)
+        own = self.viewer(11, self.START)
+        own.entity_id = self.ENTITY
+
+        out = codec.encode_move_for_viewers(
+            fanned + [own], event, event.chunk_pos, exclude=9
+        )
+        got = {session.client_id: packet for session, packet in out}
+        assert [session.client_id for session, __ in out] == [1, 2, 3, 4, 5, 6, 7, 10]
+        for session in reference:
+            if session.client_id == 9:
+                continue  # the excluded originator is never encoded for
+            expected = codec.encode(session, [event])
+            assert ([got[session.client_id]] if expected else []) == expected
+            twin = fanned[session.client_id - 1]
+            assert self.state(twin) == self.state(session)
+        assert isinstance(got[1], EntityPositionPacket)
+        assert isinstance(got[3], EntityPositionPacket) and got[3] != got[1]
+        assert isinstance(got[4], EntityTeleportPacket)
+        assert isinstance(got[5], SpawnEntityPacket)
+        assert isinstance(got[7], DestroyEntitiesPacket)
+        # Shared, not rebuilt: one object per distinct result.
+        assert got[1] is got[2] and got[5] is got[6]
+        assert got[10] == got[1]
+        assert self.ENTITY not in fanned[6].known_entities
+        assert self.state(own) == ({self.ENTITY: self.START}, {})
+
+    def test_despawned_unknown_entity_is_dropped_for_every_viewer(self, codec):
+        event = move_event(entity_id=999)
+        viewers = [self.viewer(1), self.viewer(2)]
+        out = codec.encode_move_for_viewers(viewers, event, event.chunk_pos, None)
+        assert out == []
+        assert all(self.state(v) == ({}, {}) for v in viewers)
+
+    def test_last_reference_to_a_shared_position_dropped_mid_broadcast(self, codec):
+        """The sessions' maps hold the only references to the last-sent
+        positions; the overwrite frees each as the broadcast passes it. A
+        memo keyed by ``id()`` without keeping the object alive could then
+        hand a later viewer an earlier viewer's delta."""
+        event = move_event(old=self.START, new=Vec3(4.5, 30.0, 4.25))
+        viewers = [
+            self.viewer(client_id, Vec3(4.0 + 0.01 * (client_id // 3), 30.0, 4.0))
+            for client_id in range(1, 61)
+        ]
+        expected = [
+            EntityPositionPacket(
+                entity_id=self.ENTITY,
+                delta=event.new_position - v.known_entities[self.ENTITY],
+            )
+            for v in viewers
+        ]
+        out = codec.encode_move_for_viewers(viewers, event, event.chunk_pos, None)
+        assert [packet for __, packet in out] == expected
+        assert all(
+            v.known_entities[self.ENTITY] is event.new_position for v in viewers
+        )

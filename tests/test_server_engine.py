@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.protocol import (
     ChunkDataPacket,
+    EntityPositionPacket,
     JoinGamePacket,
     KeepAlivePacket,
     PlayerActionPacket,
@@ -11,6 +12,7 @@ from repro.net.protocol import (
 )
 from repro.policies.zero import ZeroBoundsPolicy
 from repro.world.block import BlockType
+from repro.world.entity import EntityKind
 from repro.world.geometry import BlockPos, Vec3
 
 
@@ -205,3 +207,31 @@ def test_load_signals_shape(sim, server_factory):
     assert signals.tick_budget_ms == 50.0
     assert signals.player_count == 0
     assert signals.smoothed_tick_duration_ms > 0.0
+
+
+def test_direct_broadcast_shares_one_move_packet_but_not_across_histories(
+    sim, server_factory
+):
+    """Vanilla fan-out encodes a move once per event: viewers whose
+    replicas stand in the same place receive the very same packet object;
+    a viewer with a different history receives its own, and each replica
+    ends on the authoritative position."""
+    server = server_factory(direct_mode=True, synchronous_delivery=True, mob_count=0)
+    world = server.world
+    early, other, late = Client(), Client(), Client()
+    server.connect("early", handler=early, position=Vec3(8, 30, 8))
+    server.connect("other", handler=other, position=Vec3(9, 30, 9))
+    mob = world.spawn_entity(EntityKind.COW, Vec3(12.0, 30.0, 12.0))
+    world.move_entity(mob.entity_id, Vec3(12.5, 30.0, 12.0))
+    late_session = server.connect("late", handler=late, position=Vec3(10, 30, 10))
+    # As if a teleport had been the last thing "late" was sent for the mob.
+    late_session.known_entities[mob.entity_id] = Vec3(11.0, 30.0, 12.0)
+
+    world.move_entity(mob.entity_id, Vec3(13.0, 30.0, 12.5))
+    moves = [client.of_kind(EntityPositionPacket)[-1] for client in (early, other, late)]
+    assert moves[0] is moves[1]
+    assert moves[0].delta == Vec3(0.5, 0.0, 0.5)
+    assert moves[2].delta == Vec3(2.0, 0.0, 0.5)
+    for session in server.sessions.values():
+        assert session.known_entities[mob.entity_id] == Vec3(13.0, 30.0, 12.5)
+    server.audit_now()
