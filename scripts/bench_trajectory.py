@@ -1,32 +1,13 @@
 #!/usr/bin/env python3
-"""Record the fan-out wall-clock trajectory into BENCH_fanout.json.
+"""Record the sweep-executor trajectory and gate the parallel shard runtime.
 
 Usage: [PYTHONPATH=src] python scripts/bench_trajectory.py [--quick]
-           [--out PATH] [--bots N [N ...]] [--faults]
-           [--sweep] [--jobs N] [--sweep-out PATH] [--guard-commit]
-           [--guard-parallel]
+           [--sweep] [--jobs N] [--sweep-out PATH]
+           [--guard-parallel] [--out PATH]
 
-Runs the :mod:`repro.experiments.wallclock` suite (direct-mode broadcast
-scan vs indexed, entity-crossing handler scan vs indexed, interest
-refresh, dyconit commit/flush) at each fleet size and writes the rows +
-scan→indexed speedups to ``BENCH_fanout.json`` at the repo root. When a
-previous file exists, prints a before/after comparison first so perf
-regressions are visible at regeneration time.
-
-``--quick`` shrinks every op count ~10x (CI smoke; numbers are noisy,
-use only for crash detection).
-
-``--faults`` installs the fault-injection layer on every link with a
-null (all-zero-rate) plan. Compare the rows against a run without the
-flag to verify the layer costs nothing on the fan-out hot path when no
-faults are configured.
-
-``--guard-commit`` turns the run into a perf-regression gate for the
-S17 batched commit pipeline: on the commit benches (``dyconit_commit``,
-``commit_batch``) the batched ``us_per_op`` must not exceed legacy. On a
-starved runner (single CPU) the guard records an honest skip with the
-reason in the payload instead of asserting — time-sliced noise there
-fails good code more often than it catches regressions.
+Wall-clock cost per simulated tick, end to end and per layer, is
+``python3 bench/run.py`` (see ``bench/README.md``); this script keeps the
+two recordings that harness does not make.
 
 ``--guard-parallel`` gates the S18 shard-parallel tick runtime. The
 determinism half always runs: a 2-shard workload under the serial
@@ -34,16 +15,20 @@ determinism half always runs: a 2-shard workload under the serial
 :class:`ParallelShardRunner` must produce byte-identical packet streams,
 on any machine — determinism is not noise-sensitive. The wall-clock half
 (parallel speedup over serial) records an honest skip with the CPU count
-and reason on single-core hosts, same precedent as ``--guard-commit``.
+and reason on single-core hosts: a time-sliced core measures scheduler
+noise, not the code under test. ``--out PATH`` writes the guard payload
+(``{"parallel_guard": ...}``) as JSON.
 
-``--sweep`` additionally benchmarks the parallel sweep executor
-(cold serial vs cold ``--jobs N`` vs warm-cache rerun over a small
-E1+E9-shaped grid) and writes BENCH_sweep.json. The payload records the
-machine's CPU count next to the speedup — on a single-core box the
-speedup is *suppressed* (``parallel_speedup: null`` plus an explanatory
+``--sweep`` benchmarks the parallel sweep executor (cold serial vs cold
+``--jobs N`` vs warm-cache rerun over a small E1+E9-shaped grid) and
+writes BENCH_sweep.json. The payload records the machine's CPU count
+next to the speedup — on a single-core box the speedup is *suppressed*
+(``parallel_speedup: null`` plus an explanatory
 ``parallel_speedup_suppressed`` note): workers time-slicing one core
 measure scheduler overhead, not parallelism. Only the warm-cache
 fraction and byte-identity check are meaningful there.
+
+``--quick`` shortens both (CI smoke; numbers are noisy).
 """
 
 from __future__ import annotations
@@ -57,100 +42,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.experiments import wallclock  # noqa: E402
-
-
-def compare(previous: dict, current: dict) -> str:
-    """Row-by-row ops/sec delta against the previously committed file."""
-    old_rows = {
-        (row["bench"], row["impl"], row["bots"]): row
-        for row in previous.get("rows", [])
-    }
-    lines = [
-        f"{'bench':<18} {'impl':<8} {'bots':>5} "
-        f"{'before op/s':>14} {'after op/s':>14} {'delta':>8}"
-    ]
-    for row in current["rows"]:
-        key = (row["bench"], row["impl"], row["bots"])
-        old = old_rows.get(key)
-        before = f"{old['ops_per_sec']:,.0f}" if old else "-"
-        delta = (
-            f"{(row['ops_per_sec'] / old['ops_per_sec'] - 1.0) * 100.0:+.1f}%"
-            if old and old["ops_per_sec"]
-            else "-"
-        )
-        lines.append(
-            f"{row['bench']:<18} {row['impl']:<8} {row['bots']:>5} "
-            f"{before:>14} {row['ops_per_sec']:>14,.0f} {delta:>8}"
-        )
-    return "\n".join(lines)
-
-
-def render(payload: dict) -> str:
-    lines = [
-        f"{'bench':<18} {'impl':<8} {'bots':>5} {'ops/sec':>14} "
-        f"{'us/op':>10} {'ms/tick':>9}"
-    ]
-    for row in payload["rows"]:
-        per_tick = f"{row['per_tick_ms']:.3f}" if row["per_tick_ms"] is not None else "-"
-        lines.append(
-            f"{row['bench']:<18} {row['impl']:<8} {row['bots']:>5} "
-            f"{row['ops_per_sec']:>14,.0f} {row['us_per_op']:>10,.2f} {per_tick:>9}"
-        )
-    lines.append("")
-    lines.append("speedups (indexed vs scan; batched vs legacy):")
-    for key, ratio in sorted(payload["speedups"].items()):
-        lines.append(f"  {key:<24} {ratio:.2f}x")
-    return "\n".join(lines)
-
-
-def commit_guard(payload: dict) -> dict:
-    """Gate the S17 pipeline: batched must not be slower than legacy.
-
-    Compares ``us_per_op`` on the commit benches (``dyconit_commit``,
-    ``commit_batch``) at every fleet size. Skips (recording why) when the
-    host has a single CPU — the PR 6 sweep-benchmark precedent: a
-    time-sliced core measures scheduler noise, not the code under test.
-    """
-    import os
-
-    cpu_count = os.cpu_count() or 1
-    if cpu_count < 2:
-        return {
-            "status": "skipped",
-            "cpu_count": cpu_count,
-            "reason": (
-                f"cpu_count={cpu_count}: single-CPU runner; wall-clock "
-                "comparison would gate on scheduler noise"
-            ),
-        }
-    by_key = {
-        (row["bench"], row["impl"], row["bots"]): row for row in payload["rows"]
-    }
-    # Commit-path benches only: the flush drain trades a little per-op
-    # materialization cost for the vectorized enqueue (it replays the
-    # shared log on demand) and is ~500x off the hot path; gating it
-    # here would fail the PR that the commit speedup pays for.
-    gated = {"dyconit_commit", "commit_batch"}
-    checks = []
-    for (bench, impl, bots), row in sorted(by_key.items()):
-        if impl != "batched" or bench not in gated:
-            continue
-        legacy = by_key.get((bench, "legacy", bots))
-        if legacy is None:
-            continue
-        checks.append(
-            {
-                "bench": bench,
-                "bots": bots,
-                "legacy_us_per_op": legacy["us_per_op"],
-                "batched_us_per_op": row["us_per_op"],
-                "ok": row["us_per_op"] <= legacy["us_per_op"],
-            }
-        )
-    status = "passed" if checks and all(c["ok"] for c in checks) else "failed"
-    return {"status": status, "cpu_count": cpu_count, "checks": checks}
 
 
 def parallel_guard(quick: bool, jobs: int) -> dict:
@@ -246,78 +137,35 @@ def parallel_guard(quick: bool, jobs: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="~10x smaller op counts (CI smoke)")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_fanout.json")
-    parser.add_argument("--bots", type=int, nargs="+", default=[50, 150])
-    parser.add_argument("--faults", action="store_true",
-                        help="run with a null FaultPlan on every link "
-                        "(overhead-when-disabled check)")
+                        help="shorter runs and a smaller grid (CI smoke)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the --guard-parallel payload here")
     parser.add_argument("--sweep", action="store_true",
-                        help="also benchmark the parallel sweep executor "
+                        help="benchmark the parallel sweep executor "
                         "and write BENCH_sweep.json")
     parser.add_argument("--jobs", type=int, default=4,
-                        help="worker count for the --sweep benchmark")
+                        help="worker count for --sweep; shard count for "
+                        "--guard-parallel")
     parser.add_argument("--sweep-out", type=Path,
                         default=REPO_ROOT / "BENCH_sweep.json")
-    parser.add_argument("--guard-commit", action="store_true",
-                        help="fail if the batched commit pipeline is "
-                        "slower than legacy (honest skip on 1-CPU hosts)")
     parser.add_argument("--guard-parallel", action="store_true",
                         help="fail if a parallel shard run diverges from "
                         "serial bytes; records speedup (honest skip of "
                         "the timing half on 1-CPU hosts)")
     args = parser.parse_args()
+    if not (args.sweep or args.guard_parallel):
+        parser.error("nothing to do: pass --sweep and/or --guard-parallel")
 
-    scale = dict(events=200, crossings=100, refreshes=40, commits=2_000) if args.quick \
-        else dict(events=2_000, crossings=1_000, refreshes=400, commits=20_000)
-    if args.faults:
-        from repro.faults import FaultPlan
-
-        scale["faults"] = FaultPlan()
-    payload = wallclock.run_suite(bot_counts=tuple(args.bots), **scale)
-    payload["quick"] = args.quick
-    payload["python"] = platform.python_version()
-
-    if args.out.exists():
-        try:
-            previous = json.loads(args.out.read_text())
-        except json.JSONDecodeError:
-            previous = {}
-        print("before/after vs committed file:")
-        print(compare(previous, payload))
-        print()
-
-    guard = None
-    if args.guard_commit:
-        guard = commit_guard(payload)
-        payload["commit_guard"] = guard
-
-    par_guard = None
     if args.guard_parallel:
         par_guard = parallel_guard(quick=args.quick, jobs=args.jobs)
-        payload["parallel_guard"] = par_guard
-
-    print(render(payload))
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-
-    if guard is not None:
-        if guard["status"] == "skipped":
-            print(f"commit guard: SKIPPED ({guard['reason']})")
-        else:
-            for check in guard["checks"]:
-                verdict = "ok" if check["ok"] else "REGRESSION"
-                print(
-                    f"commit guard: {check['bench']}@{check['bots']} "
-                    f"legacy {check['legacy_us_per_op']:.2f}us -> batched "
-                    f"{check['batched_us_per_op']:.2f}us [{verdict}]"
-                )
-            print(f"commit guard: {guard['status'].upper()}")
-            if guard["status"] == "failed":
-                sys.exit(1)
-
-    if par_guard is not None:
+        if args.out is not None:
+            payload = {
+                "quick": args.quick,
+                "python": platform.python_version(),
+                "parallel_guard": par_guard,
+            }
+            args.out.write_text(json.dumps(payload, indent=2) + "\n")
+            print(f"wrote {args.out}")
         verdict = "identical" if par_guard["identical"] else "DIVERGED"
         print(
             f"parallel guard: {par_guard['shards']}-shard "

@@ -6,10 +6,11 @@ Usage: [PYTHONPATH=src] python scripts/determinism_check.py [--jobs N]
 Runs an eight-cell sweep — four E1+E9-shaped single-server cells, a
 2-shard cluster cell (S16), its shard-parallel twin (S18; worker
 processes must reproduce the serial cell's result byte-for-byte), a
-legacy-commit-path cell (S17 toggle off; the default cells all run the
-batched columnar path), and a direct-mode cell on lossy links (the
-shared-packet broadcast and the corked per-client egress frames, with
-the fault layer drawing per packet inside them) — and prints, one per
+row-store cell (``state_store="sqlite"``: the per-object commit walk;
+the other cells all run the columnar memory store), and a direct-mode
+cell on lossy links (the shared-packet broadcast and the corked
+per-client egress frames, with the fault layer drawing per packet
+inside them) — and prints, one per
 line, each cell's cache key (the content-addressed config digest)
 followed by the sha256 of the merged result store. The S18 twin is additionally diffed against the
 serial cell in-process: its traffic totals and handoff counts must be
@@ -66,18 +67,18 @@ def main() -> None:
     # The same cluster cell under the S18 parallel tick runtime: worker
     # processes meeting at the bus barrier must land on the serial bytes.
     cells.append(cells[-1].with_(name="det-cluster-2shard-par", parallel_ticks=True))
-    # The legacy per-object commit path (S17 toggle off) must stay as
-    # deterministic as the batched default the other cells exercise.
+    # The per-object commit walk a row store is driven through must stay
+    # as deterministic as the columnar path the other cells exercise.
     cells.append(
         ExperimentConfig(
-            name="det-legacy-commit",
+            name="det-sqlite-rows",
             policy="adaptive",
             movement="hotspot",
             bots=4,
             duration_ms=2_000.0,
             warmup_ms=500.0,
             seed=23,
-            use_batched_commit=False,
+            state_store="sqlite",
         )
     )
     # Direct mode on lossy links: one packet object shared by a move's

@@ -195,13 +195,13 @@ class StateStore(abc.ABC):
 
     @abc.abstractmethod
     def create_dyconit_state(
-        self, dyconit_id: Hashable, *, merging: bool, flat: bool
+        self, dyconit_id: Hashable, *, merging: bool
     ) -> DyconitStateHandle:
         """Create (or, for persistent stores, re-attach) a dyconit's state.
 
-        ``flat`` asks for the S17 columnar fast path; a store that has no
-        columnar mode may ignore it — the manager falls back to the
-        legacy per-update commit path whenever ``handle._flat is None``.
+        The store alone decides the representation: a handle whose
+        ``_flat`` is set is committed through the S17 columnar path, any
+        other through the manager's per-update walk.
         """
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:

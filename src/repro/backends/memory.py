@@ -26,14 +26,12 @@ from repro.core.update import Update
 
 
 class InMemoryStateStore(StateStore):
-    """Dyconit state as plain Python objects (the classic path)."""
+    """Dyconit state in process memory, as S17 flat columns."""
 
     name = "memory"
 
-    def create_dyconit_state(
-        self, dyconit_id: Hashable, *, merging: bool, flat: bool
-    ) -> Dyconit:
-        return Dyconit(dyconit_id, merging=merging, flat=flat)
+    def create_dyconit_state(self, dyconit_id: Hashable, *, merging: bool) -> Dyconit:
+        return Dyconit(dyconit_id, merging=merging, flat=True)
 
 
 class DirectEventBus(EventBus):

@@ -193,10 +193,10 @@ class PostgresStateStore(StateStore):
     # -- StateStore surface --------------------------------------------
 
     def create_dyconit_state(
-        self, dyconit_id: Hashable, *, merging: bool, flat: bool
+        self, dyconit_id: Hashable, *, merging: bool
     ) -> "PostgresDyconitState":
-        # ``flat`` (S17 columnar path) has no meaning server-side; the
-        # manager's legacy commit walk drives this handle.
+        # Rows, not S17 columns: the manager's per-update commit walk
+        # drives this handle.
         return PostgresDyconitState(self, dyconit_id, merging=merging)
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:

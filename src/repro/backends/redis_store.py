@@ -107,7 +107,7 @@ class RedisStateStore(StateStore):
     # -- StateStore surface --------------------------------------------
 
     def create_dyconit_state(
-        self, dyconit_id: Hashable, *, merging: bool, flat: bool
+        self, dyconit_id: Hashable, *, merging: bool
     ) -> "RedisDyconitState":
         return RedisDyconitState(self, dyconit_id, merging=merging)
 

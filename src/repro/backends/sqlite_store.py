@@ -111,11 +111,10 @@ class SQLiteStateStore(StateStore):
         self._pos = (row[0] or 0) + 1
 
     def create_dyconit_state(
-        self, dyconit_id: Hashable, *, merging: bool, flat: bool
+        self, dyconit_id: Hashable, *, merging: bool
     ) -> "SQLiteDyconitState":
-        # ``flat`` is the S17 columnar fast path — a memory-layout
-        # optimization with no meaning here; the manager's legacy commit
-        # walk drives this handle instead.
+        # Rows, not S17 columns: the manager's per-update commit walk
+        # drives this handle.
         return SQLiteDyconitState(self, dyconit_id, merging=merging)
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:

@@ -88,11 +88,9 @@ class SystemSnapshot:
     stats: DyconitStats
     policy: Policy
     merging_enabled: bool
-    use_batched_commit: bool
     #: (dyconit id, subscriber id) -> deadline of the pair's live heap
-    #: entry. ``None`` in snapshots that predate the field; restore then
-    #: rebuilds it as the minimum heap deadline per pair.
-    armed: dict[tuple[Hashable, int], float] | None = None
+    #: entry.
+    armed: dict[tuple[Hashable, int], float]
 
 
 def _staleness_deadline(state: SubscriptionState) -> float | None:
@@ -119,7 +117,6 @@ class DyconitSystem:
         time_source: Callable[[], float] | None = None,
         merging_enabled: bool = True,
         telemetry: Telemetry | None = None,
-        use_batched_commit: bool = True,
         state_store=None,
         event_bus=None,
     ) -> None:
@@ -128,7 +125,9 @@ class DyconitSystem:
         #: S19 backend seam: where per-dyconit subscription state lives.
         #: Accepts a StateStore instance or a registry spec ("memory",
         #: "sqlite", "sqlite:///path", "redis://..."); default is the
-        #: in-memory store, byte-identical to the pre-seam tree.
+        #: in-memory store. The store alone decides how a dyconit is
+        #: represented (S17 flat columns or per-object states); the
+        #: commit path observes it through ``handle._flat``.
         self.state_store = create_state_store(state_store)
         #: S19 fan-out seam: flushed batches go through this bus. The
         #: default direct bus delivers inline, exactly like the legacy
@@ -142,10 +141,6 @@ class DyconitSystem:
         self._closed = False
         #: E8(a) ablation switch; affects dyconits created after the change.
         self.merging_enabled = merging_enabled
-        #: S17 toggle: new dyconits use the flat columnar subscription
-        #: store and the vectorized commit path. Off = legacy per-object
-        #: states, kept as differential ground truth (the PR 2 playbook).
-        self.use_batched_commit = use_batched_commit
         #: Bumped by merge/split/remove so :meth:`commit_many` knows to
         #: re-resolve a cached (dyconit id -> dyconit) run mid-batch.
         self._repartition_epoch = 0
@@ -274,7 +269,6 @@ class DyconitSystem:
             stats=self.stats,
             policy=self.policy,
             merging_enabled=self.merging_enabled,
-            use_batched_commit=self.use_batched_commit,
             armed=dict(self._armed),
         )
 
@@ -299,7 +293,6 @@ class DyconitSystem:
         if missing:
             raise ValueError(f"no runtime subscriber supplied for ids {missing}")
         self.merging_enabled = snap.merging_enabled
-        self.use_batched_commit = snap.use_batched_commit
         # Adopt the snapshot's policy wholesale: adaptive policies carry
         # tuning state (EWMA baselines, last decisions) that must resume
         # where the captured run left off.
@@ -310,9 +303,7 @@ class DyconitSystem:
             self.register_subscriber(subscribers[sub_id])
         for record in snap.dyconits:
             handle = self.state_store.create_dyconit_state(
-                record.dyconit_id,
-                merging=record.merging,
-                flat=self.use_batched_commit,
+                record.dyconit_id, merging=record.merging
             )
             self._dyconits[record.dyconit_id] = handle
             handle.default_bounds = record.default_bounds
@@ -333,16 +324,7 @@ class DyconitSystem:
         # pushes identical to the unkilled run.
         self._deadline_heap = [tuple(entry) for entry in snap.deadline_heap]
         self._heap_seq = snap.heap_seq
-        if snap.armed is not None:
-            self._armed = dict(snap.armed)
-        else:
-            # A pre-``armed`` snapshot may hold several entries per pair;
-            # the earliest is the one that guarantees the flush.
-            self._armed = {}
-            for deadline, __, dyconit_id, subscriber_id in self._deadline_heap:
-                key = (dyconit_id, subscriber_id)
-                if deadline < self._armed.get(key, math.inf):
-                    self._armed[key] = deadline
+        self._armed = dict(snap.armed)
         self._last_policy_evaluation = snap.last_policy_evaluation
         self._repartition_epoch = snap.repartition_epoch
         self.stats = snap.stats
@@ -368,9 +350,7 @@ class DyconitSystem:
         dyconit = self._dyconits.get(dyconit_id)
         if dyconit is None:
             dyconit = self.state_store.create_dyconit_state(
-                dyconit_id,
-                merging=self.merging_enabled,
-                flat=self.use_batched_commit,
+                dyconit_id, merging=self.merging_enabled
             )
             self._dyconits[dyconit_id] = dyconit
             self.stats.dyconits_created += 1

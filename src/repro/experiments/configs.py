@@ -99,10 +99,6 @@ class ExperimentConfig:
     #: Checked mode (S15): audit middleware invariants every N ticks
     #: during the run (0 = off); any violation aborts the experiment.
     audit_every_n_ticks: int = 0
-    #: S17 batched commit pipeline (flat columnar subscription state +
-    #: per-tick ``commit_many`` bursts). Off = the legacy per-object
-    #: commit path, kept as packet-identical differential ground truth.
-    use_batched_commit: bool = True
     #: S19 storage backend spec for dyconit subscription state
     #: ("memory", "sqlite", "sqlite:///path", "redis://...").
     state_store: str = "memory"
@@ -163,7 +159,6 @@ class ExperimentConfig:
             cost=self.cost,
             faults=self.faults,
             audit_every_n_ticks=self.audit_every_n_ticks,
-            use_batched_commit=self.use_batched_commit,
             state_store=self.state_store,
             seed=self.seed,
         )

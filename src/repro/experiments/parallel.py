@@ -48,9 +48,12 @@ from repro.telemetry.hub import Telemetry, get_telemetry, set_telemetry
 #: config field (or the result schema) changes so stale cells never
 #: masquerade as current ones. /2: configs grew shards/strip_width and
 #: results grew the S16 cluster counters. /3: configs grew the S17
-#: use_batched_commit toggle. /4: configs grew the S18 parallel_ticks
-#: toggle. /5: configs grew the S19 state_store spec.
-CACHE_SCHEMA = "sweep-cell/5"
+#: commit-path toggle. /4: configs grew the S18 parallel_ticks toggle.
+#: /5: configs grew the S19 state_store spec. /6: configs lost the S17
+#: toggle, and PRs 18-19 had changed result values for an unchanged
+#: config (``dyconit_stats.bound_checks``, reservoir-mode
+#: ``packet_latency``) without a bump.
+CACHE_SCHEMA = "sweep-cell/6"
 
 
 def default_start_method() -> str:

@@ -4,8 +4,7 @@
 >>> core.handle("GET", "/metrics")          # Prometheus text
 >>> core.handle("PUT", "/policy", b'{"bounds": {...}}')  # next-tick retune
 
-Serve it over HTTP with :func:`serve_gateway` (stdlib, no deps) or
-:func:`repro.gateway.fastapi_app.create_app` (optional FastAPI).
+Serve it over HTTP with :func:`serve_gateway` (stdlib, no deps).
 """
 
 from repro.gateway.app import GatewayHTTPServer, serve_gateway

@@ -1,8 +1,7 @@
 """Stdlib HTTP server around :class:`GatewayCore` (S19).
 
 Zero-dependency on purpose: the CI smoke job and any laptop demo only
-need the standard library. When FastAPI is installed,
-:func:`repro.gateway.fastapi_app.create_app` wraps the same core.
+need the standard library.
 """
 
 from __future__ import annotations

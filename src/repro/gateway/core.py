@@ -1,8 +1,7 @@
 """Transport-independent gateway routes (S19).
 
 :class:`GatewayCore` owns the route table; the stdlib HTTP app
-(:mod:`repro.gateway.app`) and the optional FastAPI app
-(:mod:`repro.gateway.fastapi_app`) are thin byte-shovels around
+(:mod:`repro.gateway.app`) is a thin byte-shovel around
 :meth:`GatewayCore.handle`, and tests drive ``handle`` directly —
 the retune/telemetry logic is identical either way.
 

@@ -30,21 +30,11 @@ class ServerConfig:
     #: Deliver packets synchronously (latency still modelled & recorded);
     #: big capacity sweeps enable this to cut simulation overhead.
     synchronous_delivery: bool = False
-    #: Consult the chunk→viewers reverse index on the fan-out paths
-    #: (O(viewers) per event). Off = the brute-force O(players) scans,
-    #: kept for differential tests and the wall-clock benchmark; the two
-    #: are packet-for-packet identical.
-    use_viewer_index: bool = True
-    #: S17 batched commit pipeline: dyconits use the flat columnar
-    #: subscription store, and the engine buffers a tick's bufferable
-    #: commits (moves/blocks/chat) through ``DyconitSystem.commit_many``.
-    #: Off = the legacy per-object commit path, kept as differential
-    #: ground truth; the two are packet-for-packet identical.
-    use_batched_commit: bool = True
     #: S19 storage backend for dyconit subscription state: a registry
     #: spec ("memory", "sqlite", "sqlite:///path", "redis://...").
-    #: "memory" is byte-identical to the pre-seam engine; other stores
-    #: route through the legacy per-object commit path.
+    #: The store alone decides a dyconit's representation: "memory"
+    #: keeps S17 flat columns, row stores are driven through the
+    #: per-object commit walk.
     state_store: str = "memory"
     #: Fleet-wide fault plan applied to every client link (None = no
     #: fault layer; per-client plans can be passed to ``connect``).

@@ -100,12 +100,9 @@ class GameServer:
         )
         self.codec = SessionCodec(self.world)
         self.interest = InterestManager(self)
-        #: Reverse chunk→viewers / entity→knowers maps; always maintained
-        #: (the upkeep is O(view diff)), consulted by the fan-out paths
-        #: unless ``config.use_viewer_index`` is off (differential tests
-        #: and the wall-clock benchmark run the brute-force scans).
+        #: Reverse chunk→viewers / entity→knowers maps, maintained in
+        #: O(view diff) and consulted by the fan-out paths.
         self.viewers = ViewerIndex()
-        self.use_viewer_index = self.config.use_viewer_index
         self.cost_model = TickCostModel(self.config.cost)
         self.metrics = MetricsRegistry()
         #: Checked mode (S15): audit the cross-structure invariants every
@@ -121,9 +118,7 @@ class GameServer:
         else:
             self._auditor = None
 
-        #: S17: columnar dyconit state + per-burst commit batching.
-        self.use_batched_commit = self.config.use_batched_commit
-        #: Non-None only inside a commit-batching scope: pending
+        #: Non-None only inside a commit-batching scope (S17): pending
         #: ``(dyconit_id, update, exclude)`` triples for ``commit_many``.
         self._commit_buffer: list | None = None
         self.dyconits: DyconitSystem | None = None
@@ -135,7 +130,6 @@ class GameServer:
                 partitioner if partitioner is not None else ChunkPartitioner(),
                 time_source=lambda: sim.now,
                 telemetry=self.telemetry,
-                use_batched_commit=self.use_batched_commit,
                 state_store=self.config.state_store,
             )
         #: S19 control plane: when attached, queued retune ops are applied
@@ -345,11 +339,7 @@ class GameServer:
         the unbuffered path would have issued — only the per-commit
         resolve/lookup overhead is amortized. Reentrant scopes no-op.
         """
-        if (
-            self.dyconits is None
-            or not self.use_batched_commit
-            or self._commit_buffer is not None
-        ):
+        if self.dyconits is None or self._commit_buffer is not None:
             yield
             return
         self._commit_buffer = []
@@ -438,8 +428,6 @@ class GameServer:
         sessions that actually view the event's chunk — O(viewers), not
         O(players). Chunk-less events (chat) keep the full-broadcast path.
         """
-        if not self.use_viewer_index:
-            return self._broadcast_direct_scan(event, exclude)
         chunk = event.chunk_pos
         sessions = (
             self.sessions.values() if chunk is None else self.viewers.viewers(chunk)
@@ -461,9 +449,9 @@ class GameServer:
 
     def _broadcast_direct_scan(self, event: WorldEvent, exclude: int | None) -> None:
         """Brute-force reference for :meth:`_broadcast_direct`: scan every
-        session and filter by ``sees_chunk``. Kept (and differentially
-        tested) as the ground truth the indexed path must match
-        packet-for-packet."""
+        session and filter by ``sees_chunk``. No product path calls it; the
+        differential tests patch it in as the ground truth the indexed
+        path must match packet-for-packet."""
         chunk = event.chunk_pos
         for session in self.sessions.values():
             if session.client_id == exclude:

@@ -122,12 +122,9 @@ class InterestManager:
         chunk (spawn side) and sessions whose client holds a replica of
         the entity (destroy side). The viewer index gives both in
         O(viewers + knowers); every other session is provably a no-op in
-        the brute-force scan (:meth:`on_entity_crossed_scan`), which is
-        kept as the reference implementation for the differential tests
-        and the wall-clock benchmark.
+        the brute-force scan (:meth:`on_entity_crossed_scan`), which the
+        differential tests patch in as the reference implementation.
         """
-        if not self.server.use_viewer_index:
-            return self.on_entity_crossed_scan(entity_id, old_chunk, new_chunk)
         index = self.server.viewers
         for session in index.viewers(new_chunk):
             if session.entity_id == entity_id:

@@ -26,7 +26,9 @@ The store contract
 ------------------
 
 A checkpoint is one pickled blob in the state store's checkpoint table
-(:meth:`~repro.backends.base.StateStore.save_checkpoint`). Restore
+(:meth:`~repro.backends.base.StateStore.save_checkpoint`): the pair
+``(CHECKPOINT_FORMAT, snapshot)``. :func:`load_snapshot` refuses a blob
+under any other tag, or under none, rather than guess at it. Restore
 wipes the store's *row* tables (:meth:`StateStore.reset`) before
 rewriting them from the blob — rows the killed run mutated after the
 checkpoint (post-K garbage) can never leak into the resumed run —
@@ -56,6 +58,13 @@ from repro.world.chunk import Chunk
 from repro.world.geometry import ChunkPos, Vec3
 from repro.world.world import World
 
+#: Names the snapshot dataclasses' field lists; bump it whenever one of
+#: them (or ``ServerConfig``, which rides inside) gains, loses or
+#: reorders a field. A slotted frozen dataclass pickles as a positional
+#: value list and un-pickles by zipping it onto the *current* fields, so
+#: a blob written under another layout would restore without error and
+#: with values in the wrong fields.
+CHECKPOINT_FORMAT = "repro-checkpoint/1"
 
 # ----------------------------------------------------------------------
 # Snapshot dataclasses (plain picklable data)
@@ -594,7 +603,7 @@ def checkpoint_target(target, key: str) -> bytes:
 
     The blob lands in the dyconit store's checkpoint table — shard 0's
     store for a cluster — and survives :meth:`StateStore.reset`.
-    Returns the pickled blob (tests assert on its size).
+    Returns the pickled ``(CHECKPOINT_FORMAT, snapshot)`` blob.
     """
     if hasattr(target, "shards"):
         snap = capture_cluster(target)
@@ -602,17 +611,31 @@ def checkpoint_target(target, key: str) -> bytes:
     else:
         snap = capture_server(target)
         store = target.dyconits.state_store
-    blob = pickle.dumps(snap, protocol=4)
+    blob = pickle.dumps((CHECKPOINT_FORMAT, snap), protocol=4)
     store.save_checkpoint(key, blob)
     return blob
 
 
 def load_snapshot(store, key: str):
-    """Load a :class:`ServerSnapshot`/:class:`ClusterSnapshot` blob."""
+    """Load a :class:`ServerSnapshot`/:class:`ClusterSnapshot` blob.
+
+    Raises ``ValueError`` for a blob not written as
+    ``(CHECKPOINT_FORMAT, snapshot)`` — another version's, or one that
+    predates the tag.
+    """
     blob = store.load_checkpoint(key)
     if blob is None:
         raise KeyError(f"no checkpoint {key!r} in store {store.name!r}")
-    return pickle.loads(blob)
+    loaded = pickle.loads(blob)
+    tagged = isinstance(loaded, tuple) and len(loaded) == 2
+    if not tagged or loaded[0] != CHECKPOINT_FORMAT:
+        found = repr(loaded[0]) if tagged else f"an untagged {type(loaded).__name__}"
+        raise ValueError(
+            f"checkpoint {key!r} in store {store.name!r} has format {found}, "
+            f"expected {CHECKPOINT_FORMAT!r}; it was written by another "
+            "version of this code and cannot be restored by this one"
+        )
+    return loaded[1]
 
 
 def restore_server_from_store(

@@ -3,14 +3,55 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
+from repro.backends import InMemoryStateStore, register_state_store
+from repro.core.dyconit import Dyconit
 from repro.core.subscription import Subscriber
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
+from repro.server.interest import InterestManager
 from repro.sim.simulator import Simulation
 from repro.world.world import World
+
+
+class PerObjectStateStore(InMemoryStateStore):
+    """The differential reference: every dyconit keeps per-object
+    ``SubscriptionState``s, so the manager's ``_flat is None`` commit walk
+    runs with no row store underneath. ``state_store="per-object"``
+    selects it; the product has no option that does."""
+
+    name = "per-object"
+
+    def create_dyconit_state(self, dyconit_id, *, merging):
+        return Dyconit(dyconit_id, merging=merging, flat=False)
+
+
+register_state_store("per-object", PerObjectStateStore)
+
+
+@pytest.fixture
+def scan_fanout(monkeypatch):
+    """``with scan_fanout():`` — servers built inside run the brute-force
+    fan-out references (``_broadcast_direct_scan``,
+    ``on_entity_crossed_scan``) in place of the viewer-index paths."""
+
+    @contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                GameServer, "_broadcast_direct", GameServer._broadcast_direct_scan
+            )
+            patch.setattr(
+                InterestManager,
+                "on_entity_crossed",
+                InterestManager.on_entity_crossed_scan,
+            )
+            yield
+
+    return patched
 
 
 @pytest.fixture(autouse=True)

@@ -89,8 +89,14 @@ def store(request):
     store.close()
 
 
-def make_handle(store, dyconit_id=("chunk", 0, 0), merging=True, flat=False):
-    return store.create_dyconit_state(dyconit_id, merging=merging, flat=flat)
+def make_handle(store, dyconit_id=("chunk", 0, 0), merging=True):
+    """A handle in the per-object state protocol this suite pins (the one
+    the manager's ``_flat is None`` walk drives). The memory store's
+    columnar handle enters it the way a merged or restored unit does."""
+    handle = store.create_dyconit_state(dyconit_id, merging=merging)
+    if handle._flat is not None:
+        handle._ensure_private()
+    return handle
 
 
 def subscribed(handle, subscriber_id=1, bounds=WIDE):
@@ -599,7 +605,7 @@ def _restart_into_fresh_instance(name, store, handle, states, recorders):
     }
     store.close()
     reborn = fresh_store(name)
-    new_handle = reborn.create_dyconit_state(("d", "restart"), merging=True, flat=False)
+    new_handle = make_handle(reborn, ("d", "restart"))
     new_states = {
         sub_id: new_handle.restore_subscription(recorders[sub_id].subscriber, snap)
         for sub_id, snap in snaps.items()
@@ -634,8 +640,7 @@ class TestRestartConformance:
         state.enqueue(move(1, time=3.0, distance=0.5))
         snap = snapshot_subscription(state)
 
-        other = InMemoryStateStore()
-        new_handle = other.create_dyconit_state(("d", "bits"), merging=True, flat=False)
+        new_handle = make_handle(InMemoryStateStore(), ("d", "bits"))
         restored = new_handle.restore_subscription(recorder.subscriber, snap)
         assert observables(restored) == observables(state)
         assert restored.accumulated_error == 2.5  # not 0.5
@@ -663,16 +668,11 @@ class TestRestartConformance:
 
     @staticmethod
     def _run_killed_tape(name, kill):
-        ref_store = InMemoryStateStore()
-        ref_handle = ref_store.create_dyconit_state(
-            ("d", "restart"), merging=True, flat=False
-        )
+        ref_handle = make_handle(InMemoryStateStore(), ("d", "restart"))
         ref_states, ref_recorders = {}, {}
 
         store = fresh_store(name)
-        handle = store.create_dyconit_state(
-            ("d", "restart"), merging=True, flat=False
-        )
+        handle = make_handle(store, ("d", "restart"))
         states, recorders = {}, {}
 
         for position, entry in enumerate(TAPE):

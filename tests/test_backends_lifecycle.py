@@ -157,7 +157,7 @@ class TestSQLiteLifecycle:
         close makes the file durable."""
         path = str(tmp_path / "durable.db")
         store = SQLiteStateStore(path)
-        handle = store.create_dyconit_state(("chunk", 0, 0), merging=True, flat=False)
+        handle = store.create_dyconit_state(("chunk", 0, 0), merging=True)
         recorder = RecordingSubscriber(1)
         state = handle.subscribe(recorder.subscriber, WIDE)
         state.enqueue(move(1, time=1.0))

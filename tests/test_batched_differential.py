@@ -1,12 +1,14 @@
-"""Differential: S17 batched commit pipeline ≡ legacy per-object path.
+"""Differential: S17 flat columnar commit path ≡ per-object path.
 
 The safety contract for the columnar commit engine is the PR 2 playbook:
-the legacy per-object path stays in the tree as ground truth, and a run
-with ``use_batched_commit=True`` must be *packet-for-packet identical*
-to the same seeded run with the toggle off — under a real bounded
-policy (so queues actually merge and flush), over 2,000 ticks, on a
-single server AND on a 2-shard cluster, with checked-mode audits (which
-include the I9 columnar checks) sampling both runs.
+the per-object path stays in the tree as ground truth
+(``Dyconit(flat=False)``, reached here through the ``"per-object"`` store
+:mod:`tests.conftest` registers), and a run on the default memory store
+must be *packet-for-packet identical* to the same seeded run on that
+store — under a real bounded policy (so queues actually merge and
+flush), over 2,000 ticks, on a single server AND on a 2-shard cluster,
+with checked-mode audits (which include the I9 columnar checks) sampling
+both runs.
 
 Unlike :mod:`tests.test_integration_differential` (zero bounds ≡
 vanilla broadcast, the *middleware-is-thin* anchor), these runs keep
@@ -14,9 +16,15 @@ nonzero bounds so the flat store's merge/supersede/flush machinery is
 exercised on the hot path being compared.
 """
 
+import dataclasses
+import inspect
+
+from repro.backends import state_store_factories
 from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
 from repro.cluster import ShardedCluster
 from repro.core.bounds import Bounds
+from repro.core.manager import DyconitSystem, SystemSnapshot
+from repro.experiments.configs import ExperimentConfig
 from repro.policies.fixed import FixedBoundsPolicy
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
@@ -46,12 +54,12 @@ def make_spec(movement="hotspot"):
     )
 
 
-def make_config(use_batched: bool) -> ServerConfig:
+def make_config(state_store: str) -> ServerConfig:
     return ServerConfig(
         seed=SEED,
         synchronous_delivery=True,
         mob_count=3,
-        use_batched_commit=use_batched,
+        state_store=state_store,
         audit_every_n_ticks=AUDIT_EVERY,
     )
 
@@ -73,12 +81,12 @@ def tap(server):
     return captures
 
 
-def run_single(use_batched: bool):
+def run_single(state_store: str):
     sim = Simulation()
     server = GameServer(
         sim,
         world=World(seed=SEED),
-        config=make_config(use_batched),
+        config=make_config(state_store),
         policy=FixedBoundsPolicy(BOUNDS),
     )
     server.start()
@@ -89,13 +97,13 @@ def run_single(use_batched: bool):
     return captures, server
 
 
-def run_cluster(use_batched: bool):
+def run_cluster(state_store: str):
     sim = Simulation()
     cluster = ShardedCluster(
         sim,
         shards=2,
         strip_width=4,
-        config=make_config(use_batched),
+        config=make_config(state_store),
         policy_factory=lambda: FixedBoundsPolicy(BOUNDS),
     )
     cluster.start()
@@ -117,11 +125,11 @@ def uses_flat_store(system) -> bool:
 
 
 def test_single_server_2k_ticks_packet_identical():
-    legacy, legacy_server = run_single(use_batched=False)
-    batched, batched_server = run_single(use_batched=True)
+    legacy, legacy_server = run_single("per-object")
+    batched, batched_server = run_single("memory")
 
     assert legacy_server.tick_count >= TICKS
-    # Non-vacuity: the toggled run really took the columnar path (and
+    # Non-vacuity: the memory run really took the columnar path (and
     # the baseline really did not).
     assert uses_flat_store(batched_server.dyconits)
     assert not uses_flat_store(legacy_server.dyconits)
@@ -142,11 +150,14 @@ def test_single_server_2k_ticks_packet_identical():
 
 
 def test_two_shard_cluster_2k_ticks_packet_identical():
-    legacy, legacy_cluster = run_cluster(use_batched=False)
-    batched, batched_cluster = run_cluster(use_batched=True)
+    legacy, legacy_cluster = run_cluster("per-object")
+    batched, batched_cluster = run_cluster("memory")
 
     assert any(
         uses_flat_store(shard.dyconits) for shard in batched_cluster.shards
+    )
+    assert not any(
+        uses_flat_store(shard.dyconits) for shard in legacy_cluster.shards
     )
 
     assert_streams_equal(legacy, batched)
@@ -160,3 +171,17 @@ def test_two_shard_cluster_2k_ticks_packet_identical():
     # independent servers.
     assert legacy_cluster.bus.total_messages > 0
     assert legacy_cluster.handoffs > 0
+
+
+def test_no_product_option_selects_a_reference_path():
+    """Which path runs is decided by the store (and, for the scan twins,
+    by a test's monkeypatch) — never by a config field, a constructor
+    argument or a ``flat`` request to the store."""
+    toggles = {"use_viewer_index", "use_batched_commit"}
+    for config in (ServerConfig, ExperimentConfig, SystemSnapshot):
+        names = {field.name for field in dataclasses.fields(config)}
+        assert not toggles & names, config.__name__
+    assert not toggles & set(inspect.signature(DyconitSystem.__init__).parameters)
+    for name, factory in state_store_factories().items():
+        parameters = inspect.signature(factory.create_dyconit_state).parameters
+        assert "flat" not in parameters, name

@@ -37,7 +37,7 @@ END_MS = 8000.0
 KILL_TICK = 93
 
 
-def launch(*, until_ms, direct_mode=False, use_viewer_index=True):
+def launch(*, until_ms, direct_mode=False):
     """Start the crowd; returns ``(server, logs, tape)`` after running to
     ``until_ms``. ``logs`` holds every packet per client id, ``tape`` every
     action as it reached the server ``(time, client id, action)``."""
@@ -48,7 +48,6 @@ def launch(*, until_ms, direct_mode=False, use_viewer_index=True):
         state_store=store,
         seed=SEED,
         audit_every_n_ticks=5,
-        use_viewer_index=use_viewer_index,
     )
     server = GameServer(
         sim,
@@ -153,11 +152,10 @@ def test_audited_retune_storms_and_mid_run_kill_resume():
     resumed.close()
 
 
-def test_audited_direct_mode_fanout_equals_the_per_session_scan():
+def test_audited_direct_mode_fanout_equals_the_per_session_scan(scan_fanout):
     indexed, indexed_logs, __ = launch(until_ms=END_MS, direct_mode=True)
-    scanned, scanned_logs, __ = launch(
-        until_ms=END_MS, direct_mode=True, use_viewer_index=False
-    )
+    with scan_fanout():
+        scanned, scanned_logs, __ = launch(until_ms=END_MS, direct_mode=True)
     for server in (indexed, scanned):
         server.audit_now()
         assert server.transport._fifo_last  # FIFO checked on every delivery

@@ -60,7 +60,8 @@ def system(clock):
 
 @pytest.fixture
 def legacy_system(clock):
-    """Per-object subscription states (S17 toggle off).
+    """Per-object subscription states (the ``"per-object"`` store of
+    :mod:`tests.conftest`).
 
     The I4 corruption tests reach into ``SubscriptionState`` fields;
     through a columnar view those writes land on materialized copies, so
@@ -71,7 +72,7 @@ def legacy_system(clock):
         StaticPolicy(),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
-        use_batched_commit=False,
+        state_store="per-object",
     )
 
 

@@ -42,11 +42,12 @@ def move(entity_id=1, time=0.0, x=0.0):
 CHUNK_A = ("chunk", 0, 0)
 CHUNK_B = ("chunk", 1, 0)
 
-#: (use_batched_commit, state_store): flat columns, per-object, sqlite rows.
+#: state_store specs: flat columns, per-object states (the store
+#: tests/conftest.py registers), sqlite rows.
 STATE_KINDS = [
-    pytest.param((True, "memory"), id="flat"),
-    pytest.param((False, "memory"), id="legacy"),
-    pytest.param((True, "sqlite"), id="sqlite"),
+    pytest.param("memory", id="flat"),
+    pytest.param("per-object", id="legacy"),
+    pytest.param("sqlite", id="sqlite"),
 ]
 
 
@@ -66,8 +67,7 @@ def make_system(clock, bounds=Bounds(math.inf, 1000.0), **kwargs) -> DyconitSyst
 
 @pytest.fixture(params=STATE_KINDS)
 def system(request, clock):
-    batched, store = request.param
-    with make_system(clock, use_batched_commit=batched, state_store=store) as system:
+    with make_system(clock, state_store=request.param) as system:
         yield system
 
 
@@ -219,19 +219,6 @@ def test_snapshot_round_trips_the_armed_map(clock):
     assert resumed._armed == system._armed
     assert resumed._deadline_heap == system._deadline_heap
     assert InvariantAuditor().check(resumed) == []
-
-
-def test_restore_rebuilds_armed_for_snapshots_that_predate_it(clock):
-    system, rec = _backlog_with_a_dead_entry(clock)
-    snap = system.snapshot()
-    snap.armed = None  # what unpickling an older SystemSnapshot yields
-    resumed = _resume(snap, clock, [rec])
-    sub_id = rec.subscriber.subscriber_id
-    # Earliest entry per pair: it is the one that guarantees the flush.
-    assert resumed._armed == {(CHUNK_A, sub_id): 300.0, (CHUNK_B, sub_id): 1000.0}
-    assert InvariantAuditor().check(resumed) == []
-    clock["now"] = 1000.0
-    assert resumed.tick() == 2
 
 
 # ----------------------------------------------------------------------

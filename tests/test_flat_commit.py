@@ -108,13 +108,13 @@ def make_op_tape(seed: int, length: int = 400) -> list[tuple]:
     return ops
 
 
-def run_tape(ops: list[tuple], use_batched: bool):
+def run_tape(ops: list[tuple], state_store: str):
     clock = {"now": 0.0}
     system = DyconitSystem(
         StaticPolicy(Bounds(50.0, 1000.0)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
-        use_batched_commit=use_batched,
+        state_store=state_store,
     )
     recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
     for op in ops:
@@ -172,8 +172,10 @@ def final_states(system):
 @pytest.mark.parametrize("seed", range(8))
 def test_differential_flat_vs_legacy(seed):
     ops = make_op_tape(seed)
-    flat_system, flat_recs = run_tape(ops, use_batched=True)
-    legacy_system, legacy_recs = run_tape(ops, use_batched=False)
+    flat_system, flat_recs = run_tape(ops, "memory")
+    legacy_system, legacy_recs = run_tape(ops, "per-object")
+    # Non-vacuity: the reference store never hands out a columnar dyconit.
+    assert all(dyconit._flat is None for dyconit in legacy_system.dyconits())
     for sid in (1, 2, 3):
         assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
     assert flat_system.stats == legacy_system.stats
@@ -188,13 +190,13 @@ def test_differential_with_merging_disabled(seed):
     """E8(a) ablation path: nothing ever superseded, unique queue keys."""
     ops = [op for op in make_op_tape(seed, length=200) if op[0] not in ("merge", "split")]
 
-    def run(use_batched):
+    def run(state_store):
         clock = {"now": 0.0}
         system = DyconitSystem(
             StaticPolicy(Bounds(50.0, 1000.0)),
             ChunkPartitioner(),
             time_source=lambda: clock["now"],
-            use_batched_commit=use_batched,
+            state_store=state_store,
             merging_enabled=False,
         )
         recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
@@ -223,8 +225,8 @@ def test_differential_with_merging_disabled(seed):
                 system.tick()
         return system, recs
 
-    flat_system, flat_recs = run(True)
-    legacy_system, legacy_recs = run(False)
+    flat_system, flat_recs = run("memory")
+    legacy_system, legacy_recs = run("per-object")
     for sid in (1, 2, 3):
         assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
     assert flat_system.stats == legacy_system.stats
@@ -466,13 +468,13 @@ def test_i9_commit_buffer_must_drain_at_barrier(sim, server_factory):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("use_batched", [True, False])
-def test_hotness_counts_only_received_commits(clock, use_batched):
+@pytest.mark.parametrize("flat", [True, False])
+def test_hotness_counts_only_received_commits(clock, flat):
     system = DyconitSystem(
         StaticPolicy(Bounds(math.inf, math.inf)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
-        use_batched_commit=use_batched,
+        state_store="memory" if flat else "per-object",
     )
     system.commit_to(CHUNK_A, move(1, 0.0, 2.0))  # nobody subscribed
     assert system.get(CHUNK_A).commit_count == 0
@@ -611,13 +613,13 @@ def test_hypothesis_stalled_cursor_stays_bounded_and_exact(tape):
     tape = tape + [("commit", 1, 0.1)] * 24
     with _patched_compact_period(8):
 
-        def run(use_batched):
+        def run(state_store):
             clock = {"now": 0.0}
             system = DyconitSystem(
                 StaticPolicy(Bounds(math.inf, math.inf)),
                 ChunkPartitioner(),
                 time_source=lambda: clock["now"],
-                use_batched_commit=use_batched,
+                state_store=state_store,
             )
             recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
             for sid in (1, 2, 3):
@@ -633,8 +635,8 @@ def test_hypothesis_stalled_cursor_stays_bounded_and_exact(tape):
                     system.flush(CHUNK_A, op[1])
             return system, recs
 
-        flat_system, flat_recs = run(True)
-        legacy_system, legacy_recs = run(False)
+        flat_system, flat_recs = run("memory")
+        legacy_system, legacy_recs = run("per-object")
         for sid in (1, 2, 3):
             assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
         assert flat_system.stats == legacy_system.stats

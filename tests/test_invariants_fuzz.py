@@ -91,15 +91,13 @@ bounds_strategy = st.sampled_from(
 class DyconitMachine(RuleBasedStateMachine):
     """Random middleware op interleavings vs auditor + reference model."""
 
-    #: S17 toggle — the default machine fuzzes the flat columnar commit
-    #: path (including the I9 replay audit after every step); the legacy
-    #: twin below pins the per-object ground truth with the same rules.
-    USE_BATCHED_COMMIT = True
     #: S19 backend seam — the spec handed to the StateStore registry.
-    #: Twins below drive the same rules through the SQLite adapter, so
-    #: every observable (auditor catalogue, bit-exact reference model,
-    #: staleness liveness) is enforced on the protocol surface rather
-    #: than on any concrete class.
+    #: The default machine fuzzes the flat columnar commit path
+    #: (including the I9 replay audit after every step). Twins below
+    #: drive the same rules through the per-object ground truth and the
+    #: SQLite adapter, so every observable (auditor catalogue, bit-exact
+    #: reference model, staleness liveness) is enforced on the protocol
+    #: surface rather than on any concrete class.
     STATE_STORE = "memory"
 
     def __init__(self):
@@ -110,7 +108,6 @@ class DyconitMachine(RuleBasedStateMachine):
             StaticPolicy(Bounds(50.0, 1000.0)),
             ChunkPartitioner(),
             time_source=lambda: self.now,
-            use_batched_commit=self.USE_BATCHED_COMMIT,
             state_store=self.STATE_STORE,
         )
         self.subscribers: dict[int, Subscriber] = {}
@@ -452,20 +449,20 @@ class ClusterMachine(RuleBasedStateMachine):
 #: CI smoke: 30 examples x up to 30 steps (and 15 x 25) comfortably
 #: clears the >= 200 stateful steps the roadmap asks of checked mode.
 class LegacyDyconitMachine(DyconitMachine):
-    """Same rules against the per-object commit path (S17 toggle off)."""
+    """Same rules against the per-object commit path (the
+    ``"per-object"`` store :mod:`tests.conftest` registers)."""
 
-    USE_BATCHED_COMMIT = False
+    STATE_STORE = "per-object"
 
 
 class SQLiteDyconitMachine(DyconitMachine):
     """Same rules with every queue resident in SQLite (S19).
 
-    ``use_batched_commit`` stays on at the config level, but the SQLite
-    handles expose no columnar mode (``_flat is None``) so the manager
-    drives them through the legacy commit walk — exactly how a real
-    server configured with ``state_store="sqlite"`` runs. The bit-exact
-    reference model makes this a float-for-float conformance fuzz of
-    the adapter's accounting.
+    The SQLite handles expose no columnar mode (``_flat is None``) so
+    the manager drives them through the per-object commit walk — exactly
+    how a real server configured with ``state_store="sqlite"`` runs. The
+    bit-exact reference model makes this a float-for-float conformance
+    fuzz of the adapter's accounting.
     """
 
     STATE_STORE = "sqlite"

@@ -14,7 +14,8 @@ Structure:
   un-checkpointed run, byte for byte);
 * the same contract for a 2-shard cluster with per-shard sqlite
   stores — in-flight bus messages are part of the snapshot;
-* error surfaces (missing key, server/cluster blob confusion).
+* error surfaces (missing key, server/cluster blob confusion, a blob
+  of another checkpoint format).
 
 Action traffic is scripted at off-barrier times (``step*25 + 13``) so
 "actions at t <= T_K are inside the snapshot, actions after are
@@ -22,6 +23,8 @@ re-driven by the resumed client" is unambiguous.
 """
 
 import os
+import pickle
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +38,7 @@ from repro.policies.fixed import FixedBoundsPolicy
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.server.snapshot import (
+    CHECKPOINT_FORMAT,
     load_snapshot,
     restore_cluster,
     restore_server_from_store,
@@ -267,6 +271,35 @@ class TestRecoveryErrors:
         store = SQLiteStateStore(stores[0])
         with pytest.raises(TypeError, match="ClusterSnapshot"):
             restore_server_from_store(store, "ck", handlers={})
+
+    @pytest.mark.parametrize("tag", [None, "repro-checkpoint/0"],
+                             ids=["untagged", "wrong-tag"])
+    def test_blob_of_another_format_is_refused(self, tmp_path, tag):
+        """A slotted ``ServerConfig`` un-pickles positionally, so a blob
+        written under another field list would restore silently wrong;
+        the loaders refuse it by name instead."""
+        server_store = SQLiteStateStore(os.path.join(str(tmp_path), "run.db"))
+        run_server(server_store, checkpoint_at=8)
+        paths = cluster_stores(str(tmp_path))
+        run_cluster(paths, checkpoint_at=6, kill_pump=6)
+        cluster_store = SQLiteStateStore(paths[0])
+        for store, kind in (
+            (server_store, "ServerSnapshot"),
+            (cluster_store, "ClusterSnapshot"),
+        ):
+            snap = load_snapshot(store, "ck")
+            assert type(snap).__name__ == kind
+            foreign = snap if tag is None else (tag, snap)
+            store.save_checkpoint("foreign", pickle.dumps(foreign, protocol=4))
+            found = f"an untagged {kind}" if tag is None else repr(tag)
+            expected = (
+                f"checkpoint 'foreign' in store 'sqlite' has format {found}, "
+                f"expected {CHECKPOINT_FORMAT!r}"
+            )
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                load_snapshot(store, "foreign")
+        with pytest.raises(ValueError, match=re.escape(CHECKPOINT_FORMAT)):
+            restore_server_from_store(server_store, "foreign", handlers={})
 
 
 # ---------------------------------------------------------------------------

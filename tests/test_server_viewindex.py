@@ -10,8 +10,9 @@ Three layers of proof that the O(viewers) indexed fan-out is safe:
 2. *Operation count*: broadcasting a chunk-anchored event never visits a
    session that does not view the event's chunk.
 3. *Differential*: a seeded 2,000-tick workload produces byte-identical
-   per-client packet streams with the index on and off (the off path is
-   the original brute-force scan), in both direct and dyconit modes.
+   per-client packet streams on the indexed paths and with the original
+   brute-force scans patched in over them (the ``scan_fanout`` fixture of
+   :mod:`tests.conftest`), in both direct and dyconit modes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ def build_server(
     sim: Simulation,
     direct_mode: bool = True,
     policy=None,
-    use_viewer_index: bool = True,
     mob_count: int = 0,
 ) -> GameServer:
     server = GameServer(
@@ -46,7 +46,6 @@ def build_server(
             seed=99,
             synchronous_delivery=True,
             mob_count=mob_count,
-            use_viewer_index=use_viewer_index,
         ),
         policy=policy,
         direct_mode=direct_mode,
@@ -203,7 +202,7 @@ def test_chunk_crossing_never_visits_unrelated_sessions():
 DIFFERENTIAL_DURATION_MS = 2_000 * 50.0
 
 
-def run_fanout_capture(direct_mode: bool, use_viewer_index: bool):
+def run_fanout_capture(direct_mode: bool):
     """Seeded wandering+building workload; returns per-client packets."""
     sim = Simulation()
     server = GameServer(
@@ -213,7 +212,6 @@ def run_fanout_capture(direct_mode: bool, use_viewer_index: bool):
             seed=31,
             synchronous_delivery=True,
             mob_count=3,
-            use_viewer_index=use_viewer_index,
         ),
         # Loose bounds queue updates long enough for replicas to go stale
         # while entities cross chunks — the path where the knower map must
@@ -251,9 +249,10 @@ def run_fanout_capture(direct_mode: bool, use_viewer_index: bool):
 
 
 @pytest.mark.parametrize("direct_mode", [True, False])
-def test_indexed_fanout_is_packet_identical_to_scan(direct_mode):
-    indexed, indexed_server = run_fanout_capture(direct_mode, use_viewer_index=True)
-    scanned, scanned_server = run_fanout_capture(direct_mode, use_viewer_index=False)
+def test_indexed_fanout_is_packet_identical_to_scan(scan_fanout, direct_mode):
+    indexed, indexed_server = run_fanout_capture(direct_mode)
+    with scan_fanout():
+        scanned, scanned_server = run_fanout_capture(direct_mode)
 
     assert indexed_server.tick_count >= 2_000
     assert set(indexed) == set(scanned)
