@@ -32,7 +32,7 @@ def build_system(subscribers: int, bounds: Bounds, telemetry=None) -> DyconitSys
         StaticPolicy(bounds), time_source=lambda: 0.0, telemetry=telemetry
     )
     for subscriber_id in range(subscribers):
-        subscriber = Subscriber(subscriber_id=subscriber_id, deliver=lambda d, u: None)
+        subscriber = Subscriber(subscriber_id=subscriber_id, deliver=lambda segments: None)
         system.subscribe(("chunk", 0, 0), subscriber)
     return system
 
@@ -203,7 +203,7 @@ def test_e5_memory_per_dyconit():
     from repro.core.dyconit import Dyconit
 
     dyconit = Dyconit(("chunk", 0, 0))
-    subscriber = Subscriber(subscriber_id=1, deliver=lambda d, u: None)
+    subscriber = Subscriber(subscriber_id=1, deliver=lambda segments: None)
     state = dyconit.subscribe(subscriber)
     footprint = (
         sys.getsizeof(dyconit)

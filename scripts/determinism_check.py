@@ -3,17 +3,19 @@
 
 Usage: [PYTHONPATH=src] python scripts/determinism_check.py [--jobs N]
 
-Runs an eight-cell sweep — four E1+E9-shaped single-server cells, a
+Runs a nine-cell sweep — four E1+E9-shaped single-server cells, a
 2-shard cluster cell (S16), its shard-parallel twin (S18; worker
 processes must reproduce the serial cell's result byte-for-byte), a
 row-store cell (``state_store="sqlite"``: the per-object commit walk;
-the other cells all run the columnar memory store), and a direct-mode
-cell on lossy links (the shared-packet broadcast and the corked
-per-client egress frames, with the fault layer drawing per packet
-inside them) — and prints, one per
-line, each cell's cache key (the content-addressed config digest)
-followed by the sha256 of the merged result store. The S18 twin is additionally diffed against the
-serial cell in-process: its traffic totals and handoff counts must be
+the other cells all run the columnar memory store), a direct-mode cell
+on lossy links (the shared-packet broadcast and the corked per-client
+egress frames, with the fault layer drawing per packet inside them) and
+a ``fixed``-policy cell (one finite staleness bound for every pair, so
+all deadlines of a tick tie and packet order rests on the due pass's
+tie-break) — and prints, one per line, each cell's cache key (the
+content-addressed config digest) followed by the sha256 of the merged
+result store. The S18 twin is additionally diffed against the serial
+cell in-process: its traffic totals and handoff counts must be
 identical, or the script exits non-zero. CI runs this twice under different
 ``PYTHONHASHSEED`` values and diffs the output: any dependence on dict
 iteration order, set ordering, or ``hash()`` in the config
@@ -94,6 +96,20 @@ def main() -> None:
             warmup_ms=500.0,
             seed=29,
             faults=make_fault_plan(0.02),
+        )
+    )
+    # One staleness bound for every pair: the deadlines of a tick all
+    # tie, so packet order within a tick rests on the due pass's
+    # tie-break (membership order) alone.
+    cells.append(
+        ExperimentConfig(
+            name="det-fixed-ties",
+            policy="fixed",
+            movement="hotspot",
+            bots=6,
+            duration_ms=2_000.0,
+            warmup_ms=500.0,
+            seed=31,
         )
     )
     for cell in cells:

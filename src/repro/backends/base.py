@@ -13,9 +13,10 @@ deployable service:
   back handles whose queues live in a database, and Redis/Postgres
   adapters slot in the same way.
 
-* :class:`EventBus` — the delivery edge of a flush. The manager's
-  ``_deliver`` publishes ``(dyconit id, subscriber, updates)`` to the
-  bus instead of invoking the subscriber callback itself. The direct bus
+* :class:`EventBus` — the delivery edge of a flush. The manager
+  publishes ``(subscriber, segments)`` — the ``(dyconit id, updates)``
+  segments one flush scope drained for that subscriber — to the bus
+  instead of invoking the subscriber callback itself. The direct bus
   reproduces the legacy inline call; a buffered bus decouples delivery
   for gateway taps and future networked fan-out.
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.bounds import Bounds
-    from repro.core.subscription import Subscriber
+    from repro.core.subscription import Segment, Subscriber
     from repro.core.update import Update
 
 
@@ -109,7 +110,7 @@ class DyconitStateHandle(abc.ABC):
     Required attributes: ``dyconit_id``, ``total_committed_weight``,
     ``commit_count``, ``default_bounds``, ``merging`` and ``_flat``
     (``None`` unless the handle implements the S17 columnar fast path —
-    the manager branches on it in ``_commit_resolved``).
+    the manager branches on it in ``_commit_resolved`` and the due pass).
 
     Subscription-state objects returned by :meth:`get_state` /
     :meth:`subscription_states` / :meth:`subscribe` /
@@ -254,26 +255,23 @@ class StateStore(abc.ABC):
 
 
 class EventBus(abc.ABC):
-    """Fan-out edge: flushed update batches on their way to subscribers."""
+    """Fan-out edge: flushed segments on their way to subscribers."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def publish(
-        self,
-        dyconit_id: Hashable,
-        subscriber: "Subscriber",
-        updates: Sequence["Update"],
-    ) -> None:
-        """Hand one flushed batch to one subscriber.
+    def publish(self, subscriber: "Subscriber", segments: Sequence["Segment"]) -> None:
+        """Hand one subscriber the ``(dyconit id, updates)`` segments a
+        flush scope drained for it.
 
-        Contract: batches for the same subscriber are delivered in
-        publish order, exactly once, with the update sequence unchanged
-        (the middleware already merged and time-ordered it).
+        Contract: deliveries for the same subscriber arrive in publish
+        order, exactly once, with the segment order and every update
+        sequence unchanged (the middleware already merged and
+        time-ordered them).
         """
 
     def drain(self) -> int:
-        """Deliver anything buffered; returns batches delivered.
+        """Deliver anything buffered; returns deliveries made.
 
         The direct bus has nothing to drain and returns 0. Buffered
         buses deliver here — the engine calls this at its tick barrier.

@@ -9,7 +9,7 @@ backends is *byte-identical* to the pre-refactor tree (the existing
 against it).
 
 ``BufferedEventBus`` is the first non-trivial bus: it queues published
-batches and delivers them, in publish order, when :meth:`drain` is
+deliveries and makes them, in publish order, when :meth:`drain` is
 called. It exists for consumers that want a barrier between flush
 decision and delivery (gateway taps, future networked fan-out) and as
 the second implementation that keeps the EventBus contract honest.
@@ -21,8 +21,7 @@ from typing import Hashable, Sequence
 
 from repro.backends.base import EventBus, StateStore
 from repro.core.dyconit import Dyconit
-from repro.core.subscription import Subscriber
-from repro.core.update import Update
+from repro.core.subscription import Segment, Subscriber
 
 
 class InMemoryStateStore(StateStore):
@@ -35,30 +34,26 @@ class InMemoryStateStore(StateStore):
 
 
 class DirectEventBus(EventBus):
-    """Deliver each flushed batch inline, on the publishing call stack."""
+    """Deliver inline, on the publishing call stack."""
 
     name = "direct"
 
-    def publish(
-        self, dyconit_id: Hashable, subscriber: Subscriber, updates: Sequence[Update]
-    ) -> None:
-        subscriber.deliver(dyconit_id, updates)
+    def publish(self, subscriber: Subscriber, segments: Sequence[Segment]) -> None:
+        subscriber.deliver(segments)
 
 
 class BufferedEventBus(EventBus):
-    """Queue published batches; deliver them in publish order on drain."""
+    """Queue published deliveries; make them in publish order on drain."""
 
     name = "buffered"
 
     def __init__(self) -> None:
-        self._queue: list[tuple[Hashable, Subscriber, Sequence[Update]]] = []
+        self._queue: list[tuple[Subscriber, Sequence[Segment]]] = []
         self.published = 0
         self.delivered = 0
 
-    def publish(
-        self, dyconit_id: Hashable, subscriber: Subscriber, updates: Sequence[Update]
-    ) -> None:
-        self._queue.append((dyconit_id, subscriber, updates))
+    def publish(self, subscriber: Subscriber, segments: Sequence[Segment]) -> None:
+        self._queue.append((subscriber, segments))
         self.published += 1
 
     @property
@@ -72,13 +67,13 @@ class BufferedEventBus(EventBus):
         # is a true barrier.
         while self._queue:
             batch, self._queue = self._queue, []
-            for index, (dyconit_id, subscriber, updates) in enumerate(batch):
+            for index, (subscriber, segments) in enumerate(batch):
                 try:
-                    subscriber.deliver(dyconit_id, updates)
+                    subscriber.deliver(segments)
                 except BaseException:
                     # A failed delivery must not lose the detached tail:
                     # re-queue everything not yet delivered (including
-                    # the failed batch, so the caller can retry it)
+                    # the failed one, so the caller can retry it)
                     # ahead of anything published *during* this drain,
                     # preserving publish order, and keep the counter
                     # honest about the successes before re-raising.

@@ -28,12 +28,11 @@ import pickle
 import sqlite3
 import sys
 import time
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from repro.backends.base import EventBus
 from repro.backends.memory import DirectEventBus
-from repro.core.subscription import Subscriber
-from repro.core.update import Update
+from repro.core.subscription import Segment, Subscriber
 
 _SPOOL_SCHEMA = """
 CREATE TABLE IF NOT EXISTS spool (
@@ -75,19 +74,21 @@ class SpoolEventBus(EventBus):
         self._closed = False
         self.published = 0
 
-    def publish(
-        self, dyconit_id: Hashable, subscriber: Subscriber, updates: Sequence[Update]
-    ) -> None:
-        self._conn.execute(
+    def publish(self, subscriber: Subscriber, segments: Sequence[Segment]) -> None:
+        # One row per segment, one statement per delivery.
+        self._conn.executemany(
             "INSERT INTO spool (dyconit, sub_id, blob) VALUES (?, ?, ?)",
-            (
-                pickle.dumps(dyconit_id, protocol=4),
-                subscriber.subscriber_id,
-                pickle.dumps(list(updates), protocol=4),
-            ),
+            [
+                (
+                    pickle.dumps(dyconit_id, protocol=4),
+                    subscriber.subscriber_id,
+                    pickle.dumps(list(updates), protocol=4),
+                )
+                for dyconit_id, updates in segments
+            ],
         )
-        self.published += 1
-        self._inner.publish(dyconit_id, subscriber, updates)
+        self.published += len(segments)
+        self._inner.publish(subscriber, segments)
 
     def drain(self) -> int:
         return self._inner.drain()

@@ -171,16 +171,18 @@ class ShardServer(GameServer):
         return subscriber
 
     def _make_peer_delivery(self, peer_shard: int):
-        def deliver(dyconit_id, updates) -> None:
-            records = []
-            for update in updates:
-                record = self._ghost_record(update)
-                if record is not None:
-                    records.append(record)
-            if records:
-                self.bus.post(
-                    self.shard_id, peer_shard, PeerUpdates(records=tuple(records))
-                )
+        def deliver(segments) -> None:
+            # One PeerUpdates per segment: the bus sees what it always saw.
+            for __, updates in segments:
+                records = []
+                for update in updates:
+                    record = self._ghost_record(update)
+                    if record is not None:
+                        records.append(record)
+                if records:
+                    self.bus.post(
+                        self.shard_id, peer_shard, PeerUpdates(records=tuple(records))
+                    )
 
         return deliver
 

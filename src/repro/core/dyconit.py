@@ -327,7 +327,7 @@ class Dyconit:
     ):
         """Columnar commit (S17): vectorized enqueue + gated bound scan.
 
-        Returns ``(n_enqueued, n_merged, events)`` — see
+        Returns ``(n_enqueued, n_merged, became_due, flushed)`` — see
         :meth:`FlatDyconitState.commit
         <repro.core.flatstate.FlatDyconitState.commit>`.
         """

@@ -147,19 +147,6 @@ class FlatSubscriptionView:
             return False
         return int(self._flat.count[slot]) + self._flat.count_shared > 0
 
-    def staleness_deadline(self) -> float | None:
-        """``oldest_pending_time + bounds.staleness_ms`` read straight off
-        the columns, or ``None`` when nothing is pending or the staleness
-        bound is infinite. What the manager's deadline heap arms on."""
-        flat = self._flat
-        slot = flat.slots.get(self.subscriber.subscriber_id)
-        if slot is None or flat.count.item(slot) + flat.count_shared == 0:
-            return None
-        staleness = flat.b_stale.item(slot)
-        if staleness == math.inf:
-            return None
-        return flat.oldest.item(slot) + staleness
-
     def oldest_age_ms(self, now: float) -> float:
         oldest = self.oldest_pending_time
         if oldest is None:
@@ -434,18 +421,56 @@ class FlatDyconitState:
         return state
 
     def drain_slot(self, slot: int) -> list[Update]:
-        pairs = self.materialize_pairs(slot)
+        return self._drain_slots([slot])[0]
+
+    def _drain_slots(self, slots: list[int]) -> list[list[Update]]:
+        """Drain ``slots`` together: one replay per slot (slots with the
+        same window share it through the cohort cache), then one
+        fancy-indexed reset of their columns."""
+        batches = [[u for __, u in self.materialize_pairs(slot)] for slot in slots]
         end = self.base + len(self.log)
-        self.cursor[slot] = end
+        self.cursor[slots] = end
         if end > self.max_cursor:
             self.max_cursor = end
-        self.err[slot] = 0.0
-        self.count[slot] = -self.count_shared
-        self.oldest[slot] = math.inf
-        self.empty_subs.add(self.subscriber_by_slot[slot].subscriber_id)
+        self.err[slots] = 0.0
+        self.count[slots] = -self.count_shared
+        self.oldest[slots] = math.inf
+        subscribers = self.subscriber_by_slot
+        self.empty_subs.update(subscribers[slot].subscriber_id for slot in slots)
         if self.log and len(self.empty_subs) == self.n:
             self._reset_log()
-        return [u for __, u in pairs]
+        return batches
+
+    def drain_due(
+        self, now: float
+    ) -> tuple[int, list[tuple[Subscriber, float, list[Update]]], float]:
+        """The due pass over this dyconit (S22): drain every pending slot
+        whose ``oldest + staleness`` is ``<= now``.
+
+        Returns ``(examined, due, next_deadline)``: the number of pending
+        slots the pass looked at, ``(subscriber, deadline, updates)`` per
+        drained slot in slot order, and the exact earliest deadline among
+        the queues still pending (``inf`` if none has a finite one).
+        """
+        if self.n == 0:
+            return 0, [], math.inf
+        examined = self.n - len(self.empty_subs)
+        deadlines = self._oldest_v + self._bstale_v  # inf for an empty slot
+        due_mask = deadlines <= now
+        if not due_mask.any():
+            return examined, [], float(deadlines.min())
+        slots = np.nonzero(due_mask)[0].tolist()
+        due_at = deadlines[slots].tolist()
+        subscribers = self.subscriber_by_slot
+        due = [
+            (subscribers[slot], deadline, updates)
+            for slot, deadline, updates in zip(slots, due_at, self._drain_slots(slots))
+        ]
+        deadlines[slots] = math.inf
+        # Exact, so the commit-time staleness gate stops firing on the
+        # deadlines this pass just served.
+        self.min_deadline = next_deadline = float(deadlines.min())
+        return examined, due, next_deadline
 
     def tripped_dimension_slot(self, slot: int, now: float) -> str | None:
         """Scalar bound check for one slot — byte-identical precedence to
@@ -579,14 +604,16 @@ class FlatDyconitState:
 
     def commit(
         self, update: Update, exclude_subscriber: int | None, now: float
-    ) -> tuple[int, int, list[tuple[FlatSubscriptionView, str | None]] | None]:
+    ) -> tuple[int, int, float, list[tuple[Subscriber, str, list[Update]]] | None]:
         """Enqueue ``update`` for every subscriber except the excluded one.
 
-        Returns ``(n_enqueued, n_merged, events)`` where ``events`` is
-        ``None`` in the common nothing-tripped case, else ``(view,
-        reason)`` pairs in slot order: a non-None reason means the queue
-        must flush now, ``None`` means it just became pending (arm the
-        staleness deadline).
+        Returns ``(n_enqueued, n_merged, became_due, flushed)``.
+        ``became_due`` is the earliest ``oldest + staleness`` among the
+        queues this commit turned pending and left pending (``inf`` if
+        there is none) — what the manager lowers the dyconit's due time
+        to. ``flushed`` is ``None`` in the common nothing-tripped case,
+        else ``(subscriber, reason, updates)`` per queue this commit
+        pushed over a bound, already drained, in slot order.
         """
         self.refresh_gates()
         n = self.n
@@ -595,7 +622,7 @@ class FlatDyconitState:
             e = self.slots.get(exclude_subscriber, -1)
         n_eff = n - 1 if e >= 0 else n
         if n_eff <= 0:
-            return 0, 0, None
+            return 0, 0, math.inf, None
 
         end = self.base + len(self.log)
         merging = self.merging
@@ -687,13 +714,11 @@ class FlatDyconitState:
 
         # ---- bound checks: conservative gates, exact vectorized scans
         self.count_ub += 1
-        trip = None
-        tripped_any = False
+        numerical = stale = order = None
         if self.n_finite_bnum:
-            trip = np.greater(self._err_v, self._bnum_v, out=self._trip_v)
+            numerical = np.greater(self._err_v, self._bnum_v, out=self._trip_v)
             if e >= 0:
-                trip[e] = False
-            tripped_any = bool(trip.any())
+                numerical[e] = False
         if self.any_finite_stale and now >= self.min_deadline - _GATE_MARGIN_MS:
             stale = (now - self._oldest_v) >= self._bstale_v
             # Conservative refresh (uses pre-drain oldest values; a drain
@@ -702,38 +727,33 @@ class FlatDyconitState:
             self.min_deadline = float((self._oldest_v + self._bstale_v).min())
             if e >= 0:
                 stale[e] = False
-            if stale.any():
-                if trip is None:
-                    trip = stale
-                else:
-                    np.logical_or(trip, stale, out=trip)
-                tripped_any = True
         if self.count_ub > self.min_border:
             counts = self._count_v + self.count_shared
             self.count_ub = int(counts.max())
-            order_trip = counts > self._border_v
+            order = counts > self._border_v
             if e >= 0:
-                order_trip[e] = False
-            if order_trip.any():
-                if trip is None:
-                    trip = order_trip
-                else:
-                    np.logical_or(trip, order_trip, out=trip)
-                tripped_any = True
+                order[e] = False
 
-        if not tripped_any and not became:
-            return n_eff, merged_n, None
-        events: list[tuple[int, str | None]] = []
-        if tripped_any:
-            for slot in np.nonzero(trip)[0]:
-                events.append((int(slot), self.tripped_dimension_slot(int(slot), now)))
-        if became:
-            for slot in became:
-                if not (tripped_any and trip[slot]):
-                    events.append((slot, None))
-            events.sort(key=lambda item: item[0])
-        out = [
-            (self._views[self.subscriber_by_slot[slot].subscriber_id], reason)
-            for slot, reason in events
-        ]
-        return n_eff, merged_n, out
+        # ``Bounds.tripped_dimension``'s precedence: a later mask here
+        # overwrites an earlier one's reason.
+        reasons: dict[int, str] = {}
+        for mask, reason in (
+            (order, "order"), (stale, "staleness"), (numerical, "numerical")
+        ):
+            if mask is not None:
+                for slot in mask.nonzero()[0].tolist():
+                    reasons[slot] = reason
+        flushed = None
+        if reasons:
+            slots = sorted(reasons)
+            subscribers = self.subscriber_by_slot
+            flushed = [
+                (subscribers[slot], reasons[slot], updates)
+                for slot, updates in zip(slots, self._drain_slots(slots))
+            ]
+        became_due = math.inf
+        if became and not math.isinf(self.min_bstale):
+            # Drained above means ``oldest`` is inf again: only queues
+            # still pending count.
+            became_due = float((self.oldest[became] + self.b_stale[became]).min())
+        return n_eff, merged_n, became_due, flushed

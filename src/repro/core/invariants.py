@@ -2,9 +2,9 @@
 
 The middleware keeps several structures in lockstep — the alias table and
 its reverse map, per-subscriber membership and per-dyconit subscription
-states, the lazy staleness-deadline heap and the queues it covers, and
-the server-side viewer index. Each pair is cheap to maintain but easy to
-desynchronize silently: a missed heap push does not crash, it just
+states, the per-dyconit due times and the queues they cover, and the
+server-side viewer index. Each pair is cheap to maintain but easy to
+desynchronize silently: a due time left too late does not crash, it just
 flushes late and quietly breaks the staleness promise the whole
 evaluation rests on.
 
@@ -28,16 +28,13 @@ I1  alias table acyclicity; ``_aliases`` ↔ ``_alias_sources`` exact
 I2  ``_subscriptions_by_subscriber`` ≡ union of per-dyconit
     ``SubscriptionState`` membership, and both sides only reference
     registered subscribers.
-I3  deadline-heap coverage: each (dyconit, subscriber) pair has at most
-    one *live* heap entry, the one whose deadline ``_armed`` records
-    (entries with any other deadline are dropped unchecked when they
-    pop). Every ``_armed`` key must have a heap entry with exactly that
-    deadline (``I3.armed-live`` — an orphan armed deadline suppresses
-    every later push for the pair: a missed flush), and every pending
-    state with a finite staleness bound must be armed under its
-    *current* dyconit id with a live deadline ≤ ``oldest_pending_time +
-    staleness_ms`` (entries under merged-away ids are skipped lazily
-    and provide no coverage).
+I3  due-time coverage (S22): every pending state with a finite
+    staleness bound has ``_due_at[its dyconit] <= oldest_pending_time +
+    staleness_ms`` (``I3.due-coverage`` — the due pass visits a dyconit
+    only once its due time has passed, so a missing or later entry is a
+    late flush; an earlier one is legal and costs one visit), and every
+    key of ``_due_at`` is a live dyconit id (``I3.due-live`` — remove,
+    merge and split take the id's entry with them).
 I4  queue accounting: empty queue ⇔ zeroed error and no oldest-pending
     timestamp; ``pending`` in nondecreasing ``update.time`` order;
     ``oldest_pending_time`` ≤ the first pending update's time;
@@ -92,7 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Violation:
     """One detected invariant breach."""
 
-    invariant: str  # catalogue key, e.g. "I3.heap-coverage"
+    invariant: str  # catalogue key, e.g. "I3.due-coverage"
     subject: str  # the structure member at fault, repr-formatted
     message: str  # what held vs what was expected
 
@@ -278,57 +275,37 @@ class InvariantAuditor:
                 )
 
     # ------------------------------------------------------------------
-    # I3 — deadline-heap coverage
+    # I3 — due-time coverage
     # ------------------------------------------------------------------
 
     def _check_deadline_coverage(self, system, violations: list[Violation]) -> None:
-        in_heap = {
-            (dyconit_id, subscriber_id, deadline)
-            for deadline, __, dyconit_id, subscriber_id in system._deadline_heap
-        }
-        # The live deadline per (dyconit, subscriber): the armed one, if
-        # the heap really holds it. Entries under merged-away ids find no
-        # dyconit at pop time and are skipped, so they are no coverage.
-        live: dict[tuple[Hashable, int], float] = {}
-        for key, deadline in system._armed.items():
-            if (*key, deadline) not in in_heap:
+        for dyconit_id in system._due_at:
+            if dyconit_id not in system._dyconits:
                 violations.append(
                     Violation(
-                        "I3.armed-live",
-                        f"({key[0]!r}, subscriber {key[1]})",
-                        f"armed deadline {deadline:g} has no heap entry — "
-                        f"later pushes for the pair are suppressed and its "
-                        f"backlog never flushes by deadline",
+                        "I3.due-live",
+                        repr(dyconit_id),
+                        "has a due time but is not a live dyconit (removed, "
+                        "merged away or split without dropping its entry)",
                     )
                 )
-            elif key[0] in system._dyconits:
-                live[key] = deadline
         for dyconit_id, dyconit in system._dyconits.items():
+            covering = system._due_at.get(dyconit_id)
             for state in dyconit.subscription_states():
                 if not state.has_pending or math.isinf(state.bounds.staleness_ms):
                     continue
                 required = state.oldest_pending_time + state.bounds.staleness_ms
-                covering = live.get((dyconit_id, state.subscriber.subscriber_id))
-                if covering is None:
+                if covering is None or covering > required + _EPS:
                     violations.append(
                         Violation(
-                            "I3.heap-coverage",
+                            "I3.due-coverage",
                             f"({dyconit_id!r}, subscriber "
                             f"{state.subscriber.subscriber_id})",
                             f"pending with staleness bound "
-                            f"{state.bounds.staleness_ms:g} ms but no live heap "
-                            f"entry (needs deadline <= {required:g})",
-                        )
-                    )
-                elif covering > required + _EPS:
-                    violations.append(
-                        Violation(
-                            "I3.heap-coverage",
-                            f"({dyconit_id!r}, subscriber "
-                            f"{state.subscriber.subscriber_id})",
-                            f"armed heap deadline {covering:g} is later than "
-                            f"the bound-implied deadline {required:g} — the "
-                            f"queue will flush late",
+                            f"{state.bounds.staleness_ms:g} ms (deadline "
+                            f"{required:g}) but the dyconit's due time is "
+                            f"{'missing' if covering is None else format(covering, 'g')}"
+                            f" — the queue will flush late",
                         )
                     )
 

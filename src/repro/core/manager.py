@@ -4,30 +4,25 @@ Responsibilities:
 
 * owns all dyconits and the event→dyconit partitioning;
 * runs the commit path (enqueue + numerical-bound check + flush);
-* runs the tick path (staleness-bound checks via a deadline heap, and
+* runs the tick path (the due pass over staleness deadlines, and
   periodic policy evaluation);
 * manages subscriptions, including flush-on-unsubscribe semantics; and
 * exposes :class:`~repro.core.stats.DyconitStats` to the evaluation.
 
-Performance note: staleness deadlines live in a lazy min-heap keyed by
-``oldest_pending_time + staleness_bound``, and the tick only examines
-entries that are due. What makes its cost scale with the number of
-*flushes* rather than with subscriptions or past commits is the ``_armed``
-map: each (dyconit, subscriber) pair has at most one *live* heap entry,
-whose deadline ``_armed`` records. A push happens only when no entry is
-armed or the new deadline is earlier; a popped entry whose deadline is not
-the armed one is dropped without a bound check; an armed entry that pops
-before the queue is due (it was flushed numerically and refilled, or its
-bound was loosened) re-arms once at the true deadline. So a pair costs at
-most one wasted pop per staleness period, however often it flushes
-numerically and refills in between (each refill would otherwise leave one
-more entry to pop, check and re-push).
+Performance note (S22): "who is due" is asked per *dyconit* — ``_due_at``
+holds one float per dyconit with a pending queue, a lower bound on its
+earliest ``oldest_pending_time + staleness_ms`` — and a tick drains the
+due subscriptions of each dyconit whose time has passed in one pass, so
+a queue that flushes numerically and refills, or whose bound is
+loosened, costs one examined dyconit later, never an entry per pair.
+Flushes made inside a *flush scope* (a batch of commits, a tick, a
+policy step) reach each subscriber as one delivery when it closes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -40,11 +35,10 @@ from repro.backends.base import (
 from repro.backends.registry import create_event_bus, create_state_store
 from repro.core.bounds import Bounds
 from repro.core.dyconit import Dyconit, SubscriptionState
-from repro.core.flatstate import FlatSubscriptionView
 from repro.core.partition import ChunkPartitioner, DyconitPartitioner
 from repro.core.policy import LoadSignals, Policy
 from repro.core.stats import DyconitStats
-from repro.core.subscription import Subscriber
+from repro.core.subscription import Segment, Subscriber
 from repro.core.update import Update
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
 
@@ -81,30 +75,29 @@ class SystemSnapshot:
     membership: dict[int, list[Hashable]]
     aliases: dict[Hashable, Hashable]
     alias_sources: dict[Hashable, list[Hashable]]
-    deadline_heap: list[tuple[float, int, Hashable, int]]
-    heap_seq: int
     last_policy_evaluation: float
-    repartition_epoch: int
     stats: DyconitStats
     policy: Policy
     merging_enabled: bool
-    #: (dyconit id, subscriber id) -> deadline of the pair's live heap
-    #: entry.
-    armed: dict[tuple[Hashable, int], float]
 
 
-def _staleness_deadline(state: SubscriptionState) -> float | None:
-    """``oldest_pending_time + staleness_ms``, or ``None`` when the queue
-    is empty or its staleness bound is infinite (nothing to arm)."""
-    if type(state) is FlatSubscriptionView:
-        return state.staleness_deadline()  # one slot lookup, no Bounds
-    oldest = state.oldest_pending_time
-    if oldest is None:
-        return None
-    staleness = state.bounds.staleness_ms
-    if math.isinf(staleness):
-        return None
-    return oldest + staleness
+def _drain_due(dyconit: Dyconit, now: float):
+    """``FlatDyconitState.drain_due`` for a handle without columns: same
+    rule, same result, through the documented state surface only."""
+    examined = 0
+    due = []
+    next_deadline = math.inf
+    for state in dyconit.subscription_states():
+        oldest = state.oldest_pending_time
+        if oldest is None:
+            continue
+        examined += 1
+        deadline = oldest + state.bounds.staleness_ms
+        if deadline <= now:
+            due.append((state.subscriber, deadline, state.drain()))
+        elif deadline < next_deadline:
+            next_deadline = deadline
+    return examined, due, next_deadline
 
 
 class DyconitSystem:
@@ -141,9 +134,6 @@ class DyconitSystem:
         self._closed = False
         #: E8(a) ablation switch; affects dyconits created after the change.
         self.merging_enabled = merging_enabled
-        #: Bumped by merge/split/remove so :meth:`commit_many` knows to
-        #: re-resolve a cached (dyconit id -> dyconit) run mid-batch.
-        self._repartition_epoch = 0
         self._time_source = time_source if time_source is not None else (lambda: 0.0)
         self._dyconits: dict[Hashable, Dyconit] = {}
         #: Runtime repartitioning: source id -> merged target id. Commits
@@ -161,13 +151,14 @@ class DyconitSystem:
         #: policies sweeping a subscriber's subscriptions would flush in
         #: a different order each run, breaking run-to-run determinism.
         self._subscriptions_by_subscriber: dict[int, dict[Hashable, None]] = {}
-        #: Lazy staleness-deadline heap: (deadline, seq, dyconit_id, subscriber_id).
-        self._deadline_heap: list[tuple[float, int, Hashable, int]] = []
-        self._heap_seq = 0
-        #: (dyconit id, subscriber id) -> deadline of that pair's one
-        #: *live* heap entry; entries with any other deadline are dead
-        #: and dropped unchecked when they pop.
-        self._armed: dict[tuple[Hashable, int], float] = {}
+        #: dyconit id -> lower bound on the earliest ``oldest_pending_time
+        #: + staleness_ms`` among its pending subscriptions. Live ids
+        #: only; lowered wherever a deadline is created or advanced,
+        #: raised (or dropped) only by the due pass, which has it exact.
+        self._due_at: dict[Hashable, float] = {}
+        #: Open flush scope: subscriber id -> (subscriber, its segments in
+        #: drain order). ``None`` outside a scope — delivery is immediate.
+        self._outbox: dict[int, tuple[Subscriber, list[Segment]]] | None = None
         self._last_policy_evaluation = -math.inf
         self.stats = DyconitStats()
         #: Optional DyconitTracer recording middleware decisions.
@@ -183,11 +174,17 @@ class DyconitSystem:
             self._tm_batch_size = self.telemetry.histogram(
                 "dyconit_flush_batch_size", min_value=1.0
             )
+            self._tm_pending = self.telemetry.gauge("dyconit_pending_dyconits")
+            self._tm_segments = self.telemetry.histogram(
+                "dyconit_delivery_segments", min_value=1.0
+            )
         else:
             self._tm_commits = None
             self._tm_enqueued = None
             self._tm_delivered = None
             self._tm_batch_size = None
+            self._tm_pending = None
+            self._tm_segments = None
         policy.on_attach(self)
 
     # ------------------------------------------------------------------
@@ -262,14 +259,10 @@ class DyconitSystem:
                 target: list(sources)
                 for target, sources in self._alias_sources.items()
             },
-            deadline_heap=list(self._deadline_heap),
-            heap_seq=self._heap_seq,
             last_policy_evaluation=self._last_policy_evaluation,
-            repartition_epoch=self._repartition_epoch,
             stats=self.stats,
             policy=self.policy,
             merging_enabled=self.merging_enabled,
-            armed=dict(self._armed),
         )
 
     def restore(self, snap: SystemSnapshot, subscribers: dict[int, Subscriber]) -> None:
@@ -311,6 +304,13 @@ class DyconitSystem:
             handle.commit_count = record.commit_count
             for sub in record.subscriptions:
                 handle.restore_subscription(subscribers[sub.subscriber_id], sub)
+                # No snapshot field: the exact due time is a function of
+                # the subscriptions being restored.
+                if sub.oldest_pending_time is not None:
+                    self._lower_due(
+                        record.dyconit_id,
+                        sub.oldest_pending_time + sub.bounds.staleness_ms,
+                    )
         self._subscriptions_by_subscriber = {
             sub_id: dict.fromkeys(ids) for sub_id, ids in snap.membership.items()
         }
@@ -319,14 +319,7 @@ class DyconitSystem:
             target: dict.fromkeys(sources)
             for target, sources in snap.alias_sources.items()
         }
-        # The recorded list was a valid heap when captured; restoring it
-        # verbatim (entries, seq counter and all) keeps future pops and
-        # pushes identical to the unkilled run.
-        self._deadline_heap = [tuple(entry) for entry in snap.deadline_heap]
-        self._heap_seq = snap.heap_seq
-        self._armed = dict(snap.armed)
         self._last_policy_evaluation = snap.last_policy_evaluation
-        self._repartition_epoch = snap.repartition_epoch
         self.stats = snap.stats
 
     # ------------------------------------------------------------------
@@ -363,7 +356,7 @@ class DyconitSystem:
         dyconit = self._dyconits.pop(dyconit_id, None)
         if dyconit is None:
             return
-        self._repartition_epoch += 1
+        self._due_at.pop(dyconit_id, None)
         # Removing a merge *target* releases its aliases: a later commit
         # to a source id must create a fresh dyconit under that id, not
         # resurrect an empty ghost under the removed target id (where it
@@ -403,7 +396,6 @@ class DyconitSystem:
         """
         target_id = self.resolve(target_id)
         target = self.get_or_create(target_id)
-        self._repartition_epoch += 1
         # Cross-queue backlog moves below mutate SubscriptionStates in
         # ways the columnar store does not model; drop the target and
         # every source back to per-object states first (S17). Merge
@@ -424,6 +416,7 @@ class DyconitSystem:
             source = self._dyconits.pop(source_id, None)
             if source is None:
                 continue
+            self._due_at.pop(source_id, None)
             source._ensure_private()
             target.total_committed_weight += source.total_committed_weight
             target.commit_count += source.commit_count
@@ -450,11 +443,14 @@ class DyconitSystem:
                         merged_state.bounds = merged_bounds
                         if merged_state.has_pending:
                             # Tightening staleness moves the deadline
-                            # *earlier* than any heap entry pushed under
-                            # the old bounds; without a fresh entry the
-                            # backlog flushes late (or, if the source had
-                            # nothing pending below, never by deadline).
-                            self._push_deadline(target_id, merged_state)
+                            # *earlier* than the due time recorded under
+                            # the old bounds; without lowering it the
+                            # backlog flushes late.
+                            self._lower_due(
+                                target_id,
+                                merged_state.oldest_pending_time
+                                + merged_bounds.staleness_ms,
+                            )
                 if state.has_pending:
                     had_backlog = merged_state.has_pending
                     for update in state.drain():
@@ -464,7 +460,11 @@ class DyconitSystem:
                         # queued on the target; restore the time order the
                         # sort-free drain relies on.
                         merged_state.restore_time_order()
-                    self._push_deadline(target_id, merged_state)
+                    self._lower_due(
+                        target_id,
+                        merged_state.oldest_pending_time
+                        + merged_state.bounds.staleness_ms,
+                    )
             self.state_store.drop_dyconit_state(source_id)
             self.stats.dyconits_removed += 1
         return target
@@ -620,17 +620,18 @@ class DyconitSystem:
 
         Shared by :meth:`set_bounds` and re-subscription: a tightened
         bound must take effect immediately — flush if already exceeded,
-        otherwise re-arm the deadline heap under the new staleness bound.
+        otherwise make sure the due pass looks no later than the deadline
+        the new staleness bound implies.
         """
         state.bounds = bounds
-        if state.has_pending:
-            now = self.now
+        oldest = state.oldest_pending_time
+        if oldest is not None:
             self.stats.bound_checks += 1
-            reason = state.tripped_dimension(now)
+            reason = state.tripped_dimension(self.now)
             if reason is not None:
                 self._deliver(dyconit_id, state, reason=reason)
             else:
-                self._push_deadline(dyconit_id, state)
+                self._lower_due(dyconit_id, oldest + bounds.staleness_ms)
 
     # ------------------------------------------------------------------
     # Commit path
@@ -664,26 +665,24 @@ class DyconitSystem:
         Consecutive items targeting the same (unresolved) dyconit id form
         a *run* that shares one alias resolution and dyconit lookup —
         the per-update overhead the legacy path pays on every commit.
-        Runs are only formed over consecutive items so the delivery order
+        Runs are only formed over consecutive items so the drain order
         of an interleaved stream is exactly that of the equivalent
-        :meth:`commit_to` loop. A repartition triggered mid-batch (e.g.
-        by a delivery handler) bumps ``_repartition_epoch`` and forces
-        the cached resolution to be redone.
+        :meth:`commit_to` loop. The batch is one flush scope, so no
+        handler — and with it no repartition — runs while a resolution
+        is cached.
         """
-        marker = object()
-        run_id: object = marker
-        epoch = -1
+        run_id: object = object()
         resolved: Hashable = None
         dyconit: Dyconit | None = None
         committed = 0
-        for dyconit_id, update, exclude_subscriber in batch:
-            if dyconit_id != run_id or epoch != self._repartition_epoch:
-                run_id = dyconit_id
-                epoch = self._repartition_epoch
-                resolved = self.resolve(dyconit_id)
-                dyconit = self.get_or_create(resolved)
-            committed += 1
-            self._commit_resolved(resolved, dyconit, update, exclude_subscriber)
+        with self._flush_scope():
+            for dyconit_id, update, exclude_subscriber in batch:
+                if dyconit_id != run_id:
+                    run_id = dyconit_id
+                    resolved = self.resolve(dyconit_id)
+                    dyconit = self.get_or_create(resolved)
+                committed += 1
+                self._commit_resolved(resolved, dyconit, update, exclude_subscriber)
         if committed and self._tm_commits is not None:
             self._tm_commits.increment(committed)
 
@@ -695,24 +694,23 @@ class DyconitSystem:
         exclude_subscriber: int | None,
     ) -> None:
         """Shared commit body; ``dyconit_id`` must already be resolved."""
-        self.stats.commits += 1
+        stats = self.stats
+        stats.commits += 1
         if dyconit._flat is not None:
-            n_enqueued, n_merged, events = dyconit.commit_flat(
+            n_enqueued, n_merged, became_due, flushed = dyconit.commit_flat(
                 update, exclude_subscriber, self.now
             )
             if not n_enqueued:
                 return
-            self.stats.updates_enqueued += n_enqueued
-            self.stats.updates_merged += n_merged
-            self.stats.bound_checks += n_enqueued
+            stats.updates_enqueued += n_enqueued
+            stats.updates_merged += n_merged
+            stats.bound_checks += n_enqueued
             if self._tm_enqueued is not None:
                 self._tm_enqueued.increment(n_enqueued)
-            if events is not None:
-                for view, reason in events:
-                    if reason is not None:
-                        self._deliver(dyconit_id, view, reason=reason)
-                    else:
-                        self._push_deadline(dyconit_id, view)
+            if flushed is not None:
+                for subscriber, reason, updates in flushed:
+                    self._flushed(dyconit_id, subscriber, updates, reason)
+            self._lower_due(dyconit_id, became_due)
             return
         touched = dyconit.commit(update, exclude_subscriber)
         if not touched:
@@ -721,15 +719,21 @@ class DyconitSystem:
         if self._tm_enqueued is not None:
             self._tm_enqueued.increment(len(touched))
         for state, result in touched:
-            self.stats.updates_enqueued += 1
+            stats.updates_enqueued += 1
             if result.superseded:
-                self.stats.updates_merged += 1
-            self.stats.bound_checks += 1
+                stats.updates_merged += 1
+            stats.bound_checks += 1
             reason = state.tripped_dimension(now)
             if reason is not None:
                 self._deliver(dyconit_id, state, reason=reason)
             elif result.became_pending:
-                self._push_deadline(dyconit_id, state)
+                # enqueue() just set oldest_pending_time to update.time
+                self._lower_due(dyconit_id, update.time + state.bounds.staleness_ms)
+
+    def _lower_due(self, dyconit_id: Hashable, deadline: float) -> None:
+        """Have the due pass visit ``dyconit_id`` by ``deadline`` (never inf)."""
+        if deadline < self._due_at.get(dyconit_id, math.inf):
+            self._due_at[dyconit_id] = deadline
 
     # ------------------------------------------------------------------
     # Tick path
@@ -742,14 +746,15 @@ class DyconitSystem:
         needs load signals only the server can supply; unit tests can tick
         the middleware without a server.
         """
-        return self._flush_due_deadlines(self.now)
+        with self._flush_scope():
+            return self._flush_due(self.now)
 
     def evaluate_policy(self, signals: LoadSignals) -> bool:
         """Run the policy if its evaluation period has elapsed."""
         if signals.now - self._last_policy_evaluation < self.policy.evaluation_period_ms:
             return False
         self._last_policy_evaluation = signals.now
-        with self.telemetry.span("policy.evaluate"):
+        with self._flush_scope(), self.telemetry.span("policy.evaluate"):
             self.policy.evaluate(self, signals)
         self.stats.policy_evaluations += 1
         return True
@@ -757,71 +762,83 @@ class DyconitSystem:
     def notify_subscriber_moved(self, subscriber_id: int) -> None:
         subscriber = self._subscribers.get(subscriber_id)
         if subscriber is not None:
-            self.policy.on_subscriber_moved(self, subscriber)
+            with self._flush_scope():
+                self.policy.on_subscriber_moved(self, subscriber)
 
-    def _flush_due_deadlines(self, now: float) -> int:
-        flushed = 0
-        heap = self._deadline_heap
-        armed = self._armed
-        while heap and heap[0][0] <= now:
-            deadline, __, dyconit_id, subscriber_id = heapq.heappop(heap)
-            key = (dyconit_id, subscriber_id)
-            if armed.get(key) != deadline:
-                continue  # dead entry: superseded by an earlier deadline
-            del armed[key]
-            dyconit = self._dyconits.get(dyconit_id)
-            if dyconit is None:
-                continue
-            state = dyconit.get_state(subscriber_id)
-            if state is None or not state.has_pending:
-                continue  # already flushed or unsubscribed
-            self.stats.bound_checks += 1
-            reason = state.tripped_dimension(now)
-            if reason is not None:
-                # Usually "staleness" (that is what the heap tracks), but
-                # a backlog moved here by a merge can trip the numerical
-                # or order dimension first; report what actually tripped.
-                self._deliver(dyconit_id, state, reason=reason)
-                flushed += 1
-                continue
-            # The entry popped early (queue drained and refilled, or bounds
-            # loosened, since it was armed): re-arm at the true deadline —
-            # unless float arithmetic cannot place it in the future (a
-            # staleness bound so small that ``oldest + staleness <= now``
-            # while ``now - oldest < staleness``, e.g. a subnormal from a
-            # multiplicatively-decayed or live-retuned bound). That
-            # deadline is due *now* for every representable purpose;
-            # re-pushing it would live-lock this loop.
-            fresh = _staleness_deadline(state)
-            if fresh is None:
-                continue  # staleness bound is infinite now: nothing to arm
-            if fresh <= now:
-                self._deliver(dyconit_id, state, reason="staleness")
-                flushed += 1
+    def _flush_due(self, now: float) -> int:
+        """The due pass (S22): visit every dyconit whose due time has
+        passed, drain its subscriptions that are *pending with ``oldest +
+        staleness <= now``* (the one rule for every representation), and
+        write back its exact due time. The flushes are then accounted and
+        handed on in canonical order — subscribers in registration
+        order, each one's segments by (deadline, position of the dyconit
+        in the subscriber's membership order) — so nothing a snapshot
+        does not carry, like the visit order, and no string hash can show.
+        """
+        due_at = self._due_at
+        due_ids = [dyconit_id for dyconit_id, at in due_at.items() if at <= now]
+        by_subscriber: dict[int, list] = {}
+        for dyconit_id in due_ids:
+            dyconit = self._dyconits[dyconit_id]
+            flat = dyconit._flat
+            if flat is not None:
+                examined, due, next_deadline = flat.drain_due(now)
             else:
-                self._arm(key, fresh)
+                examined, due, next_deadline = _drain_due(dyconit, now)
+            self.stats.bound_checks += examined
+            if next_deadline == math.inf:
+                del due_at[dyconit_id]
+            else:
+                due_at[dyconit_id] = next_deadline
+            for subscriber, deadline, updates in due:
+                by_subscriber.setdefault(subscriber.subscriber_id, []).append(
+                    (deadline, dyconit_id, subscriber, updates)
+                )
+        if not by_subscriber:
+            return 0
+        flushed = 0
+        for subscriber_id, membership in self._subscriptions_by_subscriber.items():
+            entries = by_subscriber.get(subscriber_id)
+            if entries is None:
+                continue
+            entries.sort(key=lambda entry: entry[0])
+            if any(a[0] == b[0] for a, b in zip(entries, entries[1:])):
+                position = {dyconit_id: i for i, dyconit_id in enumerate(membership)}
+                entries.sort(key=lambda entry: (entry[0], position[entry[1]]))
+            for __, dyconit_id, subscriber, updates in entries:
+                self._flushed(dyconit_id, subscriber, updates, "staleness")
+            flushed += len(entries)
         return flushed
-
-    def _push_deadline(self, dyconit_id: Hashable, state: SubscriptionState) -> None:
-        """Make sure the heap will pop this pair no later than its
-        staleness deadline: push unless an entry at least as early is
-        already armed."""
-        deadline = _staleness_deadline(state)
-        if deadline is None:
-            return
-        key = (dyconit_id, state.subscriber.subscriber_id)
-        armed = self._armed.get(key)
-        if armed is None or deadline < armed:
-            self._arm(key, deadline)
-
-    def _arm(self, key: tuple[Hashable, int], deadline: float) -> None:
-        self._armed[key] = deadline
-        self._heap_seq += 1
-        heapq.heappush(self._deadline_heap, (deadline, self._heap_seq, *key))
 
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def _flush_scope(self):
+        """Defer deliveries to a per-subscriber outbox; on exit hand every
+        subscriber its segments, once, in drain order. Nested: a no-op.
+
+        The outbox is detached before the first handler runs: one that
+        raises propagates with nothing left behind for a later scope and
+        nothing delivered twice; one that commits back runs outside any
+        scope.
+        """
+        if self._outbox is not None:
+            yield
+            return
+        self._outbox = {}
+        try:
+            yield
+        finally:
+            outbox, self._outbox = self._outbox, None
+            if self._tm_pending is not None:
+                self._tm_pending.set(len(self._due_at))
+            publish = self.event_bus.publish
+            for subscriber, segments in outbox.values():
+                if self._tm_segments is not None:
+                    self._tm_segments.record(len(segments))
+                publish(subscriber, segments)
 
     def flush(self, dyconit_id: Hashable, subscriber_id: int) -> None:
         """Force-flush one subscription (used by policies and shutdown)."""
@@ -835,43 +852,64 @@ class DyconitSystem:
 
     def flush_subscriber(self, subscriber_id: int) -> None:
         """Force-flush everything queued for one subscriber."""
-        for dyconit_id in self.subscription_ids_of(subscriber_id):
-            self.flush(dyconit_id, subscriber_id)
+        with self._flush_scope():
+            for dyconit_id in self.subscription_ids_of(subscriber_id):
+                self.flush(dyconit_id, subscriber_id)
 
     def flush_all(self) -> None:
         """Force-flush every queue (end-of-run barrier in experiments)."""
-        for dyconit_id, dyconit in list(self._dyconits.items()):
-            for state in dyconit.subscription_states():
-                if state.has_pending:
-                    self._deliver(dyconit_id, state, reason="forced")
+        with self._flush_scope():
+            for dyconit_id, dyconit in list(self._dyconits.items()):
+                for state in dyconit.subscription_states():
+                    if state.has_pending:
+                        self._deliver(dyconit_id, state, reason="forced")
 
     def _deliver(
         self, dyconit_id: Hashable, state: SubscriptionState, reason: str
     ) -> None:
         updates = state.drain()
-        if not updates:
-            return
+        if updates:
+            self._flushed(dyconit_id, state.subscriber, updates, reason)
+
+    def _flushed(
+        self,
+        dyconit_id: Hashable,
+        subscriber: Subscriber,
+        updates: Sequence[Update],
+        reason: str,
+    ) -> None:
+        """Account one drained queue and send it on its way: into the
+        open scope's outbox, or straight to the bus outside one."""
         now = self.now
-        self.stats.flushes += 1
+        stats = self.stats
+        stats.flushes += 1
         if reason == "numerical":
-            self.stats.flushes_numerical += 1
+            stats.flushes_numerical += 1
         elif reason == "staleness":
-            self.stats.flushes_staleness += 1
+            stats.flushes_staleness += 1
         elif reason == "order":
-            self.stats.flushes_order += 1
+            stats.flushes_order += 1
         else:
-            self.stats.flushes_forced += 1
-        self.stats.updates_delivered += len(updates)
+            stats.flushes_forced += 1
+        stats.updates_delivered += len(updates)
         if self._tm_delivered is not None:
             self._tm_delivered.increment(len(updates))
             self._tm_batch_size.record(len(updates))
             self.telemetry.counter("dyconit_flushes_total", reason=reason).increment()
+        delay_total = stats.queue_delay_total_ms
         for update in updates:
-            self.stats.queue_delay_total_ms += max(0.0, now - update.time)
-            self.stats.queue_delay_samples += 1
+            delay_total += max(0.0, now - update.time)
+        stats.queue_delay_total_ms = delay_total
+        stats.queue_delay_samples += len(updates)
         if self.tracer is not None:
             self.tracer.record(
-                now, "flush", dyconit_id, state.subscriber.subscriber_id,
+                now, "flush", dyconit_id, subscriber.subscriber_id,
                 detail=f"reason={reason} updates={len(updates)}",
             )
-        self.event_bus.publish(dyconit_id, state.subscriber, updates)
+        outbox = self._outbox
+        if outbox is None:
+            self.event_bus.publish(subscriber, [(dyconit_id, updates)])
+        else:
+            outbox.setdefault(subscriber.subscriber_id, (subscriber, []))[1].append(
+                (dyconit_id, updates)
+            )

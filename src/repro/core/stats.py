@@ -31,6 +31,8 @@ class DyconitStats:
     flushes_staleness: int = 0
     flushes_order: int = 0
     flushes_forced: int = 0
+    #: One per enqueue at commit, one per pending subscription a due pass
+    #: or a bounds change examines — the same count on every store.
     bound_checks: int = 0
     subscriptions: int = 0
     unsubscriptions: int = 0

@@ -14,8 +14,13 @@ from typing import Callable, Hashable, Sequence
 from repro.core.update import Update
 from repro.world.geometry import Vec3
 
-#: Called at flush time with (dyconit id, merged updates in time order).
-DeliveryHandler = Callable[[Hashable, Sequence[Update]], None]
+#: One flushed queue: (dyconit id, merged updates in time order).
+Segment = tuple[Hashable, Sequence[Update]]
+
+#: Called with every segment the closing flush scope (S22) holds for this
+#: subscriber, in drain order; outside a scope, with the one segment of
+#: the flush that just happened.
+DeliveryHandler = Callable[[Sequence[Segment]], None]
 
 
 @dataclass

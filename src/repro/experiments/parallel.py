@@ -52,8 +52,9 @@ from repro.telemetry.hub import Telemetry, get_telemetry, set_telemetry
 #: /5: configs grew the S19 state_store spec. /6: configs lost the S17
 #: toggle, and PRs 18-19 had changed result values for an unchanged
 #: config (``dyconit_stats.bound_checks``, reservoir-mode
-#: ``packet_latency``) without a bump.
-CACHE_SCHEMA = "sweep-cell/6"
+#: ``packet_latency``) without a bump. /7: ``bound_checks`` counts the
+#: pending subscriptions a due pass examines (S22), not heap pops.
+CACHE_SCHEMA = "sweep-cell/7"
 
 
 def default_start_method() -> str:

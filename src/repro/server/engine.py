@@ -475,12 +475,17 @@ class GameServer:
     def _make_delivery_handler(self, session: PlayerSession):
         delay_histogram = self.metrics.histogram("update_queue_delay_ms", min_value=0.1)
 
-        def deliver(dyconit_id: Hashable, updates: Sequence[WorldEvent]) -> None:
+        def deliver(segments: Sequence[tuple[Hashable, Sequence[WorldEvent]]]) -> None:
             now = self.sim.now
-            for update in updates:
-                delay_histogram.record(max(0.0, now - update.time))
+            encode = self.codec.encode
+            packets: list[Packet] = []
             with self.telemetry.span("tick.serialize"):
-                packets = self.codec.encode(session, updates)
+                for __, updates in segments:
+                    for update in updates:
+                        delay_histogram.record(max(0.0, now - update.time))
+                    # Per segment: block-change and despawn grouping stay
+                    # what one flush produced.
+                    packets += encode(session, updates)
             if packets:
                 self.send_packets(session, packets)
 

@@ -64,7 +64,7 @@ from repro.world.world import World
 #: value list and un-pickles by zipping it onto the *current* fields, so
 #: a blob written under another layout would restore without error and
 #: with values in the wrong fields.
-CHECKPOINT_FORMAT = "repro-checkpoint/1"
+CHECKPOINT_FORMAT = "repro-checkpoint/2"
 
 # ----------------------------------------------------------------------
 # Snapshot dataclasses (plain picklable data)

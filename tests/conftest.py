@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.backends import InMemoryStateStore, register_state_store
 from repro.core.dyconit import Dyconit
+from repro.core.manager import DyconitSystem
 from repro.core.subscription import Subscriber
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
@@ -49,6 +51,55 @@ def scan_fanout(monkeypatch):
                 "on_entity_crossed",
                 InterestManager.on_entity_crossed_scan,
             )
+            yield
+
+    return patched
+
+
+def naive_flush_due(system: DyconitSystem, now: float) -> int:
+    """Reference due pass: every dyconit, every pending state, ``oldest +
+    staleness <= now``; flushed one queue at a time, subscribers in
+    registration order, each one's queues by (deadline, position of the
+    dyconit in the subscriber's membership order). Shares nothing with
+    the product's pass but the rule; leaves ``_due_at`` exact."""
+    due: dict[int, list] = {}
+    for dyconit_id, dyconit in system._dyconits.items():
+        next_deadline = math.inf
+        for state in dyconit.subscription_states():
+            oldest = state.oldest_pending_time
+            if oldest is None:
+                continue
+            system.stats.bound_checks += 1
+            deadline = oldest + state.bounds.staleness_ms
+            if deadline <= now:
+                due.setdefault(state.subscriber.subscriber_id, []).append(
+                    (deadline, dyconit_id, state)
+                )
+            else:
+                next_deadline = min(next_deadline, deadline)
+        system._due_at.pop(dyconit_id, None)
+        if next_deadline < math.inf:
+            system._due_at[dyconit_id] = next_deadline
+    flushed = 0
+    for subscriber_id in list(system._subscribers):
+        membership = list(system._subscriptions_by_subscriber[subscriber_id])
+        queues = due.get(subscriber_id, [])
+        queues.sort(key=lambda queue: (queue[0], membership.index(queue[1])))
+        for __, dyconit_id, state in queues:
+            system._deliver(dyconit_id, state, reason="staleness")
+            flushed += 1
+    return flushed
+
+
+@pytest.fixture
+def naive_due_pass(monkeypatch):
+    """``with naive_due_pass():`` — systems ticking inside run
+    :func:`naive_flush_due` in place of ``DyconitSystem._flush_due``."""
+
+    @contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(DyconitSystem, "_flush_due", naive_flush_due)
             yield
 
     return patched
@@ -101,14 +152,15 @@ def server_factory(sim):
 
 
 class RecordingSubscriber:
-    """A subscriber that records everything delivered to it."""
+    """A subscriber that records everything delivered to it:
+    ``deliveries`` holds one ``(dyconit id, updates)`` per segment."""
 
     def __init__(self, subscriber_id: int = 1, position=None):
         self.deliveries: list[tuple[object, list]] = []
         self.subscriber = Subscriber(
             subscriber_id=subscriber_id,
-            deliver=lambda dyconit_id, updates: self.deliveries.append(
-                (dyconit_id, list(updates))
+            deliver=lambda segments: self.deliveries.extend(
+                (dyconit_id, list(updates)) for dyconit_id, updates in segments
             ),
             position_provider=(lambda: position) if position is not None else None,
         )

@@ -475,7 +475,7 @@ class TestEventBusContract:
             [block(x=1, time=3.0)],
         ]
         for i, batch in enumerate(batches):
-            bus.publish(("d", i % 2), recorder.subscriber, batch)
+            bus.publish(recorder.subscriber, [(("d", i % 2), batch)])
         bus.drain()
         assert recorder.deliveries == [
             (("d", 0), batches[0]),
@@ -489,8 +489,8 @@ class TestEventBusContract:
     def test_drain_returns_batch_count(self, bus):
         recorder = RecordingSubscriber(1)
         immediate = len(recorder.deliveries)
-        bus.publish(("d", 0), recorder.subscriber, [move(1, time=1.0)])
-        bus.publish(("d", 0), recorder.subscriber, [move(2, time=2.0)])
+        bus.publish(recorder.subscriber, [(("d", 0), [move(1, time=1.0)])])
+        bus.publish(recorder.subscriber, [(("d", 0), [move(2, time=2.0)])])
         drained = bus.drain()
         # Direct buses deliver inline (drain 0); buffered deliver here.
         assert (drained, len(recorder.deliveries)) in {(0, 2), (2, 2)}

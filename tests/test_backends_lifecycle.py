@@ -60,11 +60,11 @@ class FlakySubscriber:
         self.fail_on = fail_on
         self.calls = 0
 
-        def deliver(dyconit_id, updates):
+        def deliver(segments):
             self.calls += 1
             if self.calls == self.fail_on:
                 raise RuntimeError("subscriber died mid-drain")
-            self.deliveries.append((dyconit_id, list(updates)))
+            self.deliveries.extend((d, list(updates)) for d, updates in segments)
 
         self.subscriber = Subscriber(subscriber_id=subscriber_id, deliver=deliver)
 
@@ -73,7 +73,7 @@ class TestBufferedDrainTailLoss:
     def publish_n(self, bus, subscriber, n):
         batches = [[move(i, time=float(i))] for i in range(n)]
         for i, batch in enumerate(batches):
-            bus.publish(("d", i), subscriber, batch)
+            bus.publish(subscriber, [(("d", i), batch)])
         return batches
 
     def test_failed_batch_and_tail_survive_the_raise(self):
@@ -108,18 +108,18 @@ class TestBufferedDrainTailLoss:
         order = []
         calls = {"n": 0}
 
-        def deliver(dyconit_id, updates):
+        def deliver(segments):
             calls["n"] += 1
             if calls["n"] == 1:
                 # Handler commits back into the system mid-drain...
-                bus.publish(("late", 0), sub, [move(99, time=99.0)])
+                bus.publish(sub, [(("late", 0), [move(99, time=99.0)])])
                 # ...then dies before finishing its own delivery.
                 raise RuntimeError("boom")
-            order.append(dyconit_id)
+            order.extend(dyconit_id for dyconit_id, __ in segments)
 
         sub = Subscriber(subscriber_id=1, deliver=deliver)
-        bus.publish(("a", 0), sub, [move(1, time=1.0)])
-        bus.publish(("a", 1), sub, [move(2, time=2.0)])
+        bus.publish(sub, [(("a", 0), [move(1, time=1.0)])])
+        bus.publish(sub, [(("a", 1), [move(2, time=2.0)])])
         with pytest.raises(RuntimeError):
             bus.drain()
         bus.drain()

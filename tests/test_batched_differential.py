@@ -81,13 +81,17 @@ def tap(server):
     return captures
 
 
-def run_single(state_store: str):
+def fixed_policy():
+    return FixedBoundsPolicy(BOUNDS)
+
+
+def run_single(state_store: str, policy_factory=fixed_policy):
     sim = Simulation()
     server = GameServer(
         sim,
         world=World(seed=SEED),
         config=make_config(state_store),
-        policy=FixedBoundsPolicy(BOUNDS),
+        policy=policy_factory(),
     )
     server.start()
     workload = Workload(sim, server, make_spec())
@@ -97,14 +101,14 @@ def run_single(state_store: str):
     return captures, server
 
 
-def run_cluster(state_store: str):
+def run_cluster(state_store: str, policy_factory=fixed_policy):
     sim = Simulation()
     cluster = ShardedCluster(
         sim,
         shards=2,
         strip_width=4,
         config=make_config(state_store),
-        policy_factory=lambda: FixedBoundsPolicy(BOUNDS),
+        policy_factory=policy_factory,
     )
     cluster.start()
     workload = Workload(sim, cluster, make_spec("gathering"))

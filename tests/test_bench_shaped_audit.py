@@ -10,7 +10,7 @@ exposes would surface in the benchmark pipeline, not in ``pytest``. This is
 on every fifth tick, and a kill-at-tick-K + resume in the middle that must
 stay packet-identical per client (the resumed half runs its restored
 subscriptions on per-object state and its new ones on flat columns, both
-behind the one deadline heap and its ``_armed`` map).
+under the one due rule, with due times rebuilt from the subscriptions).
 
 ``vanilla-hotspot`` in small rides along: the same crowd in direct mode,
 where every move is encoded once and shared by its viewers and every client
@@ -37,10 +37,13 @@ END_MS = 8000.0
 KILL_TICK = 93
 
 
-def launch(*, until_ms, direct_mode=False):
+def launch(*, until_ms, direct_mode=False, policy=None, bots=BOTS):
     """Start the crowd; returns ``(server, logs, tape)`` after running to
     ``until_ms``. ``logs`` holds every packet per client id, ``tape`` every
-    action as it reached the server ``(time, client id, action)``."""
+    action as it reached the server ``(time, client id, action)``.
+    ``policy`` defaults to the bench's adaptive one."""
+    if policy is None and not direct_mode:
+        policy = AdaptiveBoundsPolicy(tighten_factor=0.95)
     sim = Simulation()
     store = InMemoryStateStore()
     config = ServerConfig(
@@ -52,7 +55,7 @@ def launch(*, until_ms, direct_mode=False):
     server = GameServer(
         sim,
         config=config,
-        policy=None if direct_mode else AdaptiveBoundsPolicy(tighten_factor=0.95),
+        policy=policy,
         direct_mode=direct_mode,
     )
     server.control_plane = ControlPlane()
@@ -83,7 +86,7 @@ def launch(*, until_ms, direct_mode=False):
         sim,
         server,
         WorkloadSpec(
-            bots=BOTS,
+            bots=bots,
             seed=SEED,
             movement="hotspot",
             behavior=BUILDER_MIX,
@@ -98,6 +101,30 @@ def launch(*, until_ms, direct_mode=False):
         )
     sim.run_until(until_ms)
     return server, logs, tape
+
+
+def resume(store, baseline_logs, tape):
+    """Restore checkpoint ``ck`` from ``store``, replay the part of
+    ``tape`` after it and run to ``END_MS``; returns ``(server, logs)``."""
+    resumed_logs = {client_id: [] for client_id in baseline_logs}
+    resumed = restore_server_from_store(
+        store,
+        "ck",
+        handlers={
+            client_id: (lambda delivered, log=log: log.append(repr(delivered.packet)))
+            for client_id, log in resumed_logs.items()
+        },
+    )
+    sim = resumed.sim
+    assert sim.now == KILL_TICK * TICK_MS
+    for time, client_id, action in tape:
+        if time > sim.now:
+            sim.schedule_at(
+                time, lambda c=client_id, a=action: resumed.submit_action(c, a)
+            )
+    sim.run_until(END_MS)
+    resumed.audit_now()
+    return resumed, resumed_logs
 
 
 def test_audited_retune_storms_and_mid_run_kill_resume():
@@ -118,27 +145,10 @@ def test_audited_retune_storms_and_mid_run_kill_resume():
     # abandoned, only the store (with the blob) survives.
     killed, __, ___ = launch(until_ms=(KILL_TICK + 4) * TICK_MS)
     store = killed.dyconits.state_store
-    assert len(killed.dyconits._deadline_heap) > len(killed.dyconits._armed) > 0
+    assert killed.dyconits._due_at  # backlogs pending at the kill
     del killed
 
-    resumed_logs = {client_id: [] for client_id in baseline_logs}
-    resumed = restore_server_from_store(
-        store,
-        "ck",
-        handlers={
-            client_id: (lambda delivered, log=log: log.append(repr(delivered.packet)))
-            for client_id, log in resumed_logs.items()
-        },
-    )
-    sim = resumed.sim
-    assert sim.now == KILL_TICK * TICK_MS
-    for time, client_id, action in tape:
-        if time > sim.now:
-            sim.schedule_at(
-                time, lambda c=client_id, a=action: resumed.submit_action(c, a)
-            )
-    sim.run_until(END_MS)
-    resumed.audit_now()
+    resumed, resumed_logs = resume(store, baseline_logs, tape)
 
     assert resumed.tick_count == baseline.tick_count
     for client_id, baseline_log in baseline_logs.items():

@@ -281,8 +281,8 @@ def test_resubscribe_same_bounds_is_noop(system):
     system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(5.0, 1000.0))
     system.commit_to(CHUNK_A, move(1, time=0.0))
     checks_before = system.stats.bound_checks
-    heap_before = len(system._deadline_heap)
+    due_before = dict(system._due_at)
     state = system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(5.0, 1000.0))
     assert state.has_pending  # queue untouched
     assert system.stats.bound_checks == checks_before  # no redundant re-check
-    assert len(system._deadline_heap) == heap_before
+    assert system._due_at == due_before

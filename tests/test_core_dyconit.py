@@ -11,7 +11,7 @@ from repro.world.geometry import BlockPos, Vec3
 
 
 def make_subscriber(subscriber_id=1):
-    return Subscriber(subscriber_id=subscriber_id, deliver=lambda d, u: None)
+    return Subscriber(subscriber_id=subscriber_id, deliver=lambda segments: None)
 
 
 def move(entity_id=1, time=0.0, distance=1.0):

@@ -185,90 +185,81 @@ def test_i2_detects_unregistered_subscriber(system, auditor):
 
 
 # ----------------------------------------------------------------------
-# I3 — deadline-heap coverage
+# I3 — due-time coverage
 # ----------------------------------------------------------------------
 
 
 def test_i3_detects_missing_heap_entry(system, auditor):
+    """The dyconit's ``_due_at`` entry is what makes the due pass look."""
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber)
     system.commit_to(CHUNK_A, move(1, time=0.0))
     assert auditor.check(system) == []
-    system._deadline_heap.clear()
-    assert "I3.heap-coverage" in keys(auditor.check(system))
+    system._due_at.clear()
+    assert "I3.due-coverage" in keys(auditor.check(system))
 
 
 def test_i3_detects_too_late_heap_entry(system, auditor):
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(50.0, 1000.0))
     system.commit_to(CHUNK_A, move(1, time=0.0))
-    # Tighten behind the manager's back: the heap entry still encodes the
+    # Tighten behind the manager's back: the due time still encodes the
     # old 1000 ms deadline, so the queue would flush late.
     state = system.get(CHUNK_A).get_state(rec.subscriber.subscriber_id)
     state.bounds = Bounds(50.0, 100.0)
-    assert "I3.heap-coverage" in keys(auditor.check(system))
+    assert "I3.due-coverage" in keys(auditor.check(system))
 
 
 def test_i3_entries_under_merged_away_ids_are_not_coverage(system, auditor):
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber)
     system.commit_to(CHUNK_A, move(1, time=0.0))
-    # Move the queue to MERGED but forge the heap to only know CHUNK_A:
-    # pops resolve ids lazily, find no dyconit, and skip — no coverage.
+    # Move the queue to MERGED but forge the due times to only know
+    # CHUNK_A: the pass visits live dyconits, so the moved backlog is
+    # uncovered — and the dead id is a violation of its own.
     system.merge_dyconits([CHUNK_A], MERGED)
-    system._deadline_heap[:] = [
-        (deadline, seq, CHUNK_A, subscriber_id)
-        for deadline, seq, __, subscriber_id in system._deadline_heap
-    ]
-    assert "I3.heap-coverage" in keys(auditor.check(system))
+    assert set(system._due_at) == {MERGED}
+    system._due_at = {CHUNK_A: system._due_at[MERGED]}
+    assert {"I3.due-coverage", "I3.due-live"} <= keys(auditor.check(system))
 
 
-def test_i3_heap_cleared_with_armed_kept_is_an_orphan(system, auditor):
+def test_i3_no_due_time_outlives_its_dyconit(system, auditor):
+    rec = RecordingSubscriber()
+    for chunk in (CHUNK_A, CHUNK_B):
+        system.subscribe(chunk, rec.subscriber)
+        system.commit_to(chunk, move(1, time=0.0))
+    system.remove_dyconit(CHUNK_A)
+    system.merge_dyconits([CHUNK_B], MERGED)
+    assert set(system._due_at) == {MERGED}
+    system.split_dyconit(MERGED)
+    assert system._due_at == {} and auditor.check(system) == []
+    system._due_at[CHUNK_A] = 10.0  # an id nothing lives under
+    assert "I3.due-live" in keys(auditor.check(system))
+
+
+def test_i3_early_due_time_is_clean(system, auditor, clock):
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber)
     system.commit_to(CHUNK_A, move(1, time=0.0))
-    key = (CHUNK_A, rec.subscriber.subscriber_id)
-    assert system._armed == {key: 1000.0}
-    system._deadline_heap.clear()
-    # The armed record outlived its entry: every later push for the pair
-    # is suppressed ("already armed"), so the backlog never flushes by
-    # deadline — and the state it was meant to cover is uncovered.
-    found = keys(auditor.check(system))
-    assert "I3.armed-live" in found and "I3.heap-coverage" in found
-
-
-def test_i3_detects_forged_armed_deadline_earlier_than_any_entry(system, auditor):
-    rec = RecordingSubscriber()
-    system.subscribe(CHUNK_A, rec.subscriber)
-    system.commit_to(CHUNK_A, move(1, time=0.0))
-    key = (CHUNK_A, rec.subscriber.subscriber_id)
-    # The heap entry (deadline 1000) no longer matches the armed record,
-    # so it pops as dead and nothing live is left for the pair.
-    system._armed[key] = 400.0
-    assert "I3.armed-live" in keys(auditor.check(system))
-
-
-def test_i3_dead_entries_beside_the_armed_one_are_clean(system, auditor, clock):
-    rec = RecordingSubscriber()
-    system.subscribe(CHUNK_A, rec.subscriber)
-    system.commit_to(CHUNK_A, move(1, time=0.0))
-    # Tightening pushes an earlier entry and leaves the old one dead.
-    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(50.0, 300.0))
-    assert sorted(entry[0] for entry in system._deadline_heap) == [300.0, 1000.0]
-    assert system._armed == {(CHUNK_A, rec.subscriber.subscriber_id): 300.0}
+    # A lower bound may be early: loosening leaves it, a forged earlier
+    # value only costs a visit.
+    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(50.0, 3000.0))
+    assert system._due_at == {CHUNK_A: 1000.0}
+    system._due_at[CHUNK_A] = 400.0
     assert auditor.check(system) == []
-    clock["now"] = 300.0
+    clock["now"] = 400.0
+    assert system.tick() == 0
+    assert system._due_at == {CHUNK_A: 3000.0}
+    clock["now"] = 3000.0
     assert system.tick() == 1
-    # The dead entry is still queued and covers nothing; nothing pends.
-    assert len(system._deadline_heap) == 1 and system._armed == {}
-    assert auditor.check(system) == []
+    assert system._due_at == {} and auditor.check(system) == []
 
 
 def test_i3_ignores_infinite_staleness(system, auditor):
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(math.inf, math.inf))
     system.commit_to(CHUNK_A, move(1, time=0.0))
-    assert system._deadline_heap == []
+    assert system._due_at == {}
     assert auditor.check(system) == []
 
 
@@ -387,8 +378,8 @@ def test_engine_audit_disabled_is_noop(sim, server_factory, monkeypatch):
 
 
 def test_violation_str_and_error_message():
-    violation = Violation("I3.heap-coverage", "(chunk, 1)", "no live heap entry")
-    assert "I3.heap-coverage" in str(violation)
+    violation = Violation("I3.due-coverage", "(chunk, 1)", "due time is missing")
+    assert "I3.due-coverage" in str(violation)
     error = InvariantViolationError([violation])
     assert "1 middleware invariant violation" in str(error)
     assert error.violations == [violation]

@@ -1,14 +1,18 @@
-"""Bound bookkeeping that costs what changed.
+"""Bound bookkeeping that costs what changed: the due-pass discipline.
 
-* one *live* deadline-heap entry per (dyconit, subscriber): ``_armed``
-  records its deadline, pushes happen only for an earlier deadline, dead
-  entries pop without a bound check, an early pop re-arms once;
+* one due time per *dyconit* (``DyconitSystem._due_at``), a lower bound
+  on its earliest ``oldest + staleness``: lowered by whatever creates or
+  advances a deadline, raised only by the due pass, which recomputes it
+  exactly — so a refill after a numerical flush, or a loosened bound,
+  costs one examined dyconit later, never an entry per pair;
 * the flat store's scalar gates refresh lazily, at the next commit —
   never late;
 * ``resolve`` skips the alias walk for ids that were never merged.
 
-Every state kind shares the manager's heap code, so the heap tests run
-on the flat store, the per-object states and the sqlite rows alike.
+Every state kind answers the one due rule, so these run on the flat
+store, the per-object states and the sqlite rows alike. (Test names that
+still say "entry", "armed" or "heap" are the ids the floor list knows the
+scenarios by; what they pin now is said in each body.)
 """
 
 import math
@@ -71,79 +75,86 @@ def system(request, clock):
         yield system
 
 
-def deadlines(system):
-    return sorted(entry[0] for entry in system._deadline_heap)
-
-
 # ----------------------------------------------------------------------
-# One live heap entry per pair
+# One due time per dyconit
 # ----------------------------------------------------------------------
 
 
 def test_refill_after_numerical_flush_pushes_no_duplicate(system, clock):
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(2.5, 1000.0))
-    key = (CHUNK_A, rec.subscriber.subscriber_id)
     system.commit_to(CHUNK_A, move(time=0.0))
-    assert deadlines(system) == [1000.0] and system._armed == {key: 1000.0}
+    assert system._due_at == {CHUNK_A: 1000.0}
     clock["now"] = 100.0
     system.commit_to(CHUNK_A, move(time=100.0))
     system.commit_to(CHUNK_A, move(time=100.0))  # error 3 > 2.5: flush
     assert system.stats.flushes_numerical == 1
     clock["now"] = 200.0
     system.commit_to(CHUNK_A, move(time=200.0))  # refill: true deadline 1200
-    # The armed entry (1000) pops before the refilled queue is due, so it
-    # already guarantees the flush: no second entry.
-    assert deadlines(system) == [1000.0] and system._armed == {key: 1000.0}
+    # The recorded due time (1000) comes before the refilled queue is due,
+    # so it already guarantees the visit: nothing is added for the refill.
+    assert system._due_at == {CHUNK_A: 1000.0}
     assert InvariantAuditor().check(system) == []
-
-
-def test_early_pop_rearms_once_at_the_true_deadline(system, clock):
-    rec = RecordingSubscriber()
-    system.subscribe(CHUNK_A, rec.subscriber)
-    key = (CHUNK_A, rec.subscriber.subscriber_id)
-    system.commit_to(CHUNK_A, move(time=0.0))
-    system.set_bounds(CHUNK_A, key[1], Bounds(math.inf, 5000.0))  # loosen
-    assert deadlines(system) == [1000.0]  # later deadline: no push
+    # ...and it costs one examined subscription when it passes.
     checks = system.stats.bound_checks
     clock["now"] = 1000.0
     assert system.tick() == 0
     assert system.stats.bound_checks == checks + 1
-    assert deadlines(system) == [5000.0] and system._armed == {key: 5000.0}
+    assert system._due_at == {CHUNK_A: 1200.0}
+
+
+def test_early_pop_rearms_once_at_the_true_deadline(system, clock):
+    """An early due time (the bound was loosened after it was recorded)
+    costs one visit, which raises it to the exact deadline."""
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    sub_id = rec.subscriber.subscriber_id
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.set_bounds(CHUNK_A, sub_id, Bounds(math.inf, 5000.0))  # loosen
+    assert system._due_at == {CHUNK_A: 1000.0}  # later deadline: not raised
+    checks = system.stats.bound_checks
+    clock["now"] = 1000.0
+    assert system.tick() == 0
+    assert system.stats.bound_checks == checks + 1
+    assert system._due_at == {CHUNK_A: 5000.0}
     clock["now"] = 4999.0
     assert system.tick() == 0 and system.stats.bound_checks == checks + 1
     clock["now"] = 5000.0
     assert system.tick() == 1
-    assert system._deadline_heap == [] and system._armed == {}
+    assert system._due_at == {}
     assert rec.delivered_updates
 
 
 def test_dead_entry_pops_without_a_bound_check(system, clock):
+    """Tighten, flush, refill, loosen: the superseded deadlines (1000,
+    then 700) leave nothing behind to pop — the one visit at 1000
+    examines the one pending subscription and finds the exact 5400."""
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber)
     sub_id = rec.subscriber.subscriber_id
     system.commit_to(CHUNK_A, move(time=0.0))
     system.set_bounds(CHUNK_A, sub_id, Bounds(math.inf, 300.0))  # tighten
-    assert deadlines(system) == [300.0, 1000.0]
+    assert system._due_at == {CHUNK_A: 300.0}
     clock["now"] = 300.0
     assert system.tick() == 1
+    assert system._due_at == {}
     clock["now"] = 400.0
     system.commit_to(CHUNK_A, move(time=400.0))  # pending again, due 700
-    assert deadlines(system) == [700.0, 1000.0]
+    assert system._due_at == {CHUNK_A: 700.0}
     system.set_bounds(CHUNK_A, sub_id, Bounds(math.inf, 5000.0))  # due 5400
     checks = system.stats.bound_checks
     clock["now"] = 1000.0
-    # 700 is the armed entry: one check, re-armed at 5400. 1000 is dead:
-    # dropped unchecked although the queue is pending.
     assert system.tick() == 0
     assert system.stats.bound_checks == checks + 1
-    assert deadlines(system) == [5400.0]
+    assert system._due_at == {CHUNK_A: 5400.0}
     assert InvariantAuditor().check(system) == []
 
 
 def test_armed_entry_survives_unsubscribe_and_covers_the_resubscription(
     system, clock
 ):
+    """The due time belongs to the dyconit, not to the pair: an
+    unsubscribe leaves it, and it covers the re-subscribed queue."""
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber)
     sub_id = rec.subscriber.subscriber_id
@@ -151,20 +162,21 @@ def test_armed_entry_survives_unsubscribe_and_covers_the_resubscription(
     system.unsubscribe(CHUNK_A, sub_id)
     clock["now"] = 500.0
     system.subscribe(CHUNK_A, rec.subscriber)
-    system.commit_to(CHUNK_A, move(time=500.0))  # due 1500, armed at 1000
-    assert deadlines(system) == [1000.0]
+    system.commit_to(CHUNK_A, move(time=500.0))  # due 1500, recorded 1000
+    assert system._due_at == {CHUNK_A: 1000.0}
     assert InvariantAuditor().check(system) == []
     clock["now"] = 1000.0
     assert system.tick() == 0
-    assert deadlines(system) == [1500.0]
+    assert system._due_at == {CHUNK_A: 1500.0}
     clock["now"] = 1500.0
     assert system.tick() == 1
 
 
 def test_heap_stays_proportional_to_pending_pairs(system, clock):
     """A crowd whose queues flush numerically several times per staleness
-    period: without ``_armed`` every flush + refill left one more entry
-    behind (~3x the pending pairs at steady state)."""
+    period: deadline state is one float per dyconit with a pending queue
+    however often its pairs flush and refill (the per-pair heap kept
+    ~3x the pending pairs before ``_armed``, ~1.1x with it)."""
     recs = [RecordingSubscriber(subscriber_id=i) for i in range(1, 9)]
     chunks = [("chunk", cx, 0) for cx in range(4)]
     for rec in recs:
@@ -184,12 +196,49 @@ def test_heap_stays_proportional_to_pending_pairs(system, clock):
         if state.has_pending
     )
     assert pending == len(recs) * len(chunks)
-    assert len(system._deadline_heap) <= 1.1 * pending
+    assert set(system._due_at) == set(chunks)
     assert InvariantAuditor().check(system) == []
 
 
+def test_due_at_holds_live_dyconits_with_pending_queues_only(system, clock):
+    a, b = RecordingSubscriber(1), RecordingSubscriber(2)
+    for chunk in (CHUNK_A, CHUNK_B):
+        system.subscribe(chunk, a.subscriber)
+        system.subscribe(chunk, b.subscriber)
+    assert system._due_at == {}  # subscribed, nothing pending
+    system.commit_to(CHUNK_A, move(time=0.0))
+    system.commit_to(CHUNK_B, move(time=0.0))
+    assert system._due_at == {CHUNK_A: 1000.0, CHUNK_B: 1000.0}
+    system.remove_dyconit(CHUNK_B)
+    assert system._due_at == {CHUNK_A: 1000.0}
+    # A merge takes the source's entry along and lowers the target's for
+    # the backlog it moves.
+    merged = ("region", 4, 0, 0)
+    system.merge_dyconits([CHUNK_A], merged)
+    assert system._due_at == {merged: 1000.0}
+    assert InvariantAuditor().check(system) == []
+    system.split_dyconit(merged)  # flushes the target's backlog
+    assert system._due_at == {}
+    assert InvariantAuditor().check(system) == []
+
+
+def test_subnormal_staleness_flushes_instead_of_spinning(system, clock):
+    """``oldest + staleness`` cannot be placed after ``oldest`` when the
+    bound is subnormal: the rule is evaluated on that sum, so the queue
+    is due at once and the pass ends."""
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(math.inf, 1000.0))
+    clock["now"] = 100.0
+    system.commit_to(CHUNK_A, move(time=100.0))
+    state = system.get(CHUNK_A).get_state(rec.subscriber.subscriber_id)
+    state.bounds = Bounds(math.inf, 5e-324)  # behind the manager's back
+    system._due_at[CHUNK_A] = 100.0
+    assert system.tick() == 1
+    assert system._due_at == {} and rec.delivered_updates
+
+
 # ----------------------------------------------------------------------
-# Snapshots carry the armed map
+# No snapshot field: restore rebuilds the due times
 # ----------------------------------------------------------------------
 
 
@@ -202,22 +251,22 @@ def _resume(snap, clock, recs):
     return fresh
 
 
-def _backlog_with_a_dead_entry(clock):
+def test_restore_rebuilds_due_at_exactly(clock):
     system = make_system(clock)
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber)
     system.subscribe(CHUNK_B, rec.subscriber)
     system.commit_to(CHUNK_A, move(time=0.0))
     system.commit_to(CHUNK_B, move(time=0.0))
-    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(math.inf, 300.0))
-    return system, rec
-
-
-def test_snapshot_round_trips_the_armed_map(clock):
-    system, rec = _backlog_with_a_dead_entry(clock)
-    resumed = _resume(system.snapshot(), clock, [rec])
-    assert resumed._armed == system._armed
-    assert resumed._deadline_heap == system._deadline_heap
+    sub_id = rec.subscriber.subscriber_id
+    system.set_bounds(CHUNK_A, sub_id, Bounds(math.inf, 300.0))
+    system.set_bounds(CHUNK_B, sub_id, Bounds(math.inf, 5000.0))  # loosened
+    assert system._due_at == {CHUNK_A: 300.0, CHUNK_B: 1000.0}
+    snap = system.snapshot()
+    assert not {"deadline_heap", "heap_seq", "armed"} & set(vars(snap))
+    resumed = _resume(snap, clock, [rec])
+    # Exact, not the live system's (early) lower bound for CHUNK_B.
+    assert resumed._due_at == {CHUNK_A: 300.0, CHUNK_B: 5000.0}
     assert InvariantAuditor().check(resumed) == []
 
 

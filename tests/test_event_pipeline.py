@@ -33,7 +33,7 @@ def recorder(subscriber_id=1):
     deliveries = []
     sub = Subscriber(
         subscriber_id=subscriber_id,
-        deliver=lambda d, u: deliveries.append((d, list(u))),
+        deliver=lambda segments: deliveries.extend((d, list(u)) for d, u in segments),
     )
     return sub, deliveries
 
@@ -42,7 +42,7 @@ def fill_spool(path, n=10):
     bus = SpoolEventBus(str(path))
     sub, deliveries = recorder()
     for i in range(n):
-        bus.publish(("chunk", i % 3, 0), sub, [move(i, time=float(i))])
+        bus.publish(sub, [(("chunk", i % 3, 0), [move(i, time=float(i))])])
     bus.close()
     return deliveries
 
@@ -60,7 +60,7 @@ class TestSpoolEventBus:
         sub, deliveries = recorder()
         batches = [[move(i, time=float(i))] for i in range(4)]
         for i, batch in enumerate(batches):
-            bus.publish(("d", i), sub, batch)
+            bus.publish(sub, [(("d", i), batch)])
         # Direct inner bus: delivered inline, nothing pending at drain.
         assert [u for __, u in deliveries] == batches
         assert bus.drain() == 0
@@ -71,7 +71,7 @@ class TestSpoolEventBus:
         bus = create_event_bus(f"spool:///{tmp_path}/spec spool.db")
         assert isinstance(bus, SpoolEventBus)
         sub, deliveries = recorder()
-        bus.publish(("d", 0), sub, [move(1, time=1.0)])
+        bus.publish(sub, [(("d", 0), [move(1, time=1.0)])])
         assert bus.spooled == 1
         assert len(deliveries) == 1
         bus.close()
@@ -108,7 +108,7 @@ class TestSpoolConsumerInProcess:
         # More traffic lands after the first consumer is gone.
         bus = SpoolEventBus(spool)
         sub, __ = recorder()
-        bus.publish(("late", 0), sub, [move(9, time=9.0)])
+        bus.publish(sub, [(("late", 0), [move(9, time=9.0)])])
         bus.close()
         second = SpoolConsumer(spool, out)
         assert second.process_once() == 1

@@ -367,19 +367,22 @@ def test_commit_many_equals_commit_to_loop(clock):
 
 
 def test_commit_many_survives_mid_batch_repartition(clock):
-    """A delivery handler that merges dyconits mid-batch invalidates the
-    run's cached resolution; the epoch check forces a re-resolve."""
+    """A delivery handler that merges dyconits used to run mid-batch and
+    invalidate the run's cached resolution. The batch is one flush scope
+    now: the handler sees one delivery when it ends, so every commit
+    lands under the resolution it was made with and the merge moves
+    them all."""
     system = DyconitSystem(
         StaticPolicy(Bounds.ZERO),  # every commit flushes immediately
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
     )
     target = ("region", 4, 0, 0)
-    merged = []
+    deliveries = []
 
-    def deliver(dyconit_id, updates):
-        if not merged:
-            merged.append(True)
+    def deliver(segments):
+        deliveries.append([dyconit_id for dyconit_id, __ in segments])
+        if len(deliveries) == 1:
             system.merge_dyconits([CHUNK_A, CHUNK_B], target)
 
     from repro.core.subscription import Subscriber
@@ -387,11 +390,13 @@ def test_commit_many_survives_mid_batch_repartition(clock):
     system.subscribe(CHUNK_A, Subscriber(subscriber_id=1, deliver=deliver))
     batch = [(CHUNK_A, move(i + 1, 0.0, 1.0), None) for i in range(4)]
     system.commit_many(batch)
-    # All four commits landed (three of them on the merge target via the
-    # re-resolved run) and the store is still coherent.
+    assert deliveries == [[CHUNK_A] * 4]
     assert system.resolve(CHUNK_A) == target
     assert system.get(target).commit_count == 4
     assert InvariantAuditor().check(system) == []
+    system.commit_many(batch)  # re-resolved: lands on the merge target
+    assert system.get(target).commit_count == 8
+    assert deliveries[1] == [target] * 4
 
 
 # ----------------------------------------------------------------------

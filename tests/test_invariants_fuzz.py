@@ -124,19 +124,20 @@ class DyconitMachine(RuleBasedStateMachine):
         if sub_id not in self.subscribers:
             self.subscribers[sub_id] = Subscriber(
                 subscriber_id=sub_id,
-                deliver=lambda d, u, sid=sub_id: self._on_deliver(sid, d, u),
+                deliver=lambda segments, sid=sub_id: self._on_deliver(sid, segments),
             )
         return self.subscribers[sub_id]
 
-    def _on_deliver(self, sub_id, dyconit_id, updates) -> None:
-        key = (dyconit_id, sub_id)
-        expected = list(self.queues.get(key, {}).values())
-        assert list(updates) == expected, (
-            f"flush for {key} delivered {len(updates)} updates, "
-            f"reference model expected {len(expected)}"
-        )
-        self.queues.pop(key, None)
-        self.errors.pop(key, None)
+    def _on_deliver(self, sub_id, segments) -> None:
+        for dyconit_id, updates in segments:
+            key = (dyconit_id, sub_id)
+            expected = list(self.queues.get(key, {}).values())
+            assert list(updates) == expected, (
+                f"flush for {key} delivered {len(updates)} updates, "
+                f"reference model expected {len(expected)}"
+            )
+            self.queues.pop(key, None)
+            self.errors.pop(key, None)
 
     def _model_drop(self, key) -> None:
         self.queues.pop(key, None)
@@ -188,8 +189,8 @@ class DyconitMachine(RuleBasedStateMachine):
         runs in between, so on flat state the second commit is the one
         that must refresh the gates the sweep left dirty (a stale gate
         flushes late: the reference model and the overdue check catch
-        it); on every state kind the sweep re-arms deadlines through
-        ``_armed`` while the heap still holds the old entries."""
+        it); on every state kind the sweep lowers the dyconits' due
+        times under bounds the due pass has not seen yet."""
         chunks = self.system.subscription_ids_of(sub_id)
         if not chunks:
             return
@@ -262,7 +263,7 @@ class DyconitMachine(RuleBasedStateMachine):
         self.system.tick()
         # Behavioural staleness check: after a tick nothing may still be
         # older than its staleness bound — a backlog that survives here
-        # lost its deadline-heap entry (the merge/re-subscribe bugs).
+        # lost its due-time coverage (the merge/re-subscribe bugs).
         self._assert_nothing_overdue()
 
     # -- checked after every rule ---------------------------------------
@@ -314,7 +315,7 @@ class ElasticRateMachine(RuleBasedStateMachine):
         self.system = DyconitSystem(
             self.policy, ChunkPartitioner(), time_source=lambda: self.now
         )
-        sink = Subscriber(subscriber_id=1, deliver=lambda d, u: None)
+        sink = Subscriber(subscriber_id=1, deliver=lambda segments: None)
         for chunk in ELASTIC_CHUNKS:
             self.system.subscribe(chunk, sink)
         #: Commits this window, keyed by the id they resolved to at

@@ -105,7 +105,7 @@ move_strategy = st.tuples(
 
 
 def make_state(merging=True):
-    subscriber = Subscriber(subscriber_id=1, deliver=lambda d, u: None)
+    subscriber = Subscriber(subscriber_id=1, deliver=lambda segments: None)
     state = SubscriptionState(subscriber=subscriber, bounds=Bounds.INFINITE)
     state.merging = merging
     return state

@@ -78,8 +78,8 @@ def test_update_conservation_under_random_interleavings(initial_bounds, operatio
     for subscriber_id in (1, 2, 3):
         subscriber = Subscriber(
             subscriber_id=subscriber_id,
-            deliver=lambda d, u: delivered_count.__setitem__(
-                "n", delivered_count["n"] + len(u)
+            deliver=lambda segments: delivered_count.__setitem__(
+                "n", delivered_count["n"] + sum(len(u) for __, u in segments)
             ),
         )
         subscribers.append(subscriber)
@@ -137,7 +137,7 @@ def test_zero_bounds_never_holds_updates(operations):
     system = DyconitSystem(
         RandomBoundsPolicy(Bounds.ZERO), time_source=lambda: clock["now"]
     )
-    subscriber = Subscriber(subscriber_id=1, deliver=lambda d, u: None)
+    subscriber = Subscriber(subscriber_id=1, deliver=lambda segments: None)
     for dyconit_index in range(3):
         system.subscribe(("unit", dyconit_index), subscriber)
 

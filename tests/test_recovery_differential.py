@@ -272,8 +272,12 @@ class TestRecoveryErrors:
         with pytest.raises(TypeError, match="ClusterSnapshot"):
             restore_server_from_store(store, "ck", handlers={})
 
-    @pytest.mark.parametrize("tag", [None, "repro-checkpoint/0"],
-                             ids=["untagged", "wrong-tag"])
+    @pytest.mark.parametrize(
+        "tag",
+        # /1 carried SystemSnapshot's deadline heap, seq and armed map.
+        [None, "repro-checkpoint/0", "repro-checkpoint/1"],
+        ids=["untagged", "wrong-tag", "previous-tag"],
+    )
     def test_blob_of_another_format_is_refused(self, tmp_path, tag):
         """A slotted ``ServerConfig`` un-pickles positionally, so a blob
         written under another field list would restore silently wrong;
