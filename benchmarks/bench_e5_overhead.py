@@ -177,7 +177,7 @@ def test_e5_audit_overhead_on(benchmark):
     """Same mix plus a full invariant audit per round (checked mode).
 
     Auditing walks every structure pair (aliases, membership registry,
-    queues, deadline heap), so its cost scales with live state; this row
+    queues, ``_due_at`` deadlines), so its cost scales with live state; this row
     records what ``--audit 1`` costs so users can pick a period.
     """
     from repro.core.invariants import InvariantAuditor

@@ -19,7 +19,6 @@ from repro.backends.base import (
 from repro.backends.memory import BufferedEventBus, DirectEventBus, InMemoryStateStore
 from repro.backends.pipeline import SpoolConsumer, SpoolEventBus
 from repro.backends.postgres_store import POSTGRES_URL_ENV, PostgresStateStore
-from repro.backends.redis_store import REDIS_URL_ENV, RedisStateStore
 from repro.backends.registry import (
     create_event_bus,
     create_state_store,
@@ -39,8 +38,6 @@ __all__ = [
     "InMemoryStateStore",
     "POSTGRES_URL_ENV",
     "PostgresStateStore",
-    "REDIS_URL_ENV",
-    "RedisStateStore",
     "SQLiteStateStore",
     "SpoolConsumer",
     "SpoolEventBus",

@@ -9,9 +9,8 @@ deployable service:
   store for a *dyconit state handle* and talks to that handle through
   the surface documented on :class:`DyconitStateHandle`. The in-memory
   store hands back today's ``Dyconit`` objects unchanged, so the default
-  path is byte-identical to the pre-seam tree; the SQLite store hands
-  back handles whose queues live in a database, and Redis/Postgres
-  adapters slot in the same way.
+  path is byte-identical to the pre-seam tree; the SQL row store hands
+  back handles whose queues live in a database (SQLite or Postgres).
 
 * :class:`EventBus` — the delivery edge of a flush. The manager
   publishes ``(subscriber, segments)`` — the ``(dyconit id, updates)``
@@ -22,7 +21,7 @@ deployable service:
 
 Both protocols are *synchronous and single-writer by design*: the
 simulation owns the only mutating thread, exactly as before. A backend
-that wants asynchrony (Redis pub/sub, a network bus) must still present
+that wants asynchrony (pub/sub, a network bus) must still present
 this synchronous surface to the middleware and do its own pipelining
 behind it — the determinism contract (run-to-run bit identity) is part
 of the protocol, not an accident of the in-memory implementation.
@@ -45,7 +44,7 @@ class BackendUnavailable(RuntimeError):
 
     The conformance suite treats this as a *skip*, not a failure: a
     registered backend may legitimately be absent from a given
-    environment (e.g. the Redis adapter without a ``REPRO_REDIS_URL``).
+    environment (e.g. the Postgres store without a ``REPRO_POSTGRES_URL``).
     """
 
 
@@ -79,7 +78,7 @@ def snapshot_subscription(state) -> SubscriptionSnapshot:
     """Capture one subscription state through the common surface.
 
     Works on every backend's state object (``SubscriptionState``, the
-    SQLite/Redis/Postgres row views, columnar flat views) because the
+    SQL row views, columnar flat views) because the
     contract suite already requires all of them to expose these exact
     attributes.
     """
@@ -191,7 +190,7 @@ class StateStore(abc.ABC):
     store when a dyconit is gone so persistent rows can be collected.
     """
 
-    #: Registry name (``"memory"``, ``"sqlite"``, ``"redis"``, ...).
+    #: Registry name (``"memory"``, ``"sqlite"``, ``"postgres"``).
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -211,8 +210,8 @@ class StateStore(abc.ABC):
     def reset(self) -> None:
         """Delete every dyconit row this store can see (checkpoints stay).
 
-        Persistent/shared backends (a file, a Redis or Postgres server)
-        may hold rows from an earlier run under the same namespace; the
+        Persistent/shared backends (a file, a Postgres server) may
+        hold rows from an earlier run in the same database; the
         restore path wipes them before replaying a checkpoint so stale
         rows — including rows written *after* the checkpoint by a run
         that was later killed — can never leak into the resumed run.

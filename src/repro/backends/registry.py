@@ -7,11 +7,11 @@ a **spec** — either an already-constructed backend instance or a string:
   behaviour);
 * ``"sqlite"`` — SQLite store in ``:memory:``;
 * ``"sqlite:///path/to.db"`` — SQLite store on disk;
-* ``"redis"`` / ``"redis://host:port/db"`` — Redis store (requires the
-  client package and a reachable server, else
-  :class:`~repro.backends.base.BackendUnavailable`);
-* ``"postgres"`` / ``"postgres://..."`` / ``"postgresql://..."`` —
-  Postgres store (same gating, via ``REPRO_POSTGRES_URL`` or the URL).
+* ``"postgres"`` / ``"postgres://..."`` / ``"postgresql://..."`` — the
+  same row store on a Postgres server named by the URL or
+  ``REPRO_POSTGRES_URL`` (requires the ``psycopg`` driver and a
+  reachable server, else
+  :class:`~repro.backends.base.BackendUnavailable`).
 
 Event buses: ``"direct"``, ``"buffered"``, and ``"spool:///path.db"`` —
 a :class:`~repro.backends.pipeline.SpoolEventBus` teeing deliveries
@@ -29,7 +29,6 @@ from typing import Callable
 from repro.backends.base import EventBus, StateStore
 from repro.backends.memory import BufferedEventBus, DirectEventBus, InMemoryStateStore
 from repro.backends.postgres_store import PostgresStateStore
-from repro.backends.redis_store import RedisStateStore
 from repro.backends.sqlite_store import SQLiteStateStore
 
 _STATE_STORES: dict[str, Callable[[], StateStore]] = {}
@@ -62,8 +61,6 @@ def create_state_store(spec: "StateStore | str | None") -> StateStore:
         return spec
     if spec.startswith("sqlite:///"):
         return SQLiteStateStore(spec[len("sqlite:///"):])
-    if spec.startswith("redis://"):
-        return RedisStateStore(url=spec)
     if spec.startswith(("postgres://", "postgresql://")):
         return PostgresStateStore(url=spec)
     factory = _STATE_STORES.get(spec)
@@ -94,10 +91,8 @@ def create_event_bus(spec: "EventBus | str | None") -> EventBus:
 
 register_state_store("memory", InMemoryStateStore)
 register_state_store("sqlite", SQLiteStateStore)
-# Constructing the Redis/Postgres stores verifies the driver + server
-# and raises BackendUnavailable otherwise; the contract suite skips on
-# that.
-register_state_store("redis", RedisStateStore)
+# Constructing the Postgres store verifies the driver + server and
+# raises BackendUnavailable otherwise; the contract suite skips on that.
 register_state_store("postgres", PostgresStateStore)
 register_event_bus("direct", DirectEventBus)
 register_event_bus("buffered", BufferedEventBus)

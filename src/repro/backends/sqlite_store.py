@@ -1,4 +1,4 @@
-"""SQLite-backed :class:`StateStore` adapter.
+"""The SQL row store: :class:`StateStore` over a SQL database.
 
 Subscription queues and conit accounting live in two tables:
 
@@ -16,11 +16,20 @@ Dyconit ids and merge keys are pickled to blobs (equal tuples of
 primitives pickle to equal bytes within a process); updates are pickled
 whole — world events are frozen dataclasses, so an unpickled update is
 value-equal to the committed one and encodes to identical packets.
-Floats round-trip exactly (``REAL`` is IEEE-754 binary64), and every
-read-modify-write performs the same Python float additions in the same
-order as the in-memory path, so the accounting is *bit*-compatible, not
-just approximately equal — the conformance suite and the SQLite fuzz
-twin assert as much.
+Floats round-trip exactly (the float column is IEEE-754 binary64 in
+every dialect), and every read-modify-write performs the same Python
+float additions in the same order as the in-memory path, so the
+accounting is *bit*-compatible, not just approximately equal — the
+conformance suite and the SQLite fuzz twin assert as much.
+
+One implementation, several databases: store, handle and view talk to a
+connection that offers ``execute(sql, params) -> cursor``
+(``sqlite3.Connection`` and a psycopg 3 connection both do), and
+everything that differs between databases is a :class:`Dialect` fixed
+when the store is built. Statement texts are written once below with
+``?`` placeholders and rendered once per store. The handle and view
+classes keep their ``SQLite…`` names (SQLite is the dialect that runs
+everywhere); :mod:`repro.backends.postgres_store` adds the Postgres one.
 
 Persistence semantics: dropping a dyconit (or the whole system) deletes
 its rows, but a handle re-created over surviving rows *re-attaches* —
@@ -28,19 +37,21 @@ its rows, but a handle re-created over surviving rows *re-attaches* —
 accounting instead of resetting them (subscriber callbacks are runtime
 objects and are never persisted).
 
-The connection runs in autocommit (``isolation_level=None``): the
-default driver mode opens an implicit transaction on the first write
-and this store never called ``commit()``, so a file-backed store used
-to silently roll back *everything* when the connection closed — data
-only looked durable because re-attach tests shared the connection.
-Checkpoint writes get an explicit ``BEGIN IMMEDIATE … COMMIT`` so a
-process killed mid-save leaves the old blob, never a torn one.
+Connections run in autocommit: sqlite3's default implicit-transaction
+mode opens a transaction on the first write and this store never called
+``commit()``, so a file-backed store used to silently roll back
+*everything* when the connection closed — data only looked durable
+because re-attach tests shared the connection. Checkpoint writes get an
+explicit ``BEGIN … COMMIT`` so a process killed mid-save leaves the old
+blob, never a torn one.
 """
 
 from __future__ import annotations
 
 import pickle
 import sqlite3
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Hashable
 
 from repro.backends.base import DyconitStateHandle, StateStore, SubscriptionSnapshot
@@ -54,60 +65,138 @@ def _blob(value) -> bytes:
     return pickle.dumps(value, protocol=4)
 
 
-_SCHEMA = """
+@dataclass(frozen=True)
+class Dialect:
+    """Everything that differs between the databases the row store runs on."""
+
+    placeholder: str
+    blob: str
+    real: str
+    integer: str
+    #: Statements run on a fresh connection before the schema.
+    setup: tuple[str, ...]
+    #: Opens the checkpoint write's explicit transaction.
+    begin: str
+
+
+SQLITE = Dialect(
+    placeholder="?",
+    blob="BLOB",
+    real="REAL",
+    integer="INTEGER",
+    # The simulation is the single writer and owns durability at the
+    # run level; per-statement fsync would only distort benchmarks.
+    setup=("PRAGMA synchronous=OFF",),
+    begin="BEGIN IMMEDIATE",
+)
+
+_SCHEMA = (
+    """
 CREATE TABLE IF NOT EXISTS subs (
-    dyconit BLOB NOT NULL,
-    sub_id INTEGER NOT NULL,
-    pos INTEGER NOT NULL,
-    b_num REAL NOT NULL,
-    b_stale REAL NOT NULL,
-    b_order REAL NOT NULL,
-    acc_error REAL NOT NULL,
-    oldest REAL,
-    enqueued INTEGER NOT NULL,
-    merged INTEGER NOT NULL,
+    dyconit {blob} NOT NULL,
+    sub_id {integer} NOT NULL,
+    pos {integer} NOT NULL,
+    b_num {real} NOT NULL,
+    b_stale {real} NOT NULL,
+    b_order {real} NOT NULL,
+    acc_error {real} NOT NULL,
+    oldest {real},
+    enqueued {integer} NOT NULL,
+    merged {integer} NOT NULL,
     PRIMARY KEY (dyconit, sub_id)
-);
+)""",
+    """
 CREATE TABLE IF NOT EXISTS pending (
-    dyconit BLOB NOT NULL,
-    sub_id INTEGER NOT NULL,
-    seq INTEGER NOT NULL,
-    mkey BLOB NOT NULL,
-    time REAL NOT NULL,
-    blob BLOB NOT NULL,
+    dyconit {blob} NOT NULL,
+    sub_id {integer} NOT NULL,
+    seq {integer} NOT NULL,
+    mkey {blob} NOT NULL,
+    time {real} NOT NULL,
+    blob {blob} NOT NULL,
     PRIMARY KEY (dyconit, sub_id, seq)
-);
-CREATE INDEX IF NOT EXISTS pending_by_key ON pending (dyconit, sub_id, mkey);
+)""",
+    "CREATE INDEX IF NOT EXISTS pending_by_key ON pending (dyconit, sub_id, mkey)",
+    """
 CREATE TABLE IF NOT EXISTS checkpoints (
     key TEXT PRIMARY KEY,
-    ord INTEGER NOT NULL,
-    blob BLOB NOT NULL
-);
-"""
+    ord {integer} NOT NULL,
+    blob {blob} NOT NULL
+)""",
+)
+
+_ONE_SUB = "WHERE dyconit = ? AND sub_id = ?"
+
+#: Every parameterised statement the store issues, by name, written with
+#: ``?``; :class:`SQLRowStore` renders them in its dialect's placeholder.
+_STATEMENTS = {
+    "drop_subs": "DELETE FROM subs WHERE dyconit = ?",
+    "drop_pending": "DELETE FROM pending WHERE dyconit = ?",
+    "checkpoint_ord": "SELECT ord FROM checkpoints WHERE key = ?",
+    "checkpoint_update": "UPDATE checkpoints SET blob = ? WHERE key = ?",
+    "checkpoint_insert": "INSERT INTO checkpoints (key, ord, blob) VALUES (?, ?, ?)",
+    "checkpoint_load": "SELECT blob FROM checkpoints WHERE key = ?",
+    "sub_exists": f"SELECT 1 FROM subs {_ONE_SUB}",
+    "sub_bounds": f"SELECT b_num, b_stale, b_order FROM subs {_ONE_SUB}",
+    "sub_error": f"SELECT acc_error FROM subs {_ONE_SUB}",
+    "sub_oldest": f"SELECT oldest FROM subs {_ONE_SUB}",
+    "sub_enqueued": f"SELECT enqueued FROM subs {_ONE_SUB}",
+    "sub_merged": f"SELECT merged FROM subs {_ONE_SUB}",
+    "sub_trip": f"SELECT acc_error, oldest, b_num, b_stale, b_order FROM subs {_ONE_SUB}",
+    "sub_accounting": f"SELECT acc_error, oldest, enqueued, merged FROM subs {_ONE_SUB}",
+    "sub_insert": (
+        "INSERT INTO subs (dyconit, sub_id, pos, b_num, b_stale, b_order, "
+        "acc_error, oldest, enqueued, merged) "
+        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+    ),
+    "sub_delete": f"DELETE FROM subs {_ONE_SUB}",
+    "set_bounds": f"UPDATE subs SET b_num = ?, b_stale = ?, b_order = ? {_ONE_SUB}",
+    "set_accounting": (
+        f"UPDATE subs SET acc_error = ?, oldest = ?, enqueued = ?, merged = ? {_ONE_SUB}"
+    ),
+    "set_oldest": f"UPDATE subs SET oldest = ? {_ONE_SUB}",
+    "clear_accounting": f"UPDATE subs SET acc_error = 0.0, oldest = NULL {_ONE_SUB}",
+    "pending_items": f"SELECT mkey, blob FROM pending {_ONE_SUB} ORDER BY seq",
+    "pending_blobs": f"SELECT blob FROM pending {_ONE_SUB} ORDER BY seq",
+    "pending_rows": f"SELECT seq, mkey, time, blob FROM pending {_ONE_SUB} ORDER BY seq",
+    "pending_count": f"SELECT COUNT(*) FROM pending {_ONE_SUB}",
+    "pending_has_key": f"SELECT 1 FROM pending {_ONE_SUB} AND mkey = ?",
+    "pending_delete_key": f"DELETE FROM pending {_ONE_SUB} AND mkey = ?",
+    "pending_insert": (
+        "INSERT INTO pending (dyconit, sub_id, seq, mkey, time, blob) "
+        "VALUES (?, ?, ?, ?, ?, ?)"
+    ),
+    "pending_delete": f"DELETE FROM pending {_ONE_SUB}",
+}
 
 
-class SQLiteStateStore(StateStore):
-    """Dyconit state in a SQLite database (``:memory:`` by default)."""
+class SQLRowStore(StateStore):
+    """Dyconit state as rows behind ``conn``, spoken to in ``dialect``.
 
-    name = "sqlite"
+    ``conn`` is an autocommit connection with ``execute(sql, params)``
+    returning a cursor, and ``close()``; the store owns it from here on.
+    """
 
-    def __init__(self, path: str = ":memory:") -> None:
-        self.path = path
-        # Autocommit: the driver's default implicit-transaction mode
-        # would roll every write back at close (nothing here commits).
-        # check_same_thread=False: the gateway serves GET /store from
-        # its HTTP thread while the simulation owns all writes; SQLite's
-        # serialized threading mode makes the shared connection safe for
-        # that single-writer/concurrent-reader split.
-        self._conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    def __init__(self, conn, dialect: Dialect) -> None:
+        self._conn = conn
         self._closed = False
-        # The simulation is the single writer and owns durability at the
-        # run level; per-statement fsync would only distort benchmarks.
-        self._conn.execute("PRAGMA synchronous=OFF")
-        self._conn.executescript(_SCHEMA)
-        row = self._conn.execute("SELECT MAX(seq) FROM pending").fetchone()
+        self._begin = dialect.begin
+        self._sql = SimpleNamespace(
+            **{
+                name: text.replace("?", dialect.placeholder)
+                for name, text in _STATEMENTS.items()
+            }
+        )
+        for statement in dialect.setup:
+            conn.execute(statement)
+        for statement in _SCHEMA:
+            conn.execute(
+                statement.format(
+                    blob=dialect.blob, real=dialect.real, integer=dialect.integer
+                )
+            )
+        row = conn.execute("SELECT MAX(seq) FROM pending").fetchone()
         self._seq = (row[0] or 0) + 1
-        row = self._conn.execute("SELECT MAX(pos) FROM subs").fetchone()
+        row = conn.execute("SELECT MAX(pos) FROM subs").fetchone()
         self._pos = (row[0] or 0) + 1
 
     def create_dyconit_state(
@@ -119,8 +208,8 @@ class SQLiteStateStore(StateStore):
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:
         dk = _blob(dyconit_id)
-        self._conn.execute("DELETE FROM subs WHERE dyconit = ?", (dk,))
-        self._conn.execute("DELETE FROM pending WHERE dyconit = ?", (dk,))
+        self._conn.execute(self._sql.drop_subs, (dk,))
+        self._conn.execute(self._sql.drop_pending, (dk,))
 
     def next_seq(self) -> int:
         seq, self._seq = self._seq, self._seq + 1
@@ -144,31 +233,22 @@ class SQLiteStateStore(StateStore):
         self._pos = 1
 
     def save_checkpoint(self, key: str, blob: bytes) -> None:
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
+        conn, sql = self._conn, self._sql
+        conn.execute(self._begin)
         try:
-            row = conn.execute(
-                "SELECT ord FROM checkpoints WHERE key = ?", (key,)
-            ).fetchone()
+            row = conn.execute(sql.checkpoint_ord, (key,)).fetchone()
             if row is not None:
-                conn.execute(
-                    "UPDATE checkpoints SET blob = ? WHERE key = ?", (blob, key)
-                )
+                conn.execute(sql.checkpoint_update, (blob, key))
             else:
                 (top,) = conn.execute("SELECT MAX(ord) FROM checkpoints").fetchone()
-                conn.execute(
-                    "INSERT INTO checkpoints (key, ord, blob) VALUES (?, ?, ?)",
-                    (key, (top or 0) + 1, blob),
-                )
+                conn.execute(sql.checkpoint_insert, (key, (top or 0) + 1, blob))
         except BaseException:
             conn.execute("ROLLBACK")
             raise
         conn.execute("COMMIT")
 
     def load_checkpoint(self, key: str) -> bytes | None:
-        row = self._conn.execute(
-            "SELECT blob FROM checkpoints WHERE key = ?", (key,)
-        ).fetchone()
+        row = self._conn.execute(self._sql.checkpoint_load, (key,)).fetchone()
         return None if row is None else row[0]
 
     def checkpoint_keys(self) -> list[str]:
@@ -182,6 +262,25 @@ class SQLiteStateStore(StateStore):
             return
         self._closed = True
         self._conn.close()
+
+
+class SQLiteStateStore(SQLRowStore):
+    """Dyconit state in a SQLite database (``:memory:`` by default)."""
+
+    name = "sqlite"
+
+    def __init__(self, path: str = ":memory:") -> None:
+        self.path = path
+        # Autocommit: the driver's default implicit-transaction mode
+        # would roll every write back at close (nothing here commits).
+        # check_same_thread=False: the gateway serves GET /store from
+        # its HTTP thread while the simulation owns all writes; SQLite's
+        # serialized threading mode makes the shared connection safe for
+        # that single-writer/concurrent-reader split.
+        super().__init__(
+            sqlite3.connect(path, isolation_level=None, check_same_thread=False),
+            SQLITE,
+        )
 
 
 class SQLiteSubscriptionView:
@@ -200,17 +299,12 @@ class SQLiteSubscriptionView:
 
     # -- row plumbing --------------------------------------------------
 
-    def _conn(self) -> sqlite3.Connection:
-        return self._handle._store._conn
-
     def _key(self) -> tuple[bytes, int]:
         return (self._handle._dk, self.subscriber.subscriber_id)
 
-    def _row(self, columns: str):
-        return self._conn().execute(
-            f"SELECT {columns} FROM subs WHERE dyconit = ? AND sub_id = ?",
-            self._key(),
-        ).fetchone()
+    def _row(self, statement: str):
+        """This subscription's subs row through one of the ``sub_*`` selects."""
+        return self._handle._conn.execute(statement, self._key()).fetchone()
 
     @property
     def merging(self) -> bool:
@@ -220,16 +314,16 @@ class SQLiteSubscriptionView:
 
     @property
     def bounds(self) -> Bounds:
-        row = self._row("b_num, b_stale, b_order")
+        row = self._row(self._handle._sql.sub_bounds)
         if row is None:
             return Bounds.INFINITE
         return Bounds(row[0], row[1], row[2])
 
     @bounds.setter
     def bounds(self, bounds: Bounds) -> None:
-        self._conn().execute(
-            "UPDATE subs SET b_num = ?, b_stale = ?, b_order = ? "
-            "WHERE dyconit = ? AND sub_id = ?",
+        handle = self._handle
+        handle._conn.execute(
+            handle._sql.set_bounds,
             (bounds.numerical, bounds.staleness_ms, bounds.order, *self._key()),
         )
 
@@ -237,32 +331,28 @@ class SQLiteSubscriptionView:
 
     @property
     def accumulated_error(self) -> float:
-        row = self._row("acc_error")
+        row = self._row(self._handle._sql.sub_error)
         return 0.0 if row is None else row[0]
 
     @property
     def oldest_pending_time(self) -> float | None:
-        row = self._row("oldest")
+        row = self._row(self._handle._sql.sub_oldest)
         return None if row is None else row[0]
 
     @property
     def enqueued_count(self) -> int:
-        row = self._row("enqueued")
+        row = self._row(self._handle._sql.sub_enqueued)
         return 0 if row is None else row[0]
 
     @property
     def merged_count(self) -> int:
-        row = self._row("merged")
+        row = self._row(self._handle._sql.sub_merged)
         return 0 if row is None else row[0]
 
     @property
     def pending(self) -> dict[tuple, Update]:
-        dk, sub_id = self._key()
-        rows = self._conn().execute(
-            "SELECT mkey, blob FROM pending WHERE dyconit = ? AND sub_id = ? "
-            "ORDER BY seq",
-            (dk, sub_id),
-        ).fetchall()
+        handle = self._handle
+        rows = handle._conn.execute(handle._sql.pending_items, self._key()).fetchall()
         return {pickle.loads(mkey): pickle.loads(blob) for mkey, blob in rows}
 
     @property
@@ -276,15 +366,14 @@ class SQLiteSubscriptionView:
         return now - oldest
 
     def tripped_dimension(self, now: float) -> str | None:
-        row = self._row("acc_error, oldest, b_num, b_stale, b_order")
+        handle = self._handle
+        conn, sql = handle._conn, handle._sql
+        key = self._key()
+        row = conn.execute(sql.sub_trip, key).fetchone()
         if row is None or row[1] is None:
             return None
         acc_error, oldest, b_num, b_stale, b_order = row
-        dk, sub_id = self._key()
-        (count,) = self._conn().execute(
-            "SELECT COUNT(*) FROM pending WHERE dyconit = ? AND sub_id = ?",
-            (dk, sub_id),
-        ).fetchone()
+        (count,) = conn.execute(sql.pending_count, key).fetchone()
         return Bounds(b_num, b_stale, b_order).tripped_dimension(
             acc_error, now - oldest, count
         )
@@ -295,44 +384,31 @@ class SQLiteSubscriptionView:
     # -- mutation ------------------------------------------------------
 
     def enqueue(self, update: Update) -> EnqueueResult:
-        conn = self._conn()
-        dk, sub_id = self._key()
-        row = self._row("acc_error, oldest, enqueued, merged")
+        handle = self._handle
+        conn, sql = handle._conn, handle._sql
+        dk, sub_id = key = self._key()
+        row = conn.execute(sql.sub_accounting, key).fetchone()
         if row is None:
             raise KeyError(
-                f"subscriber {sub_id} is not subscribed to "
-                f"{self._handle.dyconit_id!r}"
+                f"subscriber {sub_id} is not subscribed to {handle.dyconit_id!r}"
             )
         acc_error, oldest, enqueued, merged = row
-        key = (
-            update.merge_key
-            if self._handle.merging
-            else (enqueued, update.merge_key)
-        )
+        key = update.merge_key if handle.merging else (enqueued, update.merge_key)
         mkey = _blob(key)
         superseded = (
-            conn.execute(
-                "SELECT 1 FROM pending WHERE dyconit = ? AND sub_id = ? AND mkey = ?",
-                (dk, sub_id, mkey),
-            ).fetchone()
+            conn.execute(sql.pending_has_key, (dk, sub_id, mkey)).fetchone()
             is not None
         )
         if superseded:
-            conn.execute(
-                "DELETE FROM pending WHERE dyconit = ? AND sub_id = ? AND mkey = ?",
-                (dk, sub_id, mkey),
-            )
+            conn.execute(sql.pending_delete_key, (dk, sub_id, mkey))
             merged += 1
         conn.execute(
-            "INSERT INTO pending (dyconit, sub_id, seq, mkey, time, blob) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (dk, sub_id, self._handle._store.next_seq(), mkey, update.time,
-             _blob(update)),
+            sql.pending_insert,
+            (dk, sub_id, handle._store.next_seq(), mkey, update.time, _blob(update)),
         )
         became_pending = oldest is None
         conn.execute(
-            "UPDATE subs SET acc_error = ?, oldest = ?, enqueued = ?, merged = ? "
-            "WHERE dyconit = ? AND sub_id = ?",
+            sql.set_accounting,
             (
                 acc_error + update.weight,  # same float add as the legacy path
                 update.time if became_pending else oldest,
@@ -345,51 +421,34 @@ class SQLiteSubscriptionView:
         return EnqueueResult(superseded=superseded, became_pending=became_pending)
 
     def drain(self) -> list[Update]:
-        conn = self._conn()
-        dk, sub_id = self._key()
-        rows = conn.execute(
-            "SELECT blob FROM pending WHERE dyconit = ? AND sub_id = ? ORDER BY seq",
-            (dk, sub_id),
-        ).fetchall()
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?", (dk, sub_id)
-        )
-        conn.execute(
-            "UPDATE subs SET acc_error = 0.0, oldest = NULL "
-            "WHERE dyconit = ? AND sub_id = ?",
-            (dk, sub_id),
-        )
+        handle = self._handle
+        conn, sql = handle._conn, handle._sql
+        key = self._key()
+        rows = conn.execute(sql.pending_blobs, key).fetchall()
+        conn.execute(sql.pending_delete, key)
+        conn.execute(sql.clear_accounting, key)
         return [pickle.loads(blob) for (blob,) in rows]
 
     def restore_time_order(self) -> None:
-        conn = self._conn()
+        handle = self._handle
+        conn, sql = handle._conn, handle._sql
         dk, sub_id = self._key()
-        rows = conn.execute(
-            "SELECT seq, mkey, time, blob FROM pending "
-            "WHERE dyconit = ? AND sub_id = ? ORDER BY seq",
-            (dk, sub_id),
-        ).fetchall()
+        rows = conn.execute(sql.pending_rows, (dk, sub_id)).fetchall()
         if not rows:
             return
         # Stable by time: equal-time entries keep their current order —
         # the exact semantics of the legacy sorted() re-dict.
         ordered = sorted(rows, key=lambda row: row[2])
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?", (dk, sub_id)
-        )
+        conn.execute(sql.pending_delete, (dk, sub_id))
         for __, mkey, time, blob in ordered:
             conn.execute(
-                "INSERT INTO pending (dyconit, sub_id, seq, mkey, time, blob) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (dk, sub_id, self._handle._store.next_seq(), mkey, time, blob),
+                sql.pending_insert,
+                (dk, sub_id, handle._store.next_seq(), mkey, time, blob),
             )
         first_time = ordered[0][2]
-        row = self._row("oldest")
-        if row[0] is None or first_time < row[0]:
-            conn.execute(
-                "UPDATE subs SET oldest = ? WHERE dyconit = ? AND sub_id = ?",
-                (first_time, dk, sub_id),
-            )
+        (oldest,) = self._row(sql.sub_oldest)
+        if oldest is None or first_time < oldest:
+            conn.execute(sql.set_oldest, (first_time, dk, sub_id))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -402,9 +461,11 @@ class SQLiteDyconitState(DyconitStateHandle):
     """One dyconit's subscriptions, resident in the store's database."""
 
     def __init__(
-        self, store: SQLiteStateStore, dyconit_id: Hashable, merging: bool = True
+        self, store: SQLRowStore, dyconit_id: Hashable, merging: bool = True
     ) -> None:
         self._store = store
+        self._conn = store._conn
+        self._sql = store._sql
         self.dyconit_id = dyconit_id
         self._dk = _blob(dyconit_id)
         self.merging = merging
@@ -430,6 +491,35 @@ class SQLiteDyconitState(DyconitStateHandle):
     def is_subscribed(self, subscriber_id: int) -> bool:
         return subscriber_id in self._views
 
+    def _insert_sub(
+        self,
+        sub_id: int,
+        bounds: Bounds,
+        accumulated_error: float = 0.0,
+        oldest_pending_time: float | None = None,
+        enqueued_count: int = 0,
+        merged_count: int = 0,
+    ) -> None:
+        self._conn.execute(
+            self._sql.sub_insert,
+            (
+                self._dk,
+                sub_id,
+                self._store.next_pos(),
+                bounds.numerical,
+                bounds.staleness_ms,
+                bounds.order,
+                accumulated_error,
+                oldest_pending_time,
+                enqueued_count,
+                merged_count,
+            ),
+        )
+
+    def _delete_sub(self, sub_id: int) -> None:
+        self._conn.execute(self._sql.sub_delete, (self._dk, sub_id))
+        self._conn.execute(self._sql.pending_delete, (self._dk, sub_id))
+
     def subscribe(
         self, subscriber: Subscriber, bounds: Bounds | None = None
     ) -> SQLiteSubscriptionView:
@@ -441,31 +531,13 @@ class SQLiteDyconitState(DyconitStateHandle):
             return view
         view = SQLiteSubscriptionView(self, subscriber)
         self._views[sub_id] = view
-        conn = self._store._conn
-        row = conn.execute(
-            "SELECT 1 FROM subs WHERE dyconit = ? AND sub_id = ?",
-            (self._dk, sub_id),
-        ).fetchone()
-        if row is not None:
+        if view._row(self._sql.sub_exists) is not None:
             # Re-attach to a persisted subscription: the queue and its
             # accounting survive a handle (or process) restart.
             if bounds is not None:
                 view.bounds = bounds
             return view
-        effective = bounds if bounds is not None else self.default_bounds
-        conn.execute(
-            "INSERT INTO subs (dyconit, sub_id, pos, b_num, b_stale, b_order, "
-            "acc_error, oldest, enqueued, merged) "
-            "VALUES (?, ?, ?, ?, ?, ?, 0.0, NULL, 0, 0)",
-            (
-                self._dk,
-                sub_id,
-                self._store.next_pos(),
-                effective.numerical,
-                effective.staleness_ms,
-                effective.order,
-            ),
-        )
+        self._insert_sub(sub_id, bounds if bounds is not None else self.default_bounds)
         return view
 
     def unsubscribe(self, subscriber_id: int) -> SubscriptionState | None:
@@ -484,15 +556,7 @@ class SQLiteDyconitState(DyconitStateHandle):
             merged_count=view.merged_count,
             merging=self.merging,
         )
-        conn = self._store._conn
-        conn.execute(
-            "DELETE FROM subs WHERE dyconit = ? AND sub_id = ?",
-            (self._dk, subscriber_id),
-        )
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?",
-            (self._dk, subscriber_id),
-        )
+        self._delete_sub(subscriber_id)
         return state
 
     def get_state(self, subscriber_id: int) -> SQLiteSubscriptionView | None:
@@ -508,34 +572,18 @@ class SQLiteDyconitState(DyconitStateHandle):
             raise ValueError(
                 f"subscriber {sub_id} already subscribed to {self.dyconit_id!r}"
             )
-        conn = self._store._conn
-        conn.execute(
-            "DELETE FROM subs WHERE dyconit = ? AND sub_id = ?", (self._dk, sub_id)
-        )
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?", (self._dk, sub_id)
-        )
-        conn.execute(
-            "INSERT INTO subs (dyconit, sub_id, pos, b_num, b_stale, b_order, "
-            "acc_error, oldest, enqueued, merged) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                self._dk,
-                sub_id,
-                self._store.next_pos(),
-                snap.bounds.numerical,
-                snap.bounds.staleness_ms,
-                snap.bounds.order,
-                snap.accumulated_error,
-                snap.oldest_pending_time,
-                snap.enqueued_count,
-                snap.merged_count,
-            ),
+        self._delete_sub(sub_id)
+        self._insert_sub(
+            sub_id,
+            snap.bounds,
+            snap.accumulated_error,
+            snap.oldest_pending_time,
+            snap.enqueued_count,
+            snap.merged_count,
         )
         for key, update in snap.pending:
-            conn.execute(
-                "INSERT INTO pending (dyconit, sub_id, seq, mkey, time, blob) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
+            self._conn.execute(
+                self._sql.pending_insert,
                 (self._dk, sub_id, self._store.next_seq(), _blob(key),
                  update.time, _blob(update)),
             )

@@ -117,7 +117,7 @@ class DyconitSystem:
         self.partitioner = partitioner if partitioner is not None else ChunkPartitioner()
         #: S19 backend seam: where per-dyconit subscription state lives.
         #: Accepts a StateStore instance or a registry spec ("memory",
-        #: "sqlite", "sqlite:///path", "redis://..."); default is the
+        #: "sqlite", "sqlite:///path", "postgres://..."); default is the
         #: in-memory store. The store alone decides how a dyconit is
         #: represented (S17 flat columns or per-object states); the
         #: commit path observes it through ``handle._flat``.

@@ -31,7 +31,7 @@ class ServerConfig:
     #: big capacity sweeps enable this to cut simulation overhead.
     synchronous_delivery: bool = False
     #: S19 storage backend for dyconit subscription state: a registry
-    #: spec ("memory", "sqlite", "sqlite:///path", "redis://...").
+    #: spec ("memory", "sqlite", "sqlite:///path", "postgres://...").
     #: The store alone decides a dyconit's representation: "memory"
     #: keeps S17 flat columns, row stores are driven through the
     #: per-object commit walk.

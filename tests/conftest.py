@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import os
+import sqlite3
 from contextlib import contextmanager
 
 import pytest
 
 from repro.backends import InMemoryStateStore, register_state_store
+from repro.backends.postgres_store import POSTGRES
+from repro.backends.sqlite_store import SQLRowStore
 from repro.core.dyconit import Dyconit
 from repro.core.manager import DyconitSystem
 from repro.core.subscription import Subscriber
@@ -32,6 +35,37 @@ class PerObjectStateStore(InMemoryStateStore):
 
 
 register_state_store("per-object", PerObjectStateStore)
+
+
+class SqliteAsPsycopg:
+    """A psycopg-3-shaped connection over ``sqlite3``: ``%s`` becomes
+    ``?`` and nothing else is translated (sqlite accepts the Postgres
+    column types). A statement still carrying a bare ``?`` did not go
+    through the dialect, and is refused."""
+
+    def __init__(self) -> None:
+        self._conn = sqlite3.connect(":memory:", isolation_level=None)
+
+    def execute(self, sql: str, params=()):
+        if "?" in sql:
+            raise AssertionError(f"statement bypassed the dialect: {sql}")
+        return self._conn.execute(sql.replace("%s", "?"), params)
+
+    def close(self) -> None:
+        self._conn.close()
+
+
+class PostgresDialectStore(SQLRowStore):
+    """The Postgres dialect of the row store, runnable without a server:
+    registered, so the contract suite holds it to every row."""
+
+    name = "postgres-dialect"
+
+    def __init__(self) -> None:
+        super().__init__(SqliteAsPsycopg(), POSTGRES)
+
+
+register_state_store("postgres-dialect", PostgresDialectStore)
 
 
 @pytest.fixture

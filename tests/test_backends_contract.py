@@ -3,9 +3,10 @@
 One contract, every registered backend: each test runs against every
 :func:`~repro.backends.registry.state_store_factories` entry (and the
 event-bus tests against every bus), so a new adapter is under the full
-contract the moment it registers. Backends whose driver or service is
-absent in this environment (e.g. Redis without ``REPRO_REDIS_URL``)
-raise :class:`BackendUnavailable` and skip — honestly, per test.
+contract the moment it registers. The one backend whose service may be
+absent (``postgres`` without ``REPRO_POSTGRES_URL``) raises
+:class:`BackendUnavailable` and skips — honestly, per test; its dialect
+runs here regardless, as ``postgres-dialect`` (see ``tests/conftest.py``).
 
 The contract is *the in-memory semantics*, bit-for-bit:
 
@@ -29,7 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import BackendUnavailable, state_store_factories
+from repro.backends import (
+    POSTGRES_URL_ENV,
+    BackendUnavailable,
+    create_state_store,
+    state_store_factories,
+)
 from repro.backends.base import snapshot_subscription
 from repro.backends.memory import InMemoryStateStore
 from repro.core.bounds import Bounds
@@ -67,10 +73,9 @@ def block(x=0, time=0.0, new=BlockType.STONE):
 def fresh_store(name):
     """Build one store instance, skipping unavailable backends.
 
-    ``reset()`` guards against shared-namespace pollution: a Redis or
-    Postgres factory points at a *service*, so rows left by an earlier
-    crashed test run (or a parallel suite) would otherwise leak into
-    this one. Checkpoints survive reset by design, so stored restart
+    ``reset()`` guards against shared-database pollution: the Postgres
+    factory points at a *service*, so rows left by an earlier crashed
+    test run (or a parallel suite) would otherwise leak into this one. Checkpoints survive reset by design, so stored restart
     snapshots are wiped explicitly too.
     """
     try:
@@ -79,6 +84,33 @@ def fresh_store(name):
         pytest.skip(f"{name}: {exc}")
     store.reset()
     return store
+
+
+def test_only_postgres_may_skip(monkeypatch):
+    """A store whose service is absent turns its rows yellow and the
+    suite green, so only ``postgres`` may need one: every other
+    registered store constructs here, with no environment variable."""
+    monkeypatch.delenv(POSTGRES_URL_ENV, raising=False)
+    for name, factory in state_store_factories().items():
+        if name == "postgres":
+            with pytest.raises(BackendUnavailable, match=POSTGRES_URL_ENV):
+                factory()
+        else:
+            factory().close()
+
+
+def test_postgres_dialect_adapter_refuses_sqlite_literals():
+    """What makes the ``postgres-dialect`` rows evidence: a statement
+    that did not go through the dialect cannot execute."""
+    store = fresh_store("postgres-dialect")
+    with pytest.raises(AssertionError, match="bypassed the dialect"):
+        store._conn.execute("SELECT 1 FROM subs WHERE sub_id = ?", (1,))
+    store.close()
+
+
+def test_unregistered_scheme_names_the_registered_stores():
+    with pytest.raises(ValueError, match="registered:.*'postgres'.*'sqlite'"):
+        create_state_store("kv://localhost:6379/0")
 
 
 @pytest.fixture(params=sorted(state_store_factories()))
@@ -663,8 +695,8 @@ class TestRestartConformance:
                 continue
             try:
                 self._run_killed_tape(name, kill=11)
-            except BackendUnavailable:  # raised by fresh_store -> skip
-                pass
+            except pytest.skip.Exception:  # fresh_store: service absent
+                continue
 
     @staticmethod
     def _run_killed_tape(name, kill):
