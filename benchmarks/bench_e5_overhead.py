@@ -199,14 +199,22 @@ def test_e5_audit_overhead_on(benchmark):
 
 
 def test_e5_memory_per_dyconit():
-    """Rough memory footprint of an idle dyconit + subscription state."""
-    from repro.core.dyconit import Dyconit
+    """Rough memory footprint of an idle dyconit + subscription state, in
+    the representation the product allocates (the memory store's)."""
+    from repro.backends import InMemoryStateStore
 
-    dyconit = Dyconit(("chunk", 0, 0))
+    dyconit = InMemoryStateStore().create_dyconit_state(("chunk", 0, 0), merging=True)
     subscriber = Subscriber(subscriber_id=1, deliver=lambda segments: None)
     state = dyconit.subscribe(subscriber)
+    flat = dyconit._flat
+    parts = vars(flat).values()
     footprint = (
         sys.getsizeof(dyconit)
+        + sys.getsizeof(flat)
+        # the columns' buffers once (the [:n] views share them) ...
+        + sum(part.nbytes for part in parts if getattr(part, "base", 0) is None)
+        # ... and every other per-dyconit container and scalar
+        + sum(sys.getsizeof(part) for part in parts if not hasattr(part, "nbytes"))
         + sys.getsizeof(state)
         + sys.getsizeof(state.pending)
     )

@@ -108,8 +108,9 @@ class DyconitStateHandle(abc.ABC):
 
     Required attributes: ``dyconit_id``, ``total_committed_weight``,
     ``commit_count``, ``default_bounds``, ``merging`` and ``_flat``
-    (``None`` unless the handle implements the S17 columnar fast path —
-    the manager branches on it in ``_commit_resolved`` and the due pass).
+    (the S17 columnar store of a handle that has one, else ``None``;
+    fixed for the handle's life — the manager branches on it in
+    ``_commit_resolved`` and the due pass).
 
     Subscription-state objects returned by :meth:`get_state` /
     :meth:`subscription_states` / :meth:`subscribe` /
@@ -120,7 +121,9 @@ class DyconitStateHandle(abc.ABC):
     ``has_pending``, ``oldest_age_ms``, ``tripped_dimension``,
     ``exceeds_bounds``, ``enqueue``, ``drain`` and
     ``restore_time_order`` — the contract suite checks every one of
-    these against every registered backend.
+    these against every registered backend. The memory store's columnar
+    :class:`~repro.core.flatstate.FlatSubscriptionView` is held to this
+    full surface itself: repartitioning and restore drive it directly.
     """
 
     dyconit_id: Hashable
@@ -155,13 +158,6 @@ class DyconitStateHandle(abc.ABC):
 
     @abc.abstractmethod
     def commit(self, update: "Update", exclude_subscriber: int | None = None): ...
-
-    def _ensure_private(self) -> None:
-        """Drop any columnar fast path back to per-object states.
-
-        Called by the manager before repartitioning moves backlogs
-        across queues. Handles without a columnar mode need no work.
-        """
 
     def restore_subscription(self, subscriber: "Subscriber", snap: SubscriptionSnapshot):
         """Recreate a subscription exactly as a snapshot recorded it.
@@ -273,7 +269,8 @@ class EventBus(abc.ABC):
         """Deliver anything buffered; returns deliveries made.
 
         The direct bus has nothing to drain and returns 0. Buffered
-        buses deliver here — the engine calls this at its tick barrier.
+        buses deliver here, when their owner (whoever constructed the
+        bus and handed it to the system) calls it; the engine never does.
         """
         return 0
 

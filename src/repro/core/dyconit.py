@@ -136,7 +136,9 @@ class Dyconit:
     accessors return :class:`~repro.core.flatstate.FlatSubscriptionView`
     objects that are drop-in compatible with :class:`SubscriptionState`,
     and the manager commits through :meth:`commit_flat` (one vectorized
-    add + gated threshold scan) instead of the per-object walk.
+    add + gated threshold scan) instead of the per-object walk. The
+    representation is fixed at construction: restore, merge and split
+    write slots, so a columnar dyconit stays columnar until removed.
     """
 
     def __init__(
@@ -161,25 +163,6 @@ class Dyconit:
         #: is, used by workload-aware policies.
         self.total_committed_weight = 0.0
         self.commit_count = 0
-
-    def _ensure_private(self) -> None:
-        """Convert the columnar store back to per-object states.
-
-        Repartitioning (merge/split) mutates subscription queues in ways
-        the columnar store does not model (cross-queue backlog moves), so
-        the manager privatizes a dyconit before merging into or out of
-        it. Merge targets are cold by policy design; they stay private
-        for the rest of their life (a split removes the target and
-        replacement dyconits start columnar again).
-        """
-        flat = self._flat
-        if flat is None:
-            return
-        self._subscriptions = {
-            sub.subscriber_id: flat.materialize_state(slot)
-            for slot, sub in enumerate(flat.subscriber_by_slot)
-        }
-        self._flat = None
 
     # ------------------------------------------------------------------
     # Subscription management
@@ -248,16 +231,15 @@ class Dyconit:
 
         Fields are copied verbatim — replaying through :meth:`enqueue`
         would recompute ``accumulated_error`` without the superseded
-        updates' weights. A columnar dyconit is privatized first; the
-        manager's legacy commit path is packet-identical (S17), so a
-        restored run stays bit-compatible.
+        updates' weights. A columnar dyconit writes them into a slot.
         """
         if self.is_subscribed(subscriber.subscriber_id):
             raise ValueError(
                 f"subscriber {subscriber.subscriber_id} already subscribed "
                 f"to {self.dyconit_id!r}"
             )
-        self._ensure_private()
+        if self._flat is not None:
+            return self._flat.restore(subscriber, snap)
         state = SubscriptionState(
             subscriber=subscriber,
             bounds=snap.bounds,
@@ -301,18 +283,11 @@ class Dyconit:
         states with their enqueue outcomes so the manager can run bound
         checks and merge accounting without a second lookup.
         """
-        if self._flat is not None:
-            # Direct callers (tests, benchmarks) on a columnar dyconit:
-            # fall back to per-object states so the legacy return shape
-            # holds. The manager never takes this path — it commits
-            # through :meth:`commit_flat`.
-            self._ensure_private()
         touched: list[tuple[SubscriptionState, EnqueueResult]] = []
-        for subscriber_id, state in self._subscriptions.items():
-            if subscriber_id == exclude_subscriber:
+        for state in self.subscription_states():
+            if state.subscriber.subscriber_id == exclude_subscriber:
                 continue
-            result = state.enqueue(update)
-            touched.append((state, result))
+            touched.append((state, state.enqueue(update)))
         if touched:
             # Hotness accounting counts commits that actually enqueued
             # for someone: a commit with no subscribers (or only the

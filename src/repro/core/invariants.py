@@ -59,20 +59,19 @@ I8  mirrored border subscriptions (cluster, S16): at the post-pump
     dyconit (alias-resolved) carries the peer's subscription in P's
     middleware. Pairs with control messages still in flight are skipped
     — the mirror is only promised at the barrier.
-I9  flat columnar store (S17): per slot, a naive replay of the shared
-    commit log window reproduces the columns exactly — pending set,
-    accumulated error (bit-equal: same float op order), oldest-pending
-    time, pending count; slot table ↔ subscriber list mirror;
-    ``empty_subs`` ≡ zero-count slots; log bookkeeping (``last_key``,
-    back-pointers, per-subscriber exclusion indices) matches a fresh
-    scan; the scalar gates are conservative (may fire early, never
-    late) — gates a bound change left dirty are refreshed first, exactly
-    as the next commit would, so what is checked is what a commit
-    reads; no slot pins a dead log prefix longer than the compaction
-    period (a stalled or excluded-only subscriber must not hold the
-    shared log hostage). Server-side: the engine's commit buffer is
-    drained at every audit barrier — a tick never ends with commits
-    still deferred.
+I9  flat columnar store (S17): slot table ↔ subscriber list ↔ view
+    registry ↔ per-slot queue/counter lists mirror; per slot the queue
+    and its columns agree (empty queue ⇔ ``oldest == inf`` and
+    ``err == 0.0``; ``oldest`` ≤ the first pending update's time); the
+    pending-slot counter equals the number of non-empty queues; the
+    scalar gates are conservative (may fire early, never late) — gates
+    a mutation left dirty are refreshed first, exactly as the next
+    commit would, so what is checked is what a commit reads. The error
+    column's *value* is not replayed here (the superseded weights are
+    gone once merged): I4.queue-error-floor bounds it from below at run
+    time, the lockstep differentials and the fuzz model pin it bit-equal
+    per step. Server-side: the engine's commit buffer is drained at
+    every audit barrier — a tick never ends with commits still deferred.
 """
 
 from __future__ import annotations
@@ -465,7 +464,7 @@ class InvariantAuditor:
                     )
 
     # ------------------------------------------------------------------
-    # I9 — flat columnar store ≡ naive log replay (S17)
+    # I9 — flat columnar store: queues ↔ columns ↔ gates (S17)
     # ------------------------------------------------------------------
 
     def _check_flat_stores(self, system, violations: list[Violation]) -> None:
@@ -475,18 +474,18 @@ class InvariantAuditor:
                 self._check_flat_store(dyconit_id, flat, violations)
 
     def _check_flat_store(self, dyconit_id, flat, violations: list[Violation]) -> None:
-        base = flat.base
-
         # Slot table <-> subscriber list mirror (the columnar analogue of
-        # the I2 membership check).
-        if len(flat.subscriber_by_slot) != flat.n or len(flat.slots) != flat.n:
+        # the I2 membership check), and the per-slot lists beside them.
+        lengths = {
+            "slot subscribers": len(flat.subscriber_by_slot),
+            "slot ids": len(flat.slots),
+            "queues": len(flat.queues),
+            "enq counters": len(flat.enq),
+            "mrg counters": len(flat.mrg),
+        }
+        if set(lengths.values()) != {flat.n}:
             violations.append(
-                Violation(
-                    "I9.slot-mirror",
-                    repr(dyconit_id),
-                    f"n={flat.n} but {len(flat.subscriber_by_slot)} slot "
-                    f"subscribers / {len(flat.slots)} slot ids",
-                )
+                Violation("I9.slot-mirror", repr(dyconit_id), f"n={flat.n} but {lengths}")
             )
             return
         for subscriber_id, slot in flat.slots.items():
@@ -513,206 +512,53 @@ class InvariantAuditor:
                 )
             )
 
-        # Log bookkeeping: last-key map, merge back-pointers and the
-        # per-subscriber exclusion indices must all match a fresh scan.
-        seen_last: dict = {}
-        for i, update in enumerate(flat.log):
-            key = update.merge_key
-            # With merging off nothing supersedes: commit chains nothing.
-            expected_prev = seen_last.get(key) if flat.merging else None
-            prev = flat.log_prev[i]
-            if expected_prev is None:
-                if prev >= base:
-                    violations.append(
-                        Violation(
-                            "I9.log-chain",
-                            f"({dyconit_id!r}, log entry {base + i})",
-                            f"back-pointer {prev} names a retained entry but the "
-                            f"key has no earlier retained occurrence",
-                        )
-                    )
-            elif prev != expected_prev:
-                violations.append(
-                    Violation(
-                        "I9.log-chain",
-                        f"({dyconit_id!r}, log entry {base + i})",
-                        f"back-pointer {prev} != previous same-key entry "
-                        f"{expected_prev}",
-                    )
-                )
-            seen_last[key] = base + i
-        if flat.merging and flat.last_key != seen_last:
-            violations.append(
-                Violation(
-                    "I9.log-chain",
-                    repr(dyconit_id),
-                    "last_key map differs from a fresh scan of the log",
-                )
-            )
-        excl_expected: dict[int, list[int]] = {}
-        for i, excluded in enumerate(flat.log_excl):
-            if excluded is not None:
-                excl_expected.setdefault(excluded, []).append(base + i)
-        if excl_expected != flat.excl_by_sub:
-            violations.append(
-                Violation(
-                    "I9.log-chain",
-                    repr(dyconit_id),
-                    "excl_by_sub index differs from a fresh scan of the log",
-                )
-            )
-
-        # Per-slot naive replay of the cursor window, independent of
-        # materialize_pairs: the columns must match exactly (the error
-        # sum is the same float op sequence, so bit-equal).
-        counts: list[int] = []
-        for slot in range(flat.n):
+        # Queue <-> column agreement per slot. (I4 checks the same facts
+        # through the views, which answer "is it pending?" from the queue;
+        # this reads the raw columns the commit and due scans read.)
+        for slot, queue in enumerate(flat.queues):
             subscriber_id = flat.subscriber_by_slot[slot].subscriber_id
             subject = f"({dyconit_id!r}, subscriber {subscriber_id})"
-            start = max(int(flat.cursor[slot]), base)
-            err = 0.0
-            oldest: float | None = None
-            n_items = 0
-            pending: dict = {}
-            for i in range(start - base, len(flat.log)):
-                if flat.log_excl[i] == subscriber_id:
-                    continue
-                update = flat.log[i]
-                err += update.weight
-                n_items += 1
-                if oldest is None:
-                    oldest = update.time
-                if flat.merging:
-                    key = update.merge_key
-                    if key in pending:
-                        del pending[key]
-                    pending[key] = update
-            count_expected = len(pending) if flat.merging else n_items
-            count_actual = int(flat.count[slot]) + flat.count_shared
-            counts.append(count_actual)
-            if count_actual != count_expected:
-                violations.append(
-                    Violation(
-                        "I9.replay",
-                        subject,
-                        f"pending count column {count_actual} != replayed "
-                        f"{count_expected}",
-                    )
-                )
-            if float(flat.err[slot]) != err:
-                violations.append(
-                    Violation(
-                        "I9.replay",
-                        subject,
-                        f"error column {float(flat.err[slot])!r} != replayed "
-                        f"{err!r} (must be bit-equal)",
-                    )
-                )
-            col_oldest = float(flat.oldest[slot])
-            if oldest is None:
-                if not math.isinf(col_oldest):
+            err = float(flat.err[slot])
+            oldest = float(flat.oldest[slot])
+            if not queue:
+                if err != 0.0 or not math.isinf(oldest):
                     violations.append(
                         Violation(
-                            "I9.replay",
+                            "I9.queue-column",
                             subject,
-                            f"empty window but oldest column holds {col_oldest:g}",
+                            f"empty queue but columns hold err={err!r} "
+                            f"oldest={oldest!r}",
                         )
                     )
-            elif col_oldest != oldest:
+                continue
+            first_time = next(iter(queue.values())).time
+            if not oldest <= first_time + _EPS:
                 violations.append(
                     Violation(
-                        "I9.replay",
+                        "I9.queue-column",
                         subject,
-                        f"oldest column {col_oldest!r} != first windowed "
-                        f"update time {oldest!r}",
+                        f"{len(queue)} pending but oldest column {oldest!r} is "
+                        f"not <= the first pending time {first_time!r} — the "
+                        f"staleness scans would skip or under-age the queue",
                     )
                 )
-            if flat.merging:
-                view_pending = flat._views[subscriber_id].pending
-                if list(view_pending.items()) != list(pending.items()):
-                    violations.append(
-                        Violation(
-                            "I9.replay",
-                            subject,
-                            "materialized pending differs from naive replay",
-                        )
-                    )
-            if (count_actual == 0) != (subscriber_id in flat.empty_subs):
-                violations.append(
-                    Violation(
-                        "I9.empty-set",
-                        subject,
-                        f"count {count_actual} inconsistent with empty_subs "
-                        f"membership {subscriber_id in flat.empty_subs}",
-                    )
+        counts = [len(queue) for queue in flat.queues]
+        non_empty = sum(1 for count in counts if count)
+        if flat.n_pending != non_empty:
+            violations.append(
+                Violation(
+                    "I9.pending-count",
+                    repr(dyconit_id),
+                    f"n_pending {flat.n_pending} != {non_empty} non-empty queues",
                 )
-
-        # Log-pinning bound: a slot must never hold the shared log back
-        # by more than one compaction period of entries that are dead to
-        # it. `_advance_excluded_cursors` runs every `_COMPACT_CHECK`
-        # appends, so at any audit barrier an empty slot's cursor lags
-        # the log end by at most that many entries, and a non-empty
-        # slot's window starts with at most that many excluded-for-it
-        # entries. A larger dead prefix means the stalled-subscriber
-        # compaction regressed and the log is growing without bound.
-        from repro.core.flatstate import _COMPACT_CHECK
-
-        log_end = base + len(flat.log)
-        for slot in range(flat.n):
-            subscriber_id = flat.subscriber_by_slot[slot].subscriber_id
-            subject = f"({dyconit_id!r}, subscriber {subscriber_id})"
-            start = max(int(flat.cursor[slot]), base)
-            if int(flat.count[slot]) + flat.count_shared == 0:
-                lag = log_end - start
-                if lag > _COMPACT_CHECK:
-                    violations.append(
-                        Violation(
-                            "I9.log-pinned",
-                            subject,
-                            f"empty slot pins {lag} log entries "
-                            f"(> compaction period {_COMPACT_CHECK})",
-                        )
-                    )
-            else:
-                prefix = 0
-                for i in range(start - base, len(flat.log)):
-                    if flat.log_excl[i] != subscriber_id:
-                        break
-                    prefix += 1
-                if prefix > _COMPACT_CHECK:
-                    violations.append(
-                        Violation(
-                            "I9.log-pinned",
-                            subject,
-                            f"window opens with {prefix} excluded-only "
-                            f"entries (> compaction period {_COMPACT_CHECK})",
-                        )
-                    )
+            )
 
         # Scalar gates: exact where claimed exact, conservative otherwise
         # (a gate that can fire late silently breaks a bound promise).
-        # Bound changes only mark the gates dirty; refresh them the way
-        # the next commit will before it reads any of them.
+        # Mutations other than commit only mark the gates dirty; refresh
+        # them the way the next commit will before it reads any of them.
         flat.refresh_gates()
         if flat.n:
-            cursors = [int(flat.cursor[slot]) for slot in range(flat.n)]
-            if flat.max_cursor != max(cursors):
-                violations.append(
-                    Violation(
-                        "I9.gates",
-                        repr(dyconit_id),
-                        f"max_cursor {flat.max_cursor} != exact {max(cursors)}",
-                    )
-                )
-            if flat.min_cursor_lb > min(cursors):
-                violations.append(
-                    Violation(
-                        "I9.gates",
-                        repr(dyconit_id),
-                        f"min_cursor_lb {flat.min_cursor_lb} above the true "
-                        f"minimum {min(cursors)} — windows could be clipped",
-                    )
-                )
             bnum = [float(flat.b_num[slot]) for slot in range(flat.n)]
             if flat.n_finite_bnum != sum(1 for b in bnum if math.isfinite(b)):
                 violations.append(

@@ -396,11 +396,6 @@ class DyconitSystem:
         """
         target_id = self.resolve(target_id)
         target = self.get_or_create(target_id)
-        # Cross-queue backlog moves below mutate SubscriptionStates in
-        # ways the columnar store does not model; drop the target and
-        # every source back to per-object states first (S17). Merge
-        # targets are cold by policy design, so they stay private.
-        target._ensure_private()
         for source_id in source_ids:
             source_id = self.resolve(source_id)
             if source_id == target_id:
@@ -417,7 +412,6 @@ class DyconitSystem:
             if source is None:
                 continue
             self._due_at.pop(source_id, None)
-            source._ensure_private()
             target.total_committed_weight += source.total_committed_weight
             target.commit_count += source.commit_count
             for state in source.subscription_states():

@@ -122,12 +122,11 @@ def store(request):
 
 
 def make_handle(store, dyconit_id=("chunk", 0, 0), merging=True):
-    """A handle in the per-object state protocol this suite pins (the one
-    the manager's ``_flat is None`` walk drives). The memory store's
-    columnar handle enters it the way a merged or restored unit does."""
+    """A handle exactly as the store hands it out: every state-surface
+    row runs on the store's real state class."""
     handle = store.create_dyconit_state(dyconit_id, merging=merging)
-    if handle._flat is not None:
-        handle._ensure_private()
+    # Non-vacuity: the memory rows run on the columnar view itself.
+    assert (handle._flat is not None) == (store.name == "memory")
     return handle
 
 

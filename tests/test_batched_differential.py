@@ -18,6 +18,7 @@ exercised on the hot path being compared.
 
 import dataclasses
 import inspect
+import pathlib
 
 from repro.backends import state_store_factories
 from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
@@ -189,3 +190,8 @@ def test_no_product_option_selects_a_reference_path():
     for name, factory in state_store_factories().items():
         parameters = inspect.signature(factory.create_dyconit_state).parameters
         assert "flat" not in parameters, name
+    # ...nor can a handle change representation mid-life.
+    gone = "_ensure" + "_private"
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for path in [*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]:
+        assert gone not in path.read_text(), path

@@ -117,6 +117,9 @@ def resume(store, baseline_logs, tape):
     )
     sim = resumed.sim
     assert sim.now == KILL_TICK * TICK_MS
+    # Restore writes slots: the resumed memory store is columnar again.
+    handles = list(resumed.dyconits.dyconits())
+    assert handles and all(handle._flat is not None for handle in handles)
     for time, client_id, action in tape:
         if time > sim.now:
             sim.schedule_at(

@@ -6,8 +6,9 @@ bit-equal float accounting. The randomized differential here drives
 identical op tapes (commits with exclusions, churny subscriptions, bound
 changes, repartitioning, ticks) through both stores and compares
 everything; the unit tests pin the individually tricky mechanisms (slot
-recycling, exclusion exactness, log trim/reset, the commit_many run
-cache) and the I9 auditor's ability to catch columnar corruption.
+recycling, exclusion exactness, what an always-excluded subscriber
+retains, the commit_many run cache) and the I9 auditor's ability to
+catch columnar corruption.
 """
 
 import math
@@ -230,8 +231,8 @@ def test_differential_with_merging_disabled(seed):
     for sid in (1, 2, 3):
         assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
     assert flat_system.stats == legacy_system.stats
-    # With merging off commit chains no back-pointers, and I9.log-chain
-    # must not demand them (every audited E8(a) run audits such a store).
+    # With merging off queue keys are (enqueue ordinal, merge key); I9
+    # must accept them (every audited E8(a) run audits such a store).
     assert InvariantAuditor().check(flat_system) == []
     assert final_states(flat_system) == final_states(legacy_system)
 
@@ -298,44 +299,6 @@ def test_zero_bounds_flush_immediately(system):
     assert len(rec.delivered_updates) == 1
 
 
-def test_log_resets_when_all_queues_empty(system):
-    rec = RecordingSubscriber(1)
-    system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(math.inf, math.inf))
-    for i in range(5):
-        system.commit_to(CHUNK_A, move(i + 1, 0.0, 1.0))
-    flat = _flat(system, CHUNK_A)
-    assert len(flat.log) == 5
-    system.flush_all()
-    assert flat.log == [] and flat.base == 5
-    assert flat.last_key == {} and flat.excl_by_sub == {}
-    # The store keeps working after a reset (cursors were rebased).
-    system.commit_to(CHUNK_A, move(1, 0.0, 1.0))
-    assert system.get(CHUNK_A).get_state(1).has_pending
-    assert InvariantAuditor().check(system) == []
-
-
-def test_log_trim_rebases_off_min_cursor(system, clock):
-    """One subscriber drains often, one hoards: once over half the log is
-    behind every cursor, it is sliced and `base` advances."""
-    hoarder = RecordingSubscriber(1)
-    drainer = RecordingSubscriber(2)
-    system.subscribe(CHUNK_A, hoarder.subscriber, bounds=Bounds(math.inf, math.inf))
-    system.subscribe(CHUNK_A, drainer.subscriber, bounds=Bounds(math.inf, math.inf))
-    flat = _flat(system, CHUNK_A)
-    for i in range(5000):
-        system.commit_to(CHUNK_A, move(i % 7 + 1, float(i), 1.0))
-        if i == 2500:
-            # Both drain: every entry so far goes dead, so the next
-            # compaction check slices the log down.
-            system.flush_all()
-    assert flat.base >= 2501
-    assert len(flat.log) < 5000 - 2000
-    assert InvariantAuditor().check(system) == []
-    system.flush_all()
-    assert hoarder.delivered_updates and drainer.delivered_updates
-    assert flat.log == []
-
-
 def test_commit_many_equals_commit_to_loop(clock):
     def run(batched_call):
         system = DyconitSystem(
@@ -399,6 +362,31 @@ def test_commit_many_survives_mid_batch_repartition(clock):
     assert deliveries[1] == [target] * 4
 
 
+def test_columnar_from_creation_to_removal(system, clock):
+    """Merge, restore and split write slots: no memory-store handle ever
+    drops to per-object states (at the parent all three did, for life)."""
+    rec1, rec2 = RecordingSubscriber(1), RecordingSubscriber(2)
+    system.subscribe(CHUNK_A, rec1.subscriber)
+    system.subscribe(CHUNK_A, rec2.subscriber)
+    system.subscribe(CHUNK_B, rec1.subscriber)
+    system.commit_to(CHUNK_B, move(1, 0.0, 0.1))
+    system.commit_to(CHUNK_A, move(2, 5.0, 0.3), exclude_subscriber=2)
+    target = system.merge_dyconits([CHUNK_A, CHUNK_B], ("region", 4, 0, 0))
+    assert target._flat is not None
+    assert [u.time for u in target.get_state(1).pending.values()] == [0.0, 5.0]
+    resumed = DyconitSystem(
+        StaticPolicy(), ChunkPartitioner(), time_source=lambda: clock["now"]
+    )
+    resumed.restore(system.snapshot(), {1: rec1.subscriber, 2: rec2.subscriber})
+    assert final_states(resumed) == final_states(system)
+    for each in (system, resumed):
+        each.split_dyconit(("region", 4, 0, 0))
+        assert each.dyconit_count == 2
+        assert all(dyconit._flat is not None for dyconit in each.dyconits())
+        assert InvariantAuditor().check(each) == []
+    assert rec1.delivered_updates == [move(1, 0.0, 0.1), move(2, 5.0, 0.3)] * 2
+
+
 # ----------------------------------------------------------------------
 # I9 catches columnar corruption
 # ----------------------------------------------------------------------
@@ -420,15 +408,21 @@ def corrupt_ready(system):
 
 
 def test_i9_detects_error_column_drift(corrupt_ready):
+    """What run-time audit still owns of the error column: nothing on an
+    empty queue, and never less than the surviving pending weight."""
     system, flat = corrupt_ready
-    flat.err[0] += 0.5
-    assert "I9.replay" in _keys(InvariantAuditor().check(system))
+    flat.err[0] = 0.5  # two unit-weight moves are pending on slot 0
+    assert "I4.queue-error-floor" in _keys(InvariantAuditor().check(system))
+    flat.err[0] = 2.0
+    system.flush(CHUNK_A, 2)
+    flat.err[1] = 0.5
+    assert "I9.queue-column" in _keys(InvariantAuditor().check(system))
 
 
 def test_i9_detects_count_column_drift(corrupt_ready):
     system, flat = corrupt_ready
-    flat.count[1] += 1
-    assert "I9.replay" in _keys(InvariantAuditor().check(system))
+    flat.queues[1].clear()  # the columns still say "pending since 0.0"
+    assert "I9.queue-column" in _keys(InvariantAuditor().check(system))
 
 
 def test_i9_detects_late_staleness_gate(corrupt_ready):
@@ -439,14 +433,8 @@ def test_i9_detects_late_staleness_gate(corrupt_ready):
 
 def test_i9_detects_empty_set_desync(corrupt_ready):
     system, flat = corrupt_ready
-    flat.empty_subs.add(1)  # slot 0 has pending updates
-    assert "I9.empty-set" in _keys(InvariantAuditor().check(system))
-
-
-def test_i9_detects_exclusion_index_tamper(corrupt_ready):
-    system, flat = corrupt_ready
-    flat.excl_by_sub.pop(2)
-    assert "I9.log-chain" in _keys(InvariantAuditor().check(system))
+    flat.n_pending -= 1  # both slots have pending updates
+    assert "I9.pending-count" in _keys(InvariantAuditor().check(system))
 
 
 def test_i9_detects_slot_table_tamper(corrupt_ready):
@@ -503,84 +491,58 @@ def test_stats_dataclass_unchanged_fields():
 
 
 # ----------------------------------------------------------------------
-# Log rebase vs stalled cursors (S18 satellite fix)
+# A subscriber excluded from every commit (S18 satellite fix)
 # ----------------------------------------------------------------------
 
+#: The deleted shared log's compaction period: the tapes below are the
+#: ones that used to cross it.
+_TAPE_UNIT = 2048
 
-class _patched_compact_period:
-    """Temporarily shrink the compaction period so short tapes cross
-    several trim cycles (restored even when the test body raises)."""
 
-    def __init__(self, period: int) -> None:
-        self.period = period
-
-    def __enter__(self):
-        import repro.core.flatstate as flatstate
-
-        self._flatstate = flatstate
-        self._saved = flatstate._COMPACT_CHECK
-        flatstate._COMPACT_CHECK = self.period
-        return self
-
-    def __exit__(self, *exc):
-        self._flatstate._COMPACT_CHECK = self._saved
-        return False
+def _queued(flat):
+    return sum(len(queue) for queue in flat.queues)
 
 
 def test_stalled_excluded_subscriber_does_not_pin_the_log(system, clock):
-    """Regression: the log rebase keys off the minimum cursor, so a
-    subscriber excluded from every commit (a peer subscriber on a
-    dyconit only its own shard writes to) never drained and pinned the
-    whole shared log — unbounded memory on long runs. Needs >= 3
-    subscribers: with 2, the all-empty reset happens to collect the log
-    whenever the one real queue drains."""
-    from repro.core.flatstate import _COMPACT_CHECK
-
+    """A subscriber excluded from every commit (a peer subscriber on a
+    dyconit only its own shard writes to) retains nothing and holds
+    nobody else's updates, however long the others commit and drain
+    around it (under the shared log it pinned every entry)."""
     recs = {sid: RecordingSubscriber(sid) for sid in (1, 2, 3)}
     for sid in (1, 2, 3):
         system.subscribe(
             CHUNK_A, recs[sid].subscriber, bounds=Bounds(math.inf, math.inf)
         )
     flat = _flat(system, CHUNK_A)
-    commits = 3 * _COMPACT_CHECK
-    for i in range(commits):
+    for i in range(3 * _TAPE_UNIT):
         system.commit_to(CHUNK_A, move(1, clock["now"], 0.1), exclude_subscriber=3)
-        # Alternate drains so the all-empty log reset never fires: one
-        # of subscribers 1/2 always holds a pending entry.
+        # Alternate drains: one of subscribers 1/2 always holds an entry.
         system.flush(CHUNK_A, 1 if i % 2 == 0 else 2)
-    assert len(flat.log) < _COMPACT_CHECK  # used to be == commits
+        assert _queued(flat) == 1 and not flat.queues[flat.slots[3]]
     assert InvariantAuditor().check(system) == []
 
 
 def test_excluded_only_window_prefix_is_skipped_at_trim(system, clock):
-    """A slot with real pending entries may still open its window on a
-    long run of entries that exclude it; the trim must advance its
-    cursor past that dead prefix (replay-neutral) instead of letting it
-    hold the rebase back."""
-    from repro.core.flatstate import _COMPACT_CHECK
-
+    """A mostly-excluded subscriber with one real pending entry keeps
+    exactly that entry through long runs of traffic that excludes it."""
     recs = {sid: RecordingSubscriber(sid) for sid in (1, 2, 3)}
     for sid in (1, 2, 3):
         system.subscribe(
             CHUNK_A, recs[sid].subscriber, bounds=Bounds(math.inf, math.inf)
         )
     flat = _flat(system, CHUNK_A)
-    prefix = _COMPACT_CHECK + _COMPACT_CHECK // 2
-    for i in range(prefix):
+    for i in range(_TAPE_UNIT + _TAPE_UNIT // 2):
         system.commit_to(CHUNK_A, move(1, clock["now"], 0.1), exclude_subscriber=3)
         system.flush(CHUNK_A, 1 if i % 2 == 0 else 2)
     # Now subscriber 3 gains one real pending entry...
     marker = move(2, clock["now"], 0.3)
     system.commit_to(CHUNK_A, marker)
-    marker_index = flat.base + len(flat.log) - 1
-    # ...followed by more excluded-for-3 traffic crossing a trim point.
-    for i in range(_COMPACT_CHECK):
+    # ...followed by more excluded-for-3 traffic.
+    for i in range(_TAPE_UNIT):
         system.commit_to(CHUNK_A, move(1, clock["now"], 0.1), exclude_subscriber=3)
         system.flush(CHUNK_A, 1 if i % 2 == 0 else 2)
-    slot3 = flat.slots[3]
-    assert int(flat.cursor[slot3]) >= marker_index >= flat.base
-    pending3 = flat.view(3).pending
-    assert list(pending3.values()) == [marker]
+    assert list(flat.view(3).pending.values()) == [marker]
+    assert _queued(flat) == 2  # 3's marker and the one undrained move
     assert InvariantAuditor().check(system) == []
     # The marker still delivers exactly once.
     system.flush(CHUNK_A, 3)
@@ -605,45 +567,38 @@ def test_excluded_only_window_prefix_is_skipped_at_trim(system, clock):
 def test_hypothesis_stalled_cursor_stays_bounded_and_exact(tape):
     """Property: under any interleaving of commits (all excluding the
     stalled subscriber 3) and drains of subscribers 1/2, the flat store
-    stays bit-identical to the legacy store and passes the auditor —
-    including I9.log-pinned, which bounds how far the stalled cursor may
-    lag (pre-fix, any tape with more commits than the compaction period
-    violates it)."""
-    # Append a stalled run longer than the (shrunk) compaction period so
-    # *every* example ends in the regression's shape — a full drain of
-    # 1 and 2 mid-tape resets the log, so a purely random tape rarely
-    # keeps a long-enough dead suffix; hypothesis still varies the
-    # prefix the stall lands on (cursor positions, merge chains,
-    # half-drained windows).
+    stays bit-identical to the legacy store and passes the auditor."""
+    # Every example ends in a long run that only ever excludes 3;
+    # hypothesis varies the prefix it lands on (merged keys,
+    # half-drained queues).
     tape = tape + [("commit", 1, 0.1)] * 24
-    with _patched_compact_period(8):
 
-        def run(state_store):
-            clock = {"now": 0.0}
-            system = DyconitSystem(
-                StaticPolicy(Bounds(math.inf, math.inf)),
-                ChunkPartitioner(),
-                time_source=lambda: clock["now"],
-                state_store=state_store,
-            )
-            recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
-            for sid in (1, 2, 3):
-                system.subscribe(CHUNK_A, recs[sid].subscriber)
-            for op in tape:
-                if op[0] == "commit":
-                    __, entity, dx = op
-                    clock["now"] += 10.0
-                    system.commit_to(
-                        CHUNK_A, move(entity, clock["now"], dx), exclude_subscriber=3
-                    )
-                else:
-                    system.flush(CHUNK_A, op[1])
-            return system, recs
-
-        flat_system, flat_recs = run("memory")
-        legacy_system, legacy_recs = run("per-object")
+    def run(state_store):
+        clock = {"now": 0.0}
+        system = DyconitSystem(
+            StaticPolicy(Bounds(math.inf, math.inf)),
+            ChunkPartitioner(),
+            time_source=lambda: clock["now"],
+            state_store=state_store,
+        )
+        recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
         for sid in (1, 2, 3):
-            assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
-        assert flat_system.stats == legacy_system.stats
-        assert final_states(flat_system) == final_states(legacy_system)
-        assert InvariantAuditor().check(flat_system) == []
+            system.subscribe(CHUNK_A, recs[sid].subscriber)
+        for op in tape:
+            if op[0] == "commit":
+                __, entity, dx = op
+                clock["now"] += 10.0
+                system.commit_to(
+                    CHUNK_A, move(entity, clock["now"], dx), exclude_subscriber=3
+                )
+            else:
+                system.flush(CHUNK_A, op[1])
+        return system, recs
+
+    flat_system, flat_recs = run("memory")
+    legacy_system, legacy_recs = run("per-object")
+    for sid in (1, 2, 3):
+        assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
+    assert flat_system.stats == legacy_system.stats
+    assert final_states(flat_system) == final_states(legacy_system)
+    assert InvariantAuditor().check(flat_system) == []

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import SQLiteStateStore
+from repro.backends import InMemoryStateStore, SQLiteStateStore
 from repro.core.bounds import Bounds
 from repro.gateway.control import ControlPlane
 from repro.net.protocol import PlayerActionPacket
@@ -336,7 +336,9 @@ def run_cluster(store_paths, *, kill_pump=None, checkpoint_at=None, key="ck"):
         strip_width=2,
         config=config,
         policy_factory=make_policy,
-        state_stores=[SQLiteStateStore(p) for p in store_paths],
+        state_stores=[
+            SQLiteStateStore(p) if isinstance(p, str) else p for p in store_paths
+        ],
     )
     control = ControlPlane()
     cluster.control_plane = control
@@ -393,3 +395,22 @@ def test_cluster_kill_and_resume_is_packet_identical(tmp_path, kill_pump):
     assert_tails_match(baseline_logs, logs)
     cluster_a.close()
     cluster_c.close()
+
+
+def test_restored_memory_cluster_is_columnar_again():
+    """Restore writes slots: no handle of a resumed memory-store cluster
+    drops to per-object states (at the parent every restored one did)."""
+    stores = [InMemoryStateStore() for _ in range(CLUSTER_SHARDS)]
+    cluster, _, logs = run_cluster(stores, kill_pump=6, checkpoint_at=6)
+    restored = restore_cluster(
+        load_snapshot(stores[0], "ck"),
+        state_stores=[InMemoryStateStore() for _ in range(CLUSTER_SHARDS)],
+        handlers={cid: make_handler([]) for cid in logs},
+    )
+    handles = [h for shard in restored.shards for h in shard.dyconits.dyconits()]
+    assert len(handles) > CLUSTER_SHARDS
+    assert all(handle._flat is not None for handle in handles)
+    assert any(s.has_pending for h in handles for s in h.subscription_states())
+    restored.sim.run_until(20 * TICK)  # audited every 7th pump
+    restored.close()
+    cluster.close()
