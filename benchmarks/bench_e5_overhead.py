@@ -220,3 +220,34 @@ def test_e5_memory_per_dyconit():
     )
     print(f"\napprox. footprint: dyconit + 1 subscription ~ {footprint} bytes")
     assert footprint < 4096
+
+
+def test_e5_memory_per_chunk():
+    """Retained bytes and generation time per generated chunk: what each
+    chunk a player walks past costs the server (a chunk is its generated
+    base plus edits, with no block array)."""
+    import time
+    import tracemalloc
+
+    from repro.world.geometry import ChunkPos
+    from repro.world.world import World
+
+    count = 1000
+    positions = [ChunkPos(i % 40, i // 40) for i in range(count)]
+    world = World(seed=1)
+    world.get_chunk(ChunkPos(-1, -1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for pos in positions:
+            world.get_chunk(pos)
+        retained = (tracemalloc.get_traced_memory()[0] - before) / count
+    finally:
+        tracemalloc.stop()
+    world = World(seed=1)
+    started = time.perf_counter()
+    for pos in positions:
+        world.get_chunk(pos)
+    generate_us = (time.perf_counter() - started) * 1e6 / count
+    print(f"\nper chunk: {retained:.0f} bytes retained, {generate_us:.0f} us to generate")
+    assert retained <= 2048

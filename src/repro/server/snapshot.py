@@ -54,7 +54,6 @@ from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.server.session import PlayerSession
 from repro.sim.simulator import Simulation
-from repro.world.chunk import Chunk
 from repro.world.geometry import ChunkPos, Vec3
 from repro.world.world import World
 
@@ -64,7 +63,7 @@ from repro.world.world import World
 #: value list and un-pickles by zipping it onto the *current* fields, so
 #: a blob written under another layout would restore without error and
 #: with values in the wrong fields.
-CHECKPOINT_FORMAT = "repro-checkpoint/2"
+CHECKPOINT_FORMAT = "repro-checkpoint/3"
 
 # ----------------------------------------------------------------------
 # Snapshot dataclasses (plain picklable data)
@@ -107,9 +106,10 @@ class WorldSnapshot:
     #: Chunk buckets with their exact insertion order — bucket iteration
     #: order feeds entity-snapshot packet order.
     buckets: list[tuple[ChunkPos, list[int]]]
-    #: Player-modified chunks: (pos, dense block array, modified_count).
-    #: Untouched chunks regenerate deterministically from the seed.
-    chunks: list[tuple[ChunkPos, Any, int]]
+    #: Player-modified chunks: (pos, ``Chunk.edits`` over the generated
+    #: base, modified_count). Every chunk's base regenerates
+    #: deterministically from the seed.
+    chunks: list[tuple[ChunkPos, dict[int, int], int]]
 
 
 @dataclass
@@ -220,7 +220,7 @@ def _capture_world(world: World) -> WorldSnapshot:
             for pos, bucket in world._entities_by_chunk.items()
         ],
         chunks=[
-            (pos, chunk.blocks.copy(), chunk.modified_count)
+            (pos, chunk.edits, chunk.modified_count)
             for pos, chunk in world._chunks.items()
             if chunk.modified_count > 0
         ],
@@ -350,8 +350,9 @@ def _fill_world(world: World, snap: WorldSnapshot) -> None:
     """
     if world._listeners:
         raise RuntimeError("world must have no listeners during restore")
-    for pos, blocks, modified in snap.chunks:
-        chunk = Chunk(pos, blocks.copy())
+    for pos, edits, modified in snap.chunks:
+        chunk = world.generator.generate(pos)
+        chunk.apply_edits(edits)
         chunk.modified_count = modified
         world._chunks[pos] = chunk
     from repro.world.entity import EntityKind

@@ -137,8 +137,7 @@ class World:
 
     def surface_height(self, x: int, z: int) -> int:
         """Highest non-air y at the given world column."""
-        chunk = self.get_chunk(BlockPos(x, 0, z).to_chunk_pos())
-        return chunk.surface_height(x, z)
+        return self.get_chunk(ChunkPos(x >> 4, z >> 4)).surface_height(x, z)
 
     def surface_position(self, x: float, z: float) -> Vec3:
         """A standing position on top of the terrain at (x, z)."""

@@ -7,6 +7,7 @@ import os
 import sqlite3
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.backends import InMemoryStateStore, register_state_store
@@ -18,7 +19,12 @@ from repro.core.subscription import Subscriber
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.server.interest import InterestManager
+from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.simulator import Simulation
+from repro.world.block import BlockType
+from repro.world.chunk import WORLD_HEIGHT
+from repro.world.geometry import CHUNK_SIZE, ChunkPos
+from repro.world.terrain import SEA_LEVEL
 from repro.world.world import World
 
 
@@ -66,6 +72,124 @@ class PostgresDialectStore(SQLRowStore):
 
 
 register_state_store("postgres-dialect", PostgresDialectStore)
+
+
+def _reference_lattice_values(seed: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    x64 = xs.astype(np.uint64)
+    z64 = zs.astype(np.uint64)
+    h = x64 * np.uint64(0x9E3779B97F4A7C15) ^ z64 * np.uint64(0xC2B2AE3D27D4EB4F)
+    h ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def _reference_value_noise(
+    seed: int, xs: np.ndarray, zs: np.ndarray, period: float
+) -> np.ndarray:
+    gx = xs / period
+    gz = zs / period
+    x0 = np.floor(gx).astype(np.int64)
+    z0 = np.floor(gz).astype(np.int64)
+    fx = gx - x0
+    fz = gz - z0
+    fx = fx * fx * (3.0 - 2.0 * fx)
+    fz = fz * fz * (3.0 - 2.0 * fz)
+    v00 = _reference_lattice_values(seed, x0, z0)
+    v10 = _reference_lattice_values(seed, x0 + 1, z0)
+    v01 = _reference_lattice_values(seed, x0, z0 + 1)
+    v11 = _reference_lattice_values(seed, x0 + 1, z0 + 1)
+    top = v00 * (1.0 - fx) + v10 * fx
+    bottom = v01 * (1.0 - fx) + v11 * fx
+    return top * (1.0 - fz) + bottom * fz
+
+
+class DenseTerrainReference:
+    """The differential reference for terrain: the generator as it was when
+    every chunk kept a dense ``16 x WORLD_HEIGHT x 16`` array — a
+    meshgrid heightmap hashed four times per octave, layers written by
+    boolean masks, trees stamped into the array in planting order.
+    ``generate`` returns that array; the product's chunks must read
+    identically cell for cell."""
+
+    OCTAVES = ((1.0, 96.0), (0.5, 48.0), (0.25, 16.0))
+    MIN_HEIGHT = 12
+    MAX_HEIGHT = 44
+    TREE_DENSITY = 0.004
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._noise_seed = derive_seed(seed, "terrain", "height")
+
+    def height_at(self, x: int, z: int) -> int:
+        xs = np.array([[x]], dtype=np.int64)
+        zs = np.array([[z]], dtype=np.int64)
+        return int(self._heightmap(xs, zs)[0, 0])
+
+    def generate(self, pos: ChunkPos) -> np.ndarray:
+        origin = pos.block_origin()
+        xs, zs = np.meshgrid(
+            np.arange(origin.x, origin.x + CHUNK_SIZE, dtype=np.int64),
+            np.arange(origin.z, origin.z + CHUNK_SIZE, dtype=np.int64),
+            indexing="ij",
+        )
+        heights = self._heightmap(xs, zs)
+
+        blocks = np.zeros((CHUNK_SIZE, WORLD_HEIGHT, CHUNK_SIZE), dtype=np.uint16)
+        ys = np.arange(WORLD_HEIGHT)[None, :, None]
+        surface = heights[:, None, :]
+
+        blocks[np.broadcast_to(ys == 0, blocks.shape)] = int(BlockType.BEDROCK)
+        stone = np.broadcast_to(ys >= 1, blocks.shape) & (ys < surface - 3)
+        dirt = (ys >= surface - 3) & (ys < surface)
+        top = np.broadcast_to(ys, blocks.shape) == surface
+        water = (ys > surface) & np.broadcast_to(ys <= SEA_LEVEL, blocks.shape)
+        blocks[stone] = int(BlockType.STONE)
+        blocks[dirt] = int(BlockType.DIRT)
+
+        beach = surface <= SEA_LEVEL + 1
+        top_sand = top & np.broadcast_to(beach, top.shape)
+        top_grass = top & ~np.broadcast_to(beach, top.shape)
+        blocks[top_sand] = int(BlockType.SAND)
+        blocks[top_grass] = int(BlockType.GRASS)
+        blocks[water] = int(BlockType.WATER)
+
+        self._plant_trees(pos, blocks, heights)
+        return blocks
+
+    def _heightmap(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        total = np.zeros(xs.shape, dtype=np.float64)
+        amplitude_sum = 0.0
+        for index, (amplitude, period) in enumerate(self.OCTAVES):
+            octave_seed = derive_seed(self._noise_seed, "octave", index)
+            total += amplitude * _reference_value_noise(octave_seed, xs, zs, period)
+            amplitude_sum += amplitude
+        normalized = total / amplitude_sum
+        span = self.MAX_HEIGHT - self.MIN_HEIGHT
+        return (self.MIN_HEIGHT + normalized * span).astype(np.int64)
+
+    def _plant_trees(self, pos: ChunkPos, blocks: np.ndarray, heights: np.ndarray) -> None:
+        rng = derive_rng(self.seed, "terrain", "trees", pos.cx, pos.cz)
+        for lx in range(2, CHUNK_SIZE - 2):
+            for lz in range(2, CHUNK_SIZE - 2):
+                surface = int(heights[lx, lz])
+                if surface <= SEA_LEVEL + 1 or surface + 6 >= WORLD_HEIGHT:
+                    continue
+                if rng.random() >= self.TREE_DENSITY * CHUNK_SIZE:
+                    continue
+                trunk_height = rng.randint(3, 5)
+                for dy in range(1, trunk_height + 1):
+                    blocks[lx, surface + dy, lz] = int(BlockType.WOOD)
+                canopy_y = surface + trunk_height
+                for dx in (-1, 0, 1):
+                    for dz in (-1, 0, 1):
+                        for dy in (0, 1):
+                            if dx == 0 and dz == 0 and dy == 0:
+                                continue
+                            blocks[lx + dx, canopy_y + dy, lz + dz] = int(BlockType.LEAVES)
 
 
 @pytest.fixture

@@ -39,12 +39,16 @@ from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.server.snapshot import (
     CHECKPOINT_FORMAT,
+    capture_server,
     load_snapshot,
     restore_cluster,
+    restore_server,
     restore_server_from_store,
 )
 from repro.sim.simulator import Simulation
-from repro.world.geometry import Vec3
+from repro.world.block import BlockType
+from repro.world.chunk import WORLD_HEIGHT
+from repro.world.geometry import BlockPos, ChunkPos, Vec3
 
 TICK = 50.0
 TOTAL_TICKS = 30
@@ -253,6 +257,48 @@ class TestCheckpointIsReadOnly:
         assert store.load_checkpoint("ck") == blob
 
 
+class TestCheckpointCarriesEdits:
+    def test_modified_chunks_travel_as_edits_and_restore_cell_for_cell(self):
+        """A modified chunk checkpoints as its edits over the generated
+        base — not a dense array — and the restored world reads the same
+        block in every cell of it."""
+        server = GameServer(Simulation(), config=ServerConfig(seed=3), policy=make_policy())
+        world = server.world
+        modified = [ChunkPos(cx, cz) for cx in (-2, 0, 3) for cz in (-1, 2)]
+        for n, pos in enumerate(modified):
+            origin = pos.block_origin()
+            for i in range(24):
+                x, z = origin.x + (i * 5) % 16, origin.z + (i * 3 + n) % 16
+                top = world.surface_height(x, z)
+                world.set_block(BlockPos(x, top, z), BlockType.AIR)
+                world.set_block(BlockPos(x, top + 3, z), BlockType.BRICK)
+            world.set_block(BlockPos(origin.x, 1, origin.z), BlockType.GLASS)
+        snap = capture_server(server)
+        chunks = snap.world.chunks
+        assert {pos for pos, _, _ in chunks} == set(modified)
+        payload = len(pickle.dumps(chunks, protocol=4)) / len(chunks)
+        assert payload < 4096, f"{payload:.0f} bytes of chunk payload per modified chunk"
+
+        restored = restore_server(snap, state_store="memory", handlers={}, start=False)
+        for pos in modified:
+            before, after = world.get_chunk(pos), restored.world.get_chunk(pos)
+            assert after.modified_count == before.modified_count
+            assert after.non_air_count == before.non_air_count
+            origin = pos.block_origin()
+            cells = [
+                BlockPos(x, y, z)
+                for x in range(origin.x, origin.x + 16)
+                for y in range(WORLD_HEIGHT)
+                for z in range(origin.z, origin.z + 16)
+            ]
+            assert [after.get_block(c) for c in cells] == [before.get_block(c) for c in cells]
+            assert [after.surface_height(c.x, c.z) for c in cells[::WORLD_HEIGHT]] == [
+                before.surface_height(c.x, c.z) for c in cells[::WORLD_HEIGHT]
+            ]
+        server.close()
+        restored.close()
+
+
 # ---------------------------------------------------------------------------
 # Error surfaces
 # ---------------------------------------------------------------------------
@@ -274,9 +320,10 @@ class TestRecoveryErrors:
 
     @pytest.mark.parametrize(
         "tag",
-        # /1 carried SystemSnapshot's deadline heap, seq and armed map.
-        [None, "repro-checkpoint/0", "repro-checkpoint/1"],
-        ids=["untagged", "wrong-tag", "previous-tag"],
+        # /2 carried a dense block array per modified chunk; /1 also
+        # SystemSnapshot's deadline heap, seq and armed map.
+        [None, "repro-checkpoint/0", "repro-checkpoint/2", "repro-checkpoint/1"],
+        ids=["untagged", "wrong-tag", "previous-tag", "older-tag"],
     )
     def test_blob_of_another_format_is_refused(self, tmp_path, tag):
         """A slotted ``ServerConfig`` un-pickles positionally, so a blob

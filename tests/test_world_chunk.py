@@ -1,6 +1,5 @@
 """Unit tests for chunk storage."""
 
-import numpy as np
 import pytest
 
 from repro.world.block import BlockType
@@ -80,11 +79,6 @@ def test_surface_height(chunk):
     chunk.set_block(BlockPos(3, 0, 3), BlockType.BEDROCK)
     chunk.set_block(BlockPos(3, 20, 3), BlockType.STONE)
     assert chunk.surface_height(3, 3) == 20
-
-
-def test_rejects_wrong_array_shape():
-    with pytest.raises(ValueError):
-        Chunk(ChunkPos(0, 0), blocks=np.zeros((4, 4, 4), dtype=np.uint16))
 
 
 def test_contains(chunk):

@@ -61,11 +61,11 @@ def test_water_fills_to_sea_level(generator):
     # Scan for a below-sea-level column; terrain range guarantees some exist
     # somewhere, but not necessarily in a given chunk, so scan a few.
     for cx in range(6):
-        chunk = generator.generate(ChunkPos(cx, 0))
+        blocks = generator.generate(ChunkPos(cx, 0)).blocks
         for x in range(16):
             for z in range(16):
                 surface_terrain = None
-                column = chunk.blocks[x, :, z]
+                column = blocks[x, :, z]
                 water_levels = np.nonzero(column == int(BlockType.WATER))[0]
                 if water_levels.size:
                     assert water_levels.max() <= SEA_LEVEL
