@@ -157,6 +157,17 @@ class DyconitStateHandle(abc.ABC):
     def set_bounds(self, subscriber_id: int, bounds) -> None: ...
 
     @abc.abstractmethod
+    def set_bounds_many(self, subscriber_ids: list[int], rows: list[tuple]) -> None:
+        """``set_bounds`` for many subscriptions at once (a retune, S23):
+        ``rows[i]`` is the ``(numerical, staleness_ms, order)`` of
+        ``subscriber_ids[i]``."""
+
+    @abc.abstractmethod
+    def pending_oldest(self) -> dict[int, float]:
+        """``oldest_pending_time`` of each pending subscription, by
+        subscriber id — the queues a retune has to check."""
+
+    @abc.abstractmethod
     def commit(self, update: "Update", exclude_subscriber: int | None = None): ...
 
     def restore_subscription(self, subscriber: "Subscriber", snap: SubscriptionSnapshot):

@@ -23,8 +23,9 @@ accounting is *bit*-compatible, not just approximately equal — the
 conformance suite and the SQLite fuzz twin assert as much.
 
 One implementation, several databases: store, handle and view talk to a
-connection that offers ``execute(sql, params) -> cursor``
-(``sqlite3.Connection`` and a psycopg 3 connection both do), and
+connection that offers ``execute(sql, params) -> cursor`` and
+``cursor()`` with ``executemany`` (``sqlite3.Connection`` and a psycopg
+3 connection both do), and
 everything that differs between databases is a :class:`Dialect` fixed
 when the store is built. Statement texts are written once below with
 ``?`` placeholders and rendered once per store. The handle and view
@@ -148,6 +149,7 @@ _STATEMENTS = {
         "acc_error, oldest, enqueued, merged) "
         "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
     ),
+    "subs_pending": "SELECT sub_id, oldest FROM subs WHERE dyconit = ? AND oldest IS NOT NULL",
     "sub_delete": f"DELETE FROM subs {_ONE_SUB}",
     "set_bounds": f"UPDATE subs SET b_num = ?, b_stale = ?, b_order = ? {_ONE_SUB}",
     "set_accounting": (
@@ -598,6 +600,18 @@ class SQLiteDyconitState(DyconitStateHandle):
                 f"subscriber {subscriber_id} is not subscribed to {self.dyconit_id}"
             )
         view.bounds = bounds
+
+    def set_bounds_many(self, subscriber_ids: list[int], rows: list[tuple]) -> None:
+        """Rewrite many subscriptions' bound columns in one
+        ``executemany`` (a retune, S23)."""
+        dk = self._dk
+        self._conn.cursor().executemany(
+            self._sql.set_bounds,
+            [(*row, dk, sub_id) for sub_id, row in zip(subscriber_ids, rows)],
+        )
+
+    def pending_oldest(self) -> dict[int, float]:
+        return dict(self._conn.execute(self._sql.subs_pending, (self._dk,)).fetchall())
 
     # -- commit path ---------------------------------------------------
 

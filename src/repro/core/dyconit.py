@@ -269,6 +269,21 @@ class Dyconit:
             )
         state.bounds = bounds
 
+    def set_bounds_many(self, subscriber_ids: list[int], rows: list[tuple]) -> None:
+        """:meth:`set_bounds` for many subscriptions: ``rows[i]`` is the
+        ``(numerical, staleness_ms, order)`` of ``subscriber_ids[i]``."""
+        for subscriber_id, row in zip(subscriber_ids, rows):
+            self.set_bounds(subscriber_id, Bounds(*row))
+
+    def pending_oldest(self) -> dict[int, float]:
+        """``oldest_pending_time`` of each pending subscription, by
+        subscriber id."""
+        return {
+            state.subscriber.subscriber_id: state.oldest_pending_time
+            for state in self.subscription_states()
+            if state.has_pending
+        }
+
     # ------------------------------------------------------------------
     # Commit path
     # ------------------------------------------------------------------

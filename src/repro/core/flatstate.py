@@ -21,7 +21,8 @@ entirely* when conservative scalar gates (min staleness deadline,
 pending-count upper bound, "any finite numerical bound") prove nothing
 can trip. Because the queue is the same object in both representations,
 restore, merge and split write slots directly: a columnar dyconit is
-columnar from creation to removal.
+columnar from creation to removal. A retune (S23) writes the three bound
+columns by fancy indexing and checks only the pending slots.
 
 Exactness contract (the differential tests and the fuzz reference model
 assert bit-equality, not approximate equality):
@@ -330,8 +331,8 @@ class FlatDyconitState:
         self.b_order[slot] = bounds.order
         # A tightened staleness bound can move the earliest deadline
         # before the current gate value, so every gate must be recomputed
-        # — but only commit() reads them, and a retune sweep changes the
-        # bounds of many slots between two commits. Defer to the next one.
+        # — but only commit() reads them, and bounds may change on many
+        # slots between two commits. Defer to the next one.
         self._gates_dirty = True
 
     # ------------------------------------------------------------------
@@ -424,6 +425,68 @@ class FlatDyconitState:
         # deadlines this pass just served.
         self.min_deadline = next_deadline = float(deadlines.min())
         return examined, due, next_deadline
+
+    def rebound(
+        self,
+        slots: list[int],
+        numerical: np.ndarray,
+        staleness: np.ndarray,
+        order: np.ndarray,
+        now: float,
+    ) -> tuple[int, list[tuple[Subscriber, str, list[Update]]], float]:
+        """A retune of this dyconit (S23): install new bounds on ``slots``
+        (ascending) and drain the pending ones they trip.
+
+        One fancy-indexed write per bound column; then
+        ``Bounds.tripped_dimension`` over the pending slots among
+        ``slots`` as masks, in its precedence (numerical, then staleness
+        ``now - oldest >=``, then order). Returns
+        ``(examined, tripped, next_deadline)``: the number of pending
+        slots checked, ``(subscriber, reason, updates)`` per drained slot
+        in slot order, and the earliest ``oldest + staleness`` among the
+        checked slots left pending (``inf`` if none) — what the manager
+        lowers the dyconit's due time to.
+        """
+        # Ascending and as long as the columns: every slot, as a slice.
+        index = slice(0, self.n) if len(slots) == self.n else slots
+        self.b_num[index] = numerical
+        self.b_stale[index] = staleness
+        self.b_order[index] = order
+        self._gates_dirty = True
+        if not self.n_pending:
+            return 0, [], math.inf
+        oldest = self.oldest[index]
+        examined = int(np.count_nonzero(oldest != math.inf))  # inf: an empty slot
+        if not examined:
+            return 0, [], math.inf
+        # An empty slot (error 0, oldest inf, no queue) trips nothing, and
+        # a finite age never reaches an infinite staleness bound.
+        numerical_trip = self.err[index] > numerical
+        staleness_trip = (now - oldest) >= staleness
+        tripped = numerical_trip | staleness_trip
+        if not np.isinf(order).all():
+            counts = np.fromiter(
+                (len(self.queues[slot]) for slot in slots), dtype=np.int64, count=len(slots)
+            )
+            tripped |= counts > order
+        deadlines = oldest + staleness  # inf for an empty slot
+        hits = np.flatnonzero(tripped).tolist()
+        drained = []
+        if hits:
+            deadlines[hits] = math.inf
+            at = [slots[i] for i in hits]
+            subscribers = self.subscriber_by_slot
+            for i, slot, updates in zip(hits, at, self._drain_slots(at)):
+                if numerical_trip[i]:
+                    reason = "numerical"
+                elif staleness_trip[i]:
+                    reason = "staleness"
+                else:
+                    reason = "order"
+                drained.append((subscribers[slot], reason, updates))
+        # fmin skips a NaN deadline, as the scalar ``<`` comparisons do.
+        next_deadline = float(np.fmin.reduce(deadlines, initial=math.inf))
+        return examined, drained, next_deadline
 
     # ------------------------------------------------------------------
     # Commit

@@ -17,6 +17,9 @@ a queue that flushes numerically and refills, or whose bound is
 loosened, costs one examined dyconit later, never an entry per pair.
 Flushes made inside a *flush scope* (a batch of commits, a tick, a
 policy step) reach each subscriber as one delivery when it closes.
+A retune (S23, :meth:`DyconitSystem.retune_clients`) is one vectorised
+policy call and one column write per dyconit, not a ``set_bounds`` per
+(subscriber, dyconit) pair.
 """
 
 from __future__ import annotations
@@ -98,6 +101,33 @@ def _drain_due(dyconit: Dyconit, now: float):
         elif deadline < next_deadline:
             next_deadline = deadline
     return examined, due, next_deadline
+
+
+def _rebound(dyconit: Dyconit, slots, numerical, staleness, order, now: float):
+    """``FlatDyconitState.rebound`` for a handle without columns: same
+    rule, same result — the rows written with one ``set_bounds_many``,
+    the trip check run on the pending subscriptions only."""
+    states = dyconit.subscription_states()
+    chosen = [states[slot] for slot in slots]
+    dyconit.set_bounds_many(
+        [state.subscriber.subscriber_id for state in chosen],
+        list(zip(numerical.tolist(), staleness.tolist(), order.tolist())),
+    )
+    pending = dyconit.pending_oldest()
+    examined = 0
+    tripped = []
+    next_deadline = math.inf
+    for state, staleness_ms in zip(chosen, staleness.tolist()):
+        oldest = pending.get(state.subscriber.subscriber_id)
+        if oldest is None:
+            continue
+        examined += 1
+        reason = state.tripped_dimension(now)
+        if reason is not None:
+            tripped.append((state.subscriber, reason, state.drain()))
+        elif oldest + staleness_ms < next_deadline:
+            next_deadline = oldest + staleness_ms
+    return examined, tripped, next_deadline
 
 
 class DyconitSystem:
@@ -601,11 +631,82 @@ class DyconitSystem:
         if state is None:
             return
         if self.tracer is not None:
-            self.tracer.record(
-                self.now, "bounds", dyconit_id, subscriber_id,
-                detail=f"numerical={bounds.numerical:g} staleness={bounds.staleness_ms:g}",
-            )
+            self._trace_bounds(dyconit_id, subscriber_id, bounds.numerical, bounds.staleness_ms)
         self._apply_bounds(dyconit_id, state, bounds)
+
+    def _trace_bounds(
+        self, dyconit_id: Hashable, subscriber_id: int, numerical: float, staleness_ms: float
+    ) -> None:
+        self.tracer.record(
+            self.now, "bounds", dyconit_id, subscriber_id,
+            detail=f"numerical={numerical:g} staleness={staleness_ms:g}",
+        )
+
+    def retune_clients(self, bounds_columns) -> None:
+        """Re-derive the bounds of every client subscription in one pass
+        over the dyconits (S23) — what a load-adaptive policy does when
+        its factor moves.
+
+        ``bounds_columns(system, dyconit_ids, positions)`` returns the
+        ``(numerical, staleness, order)`` float64 columns of a column of
+        (dyconit, subscriber position) pairs — here every client
+        subscription, dyconit by dyconit, each client's position read
+        once — in one call. Each dyconit then installs its slice and
+        checks its pending queues against it in one call, and what trips
+        is accounted and handed on as a per-pair ``set_bounds`` sweep
+        would have: reasons by ``Bounds.tripped_dimension``, subscribers
+        in registration order, each one's queues in membership order.
+
+        Peer subscriptions (S16) are left alone: their bounds were chosen
+        by the *subscribing* shard, and the publisher's load servo has no
+        business rewriting another server's error budget.
+        """
+        now = self.now
+        positions = {
+            subscriber_id: subscriber.position
+            for subscriber_id, subscriber in self._subscribers.items()
+            if subscriber.kind == "client"
+        }
+        runs = []  # (dyconit id, handle, its client slots)
+        pair_dyconits: list[Hashable] = []
+        pair_subscribers: list[int] = []
+        for dyconit_id, dyconit in self._dyconits.items():
+            subscriber_ids = [subscriber.subscriber_id for subscriber in dyconit.subscribers()]
+            slots = [slot for slot, sub_id in enumerate(subscriber_ids) if sub_id in positions]
+            if slots:
+                runs.append((dyconit_id, dyconit, slots))
+                pair_dyconits += [dyconit_id] * len(slots)
+                pair_subscribers += [subscriber_ids[slot] for slot in slots]
+        if not runs:
+            return
+        numerical, staleness, order = bounds_columns(
+            self, pair_dyconits, [positions[sub_id] for sub_id in pair_subscribers]
+        )
+        if self.tracer is not None:
+            for dyconit_id, sub_id, numerical_bound, staleness_ms in zip(
+                pair_dyconits, pair_subscribers, numerical.tolist(), staleness.tolist()
+            ):
+                self._trace_bounds(dyconit_id, sub_id, numerical_bound, staleness_ms)
+        by_subscriber: dict[int, list] = {}
+        start = 0
+        with self._flush_scope():
+            for dyconit_id, dyconit, slots in runs:
+                end = start + len(slots)
+                columns = numerical[start:end], staleness[start:end], order[start:end]
+                start = end
+                if dyconit._flat is not None:
+                    examined, tripped, next_deadline = dyconit._flat.rebound(
+                        slots, *columns, now
+                    )
+                else:
+                    examined, tripped, next_deadline = _rebound(dyconit, slots, *columns, now)
+                self.stats.bound_checks += examined
+                self._lower_due(dyconit_id, next_deadline)
+                for subscriber, reason, updates in tripped:
+                    by_subscriber.setdefault(subscriber.subscriber_id, []).append(
+                        (0.0, dyconit_id, subscriber, updates, reason)
+                    )
+            self._hand_on(by_subscriber)
 
     def _apply_bounds(
         self, dyconit_id: Hashable, state: SubscriptionState, bounds: Bounds
@@ -764,10 +865,8 @@ class DyconitSystem:
         passed, drain its subscriptions that are *pending with ``oldest +
         staleness <= now``* (the one rule for every representation), and
         write back its exact due time. The flushes are then accounted and
-        handed on in canonical order — subscribers in registration
-        order, each one's segments by (deadline, position of the dyconit
-        in the subscriber's membership order) — so nothing a snapshot
-        does not carry, like the visit order, and no string hash can show.
+        handed on in canonical order (:meth:`_hand_on`), ranked by
+        deadline.
         """
         due_at = self._due_at
         due_ids = [dyconit_id for dyconit_id, at in due_at.items() if at <= now]
@@ -786,11 +885,22 @@ class DyconitSystem:
                 due_at[dyconit_id] = next_deadline
             for subscriber, deadline, updates in due:
                 by_subscriber.setdefault(subscriber.subscriber_id, []).append(
-                    (deadline, dyconit_id, subscriber, updates)
+                    (deadline, dyconit_id, subscriber, updates, "staleness")
                 )
-        if not by_subscriber:
-            return 0
+        return self._hand_on(by_subscriber)
+
+    def _hand_on(self, by_subscriber: dict[int, list]) -> int:
+        """Account and hand on drained queues in canonical order (S22):
+        subscribers in registration order, each one's ``(rank,
+        dyconit_id, subscriber, updates, reason)`` entries by (rank,
+        position of the dyconit in the subscriber's membership order).
+        Both orders are snapshotted and hash-seed independent, so neither
+        the order the queues were drained in nor a string hash can show —
+        not even in ``DyconitStats.queue_delay_total_ms``, a float sum.
+        Returns the number of flushes."""
         flushed = 0
+        if not by_subscriber:
+            return flushed
         for subscriber_id, membership in self._subscriptions_by_subscriber.items():
             entries = by_subscriber.get(subscriber_id)
             if entries is None:
@@ -799,8 +909,8 @@ class DyconitSystem:
             if any(a[0] == b[0] for a, b in zip(entries, entries[1:])):
                 position = {dyconit_id: i for i, dyconit_id in enumerate(membership)}
                 entries.sort(key=lambda entry: (entry[0], position[entry[1]]))
-            for __, dyconit_id, subscriber, updates in entries:
-                self._flushed(dyconit_id, subscriber, updates, "staleness")
+            for __, dyconit_id, subscriber, updates, reason in entries:
+                self._flushed(dyconit_id, subscriber, updates, reason)
             flushed += len(entries)
         return flushed
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Hashable
 
+import numpy as np
+
 from repro.core.bounds import Bounds
 from repro.core.policy import LoadSignals, Policy
 from repro.core.subscription import Subscriber
@@ -83,6 +85,30 @@ class AdaptiveBoundsPolicy(Policy):
             return base
         return base.scaled(self.factor)
 
+    def bounds_columns(
+        self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`bounds_from` over a column of (dyconit, position) pairs
+        (a retune, S23): the shape's columns times the factor, entry for
+        entry what ``Bounds.scaled`` computes, with the zero / infinite
+        short-cuts as masks (without them a factor of 0 would turn ``inf``
+        into NaN)."""
+        numerical, staleness, order = self.shape.bounds_columns(
+            system, dyconit_ids, positions
+        )
+        factor = self.factor
+        if factor < 0:
+            raise ValueError(f"scale factor must be >= 0, got {factor}")
+        infinite_order = np.isinf(order)
+        scale = ~(
+            ((numerical == 0.0) & (staleness == 0.0))
+            | (np.isinf(numerical) & np.isinf(staleness) & infinite_order)
+        )
+        np.multiply(numerical, factor, out=numerical, where=scale)
+        np.multiply(staleness, factor, out=staleness, where=scale)
+        np.multiply(order, factor, out=order, where=scale & ~infinite_order)
+        return numerical, staleness, order
+
     def initial_bounds(
         self, system, dyconit_id: Hashable, subscriber: Subscriber
     ) -> Bounds:
@@ -130,16 +156,7 @@ class AdaptiveBoundsPolicy(Policy):
                 telemetry.counter("policy_adjustments_total", direction=direction).increment()
 
         if self.factor != previous:
-            self._reapply_all(system)
-
-    def _reapply_all(self, system) -> None:
-        for subscriber in list(system.subscribers()):
-            if subscriber.kind != "client":
-                # Peer-shard subscriptions (S16) carry bounds chosen by
-                # the *subscribing* shard; the publisher's load servo has
-                # no business rewriting another server's error budget.
-                continue
-            reapply_bounds(system, subscriber, self.bounds_from)
+            system.retune_clients(self.bounds_columns)
 
     def __repr__(self) -> str:
         return (

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Hashable
 
+import numpy as np
+
 from repro.core.bounds import Bounds
 from repro.core.partition import GLOBAL_DYCONIT, centroid_of
 from repro.core.policy import Policy
@@ -32,6 +34,10 @@ GLOBAL_BOUNDS = Bounds(numerical=5.0, staleness_ms=250.0)
 #: The centroid cache is emptied when it reaches this many ids (a view
 #: holds ~120; only a world-crossing trek ever gets here).
 _CENTROID_CACHE_SIZE = 16384
+
+#: The centroid :meth:`DistanceBasedPolicy.bounds_columns` gives an id with
+#: no place in the world: NaN marks the rows that get global_bounds.
+_NOWHERE = (math.nan, math.nan)
 
 
 def reapply_bounds(system, subscriber: Subscriber, bounds_from) -> None:
@@ -139,6 +145,68 @@ class DistanceBasedPolicy(Policy):
             self.min_chunk_distance, distance_blocks / CHUNK_SIZE - 0.5
         )
         return self.bounds_at_distance(chunk_distance)
+
+    def bounds_columns(
+        self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`bounds_from` over a column of (dyconit, position) pairs
+        (a retune, S23): ``(numerical, staleness_ms, order)`` float64
+        columns whose entry ``i`` is ``bounds_from(system,
+        dyconit_ids[i], positions[i])`` bit for bit — the same IEEE
+        operations in the same order, ``max(a, b)`` as ``b > a``, and
+        Python's own ``**`` for the power term, because ``np.power``
+        rounds a few inputs differently."""
+        if any(position is None for position in positions):
+            return self._columns_without_positions(system, dyconit_ids, positions)
+        by_id = {}
+        for dyconit_id in dict.fromkeys(dyconit_ids):
+            try:
+                centroid = self._centroids[dyconit_id]
+            except KeyError:
+                centroid = self._remember_centroid(system, dyconit_id)
+            by_id[dyconit_id] = _NOWHERE if centroid is None else centroid
+        centroids = [by_id[dyconit_id] for dyconit_id in dyconit_ids]
+        cx = np.array([centroid[0] for centroid in centroids])
+        cz = np.array([centroid[1] for centroid in centroids])
+        dx = np.array([position.x for position in positions], dtype=float) - cx
+        dz = np.array([position.z for position in positions], dtype=float) - cz
+        chunk_distance = np.sqrt(dx * dx + dz * dz) / CHUNK_SIZE - 0.5
+        floor = self.min_chunk_distance
+        chunk_distance = np.where(chunk_distance > floor, chunk_distance, floor)
+        # bounds_at_distance, per entry
+        staleness = self.staleness_per_chunk_ms * chunk_distance
+        exponent = self.numerical_exponent
+        # A zero distance is Bounds.ZERO below (and 0.0 ** a negative
+        # exponent would raise).
+        power = np.array([c**exponent if c > 0 else 0.0 for c in chunk_distance.tolist()])
+        surface = self.numerical_per_chunk * power
+        rate = self.numerical_weight_rate * staleness / 1000.0
+        numerical = np.where(rate > surface, rate, surface)
+        zero = chunk_distance <= 0  # Bounds.ZERO
+        numerical[zero] = 0.0
+        staleness[zero] = 0.0
+        order = np.full(len(positions), math.inf)
+        glob = self.global_bounds
+        nowhere = np.isnan(cx)
+        numerical[nowhere] = glob.numerical
+        staleness[nowhere] = glob.staleness_ms
+        order[nowhere] = glob.order
+        return numerical, staleness, order
+
+    def _columns_without_positions(self, system, dyconit_ids, positions):
+        """:meth:`bounds_columns` where some subscribers have no position:
+        their rows get ``global_bounds``."""
+        glob = self.global_bounds
+        count = len(positions)
+        numerical = np.full(count, glob.numerical)
+        staleness = np.full(count, glob.staleness_ms)
+        order = np.full(count, glob.order)
+        placed = [i for i, position in enumerate(positions) if position is not None]
+        if placed:
+            numerical[placed], staleness[placed], order[placed] = self.bounds_columns(
+                system, [dyconit_ids[i] for i in placed], [positions[i] for i in placed]
+            )
+        return numerical, staleness, order
 
     def _remember_centroid(
         self, system, dyconit_id: Hashable

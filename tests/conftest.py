@@ -53,12 +53,22 @@ class SqliteAsPsycopg:
         self._conn = sqlite3.connect(":memory:", isolation_level=None)
 
     def execute(self, sql: str, params=()):
-        if "?" in sql:
-            raise AssertionError(f"statement bypassed the dialect: {sql}")
-        return self._conn.execute(sql.replace("%s", "?"), params)
+        return self._conn.execute(_from_dialect(sql), params)
+
+    def cursor(self):
+        return self
+
+    def executemany(self, sql: str, rows):
+        return self._conn.executemany(_from_dialect(sql), rows)
 
     def close(self) -> None:
         self._conn.close()
+
+
+def _from_dialect(sql: str) -> str:
+    if "?" in sql:
+        raise AssertionError(f"statement bypassed the dialect: {sql}")
+    return sql.replace("%s", "?")
 
 
 class PostgresDialectStore(SQLRowStore):

@@ -314,6 +314,22 @@ class TestBoundsSurface:
         state.drain()
         assert state.tripped_dimension(now=200.0) is None
 
+    def test_set_bounds_many_and_pending_oldest(self, store):
+        """The retune surface (S23): many rows in one call, and which
+        subscriptions a retune has to check."""
+        handle = make_handle(store)
+        states = [subscribed(handle, sub_id)[1] for sub_id in (3, 1, 2)]
+        handle.set_bounds_many([2, 3], [(4.0, 40.0, math.inf), (5.0, 50.0, 7.0)])
+        assert [state.bounds for state in states] == [
+            Bounds(5.0, 50.0, 7.0), WIDE, Bounds(4.0, 40.0)
+        ]
+        assert handle.pending_oldest() == {}
+        states[2].enqueue(move(1, time=12.5))
+        states[0].enqueue(move(1, time=20.0))
+        assert handle.pending_oldest() == {3: 20.0, 2: 12.5}
+        states[2].drain()
+        assert handle.pending_oldest() == {3: 20.0}
+
 
 # ---------------------------------------------------------------------------
 # Handle-level commit path

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.policy import Policy
+from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner
+from repro.core.policy import LoadSignals, Policy
 from repro.core.trace import DyconitTracer, TraceEvent
+from repro.policies.adaptive import AdaptiveBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
@@ -15,6 +17,17 @@ from tests.conftest import RecordingSubscriber
 class P(Policy):
     def initial_bounds(self, system, dyconit_id, subscriber):
         return Bounds(0.5, 1e9)
+
+
+def overload() -> LoadSignals:
+    return LoadSignals(
+        now=0.0,
+        player_count=2,
+        last_tick_duration_ms=100.0,
+        smoothed_tick_duration_ms=100.0,
+        tick_budget_ms=50.0,
+        outgoing_bytes_per_second=0.0,
+    )
 
 
 def move(entity_id=1, time=0.0):
@@ -46,6 +59,40 @@ def test_bounds_change_is_traced():
     events = system.tracer.events(kind="bounds")
     assert len(events) == 1
     assert "numerical=9" in events[0].detail
+
+
+def test_retune_pass_traces_each_rewritten_pair_as_set_bounds_would():
+    """The column retune (S23) writes no bound through ``set_bounds`` yet
+    records one ``bounds`` event per client pair it rewrites, with the
+    detail ``set_bounds`` would give those bounds; peers get none."""
+    policy = AdaptiveBoundsPolicy()
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+    system.tracer = DyconitTracer(capacity=100)
+    clients = [
+        RecordingSubscriber(1, position=Vec3(8.0, 30.0, 8.0)).subscriber,
+        RecordingSubscriber(2, position=Vec3(-40.0, 30.0, 21.5)).subscriber,
+    ]
+    peer = RecordingSubscriber(-1).subscriber
+    peer.kind = "peer"
+    ids = [("chunk", cx, 0) for cx in range(3)] + [GLOBAL_DYCONIT]
+    for dyconit_id in ids:
+        for subscriber in (*clients, peer):
+            system.subscribe(dyconit_id, subscriber)
+    policy.evaluate(system, overload())
+    retuned = sorted(
+        (repr(event.dyconit_id), event.subscriber_id, event.detail)
+        for event in system.tracer.events(kind="bounds")
+    )
+    assert len(retuned) == len(ids) * len(clients)
+    for dyconit_id in ids:
+        for subscriber in clients:
+            state = system.get(dyconit_id).get_state(subscriber.subscriber_id)
+            system.set_bounds(dyconit_id, subscriber.subscriber_id, state.bounds)
+    by_set_bounds = sorted(
+        (repr(event.dyconit_id), event.subscriber_id, event.detail)
+        for event in system.tracer.events(kind="bounds")[len(retuned):]
+    )
+    assert retuned == by_set_bounds
 
 
 def test_merge_and_split_are_traced():

@@ -1,13 +1,18 @@
 """Unit tests for the load-adaptive policy."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.partition import ChunkPartitioner
+from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner, centroid_of
 from repro.core.policy import LoadSignals
 from repro.policies.adaptive import AdaptiveBoundsPolicy
-from repro.world.geometry import Vec3
+from repro.policies.distance import DistanceBasedPolicy
+from repro.world.geometry import CHUNK_SIZE, Vec3
 
 from tests.conftest import RecordingSubscriber
 
@@ -133,30 +138,133 @@ def test_on_subscriber_moved_uses_current_factor():
 
 
 def test_retune_sweep_installs_exactly_bounds_for_on_every_pair():
-    """``_reapply_all`` goes through the position-hoisting sweep; what it
-    installs must be ``bounds_for`` of each pair, bit for bit, and peer
-    subscriptions must stay untouched."""
-    system, policy = build()
-    rec = RecordingSubscriber(subscriber_id=1, position=Vec3(8.0, 30.0, 8.0))
-    other = RecordingSubscriber(subscriber_id=2, position=Vec3(-40.0, 30.0, 21.5))
-    peer = RecordingSubscriber(subscriber_id=-1)
-    peer.subscriber.kind = "peer"
-    ids = [("chunk", cx, cz) for cx in range(-2, 3) for cz in (0, 3)] + [("global",)]
-    for dyconit_id in ids:
-        system.subscribe(dyconit_id, rec.subscriber)
-        system.subscribe(dyconit_id, other.subscriber)
-        system.subscribe(dyconit_id, peer.subscriber, bounds=Bounds(1.0, 10.0))
-    policy.evaluate(system, signals(2.0))  # overload: factor moves, sweep runs
-    assert policy.factor != 1.0
-    for dyconit_id in ids:
-        dyconit = system.get(dyconit_id)
-        for subscriber in (rec.subscriber, other.subscriber):
-            assert dyconit.get_state(subscriber.subscriber_id).bounds == (
-                policy.bounds_for(system, dyconit_id, subscriber)
-            )
-            assert policy.bounds_for(system, dyconit_id, subscriber) == (
-                policy.shape.bounds_for(system, dyconit_id, subscriber).scaled(
-                    policy.factor
+    """A retune is one column write per dyconit (S23); what it installs
+    must be ``bounds_for`` of each pair, bit for bit, on the columnar and
+    the row store alike, and peer subscriptions must stay untouched."""
+    for state_store in ("memory", "sqlite"):
+        policy = AdaptiveBoundsPolicy()
+        system = DyconitSystem(
+            policy, ChunkPartitioner(), time_source=lambda: 0.0, state_store=state_store
+        )
+        rec = RecordingSubscriber(subscriber_id=1, position=Vec3(8.0, 30.0, 8.0))
+        other = RecordingSubscriber(subscriber_id=2, position=Vec3(-40.0, 30.0, 21.5))
+        peer = RecordingSubscriber(subscriber_id=-1)
+        peer.subscriber.kind = "peer"
+        ids = [("chunk", cx, cz) for cx in range(-2, 3) for cz in (0, 3)] + [("global",)]
+        for dyconit_id in ids:
+            system.subscribe(dyconit_id, rec.subscriber)
+            system.subscribe(dyconit_id, other.subscriber)
+            system.subscribe(dyconit_id, peer.subscriber, bounds=Bounds(1.0, 10.0))
+        policy.evaluate(system, signals(2.0))  # overload: factor moves, sweep runs
+        assert policy.factor != 1.0
+        for dyconit_id in ids:
+            dyconit = system.get(dyconit_id)
+            for subscriber in (rec.subscriber, other.subscriber):
+                assert dyconit.get_state(subscriber.subscriber_id).bounds == (
+                    policy.bounds_for(system, dyconit_id, subscriber)
+                ), state_store
+                assert policy.bounds_for(system, dyconit_id, subscriber) == (
+                    policy.shape.bounds_for(system, dyconit_id, subscriber).scaled(
+                        policy.factor
+                    )
                 )
-            )
-        assert dyconit.get_state(-1).bounds == Bounds(1.0, 10.0)
+            assert dyconit.get_state(-1).bounds == Bounds(1.0, 10.0), state_store
+        system.close()
+
+
+# ----------------------------------------------------------------------
+# The column derivation ≡ the scalar one, bit for bit
+# ----------------------------------------------------------------------
+
+SPATIAL_IDS = [
+    GLOBAL_DYCONIT,
+    "not-spatial",
+    ("chunk", 0, 0),
+    ("chunk", -3, 7),
+    ("chunk", 12, -9),
+    ("region", 4, -2, 1),
+]
+
+SHAPES = {
+    "exponent-2": dict(numerical_exponent=2.0),
+    "exponent-1.5": dict(numerical_exponent=1.5),
+    "zero-floor": dict(min_chunk_distance=0.0),
+    "infinite-global": dict(global_bounds=Bounds.INFINITE),
+}
+
+
+def bits(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+def random_positions() -> list[Vec3]:
+    """Enough that ``np.power`` would round a few of the powers
+    differently (see the trap test below)."""
+    rng = random.Random(26)
+    return [
+        Vec3(rng.uniform(-300.0, 300.0), rng.uniform(0.0, 80.0), rng.uniform(-300.0, 300.0))
+        for __ in range(2000)
+    ]
+
+
+def assert_columns_are(columns, expected: list[Bounds]) -> None:
+    assert [bits(column) for column in columns] == [
+        bits(bounds.numerical for bounds in expected),
+        bits(bounds.staleness_ms for bounds in expected),
+        bits(bounds.order for bounds in expected),
+    ]
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_bounds_columns_equal_bounds_for_bit_for_bit(shape):
+    policy = AdaptiveBoundsPolicy(shape=DistanceBasedPolicy(**shape))
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+    positions = random_positions()
+    # On a centroid (distance 0: the floor, or Bounds.ZERO without one),
+    # on chunk borders, and nowhere at all.
+    for dyconit_id in SPATIAL_IDS:
+        center = centroid_of(dyconit_id, system.partitioner)
+        if center is not None:
+            positions.append(Vec3(center.x, 30.0, center.z))
+    positions += [Vec3(-16.0, 30.0, 0.0), Vec3(0.0, 30.0, -8.5), None]
+    pairs = [(dyconit_id, position) for dyconit_id in SPATIAL_IDS for position in positions]
+    random.Random(27).shuffle(pairs)
+    dyconit_ids = [dyconit_id for dyconit_id, __ in pairs]
+    pair_positions = [position for __, position in pairs]
+    subscribers = [RecordingSubscriber(position=position).subscriber for position in pair_positions]
+
+    base = [
+        policy.shape.bounds_for(system, dyconit_id, subscriber)
+        for dyconit_id, subscriber in zip(dyconit_ids, subscribers)
+    ]
+    assert_columns_are(policy.shape.bounds_columns(system, dyconit_ids, pair_positions), base)
+    if "min_chunk_distance" in shape:
+        assert Bounds.ZERO in base
+    for factor in (1.0, 0.4375, 3.7, 0.0):
+        policy.factor = factor
+        expected = [
+            policy.bounds_for(system, dyconit_id, subscriber)
+            for dyconit_id, subscriber in zip(dyconit_ids, subscribers)
+        ]
+        assert_columns_are(policy.bounds_columns(system, dyconit_ids, pair_positions), expected)
+        if "global_bounds" in shape:
+            assert Bounds.INFINITE in expected  # not NaN, whatever the factor
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.5])
+def test_random_positions_reach_the_numpy_power_trap(exponent):
+    """What the formula test's positions are for: ``np.power`` rounds
+    some of their chunk distances' powers differently from ``**``."""
+    system = DyconitSystem(
+        DistanceBasedPolicy(numerical_exponent=exponent),
+        ChunkPartitioner(),
+        time_source=lambda: 0.0,
+    )
+    distances = []
+    for position in random_positions():
+        for dyconit_id in SPATIAL_IDS[2:]:
+            center = centroid_of(dyconit_id, system.partitioner)
+            dx, dz = position.x - center.x, position.z - center.z
+            distances.append(max(0.25, math.sqrt(dx * dx + dz * dz) / CHUNK_SIZE - 0.5))
+    powered = np.power(np.array(distances), exponent).tolist()
+    assert any(c**exponent != p for c, p in zip(distances, powered))
