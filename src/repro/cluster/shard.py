@@ -304,6 +304,9 @@ class ShardServer(GameServer):
             self._adopt_entity(src, message)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown bus message {type(message).__name__}")
+        # Bus rounds run between ticks, outside the egress scope that
+        # clears the codec's move memo: none is left at a pump barrier.
+        self.codec.clear_moves()
 
     def _handle_peer_subscribe(self, src: int, message: PeerSubscribe) -> None:
         subscriber = self.ensure_peer(src, message.bounds)
@@ -389,8 +392,9 @@ class ShardServer(GameServer):
             event = ChatEvent(
                 time=record.time, sender_id=record.sender_id, text=record.text
             )
+            segments = ((None, (event,)),)
             for session in self.sessions.values():
-                packets = self.codec.encode(session, [event])
+                packets = self.codec.encode(session, segments)
                 if packets:
                     self.send_packets(session, packets)
             return

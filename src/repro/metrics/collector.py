@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -126,6 +127,37 @@ class Histogram:
             return
         bucket = int(math.log(value / self.min_value) / self._log_growth)
         self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+
+    def record_many(self, values: Iterable[float]) -> None:
+        """:meth:`record` each value in turn, bit for bit: the same count,
+        total (added in the same order), extremes and buckets, and a
+        value that raises leaves the ones before it recorded."""
+        min_value = self.min_value
+        log_growth = self._log_growth
+        buckets = self._buckets
+        log = math.log
+        count, total = self.count, self.total
+        high, low, zeros = self.max_value, self.min_seen, self._zero_count
+        try:
+            for value in values:
+                if value < 0:
+                    raise ValueError(
+                        f"histogram {self.name} takes non-negative values, got {value}"
+                    )
+                count += 1
+                total += value
+                if value > high:  # max(high, value), first argument on ties
+                    high = value
+                if value < low:
+                    low = value
+                if value < min_value:
+                    zeros += 1
+                    continue
+                bucket = int(log(value / min_value) / log_growth)
+                buckets[bucket] = buckets.get(bucket, 0) + 1
+        finally:
+            self.count, self.total = count, total
+            self.max_value, self.min_seen, self._zero_count = high, low, zeros
 
     @property
     def mean(self) -> float:

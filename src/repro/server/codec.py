@@ -11,11 +11,15 @@ makes relative-move packets valid:
 * moves of entities the client has never seen synthesize a spawn first
   (this happens when bound-merging collapsed the original spawn away);
 * despawns batch into one destroy-entities packet.
+
+Block-change and despawn batching is per *segment* — one flushed queue,
+exactly as one flush produced it — even when a delivery hands several
+segments to one :meth:`SessionCodec.encode` call.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 from repro.net.protocol import (
     BlockChangePacket,
@@ -43,111 +47,149 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class SessionCodec:
-    """Stateless converter; all per-client state lives in the session."""
+    """Converts one server's deliveries into packets.
+
+    All per-client state lives in the session. What the codec holds is the
+    *move memo*: for every move update encoded since the last
+    :meth:`clear_moves`, the update's chunk and each packet built from it,
+    one per distinct last-sent position. A move packet is a pure function
+    of ``(update, last_sent)``, and the subscribers of one dyconit mostly
+    hold the same last-sent position object, so a tick builds each packet
+    once however many clients receive it. The memo keeps both referents
+    alive and compares them with ``is``, so a reused ``id()`` never
+    matches. The engine clears it where each tick's frames leave, and a
+    shard after each bus message, so it holds at most one tick's (or one
+    bus message's) distinct moves; an entry kept longer would never be
+    wrong, only memory.
+    """
 
     def __init__(self, world: "World") -> None:
         self.world = world
+        #: ``id(update) -> (update, chunk, {id(last_sent): (last_sent,
+        #: packet)})`` for the moves encoded since :meth:`clear_moves`.
+        self._moves: dict[int, tuple] = {}
+
+    def clear_moves(self) -> None:
+        """Drop the move memo."""
+        self._moves.clear()
 
     def encode(
-        self, session: PlayerSession, updates: Sequence[WorldEvent]
+        self,
+        session: PlayerSession,
+        segments: Iterable[tuple[Hashable, Sequence[WorldEvent]]],
     ) -> list[Packet]:
-        """Convert ``updates`` (in commit-time order) into packets."""
+        """Convert one delivery — ``(dyconit id, updates)`` segments, each
+        in commit-time order — into packets, segment by segment."""
         packets: list[Packet] = []
-        block_changes: dict = {}  # chunk -> {pos: block}
-        despawned: list[int] = []
+        for __, updates in segments:
+            block_changes: dict = {}  # chunk -> {pos: block}
+            despawned: list[int] = []
 
-        for update in updates:
-            kind = type(update)
-            if kind is EntityMoveEvent:
-                packet = self._encode_move(session, update)
-                if packet is not None:
-                    packets.append(packet)
-            elif kind is BlockChangeEvent:
-                chunk = update.pos.to_chunk_pos()
-                if not session.sees_chunk(chunk):
-                    # The client has not loaded that chunk; it would
-                    # discard the change anyway (and re-receives the block
-                    # inside the chunk payload if it ever walks there).
-                    continue
-                chunk_changes = block_changes.setdefault(chunk, {})
-                chunk_changes[update.pos] = update.new_block
-            elif kind is EntitySpawnEvent:
-                if update.entity_id == session.entity_id:
-                    continue  # the client spawns its own avatar locally
-                if not session.sees_chunk(update.position.to_chunk_pos()):
-                    continue  # stale queued spawn for an area now out of view
-                last_time = session.entity_update_times.get(update.entity_id)
-                if last_time is not None and update.time < last_time:
-                    continue  # superseded by a newer update already applied
-                if update.entity_id not in session.known_entities:
-                    session.entity_update_times[update.entity_id] = update.time
-                    session.known_entities[update.entity_id] = update.position
+            for update in updates:
+                kind = type(update)
+                if kind is EntityMoveEvent:
+                    packet = self._encode_move(session, update)
+                    if packet is not None:
+                        packets.append(packet)
+                elif kind is BlockChangeEvent:
+                    chunk = update.pos.to_chunk_pos()
+                    if not session.sees_chunk(chunk):
+                        # The client has not loaded that chunk; it would
+                        # discard the change anyway (and re-receives the
+                        # block inside the chunk payload if it walks there).
+                        continue
+                    chunk_changes = block_changes.setdefault(chunk, {})
+                    chunk_changes[update.pos] = update.new_block
+                elif kind is EntitySpawnEvent:
+                    if update.entity_id == session.entity_id:
+                        continue  # the client spawns its own avatar locally
+                    if not session.sees_chunk(update.position.to_chunk_pos()):
+                        continue  # stale queued spawn for an area now out of view
+                    last_time = session.entity_update_times.get(update.entity_id)
+                    if last_time is not None and update.time < last_time:
+                        continue  # superseded by a newer update already applied
+                    if update.entity_id not in session.known_entities:
+                        session.entity_update_times[update.entity_id] = update.time
+                        session.known_entities[update.entity_id] = update.position
+                        packets.append(
+                            SpawnEntityPacket(
+                                entity_id=update.entity_id,
+                                entity_kind=update.kind,
+                                position=update.position,
+                                name=update.name,
+                            )
+                        )
+                elif kind is EntityDespawnEvent:
+                    if session.forget_entity(update.entity_id):
+                        despawned.append(update.entity_id)
+                elif kind is ChatEvent:
                     packets.append(
-                        SpawnEntityPacket(
-                            entity_id=update.entity_id,
-                            entity_kind=update.kind,
-                            position=update.position,
-                            name=update.name,
+                        ChatMessagePacket(sender_id=update.sender_id, text=update.text)
+                    )
+
+            for chunk, changes in block_changes.items():
+                if len(changes) == 1:
+                    pos, block = next(iter(changes.items()))
+                    packets.append(BlockChangePacket(pos=pos, block=block))
+                else:
+                    packets.append(
+                        MultiBlockChangePacket(
+                            chunk=chunk, changes=tuple(sorted(changes.items(), key=str))
                         )
                     )
-            elif kind is EntityDespawnEvent:
-                if session.forget_entity(update.entity_id):
-                    despawned.append(update.entity_id)
-            elif kind is ChatEvent:
-                packets.append(
-                    ChatMessagePacket(sender_id=update.sender_id, text=update.text)
-                )
 
-        for chunk, changes in block_changes.items():
-            if len(changes) == 1:
-                pos, block = next(iter(changes.items()))
-                packets.append(BlockChangePacket(pos=pos, block=block))
-            else:
-                packets.append(
-                    MultiBlockChangePacket(
-                        chunk=chunk, changes=tuple(sorted(changes.items(), key=str))
-                    )
-                )
-
-        if despawned:
-            packets.append(DestroyEntitiesPacket(entity_ids=tuple(despawned)))
+            if despawned:
+                packets.append(DestroyEntitiesPacket(entity_ids=tuple(despawned)))
         return packets
 
     def _encode_move(
         self, session: PlayerSession, update: EntityMoveEvent
     ) -> Packet | None:
-        if update.entity_id == session.entity_id:
+        entity_id = update.entity_id
+        if entity_id == session.entity_id:
             return None  # never echo a player's own movement back
-        last_time = session.entity_update_times.get(update.entity_id)
+        update_times = session.entity_update_times
+        last_time = update_times.get(entity_id)
         if last_time is not None and update.time < last_time:
             # A flush from another dyconit already applied a newer state
             # for this entity; applying this one would regress the replica.
             return None
-        session.entity_update_times[update.entity_id] = update.time
-        if not session.sees_chunk(update.new_position.to_chunk_pos()):
+        update_times[entity_id] = update.time
+        memo = self._moves.get(id(update))
+        if memo is None or memo[0] is not update:
+            memo = (update, update.new_position.to_chunk_pos(), {})
+            self._moves[id(update)] = memo
+        if not session.sees_chunk(memo[1]):
             # The entity ended up outside this client's view (e.g. a
             # merged move that crossed several chunks while queued).
             # Keep the invariant known ⊆ view: destroy the replica.
-            if session.forget_entity(update.entity_id):
-                return DestroyEntitiesPacket(entity_ids=(update.entity_id,))
+            if session.forget_entity(entity_id):
+                return DestroyEntitiesPacket(entity_ids=(entity_id,))
             return None
-        last_sent = session.known_entities.get(update.entity_id)
+        known = session.known_entities
+        last_sent = known.get(entity_id)
         if last_sent is None:
             # The spawn was merged away (or the entity walked into view):
             # synthesize it so the client has a replica to move.
-            entity = self.world.get_entity(update.entity_id)
+            entity = self.world.get_entity(entity_id)
             if entity is None:
-                session.entity_update_times.pop(update.entity_id, None)
+                update_times.pop(entity_id, None)
                 return None  # already despawned; the despawn will follow
-            session.known_entities[update.entity_id] = update.new_position
+            known[entity_id] = update.new_position
             return SpawnEntityPacket(
-                entity_id=update.entity_id,
+                entity_id=entity_id,
                 entity_kind=entity.kind,
                 position=update.new_position,
                 name=entity.name,
             )
-        session.known_entities.overwrite(update.entity_id, update.new_position)
-        return _move_packet(update, last_sent)
+        known.overwrite(entity_id, update.new_position)
+        built = memo[2]
+        hit = built.get(id(last_sent))
+        if hit is not None and hit[0] is last_sent:
+            return hit[1]
+        packet = _move_packet(update, last_sent)
+        built[id(last_sent)] = (last_sent, packet)
+        return packet
 
     def encode_move_for_viewers(
         self,

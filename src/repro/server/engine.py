@@ -440,10 +440,11 @@ class GameServer:
             ):
                 self.send_packets(session, (packet,))
             return
+        segments = ((None, (event,)),)
         for session in sessions:
             if session.client_id == exclude:
                 continue
-            packets = self.codec.encode(session, [event])
+            packets = self.codec.encode(session, segments)
             if packets:
                 self.send_packets(session, packets)
 
@@ -453,12 +454,13 @@ class GameServer:
         differential tests patch it in as the ground truth the indexed
         path must match packet-for-packet."""
         chunk = event.chunk_pos
+        segments = ((None, (event,)),)
         for session in self.sessions.values():
             if session.client_id == exclude:
                 continue
             if chunk is not None and not session.sees_chunk(chunk):
                 continue
-            packets = self.codec.encode(session, [event])
+            packets = self.codec.encode(session, segments)
             if packets:
                 self.send_packets(session, packets)
 
@@ -477,15 +479,15 @@ class GameServer:
 
         def deliver(segments: Sequence[tuple[Hashable, Sequence[WorldEvent]]]) -> None:
             now = self.sim.now
-            encode = self.codec.encode
-            packets: list[Packet] = []
             with self.telemetry.span("tick.serialize"):
-                for __, updates in segments:
-                    for update in updates:
-                        delay_histogram.record(max(0.0, now - update.time))
-                    # Per segment: block-change and despawn grouping stay
-                    # what one flush produced.
-                    packets += encode(session, updates)
+                delay_histogram.record_many(
+                    [
+                        max(0.0, now - update.time)
+                        for __, updates in segments
+                        for update in updates
+                    ]
+                )
+                packets = self.codec.encode(session, segments)
             if packets:
                 self.send_packets(session, packets)
 
@@ -513,11 +515,13 @@ class GameServer:
         out together — one per client — when the scope ends, inside the
         ``tick.egress`` span. They go out even if a phase raises (those
         packets had reached their links before the error without a
-        cork), so the transport is never left corked."""
+        cork), so the transport is never left corked. The codec's move
+        memo is dropped with them."""
         self.transport.cork()
         try:
             yield
         finally:
+            self.codec.clear_moves()
             with self.telemetry.span("tick.egress"):
                 self.transport.uncork()
 

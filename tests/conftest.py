@@ -16,6 +16,15 @@ from repro.backends.sqlite_store import SQLRowStore
 from repro.core.dyconit import Dyconit
 from repro.core.manager import DyconitSystem
 from repro.core.subscription import Subscriber
+from repro.metrics.collector import Histogram
+from repro.net.protocol import (
+    BlockChangePacket,
+    ChatMessagePacket,
+    DestroyEntitiesPacket,
+    MultiBlockChangePacket,
+    SpawnEntityPacket,
+)
+from repro.server.codec import SessionCodec, _move_packet
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.server.interest import InterestManager
@@ -23,6 +32,13 @@ from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.simulator import Simulation
 from repro.world.block import BlockType
 from repro.world.chunk import WORLD_HEIGHT
+from repro.world.events import (
+    BlockChangeEvent,
+    ChatEvent,
+    EntityDespawnEvent,
+    EntityMoveEvent,
+    EntitySpawnEvent,
+)
 from repro.world.geometry import CHUNK_SIZE, ChunkPos
 from repro.world.terrain import SEA_LEVEL
 from repro.world.world import World
@@ -219,6 +235,120 @@ def scan_fanout(monkeypatch):
                 "on_entity_crossed",
                 InterestManager.on_entity_crossed_scan,
             )
+            yield
+
+    return patched
+
+
+def reference_encode(codec: SessionCodec, session, segments) -> list:
+    """The differential reference for delivery encoding: every segment
+    encoded on its own, every move packet built afresh for every session
+    — the codec as it was before the move memo. Shares nothing with the
+    product's encode but ``_move_packet``."""
+    packets: list = []
+    for __, updates in segments:
+        packets += _reference_encode_segment(codec, session, updates)
+    return packets
+
+
+def _reference_encode_segment(codec: SessionCodec, session, updates) -> list:
+    packets: list = []
+    block_changes: dict = {}
+    despawned: list[int] = []
+    for update in updates:
+        kind = type(update)
+        if kind is EntityMoveEvent:
+            packet = _reference_encode_move(codec, session, update)
+            if packet is not None:
+                packets.append(packet)
+        elif kind is BlockChangeEvent:
+            chunk = update.pos.to_chunk_pos()
+            if not session.sees_chunk(chunk):
+                continue
+            block_changes.setdefault(chunk, {})[update.pos] = update.new_block
+        elif kind is EntitySpawnEvent:
+            if update.entity_id == session.entity_id:
+                continue
+            if not session.sees_chunk(update.position.to_chunk_pos()):
+                continue
+            last_time = session.entity_update_times.get(update.entity_id)
+            if last_time is not None and update.time < last_time:
+                continue
+            if update.entity_id not in session.known_entities:
+                session.entity_update_times[update.entity_id] = update.time
+                session.known_entities[update.entity_id] = update.position
+                packets.append(
+                    SpawnEntityPacket(
+                        entity_id=update.entity_id,
+                        entity_kind=update.kind,
+                        position=update.position,
+                        name=update.name,
+                    )
+                )
+        elif kind is EntityDespawnEvent:
+            if session.forget_entity(update.entity_id):
+                despawned.append(update.entity_id)
+        elif kind is ChatEvent:
+            packets.append(ChatMessagePacket(sender_id=update.sender_id, text=update.text))
+    for chunk, changes in block_changes.items():
+        if len(changes) == 1:
+            pos, block = next(iter(changes.items()))
+            packets.append(BlockChangePacket(pos=pos, block=block))
+        else:
+            packets.append(
+                MultiBlockChangePacket(
+                    chunk=chunk, changes=tuple(sorted(changes.items(), key=str))
+                )
+            )
+    if despawned:
+        packets.append(DestroyEntitiesPacket(entity_ids=tuple(despawned)))
+    return packets
+
+
+def _reference_encode_move(codec: SessionCodec, session, update):
+    if update.entity_id == session.entity_id:
+        return None
+    last_time = session.entity_update_times.get(update.entity_id)
+    if last_time is not None and update.time < last_time:
+        return None
+    session.entity_update_times[update.entity_id] = update.time
+    if not session.sees_chunk(update.new_position.to_chunk_pos()):
+        if session.forget_entity(update.entity_id):
+            return DestroyEntitiesPacket(entity_ids=(update.entity_id,))
+        return None
+    last_sent = session.known_entities.get(update.entity_id)
+    if last_sent is None:
+        entity = codec.world.get_entity(update.entity_id)
+        if entity is None:
+            session.entity_update_times.pop(update.entity_id, None)
+            return None
+        session.known_entities[update.entity_id] = update.new_position
+        return SpawnEntityPacket(
+            entity_id=update.entity_id,
+            entity_kind=entity.kind,
+            position=update.new_position,
+            name=entity.name,
+        )
+    session.known_entities.overwrite(update.entity_id, update.new_position)
+    return _move_packet(update, last_sent)
+
+
+def _record_each(histogram: Histogram, values) -> None:
+    for value in values:
+        histogram.record(value)
+
+
+@pytest.fixture
+def reference_delivery(monkeypatch):
+    """``with reference_delivery():`` — servers delivering inside encode
+    with :func:`reference_encode` and record queue delays one
+    ``Histogram.record`` at a time."""
+
+    @contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(SessionCodec, "encode", reference_encode)
+            patch.setattr(Histogram, "record_many", _record_each)
             yield
 
     return patched

@@ -1,8 +1,25 @@
 """Unit tests for metric primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.collector import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+
+
+def histogram_bits(hist: Histogram) -> str:
+    """Everything a histogram holds, with floats as ``repr`` (so ``-0.0``
+    and NaN compare by their bits, not by ``==``)."""
+    return repr(
+        (
+            hist.count,
+            hist.total,
+            hist.max_value,
+            hist.min_seen,
+            hist._zero_count,
+            list(hist._buckets.items()),
+        )
+    )
 
 
 class TestCounter:
@@ -143,6 +160,43 @@ class TestHistogram:
         b = Histogram("b", min_value=1.0)
         with pytest.raises(ValueError):
             a.merge(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=5),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+        min_value=st.sampled_from([0.01, 0.1, 1.0]),
+    )
+    def test_record_many_is_record_in_a_loop(self, prefix, values, min_value):
+        """Bit for bit, including a value that raises: the ones before it
+        are recorded, the same exception propagates."""
+        looped = Histogram("h", min_value=min_value)
+        batched = Histogram("h", min_value=min_value)
+        for value in prefix:
+            looped.record(value)
+            batched.record(value)
+
+        def outcome(record_all):
+            try:
+                record_all()
+            except (ValueError, OverflowError) as error:
+                return type(error), str(error)
+            return None
+
+        def loop():
+            for value in values:
+                looped.record(value)
+
+        expected = outcome(loop)
+        assert outcome(lambda: batched.record_many(iter(values))) == expected
+        assert histogram_bits(batched) == histogram_bits(looped)
+
+    def test_record_many_negative_raises_after_the_values_before_it(self):
+        hist = Histogram("h", min_value=1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            hist.record_many([0.5, 3.0, -1.0, 7.0])
+        assert (hist.count, hist.total, hist.max_value, hist.min_seen) == (2, 3.5, 3.0, 0.5)
+        assert hist._zero_count == 1
 
     def test_reset_restores_empty_state(self):
         hist = Histogram("h", min_value=1.0)

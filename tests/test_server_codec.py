@@ -47,46 +47,51 @@ def move_event(entity_id=7, old=Vec3(4, 30, 4), new=Vec3(5, 30, 4)):
 
 class TestEntityEncoding:
     def test_spawn_then_move_uses_relative(self, codec, session):
-        packets = codec.encode(session, [spawn_event(), move_event()])
+        packets = codec.encode(session, [(None, [spawn_event(), move_event()])])
         assert isinstance(packets[0], SpawnEntityPacket)
         assert isinstance(packets[1], EntityPositionPacket)
 
     def test_move_of_unknown_entity_synthesizes_spawn(self, codec, session, world):
         entity = world.spawn_entity(EntityKind.COW, Vec3(4, 30, 4))
         packets = codec.encode(
-            session, [move_event(entity.entity_id, new=Vec3(5, 30, 4))]
+            session, [(None, [move_event(entity.entity_id, new=Vec3(5, 30, 4))])]
         )
         assert len(packets) == 1
         assert isinstance(packets[0], SpawnEntityPacket)
         assert packets[0].entity_kind == EntityKind.COW
 
     def test_move_of_despawned_unknown_entity_is_dropped(self, codec, session):
-        packets = codec.encode(session, [move_event(entity_id=999)])
+        packets = codec.encode(session, [(None, [move_event(entity_id=999)])])
         assert packets == []
 
     def test_large_merged_move_becomes_teleport(self, codec, session):
         packets = codec.encode(
             session,
-            [spawn_event(), move_event(new=Vec3(40.0, 30.0, 4.0))],
+            [(None, [spawn_event(), move_event(new=Vec3(40.0, 30.0, 4.0))])],
         )
         assert isinstance(packets[1], EntityTeleportPacket)
 
     def test_own_movement_never_echoed(self, codec, session):
-        packets = codec.encode(session, [move_event(entity_id=session.entity_id)])
+        packets = codec.encode(session, [(None, [move_event(entity_id=session.entity_id)])])
         assert packets == []
 
     def test_own_spawn_never_sent(self, codec, session):
-        packets = codec.encode(session, [spawn_event(entity_id=session.entity_id)])
+        packets = codec.encode(session, [(None, [spawn_event(entity_id=session.entity_id)])])
         assert packets == []
 
     def test_despawns_batch_into_one_packet(self, codec, session):
         updates = [spawn_event(1), spawn_event(2)]
-        codec.encode(session, updates)
+        codec.encode(session, [(None, updates)])
         packets = codec.encode(
             session,
             [
-                EntityDespawnEvent(2.0, 1, Vec3(4, 30, 4)),
-                EntityDespawnEvent(2.0, 2, Vec3(4, 30, 4)),
+                (
+                    None,
+                    [
+                        EntityDespawnEvent(2.0, 1, Vec3(4, 30, 4)),
+                        EntityDespawnEvent(2.0, 2, Vec3(4, 30, 4)),
+                    ],
+                )
             ],
         )
         assert len(packets) == 1
@@ -95,32 +100,32 @@ class TestEntityEncoding:
         assert session.known_entities == {}
 
     def test_despawn_of_unknown_entity_is_silent(self, codec, session):
-        packets = codec.encode(session, [EntityDespawnEvent(0.0, 42, Vec3(0, 30, 0))])
+        packets = codec.encode(session, [(None, [EntityDespawnEvent(0.0, 42, Vec3(0, 30, 0))])])
         assert packets == []
 
     def test_move_out_of_view_destroys_replica(self, codec, session):
-        codec.encode(session, [spawn_event()])
+        codec.encode(session, [(None, [spawn_event()])])
         assert 7 in session.known_entities
         far = Vec3(500.0, 30.0, 500.0)
-        packets = codec.encode(session, [move_event(new=far)])
+        packets = codec.encode(session, [(None, [move_event(new=far)])])
         assert len(packets) == 1
         assert isinstance(packets[0], DestroyEntitiesPacket)
         assert 7 not in session.known_entities
 
     def test_spawn_outside_view_skipped(self, codec, session):
-        packets = codec.encode(session, [spawn_event(pos=Vec3(500, 30, 500))])
+        packets = codec.encode(session, [(None, [spawn_event(pos=Vec3(500, 30, 500))])])
         assert packets == []
 
     def test_duplicate_spawn_not_resent(self, codec, session):
-        codec.encode(session, [spawn_event()])
-        packets = codec.encode(session, [spawn_event()])
+        codec.encode(session, [(None, [spawn_event()])])
+        packets = codec.encode(session, [(None, [spawn_event()])])
         assert packets == []
 
     def test_relative_move_tracks_last_sent_position(self, codec, session):
-        codec.encode(session, [spawn_event()])
-        codec.encode(session, [move_event(new=Vec3(5, 30, 4))])
+        codec.encode(session, [(None, [spawn_event()])])
+        codec.encode(session, [(None, [move_event(new=Vec3(5, 30, 4))])])
         packets = codec.encode(
-            session, [move_event(old=Vec3(5, 30, 4), new=Vec3(6, 30, 4))]
+            session, [(None, [move_event(old=Vec3(5, 30, 4), new=Vec3(6, 30, 4))])]
         )
         delta = packets[0].delta
         assert (delta.x, delta.z) == (1.0, 0.0)
@@ -129,7 +134,7 @@ class TestEntityEncoding:
 class TestBlockEncoding:
     def test_single_change_is_block_change(self, codec, session):
         event = BlockChangeEvent(0.0, BlockPos(1, 30, 1), BlockType.AIR, BlockType.STONE)
-        packets = codec.encode(session, [event])
+        packets = codec.encode(session, [(None, [event])])
         assert isinstance(packets[0], BlockChangePacket)
 
     def test_multiple_changes_in_chunk_batch(self, codec, session):
@@ -137,7 +142,7 @@ class TestBlockEncoding:
             BlockChangeEvent(0.0, BlockPos(x, 30, 1), BlockType.AIR, BlockType.PLANKS)
             for x in range(4)
         ]
-        packets = codec.encode(session, events)
+        packets = codec.encode(session, [(None, events)])
         assert len(packets) == 1
         assert isinstance(packets[0], MultiBlockChangePacket)
         assert len(packets[0].changes) == 4
@@ -147,7 +152,7 @@ class TestBlockEncoding:
             BlockChangeEvent(0.0, BlockPos(1, 30, 1), BlockType.AIR, BlockType.STONE),
             BlockChangeEvent(0.0, BlockPos(20, 30, 1), BlockType.AIR, BlockType.STONE),
         ]
-        packets = codec.encode(session, events)
+        packets = codec.encode(session, [(None, events)])
         assert len(packets) == 2
 
     def test_merged_block_state_wins(self, codec, session):
@@ -156,14 +161,14 @@ class TestBlockEncoding:
             BlockChangeEvent(0.0, BlockPos(1, 30, 1), BlockType.AIR, BlockType.STONE),
             BlockChangeEvent(1.0, BlockPos(1, 30, 1), BlockType.STONE, BlockType.AIR),
         ]
-        packets = codec.encode(session, events)
+        packets = codec.encode(session, [(None, events)])
         assert len(packets) == 1
         assert packets[0].block == BlockType.AIR
 
 
 class TestChatEncoding:
     def test_chat_packet(self, codec, session):
-        packets = codec.encode(session, [ChatEvent(0.0, 9, "hello")])
+        packets = codec.encode(session, [(None, [ChatEvent(0.0, 9, "hello")])])
         assert isinstance(packets[0], ChatMessagePacket)
         assert packets[0].text == "hello"
 
@@ -249,7 +254,7 @@ class TestSharedMoveFanOut:
         for session in reference:
             if session.client_id == 9:
                 continue  # the excluded originator is never encoded for
-            expected = codec.encode(session, [event])
+            expected = codec.encode(session, [(None, [event])])
             assert ([got[session.client_id]] if expected else []) == expected
             twin = fanned[session.client_id - 1]
             assert self.state(twin) == self.state(session)

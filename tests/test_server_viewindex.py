@@ -140,9 +140,9 @@ def test_broadcast_never_visits_sessions_outside_the_event_chunk():
     visited: list[int] = []
     original_encode = server.codec.encode
 
-    def counting_encode(session, updates):
+    def counting_encode(session, segments):
         visited.append(session.client_id)
-        return original_encode(session, updates)
+        return original_encode(session, segments)
 
     server.codec.encode = counting_encode
 
