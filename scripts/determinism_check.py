@@ -6,8 +6,8 @@ Usage: [PYTHONPATH=src] python scripts/determinism_check.py [--jobs N]
 Runs a nine-cell sweep — four E1+E9-shaped single-server cells, a
 2-shard cluster cell (S16), its shard-parallel twin (S18; worker
 processes must reproduce the serial cell's result byte-for-byte), a
-row-store cell (``state_store="sqlite"``: the per-object commit walk;
-the other cells all run the columnar memory store), a direct-mode cell
+row-store cell (``state_store="sqlite"``: the batched row store; the
+other cells all run the columnar memory store), a direct-mode cell
 on lossy links (the shared-packet broadcast and the corked per-client
 egress frames, with the fault layer drawing per packet inside them) and
 a ``fixed``-policy cell (one finite staleness bound for every pair, so
@@ -69,8 +69,8 @@ def main() -> None:
     # The same cluster cell under the S18 parallel tick runtime: worker
     # processes meeting at the bus barrier must land on the serial bytes.
     cells.append(cells[-1].with_(name="det-cluster-2shard-par", parallel_ticks=True))
-    # The per-object commit walk a row store is driven through must stay
-    # as deterministic as the columnar path the other cells exercise.
+    # The row store's batched commit, due pass and retune must stay as
+    # deterministic as the columnar path the other cells exercise.
     cells.append(
         ExperimentConfig(
             name="det-sqlite-rows",

@@ -107,10 +107,11 @@ class DyconitStateHandle(abc.ABC):
     loud TypeError at construction, not a silent divergence later.
 
     Required attributes: ``dyconit_id``, ``total_committed_weight``,
-    ``commit_count``, ``default_bounds``, ``merging`` and ``_flat``
-    (the S17 columnar store of a handle that has one, else ``None``;
-    fixed for the handle's life — the manager branches on it in
-    ``_commit_resolved`` and the due pass).
+    ``commit_count``, ``default_bounds`` and ``merging``. The manager's
+    three hot paths are one batched call each — :meth:`commit`,
+    :meth:`drain_due` and :meth:`rebound` (S25) — so a store chooses its
+    representation and batches behind them; the manager never asks which
+    one it got.
 
     Subscription-state objects returned by :meth:`get_state` /
     :meth:`subscription_states` / :meth:`subscribe` /
@@ -129,7 +130,6 @@ class DyconitStateHandle(abc.ABC):
     dyconit_id: Hashable
     total_committed_weight: float
     commit_count: int
-    _flat = None
 
     @property
     @abc.abstractmethod
@@ -157,18 +157,43 @@ class DyconitStateHandle(abc.ABC):
     def set_bounds(self, subscriber_id: int, bounds) -> None: ...
 
     @abc.abstractmethod
-    def set_bounds_many(self, subscriber_ids: list[int], rows: list[tuple]) -> None:
-        """``set_bounds`` for many subscriptions at once (a retune, S23):
-        ``rows[i]`` is the ``(numerical, staleness_ms, order)`` of
-        ``subscriber_ids[i]``."""
+    def commit(self, update: "Update", exclude_subscriber: int | None, now: float):
+        """Enqueue ``update`` for every subscriber but
+        ``exclude_subscriber`` and drain the queues it pushes over a bound.
+
+        Returns ``(n_enqueued, n_merged, became_due, flushed)``: the
+        subscriptions enqueued for and how many of those superseded a
+        queued update; the earliest ``oldest + staleness`` among the
+        queues this commit turned pending and left pending (``inf`` if
+        none); and ``None`` if nothing tripped, else ``(subscriber,
+        reason, updates)`` per drained queue in subscription order, the
+        reason by ``Bounds.tripped_dimension``. A commit that enqueued for
+        someone adds to ``commit_count`` and ``total_committed_weight``.
+        """
 
     @abc.abstractmethod
-    def pending_oldest(self) -> dict[int, float]:
-        """``oldest_pending_time`` of each pending subscription, by
-        subscriber id — the queues a retune has to check."""
+    def drain_due(self, now: float):
+        """The due pass over this dyconit (S22): drain every pending
+        queue whose ``oldest + staleness`` is ``<= now``.
+
+        Returns ``(examined, due, next_deadline)``: the pending queues
+        looked at, ``(subscriber, deadline, updates)`` per drained queue in
+        subscription order, and the earliest deadline among the queues
+        left pending (``inf`` if none).
+        """
 
     @abc.abstractmethod
-    def commit(self, update: "Update", exclude_subscriber: int | None = None): ...
+    def rebound(self, slots, numerical, staleness, order, now: float):
+        """A retune of this dyconit (S23): ``slots`` are ascending
+        positions in subscription order, the three float64 columns their
+        new bounds. Install them and drain the pending queues they trip.
+
+        Returns ``(examined, tripped, next_deadline)``: the pending queues
+        among ``slots`` checked, ``(subscriber, reason, updates)`` per
+        drained queue in slot order, and the earliest ``oldest +
+        staleness`` among the checked queues left pending (``inf`` if
+        none).
+        """
 
     def restore_subscription(self, subscriber: "Subscriber", snap: SubscriptionSnapshot):
         """Recreate a subscription exactly as a snapshot recorded it.
@@ -206,9 +231,8 @@ class StateStore(abc.ABC):
     ) -> DyconitStateHandle:
         """Create (or, for persistent stores, re-attach) a dyconit's state.
 
-        The store alone decides the representation: a handle whose
-        ``_flat`` is set is committed through the S17 columnar path, any
-        other through the manager's per-update walk.
+        The store alone decides the representation (S17 columns, rows);
+        the manager drives every handle through the same batched calls.
         """
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:

@@ -22,6 +22,13 @@ float additions in the same order as the in-memory path, so the
 accounting is *bit*-compatible, not just approximately equal — the
 conformance suite and the SQLite fuzz twin assert as much.
 
+The manager's three hot calls — a commit, the due pass over a dyconit
+and a retune — each run as a few statements for the whole dyconit
+(S25): one read of its ``subs`` rows, ``executemany`` for the writes,
+and one three-statement drain for every queue that tripped. The
+per-subscription views serve everything else (repartitioning, restore,
+a single subscription's new bounds, forced flushes).
+
 One implementation, several databases: store, handle and view talk to a
 connection that offers ``execute(sql, params) -> cursor`` and
 ``cursor()`` with ``executemany`` (``sqlite3.Connection`` and a psycopg
@@ -49,6 +56,7 @@ blob, never a torn one.
 
 from __future__ import annotations
 
+import math
 import pickle
 import sqlite3
 from dataclasses import dataclass
@@ -64,6 +72,20 @@ from repro.core.update import Update
 
 def _blob(value) -> bytes:
     return pickle.dumps(value, protocol=4)
+
+
+def _tripped(
+    error: float, age: float, count: int, b_num: float, b_stale: float, b_order: float
+) -> str | None:
+    """``Bounds.tripped_dimension`` on one row's plain floats: the same
+    comparisons in the same precedence, without building a ``Bounds``."""
+    if error > b_num:
+        return "numerical"
+    if age >= b_stale and b_stale != math.inf:
+        return "staleness"
+    if count > b_order:
+        return "order"
+    return None
 
 
 @dataclass(frozen=True)
@@ -126,6 +148,9 @@ CREATE TABLE IF NOT EXISTS checkpoints (
 )
 
 _ONE_SUB = "WHERE dyconit = ? AND sub_id = ?"
+#: A dyconit's subscriptions named in one statement: ``{subs}`` is filled
+#: with one placeholder per subscriber id at the call.
+_SOME_SUBS = "WHERE dyconit = ? AND sub_id IN ({subs})"
 
 #: Every parameterised statement the store issues, by name, written with
 #: ``?``; :class:`SQLRowStore` renders them in its dialect's placeholder.
@@ -149,7 +174,18 @@ _STATEMENTS = {
         "acc_error, oldest, enqueued, merged) "
         "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
     ),
-    "subs_pending": "SELECT sub_id, oldest FROM subs WHERE dyconit = ? AND oldest IS NOT NULL",
+    "sub_final": (
+        "SELECT b_num, b_stale, b_order, acc_error, oldest, enqueued, merged "
+        f"FROM subs {_ONE_SUB}"
+    ),
+    "subs_commit": (
+        "SELECT sub_id, acc_error, oldest, enqueued, merged, b_num, b_stale, b_order "
+        "FROM subs WHERE dyconit = ?"
+    ),
+    "subs_pending": (
+        "SELECT sub_id, acc_error, oldest, b_stale FROM subs "
+        "WHERE dyconit = ? AND oldest IS NOT NULL"
+    ),
     "sub_delete": f"DELETE FROM subs {_ONE_SUB}",
     "set_bounds": f"UPDATE subs SET b_num = ?, b_stale = ?, b_order = ? {_ONE_SUB}",
     "set_accounting": (
@@ -157,10 +193,15 @@ _STATEMENTS = {
     ),
     "set_oldest": f"UPDATE subs SET oldest = ? {_ONE_SUB}",
     "clear_accounting": f"UPDATE subs SET acc_error = 0.0, oldest = NULL {_ONE_SUB}",
+    "clear_accounting_subs": f"UPDATE subs SET acc_error = 0.0, oldest = NULL {_SOME_SUBS}",
     "pending_items": f"SELECT mkey, blob FROM pending {_ONE_SUB} ORDER BY seq",
     "pending_blobs": f"SELECT blob FROM pending {_ONE_SUB} ORDER BY seq",
     "pending_rows": f"SELECT seq, mkey, time, blob FROM pending {_ONE_SUB} ORDER BY seq",
     "pending_count": f"SELECT COUNT(*) FROM pending {_ONE_SUB}",
+    "pending_counts": "SELECT sub_id, COUNT(*) FROM pending WHERE dyconit = ? GROUP BY sub_id",
+    "pending_key_holders": "SELECT sub_id FROM pending WHERE dyconit = ? AND mkey = ?",
+    "pending_of_subs": f"SELECT sub_id, blob FROM pending {_SOME_SUBS} ORDER BY seq",
+    "pending_delete_subs": f"DELETE FROM pending {_SOME_SUBS}",
     "pending_has_key": f"SELECT 1 FROM pending {_ONE_SUB} AND mkey = ?",
     "pending_delete_key": f"DELETE FROM pending {_ONE_SUB} AND mkey = ?",
     "pending_insert": (
@@ -182,6 +223,7 @@ class SQLRowStore(StateStore):
         self._conn = conn
         self._closed = False
         self._begin = dialect.begin
+        self._placeholder = dialect.placeholder
         self._sql = SimpleNamespace(
             **{
                 name: text.replace("?", dialect.placeholder)
@@ -204,8 +246,6 @@ class SQLRowStore(StateStore):
     def create_dyconit_state(
         self, dyconit_id: Hashable, *, merging: bool
     ) -> "SQLiteDyconitState":
-        # Rows, not S17 columns: the manager's per-update commit walk
-        # drives this handle.
         return SQLiteDyconitState(self, dyconit_id, merging=merging)
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:
@@ -375,7 +415,9 @@ class SQLiteSubscriptionView:
         if row is None or row[1] is None:
             return None
         acc_error, oldest, b_num, b_stale, b_order = row
-        (count,) = conn.execute(sql.pending_count, key).fetchone()
+        count = 0  # only an order bound reads it, and ``count > inf`` never holds
+        if b_order != math.inf:
+            (count,) = conn.execute(sql.pending_count, key).fetchone()
         return Bounds(b_num, b_stale, b_order).tripped_dimension(
             acc_error, now - oldest, count
         )
@@ -548,14 +590,19 @@ class SQLiteDyconitState(DyconitStateHandle):
             return None
         # Materialize the final state (the caller may still flush it),
         # exactly like the flat store's unsubscribe.
+        key = (self._dk, subscriber_id)
+        b_num, b_stale, b_order, error, oldest, enqueued, merged = self._conn.execute(
+            self._sql.sub_final, key
+        ).fetchone()
+        rows = self._conn.execute(self._sql.pending_items, key).fetchall()
         state = SubscriptionState(
             subscriber=view.subscriber,
-            bounds=view.bounds,
-            pending=dict(view.pending),
-            accumulated_error=view.accumulated_error,
-            oldest_pending_time=view.oldest_pending_time,
-            enqueued_count=view.enqueued_count,
-            merged_count=view.merged_count,
+            bounds=Bounds(b_num, b_stale, b_order),
+            pending={pickle.loads(mkey): pickle.loads(blob) for mkey, blob in rows},
+            accumulated_error=error,
+            oldest_pending_time=oldest,
+            enqueued_count=enqueued,
+            merged_count=merged,
             merging=self.merging,
         )
         self._delete_sub(subscriber_id)
@@ -601,35 +648,179 @@ class SQLiteDyconitState(DyconitStateHandle):
             )
         view.bounds = bounds
 
-    def set_bounds_many(self, subscriber_ids: list[int], rows: list[tuple]) -> None:
-        """Rewrite many subscriptions' bound columns in one
-        ``executemany`` (a retune, S23)."""
-        dk = self._dk
-        self._conn.cursor().executemany(
-            self._sql.set_bounds,
-            [(*row, dk, sub_id) for sub_id, row in zip(subscriber_ids, rows)],
-        )
+    # -- the batched surface (S25) -------------------------------------
 
-    def pending_oldest(self) -> dict[int, float]:
-        return dict(self._conn.execute(self._sql.subs_pending, (self._dk,)).fetchall())
+    def commit(self, update: Update, exclude_subscriber: int | None, now: float):
+        """Enqueue ``update`` for every subscriber but the excluded one in
+        a few statements for the whole dyconit: one ``subs`` read, one
+        supersede lookup, then one ``executemany`` each for the
+        superseded rows' deletes, the inserts and the accounting writes.
 
-    # -- commit path ---------------------------------------------------
+        The update is pickled once (and, when merging, its merge key
+        once); seqs are taken in subscription order, as the per-view walk
+        took them; the error is the same float add on the value the row
+        held. The trip check runs here on the values just written, and
+        the queues it trips drain together. Returns what
+        :meth:`FlatDyconitState.commit
+        <repro.core.flatstate.FlatDyconitState.commit>` returns.
+        """
+        targets = [
+            (sub_id, view)
+            for sub_id, view in self._views.items()
+            if sub_id != exclude_subscriber
+        ]
+        if not targets:
+            return 0, 0, math.inf, None
+        conn, sql, dk = self._conn, self._sql, self._dk
+        rows = {row[0]: row for row in conn.execute(sql.subs_commit, (dk,)).fetchall()}
+        blob = _blob(update)
+        weight, time = update.weight, update.time
+        merging = self.merging
+        holders = ()
+        if merging:
+            mkey = _blob(update.merge_key)
+            holders = {
+                sub_id
+                for (sub_id,) in conn.execute(sql.pending_key_holders, (dk, mkey)).fetchall()
+            }
+        # Without merging a key is (enqueued, merge key) and enqueued only
+        # grows, so no queued key can match: no lookup, as in the columns.
+        counts = None  # queue lengths, read only if an order bound is finite
+        next_seq = self._store.next_seq
+        deletes, inserts, accounting, tripped = [], [], [], []
+        n_merged = 0
+        became_due = math.inf
+        for sub_id, view in targets:
+            __, error, oldest, enqueued, merged, b_num, b_stale, b_order = rows[sub_id]
+            if not merging:
+                mkey = _blob((enqueued, update.merge_key))
+            superseded = sub_id in holders
+            if superseded:
+                deletes.append((dk, sub_id, mkey))
+                merged += 1
+                n_merged += 1
+            inserts.append((dk, sub_id, next_seq(), mkey, time, blob))
+            error += weight  # same float add as the per-object path
+            became_pending = oldest is None
+            if became_pending:
+                oldest = time
+            accounting.append((error, oldest, enqueued + 1, merged, dk, sub_id))
+            count = 0
+            if b_order != math.inf:
+                if counts is None:
+                    counts = dict(conn.execute(sql.pending_counts, (dk,)).fetchall())
+                count = counts.get(sub_id, 0) + 1 - superseded
+            reason = _tripped(error, now - oldest, count, b_num, b_stale, b_order)
+            if reason is not None:
+                tripped.append((sub_id, view.subscriber, reason))
+            elif became_pending and time + b_stale < became_due:
+                became_due = time + b_stale
+        cursor = conn.cursor()
+        if deletes:
+            cursor.executemany(sql.pending_delete_key, deletes)
+        cursor.executemany(sql.pending_insert, inserts)
+        cursor.executemany(sql.set_accounting, accounting)
+        # Hotness counts commits that enqueued for someone — same rule as
+        # the in-memory paths.
+        self.total_committed_weight += weight
+        self.commit_count += 1
+        # Every tripped queue ends in this update: hand on the object
+        # committed rather than a copy of it.
+        flushed = self._drain(tripped, {blob: update}) if tripped else None
+        return len(targets), n_merged, became_due, flushed
 
-    def commit(
-        self, update: Update, exclude_subscriber: int | None = None
-    ) -> list[tuple[SQLiteSubscriptionView, EnqueueResult]]:
-        touched: list[tuple[SQLiteSubscriptionView, EnqueueResult]] = []
-        for subscriber_id, view in self._views.items():
-            if subscriber_id == exclude_subscriber:
+    def drain_due(self, now: float):
+        """The due pass (S22) over rows: one read of ``(sub_id, oldest,
+        b_stale)`` over the pending subscriptions, then one batched drain
+        of those with ``oldest + staleness <= now``. Returns what
+        :meth:`FlatDyconitState.drain_due
+        <repro.core.flatstate.FlatDyconitState.drain_due>` returns."""
+        pending = {
+            sub_id: (oldest, b_stale)
+            for sub_id, __, oldest, b_stale in self._conn.execute(
+                self._sql.subs_pending, (self._dk,)
+            ).fetchall()
+        }
+        examined = 0
+        due = []  # (sub_id, subscriber, deadline)
+        next_deadline = math.inf
+        for sub_id, view in self._views.items():
+            row = pending.get(sub_id)
+            if row is None:
                 continue
-            result = view.enqueue(update)
-            touched.append((view, result))
-        if touched:
-            # Hotness counts commits that enqueued for someone — same
-            # rule as the in-memory paths.
-            self.total_committed_weight += update.weight
-            self.commit_count += 1
-        return touched
+            examined += 1
+            deadline = row[0] + row[1]
+            if deadline <= now:
+                due.append((sub_id, view.subscriber, deadline))
+            elif deadline < next_deadline:
+                next_deadline = deadline
+        return examined, self._drain(due, {}) if due else [], next_deadline
+
+    def rebound(self, slots, numerical, staleness, order, now: float):
+        """A retune (S23) over rows: one ``executemany`` bound write, one
+        read of the pending subscriptions' error and age, and one batched
+        drain of the queues the new bounds trip. Returns what
+        :meth:`FlatDyconitState.rebound
+        <repro.core.flatstate.FlatDyconitState.rebound>` returns."""
+        conn, sql, dk = self._conn, self._sql, self._dk
+        views = list(self._views.items())
+        chosen = [views[slot] for slot in slots]
+        columns = list(zip(numerical.tolist(), staleness.tolist(), order.tolist()))
+        conn.cursor().executemany(
+            sql.set_bounds,
+            [(*row, dk, sub_id) for (sub_id, __), row in zip(chosen, columns)],
+        )
+        pending = {
+            sub_id: (error, oldest)
+            for sub_id, error, oldest, __ in conn.execute(sql.subs_pending, (dk,)).fetchall()
+        }
+        counts = None  # queue lengths, read only if an order bound is finite
+        examined = 0
+        tripped = []  # (sub_id, subscriber, reason)
+        next_deadline = math.inf
+        for (sub_id, view), (b_num, b_stale, b_order) in zip(chosen, columns):
+            row = pending.get(sub_id)
+            if row is None:
+                continue
+            examined += 1
+            error, oldest = row
+            count = 0
+            if b_order != math.inf:
+                if counts is None:
+                    counts = dict(conn.execute(sql.pending_counts, (dk,)).fetchall())
+                count = counts.get(sub_id, 0)
+            reason = _tripped(error, now - oldest, count, b_num, b_stale, b_order)
+            if reason is not None:
+                tripped.append((sub_id, view.subscriber, reason))
+            elif oldest + b_stale < next_deadline:
+                next_deadline = oldest + b_stale
+        return examined, self._drain(tripped, {}) if tripped else [], next_deadline
+
+    def _drain(self, entries: list[tuple], decoded: dict[bytes, Update]) -> list[tuple]:
+        """Drain several subscriptions' queues in three statements: their
+        pending rows in seq order, one delete, one accounting reset.
+        ``entries`` are ``(sub_id, subscriber, tag)``; returns
+        ``(subscriber, tag, updates)`` for each, in order.
+
+        Each distinct blob is unpickled once per call (``decoded`` maps
+        blob to update, and may come seeded), so subscribers drained
+        together share one update object per committed update.
+        """
+        sub_ids = [sub_id for sub_id, __, __ in entries]
+        subs = ", ".join([self._store._placeholder] * len(sub_ids))
+        params = (self._dk, *sub_ids)
+        conn, sql = self._conn, self._sql
+        queues: dict[int, list[Update]] = {sub_id: [] for sub_id in sub_ids}
+        for sub_id, blob in conn.execute(
+            sql.pending_of_subs.format(subs=subs), params
+        ).fetchall():
+            update = decoded.get(blob)
+            if update is None:
+                update = decoded[blob] = pickle.loads(blob)
+            queues[sub_id].append(update)
+        conn.execute(sql.pending_delete_subs.format(subs=subs), params)
+        conn.execute(sql.clear_accounting_subs.format(subs=subs), params)
+        return [(subscriber, tag, queues[sub_id]) for sub_id, subscriber, tag in entries]
 
     def __repr__(self) -> str:
         return (

@@ -17,6 +17,7 @@ bound promises), matching the conit model the paper builds on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, NamedTuple
 
@@ -135,8 +136,10 @@ class Dyconit:
     :class:`~repro.core.flatstate.FlatDyconitState` (S17): subscription
     accessors return :class:`~repro.core.flatstate.FlatSubscriptionView`
     objects that are drop-in compatible with :class:`SubscriptionState`,
-    and the manager commits through :meth:`commit_flat` (one vectorized
-    add + gated threshold scan) instead of the per-object walk. The
+    and :meth:`commit`, :meth:`drain_due` and :meth:`rebound` forward to
+    the columns (one vectorized add + gated threshold scan per commit).
+    ``flat=False`` keeps per-object states and runs those three as walks
+    over them — the test-only ``per-object`` reference store (S25). The
     representation is fixed at construction: restore, merge and split
     write slots, so a columnar dyconit stays columnar until removed.
     """
@@ -269,63 +272,105 @@ class Dyconit:
             )
         state.bounds = bounds
 
-    def set_bounds_many(self, subscriber_ids: list[int], rows: list[tuple]) -> None:
-        """:meth:`set_bounds` for many subscriptions: ``rows[i]`` is the
-        ``(numerical, staleness_ms, order)`` of ``subscriber_ids[i]``."""
-        for subscriber_id, row in zip(subscriber_ids, rows):
-            self.set_bounds(subscriber_id, Bounds(*row))
-
-    def pending_oldest(self) -> dict[int, float]:
-        """``oldest_pending_time`` of each pending subscription, by
-        subscriber id."""
-        return {
-            state.subscriber.subscriber_id: state.oldest_pending_time
-            for state in self.subscription_states()
-            if state.has_pending
-        }
-
     # ------------------------------------------------------------------
-    # Commit path
+    # The batched surface: commit, due pass, retune
     # ------------------------------------------------------------------
 
-    def commit(
-        self, update: Update, exclude_subscriber: int | None = None
-    ) -> list[tuple[SubscriptionState, EnqueueResult]]:
-        """Enqueue ``update`` for every subscriber.
+    def commit(self, update: Update, exclude_subscriber: int | None, now: float):
+        """Enqueue ``update`` for every subscriber but ``exclude_subscriber``
+        (a player does not need its own action echoed back) and drain the
+        queues it pushes over a bound.
 
-        ``exclude_subscriber`` skips the update's originator (a player
-        does not need its own action echoed back). Returns the touched
-        states with their enqueue outcomes so the manager can run bound
-        checks and merge accounting without a second lookup.
+        Returns ``(n_enqueued, n_merged, became_due, flushed)`` — see
+        :meth:`FlatDyconitState.commit
+        <repro.core.flatstate.FlatDyconitState.commit>`.
         """
-        touched: list[tuple[SubscriptionState, EnqueueResult]] = []
-        for state in self.subscription_states():
-            if state.subscriber.subscriber_id == exclude_subscriber:
-                continue
-            touched.append((state, state.enqueue(update)))
-        if touched:
+        if self._flat is not None:
+            result = self._flat.commit(update, exclude_subscriber, now)
+        else:
+            result = self._commit_states(update, exclude_subscriber, now)
+        if result[0]:
             # Hotness accounting counts commits that actually enqueued
             # for someone: a commit with no subscribers (or only the
             # excluded originator) changed nobody's inconsistency and
             # must not make the unit look hot to the policy.
             self.total_committed_weight += update.weight
             self.commit_count += 1
-        return touched
-
-    def commit_flat(
-        self, update: Update, exclude_subscriber: int | None, now: float
-    ):
-        """Columnar commit (S17): vectorized enqueue + gated bound scan.
-
-        Returns ``(n_enqueued, n_merged, became_due, flushed)`` — see
-        :meth:`FlatDyconitState.commit
-        <repro.core.flatstate.FlatDyconitState.commit>`.
-        """
-        result = self._flat.commit(update, exclude_subscriber, now)
-        if result[0]:
-            self.total_committed_weight += update.weight
-            self.commit_count += 1
         return result
+
+    def drain_due(self, now: float):
+        """The due pass over this dyconit (S22): drain every pending queue
+        whose ``oldest + staleness`` is ``<= now``. Returns ``(examined,
+        due, next_deadline)`` — see :meth:`FlatDyconitState.drain_due
+        <repro.core.flatstate.FlatDyconitState.drain_due>`."""
+        if self._flat is not None:
+            return self._flat.drain_due(now)
+        return self._drain_due(now)
+
+    def rebound(self, slots, numerical, staleness, order, now: float):
+        """A retune of this dyconit (S23): install new bounds on ``slots``
+        (ascending positions in subscription order) and drain the pending
+        queues they trip. Returns ``(examined, tripped, next_deadline)`` —
+        see :meth:`FlatDyconitState.rebound
+        <repro.core.flatstate.FlatDyconitState.rebound>`."""
+        if self._flat is not None:
+            return self._flat.rebound(slots, numerical, staleness, order, now)
+        return self._rebound(slots, numerical, staleness, order, now)
+
+    # The per-object walks: the same rules, one SubscriptionState at a
+    # time — the reference the columns and the row store are held to.
+
+    def _commit_states(self, update: Update, exclude_subscriber: int | None, now: float):
+        n_enqueued = n_merged = 0
+        became_due = math.inf
+        flushed = []
+        for state in self._subscriptions.values():
+            if state.subscriber.subscriber_id == exclude_subscriber:
+                continue
+            result = state.enqueue(update)
+            n_enqueued += 1
+            n_merged += result.superseded
+            reason = state.tripped_dimension(now)
+            if reason is not None:
+                flushed.append((state.subscriber, reason, state.drain()))
+            elif result.became_pending:
+                became_due = min(became_due, update.time + state.bounds.staleness_ms)
+        return n_enqueued, n_merged, became_due, flushed or None
+
+    def _drain_due(self, now: float):
+        examined = 0
+        due = []
+        next_deadline = math.inf
+        for state in self._subscriptions.values():
+            oldest = state.oldest_pending_time
+            if oldest is None:
+                continue
+            examined += 1
+            deadline = oldest + state.bounds.staleness_ms
+            if deadline <= now:
+                due.append((state.subscriber, deadline, state.drain()))
+            elif deadline < next_deadline:
+                next_deadline = deadline
+        return examined, due, next_deadline
+
+    def _rebound(self, slots, numerical, staleness, order, now: float):
+        states = list(self._subscriptions.values())
+        examined = 0
+        tripped = []
+        next_deadline = math.inf
+        for slot, row in zip(slots, zip(numerical.tolist(), staleness.tolist(), order.tolist())):
+            state = states[slot]
+            state.bounds = Bounds(*row)
+            oldest = state.oldest_pending_time
+            if oldest is None:
+                continue
+            examined += 1
+            reason = state.tripped_dimension(now)
+            if reason is not None:
+                tripped.append((state.subscriber, reason, state.drain()))
+            elif oldest + row[1] < next_deadline:
+                next_deadline = oldest + row[1]
+        return examined, tripped, next_deadline
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,9 @@ Flushes made inside a *flush scope* (a batch of commits, a tick, a
 policy step) reach each subscriber as one delivery when it closes.
 A retune (S23, :meth:`DyconitSystem.retune_clients`) is one vectorised
 policy call and one column write per dyconit, not a ``set_bounds`` per
-(subscriber, dyconit) pair.
+(subscriber, dyconit) pair. Commit, due pass and retune are each one
+call on the dyconit's handle whatever the store (S25): the columns and
+the row store batch it, and none of the three walks subscriptions here.
 """
 
 from __future__ import annotations
@@ -84,52 +86,6 @@ class SystemSnapshot:
     merging_enabled: bool
 
 
-def _drain_due(dyconit: Dyconit, now: float):
-    """``FlatDyconitState.drain_due`` for a handle without columns: same
-    rule, same result, through the documented state surface only."""
-    examined = 0
-    due = []
-    next_deadline = math.inf
-    for state in dyconit.subscription_states():
-        oldest = state.oldest_pending_time
-        if oldest is None:
-            continue
-        examined += 1
-        deadline = oldest + state.bounds.staleness_ms
-        if deadline <= now:
-            due.append((state.subscriber, deadline, state.drain()))
-        elif deadline < next_deadline:
-            next_deadline = deadline
-    return examined, due, next_deadline
-
-
-def _rebound(dyconit: Dyconit, slots, numerical, staleness, order, now: float):
-    """``FlatDyconitState.rebound`` for a handle without columns: same
-    rule, same result — the rows written with one ``set_bounds_many``,
-    the trip check run on the pending subscriptions only."""
-    states = dyconit.subscription_states()
-    chosen = [states[slot] for slot in slots]
-    dyconit.set_bounds_many(
-        [state.subscriber.subscriber_id for state in chosen],
-        list(zip(numerical.tolist(), staleness.tolist(), order.tolist())),
-    )
-    pending = dyconit.pending_oldest()
-    examined = 0
-    tripped = []
-    next_deadline = math.inf
-    for state, staleness_ms in zip(chosen, staleness.tolist()):
-        oldest = pending.get(state.subscriber.subscriber_id)
-        if oldest is None:
-            continue
-        examined += 1
-        reason = state.tripped_dimension(now)
-        if reason is not None:
-            tripped.append((state.subscriber, reason, state.drain()))
-        elif oldest + staleness_ms < next_deadline:
-            next_deadline = oldest + staleness_ms
-    return examined, tripped, next_deadline
-
-
 class DyconitSystem:
     """Middleware instance serving one game server."""
 
@@ -149,8 +105,8 @@ class DyconitSystem:
         #: Accepts a StateStore instance or a registry spec ("memory",
         #: "sqlite", "sqlite:///path", "postgres://..."); default is the
         #: in-memory store. The store alone decides how a dyconit is
-        #: represented (S17 flat columns or per-object states); the
-        #: commit path observes it through ``handle._flat``.
+        #: represented (S17 columns, rows); every handle answers the same
+        #: batched commit, due pass and retune calls (S25).
         self.state_store = create_state_store(state_store)
         #: S19 fan-out seam: flushed batches go through this bus. The
         #: default direct bus delivers inline, exactly like the legacy
@@ -694,12 +650,7 @@ class DyconitSystem:
                 end = start + len(slots)
                 columns = numerical[start:end], staleness[start:end], order[start:end]
                 start = end
-                if dyconit._flat is not None:
-                    examined, tripped, next_deadline = dyconit._flat.rebound(
-                        slots, *columns, now
-                    )
-                else:
-                    examined, tripped, next_deadline = _rebound(dyconit, slots, *columns, now)
+                examined, tripped, next_deadline = dyconit.rebound(slots, *columns, now)
                 self.stats.bound_checks += examined
                 self._lower_due(dyconit_id, next_deadline)
                 for subscriber, reason, updates in tripped:
@@ -788,42 +739,25 @@ class DyconitSystem:
         update: Update,
         exclude_subscriber: int | None,
     ) -> None:
-        """Shared commit body; ``dyconit_id`` must already be resolved."""
+        """Shared commit body; ``dyconit_id`` must already be resolved.
+        One call to the handle enqueues for every subscriber and drains
+        what tripped; this accounts it and hands the drains on."""
         stats = self.stats
         stats.commits += 1
-        if dyconit._flat is not None:
-            n_enqueued, n_merged, became_due, flushed = dyconit.commit_flat(
-                update, exclude_subscriber, self.now
-            )
-            if not n_enqueued:
-                return
-            stats.updates_enqueued += n_enqueued
-            stats.updates_merged += n_merged
-            stats.bound_checks += n_enqueued
-            if self._tm_enqueued is not None:
-                self._tm_enqueued.increment(n_enqueued)
-            if flushed is not None:
-                for subscriber, reason, updates in flushed:
-                    self._flushed(dyconit_id, subscriber, updates, reason)
-            self._lower_due(dyconit_id, became_due)
+        n_enqueued, n_merged, became_due, flushed = dyconit.commit(
+            update, exclude_subscriber, self.now
+        )
+        if not n_enqueued:
             return
-        touched = dyconit.commit(update, exclude_subscriber)
-        if not touched:
-            return
-        now = self.now
+        stats.updates_enqueued += n_enqueued
+        stats.updates_merged += n_merged
+        stats.bound_checks += n_enqueued
         if self._tm_enqueued is not None:
-            self._tm_enqueued.increment(len(touched))
-        for state, result in touched:
-            stats.updates_enqueued += 1
-            if result.superseded:
-                stats.updates_merged += 1
-            stats.bound_checks += 1
-            reason = state.tripped_dimension(now)
-            if reason is not None:
-                self._deliver(dyconit_id, state, reason=reason)
-            elif result.became_pending:
-                # enqueue() just set oldest_pending_time to update.time
-                self._lower_due(dyconit_id, update.time + state.bounds.staleness_ms)
+            self._tm_enqueued.increment(n_enqueued)
+        if flushed is not None:
+            for subscriber, reason, updates in flushed:
+                self._flushed(dyconit_id, subscriber, updates, reason)
+        self._lower_due(dyconit_id, became_due)
 
     def _lower_due(self, dyconit_id: Hashable, deadline: float) -> None:
         """Have the due pass visit ``dyconit_id`` by ``deadline`` (never inf)."""
@@ -872,12 +806,7 @@ class DyconitSystem:
         due_ids = [dyconit_id for dyconit_id, at in due_at.items() if at <= now]
         by_subscriber: dict[int, list] = {}
         for dyconit_id in due_ids:
-            dyconit = self._dyconits[dyconit_id]
-            flat = dyconit._flat
-            if flat is not None:
-                examined, due, next_deadline = flat.drain_due(now)
-            else:
-                examined, due, next_deadline = _drain_due(dyconit, now)
+            examined, due, next_deadline = self._dyconits[dyconit_id].drain_due(now)
             self.stats.bound_checks += examined
             if next_deadline == math.inf:
                 del due_at[dyconit_id]

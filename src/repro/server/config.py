@@ -33,8 +33,8 @@ class ServerConfig:
     #: S19 storage backend for dyconit subscription state: a registry
     #: spec ("memory", "sqlite", "sqlite:///path", "postgres://...").
     #: The store alone decides a dyconit's representation: "memory"
-    #: keeps S17 flat columns, row stores are driven through the
-    #: per-object commit walk.
+    #: keeps S17 flat columns, row stores batch each commit, due pass
+    #: and retune per dyconit (S25).
     state_store: str = "memory"
     #: Fleet-wide fault plan applied to every client link (None = no
     #: fault layer; per-client plans can be passed to ``connect``).

@@ -26,6 +26,7 @@ The contract is *the in-memory semantics*, bit-for-bit:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,7 +127,7 @@ def make_handle(store, dyconit_id=("chunk", 0, 0), merging=True):
     row runs on the store's real state class."""
     handle = store.create_dyconit_state(dyconit_id, merging=merging)
     # Non-vacuity: the memory rows run on the columnar view itself.
-    assert (handle._flat is not None) == (store.name == "memory")
+    assert (getattr(handle, "_flat", None) is not None) == (store.name == "memory")
     return handle
 
 
@@ -314,21 +315,38 @@ class TestBoundsSurface:
         state.drain()
         assert state.tripped_dimension(now=200.0) is None
 
-    def test_set_bounds_many_and_pending_oldest(self, store):
-        """The retune surface (S23): many rows in one call, and which
-        subscriptions a retune has to check."""
+    def test_rebound_drains_what_trips(self, store):
+        """The retune surface (S23): new bounds on some positions in one
+        call; only the pending queues among them are checked, and those
+        the new bounds trip drain."""
         handle = make_handle(store)
         states = [subscribed(handle, sub_id)[1] for sub_id in (3, 1, 2)]
-        handle.set_bounds_many([2, 3], [(4.0, 40.0, math.inf), (5.0, 50.0, 7.0)])
+        assert handle.rebound(
+            [0, 2], *columns((5.0, 50.0, 7.0), (4.0, 40.0, math.inf)), 0.0
+        ) == (0, [], math.inf)
         assert [state.bounds for state in states] == [
             Bounds(5.0, 50.0, 7.0), WIDE, Bounds(4.0, 40.0)
         ]
-        assert handle.pending_oldest() == {}
-        states[2].enqueue(move(1, time=12.5))
+        first = move(1, time=12.5)
+        states[2].enqueue(first)
         states[0].enqueue(move(1, time=20.0))
-        assert handle.pending_oldest() == {3: 20.0, 2: 12.5}
-        states[2].drain()
-        assert handle.pending_oldest() == {3: 20.0}
+        states[1].enqueue(move(2, time=5.0, distance=9.0))
+        examined, tripped, next_deadline = handle.rebound(
+            [0, 2], *columns((5.0, 50.0, 7.0), (0.5, 40.0, math.inf)), 30.0
+        )
+        assert examined == 2
+        assert [(s.subscriber_id, reason, updates) for s, reason, updates in tripped] == [
+            (2, "numerical", [first])
+        ]
+        assert next_deadline == 70.0  # subscriber 3: 20 + 50
+        assert states[2].bounds == Bounds(0.5, 40.0)
+        assert not states[2].has_pending
+        assert states[0].has_pending and states[1].has_pending  # 1 was not a slot
+
+
+def columns(*rows):
+    """``(numerical, staleness, order)`` float64 columns of bound rows."""
+    return [np.array(column, dtype=np.float64) for column in zip(*rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +354,40 @@ class TestBoundsSurface:
 # ---------------------------------------------------------------------------
 
 
+def drained(flushed):
+    return [(s.subscriber_id, reason, updates) for s, reason, updates in flushed]
+
+
 class TestCommitPath:
     def test_commit_fans_out_in_subscription_order(self, store):
         handle = make_handle(store)
-        subscribed(handle, 2)
-        subscribed(handle, 1)
-        touched = handle.commit(move(1, time=1.0))
-        assert [state.subscriber.subscriber_id for state, __ in touched] == [2, 1]
-        assert all(result.became_pending for __, result in touched)
+        subscribed(handle, 2, Bounds(0.5, 1e9))
+        subscribed(handle, 1, Bounds(0.5, 1e9))
+        subscribed(handle, 3)
+        update = move(1, time=1.0)
+        n_enqueued, n_merged, became_due, flushed = handle.commit(update, None, 1.0)
+        assert (n_enqueued, n_merged, became_due) == (3, 0, 1.0 + 1e9)
+        assert drained(flushed) == [(2, "numerical", [update]), (1, "numerical", [update])]
+        assert handle.get_state(3).has_pending
+        # 3 supersedes; 2 and 1 trip again, so no queue is newly pending.
+        assert handle.commit(move(1, time=2.0), None, 2.0)[:3] == (3, 1, math.inf)
 
     def test_commit_excludes_originator(self, store):
         handle = make_handle(store)
         subscribed(handle, 1)
         __, other = subscribed(handle, 2)
-        touched = handle.commit(move(1, time=1.0), exclude_subscriber=1)
-        assert [state.subscriber.subscriber_id for state, __ in touched] == [2]
+        assert handle.commit(move(1, time=1.0), 1, 1.0) == (1, 0, 1.0 + 1e9, None)
         assert other.has_pending
         assert not handle.get_state(1).has_pending
 
     def test_hotness_accounting_counts_touching_commits_only(self, store):
         handle = make_handle(store)
-        assert handle.commit(move(1, time=1.0)) == []
+        assert handle.commit(move(1, time=1.0), None, 1.0) == (0, 0, math.inf, None)
         assert handle.commit_count == 0
         assert handle.total_committed_weight == 0.0
         subscribed(handle, 1)
-        handle.commit(move(1, time=2.0, distance=2.0))
-        handle.commit(move(2, time=3.0, distance=3.0), exclude_subscriber=1)
+        handle.commit(move(1, time=2.0, distance=2.0), None, 2.0)
+        handle.commit(move(2, time=3.0, distance=3.0), 1, 3.0)
         assert handle.commit_count == 1
         assert handle.total_committed_weight == 2.0
 

@@ -1,5 +1,7 @@
 """Unit tests for the dyconit and its per-subscriber queues."""
 
+import math
+
 import pytest
 
 from repro.core.bounds import Bounds
@@ -133,7 +135,7 @@ class TestDyconit:
         dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
         subscriber = make_subscriber(1)
         state = dyconit.subscribe(subscriber)
-        dyconit.commit(move(1))
+        dyconit.commit(move(1), None, 0.0)
         again = dyconit.subscribe(subscriber)
         assert again is state
         assert again.has_pending
@@ -148,7 +150,7 @@ class TestDyconit:
     def test_unsubscribe_returns_state(self):
         dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
-        dyconit.commit(move(1))
+        dyconit.commit(move(1), None, 0.0)
         state = dyconit.unsubscribe(1)
         assert state is not None and state.has_pending
         assert dyconit.unsubscribe(1) is None
@@ -157,21 +159,22 @@ class TestDyconit:
         dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
         dyconit.subscribe(make_subscriber(2))
-        touched = dyconit.commit(move(1))
-        assert len(touched) == 2
+        n_enqueued, n_merged, became_due, flushed = dyconit.commit(move(1), None, 0.0)
+        assert (n_enqueued, n_merged, became_due, flushed) == (2, 0, 1000.0, None)
+        assert all(state.has_pending for state in dyconit.subscription_states())
 
     def test_commit_excludes_originator(self):
         dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
         dyconit.subscribe(make_subscriber(2))
-        touched = dyconit.commit(move(1), exclude_subscriber=1)
-        assert [state.subscriber.subscriber_id for state, __ in touched] == [2]
+        assert dyconit.commit(move(1), 1, 0.0)[0] == 1
+        assert [state.has_pending for state in dyconit.subscription_states()] == [False, True]
 
     def test_commit_tracks_hotness(self):
         dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
-        dyconit.commit(move(1, distance=2.0))
-        dyconit.commit(block())
+        dyconit.commit(move(1, distance=2.0), None, 0.0)
+        dyconit.commit(block(), None, 0.0)
         assert dyconit.commit_count == 2
         assert dyconit.total_committed_weight == 3.0
 
@@ -180,14 +183,14 @@ class TestDyconit:
         changed nobody's inconsistency and must not look hot to the
         policy — and both commit paths must agree on that."""
         dyconit = Dyconit("unit")
-        dyconit.commit(move(1, distance=2.0))
+        assert dyconit.commit(move(1, distance=2.0), None, 0.0) == (0, 0, math.inf, None)
         assert dyconit.commit_count == 0
         assert dyconit.total_committed_weight == 0.0
         dyconit.subscribe(make_subscriber(1), Bounds(10.0, 1000.0))
-        dyconit.commit(move(1, distance=2.0), exclude_subscriber=1)
+        dyconit.commit(move(1, distance=2.0), 1, 0.0)
         assert dyconit.commit_count == 0
         assert dyconit.total_committed_weight == 0.0
-        dyconit.commit(block())
+        dyconit.commit(block(), None, 0.0)
         assert dyconit.commit_count == 1
         assert dyconit.total_committed_weight == 1.0
 

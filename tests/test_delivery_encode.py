@@ -184,9 +184,10 @@ def test_adaptive_hotspot_2k_ticks_equals_reference(state_store, reference_deliv
     if state_store == "memory":
         assert shared > 2.0  # the memo did share packets
     else:
-        # The row store unpickles every update per drain: no two
-        # subscribers ever hold the same update object.
-        assert shared == 1.0
+        # The row store decodes each distinct blob once per batched drain:
+        # subscribers drained together share the update object, so the
+        # memo shares their packets too.
+        assert shared > 1.0
 
 
 @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])

@@ -459,9 +459,9 @@ class LegacyDyconitMachine(DyconitMachine):
 class SQLiteDyconitMachine(DyconitMachine):
     """Same rules with every queue resident in SQLite (S19).
 
-    The SQLite handles expose no columnar mode (``_flat is None``) so
-    the manager drives them through the per-object commit walk — exactly
-    how a real server configured with ``state_store="sqlite"`` runs. The
+    The SQLite handles answer the manager's batched calls over rows
+    (S25) — exactly how a real server configured with
+    ``state_store="sqlite"`` runs. The
     bit-exact reference model makes this a float-for-float conformance
     fuzz of the adapter's accounting.
     """
