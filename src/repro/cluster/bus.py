@@ -7,12 +7,15 @@ is a pure function of what was posted:
   sequence number stamped on every message (the auditor checks gaps);
 * nothing is delivered at post time — messages wait for the cluster's
   pump, which runs at a **barrier** after all shards ticked;
-* the pump drains edges in sorted ``(src, dst)`` order, messages within
-  an edge in FIFO order, and repeats in rounds until the bus is empty —
-  a handoff processed in round 1 may post subscriptions answered by
-  snapshots in rounds 2 and 3. Cascades provably terminate (a snapshot
-  application posts nothing), but a defensive round cap turns a cycle
-  bug into a loud error instead of a hang.
+* the pump drains in rounds (:meth:`InterShardBus.rounds`): each round
+  is every edge's queue in sorted ``(src, dst)`` order, messages within
+  an edge in FIFO order, and the next round holds what delivering it
+  posted, until the bus is empty — a handoff processed in round 1 may
+  post subscriptions answered by snapshots in rounds 2 and 3. Delivery
+  is the cluster's job (one :meth:`ShardServer.deliver_round` call per
+  destination per round, in process or in a worker). Cascades provably
+  terminate (a snapshot application posts nothing), but a defensive
+  round cap turns a cycle bug into a loud error instead of a hang.
 
 Byte accounting mirrors :class:`~repro.net.transport.Transport`: every
 message's modelled wire size is summed per edge and per message kind, so
@@ -21,15 +24,29 @@ E11 can report inter-shard dyconit bandwidth next to client bandwidth.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterator
 
 from repro.cluster.messages import ShardMessage
 
 #: A pump that needs more rounds than this is cycling, not converging.
 MAX_PUMP_ROUNDS = 32
 
-#: Receives (src shard, message); bound to the destination shard.
-MessageHandler = Callable[[int, ShardMessage], None]
+#: One round: ``((src, dst), messages)`` per non-empty edge, sorted.
+Round = list[tuple[tuple[int, int], list[ShardMessage]]]
+
+#: One destination's part of a round: ``(src, messages)`` per edge.
+Segment = list[tuple[int, list[ShardMessage]]]
+
+
+def by_destination(round_batches: Round) -> list[tuple[int, Segment]]:
+    """Split a round into ``(dst, segment)`` parts, destinations
+    ascending, each segment's edges in the round's order. Parts are
+    independent: delivering one touches only its destination's state
+    and posts only on that destination's outgoing edges."""
+    parts: dict[int, Segment] = {}
+    for (src, dst), messages in round_batches:
+        parts.setdefault(dst, []).append((src, messages))
+    return sorted(parts.items())
 
 
 class BusPumpDivergenceError(RuntimeError):
@@ -68,19 +85,20 @@ class InterShardBus:
         self._queues: dict[tuple[int, int], list[tuple[int, ShardMessage]]] = {}
         self._next_seq: dict[tuple[int, int], int] = {}
         self._delivered_seq: dict[tuple[int, int], int] = {}
-        self._handlers: dict[int, MessageHandler] = {}
+        self._shards: set[int] = set()
         self.total_bytes = 0
         self.total_messages = 0
         self.bytes_by_edge: dict[tuple[int, int], int] = {}
         self.messages_by_kind: dict[str, int] = {}
-        #: Rounds the most recent :meth:`pump` took (telemetry gauge
-        #: ``bus_pump_rounds`` is set from this at each barrier).
+        #: Rounds the most recent drain (:meth:`rounds`) took (telemetry
+        #: gauge ``bus_pump_rounds`` is set from this at each barrier).
         self.last_pump_rounds = 0
 
-    def attach(self, shard_id: int, handler: MessageHandler) -> None:
-        if shard_id in self._handlers:
+    def attach(self, shard_id: int) -> None:
+        """Register ``shard_id`` as a destination messages may be posted to."""
+        if shard_id in self._shards:
             raise ValueError(f"shard {shard_id} already attached to the bus")
-        self._handlers[shard_id] = handler
+        self._shards.add(shard_id)
 
     # ------------------------------------------------------------------
     # Posting
@@ -89,7 +107,7 @@ class InterShardBus:
     def post(self, src: int, dst: int, message: ShardMessage) -> None:
         if src == dst:
             raise ValueError(f"shard {src} posting to itself")
-        if dst not in self._handlers:
+        if dst not in self._shards:
             raise ValueError(f"no shard {dst} attached to the bus")
         edge = (src, dst)
         seq = self._next_seq.get(edge, 0)
@@ -118,24 +136,24 @@ class InterShardBus:
     # Draining
     # ------------------------------------------------------------------
 
-    def take_round(self) -> list[tuple[tuple[int, int], list[ShardMessage]]]:
+    def take_round(self) -> Round:
         """Remove and return one round's worth of messages.
 
         Snapshots every non-empty edge in sorted ``(src, dst)`` order,
         pops exactly the snapshotted prefixes off the live queues (so
         messages posted while the round is being *processed* wait for
         the next round), and verifies the per-edge seq chain. Delivery
-        itself is the caller's job: :meth:`pump` feeds the batches to
-        the attached handlers in place, and the parallel shard runner
-        ships the same batches to worker processes — both see the exact
-        round structure the serial pump defines.
+        itself is the caller's job: the serial cluster hands each
+        destination its part in process, the parallel shard runner
+        ships the same parts to worker processes — both see the same
+        round structure.
         """
         batches = [
             (edge, list(queue))
             for edge, queue in sorted(self._queues.items())
             if queue
         ]
-        round_out: list[tuple[tuple[int, int], list[ShardMessage]]] = []
+        round_out: Round = []
         for edge, batch in batches:
             del self._queues[edge][: len(batch)]
             expected = self._delivered_seq.get(edge, 0)
@@ -169,22 +187,19 @@ class InterShardBus:
             }
         return edges
 
-    def pump(self) -> int:
-        """Drain every edge until the bus is empty; returns messages
-        delivered. Runs in rounds: each round snapshots the queues and
-        delivers them in sorted edge order, so messages posted *during*
-        a round are deferred to the next round and total order stays a
-        pure function of the posting history."""
-        delivered_total = 0
+    def rounds(self) -> Iterator[Round]:
+        """Drain the bus round by round: yield :meth:`take_round` until it
+        comes back empty. The caller delivers each round before asking
+        for the next, so messages posted *during* a round make the next
+        one and total order stays a pure function of the posting
+        history. Sets :attr:`last_pump_rounds`; a drain that yields
+        :data:`MAX_PUMP_ROUNDS` rounds and is asked for another raises
+        :class:`BusPumpDivergenceError` instead of cycling forever."""
         for round_index in range(MAX_PUMP_ROUNDS):
             round_batches = self.take_round()
             if not round_batches:
                 self.last_pump_rounds = round_index
-                return delivered_total
-            for edge, messages in round_batches:
-                handler = self._handlers[edge[1]]
-                for message in messages:
-                    handler(edge[0], message)
-                    delivered_total += 1
+                return
+            yield round_batches
         self.last_pump_rounds = MAX_PUMP_ROUNDS
         raise BusPumpDivergenceError(MAX_PUMP_ROUNDS, self._divergence_snapshot())

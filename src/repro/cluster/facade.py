@@ -13,8 +13,10 @@ Scheduling discipline (the determinism contract):
   order, so same-timestamp ticks run 0, 1, ..., N-1;
 * the bus **pump** is scheduled after every shard tick at cluster start
   and runs at fixed tick cadence; it drains all inter-shard traffic to
-  empty (sorted edge order, FIFO within an edge) — the barrier at which
-  cross-shard state is mutually consistent;
+  empty in rounds (sorted edge order, FIFO within an edge; each
+  destination applies its part of a round as one unit,
+  :meth:`ShardServer.deliver_round`) — the barrier at which cross-shard
+  state is mutually consistent;
 * cluster invariants (I7 ownership, I8 mirrored subscriptions) are
   audited exactly at that barrier.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.cluster.bus import InterShardBus
+from repro.cluster.bus import InterShardBus, by_destination
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import ShardServer
 from repro.core.bounds import Bounds
@@ -237,7 +239,10 @@ class ShardedCluster:
         self.pump_count += 1
         if self.control_plane is not None:
             self.control_plane.apply(self, self.pump_count)
-        delivered = self.bus.pump()
+        delivered = 0
+        for round_batches in self.bus.rounds():
+            for dst, segment in by_destination(round_batches):
+                delivered += self.shards[dst].deliver_round(segment)
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.counter("cluster_pumps_total").increment()

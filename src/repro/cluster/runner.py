@@ -26,14 +26,24 @@ byte):
   hub** (a forked worker inheriting the parent's hub would double-count
   every counter; hubs are folded into the parent at :meth:`finalize`).
 
-Per-tick inputs (buffered player actions, bus message batches from
-:meth:`InterShardBus.take_round`) and outputs (flushed packet batches,
-recorded posts, world deltas) cross the pipe as plain picklable data;
-packets whose codec round-trips exactly travel as ``repro.net.wire``
-bytes.
+Per-tick inputs (buffered player actions, one bus round's part per
+destination from :meth:`InterShardBus.rounds`, which the worker applies
+as one unit through :meth:`ShardServer.deliver_round`, exactly as the
+serial pump does) and outputs (flushed packet batches, recorded posts,
+world deltas) cross the pipe as plain picklable data; packets whose
+codec round-trips exactly travel as ``repro.net.wire`` bytes.
+
+The barrier is pipelined (DESIGN.md S26): a reply's effects are merged
+and the next bus round is shipped *before* the reply's client packets
+are replayed, so the parent feeds the bots while the workers compute —
+in every pump round, and at a tick for the pump's first round when the
+pump is provably the next event at that instant. Every held packet is
+replayed before the pump returns.
 
 A worker failure surfaces as a parent-side exception carrying the
-worker's traceback; invariant violations re-raise as
+worker's traceback; a worker that died outright (its pipe broke) is a
+``RuntimeError`` naming the shard, the command, the simulated time and
+the exit code; invariant violations re-raise as
 :class:`InvariantViolationError` with the shard prefix the serial
 auditor would have used.
 """
@@ -45,7 +55,7 @@ import multiprocessing
 import traceback
 from dataclasses import dataclass
 
-from repro.cluster.bus import MAX_PUMP_ROUNDS, BusPumpDivergenceError, InterShardBus
+from repro.cluster.bus import InterShardBus, by_destination
 from repro.cluster.facade import ClientProfile, ClusterWorldView, ShardedCluster
 from repro.cluster.messages import SessionHandoff
 from repro.cluster.router import ShardRouter
@@ -185,10 +195,9 @@ class _RecordingBus:
 
     def __init__(self, out: _OutputCollector) -> None:
         self._out = out
-        self._handlers: dict[int, object] = {}
 
-    def attach(self, shard_id: int, handler) -> None:
-        self._handlers[shard_id] = handler
+    def attach(self, shard_id: int) -> None:
+        pass
 
     def post(self, src: int, dst: int, message) -> None:
         self._out.posts.append((dst, message))
@@ -286,11 +295,9 @@ def _handle_command(shard, sim, out, stub, spec, hub, cmd, payload):
         return result
     if cmd == "pump":
         sim.clock.advance_to(payload["time"])
-        for src, wrapped in payload["segment"]:
-            for item in wrapped:
-                if item[0] == "h":
-                    stub.stage_handoff(item[1].client_id, item[2])
-                shard._on_bus_message(src, item[1])
+        for client_id, profile_data in payload["profiles"]:
+            stub.stage_handoff(client_id, profile_data)
+        shard.deliver_round(payload["segment"])
         return out.drain(shard)
     if cmd == "audit":
         violations = InvariantAuditor().check_server(shard)
@@ -453,9 +460,10 @@ class _MirrorWorld:
 
     Terrain is a real :class:`World` (same seed: block-aware surface
     queries answer identically) kept current by replaying block deltas;
-    entities and ghosts are replaced wholesale from per-command
-    snapshots, in worker iteration order, so facade reads between
-    barriers see exactly what the serial shard world would hold.
+    entities and ghosts follow per-command snapshots, in worker iteration
+    order (entities are moved in place while the id sequence holds and
+    rebuilt when it changes), so facade reads between barriers see
+    exactly what the serial shard world would hold.
     """
 
     def __init__(self, seed: int, entity_id_start: int, entity_id_step: int) -> None:
@@ -481,6 +489,19 @@ class _MirrorWorld:
             self._terrain.set_block(BlockPos(x, y, z), BlockType(value))
 
     def apply_entities(self, snapshot) -> None:
+        entities = self._entities
+        if len(snapshot) == len(entities) and all(
+            row[0] == entity_id for row, entity_id in zip(snapshot, entities)
+        ):
+            # The steady state: the same entities in the same order, so
+            # move the held ones (an id's kind and name never change).
+            for (__, __, x, y, z, yaw, pitch, __), entity in zip(
+                snapshot, entities.values()
+            ):
+                entity.position = Vec3(x, y, z)
+                entity.yaw = yaw
+                entity.pitch = pitch
+            return
         self._entities = {
             entity_id: Entity(
                 entity_id=entity_id,
@@ -594,6 +615,8 @@ class _ShardHandle:
         self.shard_id = shard_id
         self._process = process
         self._conn = conn
+        #: The command most recently sent (named when the worker dies).
+        self._command: str | None = None
         self.world = _MirrorWorld(runner.config.seed, shard_id + 1, num_shards)
         self.ghost_ids: set[int] = set()
         self.sessions: dict[int, _HandleSession] = {}
@@ -614,10 +637,17 @@ class _ShardHandle:
     # -- RPC plumbing --------------------------------------------------
 
     def _send(self, cmd: str, payload) -> None:
-        self._conn.send((cmd, payload))
+        self._command = cmd
+        try:
+            self._conn.send((cmd, payload))
+        except (BrokenPipeError, ConnectionResetError) as error:
+            raise self._worker_gone("sending") from error
 
     def _recv(self):
-        status, payload = self._conn.recv()
+        try:
+            status, payload = self._conn.recv()
+        except (EOFError, ConnectionResetError) as error:
+            raise self._worker_gone("awaiting the reply to") from error
         if status == "invariant":
             raise InvariantViolationError(
                 [
@@ -630,6 +660,16 @@ class _ShardHandle:
                 f"shard {self.shard_id} worker failed:\n{payload}"
             )
         return payload
+
+    def _worker_gone(self, doing: str) -> RuntimeError:
+        """A diagnosed stop for a worker whose pipe broke: which shard,
+        which command, when, and how the process ended."""
+        self._process.join(timeout=1.0)
+        return RuntimeError(
+            f"shard {self.shard_id} worker is gone ({doing} {self._command!r} "
+            f"at simulated time {self._runner.sim.now} ms; "
+            f"exit code {self._process.exitcode})"
+        )
 
     def _rpc(self, cmd: str, payload):
         self._send(cmd, payload)
@@ -721,10 +761,8 @@ class ParallelShardRunner(ShardedCluster):
             )
         self.router = ShardRouter(shards, strip_width)
         self.bus = InterShardBus()
-        # The parent drains the bus with take_round() and ships batches
-        # to workers; the in-place pump() path must never run here.
         for shard_id in range(shards):
-            self.bus.attach(shard_id, self._reject_inline_delivery)
+            self.bus.attach(shard_id)
         self.peer_bounds = peer_bounds if peer_bounds is not None else Bounds.ZERO
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
@@ -738,6 +776,11 @@ class ParallelShardRunner(ShardedCluster):
         self.pump_count = 0
         self._running = False
         self._pump_event = None
+        #: A pump whose first round left before its event fired (see
+        #: _shard_tick): (the bus drain, destinations awaiting replies).
+        self._in_flight: tuple | None = None
+        #: Bus messages shipped by the pump under way.
+        self._pump_messages = 0
         self._finalized = False
         self._audit_every_n_pumps = (
             self.config.audit_every_n_ticks
@@ -777,13 +820,6 @@ class ParallelShardRunner(ShardedCluster):
             )
         self.world = ClusterWorldView(self)
 
-    @staticmethod
-    def _reject_inline_delivery(src: int, message) -> None:
-        raise RuntimeError(
-            "parallel runner bus messages are shipped to workers, never "
-            f"delivered in-place (got {type(message).__name__} from {src})"
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -817,11 +853,12 @@ class ParallelShardRunner(ShardedCluster):
                 self._tick_events[shard_id] = None
 
     def shutdown(self) -> None:
-        """Terminate the worker processes (idempotent)."""
+        """Terminate the worker processes (idempotent; a worker that
+        already died is just reaped)."""
         for handle in self.shards:
             try:
-                handle._send("exit", None)
-            except (BrokenPipeError, OSError):
+                handle._conn.send(("exit", None))
+            except OSError:
                 pass
         for handle in self.shards:
             handle._process.join(timeout=10)
@@ -899,15 +936,36 @@ class ParallelShardRunner(ShardedCluster):
             actions = handle._pending_actions
             handle._pending_actions = []
             handle._send("tick", {"time": now, "actions": actions})
+        # Relay before replay: when the pump barrier is the very next
+        # event at this instant, nothing can run between this tick and
+        # it, so the pump's first round leaves as soon as this tick's
+        # posts are on the bus, and this tick's packets reach their
+        # handlers while the workers compute that round. Otherwise (a
+        # drifted shard, an event scheduled in between) packets replay
+        # on receipt.
+        pre_ship = self._pump_is_next(now)
+        held = []
         for j in due:
             handle = self.shards[j]
             out = handle._recv()
-            self._apply_output(handle, out)
+            self._apply_effects(handle, out)
+            if pre_ship:
+                held.append(out["packets"])
+            else:
+                self._replay(out["packets"])
             delay = max(self.config.tick_interval_ms, out["duration"])
             self._next_tick_time[j] = now + delay
             self._tick_events[j] = self.sim.schedule(
                 delay, functools.partial(self._shard_tick, j)
             )
+        if pre_ship:
+            rounds = self.bus.rounds()
+            self._in_flight = (rounds, self._ship_round(rounds))
+            self._replay(*held)
+
+    def _pump_is_next(self, now: float) -> bool:
+        event = self.sim.next_event()
+        return event is not None and event is self._pump_event and event.time == now
 
     # ------------------------------------------------------------------
     # Pump barrier
@@ -917,54 +975,30 @@ class ParallelShardRunner(ShardedCluster):
         if not self._running:
             return
         self.pump_count += 1
-        delivered = 0
-        rounds_used = MAX_PUMP_ROUNDS
-        for round_index in range(MAX_PUMP_ROUNDS):
-            round_batches = self.bus.take_round()
-            if not round_batches:
-                rounds_used = round_index
-                break
-            # One segment per destination shard, edges in the round's
-            # sorted order; destinations process concurrently (their
-            # in-flight effects are disjoint: own world, own sessions).
-            segments: dict[int, list] = {}
-            for (src, dst), messages in round_batches:
-                wrapped = []
-                for message in messages:
-                    delivered += 1
-                    if isinstance(message, SessionHandoff):
-                        # The facade's half of the adoption happens at
-                        # ship time (exactly once per message, like the
-                        # serial take_handoff at delivery time); the
-                        # picklable profile travels with the message.
-                        profile = self.take_handoff(message.client_id)
-                        data = (
-                            None
-                            if profile is None
-                            else (
-                                profile.name,
-                                profile.link,
-                                profile.view_distance,
-                                profile.faults,
-                            )
-                        )
-                        wrapped.append(("h", message, data))
-                    else:
-                        wrapped.append(("m", message))
-                segments.setdefault(dst, []).append((src, wrapped))
-            for dst in sorted(segments):
-                self.shards[dst]._send(
-                    "pump", {"time": self.sim.now, "segment": segments[dst]}
-                )
-            for dst in sorted(segments):
-                out = self.shards[dst]._recv()
-                self._apply_output(self.shards[dst], out)
+        if self._in_flight is None:
+            rounds = self.bus.rounds()
+            shipped = self._ship_round(rounds)
         else:
-            self.bus.last_pump_rounds = MAX_PUMP_ROUNDS
-            raise BusPumpDivergenceError(
-                MAX_PUMP_ROUNDS, self.bus._divergence_snapshot()
-            )
-        self.bus.last_pump_rounds = rounds_used
+            (rounds, shipped), self._in_flight = self._in_flight, None
+        held: list = []
+        try:
+            while shipped:
+                # Relay before replay: a round's effects go on the bus and
+                # the next round leaves before its packets are replayed,
+                # which happens while the workers compute that next round.
+                # A client's packets in one command come from one shard,
+                # and stashes replay in command order: per-client order
+                # is the per-message path's.
+                replay, held = held, []
+                self._replay(*replay)
+                for dst in shipped:
+                    out = self.shards[dst]._recv()
+                    self._apply_effects(self.shards[dst], out)
+                    held.append(out["packets"])
+                shipped = self._ship_round(rounds)
+        finally:
+            self._replay(*held)
+        delivered, self._pump_messages = self._pump_messages, 0
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.counter("cluster_pumps_total").increment()
@@ -991,28 +1025,63 @@ class ParallelShardRunner(ShardedCluster):
             self.audit_now()
         self._pump_event = self.sim.schedule(self.config.tick_interval_ms, self._pump)
 
+    def _ship_round(self, rounds) -> list[int]:
+        """Take the drain's next round and send each destination its
+        part; returns the destinations now computing, ascending (empty
+        once the bus is drained)."""
+        round_batches = next(rounds, None)
+        if round_batches is None:
+            return []
+        # The facade's half of each adoption happens at ship time, in the
+        # round's edge order (exactly once per message, like the serial
+        # take_handoff at delivery time); the picklable profile travels
+        # with the round.
+        profiles: dict[int, list] = {}
+        for (__, dst), messages in round_batches:
+            self._pump_messages += len(messages)
+            for message in messages:
+                if isinstance(message, SessionHandoff):
+                    profile = self.take_handoff(message.client_id)
+                    profiles.setdefault(dst, []).append(
+                        (
+                            message.client_id,
+                            None
+                            if profile is None
+                            else (
+                                profile.name,
+                                profile.link,
+                                profile.view_distance,
+                                profile.faults,
+                            ),
+                        )
+                    )
+        # Destinations compute concurrently: their in-flight effects are
+        # disjoint (own world, own sessions, own outgoing edges).
+        shipped = []
+        for dst, segment in by_destination(round_batches):
+            self.shards[dst]._send(
+                "pump",
+                {
+                    "time": self.sim.now,
+                    "segment": segment,
+                    "profiles": profiles.get(dst, ()),
+                },
+            )
+            shipped.append(dst)
+        return shipped
+
     # ------------------------------------------------------------------
     # Output merge
     # ------------------------------------------------------------------
 
     def _apply_output(self, handle: _ShardHandle, out: dict) -> None:
-        """Replay one worker command's effects into the parent.
+        """Merge one worker command's effects, then replay its packets."""
+        self._apply_effects(handle, out)
+        self._replay(out["packets"])
 
-        Packet replay cannot disturb determinism: bot handlers mutate
-        only client-side state and never schedule events, so the only
-        ordering that matters — per-client FIFO and the shard-order
-        interleave of bus posts — is preserved by construction.
-        """
-        for client_id, tag, payload, sent_at, delivered_at in out["packets"]:
-            handler = self._client_handlers.get(client_id)
-            if handler is None:
-                continue
-            packet = wire.decode(payload)[0] if tag == "w" else payload
-            handler(
-                DeliveredPacket(
-                    packet=packet, sent_at=sent_at, delivered_at=delivered_at
-                )
-            )
+    def _apply_effects(self, handle: _ShardHandle, out: dict) -> None:
+        """Merge everything of one worker command but its client packets:
+        mirror terrain and entities, ghosts, handoff events, bus posts."""
         handle.world.apply_blocks(out["blocks"])
         handle.world.apply_entities(out["entities"])
         handle.ghost_ids = set(out["ghosts"])
@@ -1031,6 +1100,29 @@ class ParallelShardRunner(ShardedCluster):
                 self.on_handoff_completed(client_id, shard_id)
         for dst, message in out["posts"]:
             self.bus.post(handle.shard_id, dst, message)
+
+    def _replay(self, *stashes) -> None:
+        """Hand held worker packets to the client handlers, stash by
+        stash in command order.
+
+        Replay timing cannot disturb determinism: bot handlers mutate
+        only client-side state and never read server state or schedule
+        events, so what matters — per-client FIFO and the shard-order
+        interleave of bus posts — holds however late in the barrier the
+        packets land, as long as it is before the next event.
+        """
+        handlers = self._client_handlers
+        for packets in stashes:
+            for client_id, tag, payload, sent_at, delivered_at in packets:
+                handler = handlers.get(client_id)
+                if handler is None:
+                    continue
+                packet = wire.decode(payload)[0] if tag == "w" else payload
+                handler(
+                    DeliveredPacket(
+                        packet=packet, sent_at=sent_at, delivered_at=delivered_at
+                    )
+                )
 
     # ------------------------------------------------------------------
     # Audit

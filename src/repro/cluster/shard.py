@@ -34,7 +34,7 @@ re-published to the bus.
 
 from __future__ import annotations
 
-from repro.cluster.bus import InterShardBus
+from repro.cluster.bus import InterShardBus, Segment
 from repro.cluster.messages import (
     EntityTransfer,
     GhostBlock,
@@ -66,6 +66,11 @@ from repro.world.events import (
     WorldEvent,
 )
 from repro.world.geometry import BlockPos, ChunkPos, Vec3
+
+
+#: Bus messages that only apply ghost records; a round's commit batch
+#: runs through them unflushed.
+_RECORD_BATCHES = (PeerUpdates, PeerSnapshot)
 
 
 def peer_subscriber_id(shard_id: int) -> int:
@@ -142,7 +147,7 @@ class ShardServer(GameServer):
         # Replace the plain index *before* any session exists; all later
         # bind/add_view calls go through the transition-aware subclass.
         self.viewers = _ClusterViewerIndex(self)
-        bus.attach(shard_id, self._on_bus_message)
+        bus.attach(shard_id)
 
     # ------------------------------------------------------------------
     # Peer mesh (publisher side)
@@ -287,6 +292,35 @@ class ShardServer(GameServer):
     # ------------------------------------------------------------------
     # Bus inbound
     # ------------------------------------------------------------------
+
+    def deliver_round(self, segment: Segment) -> int:
+        """Apply this shard's part of one bus round as one unit; returns
+        the messages applied.
+
+        ``segment`` is ``(src, messages)`` per edge in the round's order.
+        The transport is corked over the whole round, so each client gets
+        one frame, and one commit batch spans every message: the buffer
+        is flushed before each message that is not a record batch
+        (subscribe, unsubscribe, handoff, transfer all change interest,
+        existence or the bus), and the record batches flush themselves
+        before spawns, despawns and chat — so the ``commit_to`` sequence
+        and everything it is interleaved with are the per-message path's.
+        """
+        applied = 0
+        self.transport.cork()
+        try:
+            with self._commit_batching():
+                for src, messages in segment:
+                    for message in messages:
+                        if not isinstance(message, _RECORD_BATCHES):
+                            self._flush_commits()
+                        self._on_bus_message(src, message)
+                        applied += 1
+        finally:
+            # Not _egress_frames: a bus round is not a tick phase.
+            self.codec.clear_moves()
+            self.transport.uncork()
+        return applied
 
     def _on_bus_message(self, src: int, message: ShardMessage) -> None:
         if isinstance(message, PeerSubscribe):

@@ -44,6 +44,13 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         return event
 
+    def peek(self) -> ScheduledEvent | None:
+        """The next live event, left in place, or ``None`` when empty."""
+        self._drop_cancelled()
+        if not self._heap:
+            return None
+        return self._heap[0]
+
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
         self._drop_cancelled()

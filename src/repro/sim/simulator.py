@@ -43,6 +43,11 @@ class Simulation:
             )
         return self.queue.push(time_ms, callback)
 
+    def next_event(self) -> ScheduledEvent | None:
+        """The live event the run loop dispatches next (still queued), or
+        ``None`` when nothing is scheduled."""
+        return self.queue.peek()
+
     def run_until(self, end_ms: float) -> None:
         """Dispatch events until simulated time reaches ``end_ms``.
 

@@ -13,6 +13,7 @@ import pytest
 from repro.backends import InMemoryStateStore, register_state_store
 from repro.backends.postgres_store import POSTGRES
 from repro.backends.sqlite_store import SQLRowStore
+from repro.cluster.shard import ShardServer
 from repro.core.dyconit import Dyconit
 from repro.core.manager import DyconitSystem
 from repro.core.subscription import Subscriber
@@ -349,6 +350,33 @@ def reference_delivery(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(SessionCodec, "encode", reference_encode)
             patch.setattr(Histogram, "record_many", _record_each)
+            yield
+
+    return patched
+
+
+def per_message_round(shard: ShardServer, segment) -> int:
+    """The differential reference for a bus round: every message applied
+    on its own through ``_on_bus_message``, uncorked (one frame per
+    packet), each record batch in its own commit batch — a shard's bus
+    inbound before a round landed as one unit."""
+    applied = 0
+    for src, messages in segment:
+        for message in messages:
+            shard._on_bus_message(src, message)
+            applied += 1
+    return applied
+
+
+@pytest.fixture
+def per_message_rounds(monkeypatch):
+    """``with per_message_rounds():`` — shards deliver bus rounds through
+    :func:`per_message_round` in place of ``ShardServer.deliver_round``."""
+
+    @contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardServer, "deliver_round", per_message_round)
             yield
 
     return patched

@@ -1,4 +1,10 @@
-"""Unit tests for the deterministic inter-shard bus."""
+"""Unit tests for the deterministic inter-shard bus.
+
+Delivery is the cluster's job; here :func:`pump` drains
+:meth:`InterShardBus.rounds` into per-destination test handlers, one
+message at a time in the round's order — the structure a cluster's
+per-round delivery sees.
+"""
 
 import pytest
 
@@ -6,6 +12,7 @@ from repro.cluster.bus import (
     MAX_PUMP_ROUNDS,
     BusPumpDivergenceError,
     InterShardBus,
+    by_destination,
 )
 from repro.cluster.messages import (
     GhostChat,
@@ -16,11 +23,35 @@ from repro.cluster.messages import (
 from repro.world.geometry import ChunkPos
 
 
-def make_bus(shard_ids=(0, 1)):
+def attached(handlers):
+    """A bus with one test handler per shard, taken by :func:`pump`."""
     bus = InterShardBus()
+    for shard_id in handlers:
+        bus.attach(shard_id)
+    bus.handlers = handlers
+    return bus
+
+
+def pump(bus) -> int:
+    """Drain the bus round by round into its test handlers; returns the
+    messages delivered."""
+    delivered = 0
+    for round_batches in bus.rounds():
+        for edge, messages in round_batches:
+            for message in messages:
+                bus.handlers[edge[1]](edge[0], message)
+                delivered += 1
+    return delivered
+
+
+def make_bus(shard_ids=(0, 1)):
     logs = {shard_id: [] for shard_id in shard_ids}
-    for shard_id in shard_ids:
-        bus.attach(shard_id, lambda src, msg, log=logs[shard_id]: log.append((src, msg)))
+    bus = attached(
+        {
+            shard_id: lambda src, msg, log=logs[shard_id]: log.append((src, msg))
+            for shard_id in shard_ids
+        }
+    )
     return bus, logs
 
 
@@ -38,7 +69,7 @@ def test_post_is_deferred_until_pump():
     bus.post(0, 1, tagged())
     assert logs[1] == []
     assert bus.pending_messages == 1
-    assert bus.pump() == 1
+    assert pump(bus) == 1
     assert len(logs[1]) == 1
     assert bus.pending_messages == 0
 
@@ -51,22 +82,25 @@ def test_snapshot_is_not_an_alias_of_the_live_queue():
     bus, logs = make_bus()
     bus.post(0, 1, tagged("one"))
     bus.post(0, 1, tagged("two"))
-    delivered = bus.pump()
+    delivered = pump(bus)
     assert delivered == 2
     assert [tag_of(msg) for __, msg in logs[1]] == ["one", "two"]
 
 
 def test_edges_drain_in_sorted_order():
-    bus = InterShardBus()
     order = []
-    for shard_id in (0, 1, 2):
-        bus.attach(shard_id, lambda src, msg, me=shard_id: order.append((src, me)))
+    bus = attached(
+        {
+            shard_id: lambda src, msg, me=shard_id: order.append((src, me))
+            for shard_id in (0, 1, 2)
+        }
+    )
     # Post in scrambled order; delivery order must follow sorted edges.
     bus.post(2, 0, tagged())
     bus.post(0, 1, tagged())
     bus.post(1, 2, tagged())
     bus.post(0, 2, tagged())
-    bus.pump()
+    pump(bus)
     assert order == [(0, 1), (0, 2), (1, 2), (2, 0)]
 
 
@@ -74,12 +108,11 @@ def test_fifo_within_an_edge():
     bus, logs = make_bus()
     for index in range(5):
         bus.post(0, 1, tagged(str(index)))
-    bus.pump()
+    pump(bus)
     assert [tag_of(msg) for __, msg in logs[1]] == ["0", "1", "2", "3", "4"]
 
 
 def test_messages_posted_mid_pump_are_delivered_next_round():
-    bus = InterShardBus()
     seen = []
 
     def replying_handler(src, msg):
@@ -87,42 +120,46 @@ def test_messages_posted_mid_pump_are_delivered_next_round():
         if tag_of(msg) == "ping":
             bus.post(1, 0, tagged("pong"))
 
-    bus.attach(0, lambda src, msg: seen.append(("shard0", tag_of(msg))))
-    bus.attach(1, replying_handler)
+    bus = attached(
+        {0: lambda src, msg: seen.append(("shard0", tag_of(msg))), 1: replying_handler}
+    )
     bus.post(0, 1, tagged("ping"))
-    delivered = bus.pump()
+    delivered = pump(bus)
     assert delivered == 2
     assert seen == [("shard1", "ping"), ("shard0", "pong")]
     assert bus.pending_messages == 0
 
 
 def test_non_converging_cascade_raises_instead_of_hanging():
-    bus = InterShardBus()
-    bus.attach(0, lambda src, msg: bus.post(0, 1, tagged()))
-    bus.attach(1, lambda src, msg: bus.post(1, 0, tagged()))
+    bus = attached(
+        {
+            0: lambda src, msg: bus.post(0, 1, tagged()),
+            1: lambda src, msg: bus.post(1, 0, tagged()),
+        }
+    )
     bus.post(0, 1, tagged())
     with pytest.raises(RuntimeError, match=f"{MAX_PUMP_ROUNDS} rounds"):
-        bus.pump()
+        pump(bus)
 
 
 def test_divergence_error_carries_per_edge_diagnostics():
     """Regression: a non-converging pump used to raise a bare
     RuntimeError with only the round count — no way to tell which edges
     were cycling or what was stuck on them."""
-    bus = InterShardBus()
     # Two independent ping-pong cycles (0<->1 and 2<->3); every handler
     # reposts to its partner, so the pump never drains.
-    for me, partner in ((0, 1), (1, 0), (2, 3), (3, 2)):
-        bus.attach(
-            me,
-            lambda src, msg, me=me, partner=partner: bus.post(
+    bus = attached(
+        {
+            me: lambda src, msg, me=me, partner=partner: bus.post(
                 me, partner, tagged("again")
-            ),
-        )
+            )
+            for me, partner in ((0, 1), (1, 0), (2, 3), (3, 2))
+        }
+    )
     bus.post(0, 1, tagged("seed-a"))
     bus.post(2, 3, tagged("seed-b"))
     with pytest.raises(BusPumpDivergenceError) as excinfo:
-        bus.pump()
+        pump(bus)
     error = excinfo.value
     assert error.rounds == MAX_PUMP_ROUNDS
     # One stuck edge per cycle shows up, with depth + seq window +
@@ -146,7 +183,7 @@ def test_last_pump_rounds_tracks_cascade_depth():
     bus, __ = make_bus()
     assert bus.last_pump_rounds == 0
     bus.post(0, 1, tagged())
-    bus.pump()
+    pump(bus)
     assert bus.last_pump_rounds == 1
 
     # A ping->pong cascade takes two rounds; an empty pump takes zero.
@@ -156,19 +193,18 @@ def test_last_pump_rounds_tracks_cascade_depth():
         if next(replies, False):
             cascade.post(1, 0, tagged("pong"))
 
-    cascade = InterShardBus()
-    cascade.attach(0, lambda src, msg: None)
-    cascade.attach(1, reply_once)
+    cascade = attached({0: lambda src, msg: None, 1: reply_once})
     cascade.post(0, 1, tagged("ping"))
-    cascade.pump()
+    pump(cascade)
     assert cascade.last_pump_rounds == 2
-    cascade.pump()
+    pump(cascade)
     assert cascade.last_pump_rounds == 0
 
 
 def test_take_round_matches_pump_round_structure():
-    """The parallel runner drains via take_round(); the rounds it sees
-    must be exactly the rounds pump() would deliver."""
+    """Both cluster runtimes drain via take_round(); a round is every
+    non-empty edge in sorted order, and posts made while it is out wait
+    for the next one."""
     bus, __ = make_bus((0, 1, 2))
     bus.post(2, 0, tagged("late-edge"))
     bus.post(0, 1, tagged("a"))
@@ -181,6 +217,19 @@ def test_take_round_matches_pump_round_structure():
     second = bus.take_round()
     assert [edge for edge, __ in second] == [(1, 2)]
     assert bus.take_round() == []
+
+
+def test_by_destination_groups_a_round_per_destination():
+    bus, __ = make_bus((0, 1, 2))
+    bus.post(2, 0, tagged("c"))
+    bus.post(0, 1, tagged("a"))
+    bus.post(0, 2, tagged("b"))
+    bus.post(1, 0, tagged("d"))
+    parts = by_destination(bus.take_round())
+    assert [dst for dst, __ in parts] == [0, 1, 2]
+    assert [
+        (src, [tag_of(m) for m in messages]) for src, messages in dict(parts)[0]
+    ] == [(1, ["d"]), (2, ["c"])]
 
 
 def test_self_post_rejected():
@@ -198,7 +247,7 @@ def test_post_to_unattached_shard_rejected():
 def test_double_attach_rejected():
     bus, __ = make_bus()
     with pytest.raises(ValueError, match="already attached"):
-        bus.attach(1, lambda src, msg: None)
+        bus.attach(1)
 
 
 def test_byte_and_kind_accounting():
@@ -220,7 +269,7 @@ def test_byte_and_kind_accounting():
         "PeerUpdates": 2, "PeerUnsubscribe": 1, "SessionHandoff": 1,
     }
     # Accounting is cumulative: pumping does not reset the counters.
-    bus.pump()
+    pump(bus)
     assert bus.total_messages == 4
 
 
@@ -231,7 +280,7 @@ def test_pending_by_edge_exposes_messages_for_the_auditor():
     pending = bus.pending_by_edge()
     assert set(pending) == {(0, 1), (2, 1)}
     assert tag_of(pending[(0, 1)][0]) == "a"
-    bus.pump()
+    pump(bus)
     assert bus.pending_by_edge() == {}
 
 
@@ -239,5 +288,5 @@ def test_seq_numbers_survive_many_pumps():
     bus, logs = make_bus()
     for round_index in range(10):
         bus.post(0, 1, tagged(str(round_index)))
-        bus.pump()
+        pump(bus)
     assert [tag_of(msg) for __, msg in logs[1]] == [str(i) for i in range(10)]
