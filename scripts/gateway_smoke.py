@@ -13,8 +13,9 @@ Checks, over an actual loopback socket (stdlib server, stdlib client):
    tick" acceptance bar, read back from ``GET /ops``.
 3. The retune is live: the policy view reflects the new bounds, and a
    post-retune run flushes on every commit (zero bounds ⇒ no batching).
-4. A bad request (policy "vanilla") is rejected with 400 and no op is
-   queued.
+4. Bad requests (policy "vanilla", a ``bounds`` that is not an object)
+   are rejected with 400, no op is queued, and the gateway still answers
+   ``GET /healthz`` afterwards.
 
 Exit code 0 on success; any assertion failure is fatal.
 """
@@ -121,14 +122,19 @@ def main() -> int:
     print(f"  post-retune deliveries: {stats.updates_delivered - flushed_before}, "
           f"pending after tick: {pending}")
 
-    # 4. Bad requests bounce with 400 and queue nothing.
-    try:
-        put("/policy", {"policy": "vanilla"})
-        raise AssertionError("vanilla retune should have been rejected")
-    except urllib.error.HTTPError as error:
-        assert error.code == 400, error.code
-    status, body = get("/ops")
-    assert json.loads(body)["pending"] == 0
+    # 4. Bad requests bounce with 400, queue nothing and leave the
+    #    gateway answering.
+    for bad in ({"policy": "vanilla"}, {"bounds": 5}):
+        try:
+            put("/policy", bad)
+            raise AssertionError(f"{bad} should have been rejected")
+        except urllib.error.HTTPError as error:
+            assert error.code == 400, (bad, error.code)
+        status, body = get("/ops")
+        assert json.loads(body)["pending"] == 0, (bad, body)
+    status, body = get("/healthz")
+    assert status == 200 and json.loads(body)["status"] == "ok", body
+    print("  malformed retunes rejected with 400; /healthz still answers")
 
     gateway.stop()
     print("gateway smoke OK")

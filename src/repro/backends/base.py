@@ -1,41 +1,32 @@
-"""Backend protocols: where dyconit state lives, and how flushes fan out.
+"""Backend protocol: where dyconit state lives.
 
-Two seams (S19) turn the middleware from an in-process library into a
-deployable service:
+One seam (S19) lets the middleware keep its state outside the process:
+:class:`StateStore` is the factory and home of per-dyconit subscription
+state. The :class:`~repro.core.manager.DyconitSystem` never constructs
+a :class:`~repro.core.dyconit.Dyconit` directly; it asks its store for
+a *dyconit state handle* and talks to that handle through the surface
+documented on :class:`DyconitStateHandle`. The in-memory store hands
+back today's ``Dyconit`` objects unchanged, so the default path is
+byte-identical to the pre-seam tree; the SQL row store hands back
+handles whose queues live in a database (SQLite or Postgres).
 
-* :class:`StateStore` — the factory and home of per-dyconit subscription
-  state. The :class:`~repro.core.manager.DyconitSystem` never constructs
-  a :class:`~repro.core.dyconit.Dyconit` directly any more; it asks its
-  store for a *dyconit state handle* and talks to that handle through
-  the surface documented on :class:`DyconitStateHandle`. The in-memory
-  store hands back today's ``Dyconit`` objects unchanged, so the default
-  path is byte-identical to the pre-seam tree; the SQL row store hands
-  back handles whose queues live in a database (SQLite or Postgres).
-
-* :class:`EventBus` — the delivery edge of a flush. The manager
-  publishes ``(subscriber, segments)`` — the ``(dyconit id, updates)``
-  segments one flush scope drained for that subscriber — to the bus
-  instead of invoking the subscriber callback itself. The direct bus
-  reproduces the legacy inline call; a buffered bus decouples delivery
-  for gateway taps and future networked fan-out.
-
-Both protocols are *synchronous and single-writer by design*: the
-simulation owns the only mutating thread, exactly as before. A backend
-that wants asynchrony (pub/sub, a network bus) must still present
-this synchronous surface to the middleware and do its own pipelining
-behind it — the determinism contract (run-to-run bit identity) is part
-of the protocol, not an accident of the in-memory implementation.
+The protocol is *synchronous and single-writer by design*: the
+simulation owns the only mutating thread, exactly as before. A store
+that wants asynchrony must still present this synchronous surface to
+the middleware and do its own pipelining behind it — the determinism
+contract (run-to-run bit identity) is part of the protocol, not an
+accident of the in-memory implementation.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.bounds import Bounds
-    from repro.core.subscription import Segment, Subscriber
+    from repro.core.subscription import Subscriber
     from repro.core.update import Update
 
 
@@ -282,32 +273,3 @@ class StateStore(abc.ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class EventBus(abc.ABC):
-    """Fan-out edge: flushed segments on their way to subscribers."""
-
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def publish(self, subscriber: "Subscriber", segments: Sequence["Segment"]) -> None:
-        """Hand one subscriber the ``(dyconit id, updates)`` segments a
-        flush scope drained for it.
-
-        Contract: deliveries for the same subscriber arrive in publish
-        order, exactly once, with the segment order and every update
-        sequence unchanged (the middleware already merged and
-        time-ordered them).
-        """
-
-    def drain(self) -> int:
-        """Deliver anything buffered; returns deliveries made.
-
-        The direct bus has nothing to drain and returns 0. Buffered
-        buses deliver here, when their owner (whoever constructed the
-        bus and handed it to the system) calls it; the engine never does.
-        """
-        return 0
-
-    def close(self) -> None:
-        """Release bus resources."""

@@ -1,7 +1,7 @@
-"""Backend registries and spec resolution.
+"""State-store registry and spec resolution.
 
-Backends register a *factory* under a name; systems are configured with
-a **spec** — either an already-constructed backend instance or a string:
+Stores register a *factory* under a name; systems are configured with
+a **spec** — either an already-constructed store instance or a string:
 
 * ``"memory"`` — in-memory store (the default; byte-identical legacy
   behaviour);
@@ -13,26 +13,21 @@ a **spec** — either an already-constructed backend instance or a string:
   reachable server, else
   :class:`~repro.backends.base.BackendUnavailable`).
 
-Event buses: ``"direct"``, ``"buffered"``, and ``"spool:///path.db"`` —
-a :class:`~repro.backends.pipeline.SpoolEventBus` teeing deliveries
-into a durable spool for an out-of-process consumer.
-
-The conformance suite iterates :func:`state_store_factories` /
-:func:`event_bus_factories`, so registering a new adapter is all it
-takes to put it under the full contract.
+The conformance suite iterates :func:`state_store_factories`, so
+registering a new store is all it takes to put it under the full
+contract.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.backends.base import EventBus, StateStore
-from repro.backends.memory import BufferedEventBus, DirectEventBus, InMemoryStateStore
+from repro.backends.base import StateStore
+from repro.backends.memory import InMemoryStateStore
 from repro.backends.postgres_store import PostgresStateStore
 from repro.backends.sqlite_store import SQLiteStateStore
 
 _STATE_STORES: dict[str, Callable[[], StateStore]] = {}
-_EVENT_BUSES: dict[str, Callable[[], EventBus]] = {}
 
 
 def register_state_store(name: str, factory: Callable[[], StateStore]) -> None:
@@ -40,17 +35,9 @@ def register_state_store(name: str, factory: Callable[[], StateStore]) -> None:
     _STATE_STORES[name] = factory
 
 
-def register_event_bus(name: str, factory: Callable[[], EventBus]) -> None:
-    _EVENT_BUSES[name] = factory
-
-
 def state_store_factories() -> dict[str, Callable[[], StateStore]]:
     """Registered store factories (name -> zero-arg factory)."""
     return dict(_STATE_STORES)
-
-
-def event_bus_factories() -> dict[str, Callable[[], EventBus]]:
-    return dict(_EVENT_BUSES)
 
 
 def create_state_store(spec: "StateStore | str | None") -> StateStore:
@@ -71,28 +58,8 @@ def create_state_store(spec: "StateStore | str | None") -> StateStore:
     return factory()
 
 
-def create_event_bus(spec: "EventBus | str | None") -> EventBus:
-    """Resolve a bus spec (instance or name) to an instance."""
-    if spec is None:
-        spec = "direct"
-    if isinstance(spec, EventBus):
-        return spec
-    if spec.startswith("spool:///"):
-        from repro.backends.pipeline import SpoolEventBus
-
-        return SpoolEventBus(spec[len("spool:///"):])
-    factory = _EVENT_BUSES.get(spec)
-    if factory is None:
-        raise ValueError(
-            f"unknown event bus {spec!r}; registered: {sorted(_EVENT_BUSES)}"
-        )
-    return factory()
-
-
 register_state_store("memory", InMemoryStateStore)
 register_state_store("sqlite", SQLiteStateStore)
 # Constructing the Postgres store verifies the driver + server and
 # raises BackendUnavailable otherwise; the contract suite skips on that.
 register_state_store("postgres", PostgresStateStore)
-register_event_bus("direct", DirectEventBus)
-register_event_bus("buffered", BufferedEventBus)

@@ -38,11 +38,12 @@ class Bounds:
     INFINITE: ClassVar["Bounds"]
 
     def __post_init__(self) -> None:
-        if self.numerical < 0:
+        # ``not x >= 0`` rather than ``x < 0``: a NaN bound never trips.
+        if not self.numerical >= 0:
             raise ValueError(f"numerical bound must be >= 0, got {self.numerical}")
-        if self.staleness_ms < 0:
+        if not self.staleness_ms >= 0:
             raise ValueError(f"staleness bound must be >= 0, got {self.staleness_ms}")
-        if self.order < 0:
+        if not self.order >= 0:
             raise ValueError(f"order bound must be >= 0, got {self.order}")
 
     @property

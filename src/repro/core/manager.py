@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, Sequence
 
 from repro.backends.base import (
-    EventBus,
     StateStore,
     SubscriptionSnapshot,
     snapshot_subscription,
 )
-from repro.backends.registry import create_event_bus, create_state_store
+from repro.backends.registry import create_state_store
 from repro.core.bounds import Bounds
 from repro.core.dyconit import Dyconit, SubscriptionState
 from repro.core.partition import ChunkPartitioner, DyconitPartitioner
@@ -97,7 +96,6 @@ class DyconitSystem:
         merging_enabled: bool = True,
         telemetry: Telemetry | None = None,
         state_store=None,
-        event_bus=None,
     ) -> None:
         self.policy = policy
         self.partitioner = partitioner if partitioner is not None else ChunkPartitioner()
@@ -108,15 +106,10 @@ class DyconitSystem:
         #: represented (S17 columns, rows); every handle answers the same
         #: batched commit, due pass and retune calls (S25).
         self.state_store = create_state_store(state_store)
-        #: S19 fan-out seam: flushed batches go through this bus. The
-        #: default direct bus delivers inline, exactly like the legacy
-        #: ``subscriber.deliver(...)`` call.
-        self.event_bus = create_event_bus(event_bus)
-        # Backends built here from a spec are this system's to close;
-        # instances handed in stay the caller's (a restart harness keeps
+        # A store built here from a spec is this system's to close; an
+        # instance handed in stays the caller's (a restart harness keeps
         # its store open across the system it is tearing down).
         self._owns_state_store = not isinstance(state_store, StateStore)
-        self._owns_event_bus = not isinstance(event_bus, EventBus)
         self._closed = False
         #: E8(a) ablation switch; affects dyconits created after the change.
         self.merging_enabled = merging_enabled
@@ -186,10 +179,10 @@ class DyconitSystem:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources (idempotent).
+        """Release the state store (idempotent).
 
-        Backends the system constructed from specs are closed; instances
-        the caller passed in remain the caller's to close — the restart
+        A store the system constructed from a spec is closed; an instance
+        the caller passed in remains the caller's to close — the restart
         harness hands one store to a system, tears the system down, and
         keeps using the store.
         """
@@ -198,8 +191,6 @@ class DyconitSystem:
         self._closed = True
         if self._owns_state_store:
             self.state_store.close()
-        if self._owns_event_bus:
-            self.event_bus.close()
 
     def __enter__(self) -> "DyconitSystem":
         return self
@@ -867,11 +858,10 @@ class DyconitSystem:
             outbox, self._outbox = self._outbox, None
             if self._tm_pending is not None:
                 self._tm_pending.set(len(self._due_at))
-            publish = self.event_bus.publish
             for subscriber, segments in outbox.values():
                 if self._tm_segments is not None:
                     self._tm_segments.record(len(segments))
-                publish(subscriber, segments)
+                subscriber.deliver(segments)
 
     def flush(self, dyconit_id: Hashable, subscriber_id: int) -> None:
         """Force-flush one subscription (used by policies and shutdown)."""
@@ -912,7 +902,7 @@ class DyconitSystem:
         reason: str,
     ) -> None:
         """Account one drained queue and send it on its way: into the
-        open scope's outbox, or straight to the bus outside one."""
+        open scope's outbox, or straight to the subscriber outside one."""
         now = self.now
         stats = self.stats
         stats.flushes += 1
@@ -941,7 +931,7 @@ class DyconitSystem:
             )
         outbox = self._outbox
         if outbox is None:
-            self.event_bus.publish(subscriber, [(dyconit_id, updates)])
+            subscriber.deliver([(dyconit_id, updates)])
         else:
             outbox.setdefault(subscriber.subscriber_id, (subscriber, []))[1].append(
                 (dyconit_id, updates)

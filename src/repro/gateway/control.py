@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any
 
 from repro.core.bounds import Bounds
 
@@ -41,12 +40,21 @@ from repro.core.bounds import Bounds
 OP_KINDS = ("set_policy", "set_bounds", "checkpoint")
 
 
+def _bound_value(value, key: str) -> float:
+    """A bound from JSON: a number or a numeric string (``"inf"``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(
+            f"set_bounds {key} must be a number or a numeric string, got {value!r}"
+        )
+    return float(value)
+
+
 def _bounds_from_op(op: dict) -> Bounds:
     try:
         return Bounds(
-            numerical=float(op["numerical"]),
-            staleness_ms=float(op["staleness_ms"]),
-            order=float(op.get("order", math.inf)),
+            numerical=_bound_value(op["numerical"], "numerical"),
+            staleness_ms=_bound_value(op["staleness_ms"], "staleness_ms"),
+            order=_bound_value(op.get("order", math.inf), "order"),
         )
     except KeyError as exc:
         raise ValueError(f"set_bounds needs a {exc.args[0]} value") from exc
@@ -79,7 +87,13 @@ class ControlPlane:
             # fresh instance so no policy state leaks across submission.
             from repro.experiments.configs import make_policy
 
-            policy = make_policy(op.get("policy", ""), **op.get("kwargs", {}))
+            name, kwargs = op.get("policy", ""), op.get("kwargs", {})
+            if not isinstance(kwargs, dict):
+                raise ValueError(f"kwargs must be a JSON object, got {kwargs!r}")
+            try:
+                policy = make_policy(name, **kwargs)
+            except TypeError as exc:
+                raise ValueError(f"policy {name!r} rejects kwargs {sorted(kwargs)}: {exc}") from exc
             if policy is None:
                 raise ValueError(
                     "policy 'vanilla' means no middleware; a running dyconit "
@@ -90,7 +104,7 @@ class ControlPlane:
             if not isinstance(key, str) or not key:
                 raise ValueError("checkpoint needs a non-empty string 'key'")
         else:
-            _bounds_from_op(op)  # raises on missing/negative values
+            _bounds_from_op(op)  # raises on missing, negative or NaN values
         with self._lock:
             op = dict(op, id=self._next_id)
             self._next_id += 1

@@ -179,6 +179,8 @@ class GatewayCore:
                 )
             )
         if "bounds" in payload:
+            if not isinstance(payload["bounds"], dict):
+                raise ValueError("'bounds' must be a JSON object")
             op = dict(payload["bounds"], kind="set_bounds")
             for key in ("dyconit", "subscriber_id"):
                 if key in payload:

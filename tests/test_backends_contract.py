@@ -1,9 +1,8 @@
 """Backend-conformance suite (S19).
 
 One contract, every registered backend: each test runs against every
-:func:`~repro.backends.registry.state_store_factories` entry (and the
-event-bus tests against every bus), so a new adapter is under the full
-contract the moment it registers. The one backend whose service may be
+:func:`~repro.backends.registry.state_store_factories` entry, so a new
+store is under the full contract the moment it registers. The one backend whose service may be
 absent (``postgres`` without ``REPRO_POSTGRES_URL``) raises
 :class:`BackendUnavailable` and skips — honestly, per test; its dialect
 runs here regardless, as ``postgres-dialect`` (see ``tests/conftest.py``).
@@ -514,60 +513,6 @@ class TestLockstepDifferential:
         backend_deliveries, backend_stats = run(store)
         assert backend_deliveries == mem_deliveries
         assert backend_stats == mem_stats
-
-
-# ---------------------------------------------------------------------------
-# Event-bus contract
-# ---------------------------------------------------------------------------
-
-
-def bus_cases():
-    from repro.backends import event_bus_factories
-
-    return sorted(event_bus_factories())
-
-
-@pytest.fixture(params=bus_cases())
-def bus(request):
-    from repro.backends import event_bus_factories
-
-    try:
-        bus = event_bus_factories()[request.param]()
-    except BackendUnavailable as exc:
-        pytest.skip(f"{request.param}: {exc}")
-    yield bus
-    bus.close()
-
-
-class TestEventBusContract:
-    def test_publish_order_per_subscriber_exactly_once(self, bus):
-        recorder = RecordingSubscriber(1)
-        batches = [
-            [move(1, time=1.0)],
-            [move(2, time=2.0), move(3, time=2.5)],
-            [block(x=1, time=3.0)],
-        ]
-        for i, batch in enumerate(batches):
-            bus.publish(recorder.subscriber, [(("d", i % 2), batch)])
-        bus.drain()
-        assert recorder.deliveries == [
-            (("d", 0), batches[0]),
-            (("d", 1), batches[1]),
-            (("d", 0), batches[2]),
-        ]
-        # Exactly once: a second drain delivers nothing new.
-        bus.drain()
-        assert len(recorder.deliveries) == 3
-
-    def test_drain_returns_batch_count(self, bus):
-        recorder = RecordingSubscriber(1)
-        immediate = len(recorder.deliveries)
-        bus.publish(recorder.subscriber, [(("d", 0), [move(1, time=1.0)])])
-        bus.publish(recorder.subscriber, [(("d", 0), [move(2, time=2.0)])])
-        drained = bus.drain()
-        # Direct buses deliver inline (drain 0); buffered deliver here.
-        assert (drained, len(recorder.deliveries)) in {(0, 2), (2, 2)}
-        assert immediate == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,7 @@
-"""Backend connection lifecycle & the drain tail-loss regression (S20).
+"""Backend connection lifecycle (S20).
 
 The bug sweep along the recovery seams:
 
-* ``BufferedEventBus.drain`` used to lose the un-delivered tail of a
-  batch when a subscriber raised mid-drain — the regression tests here
-  pin the fix (failed batch re-queued ahead of follow-on publishes,
-  counters honest, retry delivers the remainder exactly once);
 * ``SQLiteStateStore`` used to leak its connection (and, in the
   driver's default implicit-transaction mode, roll back every row at
   interpreter exit) — close is now explicit, idempotent, and threaded
@@ -23,7 +19,6 @@ import sqlite3
 import pytest
 
 from repro.backends import SQLiteStateStore, create_state_store
-from repro.backends.memory import BufferedEventBus
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
@@ -43,89 +38,6 @@ class StaticPolicy(Policy):
 
 def move(entity_id=1, time=0.0):
     return EntityMoveEvent(time, entity_id, Vec3(0, 0, 0), Vec3(1, 0, 0))
-
-
-# ---------------------------------------------------------------------------
-# BufferedEventBus.drain: the mid-batch exception regression
-# ---------------------------------------------------------------------------
-
-
-class FlakySubscriber:
-    """Delivers fine except on one scheduled delivery, which raises."""
-
-    def __init__(self, subscriber_id, fail_on):
-        from repro.core.subscription import Subscriber
-
-        self.deliveries = []
-        self.fail_on = fail_on
-        self.calls = 0
-
-        def deliver(segments):
-            self.calls += 1
-            if self.calls == self.fail_on:
-                raise RuntimeError("subscriber died mid-drain")
-            self.deliveries.extend((d, list(updates)) for d, updates in segments)
-
-        self.subscriber = Subscriber(subscriber_id=subscriber_id, deliver=deliver)
-
-
-class TestBufferedDrainTailLoss:
-    def publish_n(self, bus, subscriber, n):
-        batches = [[move(i, time=float(i))] for i in range(n)]
-        for i, batch in enumerate(batches):
-            bus.publish(subscriber, [(("d", i), batch)])
-        return batches
-
-    def test_failed_batch_and_tail_survive_the_raise(self):
-        bus = BufferedEventBus()
-        flaky = FlakySubscriber(1, fail_on=3)
-        self.publish_n(bus, flaky.subscriber, 5)
-        with pytest.raises(RuntimeError, match="mid-drain"):
-            bus.drain()
-        # Two delivered before the raise; the failed batch plus the
-        # two-batch tail are still queued — nothing was lost.
-        assert len(flaky.deliveries) == 2
-        assert bus.delivered == 2
-        assert bus.pending == 3
-
-    def test_retry_delivers_remainder_exactly_once_in_order(self):
-        bus = BufferedEventBus()
-        flaky = FlakySubscriber(1, fail_on=3)
-        batches = self.publish_n(bus, flaky.subscriber, 5)
-        with pytest.raises(RuntimeError):
-            bus.drain()
-        assert bus.drain() == 3  # the failed batch, retried, then the tail
-        assert [updates for __, updates in flaky.deliveries] == batches
-        assert bus.delivered == 5
-        assert bus.pending == 0
-
-    def test_requeued_tail_precedes_batches_published_during_drain(self):
-        """A handler that publishes *during* the failing drain must see
-        its batches sequenced after the re-queued tail."""
-        from repro.core.subscription import Subscriber
-
-        bus = BufferedEventBus()
-        order = []
-        calls = {"n": 0}
-
-        def deliver(segments):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                # Handler commits back into the system mid-drain...
-                bus.publish(sub, [(("late", 0), [move(99, time=99.0)])])
-                # ...then dies before finishing its own delivery.
-                raise RuntimeError("boom")
-            order.extend(dyconit_id for dyconit_id, __ in segments)
-
-        sub = Subscriber(subscriber_id=1, deliver=deliver)
-        bus.publish(sub, [(("a", 0), [move(1, time=1.0)])])
-        bus.publish(sub, [(("a", 1), [move(2, time=2.0)])])
-        with pytest.raises(RuntimeError):
-            bus.drain()
-        bus.drain()
-        # Publish order preserved: failed batch, its tail, then the
-        # batch published during the failed drain.
-        assert order == [("a", 0), ("a", 1), ("late", 0)]
 
 
 # ---------------------------------------------------------------------------

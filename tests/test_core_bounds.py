@@ -24,6 +24,13 @@ def test_rejects_negative_components():
         Bounds(0.0, -1.0)
 
 
+@pytest.mark.parametrize("bounds", [(math.nan, 0.0), (0.0, math.nan), (0.0, 0.0, math.nan)])
+def test_rejects_nan_components(bounds):
+    # A NaN bound compares false against everything, so it would never trip.
+    with pytest.raises(ValueError):
+        Bounds(*bounds)
+
+
 class TestExceededBy:
     def test_zero_bound_trips_on_any_error(self):
         assert Bounds.ZERO.exceeded_by(accumulated_error=0.001, oldest_age_ms=0.0)

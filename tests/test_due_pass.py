@@ -9,8 +9,7 @@
   depend on ``PYTHONHASHSEED`` nor on a kill-at-tick-K / resume;
 * flush scopes: one delivery per subscriber per scope, immediate outside
   one, and what a raising handler leaves behind (nothing);
-* what the pass gives away to telemetry, and the spool's one statement
-  per delivery.
+* what the pass gives away to telemetry.
 
 Run as ``python -m tests.test_due_pass`` this module prints the tie
 run's per-client stream digests (the subprocess half of the tie test).
@@ -24,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.backends.pipeline import SpoolEventBus
 from repro.bots.workload import Workload
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
@@ -333,7 +331,7 @@ def test_handler_that_commits_back_runs_outside_the_scope(clock):
 
 
 # ----------------------------------------------------------------------
-# Observability and the spool
+# Observability
 # ----------------------------------------------------------------------
 
 
@@ -369,36 +367,6 @@ def test_engine_enters_tick_serialize_once_per_delivery(sim):
     deliveries = telemetry.histogram("dyconit_delivery_segments", min_value=1.0)
     assert telemetry.span_stats("tick.serialize").count == deliveries.count
     assert deliveries.total == server.dyconits.stats.flushes > deliveries.count
-
-
-class CountingConnection:
-    def __init__(self, conn):
-        self._conn = conn
-        self.statements = []
-
-    def executemany(self, sql, rows):
-        self.statements.append("executemany")
-        return self._conn.executemany(sql, rows)
-
-    def execute(self, sql, *args):
-        self.statements.append("execute")
-        return self._conn.execute(sql, *args)
-
-    def close(self):
-        self._conn.close()
-
-
-def test_spool_writes_a_delivery_in_one_statement(tmp_path):
-    bus = SpoolEventBus(str(tmp_path / "spool.db"))
-    bus._conn = CountingConnection(bus._conn)
-    recorder = RecordingSubscriber(1)
-    segments = [(("d", i), [move(i, time=float(i))]) for i in range(3)]
-    bus.publish(recorder.subscriber, segments)
-    assert bus._conn.statements == ["executemany"]
-    rows = bus._conn.execute("SELECT seq, sub_id FROM spool ORDER BY seq").fetchall()
-    assert rows == [(1, 1), (2, 1), (3, 1)]
-    assert recorder.deliveries == segments and bus.published == 3
-    bus.close()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ Three layers of proof that the live control plane cannot corrupt a run:
 
 import json
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -262,6 +261,12 @@ class TestValidation:
             json.dumps({"policy": "nonsense"}),
             json.dumps({"bounds": {"numerical": -1.0, "staleness_ms": 0.0}}),
             json.dumps({"bounds": {"numerical": 1.0}}),
+            json.dumps({"bounds": 5}),
+            json.dumps({"bounds": {"numerical": [1], "staleness_ms": 1}}),
+            json.dumps({"bounds": {"numerical": "nan", "staleness_ms": 1}}),
+            json.dumps({"policy": "fixed", "kwargs": "x"}),
+            json.dumps({"policy": "fixed", "kwargs": {"nope": 1}}),
+            json.dumps({"policy": ["fixed"]}),
         ):
             status, __, ___ = core.handle("PUT", "/policy", body)
             assert status == 400
