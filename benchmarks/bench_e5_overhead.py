@@ -206,11 +206,9 @@ def test_e5_memory_per_dyconit():
     dyconit = InMemoryStateStore().create_dyconit_state(("chunk", 0, 0), merging=True)
     subscriber = Subscriber(subscriber_id=1, deliver=lambda segments: None)
     state = dyconit.subscribe(subscriber)
-    flat = dyconit._flat
-    parts = vars(flat).values()
+    parts = [getattr(dyconit, name) for name in type(dyconit).__slots__]
     footprint = (
         sys.getsizeof(dyconit)
-        + sys.getsizeof(flat)
         # the columns' buffers once (the [:n] views share them) ...
         + sum(part.nbytes for part in parts if getattr(part, "base", 0) is None)
         # ... and every other per-dyconit container and scalar

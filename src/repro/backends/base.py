@@ -6,9 +6,8 @@ state. The :class:`~repro.core.manager.DyconitSystem` never constructs
 a :class:`~repro.core.dyconit.Dyconit` directly; it asks its store for
 a *dyconit state handle* and talks to that handle through the surface
 documented on :class:`DyconitStateHandle`. The in-memory store hands
-back today's ``Dyconit`` objects unchanged, so the default path is
-byte-identical to the pre-seam tree; the SQL row store hands back
-handles whose queues live in a database (SQLite or Postgres).
+back ``Dyconit`` objects, whose state is S17 columns; the SQL row store
+hands back handles whose queues live in a database (SQLite or Postgres).
 
 The protocol is *synchronous and single-writer by design*: the
 simulation owns the only mutating thread, exactly as before. A store
@@ -92,10 +91,11 @@ class DyconitStateHandle(abc.ABC):
     method set :class:`~repro.core.manager.DyconitSystem` uses on the
     objects it gets from :meth:`StateStore.create_dyconit_state`. The
     in-memory store returns :class:`~repro.core.dyconit.Dyconit`, which
-    satisfies this surface structurally (it predates the seam and is not
-    re-parented, so existing isinstance checks and pickling stay
-    untouched); adapters subclass this ABC so a missing method is a
-    loud TypeError at construction, not a silent divergence later.
+    satisfies this surface structurally (this package imports
+    ``repro.core.dyconit``, so that module cannot import the ABC back);
+    the SQL row store's handle and the test suite's per-object reference
+    subclass it, so a missing method is a loud TypeError at
+    construction, not a silent divergence later.
 
     Required attributes: ``dyconit_id``, ``total_committed_weight``,
     ``commit_count``, ``default_bounds`` and ``merging``. The manager's
@@ -114,7 +114,7 @@ class DyconitStateHandle(abc.ABC):
     ``exceeds_bounds``, ``enqueue``, ``drain`` and
     ``restore_time_order`` — the contract suite checks every one of
     these against every registered backend. The memory store's columnar
-    :class:`~repro.core.flatstate.FlatSubscriptionView` is held to this
+    :class:`~repro.core.dyconit.FlatSubscriptionView` is held to this
     full surface itself: repartitioning and restore drive it directly.
     """
 

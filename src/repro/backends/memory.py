@@ -1,10 +1,9 @@
-"""In-memory state store: the pre-seam behaviour, verbatim.
+"""In-memory state store: dyconit state as S17 columns in process memory.
 
-``InMemoryStateStore`` hands the manager exactly the
-:class:`~repro.core.dyconit.Dyconit` objects it used to construct
-itself, so a system built on the default store is *byte-identical* to
-the pre-refactor tree (the existing 2k-tick single-server and 2-shard
-differential harnesses run unmodified against it).
+``InMemoryStateStore`` hands the manager :class:`~repro.core.dyconit.Dyconit`
+objects: the columns the product commits, drains and retunes on. The
+test suite's ``per-object`` store and the SQL row store are held to them
+by the lockstep differentials.
 """
 
 from __future__ import annotations
@@ -21,4 +20,4 @@ class InMemoryStateStore(StateStore):
     name = "memory"
 
     def create_dyconit_state(self, dyconit_id: Hashable, *, merging: bool) -> Dyconit:
-        return Dyconit(dyconit_id, merging=merging, flat=True)
+        return Dyconit(dyconit_id, merging=merging)

@@ -661,8 +661,8 @@ class SQLiteDyconitState(DyconitStateHandle):
         took them; the error is the same float add on the value the row
         held. The trip check runs here on the values just written, and
         the queues it trips drain together. Returns what
-        :meth:`FlatDyconitState.commit
-        <repro.core.flatstate.FlatDyconitState.commit>` returns.
+        :meth:`~repro.core.dyconit.Dyconit.commit`
+        returns.
         """
         targets = [
             (sub_id, view)
@@ -733,8 +733,8 @@ class SQLiteDyconitState(DyconitStateHandle):
         """The due pass (S22) over rows: one read of ``(sub_id, oldest,
         b_stale)`` over the pending subscriptions, then one batched drain
         of those with ``oldest + staleness <= now``. Returns what
-        :meth:`FlatDyconitState.drain_due
-        <repro.core.flatstate.FlatDyconitState.drain_due>` returns."""
+        :meth:`~repro.core.dyconit.Dyconit.drain_due`
+        returns."""
         pending = {
             sub_id: (oldest, b_stale)
             for sub_id, __, oldest, b_stale in self._conn.execute(
@@ -760,8 +760,8 @@ class SQLiteDyconitState(DyconitStateHandle):
         """A retune (S23) over rows: one ``executemany`` bound write, one
         read of the pending subscriptions' error and age, and one batched
         drain of the queues the new bounds trip. Returns what
-        :meth:`FlatDyconitState.rebound
-        <repro.core.flatstate.FlatDyconitState.rebound>` returns."""
+        :meth:`~repro.core.dyconit.Dyconit.rebound`
+        returns."""
         conn, sql, dk = self._conn, self._sql, self._dk
         views = list(self._views.items())
         chosen = [views[slot] for slot in slots]

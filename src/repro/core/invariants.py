@@ -80,6 +80,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
+from repro.core.dyconit import Dyconit
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import DyconitSystem
 
@@ -469,9 +471,8 @@ class InvariantAuditor:
 
     def _check_flat_stores(self, system, violations: list[Violation]) -> None:
         for dyconit_id, dyconit in system._dyconits.items():
-            flat = getattr(dyconit, "_flat", None)
-            if flat is not None:
-                self._check_flat_store(dyconit_id, flat, violations)
+            if isinstance(dyconit, Dyconit):
+                self._check_flat_store(dyconit_id, dyconit, violations)
 
     def _check_flat_store(self, dyconit_id, flat, violations: list[Violation]) -> None:
         # Slot table <-> subscriber list mirror (the columnar analogue of

@@ -24,6 +24,7 @@ import json
 import math
 from typing import Any
 
+from repro.cluster.runner import ParallelShardRunner
 from repro.gateway.control import ControlPlane
 from repro.telemetry.exporters import prometheus_text
 
@@ -47,10 +48,19 @@ class GatewayCore:
 
     Attaching sets ``target.control_plane`` so the engine applies
     submitted ops at its tick barrier; reads go straight at the live
-    objects (CPython dict reads — fine for an operator endpoint).
+    objects (CPython dict reads — fine for an operator endpoint). A
+    :class:`~repro.cluster.runner.ParallelShardRunner` is refused: its
+    dyconit systems live in worker processes, out of reach of both.
     """
 
     def __init__(self, target, control: ControlPlane | None = None) -> None:
+        if isinstance(target, ParallelShardRunner):
+            raise ValueError(
+                f"cannot attach a gateway to a {type(target).__name__}: its "
+                f"dyconit systems live in worker processes, which neither "
+                f"apply control-plane ops nor answer reads; attach it to a "
+                f"GameServer or a serial ShardedCluster"
+            )
         self.target = target
         self.control = control if control is not None else ControlPlane()
         target.control_plane = self.control

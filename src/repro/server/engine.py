@@ -448,22 +448,6 @@ class GameServer:
             if packets:
                 self.send_packets(session, packets)
 
-    def _broadcast_direct_scan(self, event: WorldEvent, exclude: int | None) -> None:
-        """Brute-force reference for :meth:`_broadcast_direct`: scan every
-        session and filter by ``sees_chunk``. No product path calls it; the
-        differential tests patch it in as the ground truth the indexed
-        path must match packet-for-packet."""
-        chunk = event.chunk_pos
-        segments = ((None, (event,)),)
-        for session in self.sessions.values():
-            if session.client_id == exclude:
-                continue
-            if chunk is not None and not session.sees_chunk(chunk):
-                continue
-            packets = self.codec.encode(session, segments)
-            if packets:
-                self.send_packets(session, packets)
-
     def _originating_client(self, event: WorldEvent) -> int | None:
         actor_id = getattr(event, "actor_id", None)
         if actor_id is None:

@@ -122,8 +122,8 @@ class InterestManager:
         chunk (spawn side) and sessions whose client holds a replica of
         the entity (destroy side). The viewer index gives both in
         O(viewers + knowers); every other session is provably a no-op in
-        the brute-force scan (:meth:`on_entity_crossed_scan`), which the
-        differential tests patch in as the reference implementation.
+        a brute-force scan over all sessions, which the test suite keeps
+        as the reference this path must match packet for packet.
         """
         index = self.server.viewers
         for session in index.viewers(new_chunk):
@@ -143,26 +143,6 @@ class InterestManager:
                     self.server.send_packets(
                         session, [DestroyEntitiesPacket(entity_ids=(entity_id,))]
                     )
-
-    def on_entity_crossed_scan(
-        self, entity_id: int, old_chunk: ChunkPos, new_chunk: ChunkPos
-    ) -> None:
-        """Brute-force reference for :meth:`on_entity_crossed`: visit every
-        session. O(players) per crossing; must stay behaviourally
-        identical to the indexed path."""
-        for session in self.server.sessions.values():
-            if session.entity_id == entity_id:
-                continue
-            sees = session.sees_chunk(new_chunk)
-            if not sees:
-                if session.forget_entity(entity_id):
-                    self.server.send_packets(
-                        session, [DestroyEntitiesPacket(entity_ids=(entity_id,))]
-                    )
-            elif entity_id not in session.known_entities:
-                packet = self.server.codec.encode_entity_snapshot(session, entity_id)
-                if packet is not None:
-                    self.server.send_packets(session, [packet])
 
     # ------------------------------------------------------------------
     # Helpers

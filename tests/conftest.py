@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from repro.backends import InMemoryStateStore, register_state_store
+from repro.backends.base import DyconitStateHandle
 from repro.backends.postgres_store import POSTGRES
 from repro.backends.sqlite_store import SQLRowStore
 from repro.cluster.shard import ShardServer
-from repro.core.dyconit import Dyconit
+from repro.core.bounds import Bounds
+from repro.core.dyconit import SubscriptionState
 from repro.core.manager import DyconitSystem
 from repro.core.subscription import Subscriber
 from repro.metrics.collector import Histogram
@@ -45,16 +47,153 @@ from repro.world.terrain import SEA_LEVEL
 from repro.world.world import World
 
 
+class PerObjectDyconit(DyconitStateHandle):
+    """The differential reference for a dyconit: one
+    :class:`SubscriptionState` object per subscriber, and the batched
+    surface as walks over them — the same rules one state at a time, the
+    reference the product's columns (:class:`~repro.core.dyconit.Dyconit`)
+    and the SQL row store are held to."""
+
+    def __init__(self, dyconit_id, default_bounds=Bounds.ZERO, merging=True):
+        self.dyconit_id = dyconit_id
+        self.default_bounds = default_bounds
+        self.merging = merging
+        self._subscriptions: dict[int, SubscriptionState] = {}
+        self.total_committed_weight = 0.0
+        self.commit_count = 0
+
+    @property
+    def subscriber_count(self) -> int:
+        return len(self._subscriptions)
+
+    def subscribers(self) -> list[Subscriber]:
+        return [state.subscriber for state in self._subscriptions.values()]
+
+    def subscription_states(self) -> list[SubscriptionState]:
+        return list(self._subscriptions.values())
+
+    def is_subscribed(self, subscriber_id: int) -> bool:
+        return subscriber_id in self._subscriptions
+
+    def subscribe(self, subscriber: Subscriber, bounds=None) -> SubscriptionState:
+        state = self._subscriptions.get(subscriber.subscriber_id)
+        if state is not None:
+            if bounds is not None:
+                state.bounds = bounds
+            return state
+        state = SubscriptionState(
+            subscriber=subscriber,
+            bounds=bounds if bounds is not None else self.default_bounds,
+            merging=self.merging,
+        )
+        self._subscriptions[subscriber.subscriber_id] = state
+        return state
+
+    def unsubscribe(self, subscriber_id: int) -> SubscriptionState | None:
+        return self._subscriptions.pop(subscriber_id, None)
+
+    def get_state(self, subscriber_id: int) -> SubscriptionState | None:
+        return self._subscriptions.get(subscriber_id)
+
+    def restore_subscription(self, subscriber: Subscriber, snap) -> SubscriptionState:
+        if self.is_subscribed(subscriber.subscriber_id):
+            raise ValueError(
+                f"subscriber {subscriber.subscriber_id} already subscribed "
+                f"to {self.dyconit_id!r}"
+            )
+        state = SubscriptionState(
+            subscriber=subscriber,
+            bounds=snap.bounds,
+            pending=dict(snap.pending),
+            accumulated_error=snap.accumulated_error,
+            oldest_pending_time=snap.oldest_pending_time,
+            enqueued_count=snap.enqueued_count,
+            merged_count=snap.merged_count,
+            merging=snap.merging,
+        )
+        self._subscriptions[subscriber.subscriber_id] = state
+        return state
+
+    def set_bounds(self, subscriber_id: int, bounds) -> None:
+        state = self._subscriptions.get(subscriber_id)
+        if state is None:
+            raise KeyError(
+                f"subscriber {subscriber_id} is not subscribed to {self.dyconit_id}"
+            )
+        state.bounds = bounds
+
+    def commit(self, update, exclude_subscriber, now):
+        n_enqueued = n_merged = 0
+        became_due = math.inf
+        flushed = []
+        for state in self._subscriptions.values():
+            if state.subscriber.subscriber_id == exclude_subscriber:
+                continue
+            result = state.enqueue(update)
+            n_enqueued += 1
+            n_merged += result.superseded
+            reason = state.tripped_dimension(now)
+            if reason is not None:
+                flushed.append((state.subscriber, reason, state.drain()))
+            elif result.became_pending:
+                became_due = min(became_due, update.time + state.bounds.staleness_ms)
+        if n_enqueued:
+            self.total_committed_weight += update.weight
+            self.commit_count += 1
+        return n_enqueued, n_merged, became_due, flushed or None
+
+    def drain_due(self, now):
+        examined = 0
+        due = []
+        next_deadline = math.inf
+        for state in self._subscriptions.values():
+            oldest = state.oldest_pending_time
+            if oldest is None:
+                continue
+            examined += 1
+            deadline = oldest + state.bounds.staleness_ms
+            if deadline <= now:
+                due.append((state.subscriber, deadline, state.drain()))
+            elif deadline < next_deadline:
+                next_deadline = deadline
+        return examined, due, next_deadline
+
+    def rebound(self, slots, numerical, staleness, order, now):
+        states = list(self._subscriptions.values())
+        examined = 0
+        tripped = []
+        next_deadline = math.inf
+        for slot, row in zip(slots, zip(numerical.tolist(), staleness.tolist(), order.tolist())):
+            state = states[slot]
+            state.bounds = Bounds(*row)
+            oldest = state.oldest_pending_time
+            if oldest is None:
+                continue
+            examined += 1
+            reason = state.tripped_dimension(now)
+            if reason is not None:
+                tripped.append((state.subscriber, reason, state.drain()))
+            elif oldest + row[1] < next_deadline:
+                next_deadline = oldest + row[1]
+        return examined, tripped, next_deadline
+
+    def __repr__(self) -> str:
+        return (
+            f"PerObjectDyconit({self.dyconit_id!r}, subscribers={self.subscriber_count}, "
+            f"commits={self.commit_count})"
+        )
+
+
 class PerObjectStateStore(InMemoryStateStore):
-    """The differential reference: every dyconit keeps per-object
-    ``SubscriptionState``s, so the manager's ``_flat is None`` commit walk
-    runs with no row store underneath. ``state_store="per-object"``
+    """The differential reference store: every dyconit is a
+    :class:`PerObjectDyconit`, so the per-object walks run with no
+    columns and no row store underneath. ``state_store="per-object"``
     selects it; the product has no option that does."""
 
     name = "per-object"
 
     def create_dyconit_state(self, dyconit_id, *, merging):
-        return Dyconit(dyconit_id, merging=merging, flat=False)
+        return PerObjectDyconit(dyconit_id, merging=merging)
 
 
 register_state_store("per-object", PerObjectStateStore)
@@ -219,23 +358,53 @@ class DenseTerrainReference:
                             blocks[lx + dx, canopy_y + dy, lz + dz] = int(BlockType.LEAVES)
 
 
+def broadcast_direct_scan(server: GameServer, event, exclude: int | None) -> None:
+    """The differential reference for ``GameServer._broadcast_direct``:
+    scan every session and filter by ``sees_chunk``, one encode per
+    session — no viewer index, no shared move packet."""
+    chunk = event.chunk_pos
+    segments = ((None, (event,)),)
+    for session in server.sessions.values():
+        if session.client_id == exclude:
+            continue
+        if chunk is not None and not session.sees_chunk(chunk):
+            continue
+        packets = server.codec.encode(session, segments)
+        if packets:
+            server.send_packets(session, packets)
+
+
+def on_entity_crossed_scan(
+    interest: InterestManager, entity_id: int, old_chunk: ChunkPos, new_chunk: ChunkPos
+) -> None:
+    """The differential reference for ``InterestManager.on_entity_crossed``:
+    visit every session, O(players) per crossing."""
+    server = interest.server
+    for session in server.sessions.values():
+        if session.entity_id == entity_id:
+            continue
+        if not session.sees_chunk(new_chunk):
+            if session.forget_entity(entity_id):
+                server.send_packets(
+                    session, [DestroyEntitiesPacket(entity_ids=(entity_id,))]
+                )
+        elif entity_id not in session.known_entities:
+            packet = server.codec.encode_entity_snapshot(session, entity_id)
+            if packet is not None:
+                server.send_packets(session, [packet])
+
+
 @pytest.fixture
 def scan_fanout(monkeypatch):
     """``with scan_fanout():`` — servers built inside run the brute-force
-    fan-out references (``_broadcast_direct_scan``,
-    ``on_entity_crossed_scan``) in place of the viewer-index paths."""
+    fan-out references (:func:`broadcast_direct_scan`,
+    :func:`on_entity_crossed_scan`) in place of the viewer-index paths."""
 
     @contextmanager
     def patched():
         with monkeypatch.context() as patch:
-            patch.setattr(
-                GameServer, "_broadcast_direct", GameServer._broadcast_direct_scan
-            )
-            patch.setattr(
-                InterestManager,
-                "on_entity_crossed",
-                InterestManager.on_entity_crossed_scan,
-            )
+            patch.setattr(GameServer, "_broadcast_direct", broadcast_direct_scan)
+            patch.setattr(InterestManager, "on_entity_crossed", on_entity_crossed_scan)
             yield
 
     return patched

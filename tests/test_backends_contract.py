@@ -39,6 +39,7 @@ from repro.backends import (
 from repro.backends.base import snapshot_subscription
 from repro.backends.memory import InMemoryStateStore
 from repro.core.bounds import Bounds
+from repro.core.dyconit import Dyconit
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
@@ -126,7 +127,7 @@ def make_handle(store, dyconit_id=("chunk", 0, 0), merging=True):
     row runs on the store's real state class."""
     handle = store.create_dyconit_state(dyconit_id, merging=merging)
     # Non-vacuity: the memory rows run on the columnar view itself.
-    assert (getattr(handle, "_flat", None) is not None) == (store.name == "memory")
+    assert isinstance(handle, Dyconit) == (store.name == "memory")
     return handle
 
 

@@ -1,8 +1,8 @@
 """Differential: S17 flat columnar commit path ≡ per-object path.
 
 The safety contract for the columnar commit engine is the PR 2 playbook:
-the per-object path stays in the tree as ground truth
-(``Dyconit(flat=False)``, reached here through the ``"per-object"`` store
+the per-object path stays in the test suite as ground truth
+(``PerObjectDyconit``, reached here through the ``"per-object"`` store
 :mod:`tests.conftest` registers), and a run on the default memory store
 must be *packet-for-packet identical* to the same seeded run on that
 store — under a real bounded policy (so queues actually merge and
@@ -24,6 +24,7 @@ from repro.backends import state_store_factories
 from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
 from repro.cluster import ShardedCluster
 from repro.core.bounds import Bounds
+from repro.core.dyconit import Dyconit
 from repro.core.manager import DyconitSystem, SystemSnapshot
 from repro.experiments.configs import ExperimentConfig
 from repro.policies.fixed import FixedBoundsPolicy
@@ -126,7 +127,7 @@ def assert_streams_equal(legacy: dict, batched: dict) -> None:
 
 
 def uses_flat_store(system) -> bool:
-    return any(dyconit._flat is not None for dyconit in system._dyconits.values())
+    return any(isinstance(dyconit, Dyconit) for dyconit in system._dyconits.values())
 
 
 def test_single_server_2k_ticks_packet_identical():
@@ -190,6 +191,7 @@ def test_no_product_option_selects_a_reference_path():
     for name, factory in state_store_factories().items():
         parameters = inspect.signature(factory.create_dyconit_state).parameters
         assert "flat" not in parameters, name
+    assert "flat" not in inspect.signature(Dyconit.__init__).parameters
     # ...nor can a handle change representation mid-life.
     gone = "_ensure" + "_private"
     root = pathlib.Path(__file__).resolve().parent.parent

@@ -8,20 +8,21 @@ exposes would surface in the benchmark pipeline, not in ``pytest``. This is
 ``AdaptiveBoundsPolicy(tighten_factor=0.95)`` on the memory store), 16 bots,
 8 simulated seconds — one full retune sweep per second — with the auditor
 on every fifth tick, and a kill-at-tick-K + resume in the middle that must
-stay packet-identical per client (the resumed half runs its restored
-subscriptions on per-object state and its new ones on flat columns, both
-under the one due rule, with due times rebuilt from the subscriptions).
+stay packet-identical per client (restore writes columns: the resumed half
+runs its restored subscriptions and its new ones on the same columns, under
+the one due rule, with due times rebuilt from the subscriptions).
 
 ``vanilla-hotspot`` in small rides along: the same crowd in direct mode,
 where every move is encoded once and shared by its viewers and every client
 is sent one egress frame per tick, held packet for packet against the
-per-session ``_broadcast_direct_scan`` reference (the auditor's period also
-turns on per-link FIFO checking) — so a fan-out bug the bench would only hit
-at 40 bots surfaces here.
+per-session ``broadcast_direct_scan`` reference of :mod:`tests.conftest`
+(the auditor's period also turns on per-link FIFO checking) — so a fan-out
+bug the bench would only hit at 40 bots surfaces here.
 """
 
 from repro.backends.memory import InMemoryStateStore
 from repro.bots.workload import BUILDER_MIX, Workload, WorkloadSpec
+from repro.core.dyconit import Dyconit
 from repro.gateway.control import ControlPlane
 from repro.policies import AdaptiveBoundsPolicy
 from repro.server.config import ServerConfig
@@ -119,7 +120,7 @@ def resume(store, baseline_logs, tape):
     assert sim.now == KILL_TICK * TICK_MS
     # Restore writes slots: the resumed memory store is columnar again.
     handles = list(resumed.dyconits.dyconits())
-    assert handles and all(handle._flat is not None for handle in handles)
+    assert handles and all(isinstance(handle, Dyconit) for handle in handles)
     for time, client_id, action in tape:
         if time > sim.now:
             sim.schedule_at(

@@ -11,6 +11,8 @@ from repro.world.block import BlockType
 from repro.world.events import BlockChangeEvent, EntityMoveEvent
 from repro.world.geometry import BlockPos, Vec3
 
+from tests.conftest import PerObjectDyconit
+
 
 def make_subscriber(subscriber_id=1):
     return Subscriber(subscriber_id=subscriber_id, deliver=lambda segments: None)
@@ -124,15 +126,20 @@ class TestSubscriptionState:
 
 
 class TestDyconit:
+    """The product's columns; :class:`TestPerObjectDyconit` runs the same
+    cases on the per-object reference."""
+
+    make = Dyconit
+
     def test_subscribe_and_counts(self):
-        dyconit = Dyconit("unit")
+        dyconit = self.make("unit")
         dyconit.subscribe(make_subscriber(1))
         dyconit.subscribe(make_subscriber(2))
         assert dyconit.subscriber_count == 2
         assert dyconit.is_subscribed(1)
 
     def test_subscribe_is_idempotent_and_keeps_queue(self):
-        dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
+        dyconit = self.make("unit", default_bounds=Bounds(10.0, 1000.0))
         subscriber = make_subscriber(1)
         state = dyconit.subscribe(subscriber)
         dyconit.commit(move(1), None, 0.0)
@@ -141,14 +148,14 @@ class TestDyconit:
         assert again.has_pending
 
     def test_resubscribe_can_update_bounds(self):
-        dyconit = Dyconit("unit")
+        dyconit = self.make("unit")
         subscriber = make_subscriber(1)
         dyconit.subscribe(subscriber, Bounds(1.0, 1.0))
         state = dyconit.subscribe(subscriber, Bounds(9.0, 9.0))
         assert state.bounds == Bounds(9.0, 9.0)
 
     def test_unsubscribe_returns_state(self):
-        dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
+        dyconit = self.make("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
         dyconit.commit(move(1), None, 0.0)
         state = dyconit.unsubscribe(1)
@@ -156,7 +163,7 @@ class TestDyconit:
         assert dyconit.unsubscribe(1) is None
 
     def test_commit_fans_out(self):
-        dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
+        dyconit = self.make("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
         dyconit.subscribe(make_subscriber(2))
         n_enqueued, n_merged, became_due, flushed = dyconit.commit(move(1), None, 0.0)
@@ -164,14 +171,14 @@ class TestDyconit:
         assert all(state.has_pending for state in dyconit.subscription_states())
 
     def test_commit_excludes_originator(self):
-        dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
+        dyconit = self.make("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
         dyconit.subscribe(make_subscriber(2))
         assert dyconit.commit(move(1), 1, 0.0)[0] == 1
         assert [state.has_pending for state in dyconit.subscription_states()] == [False, True]
 
     def test_commit_tracks_hotness(self):
-        dyconit = Dyconit("unit", default_bounds=Bounds(10.0, 1000.0))
+        dyconit = self.make("unit", default_bounds=Bounds(10.0, 1000.0))
         dyconit.subscribe(make_subscriber(1))
         dyconit.commit(move(1, distance=2.0), None, 0.0)
         dyconit.commit(block(), None, 0.0)
@@ -182,7 +189,7 @@ class TestDyconit:
         """A commit with no subscribers (or only the excluded originator)
         changed nobody's inconsistency and must not look hot to the
         policy — and both commit paths must agree on that."""
-        dyconit = Dyconit("unit")
+        dyconit = self.make("unit")
         assert dyconit.commit(move(1, distance=2.0), None, 0.0) == (0, 0, math.inf, None)
         assert dyconit.commit_count == 0
         assert dyconit.total_committed_weight == 0.0
@@ -195,11 +202,15 @@ class TestDyconit:
         assert dyconit.total_committed_weight == 1.0
 
     def test_set_bounds_requires_subscription(self):
-        dyconit = Dyconit("unit")
+        dyconit = self.make("unit")
         with pytest.raises(KeyError):
             dyconit.set_bounds(1, Bounds.ZERO)
 
     def test_merging_flag_propagates_to_new_states(self):
-        dyconit = Dyconit("unit", merging=False)
+        dyconit = self.make("unit", merging=False)
         state = dyconit.subscribe(make_subscriber(1))
         assert state.merging is False
+
+
+class TestPerObjectDyconit(TestDyconit):
+    make = PerObjectDyconit

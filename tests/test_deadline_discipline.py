@@ -21,6 +21,7 @@ import pickle
 import pytest
 
 from repro.core.bounds import Bounds
+from repro.core.dyconit import Dyconit
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
@@ -281,7 +282,8 @@ def test_tightened_staleness_flushes_at_the_very_next_commit(clock):
     system.subscribe(CHUNK_A, near.subscriber)
     system.subscribe(CHUNK_A, far.subscriber)
     system.commit_to(CHUNK_A, move(time=0.0))
-    flat = system.get(CHUNK_A)._flat
+    flat = system.get(CHUNK_A)
+    assert isinstance(flat, Dyconit)
     assert flat.min_deadline == 10_000.0 and not flat._gates_dirty
     # A retune tightens one backlog's staleness to a deadline of 600 —
     # not due yet, so set_bounds itself flushes nothing and only marks
@@ -303,11 +305,14 @@ def test_sweep_recomputes_gates_once_not_per_set_bounds(clock, monkeypatch):
     recs = [RecordingSubscriber(subscriber_id=i) for i in range(1, 11)]
     for rec in recs:
         system.subscribe(CHUNK_A, rec.subscriber)
-    flat = system.get(CHUNK_A)._flat
+    flat = system.get(CHUNK_A)
+    assert isinstance(flat, Dyconit)
     recomputes = []
-    original = flat._recompute_aggregates
+    original = Dyconit._recompute_aggregates
     monkeypatch.setattr(
-        flat, "_recompute_aggregates", lambda: (recomputes.append(1), original())
+        Dyconit,
+        "_recompute_aggregates",
+        lambda self: (recomputes.append(1), original(self)),
     )
     for rec in recs:
         system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(40.0, 900.0))
@@ -324,7 +329,8 @@ def test_auditor_checks_gates_exactly_after_refreshing_them(clock):
     system.subscribe(CHUNK_A, rec.subscriber)
     system.commit_to(CHUNK_A, move(time=0.0))
     system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(40.0, 900.0))
-    flat = system.get(CHUNK_A)._flat
+    flat = system.get(CHUNK_A)
+    assert isinstance(flat, Dyconit)
     assert flat._gates_dirty
     assert InvariantAuditor().check(system) == []  # refreshed, then exact
     assert not flat._gates_dirty and flat.min_bstale == 900.0

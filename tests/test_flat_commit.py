@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import Bounds
+from repro.core.dyconit import Dyconit
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
@@ -27,7 +28,7 @@ from repro.core.stats import DyconitStats
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
-from tests.conftest import RecordingSubscriber
+from tests.conftest import PerObjectDyconit, RecordingSubscriber
 
 
 class StaticPolicy(Policy):
@@ -176,7 +177,7 @@ def test_differential_flat_vs_legacy(seed):
     flat_system, flat_recs = run_tape(ops, "memory")
     legacy_system, legacy_recs = run_tape(ops, "per-object")
     # Non-vacuity: the reference store never hands out a columnar dyconit.
-    assert all(dyconit._flat is None for dyconit in legacy_system.dyconits())
+    assert all(isinstance(dyconit, PerObjectDyconit) for dyconit in legacy_system.dyconits())
     for sid in (1, 2, 3):
         assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
     assert flat_system.stats == legacy_system.stats
@@ -256,8 +257,10 @@ def system(clock):
     )
 
 
-def _flat(system, chunk):
-    return system.get(system.resolve(chunk))._flat
+def _columns(system, chunk):
+    dyconit = system.get(system.resolve(chunk))
+    assert isinstance(dyconit, Dyconit)
+    return dyconit
 
 
 def test_exclusion_keeps_error_bit_exact(system):
@@ -372,7 +375,7 @@ def test_columnar_from_creation_to_removal(system, clock):
     system.commit_to(CHUNK_B, move(1, 0.0, 0.1))
     system.commit_to(CHUNK_A, move(2, 5.0, 0.3), exclude_subscriber=2)
     target = system.merge_dyconits([CHUNK_A, CHUNK_B], ("region", 4, 0, 0))
-    assert target._flat is not None
+    assert isinstance(target, Dyconit)
     assert [u.time for u in target.get_state(1).pending.values()] == [0.0, 5.0]
     resumed = DyconitSystem(
         StaticPolicy(), ChunkPartitioner(), time_source=lambda: clock["now"]
@@ -382,7 +385,7 @@ def test_columnar_from_creation_to_removal(system, clock):
     for each in (system, resumed):
         each.split_dyconit(("region", 4, 0, 0))
         assert each.dyconit_count == 2
-        assert all(dyconit._flat is not None for dyconit in each.dyconits())
+        assert all(isinstance(dyconit, Dyconit) for dyconit in each.dyconits())
         assert InvariantAuditor().check(each) == []
     assert rec1.delivered_updates == [move(1, 0.0, 0.1), move(2, 5.0, 0.3)] * 2
 
@@ -404,7 +407,7 @@ def corrupt_ready(system):
     system.commit_to(CHUNK_A, move(1, 0.0, 1.0))
     system.commit_to(CHUNK_A, move(2, 0.0, 1.0), exclude_subscriber=2)
     assert InvariantAuditor().check(system) == []
-    return system, _flat(system, CHUNK_A)
+    return system, _columns(system, CHUNK_A)
 
 
 def test_i9_detects_error_column_drift(corrupt_ready):
@@ -513,7 +516,7 @@ def test_stalled_excluded_subscriber_does_not_pin_the_log(system, clock):
         system.subscribe(
             CHUNK_A, recs[sid].subscriber, bounds=Bounds(math.inf, math.inf)
         )
-    flat = _flat(system, CHUNK_A)
+    flat = _columns(system, CHUNK_A)
     for i in range(3 * _TAPE_UNIT):
         system.commit_to(CHUNK_A, move(1, clock["now"], 0.1), exclude_subscriber=3)
         # Alternate drains: one of subscribers 1/2 always holds an entry.
@@ -530,7 +533,7 @@ def test_excluded_only_window_prefix_is_skipped_at_trim(system, clock):
         system.subscribe(
             CHUNK_A, recs[sid].subscriber, bounds=Bounds(math.inf, math.inf)
         )
-    flat = _flat(system, CHUNK_A)
+    flat = _columns(system, CHUNK_A)
     for i in range(_TAPE_UNIT + _TAPE_UNIT // 2):
         system.commit_to(CHUNK_A, move(1, clock["now"], 0.1), exclude_subscriber=3)
         system.flush(CHUNK_A, 1 if i % 2 == 0 else 2)
@@ -541,7 +544,7 @@ def test_excluded_only_window_prefix_is_skipped_at_trim(system, clock):
     for i in range(_TAPE_UNIT):
         system.commit_to(CHUNK_A, move(1, clock["now"], 0.1), exclude_subscriber=3)
         system.flush(CHUNK_A, 1 if i % 2 == 0 else 2)
-    assert list(flat.view(3).pending.values()) == [marker]
+    assert list(flat.get_state(3).pending.values()) == [marker]
     assert _queued(flat) == 2  # 3's marker and the one undrained move
     assert InvariantAuditor().check(system) == []
     # The marker still delivers exactly once.

@@ -17,6 +17,7 @@ Three layers of proof that the live control plane cannot corrupt a run:
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -432,3 +433,27 @@ class TestCheckpointEndpoint:
         finally:
             http.stop()
         assert view["stores"][0]["checkpoints"] == ["via-http"]
+
+
+def test_gateway_refuses_a_parallel_runner():
+    """A parallel runner's dyconit systems live in its workers, which
+    never apply a control-plane op nor answer a read: attaching must fail
+    loudly, before the runner is touched, and not 202 a retune that never
+    lands."""
+    from repro.cluster import ParallelShardRunner
+    from repro.gateway.app import serve_gateway
+    from repro.policies import FixedBoundsPolicy
+
+    runner = ParallelShardRunner(
+        Simulation(),
+        shards=2,
+        config=ServerConfig(seed=23, synchronous_delivery=True, mob_count=0),
+        policy_factory=FixedBoundsPolicy,
+    )
+    try:
+        for attach in (GatewayCore, serve_gateway):
+            with pytest.raises(ValueError, match="ParallelShardRunner.*worker processes"):
+                attach(runner)
+        assert getattr(runner, "control_plane", None) is None
+    finally:
+        runner.shutdown()

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.backends import InMemoryStateStore, SQLiteStateStore
 from repro.core.bounds import Bounds
+from repro.core.dyconit import Dyconit
 from repro.gateway.control import ControlPlane
 from repro.net.protocol import PlayerActionPacket
 from repro.policies.fixed import FixedBoundsPolicy
@@ -456,7 +457,7 @@ def test_restored_memory_cluster_is_columnar_again():
     )
     handles = [h for shard in restored.shards for h in shard.dyconits.dyconits()]
     assert len(handles) > CLUSTER_SHARDS
-    assert all(handle._flat is not None for handle in handles)
+    assert all(isinstance(handle, Dyconit) for handle in handles)
     assert any(s.has_pending for h in handles for s in h.subscription_states())
     restored.sim.run_until(20 * TICK)  # audited every 7th pump
     restored.close()

@@ -31,7 +31,6 @@ import pytest
 from repro.backends import create_state_store
 from repro.backends.sqlite_store import SQLiteDyconitState
 from repro.core.bounds import Bounds
-from repro.core.dyconit import Dyconit
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
 from repro.core.policy import Policy
@@ -39,7 +38,7 @@ from repro.world.block import BlockType
 from repro.world.events import BlockChangeEvent, EntityMoveEvent
 from repro.world.geometry import BlockPos, Vec3
 
-from tests.conftest import RecordingSubscriber
+from tests.conftest import PerObjectDyconit, RecordingSubscriber
 from tests.test_delivery_encode import run_single
 
 A, B, NOMERGE, EMPTY = ("chunk", 0, 0), ("chunk", 1, 0), ("nomerge", 0), ("empty", 0)
@@ -270,7 +269,7 @@ def _plain(result):
 @pytest.fixture
 def recorded_calls(monkeypatch):
     """Log every batched call's plain result, per handle class."""
-    calls = {Dyconit: [], SQLiteDyconitState: []}
+    calls = {PerObjectDyconit: [], SQLiteDyconitState: []}
     for cls, log in calls.items():
         for name in ("commit", "drain_due", "rebound"):
             original = getattr(cls, name)
@@ -297,7 +296,7 @@ def test_lockstep_with_per_object_reference(name, recorded_calls):
         for each in (product, reference, walk):
             each.step(op, args)
         where = f"step {position} ({op} at t={time})"
-        assert recorded_calls[SQLiteDyconitState] == recorded_calls[Dyconit], where
+        assert recorded_calls[SQLiteDyconitState] == recorded_calls[PerObjectDyconit], where
         assert product.system.stats == reference.system.stats, where
         assert product.system._due_at == reference.system._due_at, where
         assert product.deliveries() == reference.deliveries(), where
@@ -309,7 +308,7 @@ def test_lockstep_with_per_object_reference(name, recorded_calls):
     assert rows(product.store) == rows(walk.store)
 
     # Non-vacuity: the tape reached every case it names.
-    calls = recorded_calls[Dyconit]
+    calls = recorded_calls[PerObjectDyconit]
     commits = [result for op, __, result in calls if op == "commit"]
     assert (0, 0, math.inf, None) in commits  # the empty dyconit
     assert any(0 < merged < n for n, merged, *__ in commits)  # supersede on some
