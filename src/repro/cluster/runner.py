@@ -30,8 +30,12 @@ Per-tick inputs (buffered player actions, one bus round's part per
 destination from :meth:`InterShardBus.rounds`, which the worker applies
 as one unit through :meth:`ShardServer.deliver_round`, exactly as the
 serial pump does) and outputs (flushed packet batches, recorded posts,
-world deltas) cross the pipe as plain picklable data; packets whose
-codec round-trips exactly travel as ``repro.net.wire`` bytes.
+world deltas) cross the pipe as plain picklable data. Client packets
+travel as the packet objects themselves: every packet, world event,
+shard message and :class:`Bounds` pickles on the pipe by constructor
+(``(cls, field values)``, registered on multiprocessing's
+``ForkingPickler`` only, so checkpoint pickling is untouched), and a
+packet shared by several clients pickles once per reply.
 
 The barrier is pipelined (DESIGN.md S26): a reply's effects are merged
 and the next bus round is shipped *before* the reply's client packets
@@ -50,11 +54,15 @@ auditor would have used.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import multiprocessing
+import operator
 import traceback
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 
+from repro.cluster import messages as messages_module
 from repro.cluster.bus import InterShardBus, by_destination
 from repro.cluster.facade import ClientProfile, ClusterWorldView, ShardedCluster
 from repro.cluster.messages import SessionHandoff
@@ -66,38 +74,59 @@ from repro.core.invariants import (
     InvariantViolationError,
     Violation,
 )
-from repro.net import wire
-from repro.net.protocol import (
-    BlockChangePacket,
-    ChunkUnloadPacket,
-    DestroyEntitiesPacket,
-    KeepAlivePacket,
-    MultiBlockChangePacket,
-)
+from repro.net import protocol as protocol_module
 from repro.net.transport import DeliveredPacket
 from repro.server import engine as engine_module
 from repro.server.config import ServerConfig
 from repro.sim.simulator import Simulation
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry, set_telemetry
+from repro.world import events as events_module
 from repro.world.block import BlockType
 from repro.world.entity import Entity, EntityKind
 from repro.world.events import BlockChangeEvent
 from repro.world.geometry import BlockPos, Vec3
 from repro.world.world import World
 
-#: Packet types whose wire codec round-trips losslessly; these ship as
-#: encoded bytes. Everything else (quantized positions/angles, filler
-#: payloads) ships as the packet object so replayed streams stay
-#: byte-identical to the serial run.
-_WIRE_EXACT = frozenset(
-    {
-        BlockChangePacket,
-        MultiBlockChangePacket,
-        ChunkUnloadPacket,
-        DestroyEntitiesPacket,
-        KeepAlivePacket,
-    }
+
+def _constructor_reducer(cls: type):
+    """A ``ForkingPickler`` reducer shipping *cls* as ``(cls, field
+    values)``: dumping reads the fields with one C ``attrgetter`` and
+    loading calls the constructor, where pickle's default for a slotted
+    dataclass calls ``dataclasses.fields()`` once per object on each
+    side."""
+    params = cls.__dataclass_params__
+    fields = dataclasses.fields(cls)
+    if not (params.frozen and "__slots__" in vars(cls)) or not all(
+        f.init for f in fields
+    ):
+        raise TypeError(
+            f"{cls.__qualname__} must be a frozen slotted dataclass whose "
+            "fields are all init fields to pickle by constructor"
+        )
+    if not fields:
+        return lambda obj: (cls, ())
+    values = operator.attrgetter(*(f.name for f in fields))
+    if len(fields) == 1:
+        return lambda obj: (cls, (values(obj),))
+    return lambda obj: (cls, values(obj))
+
+
+#: The value types that cross the pipe: every dataclass defined in the
+#: packet, world-event and shard-message modules (ghost records
+#: included), and the bounds a peer subscription carries.
+_PIPE_VALUE_TYPES = (
+    *(
+        obj
+        for module in (protocol_module, events_module, messages_module)
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+    ),
+    Bounds,
 )
+for _cls in _PIPE_VALUE_TYPES:
+    ForkingPickler.register(_cls, _constructor_reducer(_cls))
 
 
 @dataclass
@@ -142,12 +171,9 @@ class _OutputCollector:
         """A transport handler recording deliveries in arrival order."""
 
         def handler(delivered: DeliveredPacket) -> None:
-            packet = delivered.packet
-            if type(packet) in _WIRE_EXACT:
-                item = (client_id, "w", wire.encode(packet))
-            else:
-                item = (client_id, "p", packet)
-            self.packets.append(item + (delivered.sent_at, delivered.delivered_at))
+            self.packets.append(
+                (client_id, delivered.packet, delivered.sent_at, delivered.delivered_at)
+            )
 
         return handler
 
@@ -1113,11 +1139,10 @@ class ParallelShardRunner(ShardedCluster):
         """
         handlers = self._client_handlers
         for packets in stashes:
-            for client_id, tag, payload, sent_at, delivered_at in packets:
+            for client_id, packet, sent_at, delivered_at in packets:
                 handler = handlers.get(client_id)
                 if handler is None:
                     continue
-                packet = wire.decode(payload)[0] if tag == "w" else payload
                 handler(
                     DeliveredPacket(
                         packet=packet, sent_at=sent_at, delivered_at=delivered_at

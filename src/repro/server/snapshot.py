@@ -57,13 +57,15 @@ from repro.sim.simulator import Simulation
 from repro.world.geometry import ChunkPos, Vec3
 from repro.world.world import World
 
-#: Names the snapshot dataclasses' field lists; bump it whenever one of
-#: them (or ``ServerConfig``, which rides inside) gains, loses or
-#: reorders a field. A slotted frozen dataclass pickles as a positional
-#: value list and un-pickles by zipping it onto the *current* fields, so
-#: a blob written under another layout would restore without error and
-#: with values in the wrong fields.
-CHECKPOINT_FORMAT = "repro-checkpoint/3"
+#: Names the snapshot dataclasses' field lists and the pickled layout of
+#: the values inside them; bump it whenever one of them (or
+#: ``ServerConfig``, which rides inside) gains, loses or reorders a
+#: field, or a value type changes how it pickles. A slotted frozen
+#: dataclass pickles as a positional value list and un-pickles by
+#: zipping it onto the *current* fields, so a blob written under another
+#: layout would restore without error and with values in the wrong
+#: fields. ``/4``: the geometry types pickle as tuples.
+CHECKPOINT_FORMAT = "repro-checkpoint/4"
 
 # ----------------------------------------------------------------------
 # Snapshot dataclasses (plain picklable data)
@@ -622,12 +624,21 @@ def load_snapshot(store, key: str):
 
     Raises ``ValueError`` for a blob not written as
     ``(CHECKPOINT_FORMAT, snapshot)`` — another version's, or one that
-    predates the tag.
+    predates the tag — including one whose values no longer unpickle
+    under this code's classes.
     """
     blob = store.load_checkpoint(key)
     if blob is None:
         raise KeyError(f"no checkpoint {key!r} in store {store.name!r}")
-    loaded = pickle.loads(blob)
+    try:
+        loaded = pickle.loads(blob)
+    except Exception as error:
+        raise ValueError(
+            f"checkpoint {key!r} in store {store.name!r} does not unpickle "
+            f"({type(error).__name__}: {error}), expected format "
+            f"{CHECKPOINT_FORMAT!r}; it was written by another version of "
+            "this code and cannot be restored by this one"
+        ) from error
     tagged = isinstance(loaded, tuple) and len(loaded) == 2
     if not tagged or loaded[0] != CHECKPOINT_FORMAT:
         found = repr(loaded[0]) if tagged else f"an untagged {type(loaded).__name__}"

@@ -3,19 +3,29 @@
 The coordinate system follows Minecraft conventions: X/Z form the
 horizontal plane, Y is height. A chunk is a 16x16-block column spanning
 the full world height.
+
+All three types are :class:`typing.NamedTuple` classes: hashing,
+equality, field reads and pickling run in C, and construction is one
+generated ``__new__``. The hash is the hash of the field tuple, exactly
+what a frozen dataclass computes, so set and dict iteration orders do
+not depend on which of the two a value is. Tuple concatenation and
+repetition stay unsupported: ``+`` and ``*`` return ``NotImplemented``
+wherever ``tuple`` would concatenate or repeat.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 CHUNK_SIZE = 16
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
+def _no_tuple_arithmetic(self, other):
+    return NotImplemented
+
+
+class Vec3(NamedTuple):
     """Continuous position or displacement in world space."""
 
     x: float
@@ -27,6 +37,8 @@ class Vec3:
 
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+
+    __mul__ = __rmul__ = _no_tuple_arithmetic
 
     def scale(self, factor: float) -> "Vec3":
         return Vec3(self.x * factor, self.y * factor, self.z * factor)
@@ -60,13 +72,14 @@ class Vec3:
         return Vec3(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockPos:
+class BlockPos(NamedTuple):
     """Integer block coordinate."""
 
     x: int
     y: int
     z: int
+
+    __add__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     def to_chunk_pos(self) -> "ChunkPos":
         return ChunkPos(self.x >> 4, self.z >> 4)
@@ -86,12 +99,13 @@ class BlockPos:
         return abs(self.x - other.x) + abs(self.y - other.y) + abs(self.z - other.z)
 
 
-@dataclass(frozen=True, slots=True)
-class ChunkPos:
+class ChunkPos(NamedTuple):
     """Chunk-grid coordinate (one unit = 16 blocks on the X/Z plane)."""
 
     cx: int
     cz: int
+
+    __add__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     def block_origin(self) -> BlockPos:
         """The lowest-coordinate block corner of this chunk at y=0."""

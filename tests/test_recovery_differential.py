@@ -22,6 +22,7 @@ Action traffic is scripted at off-barrier times (``step*25 + 13``) so
 re-driven by the resumed client" is unambiguous.
 """
 
+import dataclasses
 import os
 import pickle
 import re
@@ -321,10 +322,17 @@ class TestRecoveryErrors:
 
     @pytest.mark.parametrize(
         "tag",
-        # /2 carried a dense block array per modified chunk; /1 also
-        # SystemSnapshot's deadline heap, seq and armed map.
-        [None, "repro-checkpoint/0", "repro-checkpoint/2", "repro-checkpoint/1"],
-        ids=["untagged", "wrong-tag", "previous-tag", "older-tag"],
+        # /3 pickled geometry as slotted dataclasses; /2 carried a dense
+        # block array per modified chunk; /1 also SystemSnapshot's
+        # deadline heap, seq and armed map.
+        [
+            None,
+            "repro-checkpoint/0",
+            "repro-checkpoint/2",
+            "repro-checkpoint/1",
+            "repro-checkpoint/3",
+        ],
+        ids=["untagged", "wrong-tag", "previous-tag", "older-tag", "dataclass-geometry-tag"],
     )
     def test_blob_of_another_format_is_refused(self, tmp_path, tag):
         """A slotted ``ServerConfig`` un-pickles positionally, so a blob
@@ -352,6 +360,34 @@ class TestRecoveryErrors:
                 load_snapshot(store, "foreign")
         with pytest.raises(ValueError, match=re.escape(CHECKPOINT_FORMAT)):
             restore_server_from_store(server_store, "foreign", handlers={})
+
+    def test_blob_that_no_longer_unpickles_is_refused(self, monkeypatch):
+        """A ``/3`` blob holds geometry pickled as slotted dataclasses
+        (class plus field state). Geometry is a tuple now, so loading it
+        dies inside ``pickle.loads``; the loader names key and store
+        instead of leaking the raw ``TypeError``."""
+        import repro.world.geometry as geometry
+
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class OldVec3:
+            x: float
+            y: float
+            z: float
+
+        OldVec3.__module__, OldVec3.__qualname__ = geometry.__name__, "Vec3"
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "Vec3", OldVec3)
+            blob = pickle.dumps(
+                ("repro-checkpoint/3", {"position": OldVec3(1.0, 2.0, 3.0)}),
+                protocol=4,
+            )
+        store = InMemoryStateStore()
+        store.save_checkpoint("old", blob)
+        expected = "checkpoint 'old' in store 'memory' does not unpickle (TypeError: "
+        with pytest.raises(ValueError, match=re.escape(expected)) as info:
+            load_snapshot(store, "old")
+        assert CHECKPOINT_FORMAT in str(info.value)
+        assert isinstance(info.value.__cause__, TypeError)
 
 
 # ---------------------------------------------------------------------------
