@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.cluster.bus import InterShardBus, by_destination
 from repro.cluster.router import ShardRouter
-from repro.cluster.shard import ShardServer
+from repro.cluster.shard import build_shard
 from repro.core.bounds import Bounds
 from repro.core.invariants import InvariantAuditor, InvariantViolationError
 from repro.net.protocol import PlayerActionPacket
@@ -42,7 +42,6 @@ from repro.sim.simulator import Simulation
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
 from repro.world.entity import Entity
 from repro.world.geometry import Vec3
-from repro.world.world import World
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +97,12 @@ class ClusterWorldView:
 
 
 class ShardedCluster:
-    """N federated shards behind a single-server facade."""
+    """N federated shards behind a single-server facade.
+
+    A runtime keeping its shards in worker processes (S18) overrides
+    ``_build_shards``, ``start``, ``_relay_bus`` and ``_shard_reports``;
+    the pump and the audit stay here.
+    """
 
     def __init__(
         self,
@@ -132,42 +136,6 @@ class ShardedCluster:
         self.bus = InterShardBus()
         self.peer_bounds = peer_bounds if peer_bounds is not None else Bounds.ZERO
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.shards: list[ShardServer] = []
-        for shard_id in range(shards):
-            # Same terrain seed everywhere; disjoint strided entity ids.
-            world = World(
-                seed=self.config.seed,
-                entity_id_start=shard_id + 1,
-                entity_id_step=shards,
-            )
-            # Durable restart (S20): each shard may get its own state
-            # store (file-backed stores cannot be shared across shards).
-            shard_config = (
-                self.config
-                if state_stores is None
-                else dataclasses.replace(self.config, state_store=state_stores[shard_id])
-            )
-            self.shards.append(
-                ShardServer(
-                    sim,
-                    shard_id=shard_id,
-                    router=self.router,
-                    bus=self.bus,
-                    peer_bounds=self.peer_bounds,
-                    world=world,
-                    config=shard_config,
-                    policy=policy_factory() if policy_factory is not None else None,
-                    partitioner=(
-                        partitioner_factory() if partitioner_factory is not None else None
-                    ),
-                    direct_mode=direct_mode,
-                    telemetry=self.telemetry,
-                )
-            )
-        for shard in self.shards:
-            shard.cluster = self
-        self.world = ClusterWorldView(self)
-
         self._next_client_id = 1
         self._shard_by_client: dict[int, int] = {}
         self._profiles: dict[int, ClientProfile] = {}
@@ -185,7 +153,39 @@ class ShardedCluster:
             self.config.audit_every_n_ticks
             or engine_module.AUDIT_DEFAULT_EVERY_N_TICKS
         )
-        self._auditor = InvariantAuditor() if self._audit_every_n_pumps > 0 else None
+        self.shards = self._build_shards(
+            policy_factory, partitioner_factory, direct_mode, state_stores
+        )
+        self.world = ClusterWorldView(self)
+
+    def _build_shards(
+        self, policy_factory, partitioner_factory, direct_mode, state_stores
+    ) -> list:
+        """One live :class:`ShardServer` per shard, in shard-id order."""
+        shards = []
+        for shard_id in range(self.router.shards):
+            # Durable restart (S20): each shard may get its own state
+            # store (file-backed stores cannot be shared across shards).
+            shard_config = (
+                self.config
+                if state_stores is None
+                else dataclasses.replace(self.config, state_store=state_stores[shard_id])
+            )
+            shard = build_shard(
+                self.sim,
+                shard_id,
+                self.router,
+                self.bus,
+                self.peer_bounds,
+                shard_config,
+                policy_factory,
+                partitioner_factory,
+                direct_mode=direct_mode,
+                telemetry=self.telemetry,
+            )
+            shard.cluster = self
+            shards.append(shard)
+        return shards
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -197,14 +197,8 @@ class ShardedCluster:
         self._running = True
         for shard in self.shards:
             shard.start()
-        if len(self.shards) > 1:
-            # Eager full peer mesh for the global dyconit (chat flows
-            # cluster-wide even with nobody near a border); chunk-level
-            # subscriptions arrive lazily with interest.
-            for publisher in self.shards:
-                for subscriber in self.shards:
-                    if subscriber.shard_id != publisher.shard_id:
-                        publisher.ensure_peer(subscriber.shard_id, self.peer_bounds)
+        for shard in self.shards:
+            shard.ensure_peers(len(self.shards), self.peer_bounds)
         # Scheduled after every shard scheduled its tick at the same
         # cadence, so at each timestamp the pump's sequence number sorts
         # after the ticks: tick 0..N-1, then the barrier.
@@ -219,13 +213,12 @@ class ShardedCluster:
             shard.stop()
 
     def close(self) -> None:
-        """Stop the cluster and release every shard's backend resources
-        (idempotent; stores handed in via ``state_stores`` instances
-        remain the caller's to close)."""
+        """Stop the cluster and close every shard: release its backend
+        resources, or shut its worker down (idempotent; stores handed in
+        via ``state_stores`` instances remain the caller's to close)."""
         self.stop()
         for shard in self.shards:
-            if shard.dyconits is not None:
-                shard.dyconits.close()
+            shard.close()
 
     def __enter__(self) -> "ShardedCluster":
         return self
@@ -234,15 +227,14 @@ class ShardedCluster:
         self.close()
 
     def _pump(self) -> None:
+        """The cluster barrier: drain the bus, publish the barrier's
+        telemetry, audit on cadence, schedule the next pump."""
         if not self._running:
             return
         self.pump_count += 1
         if self.control_plane is not None:
             self.control_plane.apply(self, self.pump_count)
-        delivered = 0
-        for round_batches in self.bus.rounds():
-            for dst, segment in by_destination(round_batches):
-                delivered += self.shards[dst].deliver_round(segment)
+        delivered = self._relay_bus()
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.counter("cluster_pumps_total").increment()
@@ -259,11 +251,20 @@ class ShardedCluster:
                     shard.handoffs_out
                 )
         if (
-            self._auditor is not None
+            self._audit_every_n_pumps > 0
             and self.pump_count % self._audit_every_n_pumps == 0
         ):
             self.audit_now()
         self._pump_event = self.sim.schedule(self.config.tick_interval_ms, self._pump)
+
+    def _relay_bus(self) -> int:
+        """Deliver the bus to empty, round by round, each destination's
+        part as one unit; returns the messages delivered."""
+        delivered = 0
+        for round_batches in self.bus.rounds():
+            for dst, segment in by_destination(round_batches):
+                delivered += self.shards[dst].deliver_round(segment)
+        return delivered
 
     # ------------------------------------------------------------------
     # Single-server facade
@@ -377,8 +378,7 @@ class ShardedCluster:
 
     def audit_now(self) -> None:
         """One cluster-wide invariant audit at the pump barrier."""
-        auditor = self._auditor if self._auditor is not None else InvariantAuditor()
-        violations = auditor.check_cluster(self)
+        violations = InvariantAuditor().check_cluster(self, self._shard_reports())
         if self.telemetry.enabled:
             self.telemetry.counter("invariant_checks_total").increment()
             if violations:
@@ -387,3 +387,9 @@ class ShardedCluster:
                 )
         if violations:
             raise InvariantViolationError(violations)
+
+    def _shard_reports(self) -> list:
+        """Each shard's half of the audit
+        (:meth:`InvariantAuditor.shard_report`), taken where it lives."""
+        auditor = InvariantAuditor()
+        return [auditor.shard_report(shard) for shard in self.shards]

@@ -61,25 +61,22 @@ import operator
 import traceback
 from dataclasses import dataclass
 from multiprocessing.reduction import ForkingPickler
+from types import SimpleNamespace
 
 from repro.cluster import messages as messages_module
-from repro.cluster.bus import InterShardBus, by_destination
-from repro.cluster.facade import ClientProfile, ClusterWorldView, ShardedCluster
+from repro.cluster.bus import by_destination
+from repro.cluster.facade import ClientProfile, ShardedCluster
 from repro.cluster.messages import SessionHandoff
 from repro.cluster.router import ShardRouter
-from repro.cluster.shard import ShardServer, peer_subscriber_id
+from repro.cluster.shard import ShardServer, build_shard
 from repro.core.bounds import Bounds
-from repro.core.invariants import (
-    InvariantAuditor,
-    InvariantViolationError,
-    Violation,
-)
+from repro.core.invariants import InvariantAuditor, InvariantViolationError, Violation
 from repro.net import protocol as protocol_module
 from repro.net.transport import DeliveredPacket
 from repro.server import engine as engine_module
 from repro.server.config import ServerConfig
 from repro.sim.simulator import Simulation
-from repro.telemetry.hub import NULL_TELEMETRY, Telemetry, set_telemetry
+from repro.telemetry.hub import Telemetry, set_telemetry
 from repro.world import events as events_module
 from repro.world.block import BlockType
 from repro.world.entity import Entity, EntityKind
@@ -113,7 +110,8 @@ def _constructor_reducer(cls: type):
 
 #: The value types that cross the pipe: every dataclass defined in the
 #: packet, world-event and shard-message modules (ghost records
-#: included), and the bounds a peer subscription carries.
+#: included), the bounds a peer subscription carries, and the violations
+#: an audit reports.
 _PIPE_VALUE_TYPES = (
     *(
         obj
@@ -124,6 +122,7 @@ _PIPE_VALUE_TYPES = (
         and obj.__module__ == module.__name__
     ),
     Bounds,
+    Violation,
 )
 for _cls in _PIPE_VALUE_TYPES:
     ForkingPickler.register(_cls, _constructor_reducer(_cls))
@@ -138,8 +137,7 @@ class _WorkerSpec:
     """
 
     shard_id: int
-    num_shards: int
-    strip_width: int
+    router: ShardRouter
     config: ServerConfig
     policy_factory: object
     partitioner_factory: object
@@ -238,10 +236,10 @@ class _WorkerClusterStub:
     shipped :class:`SessionHandoff`.
     """
 
-    def __init__(self, out: _OutputCollector) -> None:
+    def __init__(self, out: _OutputCollector, shard: ShardServer) -> None:
         self._out = out
         self._staged_profiles: dict[int, tuple | None] = {}
-        self.shard: ShardServer | None = None
+        self.shard = shard
 
     def stage_handoff(self, client_id: int, profile_data: tuple | None) -> None:
         self._staged_profiles[client_id] = profile_data
@@ -282,10 +280,7 @@ class _WorkerClusterStub:
 def _handle_command(shard, sim, out, stub, spec, hub, cmd, payload):
     if cmd == "start":
         shard.start(schedule_ticks=False)
-        if spec.num_shards > 1:
-            for other in range(spec.num_shards):
-                if other != spec.shard_id:
-                    shard.ensure_peer(other, spec.peer_bounds)
+        shard.ensure_peers(spec.router.shards, spec.peer_bounds)
         return out.drain(shard)
     if cmd == "connect":
         sim.clock.advance_to(payload["time"])
@@ -326,33 +321,12 @@ def _handle_command(shard, sim, out, stub, spec, hub, cmd, payload):
         shard.deliver_round(payload["segment"])
         return out.drain(shard)
     if cmd == "audit":
-        violations = InvariantAuditor().check_server(shard)
-        registered: dict = {}
-        for chunks in shard.peer_registry.values():
-            for chunk in chunks:
-                registered[chunk] = None
+        report = InvariantAuditor().shard_report(shard)
         result = out.drain(shard)
         result.update(
-            violations=[(v.invariant, v.subject, v.message) for v in violations],
-            remote_interest={
-                owner: tuple(chunks)
-                for owner, chunks in shard.remote_interest.items()
-            },
-            peer_registry={
-                peer: tuple(chunks) for peer, chunks in shard.peer_registry.items()
-            },
-            dyconit_by_chunk={
-                chunk: shard.dyconits.resolve(
-                    shard.dyconits.partitioner.dyconit_for_chunk(chunk)
-                )
-                for chunk in registered
-            },
-            peer_subscriptions={
-                peer_subscriber_id(peer): tuple(
-                    shard.dyconits.subscription_ids_of(peer_subscriber_id(peer))
-                )
-                for peer in shard.peer_registry
-            },
+            report=report,
+            remote_interest=shard.remote_interest,
+            peer_registry=shard.peer_registry,
         )
         return result
     if cmd == "finalize":
@@ -373,6 +347,7 @@ def _handle_command(shard, sim, out, stub, spec, hub, cmd, payload):
             },
             metrics=shard.metrics,
             dyconit_stats=shard.dyconits.stats,
+            loaded_chunk_count=shard.world.loaded_chunk_count,
             counters={
                 "handoffs_in": shard.handoffs_in,
                 "handoffs_out": shard.handoffs_out,
@@ -417,34 +392,22 @@ def _shard_worker_main(spec: _WorkerSpec, conn) -> None:
 
     sim = Simulation()
     out = _OutputCollector()
-    world = World(
-        seed=spec.config.seed,
-        entity_id_start=spec.shard_id + 1,
-        entity_id_step=spec.num_shards,
-    )
-    shard = ShardServer(
+    shard = build_shard(
         sim,
-        shard_id=spec.shard_id,
-        router=ShardRouter(spec.num_shards, spec.strip_width),
-        bus=_RecordingBus(out),
-        peer_bounds=spec.peer_bounds,
-        world=world,
-        config=spec.config,
-        policy=spec.policy_factory(),
-        partitioner=(
-            spec.partitioner_factory()
-            if spec.partitioner_factory is not None
-            else None
-        ),
-        direct_mode=False,
+        spec.shard_id,
+        spec.router,
+        _RecordingBus(out),
+        spec.peer_bounds,
+        spec.config,
+        spec.policy_factory,
+        spec.partitioner_factory,
         telemetry=hub,
     )
-    stub = _WorkerClusterStub(out)
-    stub.shard = shard
+    stub = _WorkerClusterStub(out, shard)
     shard.cluster = stub
     shard.dyconits.merging_enabled = spec.merging_enabled
     shard.transport.record_latencies = spec.record_latencies
-    world.add_listener(out.on_world_event)
+    shard.world.add_listener(out.on_world_event)
 
     try:
         while True:
@@ -459,15 +422,7 @@ def _shard_worker_main(spec: _WorkerSpec, conn) -> None:
                     shard, sim, out, stub, spec, hub, cmd, payload
                 )
             except InvariantViolationError as error:
-                conn.send(
-                    (
-                        "invariant",
-                        [
-                            (v.invariant, v.subject, v.message)
-                            for v in error.violations
-                        ],
-                    )
-                )
+                conn.send(("invariant", error.violations))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
             else:
@@ -491,6 +446,10 @@ class _MirrorWorld:
     rebuilt when it changes), so facade reads between barriers see
     exactly what the serial shard world would hold.
     """
+
+    #: The worker world's count, shipped at finalize: the terrain mirror
+    #: only loads the chunks parent-side queries touch.
+    loaded_chunk_count: int | None = None
 
     def __init__(self, seed: int, entity_id_start: int, entity_id_step: int) -> None:
         self._terrain = World(
@@ -556,44 +515,6 @@ class _HandleSession:
     view_distance: int
 
 
-class _IdentityPartitioner:
-    """Partitioner stand-in whose tokens the audit map resolves."""
-
-    def dyconit_for_chunk(self, chunk):
-        return chunk
-
-
-class _HandleDyconits:
-    """Just enough dyconit surface for the parent-side I8 audit.
-
-    The worker ships, at each audit barrier, a chunk → resolved dyconit
-    id map and the per-peer subscription id sets; ``resolve`` answers
-    from that map (an unknown chunk resolves to a sentinel that can
-    never be subscribed, turning a desync into a violation instead of a
-    KeyError). ``stats`` is installed at finalize.
-    """
-
-    def __init__(self) -> None:
-        self.merging_enabled = True
-        self.stats = None
-        self.partitioner = _IdentityPartitioner()
-        self._by_chunk: dict = {}
-        self._peer_subscriptions: dict[int, set] = {}
-
-    def load_audit_state(self, by_chunk, peer_subscriptions) -> None:
-        self._by_chunk = dict(by_chunk)
-        self._peer_subscriptions = {
-            subscriber_id: set(ids)
-            for subscriber_id, ids in peer_subscriptions.items()
-        }
-
-    def resolve(self, token):
-        return self._by_chunk.get(token, ("unresolved", token))
-
-    def subscription_ids_of(self, subscriber_id: int) -> set:
-        return self._peer_subscriptions.get(subscriber_id, set())
-
-
 class _TransportSnapshot:
     """Final transport accounting shipped from a worker.
 
@@ -633,25 +554,29 @@ class _ShardHandle:
 
     Exposes the :class:`ShardServer` attributes the facade, the world
     view, and the cluster auditor read — backed by barrier-synced
-    mirrors instead of live structures.
+    mirrors instead of live structures — and owns the shard's tick
+    event, which the parent schedules.
     """
 
-    def __init__(self, runner, shard_id, process, conn, num_shards) -> None:
+    def __init__(self, runner, shard_id, process, conn) -> None:
         self._runner = runner
         self.shard_id = shard_id
         self._process = process
         self._conn = conn
         #: The command most recently sent (named when the worker dies).
         self._command: str | None = None
-        self.world = _MirrorWorld(runner.config.seed, shard_id + 1, num_shards)
+        self.world = _MirrorWorld(runner.config.seed, shard_id + 1, runner.router.shards)
         self.ghost_ids: set[int] = set()
         self.sessions: dict[int, _HandleSession] = {}
         self.remote_interest: dict = {}
         self.peer_registry: dict = {}
-        self.dyconits = _HandleDyconits()
+        #: The worker's final ``DyconitStats``, as ``.stats``, from finalize.
+        self.dyconits = None
         self.transport = _TransportSnapshot()
         self.metrics = None
         self._pending_actions: list = []
+        self.next_tick_time = 0.0
+        self.tick_event = None
         self.handoffs_in = 0
         self.handoffs_out = 0
         self.transfers_in = 0
@@ -659,6 +584,31 @@ class _ShardHandle:
         self.messages_sent = 0
         self.tick_count = 0
         self.smoothed_tick_ms = 0.0
+
+    def schedule_tick(self, delay: float) -> None:
+        sim = self._runner.sim
+        self.next_tick_time = sim.now + delay
+        self.tick_event = sim.schedule(
+            delay, functools.partial(self._runner._shard_tick, self.shard_id)
+        )
+
+    def stop(self) -> None:
+        if self.tick_event is not None:
+            self.tick_event.cancel()
+            self.tick_event = None
+
+    def close(self) -> None:
+        """Shut the worker down (idempotent; a worker that already died
+        is just reaped)."""
+        try:
+            self._conn.send(("exit", None))
+        except OSError:
+            pass
+        self._process.join(timeout=10)
+        if self._process.is_alive():  # pragma: no cover - defensive
+            self._process.terminate()
+            self._process.join(timeout=10)
+        self._conn.close()
 
     # -- RPC plumbing --------------------------------------------------
 
@@ -677,8 +627,8 @@ class _ShardHandle:
         if status == "invariant":
             raise InvariantViolationError(
                 [
-                    Violation(invariant, f"shard {self.shard_id}: {subject}", message)
-                    for invariant, subject, message in payload
+                    Violation(v.invariant, f"shard {self.shard_id}: {v.subject}", v.message)
+                    for v in payload
                 ]
             )
         if status == "error":
@@ -753,7 +703,7 @@ class ParallelShardRunner(ShardedCluster):
     N-shard parallel run produces byte-identical packet streams to the
     serial N-shard cluster. Call :meth:`finalize` after the simulation
     ends to pull final transports/metrics/telemetry out of the workers
-    and shut them down.
+    and shut them down; :meth:`close` shuts them down without.
     """
 
     def __init__(
@@ -770,66 +720,56 @@ class ParallelShardRunner(ShardedCluster):
         merging_enabled: bool = True,
         record_latencies: bool = False,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shard count must be >= 1, got {shards}")
         if policy_factory is None:
             raise ValueError(
                 "the parallel runner needs a policy_factory (direct/vanilla "
                 "mode is serial-only)"
             )
-        self.sim = sim
-        self.config = config if config is not None else ServerConfig()
-        if not self.config.synchronous_delivery:
+        config = config if config is not None else ServerConfig()
+        if not config.synchronous_delivery:
             raise ValueError(
                 "parallel shard ticks require synchronous_delivery: a "
                 "scheduled delivery would land in the parent's event queue "
                 "while the packet lives in a worker"
             )
-        self.router = ShardRouter(shards, strip_width)
-        self.bus = InterShardBus()
-        for shard_id in range(shards):
-            self.bus.attach(shard_id)
-        self.peer_bounds = peer_bounds if peer_bounds is not None else Bounds.ZERO
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-
-        self._next_client_id = 1
-        self._shard_by_client: dict[int, int] = {}
-        self._profiles: dict[int, ClientProfile] = {}
-        self._in_transit: dict[int, tuple[int, int]] = {}
+        self._mp = multiprocessing.get_context(mp_context)
+        self._merging_enabled = merging_enabled
+        self._record_latencies = record_latencies
         self._client_handlers: dict[int, object] = {}
-        self.handoffs = 0
-        self.handoffs_cancelled = 0
-        self.pump_count = 0
-        self._running = False
-        self._pump_event = None
         #: A pump whose first round left before its event fired (see
         #: _shard_tick): (the bus drain, destinations awaiting replies).
         self._in_flight: tuple | None = None
         #: Bus messages shipped by the pump under way.
         self._pump_messages = 0
         self._finalized = False
-        self._audit_every_n_pumps = (
-            self.config.audit_every_n_ticks
-            or engine_module.AUDIT_DEFAULT_EVERY_N_TICKS
+        super().__init__(
+            sim,
+            shards=shards,
+            strip_width=strip_width,
+            config=config,
+            policy_factory=policy_factory,
+            partitioner_factory=partitioner_factory,
+            peer_bounds=peer_bounds,
+            telemetry=telemetry,
         )
-        self._auditor = InvariantAuditor() if self._audit_every_n_pumps > 0 else None
 
-        self._mp = multiprocessing.get_context(mp_context)
-        self.shards: list[_ShardHandle] = []
-        self._next_tick_time: list[float] = [0.0] * shards
-        self._tick_events: list = [None] * shards
-        for shard_id in range(shards):
+    def _build_shards(
+        self, policy_factory, partitioner_factory, direct_mode, state_stores
+    ) -> list:
+        """One worker process per shard, rebuilding it from a spec."""
+        handles = []
+        for shard_id in range(self.router.shards):
+            self.bus.attach(shard_id)
             spec = _WorkerSpec(
                 shard_id=shard_id,
-                num_shards=shards,
-                strip_width=strip_width,
+                router=self.router,
                 config=self.config,
                 policy_factory=policy_factory,
                 partitioner_factory=partitioner_factory,
                 peer_bounds=self.peer_bounds,
                 telemetry_enabled=self.telemetry.enabled,
-                merging_enabled=merging_enabled,
-                record_latencies=record_latencies,
+                merging_enabled=self._merging_enabled,
+                record_latencies=self._record_latencies,
                 audit_default_every_n_ticks=engine_module.AUDIT_DEFAULT_EVERY_N_TICKS,
             )
             parent_conn, child_conn = self._mp.Pipe()
@@ -841,10 +781,8 @@ class ParallelShardRunner(ShardedCluster):
             )
             process.start()
             child_conn.close()
-            self.shards.append(
-                _ShardHandle(self, shard_id, process, parent_conn, shards)
-            )
-        self.world = ClusterWorldView(self)
+            handles.append(_ShardHandle(self, shard_id, process, parent_conn))
+        return handles
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -858,40 +796,11 @@ class ParallelShardRunner(ShardedCluster):
             handle._send("start", {"time": self.sim.now})
         for handle in self.shards:
             self._apply_output(handle, handle._recv())
-        interval = self.config.tick_interval_ms
         # Same event-insertion order as the serial cluster: shard ticks
         # 0..N-1, then the pump barrier.
-        for shard_id in range(len(self.shards)):
-            self._next_tick_time[shard_id] = self.sim.now + interval
-            self._tick_events[shard_id] = self.sim.schedule(
-                interval, functools.partial(self._shard_tick, shard_id)
-            )
-        self._pump_event = self.sim.schedule(interval, self._pump)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._pump_event is not None:
-            self._pump_event.cancel()
-            self._pump_event = None
-        for shard_id, event in enumerate(self._tick_events):
-            if event is not None:
-                event.cancel()
-                self._tick_events[shard_id] = None
-
-    def shutdown(self) -> None:
-        """Terminate the worker processes (idempotent; a worker that
-        already died is just reaped)."""
         for handle in self.shards:
-            try:
-                handle._conn.send(("exit", None))
-            except OSError:
-                pass
-        for handle in self.shards:
-            handle._process.join(timeout=10)
-            if handle._process.is_alive():  # pragma: no cover - defensive
-                handle._process.terminate()
-                handle._process.join(timeout=10)
-            handle._conn.close()
+            handle.schedule_tick(self.config.tick_interval_ms)
+        self._pump_event = self.sim.schedule(self.config.tick_interval_ms, self._pump)
 
     def finalize(self) -> None:
         """Pull final transports/metrics/stats/telemetry from the
@@ -902,7 +811,6 @@ class ParallelShardRunner(ShardedCluster):
         if self._finalized:
             return
         self._finalized = True
-        self.stop()
         for handle in self.shards:
             handle._send("finalize", {"time": self.sim.now})
         payloads = [handle._recv() for handle in self.shards]
@@ -910,18 +818,13 @@ class ParallelShardRunner(ShardedCluster):
             self._apply_output(handle, payload)
             handle.transport = _TransportSnapshot(payload["transport"])
             handle.metrics = payload["metrics"]
-            handle.dyconits.stats = payload["dyconit_stats"]
-            counters = payload["counters"]
-            handle.handoffs_in = counters["handoffs_in"]
-            handle.handoffs_out = counters["handoffs_out"]
-            handle.transfers_in = counters["transfers_in"]
-            handle.transfers_out = counters["transfers_out"]
-            handle.messages_sent = counters["messages_sent"]
-            handle.tick_count = counters["tick_count"]
-            handle.smoothed_tick_ms = counters["smoothed_tick_ms"]
+            handle.dyconits = SimpleNamespace(stats=payload["dyconit_stats"])
+            handle.world.loaded_chunk_count = payload["loaded_chunk_count"]
+            for name, value in payload["counters"].items():
+                setattr(handle, name, value)
             if payload["telemetry"] is not None and self.telemetry.enabled:
                 self._fold_telemetry(payload["telemetry"])
-        self.shutdown()
+        self.close()
 
     def _fold_telemetry(self, dump: dict) -> None:
         # Counters add, histograms merge (both commutative, so serial
@@ -950,17 +853,11 @@ class ParallelShardRunner(ShardedCluster):
         # the parent-side effects replay the serial insertion sequence.
         # Shards that drifted out of phase (duration > interval) tick
         # alone at their own events, exactly like the serial loop.
-        due = [
-            j
-            for j in range(len(self.shards))
-            if self._next_tick_time[j] == now
-        ]
-        for j in due:
-            if j != shard_id and self._tick_events[j] is not None:
-                self._tick_events[j].cancel()
-            handle = self.shards[j]
-            actions = handle._pending_actions
-            handle._pending_actions = []
+        due = [handle for handle in self.shards if handle.next_tick_time == now]
+        for handle in due:
+            if handle.shard_id != shard_id and handle.tick_event is not None:
+                handle.tick_event.cancel()
+            actions, handle._pending_actions = handle._pending_actions, []
             handle._send("tick", {"time": now, "actions": actions})
         # Relay before replay: when the pump barrier is the very next
         # event at this instant, nothing can run between this tick and
@@ -971,19 +868,14 @@ class ParallelShardRunner(ShardedCluster):
         # on receipt.
         pre_ship = self._pump_is_next(now)
         held = []
-        for j in due:
-            handle = self.shards[j]
+        for handle in due:
             out = handle._recv()
             self._apply_effects(handle, out)
             if pre_ship:
                 held.append(out["packets"])
             else:
                 self._replay(out["packets"])
-            delay = max(self.config.tick_interval_ms, out["duration"])
-            self._next_tick_time[j] = now + delay
-            self._tick_events[j] = self.sim.schedule(
-                delay, functools.partial(self._shard_tick, j)
-            )
+            handle.schedule_tick(max(self.config.tick_interval_ms, out["duration"]))
         if pre_ship:
             rounds = self.bus.rounds()
             self._in_flight = (rounds, self._ship_round(rounds))
@@ -997,10 +889,9 @@ class ParallelShardRunner(ShardedCluster):
     # Pump barrier
     # ------------------------------------------------------------------
 
-    def _pump(self) -> None:
-        if not self._running:
-            return
-        self.pump_count += 1
+    def _relay_bus(self) -> int:
+        """Relay the bus to empty through the workers, round by round;
+        returns the messages shipped."""
         if self._in_flight is None:
             rounds = self.bus.rounds()
             shipped = self._ship_round(rounds)
@@ -1025,31 +916,7 @@ class ParallelShardRunner(ShardedCluster):
         finally:
             self._replay(*held)
         delivered, self._pump_messages = self._pump_messages, 0
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.counter("cluster_pumps_total").increment()
-            if delivered:
-                telemetry.counter("cluster_bus_messages_total").increment(delivered)
-            telemetry.gauge("cluster_bus_bytes").set(self.bus.total_bytes)
-            telemetry.gauge("bus_pump_rounds").set(self.bus.last_pump_rounds)
-            telemetry.gauge("cluster_handoffs").set(self.handoffs)
-            for handle in self.shards:
-                label = str(handle.shard_id)
-                telemetry.gauge("shard_players", shard=label).set(
-                    len(handle.sessions)
-                )
-                telemetry.gauge("shard_ghosts", shard=label).set(
-                    len(handle.ghost_ids)
-                )
-                telemetry.gauge("shard_handoffs_out", shard=label).set(
-                    handle.handoffs_out
-                )
-        if (
-            self._auditor is not None
-            and self.pump_count % self._audit_every_n_pumps == 0
-        ):
-            self.audit_now()
-        self._pump_event = self.sim.schedule(self.config.tick_interval_ms, self._pump)
+        return delivered
 
     def _ship_round(self, rounds) -> list[int]:
         """Take the drain's next round and send each destination its
@@ -1153,45 +1020,17 @@ class ParallelShardRunner(ShardedCluster):
     # Audit
     # ------------------------------------------------------------------
 
-    def audit_now(self) -> None:
-        """Cluster-wide invariant audit at the pump barrier.
-
-        Per-shard structural checks run worker-side against the live
-        structures (shipped back as violation tuples); the cross-shard
-        pairs (I7 unique ownership, I8 subscription mirror) run parent-
-        side against the barrier-synced mirrors plus the audit payloads.
-        """
-        auditor = self._auditor if self._auditor is not None else InvariantAuditor()
+    def _shard_reports(self) -> list:
+        """Each worker's half of the audit, taken on its live shard; the
+        reply also syncs the handle's interest registries, which the
+        cross-shard pairs read."""
         for handle in self.shards:
             handle._send("audit", {"time": self.sim.now})
-        payloads = [handle._recv() for handle in self.shards]
-        violations: list[Violation] = []
-        for handle, payload in zip(self.shards, payloads):
-            self._apply_output(handle, payload)
-            for invariant, subject, message in payload["violations"]:
-                violations.append(
-                    Violation(
-                        invariant, f"shard {handle.shard_id}: {subject}", message
-                    )
-                )
-            handle.remote_interest = {
-                owner: dict.fromkeys(chunks)
-                for owner, chunks in payload["remote_interest"].items()
-            }
-            handle.peer_registry = {
-                peer: dict.fromkeys(chunks)
-                for peer, chunks in payload["peer_registry"].items()
-            }
-            handle.dyconits.load_audit_state(
-                payload["dyconit_by_chunk"], payload["peer_subscriptions"]
-            )
-        auditor._check_unique_ownership(self, violations)
-        auditor._check_subscription_mirror_cluster(self, violations)
-        if self.telemetry.enabled:
-            self.telemetry.counter("invariant_checks_total").increment()
-            if violations:
-                self.telemetry.counter("invariant_violations_total").increment(
-                    len(violations)
-                )
-        if violations:
-            raise InvariantViolationError(violations)
+        reports = []
+        for handle in self.shards:
+            out = handle._recv()
+            self._apply_output(handle, out)
+            handle.remote_interest = out["remote_interest"]
+            handle.peer_registry = out["peer_registry"]
+            reports.append(out["report"])
+        return reports

@@ -66,6 +66,7 @@ from repro.world.events import (
     WorldEvent,
 )
 from repro.world.geometry import BlockPos, ChunkPos, Vec3
+from repro.world.world import World
 
 
 #: Bus messages that only apply ghost records; a round's commit batch
@@ -78,6 +79,41 @@ def peer_subscriber_id(shard_id: int) -> int:
     system. Negative by convention: client ids are positive, so the two
     populations can share one registry without collisions."""
     return -(shard_id + 1)
+
+
+def build_shard(
+    sim,
+    shard_id: int,
+    router: ShardRouter,
+    bus,
+    peer_bounds: Bounds,
+    config,
+    policy_factory=None,
+    partitioner_factory=None,
+    direct_mode: bool = False,
+    telemetry=None,
+) -> "ShardServer":
+    """Shard ``shard_id`` of the cluster ``router`` partitions, on its own
+    :class:`World`: the same terrain seed everywhere, entity ids strided
+    by shard so no two shards ever mint the same id."""
+    world = World(
+        seed=config.seed,
+        entity_id_start=shard_id + 1,
+        entity_id_step=router.shards,
+    )
+    return ShardServer(
+        sim,
+        shard_id=shard_id,
+        router=router,
+        bus=bus,
+        peer_bounds=peer_bounds,
+        world=world,
+        config=config,
+        policy=policy_factory() if policy_factory is not None else None,
+        partitioner=partitioner_factory() if partitioner_factory is not None else None,
+        direct_mode=direct_mode,
+        telemetry=telemetry,
+    )
 
 
 class _ClusterViewerIndex(ViewerIndex):
@@ -153,14 +189,19 @@ class ShardServer(GameServer):
     # Peer mesh (publisher side)
     # ------------------------------------------------------------------
 
-    def ensure_peer(self, peer_shard: int, bounds: Bounds) -> Subscriber:
-        """Register ``peer_shard`` as a subscriber of this shard.
+    def ensure_peers(self, num_shards: int, bounds: Bounds) -> None:
+        """Register every other shard of the cluster as a peer, in shard
+        order: the eager full mesh at cluster start. The global dyconit
+        (chat and other world-wide updates) must flow between all shards
+        even when no client is near a border; chunk dyconits are added
+        lazily by PeerSubscribe as interest appears."""
+        for peer_shard in range(num_shards):
+            if peer_shard != self.shard_id:
+                self.ensure_peer(peer_shard, bounds)
 
-        Called eagerly for every ordered shard pair at cluster start: the
-        global dyconit (chat and other world-wide updates) must flow
-        between all shards even when no client is near a border. Chunk
-        dyconits are added lazily by PeerSubscribe as interest appears.
-        """
+    def ensure_peer(self, peer_shard: int, bounds: Bounds) -> Subscriber:
+        """Register ``peer_shard`` as a subscriber of this shard (its
+        global-dyconit subscription included), once."""
         subscriber = self._peer_subscribers.get(peer_shard)
         if subscriber is None:
             subscriber = Subscriber(

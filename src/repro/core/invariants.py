@@ -143,27 +143,37 @@ class InvariantAuditor:
         self._check_commit_buffer_drained(server, violations)
         return violations
 
-    def check_cluster(self, cluster) -> list[Violation]:
+    def check_cluster(self, cluster, reports=None) -> list[Violation]:
         """Per-shard server invariants plus the cross-shard pairs.
 
-        ``cluster`` is a :class:`~repro.cluster.facade.ShardedCluster`.
-        Meant to run at the pump barrier (bus drained); anything
-        legitimately in flight on the bus is excused explicitly rather
-        than by loosening the checks.
+        ``cluster`` is a :class:`~repro.cluster.facade.ShardedCluster`;
+        ``reports`` holds each shard's :meth:`shard_report` in shard
+        order, taken on the live shards when omitted. Meant to run at the
+        pump barrier (bus drained); anything legitimately in flight on
+        the bus is excused explicitly rather than by loosening the checks.
         """
-        violations: list[Violation] = []
-        for shard in cluster.shards:
-            for violation in self.check_server(shard):
-                violations.append(
-                    Violation(
-                        violation.invariant,
-                        f"shard {shard.shard_id}: {violation.subject}",
-                        violation.message,
-                    )
-                )
+        if reports is None:
+            reports = [self.shard_report(shard) for shard in cluster.shards]
+        violations = [
+            Violation(
+                violation.invariant,
+                f"shard {shard.shard_id}: {violation.subject}",
+                violation.message,
+            )
+            for shard, (found, __) in zip(cluster.shards, reports)
+            for violation in found
+        ]
         self._check_unique_ownership(cluster, violations)
-        self._check_subscription_mirror_cluster(cluster, violations)
+        self._check_subscription_mirror_cluster(
+            cluster, [unbacked for __, unbacked in reports], violations
+        )
         return violations
+
+    def shard_report(self, shard) -> tuple[list[Violation], dict]:
+        """One shard's half of the cluster audit, read where the shard
+        lives: its :meth:`check_server` violations and
+        :func:`unbacked_peer_chunks`."""
+        return self.check_server(shard), unbacked_peer_chunks(shard)
 
     def assert_ok(self, system_or_server) -> None:
         """Raise :class:`InvariantViolationError` if anything is broken."""
@@ -633,10 +643,9 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
 
     def _check_subscription_mirror_cluster(
-        self, cluster, violations: list[Violation]
+        self, cluster, unbacked: list[dict], violations: list[Violation]
     ) -> None:
         from repro.cluster.messages import PeerSubscribe, PeerUnsubscribe
-        from repro.cluster.shard import peer_subscriber_id
 
         pending = cluster.bus.pending_by_edge()
         for subscriber in cluster.shards:
@@ -675,21 +684,33 @@ class InvariantAuditor:
                             "dropped",
                         )
                     )
-                if not registered or publisher.dyconits is None:
-                    continue
-                peer_id = peer_subscriber_id(subscriber.shard_id)
-                subscribed = set(publisher.dyconits.subscription_ids_of(peer_id))
-                for chunk in sorted(registered & wanted, key=lambda c: (c.cx, c.cz)):
-                    dyconit_id = publisher.dyconits.resolve(
-                        publisher.dyconits.partitioner.dyconit_for_chunk(chunk)
-                    )
-                    if dyconit_id not in subscribed:
-                        violations.append(
-                            Violation(
-                                "I8.dyconit-backing",
-                                f"shard {publisher.shard_id} {chunk}",
-                                f"registered for peer {subscriber.shard_id} but "
-                                f"dyconit {dyconit_id!r} has no peer "
-                                "subscription",
-                            )
+                missing = unbacked[publisher.shard_id].get(subscriber.shard_id, {})
+                for chunk in sorted(missing.keys() & wanted, key=lambda c: (c.cx, c.cz)):
+                    violations.append(
+                        Violation(
+                            "I8.dyconit-backing",
+                            f"shard {publisher.shard_id} {chunk}",
+                            f"registered for peer {subscriber.shard_id} but "
+                            f"dyconit {missing[chunk]!r} has no peer "
+                            "subscription",
                         )
+                    )
+
+
+def unbacked_peer_chunks(shard) -> dict[int, dict]:
+    """I8's dyconit-backing half on one publisher shard: per peer shard,
+    each chunk registered for it whose alias-resolved dyconit carries no
+    subscription of that peer, mapped to that dyconit's id."""
+    from repro.cluster.shard import peer_subscriber_id
+
+    dyconits = shard.dyconits
+    unbacked: dict[int, dict] = {}
+    if dyconits is None:
+        return unbacked
+    for peer, chunks in shard.peer_registry.items():
+        subscribed = set(dyconits.subscription_ids_of(peer_subscriber_id(peer)))
+        for chunk in chunks:
+            dyconit_id = dyconits.resolve(dyconits.partitioner.dyconit_for_chunk(chunk))
+            if dyconit_id not in subscribed:
+                unbacked.setdefault(peer, {})[chunk] = dyconit_id
+    return unbacked

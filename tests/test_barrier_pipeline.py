@@ -453,5 +453,5 @@ def test_a_killed_worker_is_a_diagnosed_stop():
         assert "simulated time 1050.0 ms" in message
         assert f"exit code {-signal.SIGKILL}" in message
     finally:
-        cluster.shutdown()
+        cluster.close()
     assert not any(handle._process.is_alive() for handle in cluster.shards)

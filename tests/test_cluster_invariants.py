@@ -9,8 +9,8 @@ the checked-mode acceptance gate for the sharded world.
 import pytest
 
 from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
-from repro.cluster import ShardedCluster
-from repro.cluster.shard import peer_subscriber_id
+from repro.cluster import ParallelShardRunner, ShardedCluster
+from repro.cluster.shard import ShardServer, peer_subscriber_id
 from repro.core.invariants import InvariantAuditor, InvariantViolationError
 from repro.policies.adaptive import AdaptiveBoundsPolicy
 from repro.policies.zero import ZeroBoundsPolicy
@@ -167,6 +167,44 @@ def test_shard_local_violations_are_prefixed():
     violations = InvariantAuditor().check_cluster(cluster)
     assert violations, "expected the per-shard catalogue to fire"
     assert any(v.subject.startswith(f"shard {shard.shard_id}:") for v in violations)
+
+
+def test_parallel_audit_names_a_seeded_defect_like_the_serial_audit(monkeypatch):
+    """A publisher that registers a subscribed chunk but never subscribes
+    the peer to its dyconit breaks I8's dyconit backing. The parallel
+    audit (each worker's shard report, the cross-shard pairs in the
+    parent) must raise the serial audit's violation list exactly. Forked
+    workers inherit the patched class; only the final audit runs."""
+    from repro.server import engine
+
+    monkeypatch.setattr(engine, "AUDIT_DEFAULT_EVERY_N_TICKS", 0)
+
+    def register_only(self, src, message):
+        self.ensure_peer(src, message.bounds)
+        self.peer_registry[src][message.chunk] = None
+
+    monkeypatch.setattr(ShardServer, "_handle_peer_subscribe", register_only)
+
+    def audited(cls, **options):
+        sim = Simulation()
+        cluster = cls(
+            sim,
+            shards=2,
+            strip_width=4,
+            config=ServerConfig(seed=11, synchronous_delivery=True, mob_count=0),
+            policy_factory=ZeroBoundsPolicy,
+            **options,
+        )
+        with cluster:
+            cluster.start()
+            run_settled(sim, cluster)
+            with pytest.raises(InvariantViolationError) as excinfo:
+                cluster.audit_now()
+        return excinfo.value.violations
+
+    serial = audited(ShardedCluster)
+    assert names(serial) == {"I8.dyconit-backing"}
+    assert audited(ParallelShardRunner, mp_context="fork") == serial
 
 
 def test_peer_subscriber_ids_never_collide_with_clients():

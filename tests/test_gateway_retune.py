@@ -456,4 +456,4 @@ def test_gateway_refuses_a_parallel_runner():
                 attach(runner)
         assert getattr(runner, "control_plane", None) is None
     finally:
-        runner.shutdown()
+        runner.close()

@@ -19,6 +19,7 @@ wire codec. Everything else here hangs off that oracle:
 """
 
 import hashlib
+import multiprocessing
 
 import pytest
 
@@ -174,6 +175,7 @@ def test_parallel_per_shard_state_matches_serial_after_finalize(
         assert s.tick_count == p.tick_count
         assert sorted(s.sessions) == sorted(p.sessions)
         assert s.ghost_ids == p.ghost_ids
+        assert s.world.loaded_chunk_count == p.world.loaded_chunk_count
         serial_ticks = s.metrics.series("tick_duration_ms")
         mirror_ticks = p.metrics.series("tick_duration_ms")
         assert list(serial_ticks.times) == list(mirror_ticks.times)
@@ -316,3 +318,28 @@ def test_finalize_is_idempotent(parallel_run):
     par.finalize()
     par.finalize()
     assert par.shards[0].transport.total_packets() > 0
+    # Closing a finalized runner (twice) is safe and leaves no worker.
+    par.close()
+    par.close()
+    workers = {handle._process for handle in par.shards}
+    assert not workers & set(multiprocessing.active_children())
+
+
+def test_close_shuts_the_workers_down():
+    """``close()`` — here by leaving the ``with`` block, before any
+    ``finalize()`` — reaps every worker; closing again is a no-op."""
+    sim = Simulation()
+    with ParallelShardRunner(
+        sim,
+        shards=2,
+        strip_width=4,
+        config=ServerConfig(seed=SEED, synchronous_delivery=True, mob_count=3),
+        policy_factory=ZeroBoundsPolicy,
+    ) as runner:
+        runner.start()
+        Workload(sim, runner, make_spec()).start()
+        sim.run_until(1_000.0)
+        workers = {handle._process for handle in runner.shards}
+        assert workers <= set(multiprocessing.active_children())
+    assert not workers & set(multiprocessing.active_children())
+    runner.close()
