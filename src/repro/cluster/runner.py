@@ -1005,16 +1005,13 @@ class ParallelShardRunner(ShardedCluster):
         packets land, as long as it is before the next event.
         """
         handlers = self._client_handlers
+        new = tuple.__new__
         for packets in stashes:
             for client_id, packet, sent_at, delivered_at in packets:
                 handler = handlers.get(client_id)
                 if handler is None:
                     continue
-                handler(
-                    DeliveredPacket(
-                        packet=packet, sent_at=sent_at, delivered_at=delivered_at
-                    )
-                )
+                handler(new(DeliveredPacket, (packet, sent_at, delivered_at)))
 
     # ------------------------------------------------------------------
     # Audit

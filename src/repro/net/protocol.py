@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.serialize import compressed_chunk_bytes, packet_overhead, varint_size
+from repro.net.serialize import PACKET_FRAME_BYTES, compressed_chunk_bytes, varint_size
 from repro.world.block import BlockType
 from repro.world.entity import EntityKind
 from repro.world.geometry import BlockPos, ChunkPos, Vec3
@@ -25,7 +25,7 @@ class Packet:
 
     def wire_size(self) -> int:
         """Total bytes on the wire, including framing."""
-        return packet_overhead() + self.body_size()
+        return PACKET_FRAME_BYTES + self.body_size()
 
     @property
     def kind(self) -> str:

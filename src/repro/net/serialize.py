@@ -36,6 +36,8 @@ BYTES_PER_BLOCK = 2
 
 def varint_size(value: int) -> int:
     """Bytes a protocol VarInt needs for ``value`` (non-negative)."""
+    if 0 <= value < 0x80:
+        return 1
     if value < 0:
         raise ValueError(f"VarInt is unsigned in this model, got {value}")
     size = 1

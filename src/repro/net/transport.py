@@ -25,13 +25,19 @@ samples, drop counts, the checked-mode FIFO comparison, and the handler
 call — one :class:`DeliveredPacket` per packet, in send order per client.
 What a cork changes is only the interleaving of handler calls *across*
 clients inside one tick (client order instead of event order).
+
+The per-packet part costs C calls where it can (S30):
+:class:`DeliveredPacket` is a ``NamedTuple`` that the delivery loops
+build with ``tuple.__new__`` (no ``__init__`` frame per packet), the
+latency reservoir recomputes its draw width only when the sample count
+crosses a power of two, and the fleet totals read running sums for
+closed links instead of walking every link a churny run ever closed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.faults.link import FaultyLink
 from repro.faults.plan import FaultPlan
@@ -40,15 +46,24 @@ from repro.net.protocol import Packet
 from repro.sim.rng import derive_rng
 from repro.sim.simulator import Simulation
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
+from repro.world.geometry import _no_tuple_arithmetic
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveredPacket:
-    """A packet as seen by the receiving client."""
+class DeliveredPacket(NamedTuple):
+    """A packet as seen by the receiving client.
+
+    A ``NamedTuple`` like the geometry types (S28): the hash is the
+    field tuple's, the repr the dataclass one, the fields read-only, and
+    ``+``/``*`` stay unsupported. The hot loops below build it with
+    ``tuple.__new__(DeliveredPacket, (...))`` — what the generated
+    ``__new__`` does, one Python frame fewer per packet.
+    """
 
     packet: Packet
     sent_at: float
     delivered_at: float
+
+    __add__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     @property
     def latency_ms(self) -> float:
@@ -88,12 +103,18 @@ class LatencyReservoir:
         capacity = self.capacity
         getrandbits = self._rng.getrandbits
         count = self.count
+        # ``count.bit_length()``, recomputed only when ``count`` reaches
+        # the next power of two.
+        bits = count.bit_length()
+        next_power = 1 << bits
         for value in values:
             count += 1
             if count <= capacity:
                 samples.append(value)
                 continue
-            bits = count.bit_length()
+            if count >= next_power:
+                bits = count.bit_length()
+                next_power = 1 << bits
             slot = getrandbits(bits)
             while slot >= count:
                 slot = getrandbits(bits)
@@ -147,8 +168,12 @@ class Transport:
         #: connection that reused the same client id.
         self._generations: dict[int, int] = {}
         #: Stats of links whose clients have disconnected, kept so fleet
-        #: totals survive churny workloads (e.g. the E6 player burst).
+        #: totals survive churny workloads (e.g. the E6 player burst),
+        #: and their byte and packet sums, so the per-tick totals walk
+        #: only the live links.
         self._closed_stats: list = []
+        self._closed_bytes = 0
+        self._closed_packets = 0
         #: When True, record *every* latency exactly (the E4 latency runs
         #: need exact percentiles); otherwise latencies go into a bounded
         #: seeded reservoir so long sweeps cannot grow without bound.
@@ -271,7 +296,10 @@ class Transport:
                 self._send_frame(client_id, frame)
         link = self._links.pop(client_id, None)
         if link is not None:
-            self._closed_stats.append(link.stats)
+            stats = link.stats
+            self._closed_stats.append(stats)
+            self._closed_bytes += stats.bytes
+            self._closed_packets += stats.packets
         self._handlers.pop(client_id, None)
 
     def is_connected(self, client_id: int) -> bool:
@@ -348,8 +376,9 @@ class Transport:
             if self._fifo_last is not None:
                 for delivered_at in deliveries:
                     self._check_fifo(client_id, delivered_at)
+            new = tuple.__new__
             for packet, delivered_at in zip(packets, deliveries):
-                handler(DeliveredPacket(packet, now, delivered_at))
+                handler(new(DeliveredPacket, (packet, now, delivered_at)))
             return
         generation = self._generations.get(client_id, 0)
         for packet, delivered_at in zip(packets, deliveries):
@@ -377,7 +406,7 @@ class Transport:
             self._record_latencies((delivered_at - sent_at,))
             if self._fifo_last is not None:
                 self._check_fifo(client_id, delivered_at)
-            handler(DeliveredPacket(packet, sent_at, delivered_at))
+            handler(tuple.__new__(DeliveredPacket, (packet, sent_at, delivered_at)))
 
         return deliver
 
@@ -390,10 +419,14 @@ class Transport:
         yield from self._closed_stats
 
     def total_bytes(self) -> int:
-        return sum(stats.bytes for stats in self._all_stats())
+        return self._closed_bytes + sum(
+            link.stats.bytes for link in self._links.values()
+        )
 
     def total_packets(self) -> int:
-        return sum(stats.packets for stats in self._all_stats())
+        return self._closed_packets + sum(
+            link.stats.packets for link in self._links.values()
+        )
 
     def bytes_by_kind(self) -> dict[str, int]:
         merged: dict[str, int] = {}

@@ -581,7 +581,9 @@ class GameServer:
                             session, [KeepAlivePacket(nonce=self.tick_count)]
                         )
 
-        # 5. Price the tick.
+        # 5. Price the tick. Nothing is sent from here to the
+        #    ``bytes_total`` series write, so one total serves both.
+        bytes_after = self.transport.total_bytes()
         if self.dyconits is not None:
             commits = self.dyconits.stats.commits - commits_before
             enqueues = self.dyconits.stats.updates_enqueued - enqueues_before
@@ -595,7 +597,7 @@ class GameServer:
             enqueues=enqueues,
             flushes=flushes,
             messages=self.messages_sent - messages_before,
-            bytes_sent=self.transport.total_bytes() - bytes_before,
+            bytes_sent=bytes_after - bytes_before,
         )
         duration = self.cost_model.tick_duration_ms(work)
         self.smoothed_tick_ms = (
@@ -608,9 +610,7 @@ class GameServer:
         )
         self.metrics.series("tick_duration_ms").record(self.sim.now, duration)
         self.metrics.series("player_count").record(self.sim.now, len(self.sessions))
-        self.metrics.series("bytes_total").record(
-            self.sim.now, self.transport.total_bytes()
-        )
+        self.metrics.series("bytes_total").record(self.sim.now, bytes_after)
         self.metrics.histogram("tick_duration_ms").record(duration)
         if telemetry.enabled:
             telemetry.counter("server_ticks_total").increment()

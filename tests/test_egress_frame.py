@@ -24,7 +24,7 @@ from repro.net.protocol import (
     KeepAlivePacket,
     PlayerActionPacket,
 )
-from repro.net.transport import Transport
+from repro.net.transport import DeliveredPacket, Transport
 from repro.policies import AdaptiveBoundsPolicy
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
@@ -73,6 +73,7 @@ def run(*, direct_mode: bool, synchronous: bool, faulty: bool) -> dict:
         log: list = []
 
         def tee(delivered):
+            assert type(delivered) is DeliveredPacket
             log.append(
                 (repr(delivered.packet), delivered.sent_at, delivered.delivered_at)
             )

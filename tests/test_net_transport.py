@@ -1,5 +1,7 @@
 """Unit tests for the transport."""
 
+import itertools
+
 import pytest
 
 from repro.faults.plan import FaultPlan
@@ -45,6 +47,15 @@ def test_disconnect_suppresses_inflight_delivery(sim, transport):
     assert received == []
 
 
+def merged(stats_list, field):
+    """``field`` (a per-kind dict) summed over ``stats_list`` in order."""
+    total: dict[str, int] = {}
+    for stats in stats_list:
+        for kind, count in getattr(stats, field).items():
+            total[kind] = total.get(kind, 0) + count
+    return total
+
+
 def test_disconnect_preserves_accounting(sim, transport):
     transport.connect(1, lambda d: None)
     transport.send(1, KeepAlivePacket())
@@ -52,6 +63,32 @@ def test_disconnect_preserves_accounting(sim, transport):
     transport.disconnect(1)
     assert transport.total_bytes() == size
     assert transport.total_packets() == 1
+
+    # Churn next to live clients: the closed links' running sums must
+    # equal a walk over every link's stats, live links first.
+    closed = [transport._closed_stats[0]]
+    live = [transport.connect(client_id, lambda d: None) for client_id in (2, 3, 4)]
+    for cycle in range(500):
+        client_id = 100 + cycle % 37  # ids are reused, as rejoins do
+        churner = transport.connect(client_id, lambda d: None)
+        for __ in range(cycle % 4):
+            transport.send(client_id, ChatMessagePacket(cycle, "x" * (cycle % 23)))
+        if cycle % 5 == 0:
+            transport.send(client_id, KeepAlivePacket(nonce=cycle))
+        transport.send(2 + cycle % 3, KeepAlivePacket(nonce=cycle))
+        transport.disconnect(client_id)
+        closed.append(churner.stats)
+        every = [link.stats for link in live] + closed
+        assert transport.total_bytes() == sum(stats.bytes for stats in every)
+        assert transport.total_packets() == sum(stats.packets for stats in every)
+    assert transport.client_count == 3
+    assert transport._closed_stats == closed
+    for field, method in (
+        ("bytes_by_kind", transport.bytes_by_kind),
+        ("packets_by_kind", transport.packets_by_kind),
+    ):
+        assert list(method().items()) == list(merged(every, field).items())
+    assert list(transport.packets_by_kind()) == ["KeepAlivePacket", "ChatMessagePacket"]
 
 
 def test_per_kind_accounting(sim, transport):
@@ -107,6 +144,41 @@ def test_latency_reservoir_is_seeded_and_deterministic():
 
     assert sample(7) == sample(7)
     assert sample(7) != sample(8)
+
+
+def algorithm_r(capacity, values, rng):
+    """The textbook reservoir: one ``randrange(count)`` per value past
+    capacity, the draw the reservoir's ``getrandbits`` loop reproduces."""
+    samples: list[float] = []
+    for count, value in enumerate(values, start=1):
+        if count <= capacity:
+            samples.append(value)
+        else:
+            slot = rng.randrange(count)
+            if slot < capacity:
+                samples[slot] = value
+    return samples
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 16, 4096])
+def test_latency_reservoir_draws_are_algorithm_r(capacity):
+    values = [float((7919 * i) % 10_007) / 3.0 for i in range(20_000)]
+    reference_rng = derive_rng(capacity, "latency-reservoir")
+    expected = algorithm_r(capacity, values, reference_rng)
+
+    reservoir = LatencyReservoir(capacity, derive_rng(capacity, "latency-reservoir"))
+    chunk_sizes = itertools.cycle([0, 1, 2, 7, 3, 64, 1, 333, 5, 1024, 0, 31, 4097])
+    start = 0
+    while start < len(values):
+        size = next(chunk_sizes)
+        if size == 1:
+            reservoir.record(values[start])
+        else:
+            reservoir.record_many(iter(values[start : start + size]))
+        start += size
+    assert reservoir.count == len(values)
+    assert reservoir.samples == expected
+    assert reservoir._rng.getstate() == reference_rng.getstate()
 
 
 def test_latency_reservoir_percentiles_match_exact_within_tolerance():

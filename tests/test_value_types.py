@@ -6,6 +6,9 @@ frozen dataclasses they replaced wherever the product can observe it:
 the same hash (set and dict orders, hence every digest), the same repr
 (``codec.py`` sorts block changes with ``key=str``), immutability, and
 no tuple concatenation or repetition sneaking in through ``+``/``*``.
+:class:`DeliveredPacket` (S30) keeps the same contract: the egress hot
+loops build it with ``tuple.__new__``, and what the handlers receive
+must be indistinguishable from a keyword-built one.
 
 On the shard pipe, every frozen slotted dataclass that crosses it
 pickles by constructor through multiprocessing's ``ForkingPickler`` —
@@ -24,7 +27,8 @@ from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
 from repro.cluster import ParallelShardRunner
 from repro.cluster.runner import _PIPE_VALUE_TYPES, _ShardHandle
 from repro.core.bounds import Bounds
-from repro.net.protocol import PlayerActionPacket
+from repro.net.protocol import KeepAlivePacket, PlayerActionPacket
+from repro.net.transport import DeliveredPacket
 from repro.policies import FixedBoundsPolicy
 from repro.server.config import ServerConfig
 from repro.sim.simulator import Simulation
@@ -36,6 +40,11 @@ SAMPLES = [
     (BlockPos(1, 2, 3), (1, 2, 3), "BlockPos(x=1, y=2, z=3)"),
     (BlockPos(-17, 0, 40), (-17, 0, 40), "BlockPos(x=-17, y=0, z=40)"),
     (ChunkPos(4, -2), (4, -2), "ChunkPos(cx=4, cz=-2)"),
+    (
+        DeliveredPacket(KeepAlivePacket(nonce=3), 1.5, 21.75),
+        (KeepAlivePacket(nonce=3), 1.5, 21.75),
+        "DeliveredPacket(packet=KeepAlivePacket(nonce=3), sent_at=1.5, delivered_at=21.75)",
+    ),
 ]
 IDS = [repr(value) for value, __, __ in SAMPLES]
 
@@ -72,6 +81,7 @@ def test_fields_are_read_only(value, fields, text):
         lambda: BlockPos(1, 2, 3) * 2,
         lambda: Vec3(1.0, 2.0, 3.0) * 2,
         lambda: 2 * Vec3(1.0, 2.0, 3.0),
+        lambda: DeliveredPacket(None, 0.0, 1.0) + DeliveredPacket(None, 0.0, 1.0),
     ],
     ids=[
         "BlockPos+BlockPos",
@@ -81,11 +91,21 @@ def test_fields_are_read_only(value, fields, text):
         "BlockPos*2",
         "Vec3*2",
         "2*Vec3",
+        "DeliveredPacket+DeliveredPacket",
     ],
 )
 def test_tuple_concatenation_and_repetition_still_raise(expression):
     with pytest.raises(TypeError):
         expression()
+
+
+def test_delivered_packet_built_by_tuple_new_is_the_keyword_built_one():
+    packet = KeepAlivePacket(nonce=9)
+    hot = tuple.__new__(DeliveredPacket, (packet, 40.0, 62.5))
+    built = DeliveredPacket(packet=packet, sent_at=40.0, delivered_at=62.5)
+    assert type(hot) is DeliveredPacket
+    assert hot == built and hash(hot) == hash(built) and repr(hot) == repr(built)
+    assert hot.packet is packet and hot.latency_ms == built.latency_ms == 22.5
 
 
 def test_vector_arithmetic_is_componentwise():
