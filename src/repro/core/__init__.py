@@ -29,7 +29,6 @@ from repro.core.partition import (
 from repro.core.policy import LoadSignals, Policy
 from repro.core.stats import DyconitStats
 from repro.core.subscription import Subscriber
-from repro.core.trace import DyconitTracer, TraceEvent
 from repro.core.update import Update
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "DyconitStats",
     "Policy",
     "LoadSignals",
-    "DyconitTracer",
-    "TraceEvent",
     "DyconitPartitioner",
     "ChunkPartitioner",
     "RegionPartitioner",

@@ -140,8 +140,6 @@ class DyconitSystem:
         self._outbox: dict[int, tuple[Subscriber, list[Segment]]] | None = None
         self._last_policy_evaluation = -math.inf
         self.stats = DyconitStats()
-        #: Optional DyconitTracer recording middleware decisions.
-        self.tracer = None
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Metric handles are resolved once here so the commit/flush hot
         # paths never pay a registry lookup; a disabled hub keeps them
@@ -157,6 +155,7 @@ class DyconitSystem:
             self._tm_segments = self.telemetry.histogram(
                 "dyconit_delivery_segments", min_value=1.0
             )
+            self._tm_decide = self._decide
         else:
             self._tm_commits = None
             self._tm_enqueued = None
@@ -164,6 +163,7 @@ class DyconitSystem:
             self._tm_batch_size = None
             self._tm_pending = None
             self._tm_segments = None
+            self._tm_decide = None
         policy.on_attach(self)
 
     # ------------------------------------------------------------------
@@ -381,10 +381,8 @@ class DyconitSystem:
             self._alias_sources.setdefault(target_id, {})[source_id] = None
             if self.telemetry.enabled:
                 self.telemetry.counter("dyconit_merges_total").increment()
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.now, "merge", source_id, detail=f"into {target_id!r}"
-                )
+            if self._tm_decide is not None:
+                self._tm_decide("merge", source_id, detail=f"into {target_id!r}")
             source = self._dyconits.pop(source_id, None)
             if source is None:
                 continue
@@ -453,10 +451,8 @@ class DyconitSystem:
             del self._aliases[source_id]
             if self.telemetry.enabled:
                 self.telemetry.counter("dyconit_splits_total").increment()
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.now, "split", source_id, detail=f"out of {target_id!r}"
-                )
+            if self._tm_decide is not None:
+                self._tm_decide("split", source_id, detail=f"out of {target_id!r}")
         target = self._dyconits.get(target_id)
         if target is not None:
             for state in target.subscription_states():
@@ -577,16 +573,25 @@ class DyconitSystem:
         state = dyconit.get_state(subscriber_id)
         if state is None:
             return
-        if self.tracer is not None:
-            self._trace_bounds(dyconit_id, subscriber_id, bounds.numerical, bounds.staleness_ms)
+        if self._tm_decide is not None:
+            self._tm_decide(
+                "bounds", dyconit_id, subscriber_id,
+                f"numerical={bounds.numerical:g} staleness={bounds.staleness_ms:g}",
+            )
         self._apply_bounds(dyconit_id, state, bounds)
 
-    def _trace_bounds(
-        self, dyconit_id: Hashable, subscriber_id: int, numerical: float, staleness_ms: float
+    def _decide(
+        self, kind: str, dyconit_id: Hashable, subscriber_id: int | None = None, detail: str = ""
     ) -> None:
-        self.tracer.record(
-            self.now, "bounds", dyconit_id, subscriber_id,
-            detail=f"numerical={numerical:g} staleness={staleness_ms:g}",
+        """Log one middleware decision (S31): a ``trace.<kind>`` event on
+        the hub's timeline and a ``trace_events_total{kind}`` count."""
+        telemetry = self.telemetry
+        telemetry.counter("trace_events_total", kind=kind).increment()
+        telemetry.event(
+            "trace." + kind,
+            dyconit=repr(dyconit_id),
+            subscriber="" if subscriber_id is None else str(subscriber_id),
+            detail=detail,
         )
 
     def retune_clients(self, bounds_columns) -> None:
@@ -629,11 +634,14 @@ class DyconitSystem:
         numerical, staleness, order = bounds_columns(
             self, pair_dyconits, [positions[sub_id] for sub_id in pair_subscribers]
         )
-        if self.tracer is not None:
+        if self._tm_decide is not None:
             for dyconit_id, sub_id, numerical_bound, staleness_ms in zip(
                 pair_dyconits, pair_subscribers, numerical.tolist(), staleness.tolist()
             ):
-                self._trace_bounds(dyconit_id, sub_id, numerical_bound, staleness_ms)
+                self._tm_decide(
+                    "bounds", dyconit_id, sub_id,
+                    f"numerical={numerical_bound:g} staleness={staleness_ms:g}",
+                )
         by_subscriber: dict[int, list] = {}
         start = 0
         with self._flush_scope():
@@ -924,10 +932,10 @@ class DyconitSystem:
             delay_total += max(0.0, now - update.time)
         stats.queue_delay_total_ms = delay_total
         stats.queue_delay_samples += len(updates)
-        if self.tracer is not None:
-            self.tracer.record(
-                now, "flush", dyconit_id, subscriber.subscriber_id,
-                detail=f"reason={reason} updates={len(updates)}",
+        if self._tm_decide is not None:
+            self._tm_decide(
+                "flush", dyconit_id, subscriber.subscriber_id,
+                f"reason={reason} updates={len(updates)}",
             )
         outbox = self._outbox
         if outbox is None:

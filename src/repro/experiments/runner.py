@@ -11,7 +11,6 @@ from repro.experiments.configs import ExperimentConfig, make_partitioner
 from repro.metrics.summary import Summary, describe
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
-from repro.telemetry.bridge import install_tracer
 from repro.telemetry.hub import Telemetry, get_telemetry
 from repro.world.world import World
 
@@ -102,9 +101,9 @@ def run_experiment(
 
     ``telemetry`` defaults to the ambient hub (installed by the CLI's
     ``--telemetry`` flag); when enabled, the run is instrumented
-    end-to-end — tick-phase spans, middleware counters, a tracer bridging
-    middleware decisions onto the same timeline — and the whole run is
-    wrapped in an ``experiment.run`` span labeled with the config.
+    end-to-end — tick-phase spans, middleware counters and decisions on
+    one timeline — and the whole run is wrapped in an ``experiment.run``
+    span labeled with the config.
     """
     if telemetry is None:
         telemetry = get_telemetry()
@@ -127,8 +126,7 @@ def run_experiment(
         if use_parallel:
             # S18: shard ticks run in worker processes. Merging and
             # latency recording travel in the worker spec (the parent
-            # holds mirrors, not live shards), and the dyconit tracer
-            # cannot bridge process boundaries, so it stays off.
+            # holds mirrors, not live shards).
             cluster = ParallelShardRunner(
                 sim,
                 shards=config.shards,
@@ -153,8 +151,6 @@ def run_experiment(
             for shard in cluster.shards:
                 shard.dyconits.merging_enabled = config.merging_enabled
                 shard.transport.record_latencies = config.record_latencies
-                if telemetry.enabled:
-                    install_tracer(shard.dyconits, telemetry)
         cluster.start()
         server = cluster
         policy = None
@@ -173,8 +169,6 @@ def run_experiment(
         )
         if server.dyconits is not None:
             server.dyconits.merging_enabled = config.merging_enabled
-            if telemetry.enabled:
-                install_tracer(server.dyconits, telemetry)
         server.transport.record_latencies = config.record_latencies
         server.start()
 

@@ -611,7 +611,6 @@ class GameServer:
         self.metrics.series("tick_duration_ms").record(self.sim.now, duration)
         self.metrics.series("player_count").record(self.sim.now, len(self.sessions))
         self.metrics.series("bytes_total").record(self.sim.now, bytes_after)
-        self.metrics.histogram("tick_duration_ms").record(duration)
         if telemetry.enabled:
             telemetry.counter("server_ticks_total").increment()
             telemetry.gauge("server_players").set(len(self.sessions))

@@ -16,7 +16,6 @@ Every component defaults to the shared :data:`NULL_TELEMETRY` hub, whose
 attribute check when observability is off.
 """
 
-from repro.telemetry.bridge import TelemetryTracer, install_tracer
 from repro.telemetry.exporters import (
     export_jsonl,
     export_prometheus,
@@ -32,7 +31,7 @@ from repro.telemetry.hub import (
     get_telemetry,
     set_telemetry,
 )
-from repro.telemetry.phases import TICK_PHASES, TickPhaseProfiler
+from repro.telemetry.phases import TICK_PHASES, phase_rows
 
 __all__ = [
     "Telemetry",
@@ -42,10 +41,8 @@ __all__ = [
     "NULL_TELEMETRY",
     "get_telemetry",
     "set_telemetry",
-    "TickPhaseProfiler",
     "TICK_PHASES",
-    "TelemetryTracer",
-    "install_tracer",
+    "phase_rows",
     "export_jsonl",
     "export_prometheus",
     "prometheus_text",

@@ -21,7 +21,7 @@ from typing import IO
 from repro.metrics.collector import Histogram
 from repro.metrics.report import render_table
 from repro.telemetry.hub import LabelSet, Telemetry
-from repro.telemetry.phases import TickPhaseProfiler
+from repro.telemetry.phases import phase_rows
 
 #: Quantiles reported for every histogram/span summary export.
 EXPORT_QUANTILES = (0.5, 0.95, 0.99)
@@ -209,9 +209,28 @@ def render_summary(telemetry: Telemetry) -> str:
             )
         )
 
-    profiler = TickPhaseProfiler(telemetry)
-    if profiler.phase_names():
-        sections.append(profiler.render())
+    phases = phase_rows(telemetry)
+    if phases:
+        body = [
+            (
+                row["span"],
+                row["count"],
+                row["total_ms"],
+                row["self_ms"],
+                row["p50_ms"],
+                row["p95_ms"],
+                row["p99_ms"],
+                row["share_pct"],
+            )
+            for row in phases
+        ]
+        sections.append(
+            render_table(
+                ("phase", "count", "total ms", "self ms", "p50 ms", "p95 ms", "p99 ms", "share %"),
+                body,
+                title="Tick-phase profile (wall clock)",
+            )
+        )
 
     if not sections:
         return "telemetry: no data recorded"

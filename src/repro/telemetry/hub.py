@@ -79,7 +79,7 @@ NULL_SPAN = _NullSpan()
 class _Span:
     """A live span; records itself into the hub on exit."""
 
-    __slots__ = ("hub", "name", "labels", "span_id", "parent_id", "sim_time", "wall_start")
+    __slots__ = ("hub", "name", "labels", "span_id", "parent", "child_ms", "sim_time", "wall_start")
 
     def __init__(self, hub: "Telemetry", name: str, labels: LabelSet) -> None:
         self.hub = hub
@@ -91,8 +91,9 @@ class _Span:
         hub._span_seq += 1
         self.span_id = hub._span_seq
         stack = hub._span_stack
-        self.parent_id = stack[-1] if stack else None
-        stack.append(self.span_id)
+        self.parent = stack[-1] if stack else None
+        self.child_ms = 0.0
+        stack.append(self)
         self.sim_time = hub.time_source()
         self.wall_start = time.perf_counter()
         return self
@@ -101,8 +102,10 @@ class _Span:
         duration_ms = (time.perf_counter() - self.wall_start) * 1000.0
         hub = self.hub
         stack = hub._span_stack
-        if stack and stack[-1] == self.span_id:
+        if stack and stack[-1] is self:
             stack.pop()
+        if self.parent is not None:
+            self.parent.child_ms += duration_ms
         hub._finish_span(self, duration_ms)
 
 
@@ -130,7 +133,9 @@ class Telemetry:
         #: Wall-clock duration histogram per span name (survives drops).
         self._span_durations: dict[str, Histogram] = {}
         self._span_counts: dict[str, int] = {}
-        self._span_stack: list[int] = []
+        #: Per span name: duration minus the spans nested directly in it.
+        self._span_self_ms: dict[str, float] = {}
+        self._span_stack: list[_Span] = []
         self._span_seq = 0
 
     # ------------------------------------------------------------------
@@ -163,6 +168,9 @@ class Telemetry:
             )
         histogram.record(duration_ms)
         self._span_counts[span.name] = self._span_counts.get(span.name, 0) + 1
+        self._span_self_ms[span.name] = (
+            self._span_self_ms.get(span.name, 0.0) + duration_ms - span.child_ms
+        )
         if len(self.spans) >= self.max_spans:
             self.dropped_spans += 1
             return
@@ -170,7 +178,7 @@ class Telemetry:
             SpanRecord(
                 name=span.name,
                 span_id=span.span_id,
-                parent_id=span.parent_id,
+                parent_id=None if span.parent is None else span.parent.span_id,
                 sim_time=span.sim_time,
                 wall_start=span.wall_start,
                 duration_ms=duration_ms,
@@ -186,7 +194,11 @@ class Telemetry:
         return self._span_durations.get(name)
 
     def span_summary(self) -> list[dict[str, float | str]]:
-        """Per-span-name rows: count, total/mean/p50/p95/p99 wall ms."""
+        """Per-span-name rows: count, total/self/mean/p50/p95/p99 wall ms.
+
+        ``self_ms`` is the summed duration minus the spans nested
+        directly inside, so nested names never count the same time twice.
+        """
         rows: list[dict[str, float | str]] = []
         for name in self.span_names():
             histogram = self._span_durations[name]
@@ -195,6 +207,7 @@ class Telemetry:
                     "span": name,
                     "count": histogram.count,
                     "total_ms": histogram.total,
+                    "self_ms": self._span_self_ms[name],
                     "mean_ms": histogram.mean,
                     "p50_ms": histogram.quantile(0.50),
                     "p95_ms": histogram.quantile(0.95),
@@ -281,6 +294,7 @@ class Telemetry:
         self._histograms.clear()
         self._span_durations.clear()
         self._span_counts.clear()
+        self._span_self_ms.clear()
         self._span_stack.clear()
         self._span_seq = 0
 

@@ -1,19 +1,19 @@
 """Tick-phase profiling: where does a server tick spend its time?
 
 The engine wraps each phase of its tick loop in a span named
-``tick.<phase>`` (and the policy step in ``policy.evaluate``); this
-module turns those span histograms into the per-phase breakdown table
-Meterstick-style performance analysis needs — count, p50/p95/p99
-wall-clock duration, and each phase's share of total instrumented time.
+``tick.<phase>`` (and the policy step in ``policy.evaluate``);
+:func:`phase_rows` picks those rows out of the hub's span summary for
+the per-phase breakdown Meterstick-style performance analysis needs.
+Phases nest (``tick.interest`` runs inside ``tick.input``), so each
+phase's share is of *self* time: no millisecond is counted twice.
 """
 
 from __future__ import annotations
 
-from repro.metrics.report import render_table
 from repro.telemetry.hub import Telemetry
 
-#: Span names the engine emits, in tick-loop order. The profiler reports
-#: any ``tick.*`` span it finds; this order is used for presentation.
+#: Span names the engine emits, in tick-loop order. The phase table
+#: reports any ``tick.*`` span it finds; this order is used for presentation.
 TICK_PHASES = (
     "tick.input",
     "tick.simulate",
@@ -23,67 +23,20 @@ TICK_PHASES = (
     "tick.serialize",
     "tick.egress",
     "tick.policy",
-    "link.delivery",
+    "policy.evaluate",
+    "tick.audit",
 )
 
 
-class TickPhaseProfiler:
-    """Read-side view over a hub's ``tick.*`` / phase span histograms."""
-
-    def __init__(self, telemetry: Telemetry) -> None:
-        self.telemetry = telemetry
-
-    def phase_names(self) -> list[str]:
-        """Known phases first (tick-loop order), then any extra ``tick.*``."""
-        recorded = set(self.telemetry.span_names())
-        names = [name for name in TICK_PHASES if name in recorded]
-        names.extend(
-            name
-            for name in self.telemetry.span_names()
-            if name.startswith("tick.") and name not in TICK_PHASES
-        )
-        return names
-
-    def breakdown(self) -> list[dict[str, float | str]]:
-        """One row per phase: count, total/p50/p95/p99 ms, share of total."""
-        rows: list[dict[str, float | str]] = []
-        names = self.phase_names()
-        total_ms = 0.0
-        for name in names:
-            histogram = self.telemetry.span_stats(name)
-            if histogram is not None:
-                total_ms += histogram.total
-        for name in names:
-            histogram = self.telemetry.span_stats(name)
-            if histogram is None:
-                continue
-            rows.append(
-                {
-                    "phase": name,
-                    "count": histogram.count,
-                    "total_ms": histogram.total,
-                    "p50_ms": histogram.quantile(0.50),
-                    "p95_ms": histogram.quantile(0.95),
-                    "p99_ms": histogram.quantile(0.99),
-                    "share_pct": 100.0 * histogram.total / total_ms if total_ms else 0.0,
-                }
-            )
-        return rows
-
-    def render(self) -> str:
-        """ASCII table of the breakdown (empty-profile safe)."""
-        rows = self.breakdown()
-        headers = ("phase", "count", "total ms", "p50 ms", "p95 ms", "p99 ms", "share %")
-        body = [
-            (
-                row["phase"],
-                row["count"],
-                row["total_ms"],
-                row["p50_ms"],
-                row["p95_ms"],
-                row["p99_ms"],
-                row["share_pct"],
-            )
-            for row in rows
-        ]
-        return render_table(headers, body, title="Tick-phase profile (wall clock)")
+def phase_rows(telemetry: Telemetry) -> list[dict[str, float | str]]:
+    """:meth:`Telemetry.span_summary` rows of the tick phases — known
+    phases in tick-loop order, then any other ``tick.*`` — each with its
+    ``share_pct`` of the phases' summed self time."""
+    by_name = {row["span"]: row for row in telemetry.span_summary()}
+    names = [name for name in TICK_PHASES if name in by_name]
+    names += [name for name in by_name if name.startswith("tick.") and name not in TICK_PHASES]
+    rows = [by_name[name] for name in names]
+    self_total = sum(row["self_ms"] for row in rows)
+    for row in rows:
+        row["share_pct"] = 100.0 * row["self_ms"] / self_total if self_total else 0.0
+    return rows

@@ -1,13 +1,11 @@
-"""Unit tests for middleware decision tracing."""
-
-import pytest
+"""Unit tests for the middleware decision log (``trace.<kind>`` hub events)."""
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner
 from repro.core.policy import LoadSignals, Policy
-from repro.core.trace import DyconitTracer, TraceEvent
 from repro.policies.adaptive import AdaptiveBoundsPolicy
+from repro.telemetry.hub import Telemetry
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
@@ -35,9 +33,18 @@ def move(entity_id=1, time=0.0):
 
 
 def make_traced_system():
-    system = DyconitSystem(P(), time_source=lambda: 0.0)
-    system.tracer = DyconitTracer(capacity=100)
-    return system
+    return DyconitSystem(P(), time_source=lambda: 0.0, telemetry=Telemetry(enabled=True))
+
+
+def decisions(system, kind):
+    """The system's ``trace.<kind>`` events as field dicts, in order."""
+    return [
+        dict(event.fields) for event in system.telemetry.events if event.kind == "trace." + kind
+    ]
+
+
+def decision_count(system, kind):
+    return system.telemetry.snapshot().get(f"trace_events_total{{kind={kind}}}", 0)
 
 
 def test_flush_is_traced_with_reason():
@@ -45,10 +52,15 @@ def test_flush_is_traced_with_reason():
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
     system.commit(move())
-    flushes = system.tracer.events(kind="flush")
-    assert len(flushes) == 1
-    assert "reason=numerical" in flushes[0].detail
-    assert flushes[0].subscriber_id == rec.subscriber.subscriber_id
+    flushes = decisions(system, "flush")
+    assert flushes == [
+        {
+            "dyconit": repr(("chunk", 0, 0)),
+            "subscriber": str(rec.subscriber.subscriber_id),
+            "detail": "reason=numerical updates=1",
+        }
+    ]
+    assert decision_count(system, "flush") == 1
 
 
 def test_bounds_change_is_traced():
@@ -56,9 +68,10 @@ def test_bounds_change_is_traced():
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
     system.set_bounds(("chunk", 0, 0), rec.subscriber.subscriber_id, Bounds(9.0, 90.0))
-    events = system.tracer.events(kind="bounds")
+    events = decisions(system, "bounds")
     assert len(events) == 1
-    assert "numerical=9" in events[0].detail
+    assert events[0]["detail"] == "numerical=9 staleness=90"
+    assert decision_count(system, "bounds") == 1
 
 
 def test_retune_pass_traces_each_rewritten_pair_as_set_bounds_would():
@@ -66,8 +79,9 @@ def test_retune_pass_traces_each_rewritten_pair_as_set_bounds_would():
     records one ``bounds`` event per client pair it rewrites, with the
     detail ``set_bounds`` would give those bounds; peers get none."""
     policy = AdaptiveBoundsPolicy()
-    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
-    system.tracer = DyconitTracer(capacity=100)
+    system = DyconitSystem(
+        policy, ChunkPartitioner(), time_source=lambda: 0.0, telemetry=Telemetry(enabled=True)
+    )
     clients = [
         RecordingSubscriber(1, position=Vec3(8.0, 30.0, 8.0)).subscriber,
         RecordingSubscriber(2, position=Vec3(-40.0, 30.0, 21.5)).subscriber,
@@ -80,8 +94,8 @@ def test_retune_pass_traces_each_rewritten_pair_as_set_bounds_would():
             system.subscribe(dyconit_id, subscriber)
     policy.evaluate(system, overload())
     retuned = sorted(
-        (repr(event.dyconit_id), event.subscriber_id, event.detail)
-        for event in system.tracer.events(kind="bounds")
+        (event["dyconit"], event["subscriber"], event["detail"])
+        for event in decisions(system, "bounds")
     )
     assert len(retuned) == len(ids) * len(clients)
     for dyconit_id in ids:
@@ -89,96 +103,33 @@ def test_retune_pass_traces_each_rewritten_pair_as_set_bounds_would():
             state = system.get(dyconit_id).get_state(subscriber.subscriber_id)
             system.set_bounds(dyconit_id, subscriber.subscriber_id, state.bounds)
     by_set_bounds = sorted(
-        (repr(event.dyconit_id), event.subscriber_id, event.detail)
-        for event in system.tracer.events(kind="bounds")[len(retuned):]
+        (event["dyconit"], event["subscriber"], event["detail"])
+        for event in decisions(system, "bounds")[len(retuned):]
     )
     assert retuned == by_set_bounds
+    assert decision_count(system, "bounds") == 2 * len(retuned)
 
 
 def test_merge_and_split_are_traced():
     system = make_traced_system()
     system.merge_dyconits([("chunk", 0, 0), ("chunk", 1, 0)], ("region", 4, 0, 0))
     system.split_dyconit(("region", 4, 0, 0))
-    assert system.tracer.counts["merge"] == 2
-    assert system.tracer.counts["split"] == 2
-
-
-def test_ring_buffer_caps_memory():
-    tracer = DyconitTracer(capacity=5)
-    for index in range(20):
-        tracer.record(float(index), "flush", "d")
-    assert len(tracer) == 5
-    assert tracer.counts["flush"] == 20  # counters keep the full total
-    assert [event.time for event in tracer] == [15.0, 16.0, 17.0, 18.0, 19.0]
-
-
-def test_ring_buffer_wraparound_interleaved_kinds():
-    """Eviction is strictly oldest-first even when kinds interleave, and
-    the per-kind counters keep full totals after overflow."""
-    tracer = DyconitTracer(capacity=4)
-    kinds = ["flush", "bounds", "flush", "merge", "flush", "split", "bounds"]
-    for index, kind in enumerate(kinds):
-        tracer.record(float(index), kind, "d")
-    # Only the newest 4 survive, in arrival order.
-    assert [(event.time, event.kind) for event in tracer] == [
-        (3.0, "merge"),
-        (4.0, "flush"),
-        (5.0, "split"),
-        (6.0, "bounds"),
-    ]
-    # Counters are not decremented by eviction: they count all 7 records.
-    assert tracer.counts == {"flush": 3, "bounds": 2, "merge": 1, "split": 1}
-    # Filtered views only see retained events.
-    assert len(tracer.events(kind="flush")) == 1
-    assert len(tracer.events(kind="bounds")) == 1
-
-
-def test_ring_buffer_wraparound_multiple_times():
-    tracer = DyconitTracer(capacity=3)
-    for index in range(10):
-        tracer.record(float(index), "flush" if index % 2 == 0 else "bounds", "d")
-    assert len(tracer) == 3
-    assert tracer.counts["flush"] == 5
-    assert tracer.counts["bounds"] == 5
-    assert [event.time for event in tracer] == [7.0, 8.0, 9.0]
-
-
-def test_format_tail_after_overflow_shows_newest():
-    tracer = DyconitTracer(capacity=2)
-    for index in range(5):
-        tracer.record(float(index), "flush", "d", detail=f"n={index}")
-    text = tracer.format_tail(count=10)
-    assert "n=4" in text and "n=3" in text
-    assert "n=0" not in text
-
-
-def test_filtering_by_dyconit():
-    tracer = DyconitTracer()
-    tracer.record(0.0, "flush", "a")
-    tracer.record(1.0, "flush", "b")
-    assert len(tracer.events(dyconit_id="a")) == 1
-
-
-def test_format_tail():
-    tracer = DyconitTracer()
-    tracer.record(5.0, "flush", ("chunk", 0, 0), 7, "reason=staleness updates=3")
-    text = tracer.format_tail()
-    assert "flush" in text and "reason=staleness" in text
-
-
-def test_event_str():
-    event = TraceEvent(1.0, "merge", "x", None, "into y")
-    assert "merge" in str(event)
-
-
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        DyconitTracer(capacity=0)
+    assert decision_count(system, "merge") == 2
+    assert decision_count(system, "split") == 2
+    assert [event["detail"] for event in decisions(system, "split")] == [
+        "out of ('region', 4, 0, 0)"
+    ] * 2
 
 
 def test_untraced_system_pays_nothing():
-    system = DyconitSystem(P(), time_source=lambda: 0.0)
+    """A disabled hub resolves no decision handle: the flush, bounds and
+    retune paths pay one ``is None`` check and record nothing."""
+    telemetry = Telemetry(enabled=False)
+    system = DyconitSystem(P(), time_source=lambda: 0.0, telemetry=telemetry)
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
-    system.commit(move())  # no tracer attached; must not raise
-    assert system.tracer is None
+    system.commit(move())
+    system.set_bounds(("chunk", 0, 0), rec.subscriber.subscriber_id, Bounds(9.0, 90.0))
+    assert system._tm_decide is None
+    assert system.stats.flushes == 1
+    assert telemetry.events == [] and telemetry.snapshot() == {}

@@ -12,7 +12,8 @@ wire codec. Everything else here hangs off that oracle:
   worker fire exactly as often as in-process (the deadline heap never
   crosses the pipe — only its observable flushes do);
 * telemetry counters folded from per-worker hubs at the barrier total
-  the same as the serial single-hub run;
+  the same as the serial single-hub run — middleware decisions
+  (``trace_events_total``) included;
 * checked mode audits the *merged* post-barrier state without tripping;
 * the ``spawn`` start method (fresh interpreters, nothing inherited)
   produces the same bytes as ``fork``.
@@ -26,6 +27,8 @@ import pytest
 from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
 from repro.cluster import ParallelShardRunner, ShardedCluster
 from repro.core.bounds import Bounds
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.policies import FixedBoundsPolicy
 from repro.policies.zero import ZeroBoundsPolicy
 from repro.server.config import ServerConfig
@@ -241,6 +244,29 @@ def test_worker_telemetry_folds_to_serial_counter_totals():
     # Both runtimes publish the pump-convergence gauge at every barrier.
     for hub in (serial_hub, par_hub):
         assert any(name == "bus_pump_rounds" for name, __ in hub.gauges())
+
+
+def test_parallel_decision_counts_match_serial():
+    """Each shard's DyconitSystem logs its decisions to its own hub, so a
+    parallel experiment reports the serial run's ``trace_events_total``
+    per kind once finalize folds the worker hubs."""
+
+    def decision_counts(parallel_ticks):
+        telemetry = Telemetry(enabled=True)
+        config = ExperimentConfig(
+            name="decisions", policy="adaptive", bots=8, duration_ms=4_000.0,
+            warmup_ms=1_000.0, seed=11, shards=2, parallel_ticks=parallel_ticks,
+        )
+        run_experiment(config, telemetry=telemetry)
+        return {
+            labels: counter.value
+            for (name, labels), counter in telemetry.counters().items()
+            if name == "trace_events_total"
+        }
+
+    serial = decision_counts(False)
+    assert serial[(("kind", "flush"),)] > 0 and serial[(("kind", "bounds"),)] > 0
+    assert decision_counts(True) == serial
 
 
 def test_audited_parallel_run_is_clean_and_identical_to_audited_serial():

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.telemetry.exporters import (
     export_jsonl,
     export_prometheus,
@@ -10,7 +12,7 @@ from repro.telemetry.exporters import (
     render_summary,
 )
 from repro.telemetry.hub import Telemetry
-from repro.telemetry.phases import TickPhaseProfiler
+from repro.telemetry.phases import phase_rows
 
 
 def build_hub() -> Telemetry:
@@ -106,13 +108,11 @@ def test_phase_profiler_orders_and_shares():
     for name in ("tick.serialize", "tick.input", "tick.flush"):
         with telemetry.span(name):
             pass
-    profiler = TickPhaseProfiler(telemetry)
-    names = profiler.phase_names()
+    rows = phase_rows(telemetry)
     # Presentation follows tick-loop order, not alphabetical order.
-    assert names == ["tick.input", "tick.flush", "tick.serialize"]
-    rows = profiler.breakdown()
+    assert [row["span"] for row in rows] == ["tick.input", "tick.flush", "tick.serialize"]
     assert abs(sum(row["share_pct"] for row in rows) - 100.0) < 1e-6
-    assert "Tick-phase profile" in profiler.render()
+    assert "Tick-phase profile" in render_summary(telemetry)
 
 
 def test_phase_profiler_includes_unknown_tick_spans():
@@ -121,5 +121,24 @@ def test_phase_profiler_includes_unknown_tick_spans():
         pass
     with telemetry.span("unrelated"):
         pass
-    profiler = TickPhaseProfiler(telemetry)
-    assert profiler.phase_names() == ["tick.custom"]
+    assert [row["span"] for row in phase_rows(telemetry)] == ["tick.custom"]
+
+
+def test_phase_shares_count_nested_time_once():
+    """``tick.interest`` runs inside ``tick.input``: each phase's share is
+    of self time, so the inner span's time is not counted twice."""
+    telemetry = Telemetry(enabled=True)
+    with telemetry.span("tick.input"):
+        sum(range(20_000))
+        with telemetry.span("tick.interest"):
+            sum(range(20_000))
+    inner, outer = telemetry.spans
+    self_inner = inner.duration_ms
+    self_outer = outer.duration_ms - inner.duration_ms
+    rows = {row["span"]: row for row in phase_rows(telemetry)}
+    assert rows["tick.input"]["self_ms"] == pytest.approx(self_outer)
+    assert rows["tick.interest"]["self_ms"] == pytest.approx(self_inner)
+    assert rows["tick.input"]["share_pct"] == pytest.approx(
+        100.0 * self_outer / (self_outer + self_inner)
+    )
+    assert "self ms" in render_summary(telemetry)

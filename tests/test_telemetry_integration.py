@@ -1,4 +1,4 @@
-"""End-to-end telemetry: instrumented server runs, tracer bridge, CLI."""
+"""End-to-end telemetry: instrumented server runs, decision log, CLI."""
 
 import json
 
@@ -11,7 +11,7 @@ from repro.policies.fixed import FixedBoundsPolicy
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
-from repro.telemetry import Telemetry, TelemetryTracer, install_tracer
+from repro.telemetry import Telemetry
 from repro.world.world import World
 
 
@@ -24,7 +24,6 @@ def run_instrumented_server(telemetry: Telemetry, duration_ms: float = 2_000.0):
         policy=FixedBoundsPolicy(Bounds(5.0, 500.0)),
         telemetry=telemetry,
     )
-    install_tracer(server.dyconits, telemetry)
     server.start()
     server.connect("alice", lambda delivered: None)
     server.connect("bob", lambda delivered: None)
@@ -53,15 +52,16 @@ def test_disabled_telemetry_server_records_nothing():
     assert telemetry.snapshot() == {}
 
 
-def test_tracer_bridge_mirrors_middleware_decisions():
+def test_server_logs_middleware_decisions_on_its_hub():
     telemetry = Telemetry(enabled=True)
     server = run_instrumented_server(telemetry)
-    tracer = server.dyconits.tracer
-    assert isinstance(tracer, TelemetryTracer)
-    assert len(tracer) > 0  # ring buffer still works as a DyconitTracer
     flush_events = [e for e in telemetry.events if e.kind == "trace.flush"]
-    assert len(flush_events) == tracer.counts["flush"]
-    assert telemetry.snapshot()["trace_events_total{kind=flush}"] > 0
+    assert flush_events
+    # One event and one count per flush the middleware made.
+    snapshot = telemetry.snapshot()
+    assert len(flush_events) == snapshot["trace_events_total{kind=flush}"]
+    assert len(flush_events) == server.dyconits.stats.flushes
+    assert {"dyconit", "subscriber", "detail"} == set(dict(flush_events[0].fields))
 
 
 def test_run_experiment_with_explicit_hub():
