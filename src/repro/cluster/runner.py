@@ -143,8 +143,6 @@ class _WorkerSpec:
     partitioner_factory: object
     peer_bounds: Bounds
     telemetry_enabled: bool
-    merging_enabled: bool
-    record_latencies: bool
     #: Parent-side :data:`engine.AUDIT_DEFAULT_EVERY_N_TICKS` at spawn
     #: time (checked mode is often enabled via that module global, which
     #: a spawned child would not inherit).
@@ -405,8 +403,6 @@ def _shard_worker_main(spec: _WorkerSpec, conn) -> None:
     )
     stub = _WorkerClusterStub(out, shard)
     shard.cluster = stub
-    shard.dyconits.merging_enabled = spec.merging_enabled
-    shard.transport.record_latencies = spec.record_latencies
     shard.world.add_listener(out.on_world_event)
 
     try:
@@ -534,7 +530,6 @@ class _TransportSnapshot:
         self.packets_dropped = data.get("packets_dropped", 0)
         self.reconnect_count = data.get("reconnect_count", 0)
         self.fifo_violations = data.get("fifo_violations", [])
-        self.record_latencies = False
 
     def total_bytes(self) -> int:
         return self._total_bytes
@@ -717,8 +712,6 @@ class ParallelShardRunner(ShardedCluster):
         peer_bounds: Bounds | None = None,
         telemetry: Telemetry | None = None,
         mp_context: str | None = None,
-        merging_enabled: bool = True,
-        record_latencies: bool = False,
     ) -> None:
         if policy_factory is None:
             raise ValueError(
@@ -733,8 +726,6 @@ class ParallelShardRunner(ShardedCluster):
                 "while the packet lives in a worker"
             )
         self._mp = multiprocessing.get_context(mp_context)
-        self._merging_enabled = merging_enabled
-        self._record_latencies = record_latencies
         self._client_handlers: dict[int, object] = {}
         #: A pump whose first round left before its event fired (see
         #: _shard_tick): (the bus drain, destinations awaiting replies).
@@ -768,8 +759,6 @@ class ParallelShardRunner(ShardedCluster):
                 partitioner_factory=partitioner_factory,
                 peer_bounds=self.peer_bounds,
                 telemetry_enabled=self.telemetry.enabled,
-                merging_enabled=self._merging_enabled,
-                record_latencies=self._record_latencies,
                 audit_default_every_n_ticks=engine_module.AUDIT_DEFAULT_EVERY_N_TICKS,
             )
             parent_conn, child_conn = self._mp.Pipe()

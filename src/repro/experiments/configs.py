@@ -160,6 +160,8 @@ class ExperimentConfig:
             faults=self.faults,
             audit_every_n_ticks=self.audit_every_n_ticks,
             state_store=self.state_store,
+            record_latencies=self.record_latencies,
+            merging_enabled=self.merging_enabled,
             seed=self.seed,
         )
 

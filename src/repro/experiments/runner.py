@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.bots.workload import ChurnWorkload, Workload
 from repro.cluster import ParallelShardRunner, ShardedCluster
+from repro.core.stats import DyconitStats
 from repro.experiments.configs import ExperimentConfig, make_partitioner
 from repro.metrics.summary import Summary, describe
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
 from repro.telemetry.hub import Telemetry, get_telemetry
-from repro.world.world import World
 
 
 @dataclass
@@ -110,6 +110,7 @@ def run_experiment(
     sim = Simulation(telemetry=telemetry)
     if telemetry.enabled:
         telemetry.set_time_source(lambda: sim.now)
+    policy = None
     if config.shards > 1:
         # Sharded world (S16): each shard is a full GameServer; the
         # facade keeps the single-server surface the workload expects.
@@ -123,54 +124,26 @@ def run_experiment(
             # merged store — does not depend on where it ran.
             use_parallel = False
             telemetry.counter("cluster_parallel_ticks_degraded_total").increment()
-        if use_parallel:
-            # S18: shard ticks run in worker processes. Merging and
-            # latency recording travel in the worker spec (the parent
-            # holds mirrors, not live shards).
-            cluster = ParallelShardRunner(
-                sim,
-                shards=config.shards,
-                strip_width=config.strip_width,
-                config=config.build_server_config(),
-                policy_factory=config.build_policy,
-                partitioner_factory=lambda: make_partitioner(config.partitioner),
-                telemetry=telemetry,
-                merging_enabled=config.merging_enabled,
-                record_latencies=config.record_latencies,
-            )
-        else:
-            cluster = ShardedCluster(
-                sim,
-                shards=config.shards,
-                strip_width=config.strip_width,
-                config=config.build_server_config(),
-                policy_factory=config.build_policy,
-                partitioner_factory=lambda: make_partitioner(config.partitioner),
-                telemetry=telemetry,
-            )
-            for shard in cluster.shards:
-                shard.dyconits.merging_enabled = config.merging_enabled
-                shard.transport.record_latencies = config.record_latencies
-        cluster.start()
-        server = cluster
-        policy = None
+        server = (ParallelShardRunner if use_parallel else ShardedCluster)(
+            sim,
+            shards=config.shards,
+            strip_width=config.strip_width,
+            config=config.build_server_config(),
+            policy_factory=config.build_policy,
+            partitioner_factory=lambda: make_partitioner(config.partitioner),
+            telemetry=telemetry,
+        )
     else:
-        cluster = None
-        world = World(seed=config.seed)
         policy = config.build_policy()
         server = GameServer(
             sim,
-            world=world,
             config=config.build_server_config(),
             policy=policy,
             partitioner=None if policy is None else make_partitioner(config.partitioner),
             direct_mode=policy is None,
             telemetry=telemetry,
         )
-        if server.dyconits is not None:
-            server.dyconits.merging_enabled = config.merging_enabled
-        server.transport.record_latencies = config.record_latencies
-        server.start()
+    server.start()
 
     if config.churn is not None:
         workload: Workload = ChurnWorkload(
@@ -189,13 +162,18 @@ def run_experiment(
     ):
         sim.run_until(config.duration_ms)
 
-    if cluster is not None:
-        if isinstance(cluster, ParallelShardRunner):
-            # Pull transport/metrics/dyconit state out of the workers
-            # and shut them down before reading the handles.
-            cluster.finalize()
-        return collect_cluster_result(config, cluster, workload)
-    return collect_result(config, server, workload, policy)
+    if isinstance(server, ParallelShardRunner):
+        # Pull transport/metrics/dyconit state out of the workers and
+        # shut them down before reading the handles.
+        server.finalize()
+    if isinstance(server, ShardedCluster):
+        result = collect_result(config, server.shards, workload)
+        _collect_cluster(result, server)
+    else:
+        result = collect_result(config, [server], workload)
+        if hasattr(policy, "factor_history"):
+            result.factor_timeline = list(policy.factor_history)
+    return result
 
 
 def _bind_hook(hook, server, workload):
@@ -206,121 +184,64 @@ def _bind_hook(hook, server, workload):
 
 
 def collect_result(
-    config: ExperimentConfig, server: GameServer, workload: Workload, policy
+    config: ExperimentConfig, servers: list[GameServer], workload: Workload
 ) -> ExperimentResult:
-    """Assemble an :class:`ExperimentResult` from a finished run."""
-    result = ExperimentResult(config=config)
-    transport = server.transport
-    result.bytes_total = transport.total_bytes()
-    result.packets_total = transport.total_packets()
-    result.bytes_by_kind = transport.bytes_by_kind()
-    result.packets_by_kind = transport.packets_by_kind()
+    """Assemble an :class:`ExperimentResult` from a finished run on
+    ``servers`` — one :class:`GameServer`, or a cluster's shards.
 
-    window_s = (config.duration_ms - config.warmup_ms) / 1000.0
-    bytes_series = server.metrics.series("bytes_total")
-    steady_bytes = _series_growth(bytes_series, config.warmup_ms, config.duration_ms)
-    result.steady_bytes_per_second = steady_bytes / window_s if window_s > 0 else 0.0
-    players = max(1, config.bots)
-    result.steady_bytes_per_player_per_second = result.steady_bytes_per_second / players
-
-    tick_series = server.metrics.series("tick_duration_ms")
-    steady_ticks = tick_series.window(config.warmup_ms, config.duration_ms)
-    result.tick_duration = describe(steady_ticks)
-    if steady_ticks:
-        # Effective rate: ticks per second of the steady window.
-        result.effective_tick_rate_hz = len(steady_ticks) / window_s
-    result.steady_packets_per_second = _estimate_packet_rate(server, config, window_s)
-
-    if server.dyconits is not None:
-        result.dyconit_stats = server.dyconits.stats.as_dict()
-        delay_hist = server.metrics.histogram("update_queue_delay_ms", min_value=0.1)
-        result.update_queue_delay_p50_ms = delay_hist.quantile(0.50)
-        result.update_queue_delay_p99_ms = delay_hist.quantile(0.99)
-
-    result.positional_error_mean = workload.error_histogram.mean
-    result.positional_error_p95 = workload.error_histogram.quantile(0.95)
-    result.positional_error_p99 = workload.error_histogram.quantile(0.99)
-    result.positional_error_max = max(0.0, workload.error_histogram.max_value)
-    result.staleness_p50_ms = workload.staleness_histogram.quantile(0.50)
-    result.staleness_p99_ms = workload.staleness_histogram.quantile(0.99)
-
-    if config.record_latencies:
-        result.packet_latency = describe(transport.latencies_ms)
-
-    result.packets_dropped = transport.packets_dropped
-    result.reconnects = transport.reconnect_count
-    if isinstance(workload, ChurnWorkload):
-        result.churn_crashes = workload.crashes
-        result.churn_rejoins = workload.rejoins
-
-    result.bandwidth_timeline = _rate_timeline(bytes_series)
-    player_series = server.metrics.series("player_count")
-    result.player_timeline = list(zip(player_series.times, player_series.values))
-    result.tick_timeline = list(zip(tick_series.times, tick_series.values))
-    if policy is not None and hasattr(policy, "factor_history"):
-        result.factor_timeline = list(policy.factor_history)
-    return result
-
-
-def collect_cluster_result(
-    config: ExperimentConfig, cluster: ShardedCluster, workload: Workload
-) -> ExperimentResult:
-    """Assemble an :class:`ExperimentResult` from a sharded run.
-
-    Traffic and middleware counters aggregate across shards; tick health
-    keeps both a cluster-wide summary (all shards' steady ticks pooled)
-    and the per-shard p95 list E11 reports. Client-observed consistency
-    comes from the workload, which already measures against the
-    authoritative cross-shard world view.
+    Traffic and middleware counters sum across servers; tick health
+    pools every server's steady ticks. Client-observed consistency comes
+    from the workload, which measures against the authoritative
+    (cross-shard) world view.
     """
     result = ExperimentResult(config=config)
-    result.shards = len(cluster.shards)
-    result.bytes_total = cluster.total_bytes()
-    result.packets_total = cluster.total_packets()
-    for shard in cluster.shards:
-        for kind, count in shard.transport.bytes_by_kind().items():
+    for server in servers:
+        transport = server.transport
+        result.bytes_total += transport.total_bytes()
+        result.packets_total += transport.total_packets()
+        for kind, count in transport.bytes_by_kind().items():
             result.bytes_by_kind[kind] = result.bytes_by_kind.get(kind, 0) + count
-        for kind, count in shard.transport.packets_by_kind().items():
+        for kind, count in transport.packets_by_kind().items():
             result.packets_by_kind[kind] = result.packets_by_kind.get(kind, 0) + count
 
+    # ExperimentConfig validates warmup_ms < duration_ms: the steady
+    # window is never empty.
     window_s = (config.duration_ms - config.warmup_ms) / 1000.0
+    total_s = config.duration_ms / 1000.0
     steady_bytes = sum(
         _series_growth(
-            shard.metrics.series("bytes_total"), config.warmup_ms, config.duration_ms
+            server.metrics.series("bytes_total"), config.warmup_ms, config.duration_ms
         )
-        for shard in cluster.shards
+        for server in servers
     )
-    result.steady_bytes_per_second = steady_bytes / window_s if window_s > 0 else 0.0
+    result.steady_bytes_per_second = steady_bytes / window_s
     players = max(1, config.bots)
     result.steady_bytes_per_player_per_second = result.steady_bytes_per_second / players
+    # Whole-run packets over whole-run time: bytes are the primary
+    # bandwidth metric, packets a secondary view without a steady series.
+    result.steady_packets_per_second = result.packets_total / total_s
 
     pooled_ticks: list[float] = []
-    for shard in cluster.shards:
-        ticks = shard.metrics.series("tick_duration_ms").window(
-            config.warmup_ms, config.duration_ms
+    for server in servers:
+        pooled_ticks.extend(
+            server.metrics.series("tick_duration_ms").window(
+                config.warmup_ms, config.duration_ms
+            )
         )
-        pooled_ticks.extend(ticks)
-        result.shard_tick_p95_ms.append(describe(ticks).p95)
-        result.shard_players.append(len(shard.sessions))
     result.tick_duration = describe(pooled_ticks)
-    if pooled_ticks and window_s > 0:
-        # Per-shard tick rate: every shard ticks on its own schedule.
-        result.effective_tick_rate_hz = len(pooled_ticks) / len(cluster.shards) / window_s
-    total_s = config.duration_ms / 1000.0
-    if total_s > 0:
-        result.steady_packets_per_second = result.packets_total / total_s
+    # Per-server tick rate: every shard ticks on its own schedule.
+    result.effective_tick_rate_hz = len(pooled_ticks) / len(servers) / window_s
 
-    result.dyconit_stats = _merge_dyconit_stats(
-        [shard.dyconits.stats for shard in cluster.shards]
-    )
-    result.update_queue_delay_p50_ms = max(
-        shard.metrics.histogram("update_queue_delay_ms", min_value=0.1).quantile(0.50)
-        for shard in cluster.shards
-    )
-    result.update_queue_delay_p99_ms = max(
-        shard.metrics.histogram("update_queue_delay_ms", min_value=0.1).quantile(0.99)
-        for shard in cluster.shards
-    )
+    if servers[0].dyconits is not None:
+        result.dyconit_stats = _merge_dyconit_stats(
+            [server.dyconits.stats for server in servers]
+        )
+        delay_hists = [
+            server.metrics.histogram("update_queue_delay_ms", min_value=0.1)
+            for server in servers
+        ]
+        result.update_queue_delay_p50_ms = max(hist.quantile(0.50) for hist in delay_hists)
+        result.update_queue_delay_p99_ms = max(hist.quantile(0.99) for hist in delay_hists)
 
     result.positional_error_mean = workload.error_histogram.mean
     result.positional_error_p95 = workload.error_histogram.quantile(0.95)
@@ -331,67 +252,64 @@ def collect_cluster_result(
 
     if config.record_latencies:
         latencies: list[float] = []
-        for shard in cluster.shards:
-            latencies.extend(shard.transport.latencies_ms)
+        for server in servers:
+            latencies.extend(server.transport.latencies_ms)
         result.packet_latency = describe(latencies)
 
-    result.packets_dropped = sum(
-        shard.transport.packets_dropped for shard in cluster.shards
-    )
-    result.reconnects = sum(
-        shard.transport.reconnect_count for shard in cluster.shards
-    )
+    result.packets_dropped = sum(server.transport.packets_dropped for server in servers)
+    result.reconnects = sum(server.transport.reconnect_count for server in servers)
     if isinstance(workload, ChurnWorkload):
         result.churn_crashes = workload.crashes
         result.churn_rejoins = workload.rejoins
 
+    # Timelines: servers tick on the same cadence, so merge pointwise —
+    # bandwidth and players sum, per-tick time takes the slowest server
+    # (a cluster's critical path).
+    bytes_view = _merge_series(
+        [server.metrics.series("bytes_total") for server in servers], sum
+    )
+    result.bandwidth_timeline = _rate_timeline(bytes_view)
+    player_view = _merge_series(
+        [server.metrics.series("player_count") for server in servers], sum
+    )
+    result.player_timeline = list(zip(player_view.times, player_view.values))
+    tick_view = _merge_series(
+        [server.metrics.series("tick_duration_ms") for server in servers], max
+    )
+    result.tick_timeline = list(zip(tick_view.times, tick_view.values))
+    return result
+
+
+def _collect_cluster(result: ExperimentResult, cluster: ShardedCluster) -> None:
+    """Fill the per-shard and inter-shard fields of a sharded run."""
+    config = result.config
+    result.shards = len(cluster.shards)
+    for shard in cluster.shards:
+        ticks = shard.metrics.series("tick_duration_ms").window(
+            config.warmup_ms, config.duration_ms
+        )
+        result.shard_tick_p95_ms.append(describe(ticks).p95)
+        result.shard_players.append(len(shard.sessions))
     result.handoffs = cluster.handoffs
     result.handoffs_cancelled = cluster.handoffs_cancelled
     result.intershard_bytes = cluster.bus.total_bytes
     result.intershard_messages = cluster.bus.total_messages
     result.intershard_messages_by_kind = dict(cluster.bus.messages_by_kind)
     result.entity_transfers = cluster.bus.messages_by_kind.get("EntityTransfer", 0)
-    if total_s > 0:
-        result.intershard_bytes_per_second = cluster.bus.total_bytes / total_s
-
-    # Timelines: shards tick on the same cadence, so merge pointwise —
-    # bandwidth and players sum, per-tick time takes the slowest shard
-    # (the cluster's critical path).
-    bytes_view = _merge_series(
-        [shard.metrics.series("bytes_total") for shard in cluster.shards], sum
+    result.intershard_bytes_per_second = cluster.bus.total_bytes / (
+        config.duration_ms / 1000.0
     )
-    result.bandwidth_timeline = _rate_timeline(bytes_view)
-    player_view = _merge_series(
-        [shard.metrics.series("player_count") for shard in cluster.shards], sum
-    )
-    result.player_timeline = list(zip(player_view.times, player_view.values))
-    tick_view = _merge_series(
-        [shard.metrics.series("tick_duration_ms") for shard in cluster.shards], max
-    )
-    result.tick_timeline = list(zip(tick_view.times, tick_view.values))
-    return result
 
 
-def _merge_dyconit_stats(stats_list) -> dict[str, float]:
-    """Cluster-wide middleware counters: sums, with the derived ratios
-    recomputed from the summed raw counts."""
-    merged: dict[str, float] = {}
-    for stats in stats_list:
-        for key, value in stats.as_dict().items():
-            merged[key] = merged.get(key, 0.0) + value
-    enqueued = sum(stats.updates_enqueued for stats in stats_list)
-    merged["merge_ratio"] = (
-        sum(stats.updates_merged for stats in stats_list) / enqueued
-        if enqueued
-        else 0.0
-    )
-    delay_samples = sum(stats.queue_delay_samples for stats in stats_list)
-    merged["mean_queue_delay_ms"] = (
-        sum(stats.queue_delay_total_ms for stats in stats_list) / delay_samples
-        if delay_samples
-        else 0.0
-    )
-    return merged
+def _merge_dyconit_stats(stats_list: list[DyconitStats]) -> dict[str, float]:
+    """Middleware counters summed field by field; ``as_dict`` derives the
+    ratios from the summed counts."""
+    return DyconitStats(
+        **{
+            spec.name: sum(getattr(stats, spec.name) for stats in stats_list)
+            for spec in fields(DyconitStats)
+        }
+    ).as_dict()
 
 
 class _SeriesView:
@@ -429,17 +347,6 @@ def _series_growth(series, start: float, end: float) -> float:
     if value_at_start is None:
         value_at_start = 0.0
     return value_at_end - value_at_start
-
-
-def _estimate_packet_rate(server: GameServer, config: ExperimentConfig, window_s: float) -> float:
-    # messages_sent counts every packet the engine sent; approximate the
-    # steady rate by scaling total packets by the window share of sends.
-    # (Exact per-window packet counts would need a packet series; bytes
-    # are the primary bandwidth metric, packets are a secondary view.)
-    total_s = config.duration_ms / 1000.0
-    if total_s <= 0 or window_s <= 0:
-        return 0.0
-    return server.transport.total_packets() / total_s
 
 
 def _rate_timeline(series, bucket_ms: float = 1000.0) -> list[tuple[float, float]]:

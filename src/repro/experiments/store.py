@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
-from repro.experiments.configs import config_from_dict
+from repro.experiments.configs import ExperimentConfig, config_from_dict, config_to_dict
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.summary import Summary
 
@@ -49,51 +50,28 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+#: Resolved field types of :class:`ExperimentResult` (its annotations
+#: are strings under ``from __future__ import annotations``).
+_FIELD_TYPES = get_type_hints(ExperimentResult)
+_TIMELINE = list[tuple[float, float]]
+
+
 def result_to_dict(result: ExperimentResult) -> dict:
-    """JSON-safe dictionary of one experiment result."""
-    config = asdict(result.config)
-    # BehaviorMix / CostCoefficients / Bounds become plain dicts via
-    # asdict; tag the config with its class for forward compatibility.
-    payload = {
-        "config": config,
-        "bytes_total": result.bytes_total,
-        "packets_total": result.packets_total,
-        "steady_bytes_per_second": result.steady_bytes_per_second,
-        "steady_packets_per_second": result.steady_packets_per_second,
-        "steady_bytes_per_player_per_second": result.steady_bytes_per_player_per_second,
-        "bytes_by_kind": result.bytes_by_kind,
-        "packets_by_kind": result.packets_by_kind,
-        "tick_duration": result.tick_duration.as_dict(),
-        "effective_tick_rate_hz": result.effective_tick_rate_hz,
-        "dyconit_stats": result.dyconit_stats,
-        "update_queue_delay_p50_ms": result.update_queue_delay_p50_ms,
-        "update_queue_delay_p99_ms": result.update_queue_delay_p99_ms,
-        "positional_error_mean": result.positional_error_mean,
-        "positional_error_p95": result.positional_error_p95,
-        "positional_error_p99": result.positional_error_p99,
-        "positional_error_max": result.positional_error_max,
-        "staleness_p50_ms": result.staleness_p50_ms,
-        "staleness_p99_ms": result.staleness_p99_ms,
-        "packet_latency": result.packet_latency.as_dict(),
-        "packets_dropped": result.packets_dropped,
-        "reconnects": result.reconnects,
-        "churn_crashes": result.churn_crashes,
-        "churn_rejoins": result.churn_rejoins,
-        "shards": result.shards,
-        "handoffs": result.handoffs,
-        "handoffs_cancelled": result.handoffs_cancelled,
-        "entity_transfers": result.entity_transfers,
-        "intershard_bytes": result.intershard_bytes,
-        "intershard_messages": result.intershard_messages,
-        "intershard_bytes_per_second": result.intershard_bytes_per_second,
-        "intershard_messages_by_kind": result.intershard_messages_by_kind,
-        "shard_tick_p95_ms": result.shard_tick_p95_ms,
-        "shard_players": result.shard_players,
-        "bandwidth_timeline": result.bandwidth_timeline,
-        "player_timeline": result.player_timeline,
-        "tick_timeline": result.tick_timeline,
-        "factor_timeline": result.factor_timeline,
-    }
+    """JSON-safe dictionary of one experiment result, keyed by field in
+    declaration order.
+
+    The config's nested value objects (BehaviorMix, CostCoefficients,
+    Bounds, ...) become plain dicts; summaries take their ``as_dict``
+    layout.
+    """
+    payload = {}
+    for spec in fields(ExperimentResult):
+        value = getattr(result, spec.name)
+        if isinstance(value, ExperimentConfig):
+            value = config_to_dict(value)
+        elif isinstance(value, Summary):
+            value = value.as_dict()
+        payload[spec.name] = value
     return payload
 
 
@@ -110,51 +88,26 @@ def _summary_from_dict(data: dict) -> Summary:
 
 
 def result_from_dict(data: dict) -> ExperimentResult:
-    """Rebuild a result (config is restored field-by-field)."""
-    config = config_from_dict(data["config"])
-    result = ExperimentResult(config=config)
-    result.bytes_total = data["bytes_total"]
-    result.packets_total = data["packets_total"]
-    result.steady_bytes_per_second = data["steady_bytes_per_second"]
-    result.steady_packets_per_second = data["steady_packets_per_second"]
-    result.steady_bytes_per_player_per_second = data["steady_bytes_per_player_per_second"]
-    result.bytes_by_kind = data["bytes_by_kind"]
-    result.packets_by_kind = data["packets_by_kind"]
-    result.tick_duration = _summary_from_dict(data["tick_duration"])
-    result.effective_tick_rate_hz = data["effective_tick_rate_hz"]
-    result.dyconit_stats = data["dyconit_stats"]
-    result.update_queue_delay_p50_ms = data["update_queue_delay_p50_ms"]
-    result.update_queue_delay_p99_ms = data["update_queue_delay_p99_ms"]
-    result.positional_error_mean = data["positional_error_mean"]
-    result.positional_error_p95 = data["positional_error_p95"]
-    result.positional_error_p99 = data["positional_error_p99"]
-    result.positional_error_max = data["positional_error_max"]
-    result.staleness_p50_ms = data["staleness_p50_ms"]
-    result.staleness_p99_ms = data["staleness_p99_ms"]
-    result.packet_latency = _summary_from_dict(data["packet_latency"])
-    # Fault/churn counters and the tick timeline postdate early stores;
-    # default them so archived pre-S13 runs still load.
-    result.packets_dropped = data.get("packets_dropped", 0)
-    result.reconnects = data.get("reconnects", 0)
-    result.churn_crashes = data.get("churn_crashes", 0)
-    result.churn_rejoins = data.get("churn_rejoins", 0)
-    # Cluster counters postdate S16; pre-sharding stores default to a
-    # single-server shape.
-    result.shards = data.get("shards", 1)
-    result.handoffs = data.get("handoffs", 0)
-    result.handoffs_cancelled = data.get("handoffs_cancelled", 0)
-    result.entity_transfers = data.get("entity_transfers", 0)
-    result.intershard_bytes = data.get("intershard_bytes", 0)
-    result.intershard_messages = data.get("intershard_messages", 0)
-    result.intershard_bytes_per_second = data.get("intershard_bytes_per_second", 0.0)
-    result.intershard_messages_by_kind = data.get("intershard_messages_by_kind", {})
-    result.shard_tick_p95_ms = list(data.get("shard_tick_p95_ms", []))
-    result.shard_players = list(data.get("shard_players", []))
-    result.bandwidth_timeline = [tuple(point) for point in data["bandwidth_timeline"]]
-    result.player_timeline = [tuple(point) for point in data["player_timeline"]]
-    result.tick_timeline = [tuple(point) for point in data.get("tick_timeline", [])]
-    result.factor_timeline = [tuple(point) for point in data["factor_timeline"]]
-    return result
+    """Rebuild a result (inverse of :func:`result_to_dict`).
+
+    A field missing from an older store — the fault/churn counters and
+    the tick timeline predate S13, the cluster counters S16 — keeps its
+    dataclass default, i.e. a single-server, fault-free shape.
+    """
+    values = {}
+    for spec in fields(ExperimentResult):
+        if spec.name not in data:
+            continue
+        value = data[spec.name]
+        kind = _FIELD_TYPES[spec.name]
+        if kind is ExperimentConfig:
+            value = config_from_dict(value)
+        elif kind is Summary:
+            value = _summary_from_dict(value)
+        elif kind == _TIMELINE:
+            value = [tuple(point) for point in value]
+        values[spec.name] = value
+    return ExperimentResult(**values)
 
 
 def save_results(path: str | Path, results: dict[str, ExperimentResult]) -> None:

@@ -77,18 +77,6 @@ class TimeSeries:
             if start <= time < end
         ]
 
-    def rate_per_second(self) -> float:
-        """Average of a cumulative series' growth, per second of sim time."""
-        if len(self.values) < 2:
-            return 0.0
-        span_ms = self.times[-1] - self.times[0]
-        if span_ms <= 0:
-            return 0.0
-        return (self.values[-1] - self.values[0]) / (span_ms / 1000.0)
-
-    def reset(self) -> None:
-        self.times.clear()
-        self.values.clear()
 
 
 class Histogram:
@@ -205,20 +193,8 @@ class MetricsRegistry:
     """Named registry so components share metric instances by name."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._series: dict[str, TimeSeries] = {}
         self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
 
     def series(self, name: str) -> TimeSeries:
         if name not in self._series:
@@ -229,23 +205,3 @@ class MetricsRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name, **kwargs)
         return self._histograms[name]
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat view of scalar metrics, for logging and assertions."""
-        values: dict[str, float] = {}
-        for name, counter in self._counters.items():
-            values[name] = counter.value
-        for name, gauge in self._gauges.items():
-            values[name] = gauge.value
-        return values
-
-    def reset(self) -> None:
-        """Reset every registered metric in place.
-
-        Experiment reruns call this between repetitions: instances stay
-        registered (components hold direct references to them) but their
-        recorded state is cleared, so no samples leak across runs.
-        """
-        for metric_map in (self._counters, self._gauges, self._series, self._histograms):
-            for metric in metric_map.values():
-                metric.reset()

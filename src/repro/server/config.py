@@ -44,6 +44,11 @@ class ServerConfig:
     #: entirely — the tick path then pays a single ``is None`` check,
     #: matching the telemetry no-op pattern.
     audit_every_n_ticks: int = 0
+    #: Keep every packet latency (E4's exact CDF) instead of a bounded
+    #: reservoir sample.
+    record_latencies: bool = False
+    #: Merge queued updates to the same object (E8a turns it off).
+    merging_enabled: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -98,6 +98,7 @@ class GameServer:
             telemetry=self.telemetry,
             faults=self.config.faults,
         )
+        self.transport.record_latencies = self.config.record_latencies
         self.codec = SessionCodec(self.world)
         self.interest = InterestManager(self)
         #: Reverse chunk→viewers / entity→knowers maps, maintained in
@@ -129,6 +130,7 @@ class GameServer:
                 policy,
                 partitioner if partitioner is not None else ChunkPartitioner(),
                 time_source=lambda: sim.now,
+                merging_enabled=self.config.merging_enabled,
                 telemetry=self.telemetry,
                 state_store=self.config.state_store,
             )

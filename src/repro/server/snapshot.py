@@ -64,8 +64,9 @@ from repro.world.world import World
 #: dataclass pickles as a positional value list and un-pickles by
 #: zipping it onto the *current* fields, so a blob written under another
 #: layout would restore without error and with values in the wrong
-#: fields. ``/4``: the geometry types pickle as tuples.
-CHECKPOINT_FORMAT = "repro-checkpoint/4"
+#: fields. ``/4``: the geometry types pickle as tuples. ``/5``:
+#: ``ServerConfig`` carries ``record_latencies`` and ``merging_enabled``.
+CHECKPOINT_FORMAT = "repro-checkpoint/5"
 
 # ----------------------------------------------------------------------
 # Snapshot dataclasses (plain picklable data)

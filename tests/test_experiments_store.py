@@ -1,8 +1,11 @@
 """Round-trip tests for experiment result persistence."""
 
+import json
+from dataclasses import fields
+
 from repro.core.bounds import Bounds
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.store import load_results, result_from_dict, result_to_dict, save_results
 
 
@@ -98,3 +101,26 @@ def test_pre_sharding_payloads_load_with_single_server_defaults():
     assert rebuilt.handoffs == 0
     assert rebuilt.intershard_bytes == 0
     assert rebuilt.shard_tick_p95_ms == []
+
+
+def test_store_keys_follow_the_result_fields():
+    result = small_result()
+    assert list(result_to_dict(result)) == [spec.name for spec in fields(ExperimentResult)]
+
+
+def test_store_round_trips_single_server_and_sharded_results():
+    for result in (small_result(), cluster_result()):
+        payload = result_to_dict(result)
+        assert result_to_dict(result_from_dict(payload)) == payload
+        stored = json.dumps(payload)
+        assert json.dumps(result_to_dict(result_from_dict(json.loads(stored)))) == stored
+
+
+def test_missing_keys_keep_the_dataclass_defaults():
+    payload = result_to_dict(small_result())
+    for key in ("packets_dropped", "reconnects", "tick_timeline", "shards"):
+        del payload[key]
+    rebuilt = result_from_dict(payload)
+    defaults = ExperimentResult(config=rebuilt.config)
+    for key in ("packets_dropped", "reconnects", "tick_timeline", "shards"):
+        assert getattr(rebuilt, key) == getattr(defaults, key)
