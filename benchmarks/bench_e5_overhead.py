@@ -81,8 +81,9 @@ def test_e5_commit_throughput_flushing(benchmark):
 
 @pytest.mark.benchmark(group="e5-overhead")
 def test_e5_bound_rederivation(benchmark):
-    """Policy set_bounds sweep across 2,000 subscriptions (what a spatial
-    policy does when a player crosses a chunk border)."""
+    """``set_bounds`` sweep across 2,000 subscriptions (the gateway's
+    bounds op, one subscription at a time; a chunk crossing re-derives
+    its bounds as one column instead, S33)."""
     system = build_system(subscribers=2000, bounds=Bounds(10.0, 1000.0))
     bounds_a = Bounds(10.0, 1000.0)
     bounds_b = Bounds(20.0, 2000.0)
@@ -223,7 +224,10 @@ def test_e5_memory_per_dyconit():
 def test_e5_memory_per_chunk():
     """Retained bytes and generation time per generated chunk: what each
     chunk a player walks past costs the server (a chunk is its generated
-    base plus edits, with no block array)."""
+    base plus edits, with no block array). Measured one ``get_chunk`` at a
+    time and through ``World.get_chunks`` in 11-chunk rows — the batch a
+    view distance of 5 loads per crossing (S33): a batched chunk must own
+    its bytes, never hold a view into the batch's arrays."""
     import time
     import tracemalloc
 
@@ -232,20 +236,32 @@ def test_e5_memory_per_chunk():
 
     count = 1000
     positions = [ChunkPos(i % 40, i // 40) for i in range(count)]
-    world = World(seed=1)
-    world.get_chunk(ChunkPos(-1, -1))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    rows = [positions[start : start + 11] for start in range(0, count, 11)]
+
+    def load_single(world):
         for pos in positions:
             world.get_chunk(pos)
-        retained = (tracemalloc.get_traced_memory()[0] - before) / count
-    finally:
-        tracemalloc.stop()
-    world = World(seed=1)
-    started = time.perf_counter()
-    for pos in positions:
-        world.get_chunk(pos)
-    generate_us = (time.perf_counter() - started) * 1e6 / count
-    print(f"\nper chunk: {retained:.0f} bytes retained, {generate_us:.0f} us to generate")
-    assert retained <= 2048
+
+    def load_rows(world):
+        for batch in rows:
+            world.get_chunks(batch)
+
+    for name, load in (("single", load_single), ("row-batched", load_rows)):
+        world = World(seed=1)
+        world.get_chunk(ChunkPos(-1, -1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            load(world)
+            retained = (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+        world = World(seed=1)
+        started = time.perf_counter()
+        load(world)
+        generate_us = (time.perf_counter() - started) * 1e6 / count
+        print(
+            f"\nper chunk ({name}): {retained:.0f} bytes retained, "
+            f"{generate_us:.0f} us to generate"
+        )
+        assert retained <= 2048, name

@@ -100,7 +100,8 @@ class DyconitStateHandle(abc.ABC):
     Required attributes: ``dyconit_id``, ``total_committed_weight``,
     ``commit_count``, ``default_bounds`` and ``merging``. The manager's
     three hot paths are one batched call each — :meth:`commit`,
-    :meth:`drain_due` and :meth:`rebound` (S25) — so a store chooses its
+    :meth:`drain_due` and :meth:`rebound` (S25) — and a chunk crossing is
+    one :meth:`rebound_one` per subscription (S33), so a store chooses its
     representation and batches behind them; the manager never asks which
     one it got.
 
@@ -184,6 +185,22 @@ class DyconitStateHandle(abc.ABC):
         drained queue in slot order, and the earliest ``oldest +
         staleness`` among the checked queues left pending (``inf`` if
         none).
+        """
+
+    @abc.abstractmethod
+    def rebound_one(
+        self, subscriber_id: int, numerical: float, staleness: float, order: float, now: float
+    ):
+        """:meth:`rebound` for one subscription, on scalars (a chunk
+        crossing, S33): install the three bounds on ``subscriber_id``'s
+        subscription and, if its queue is pending, check it in
+        ``Bounds.tripped_dimension``'s precedence and drain it if tripped.
+
+        Returns ``(examined, reason, updates, deadline)``: 1 if a pending
+        queue was checked, else 0; the tripped dimension and the drained
+        updates, or ``None`` twice; and ``oldest + staleness`` of a queue
+        left pending (``inf`` otherwise). A subscriber that is not
+        subscribed is ``(0, None, None, inf)`` and writes nothing.
         """
 
     def restore_subscription(self, subscriber: "Subscriber", snap: SubscriptionSnapshot):

@@ -25,9 +25,10 @@ conformance suite and the SQLite fuzz twin assert as much.
 The manager's three hot calls — a commit, the due pass over a dyconit
 and a retune — each run as a few statements for the whole dyconit
 (S25): one read of its ``subs`` rows, ``executemany`` for the writes,
-and one three-statement drain for every queue that tripped. The
-per-subscription views serve everything else (repartitioning, restore,
-a single subscription's new bounds, forced flushes).
+and one three-statement drain for every queue that tripped. A chunk
+crossing's retune is one bound write and one row read per subscription
+(S33). The per-subscription views serve everything else
+(repartitioning, restore, the gateway's new bounds, forced flushes).
 
 One implementation, several databases: store, handle and view talk to a
 connection that offers ``execute(sql, params) -> cursor`` and
@@ -64,7 +65,7 @@ from types import SimpleNamespace
 from typing import Hashable
 
 from repro.backends.base import DyconitStateHandle, StateStore, SubscriptionSnapshot
-from repro.core.bounds import Bounds
+from repro.core.bounds import Bounds, tripped_dimension_of
 from repro.core.dyconit import EnqueueResult, SubscriptionState
 from repro.core.subscription import Subscriber
 from repro.core.update import Update
@@ -72,20 +73,6 @@ from repro.core.update import Update
 
 def _blob(value) -> bytes:
     return pickle.dumps(value, protocol=4)
-
-
-def _tripped(
-    error: float, age: float, count: int, b_num: float, b_stale: float, b_order: float
-) -> str | None:
-    """``Bounds.tripped_dimension`` on one row's plain floats: the same
-    comparisons in the same precedence, without building a ``Bounds``."""
-    if error > b_num:
-        return "numerical"
-    if age >= b_stale and b_stale != math.inf:
-        return "staleness"
-    if count > b_order:
-        return "order"
-    return None
 
 
 @dataclass(frozen=True)
@@ -710,7 +697,7 @@ class SQLiteDyconitState(DyconitStateHandle):
                 if counts is None:
                     counts = dict(conn.execute(sql.pending_counts, (dk,)).fetchall())
                 count = counts.get(sub_id, 0) + 1 - superseded
-            reason = _tripped(error, now - oldest, count, b_num, b_stale, b_order)
+            reason = tripped_dimension_of(error, now - oldest, count, b_num, b_stale, b_order)
             if reason is not None:
                 tripped.append((sub_id, view.subscriber, reason))
             elif became_pending and time + b_stale < became_due:
@@ -789,12 +776,35 @@ class SQLiteDyconitState(DyconitStateHandle):
                 if counts is None:
                     counts = dict(conn.execute(sql.pending_counts, (dk,)).fetchall())
                 count = counts.get(sub_id, 0)
-            reason = _tripped(error, now - oldest, count, b_num, b_stale, b_order)
+            reason = tripped_dimension_of(error, now - oldest, count, b_num, b_stale, b_order)
             if reason is not None:
                 tripped.append((sub_id, view.subscriber, reason))
             elif oldest + b_stale < next_deadline:
                 next_deadline = oldest + b_stale
         return examined, self._drain(tripped, {}) if tripped else [], next_deadline
+
+    def rebound_one(self, subscriber_id, numerical, staleness, order, now: float):
+        """:meth:`rebound` for one subscription (a chunk crossing, S33):
+        one bound write, one read of the row's error and age, and the
+        drain if the new bounds trip it. Returns what
+        :meth:`~repro.core.dyconit.Dyconit.rebound_one` returns."""
+        view = self._views.get(subscriber_id)
+        if view is None:
+            return 0, None, None, math.inf
+        conn, sql = self._conn, self._sql
+        key = (self._dk, subscriber_id)
+        conn.execute(sql.set_bounds, (numerical, staleness, order, *key))
+        error, oldest, __, __ = conn.execute(sql.sub_accounting, key).fetchone()
+        if oldest is None:
+            return 0, None, None, math.inf
+        count = 0  # only an order bound reads it, and ``count > inf`` never holds
+        if order != math.inf:
+            (count,) = conn.execute(sql.pending_count, key).fetchone()
+        reason = tripped_dimension_of(error, now - oldest, count, numerical, staleness, order)
+        if reason is None:
+            return 1, None, None, oldest + staleness
+        ((__, __, updates),) = self._drain([(subscriber_id, view.subscriber, reason)], {})
+        return 1, reason, updates, math.inf
 
     def _drain(self, entries: list[tuple], decoded: dict[bytes, Update]) -> list[tuple]:
         """Drain several subscriptions' queues in three statements: their

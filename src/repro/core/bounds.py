@@ -107,5 +107,19 @@ class Bounds:
         )
 
 
+def tripped_dimension_of(
+    error: float, age_ms: float, count: int, numerical: float, staleness_ms: float, order: float
+) -> str | None:
+    """:meth:`Bounds.tripped_dimension` on plain floats: the same
+    comparisons in the same precedence, without building a ``Bounds``."""
+    if error > numerical:
+        return "numerical"
+    if age_ms >= staleness_ms and staleness_ms != math.inf:
+        return "staleness"
+    if count > order:
+        return "order"
+    return None
+
+
 Bounds.ZERO = Bounds(0.0, 0.0)
 Bounds.INFINITE = Bounds(math.inf, math.inf)

@@ -38,7 +38,8 @@ pending-count upper bound, "any finite numerical bound") prove nothing
 can trip. Because the queue is the same object in both representations,
 restore, merge and split write slots directly: a dyconit is columnar
 from creation to removal. A retune (S23) writes the three bound
-columns by fancy indexing and checks only the pending slots.
+columns by fancy indexing and checks only the pending slots; a chunk
+crossing's retune (S33) writes one slot's three bounds as scalars.
 
 Exactness contract (the differential tests and the fuzz reference model
 assert bit-equality, not approximate equality):
@@ -68,7 +69,7 @@ from typing import Hashable, NamedTuple
 
 import numpy as np
 
-from repro.core.bounds import Bounds
+from repro.core.bounds import Bounds, tripped_dimension_of
 from repro.core.subscription import Subscriber
 from repro.core.update import Update
 
@@ -294,9 +295,9 @@ class Dyconit:
 
     Subscription accessors return :class:`FlatSubscriptionView` objects
     that are drop-in compatible with :class:`SubscriptionState`;
-    :meth:`commit`, :meth:`drain_due` and :meth:`rebound` run on the
-    columns (one vectorized add + gated threshold scan per commit).
-    Restore, merge and split write slots.
+    :meth:`commit`, :meth:`drain_due`, :meth:`rebound` and
+    :meth:`rebound_one` run on the columns (one vectorized add + gated
+    threshold scan per commit). Restore, merge and split write slots.
     """
 
     # Slotted: past 29 attributes CPython stops sharing instance-dict
@@ -676,6 +677,37 @@ class Dyconit:
         # fmin skips a NaN deadline, as the scalar ``<`` comparisons do.
         next_deadline = float(np.fmin.reduce(deadlines, initial=math.inf))
         return examined, drained, next_deadline
+
+    def rebound_one(
+        self, subscriber_id: int, numerical: float, staleness: float, order: float, now: float
+    ) -> tuple[int, str | None, list[Update] | None, float]:
+        """:meth:`rebound` for one subscription, on scalars (a chunk
+        crossing, S33): write the three bounds into the subscriber's slot,
+        then ``Bounds.tripped_dimension`` on its queue.
+
+        Returns ``(examined, reason, updates, deadline)``: 1 if a pending
+        queue was checked, else 0; the tripped dimension and the drained
+        updates, or ``None`` twice; and ``oldest + staleness`` of a queue
+        left pending (``inf`` otherwise). A subscriber that is not
+        subscribed is ``(0, None, None, inf)``.
+        """
+        slot = self.slots.get(subscriber_id)
+        if slot is None:
+            return 0, None, None, math.inf
+        self.b_num[slot] = numerical
+        self.b_stale[slot] = staleness
+        self.b_order[slot] = order
+        self._gates_dirty = True
+        queue = self.queues[slot]
+        if not queue:
+            return 0, None, None, math.inf
+        oldest = self.oldest.item(slot)
+        reason = tripped_dimension_of(
+            self.err.item(slot), now - oldest, len(queue), numerical, staleness, order
+        )
+        if reason is None:
+            return 1, None, None, oldest + staleness
+        return 1, reason, self._drain_slots([slot])[0], math.inf
 
     def commit(
         self, update: Update, exclude_subscriber: int | None, now: float

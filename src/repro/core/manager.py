@@ -19,9 +19,12 @@ Flushes made inside a *flush scope* (a batch of commits, a tick, a
 policy step) reach each subscriber as one delivery when it closes.
 A retune (S23, :meth:`DyconitSystem.retune_clients`) is one vectorised
 policy call and one column write per dyconit, not a ``set_bounds`` per
-(subscriber, dyconit) pair. Commit, due pass and retune are each one
-call on the dyconit's handle whatever the store (S25): the columns and
-the row store batch it, and none of the three walks subscriptions here.
+(subscriber, dyconit) pair; a chunk crossing (S33,
+:meth:`DyconitSystem.retune_subscriber`) is one policy call over the
+subscriber's membership and one scalar install per dyconit. Commit, due
+pass and retune are each one call on the dyconit's handle whatever the
+store (S25): the columns and the row store batch it, and none of the
+three walks subscriptions here.
 """
 
 from __future__ import annotations
@@ -565,7 +568,9 @@ class DyconitSystem:
 
     def set_bounds(self, dyconit_id: Hashable, subscriber_id: int, bounds: Bounds) -> None:
         """Update one subscription's bounds; re-checks immediately so a
-        tightened bound takes effect without waiting for the next commit."""
+        tightened bound takes effect without waiting for the next commit.
+        The gateway's bounds op; policies retune through
+        :meth:`retune_clients` and :meth:`retune_subscriber`."""
         dyconit_id = self.resolve(dyconit_id)
         dyconit = self._dyconits.get(dyconit_id)
         if dyconit is None:
@@ -657,6 +662,55 @@ class DyconitSystem:
                         (0.0, dyconit_id, subscriber, updates, reason)
                     )
             self._hand_on(by_subscriber)
+
+    def retune_subscriber(self, subscriber: Subscriber, bounds_columns) -> None:
+        """Re-derive the bounds of every subscription of ``subscriber`` as
+        one column (S33) — what a spatial policy does when the
+        subscriber's avatar crosses a chunk border.
+
+        The position is read once and ``bounds_columns(system,
+        dyconit_ids, positions)`` called once over the subscriber's
+        membership, in membership order. Each entry is then installed and
+        checked by one :meth:`~repro.backends.base.DyconitStateHandle.rebound_one`
+        on its dyconit, in that order, and what trips is accounted and
+        handed on as a :meth:`set_bounds` per dyconit would have.
+        """
+        subscriber_id = subscriber.subscriber_id
+        dyconit_ids = list(self._subscriptions_by_subscriber.get(subscriber_id, ()))
+        if not dyconit_ids:
+            return
+        numerical, staleness, order = bounds_columns(
+            self, dyconit_ids, [subscriber.position] * len(dyconit_ids)
+        )
+        now = self.now
+        dyconits = self._dyconits
+        aliases = self._aliases
+        decide = self._tm_decide
+        checked = 0
+        with self._flush_scope():
+            for dyconit_id, numerical_bound, staleness_ms, order_bound in zip(
+                dyconit_ids, numerical.tolist(), staleness.tolist(), order.tolist()
+            ):
+                if dyconit_id in aliases:
+                    dyconit_id = self.resolve(dyconit_id)
+                dyconit = dyconits.get(dyconit_id)
+                if dyconit is None:
+                    continue
+                if decide is not None and dyconit.is_subscribed(subscriber_id):
+                    decide(
+                        "bounds", dyconit_id, subscriber_id,
+                        f"numerical={numerical_bound:g} staleness={staleness_ms:g}",
+                    )
+                examined, reason, updates, deadline = dyconit.rebound_one(
+                    subscriber_id, numerical_bound, staleness_ms, order_bound, now
+                )
+                if examined:
+                    checked += 1
+                    if reason is None:
+                        self._lower_due(dyconit_id, deadline)
+                    else:
+                        self._flushed(dyconit_id, subscriber, updates, reason)
+            self.stats.bound_checks += checked
 
     def _apply_bounds(
         self, dyconit_id: Hashable, state: SubscriptionState, bounds: Bounds

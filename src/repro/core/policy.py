@@ -82,7 +82,8 @@ class Policy:
         self, system: "DyconitSystem", subscriber: Subscriber
     ) -> None:
         """Hook invoked when a subscriber's avatar crosses a chunk
-        boundary; spatial policies refresh that subscriber's bounds."""
+        boundary; spatial policies refresh that subscriber's bounds
+        through :meth:`DyconitSystem.retune_subscriber` (S33)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

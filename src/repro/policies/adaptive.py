@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.bounds import Bounds
 from repro.core.policy import LoadSignals, Policy
 from repro.core.subscription import Subscriber
-from repro.policies.distance import DistanceBasedPolicy, reapply_bounds
+from repro.policies.distance import DistanceBasedPolicy
 from repro.world.geometry import Vec3
 
 
@@ -89,10 +89,10 @@ class AdaptiveBoundsPolicy(Policy):
         self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`bounds_from` over a column of (dyconit, position) pairs
-        (a retune, S23): the shape's columns times the factor, entry for
-        entry what ``Bounds.scaled`` computes, with the zero / infinite
-        short-cuts as masks (without them a factor of 0 would turn ``inf``
-        into NaN)."""
+        (a retune, S23, or a chunk crossing, S33): the shape's columns
+        times the factor, entry for entry what ``Bounds.scaled`` computes,
+        with the zero / infinite short-cuts as masks (without them a
+        factor of 0 would turn ``inf`` into NaN)."""
         numerical, staleness, order = self.shape.bounds_columns(
             system, dyconit_ids, positions
         )
@@ -115,7 +115,7 @@ class AdaptiveBoundsPolicy(Policy):
         return self.bounds_for(system, dyconit_id, subscriber)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
-        reapply_bounds(system, subscriber, self.bounds_from)
+        system.retune_subscriber(subscriber, self.bounds_columns)
 
     # ------------------------------------------------------------------
     # Dynamic evaluation

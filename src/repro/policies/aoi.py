@@ -10,13 +10,20 @@ the E3 inconsistency experiment makes visible.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable
+
+import numpy as np
 
 from repro.core.bounds import Bounds
 from repro.core.partition import GLOBAL_DYCONIT, centroid_of
 from repro.core.policy import Policy
 from repro.core.subscription import Subscriber
-from repro.world.geometry import CHUNK_SIZE
+from repro.world.geometry import CHUNK_SIZE, Vec3
+
+#: A row of :meth:`InterestCutoffPolicy.bounds_columns` that gets
+#: ``Bounds.ZERO`` whatever the distance.
+_NOWHERE = (math.nan,) * 4
 
 
 class InterestCutoffPolicy(Policy):
@@ -41,18 +48,41 @@ class InterestCutoffPolicy(Policy):
             return Bounds.ZERO
         return Bounds.INFINITE
 
+    def bounds_columns(
+        self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`bounds_for` over a column of (dyconit, position) pairs (a
+        chunk crossing, S33): ``(numerical, staleness_ms, order)`` float64
+        columns, ``Bounds.ZERO`` within ``aoi_radius_chunks + 0.5`` and
+        for global and position-less rows, ``Bounds.INFINITE`` beyond —
+        the distance as ``Vec3.horizontal_length`` computes it."""
+        centroids: dict[Hashable, Vec3 | None] = {}
+        rows = []  # (x, z, centroid x, centroid z); NaN: always ZERO
+        for dyconit_id, position in zip(dyconit_ids, positions):
+            centroid = None
+            if position is not None and dyconit_id != GLOBAL_DYCONIT:
+                if dyconit_id not in centroids:
+                    centroids[dyconit_id] = centroid_of(dyconit_id, system.partitioner)
+                centroid = centroids[dyconit_id]
+            if centroid is None:
+                rows.append(_NOWHERE)
+            else:
+                rows.append((position.x, position.z, centroid.x, centroid.z))
+        x, z, cx, cz = np.array(rows, dtype=float).reshape(-1, 4).T
+        dx = x - cx
+        dz = z - cz
+        # ``not distance <= radius``, with a NaN row inside.
+        outside = np.sqrt(dx * dx + dz * dz) / CHUNK_SIZE > self.aoi_radius_chunks + 0.5
+        bound = np.where(outside, math.inf, 0.0)
+        return bound, bound.copy(), np.full(len(rows), math.inf)
+
     def initial_bounds(
         self, system, dyconit_id: Hashable, subscriber: Subscriber
     ) -> Bounds:
         return self.bounds_for(system, dyconit_id, subscriber)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
-        for dyconit_id in system.subscription_ids_of(subscriber.subscriber_id):
-            system.set_bounds(
-                dyconit_id,
-                subscriber.subscriber_id,
-                self.bounds_for(system, dyconit_id, subscriber),
-            )
+        system.retune_subscriber(subscriber, self.bounds_columns)
 
     def __repr__(self) -> str:
         return f"InterestCutoffPolicy(radius={self.aoi_radius_chunks} chunks)"

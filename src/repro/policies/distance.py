@@ -40,18 +40,6 @@ _CENTROID_CACHE_SIZE = 16384
 _NOWHERE = (math.nan, math.nan)
 
 
-def reapply_bounds(system, subscriber: Subscriber, bounds_from) -> None:
-    """Re-derive and install the bounds of every subscription of
-    ``subscriber``: ``set_bounds(bounds_from(system, dyconit_id,
-    position))`` per dyconit, with the subscriber's position read once."""
-    subscriber_id = subscriber.subscriber_id
-    position = subscriber.position
-    for dyconit_id in system.subscription_ids_of(subscriber_id):
-        system.set_bounds(
-            dyconit_id, subscriber_id, bounds_from(system, dyconit_id, position)
-        )
-
-
 class DistanceBasedPolicy(Policy):
     """Bounds proportional to avatar-to-dyconit distance."""
 
@@ -150,12 +138,12 @@ class DistanceBasedPolicy(Policy):
         self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`bounds_from` over a column of (dyconit, position) pairs
-        (a retune, S23): ``(numerical, staleness_ms, order)`` float64
-        columns whose entry ``i`` is ``bounds_from(system,
-        dyconit_ids[i], positions[i])`` bit for bit — the same IEEE
-        operations in the same order, ``max(a, b)`` as ``b > a``, and
-        Python's own ``**`` for the power term, because ``np.power``
-        rounds a few inputs differently."""
+        (a retune, S23, or a chunk crossing, S33): ``(numerical,
+        staleness_ms, order)`` float64 columns whose entry ``i`` is
+        ``bounds_from(system, dyconit_ids[i], positions[i])`` bit for
+        bit — the same IEEE operations in the same order, ``max(a, b)``
+        as ``b > a``, and Python's own ``**`` for the power term, because
+        ``np.power`` rounds a few inputs differently."""
         if any(position is None for position in positions):
             return self._columns_without_positions(system, dyconit_ids, positions)
         by_id = {}
@@ -232,8 +220,8 @@ class DistanceBasedPolicy(Policy):
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
         # Crossing a chunk border shifts every distance; re-derive the
-        # subscriber's whole bound set.
-        reapply_bounds(system, subscriber, self.bounds_from)
+        # subscriber's whole bound set as one column (S33).
+        system.retune_subscriber(subscriber, self.bounds_columns)
 
     def __repr__(self) -> str:
         return (

@@ -46,10 +46,7 @@ class InterestManager:
         center = self._avatar_chunk(session)
         session.anchor_chunk = center
         view = set(chunks_in_radius(center, session.view_distance))
-        packets: list[Packet] = []
-        for chunk_pos in sorted(view, key=lambda c: (c.cx, c.cz)):
-            packets.append(self._chunk_packet(chunk_pos))
-            packets.extend(self._entity_snapshots(session, chunk_pos))
+        packets = self._chunk_packets(session, sorted(view, key=lambda c: (c.cx, c.cz)))
         session.view_chunks = view
         self.server.viewers.add_view(session, view)
         self.server.send_packets(session, packets)
@@ -79,10 +76,7 @@ class InterestManager:
         added = new_view - old_view
         removed = old_view - new_view
 
-        packets: list[Packet] = []
-        for chunk_pos in sorted(added, key=lambda c: (c.cx, c.cz)):
-            packets.append(self._chunk_packet(chunk_pos))
-            packets.extend(self._entity_snapshots(session, chunk_pos))
+        packets = self._chunk_packets(session, sorted(added, key=lambda c: (c.cx, c.cz)))
         for chunk_pos in sorted(removed, key=lambda c: (c.cx, c.cz)):
             packets.append(ChunkUnloadPacket(chunk=chunk_pos))
         # Sweep replicas by *last-sent* position (not current authoritative
@@ -154,13 +148,28 @@ class InterestManager:
             raise KeyError(f"session {session.client_id} has no avatar entity")
         return entity.chunk_pos
 
-    def _chunk_packet(self, chunk_pos: ChunkPos) -> ChunkDataPacket:
-        chunk = self.server.world.get_chunk(chunk_pos)
-        return ChunkDataPacket(
-            chunk=chunk_pos,
-            total_blocks=CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT,
-            non_air_blocks=chunk.non_air_count,
-        )
+    def _chunk_packets(
+        self, session: PlayerSession, positions: list[ChunkPos]
+    ) -> list[Packet]:
+        """Each chunk's data packet then its entity snapshots, chunk by
+        chunk in ``positions`` order. Chunks are loaded one view row
+        (``2 * view_distance + 1`` chunks) at a time (S33): a crossing's
+        new row is one terrain pass, and a join's batch stays small."""
+        world = self.server.world
+        row = 2 * session.view_distance + 1
+        packets: list[Packet] = []
+        for start in range(0, len(positions), row):
+            batch = positions[start : start + row]
+            for chunk_pos, chunk in zip(batch, world.get_chunks(batch)):
+                packets.append(
+                    ChunkDataPacket(
+                        chunk=chunk_pos,
+                        total_blocks=CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT,
+                        non_air_blocks=chunk.non_air_count,
+                    )
+                )
+                packets.extend(self._entity_snapshots(session, chunk_pos))
+        return packets
 
     def _entity_snapshots(
         self, session: PlayerSession, chunk_pos: ChunkPos

@@ -9,9 +9,16 @@ Generation keeps what it decided, not the blocks it implies: a chunk's
 :class:`GeneratedBase` is its 16x16 column heights and its ordered tree
 list, packed into a few hundred bytes, and answers any cell from the
 layering rule (:meth:`GeneratedBase.block_at`). No block array is built.
+
+The heightmap is one vectorised pass over every octave and every chunk of
+a batch (S33): :meth:`TerrainGenerator.generate_many` loads a row of
+chunks in one pass, and :meth:`TerrainGenerator.generate` is its
+one-chunk case.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -36,54 +43,6 @@ _TREE_DX, _TREE_DY, _TREE_DZ = np.array(
     ],
     dtype=np.int64,
 ).T
-
-
-def _lattice_values(seed: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Pseudo-random values in [0, 1) at integer lattice points.
-
-    Uses a SplitMix64-style integer hash so the lattice is a pure function
-    of (seed, x, z) and vectorizes (and broadcasts) over numpy arrays.
-    """
-    x64 = xs.astype(np.uint64)
-    z64 = zs.astype(np.uint64)
-    h = x64 * np.uint64(0x9E3779B97F4A7C15) ^ z64 * np.uint64(0xC2B2AE3D27D4EB4F)
-    h ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
-
-def _value_noise(seed: int, xs: np.ndarray, zs: np.ndarray, period: float) -> np.ndarray:
-    """Bilinear value noise at world columns ``xs`` x ``zs`` (a column and a
-    row vector, or two arrays of one shape)."""
-    gx = xs / period
-    gz = zs / period
-    x0 = np.floor(gx).astype(np.int64)
-    z0 = np.floor(gz).astype(np.int64)
-    fx = gx - x0
-    fz = gz - z0
-    # Smoothstep fade removes the lattice-aligned creases of raw bilinear.
-    fx = fx * fx * (3.0 - 2.0 * fx)
-    fz = fz * fz * (3.0 - 2.0 * fz)
-    # Hash each lattice corner once: a chunk spans at most 3x3 of them.
-    bx, bz = int(x0.min()), int(z0.min())
-    lattice = _lattice_values(
-        seed,
-        np.arange(bx, int(x0.max()) + 2, dtype=np.int64)[:, None],
-        np.arange(bz, int(z0.max()) + 2, dtype=np.int64)[None, :],
-    )
-    ix = x0 - bx
-    iz = z0 - bz
-    v00 = lattice[ix, iz]
-    v10 = lattice[ix + 1, iz]
-    v01 = lattice[ix, iz + 1]
-    v11 = lattice[ix + 1, iz + 1]
-    top = v00 * (1.0 - fx) + v10 * fx
-    bottom = v01 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fz) + bottom * fz
 
 
 class GeneratedBase:
@@ -161,34 +120,111 @@ class TerrainGenerator:
     def __init__(self, seed: int) -> None:
         self.seed = seed
         noise_seed = derive_seed(seed, "terrain", "height")
-        self._octave_seeds = tuple(
-            derive_seed(noise_seed, "octave", index) for index in range(len(self.OCTAVES))
-        )
+        # Per-octave constants shaped for the heightmap pass, whose axes
+        # are (octave, tile, x, z).
+        self._octave_seeds = np.array(
+            [
+                derive_seed(noise_seed, "octave", index) & 0xFFFFFFFFFFFFFFFF
+                for index in range(len(self.OCTAVES))
+            ],
+            dtype=np.uint64,
+        ).reshape(-1, 1, 1, 1)
+        self._amplitudes = np.array([a for a, __ in self.OCTAVES]).reshape(-1, 1, 1, 1)
+        self._periods = np.array([p for __, p in self.OCTAVES]).reshape(-1, 1, 1, 1)
+        self._amplitude_sum = sum(a for a, __ in self.OCTAVES)
 
     def height_at(self, x: int, z: int) -> int:
         """Terrain surface height for a single world column."""
-        xs = np.array([[x]], dtype=np.int64)
-        zs = np.array([[z]], dtype=np.int64)
-        return int(self._heightmap(xs, zs)[0, 0])
+        xs = np.array([[[x]]], dtype=np.int64)
+        zs = np.array([[[z]]], dtype=np.int64)
+        return int(self._heightmap(xs, zs)[0, 0, 0])
 
     def generate(self, pos: ChunkPos) -> Chunk:
         """Generate the chunk at ``pos``."""
-        x0 = pos.cx * CHUNK_SIZE
-        z0 = pos.cz * CHUNK_SIZE
+        return self.generate_many([pos])[0]
+
+    def generate_many(self, positions: Sequence[ChunkPos]) -> list[Chunk]:
+        """Generate the chunks at ``positions``, in order: one heightmap
+        pass over all of them, then each one's trees. Equal to a
+        :meth:`generate` loop, chunk for chunk; each chunk owns its bytes."""
+        if not positions:
+            return []
+        origins = np.array([(pos.cx, pos.cz) for pos in positions], dtype=np.int64)
+        columns = np.arange(CHUNK_SIZE, dtype=np.int64)
         heights = self._heightmap(
-            np.arange(x0, x0 + CHUNK_SIZE, dtype=np.int64)[:, None],
-            np.arange(z0, z0 + CHUNK_SIZE, dtype=np.int64)[None, :],
+            (origins[:, 0:1] * CHUNK_SIZE + columns)[:, :, None],
+            (origins[:, 1:2] * CHUNK_SIZE + columns)[:, None, :],
         )
-        trees = self._plant_trees(pos, heights.tolist())
-        return Chunk(pos, GeneratedBase(heights.astype(np.uint8).tobytes(), trees))
+        packed = heights.astype(np.uint8)
+        return [
+            Chunk(pos, GeneratedBase(packed[i].tobytes(), self._plant_trees(pos, tile)))
+            for i, (pos, tile) in enumerate(zip(positions, heights.tolist()))
+        ]
 
     def _heightmap(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        total = np.zeros(np.broadcast_shapes(xs.shape, zs.shape), dtype=np.float64)
-        amplitude_sum = 0.0
-        for (amplitude, period), octave_seed in zip(self.OCTAVES, self._octave_seeds):
-            total += amplitude * _value_noise(octave_seed, xs, zs, period)
-            amplitude_sum += amplitude
-        normalized = total / amplitude_sum
+        """Surface heights of tiles of world columns: ``xs`` is ``(tiles,
+        w, 1)`` and ``zs`` ``(tiles, 1, w)``, int64; returns ``(tiles, w,
+        w)``.
+
+        Every octave in one pass, the octave as the leading axis: bilinear
+        value noise with a smoothstep fade over an integer lattice, each
+        tile's lattice points hashed once (SplitMix64, a pure function of
+        seed and point), then the octaves weighted and summed in order.
+        Every element sees the same IEEE operations in the same order as
+        one octave and one chunk at a time, so heights do not depend on
+        how chunks are batched.
+        """
+        gx = xs / self._periods  # (octave, tile, w, 1)
+        gz = zs / self._periods  # (octave, tile, 1, w)
+        x0 = np.floor(gx).astype(np.int64)
+        z0 = np.floor(gz).astype(np.int64)
+        fx = gx - x0
+        fz = gz - z0
+        # Smoothstep fade removes the lattice-aligned creases of raw bilinear.
+        fx = fx * fx * (3.0 - 2.0 * fx)
+        fz = fz * fz * (3.0 - 2.0 * fz)
+        # Each tile's lattice from its lowest corner: a chunk spans at most
+        # 3x3 points per octave.
+        bx = x0.min(axis=2, keepdims=True)
+        bz = z0.min(axis=3, keepdims=True)
+        ix = x0 - bx
+        iz = z0 - bz
+        steps = np.arange(max(int(ix.max()), int(iz.max())) + 2, dtype=np.int64)
+        size = steps.size
+        lattice_x = (bx + steps[:, None]).astype(np.uint64)  # (octave, tile, size, 1)
+        lattice_z = (bz + steps[None, :]).astype(np.uint64)  # (octave, tile, 1, size)
+        h = lattice_x * np.uint64(0x9E3779B97F4A7C15) ^ lattice_z * np.uint64(0xC2B2AE3D27D4EB4F)
+        h ^= self._octave_seeds
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
+        lattice = ((h >> np.uint64(11)).astype(np.float64) / float(1 << 53)).ravel()
+        # Flat index of each column's (x0, z0) corner in its own tile's lattice.
+        octaves, tiles = x0.shape[:2]
+        tile = np.arange(octaves * tiles, dtype=np.int64).reshape(octaves, tiles, 1, 1)
+        corner = (tile * size + ix) * size + iz
+        # v00 * (1 - fx) + v10 * fx along x, then the same along z, in
+        # place: the same operations with fewer batch-sized temporaries.
+        top = lattice[corner]
+        top *= 1.0 - fx
+        top += lattice[corner + size] * fx
+        bottom = lattice[corner + 1]
+        bottom *= 1.0 - fx
+        bottom += lattice[corner + (size + 1)] * fx
+        del corner
+        top *= 1.0 - fz
+        bottom *= fz
+        top += bottom
+        del bottom
+        top *= self._amplitudes
+        # Summed from the first octave, not from 0.0: every weight is >= 0,
+        # and 0.0 + w is w bit for bit.
+        total = top[0]
+        for octave in top[1:]:
+            total = total + octave
+        normalized = total / self._amplitude_sum
         span = self.MAX_HEIGHT - self.MIN_HEIGHT
         return (self.MIN_HEIGHT + normalized * span).astype(np.int64)
 

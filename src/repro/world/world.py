@@ -8,7 +8,7 @@ just another listener.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.world.block import BlockType
 from repro.world.chunk import WORLD_HEIGHT, Chunk
@@ -101,6 +101,17 @@ class World:
             chunk = self.generator.generate(pos)
             self._chunks[pos] = chunk
         return chunk
+
+    def get_chunks(self, positions: Sequence[ChunkPos]) -> list[Chunk]:
+        """The chunks at ``positions``, in order: :meth:`get_chunk` over
+        them, with the missing ones generated in one pass and loaded in
+        the order a :meth:`get_chunk` loop loads them."""
+        chunks = self._chunks
+        missing = [pos for pos in dict.fromkeys(positions) if pos not in chunks]
+        if missing:
+            for pos, chunk in zip(missing, self.generator.generate_many(missing)):
+                chunks[pos] = chunk
+        return [chunks[pos] for pos in positions]
 
     def is_chunk_loaded(self, pos: ChunkPos) -> bool:
         return pos in self._chunks

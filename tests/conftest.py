@@ -177,6 +177,19 @@ class PerObjectDyconit(DyconitStateHandle):
                 next_deadline = oldest + row[1]
         return examined, tripped, next_deadline
 
+    def rebound_one(self, subscriber_id, numerical, staleness, order, now):
+        state = self._subscriptions.get(subscriber_id)
+        if state is None:
+            return 0, None, None, math.inf
+        state.bounds = Bounds(numerical, staleness, order)
+        oldest = state.oldest_pending_time
+        if oldest is None:
+            return 0, None, None, math.inf
+        reason = state.tripped_dimension(now)
+        if reason is None:
+            return 1, None, None, oldest + staleness
+        return 1, reason, state.drain(), math.inf
+
     def __repr__(self) -> str:
         return (
             f"PerObjectDyconit({self.dyconit_id!r}, subscribers={self.subscriber_count}, "

@@ -1,7 +1,10 @@
 """Unit tests for the AOI cutoff policy."""
 
+import random
+
 import pytest
 
+from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner
 from repro.policies.aoi import InterestCutoffPolicy
@@ -64,3 +67,39 @@ def test_rejects_negative_radius():
 
 def test_repr_mentions_radius():
     assert "2.0" in repr(InterestCutoffPolicy(2.0))
+
+
+@pytest.mark.parametrize("radius", [2.0, 0.0, 3.25])
+def test_bounds_columns_equal_bounds_for(radius):
+    """The crossing's column (S33) is ``bounds_for`` row for row, bit for
+    bit: on 2 000 random positions, on the cutoff exactly, on centroids,
+    for global and non-spatial ids and for a subscriber with no position."""
+    system, __, policy = build(radius=radius)
+    rng = random.Random(33)
+    positions = [
+        Vec3(rng.uniform(-200.0, 200.0), rng.uniform(0.0, 80.0), rng.uniform(-200.0, 200.0))
+        for __ in range(2000)
+    ]
+    edge = (radius + 0.5) * 16
+    positions += [Vec3(8.0 + edge, 30.0, 8.0), Vec3(8.0, 30.0, 8.0 - edge), Vec3(8.0, 0.0, 8.0)]
+    positions.append(None)
+    ids = [GLOBAL_DYCONIT, "not-spatial", ("chunk", 0, 0), ("chunk", -3, 7), ("region", 4, -2, 1)]
+    pairs = [(dyconit_id, position) for dyconit_id in ids for position in positions]
+    rng.shuffle(pairs)
+    expected = [
+        policy.bounds_for(system, dyconit_id, RecordingSubscriber(position=position).subscriber)
+        for dyconit_id, position in pairs
+    ]
+    numerical, staleness, order = policy.bounds_columns(
+        system, [dyconit_id for dyconit_id, __ in pairs], [position for __, position in pairs]
+    )
+    assert [
+        Bounds(*row) for row in zip(numerical.tolist(), staleness.tolist(), order.tolist())
+    ] == expected
+    assert Bounds.ZERO in expected and Bounds.INFINITE in expected
+    on_edge = [
+        bounds
+        for (dyconit_id, position), bounds in zip(pairs, expected)
+        if dyconit_id == ("chunk", 0, 0) and position is not None and position.x == 8.0 + edge
+    ]
+    assert on_edge == [Bounds.ZERO]

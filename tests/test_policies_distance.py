@@ -9,6 +9,7 @@ from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner, centroid_of
 from repro.policies import distance
+from repro.policies.aoi import InterestCutoffPolicy
 from repro.policies.distance import DistanceBasedPolicy
 from repro.world.geometry import CHUNK_SIZE, Vec3
 
@@ -165,17 +166,17 @@ def test_bounds_for_is_bit_identical_to_the_reference_derivation(exponent):
 
 
 def test_sweep_reads_the_subscriber_position_once():
-    reads = []
-    policy = DistanceBasedPolicy()
-    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
-    rec = RecordingSubscriber(position=Vec3(8.0, 30.0, 8.0))
-    provider = rec.subscriber.position_provider
-    rec.subscriber.position_provider = lambda: (reads.append(1), provider())[1]
-    for cx in range(6):
-        system.subscribe(("chunk", cx, 0), rec.subscriber)
-    reads.clear()
-    system.notify_subscriber_moved(rec.subscriber.subscriber_id)
-    assert reads == [1]
+    for policy in (DistanceBasedPolicy(), InterestCutoffPolicy()):
+        reads = []
+        system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+        rec = RecordingSubscriber(position=Vec3(8.0, 30.0, 8.0))
+        provider = rec.subscriber.position_provider
+        rec.subscriber.position_provider = lambda: (reads.append(1), provider())[1]
+        for cx in range(6):
+            system.subscribe(("chunk", cx, 0), rec.subscriber)
+        reads.clear()
+        system.notify_subscriber_moved(rec.subscriber.subscriber_id)
+        assert reads == [1], policy
 
 
 def test_centroid_cache_is_bounded_and_stays_out_of_pickles(monkeypatch):

@@ -1,4 +1,5 @@
-"""The retune pass (S23) against a per-pair reference sweep.
+"""The retune pass (S23) and the crossing pass (S33) against per-pair
+reference sweeps.
 
 First every boundary of ``Bounds.tripped_dimension`` on every store — at
 the staleness bound exactly, an infinite staleness bound, numerical over
@@ -17,6 +18,15 @@ digest, ``DyconitStats`` (``queue_delay_total_ms``, a float sum taken in
 flush order, included), every due time after every window, every flush in
 order, and every bound bit.
 
+The crossing pass — ``DyconitSystem.retune_subscriber``, one
+``bounds_columns`` call over a crossing subscriber's membership and one
+``rebound_one`` per dyconit — is held to :func:`reapply_bounds`, the
+per-pair ``set_bounds`` sweep policies made on a crossing before S33, the
+same way: the trip boundaries on every store, each store's
+``rebound_one`` against the per-object reference row for row, and whole
+runs of a trek crowd under ``DistanceBasedPolicy`` and of the adaptive
+crowd above.
+
 CI runs this module under two ``PYTHONHASHSEED`` values.
 """
 
@@ -31,10 +41,11 @@ from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
 from repro.core.policy import Policy
-from repro.policies import AdaptiveBoundsPolicy
+from repro.policies import AdaptiveBoundsPolicy, DistanceBasedPolicy, InterestCutoffPolicy
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
+from repro.telemetry.hub import Telemetry
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
@@ -67,6 +78,21 @@ def per_pair_retune(system, bounds_columns) -> None:
             )
 
 
+def reapply_bounds(system, subscriber, bounds_from) -> None:
+    """The crossing oracle: ``set_bounds(bounds_from(system, dyconit_id,
+    position))`` per dyconit of ``subscriber``, in membership order, with
+    the position read once."""
+    subscriber_id = subscriber.subscriber_id
+    position = subscriber.position
+    for dyconit_id in system.subscription_ids_of(subscriber_id):
+        system.set_bounds(dyconit_id, subscriber_id, bounds_from(system, dyconit_id, position))
+
+
+def per_pair_crossing(system, subscriber, bounds_columns) -> None:
+    """``DyconitSystem.retune_subscriber`` as the oracle sweep."""
+    reapply_bounds(system, subscriber, bounds_columns.__self__.bounds_from)
+
+
 def state_digest(server, fleet) -> str:
     """``bench/trial.py``'s digest: authoritative entity positions, every
     bot's replica and packet count, per-kind packet and byte totals."""
@@ -87,11 +113,29 @@ def state_digest(server, fleet) -> str:
     return digest.hexdigest()
 
 
-def run(state_store: str, retune, monkeypatch) -> dict:
-    """One crowd run with ``retune`` as ``DyconitSystem.retune_clients``;
-    returns everything the test compares."""
+#: The two crowds: ``adaptive-hotspot`` in small, and ``distance-trek`` in
+#: small — trek movement under ``DistanceBasedPolicy``, but from the
+#: default 48-block disc rather than the bench's 600-block one, so the bots
+#: start inside each other's views and their crossings find queues pending.
+CROWDS = {
+    "adaptive": (lambda: AdaptiveBoundsPolicy(tighten_factor=0.95), "hotspot"),
+    "trek": (DistanceBasedPolicy, "trek"),
+}
+
+
+def run(
+    state_store: str,
+    monkeypatch,
+    retune=DyconitSystem.retune_clients,
+    crossing=DyconitSystem.retune_subscriber,
+    crowd: str = "adaptive",
+) -> dict:
+    """One crowd run with ``retune`` as ``DyconitSystem.retune_clients``
+    and ``crossing`` as ``DyconitSystem.retune_subscriber``; returns
+    everything the tests compare."""
     flushes = []
     retune_flushes = []
+    crossing_flushes = []
     flushed = DyconitSystem._flushed
 
     def recording_flushed(system, dyconit_id, subscriber, updates, reason):
@@ -105,13 +149,20 @@ def run(state_store: str, retune, monkeypatch) -> dict:
         retune(system, bounds_columns)
         retune_flushes.append(len(flushes) - before)
 
+    def counting_crossing(system, subscriber, bounds_columns):
+        before = len(flushes)
+        crossing(system, subscriber, bounds_columns)
+        crossing_flushes.append(len(flushes) - before)
+
     monkeypatch.setattr(DyconitSystem, "_flushed", recording_flushed)
     monkeypatch.setattr(DyconitSystem, "retune_clients", counting_retune)
+    monkeypatch.setattr(DyconitSystem, "retune_subscriber", counting_crossing)
+    policy, movement = CROWDS[crowd]
     sim = Simulation()
     server = GameServer(
         sim,
         config=ServerConfig(synchronous_delivery=True, state_store=state_store, seed=SEED),
-        policy=AdaptiveBoundsPolicy(tighten_factor=0.95),
+        policy=policy(),
     )
     server.start()
     fleet = Workload(
@@ -120,7 +171,7 @@ def run(state_store: str, retune, monkeypatch) -> dict:
         WorkloadSpec(
             bots=BOTS,
             seed=SEED,
-            movement="hotspot",
+            movement=movement,
             behavior=BUILDER_MIX,
             arrival_stagger_ms=10.0,
             measure_interval_ms=0.0,
@@ -143,12 +194,13 @@ def run(state_store: str, retune, monkeypatch) -> dict:
         "due times": due,
         "flushes": flushes,
         "retune flushes": retune_flushes,
+        "crossing flushes": crossing_flushes,
         "bounds": [
             (repr(dyconit.dyconit_id), state.subscriber.subscriber_id, state.bounds)
             for dyconit in system.dyconits()
             for state in dyconit.subscription_states()
         ],
-        "factors": system.policy.factor_history,
+        "factors": getattr(system.policy, "factor_history", None),
     }
     server.close()
     monkeypatch.undo()
@@ -247,10 +299,175 @@ def test_retune_trips_exactly_what_set_bounds_would(state_store):
 
 @pytest.mark.parametrize("state_store", ["memory", "sqlite"])
 def test_retune_pass_equals_the_per_pair_sweep(state_store, monkeypatch):
-    product = run(state_store, DyconitSystem.retune_clients, monkeypatch)
-    reference = run(state_store, per_pair_retune, monkeypatch)
+    product = run(state_store, monkeypatch)
+    reference = run(state_store, monkeypatch, retune=per_pair_retune)
     factors = [factor for __, factor in product["factors"]]
     assert len(set(factors)) >= 9  # a retune (nearly) every second
     assert sum(product["retune flushes"]) > 40  # and they trip queues
     for key, value in reference.items():
         assert product[key] == value, f"{key} differs from the per-pair sweep"
+
+
+# ----------------------------------------------------------------------
+# The crossing pass (S33)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("state_store", ["memory", "per-object", "sqlite", "postgres-dialect"])
+def test_crossing_trips_exactly_what_set_bounds_would(state_store):
+    """Every ``Bounds.tripped_dimension`` boundary through the crossing
+    pass, on every store: each client's crossing, in registration order,
+    against the per-pair sweep installing the same bounds."""
+    outcomes = []
+    for crossing in (DyconitSystem.retune_subscriber, per_pair_crossing):
+        system, recorders = boundary_system(state_store)
+        for sub_id in range(1, 8):
+            with system._flush_scope():  # as notify_subscriber_moved runs it
+                crossing(system, recorders[sub_id].subscriber, system.policy.bounds_columns)
+        outcomes.append(
+            (
+                system.stats,
+                dict(system._due_at),
+                {sub_id: recorder.deliveries for sub_id, recorder in recorders.items()},
+                [
+                    (state.subscriber.subscriber_id, state.bounds)
+                    for dyconit in system.dyconits()
+                    for state in dyconit.subscription_states()
+                ],
+            )
+        )
+        system.close()
+    (stats, due, deliveries, bounds), reference = outcomes
+    assert (stats, due, deliveries, bounds) == reference
+    assert (stats.flushes_numerical, stats.flushes_staleness, stats.flushes_order) == (8, 2, 2)
+    assert stats.bound_checks == 4 * 7 + 2 * 6
+    assert due == {CHUNK_A: 130.0, CHUNK_B: 130.0}
+    # Client 2 subscribed B first: its crossing drains in membership order.
+    assert [dyconit_id for dyconit_id, __ in deliveries[2]] == [CHUNK_B, CHUNK_A]
+    assert deliveries[3] == deliveries[6] == deliveries[7] == []
+    assert (8, Bounds.ZERO) in bounds
+
+
+#: ``rebound_one`` rows: (subscriber, (numerical, staleness, order)). The
+#: queues of clients 1-6 hold two updates of weight 1 from t=0, client 7's
+#: is empty, client 9 is not subscribed; the install runs at t=100.
+ROWS = [
+    (1, (0.5, 1e9, math.inf)),  # numerical
+    (2, (1e9, 100.0, math.inf)),  # staleness exactly at the bound
+    (3, (1e9, math.inf, math.inf)),  # an infinite staleness bound never trips
+    (4, (1e9, 1e9, 1.0)),  # order
+    (5, (0.5, 50.0, 0.0)),  # numerical over staleness over order
+    (6, (1e9, 50.0, 0.0)),  # staleness over order
+    (6, (1e9, 130.0, math.inf)),  # nothing left: an empty queue
+    (7, (0.0, 0.0, 0.0)),  # an empty queue trips nothing, even at zero
+    (9, (0.0, 0.0, 0.0)),  # not subscribed
+    (3, (1e9, 130.0, math.inf)),  # pending, not tripped: due at 130
+]
+
+
+def rebound_rows(state_store):
+    system, recorders = boundary_system(state_store)
+    handle = system.get(CHUNK_A)
+    results = [
+        (sub_id, *handle.rebound_one(sub_id, *bounds, 100.0)) for sub_id, bounds in ROWS
+    ]
+    states = handle.subscription_states()
+    bounds = [(state.subscriber.subscriber_id, state.bounds) for state in states]
+    pending = [
+        (state.subscriber.subscriber_id, state.oldest_pending_time, len(state.pending))
+        for state in states
+    ]
+    system.close()
+    return [
+        (sub_id, examined, reason, None if updates is None else list(updates), deadline)
+        for sub_id, examined, reason, updates, deadline in results
+    ], bounds, pending
+
+
+@pytest.mark.parametrize("state_store", ["memory", "sqlite", "postgres-dialect"])
+def test_rebound_one_equals_the_per_object_reference(state_store):
+    """One scalar install-and-check per row, on every store, equal to the
+    per-object reference's: returned tuples, installed bounds bit for bit,
+    and what stays queued."""
+    product = rebound_rows(state_store)
+    reference = rebound_rows("per-object")
+    assert product == reference
+    results, bounds, pending = reference
+    # (subscriber, examined, reason, deadline) per row
+    assert [(row[0], row[1], row[2], row[4]) for row in results] == [
+        (1, 1, "numerical", math.inf),
+        (2, 1, "staleness", math.inf),
+        (3, 1, None, math.inf),
+        (4, 1, "order", math.inf),
+        (5, 1, "numerical", math.inf),
+        (6, 1, "staleness", math.inf),
+        (6, 0, None, math.inf),
+        (7, 0, None, math.inf),
+        (9, 0, None, math.inf),
+        (3, 1, None, 130.0),
+    ]
+    assert all(len(results[i][3]) == 2 for i in (0, 1, 3, 4, 5))
+    assert 9 not in {sub_id for sub_id, __ in bounds}
+    assert dict(bounds)[3] == Bounds(1e9, 130.0)
+    assert dict(bounds)[7] == Bounds(0.0, 0.0, 0.0)
+    assert [row for row in pending if row[2]] == [(3, 0.0, 2)]
+
+
+@pytest.mark.parametrize("crowd", ["trek", "adaptive"])
+@pytest.mark.parametrize("state_store", ["memory", "sqlite"])
+def test_crossing_pass_equals_the_per_pair_sweep(state_store, crowd, monkeypatch):
+    product = run(state_store, monkeypatch, crowd=crowd)
+    reference = run(state_store, monkeypatch, crossing=per_pair_crossing, crowd=crowd)
+    assert len(product["crossing flushes"]) > 40  # crossings happen ...
+    assert sum(product["crossing flushes"]) > 50  # ... and they trip queues
+    for key, value in reference.items():
+        assert product[key] == value, f"{key} differs from the per-pair sweep"
+
+
+@pytest.mark.parametrize(
+    "policy_class", [DistanceBasedPolicy, AdaptiveBoundsPolicy, InterestCutoffPolicy]
+)
+def test_crossing_logs_the_decisions_set_bounds_would(policy_class):
+    """With telemetry on, a crossing logs one ``bounds`` decision per
+    dyconit, each before that dyconit's flush, exactly as the per-pair
+    sweep through ``set_bounds`` does."""
+    logs = []
+    for oracle in (False, True):
+        policy = policy_class()
+        crossing = per_pair_oracle(policy) if oracle else DyconitSystem.retune_subscriber
+        clock = {"now": 0.0}
+        system = DyconitSystem(
+            policy,
+            ChunkPartitioner(),
+            time_source=lambda: clock["now"],
+            telemetry=Telemetry(enabled=True),
+        )
+        mover = RecordingSubscriber(1, position=Vec3(8.0, 30.0, 8.0))
+        for cx in range(-4, 5):
+            system.subscribe(("chunk", cx, 0), mover.subscriber, bounds=Bounds(1e9, 1e9))
+            system.commit_to(("chunk", cx, 0), move(2))
+        clock["now"] = 300.0
+        with system._flush_scope():
+            crossing(system, mover.subscriber, policy.bounds_columns)
+        logs.append(
+            [
+                (event.kind, dict(event.fields))
+                for event in system.telemetry.events
+                if event.kind.startswith("trace.")
+            ]
+        )
+    product, reference = logs
+    assert product == reference
+    kinds = [kind for kind, __ in product]
+    assert kinds.count("trace.bounds") == 9 and "trace.flush" in kinds
+
+
+def per_pair_oracle(policy):
+    """The oracle sweep for ``policy``; AOI has no ``bounds_from``."""
+    if isinstance(policy, InterestCutoffPolicy):
+        return lambda system, subscriber, __: reapply_bounds(
+            system,
+            subscriber,
+            lambda system, dyconit_id, __: policy.bounds_for(system, dyconit_id, subscriber),
+        )
+    return per_pair_crossing

@@ -12,6 +12,7 @@ from repro.net.protocol import (
 )
 from repro.policies.zero import ZeroBoundsPolicy
 from repro.world.geometry import ChunkPos, Vec3
+from repro.world.world import World
 
 
 class Client:
@@ -66,6 +67,35 @@ def test_crossing_chunk_border_shifts_view(sim, server):
     subs = server.dyconits.subscriptions_of(session.client_id)
     assert ("chunk", 6, 0) in subs
     assert ("chunk", -5, 0) not in subs
+
+
+def test_view_changes_load_chunks_a_view_row_at_a_time(sim, server, monkeypatch):
+    """A join and a diagonal crossing load their chunks through
+    ``World.get_chunks``, at most one view row (2 * view_distance + 1
+    chunks) per call, in the order the chunk packets go out."""
+    batches = []
+    get_chunks = World.get_chunks
+
+    def spy(world, positions):
+        batches.append(list(positions))
+        return get_chunks(world, positions)
+
+    monkeypatch.setattr(World, "get_chunks", spy)
+    client = Client()
+    session = server.connect("alice", handler=client, position=Vec3(8, 30, 8))
+    row = 2 * session.view_distance + 1
+    assert [len(batch) for batch in batches] == [row] * row
+    assert [pos for batch in batches for pos in batch] == [
+        packet.chunk for packet in client.of_kind(ChunkDataPacket)
+    ]
+    batches.clear()
+    client.packets.clear()
+    walk_to(sim, server, session, Vec3(24.0, 30.0, 24.0))  # diagonally into chunk (1, 1)
+    assert session.anchor_chunk == ChunkPos(1, 1)
+    sent = [packet.chunk for packet in client.of_kind(ChunkDataPacket)]
+    assert len(sent) == 2 * row - 1  # the L of a diagonal crossing
+    assert [pos for batch in batches for pos in batch] == sent
+    assert [len(batch) for batch in batches] == [row, row - 1]
 
 
 def test_view_change_keeps_subscription_count(sim, server):
