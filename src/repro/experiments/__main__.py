@@ -20,46 +20,117 @@ from repro.experiments.store import save_telemetry
 from repro.telemetry import Telemetry, render_summary, set_telemetry
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bots", type=int, default=60, help="fleet size")
-    parser.add_argument(
-        "--duration", type=float, default=20.0, help="run length in simulated seconds"
+def _counts(text: str) -> tuple[int, ...]:
+    return tuple(int(count) for count in text.split(","))
+
+
+def _dynamics(bots, duration_ms, seed, audit_every_n_ticks) -> dict:
+    """E6 at the CLI: a burst of twice the fleet through the middle third."""
+    duration_ms = max(duration_ms, 45_000.0)
+    return figures.dynamics_timeline(
+        base_bots=bots,
+        burst_bots=bots * 2,
+        duration_ms=duration_ms,
+        burst_at_ms=duration_ms / 3,
+        burst_end_ms=2 * duration_ms / 3,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
     )
-    parser.add_argument(
-        "--warmup", type=float, default=None,
+
+
+#: The window options, flag -> ``add_argument`` keywords. Every command
+#: takes --duration, --seed, --telemetry and --audit; the others only
+#: where its driver reads them.
+OPTIONS = {
+    "--bots": dict(type=int, default=60, help="fleet size"),
+    "--duration": dict(type=float, default=20.0, help="run length in simulated seconds"),
+    "--warmup": dict(
+        type=float, default=None,
         help="measurement warmup in simulated seconds (default: duration/3)",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--telemetry", metavar="PATH", default=None,
+    ),
+    "--seed": dict(type=int, default=42),
+    "--telemetry": dict(
+        metavar="PATH", default=None,
         help="record an instrumented run: write a JSONL span/metric stream "
-        "to PATH and a Prometheus snapshot to PATH.prom",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "to PATH and a Prometheus snapshot to PATH.prom (needs --jobs 1)",
+    ),
+    "--jobs": dict(
+        type=int, default=1, metavar="N",
         help="shard experiment cells across N worker processes "
         "(1 = in-process serial; output is byte-identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
+    ),
+    "--cache-dir": dict(
+        metavar="DIR", default=None,
         help="content-addressed result cache: completed cells found in DIR "
         "are not re-run, and an interrupted sweep resumes from it",
-    )
-    parser.add_argument(
-        "--audit", type=int, nargs="?", const=1, default=0, metavar="TICKS",
+    ),
+    "--audit": dict(
+        type=int, nargs="?", const=1, default=0, metavar="TICKS",
         help="checked mode: audit middleware invariants every TICKS ticks "
         "(bare --audit = every tick) and abort on the first violation",
-    )
+    ),
+}
+
+#: What ``all`` runs, in order.
+ALL = ("e1", "e3", "e4", "e6", "e7", "e8a", "e8b", "e8c", "e9")
+#: Subcommand -> (help, driver).
+COMMANDS = {
+    "e1": ("bandwidth by policy (claim: up to -85%%)", figures.bandwidth_by_policy),
+    "e2": ("player capacity sweep (claim: up to +40%%)", figures.capacity_sweep),
+    "e3": ("client-observed inconsistency by policy", figures.inconsistency_by_policy),
+    "e4": ("latency: network CDF + middleware queue delay", figures.latency_by_policy),
+    "e6": ("adaptive policy dynamics under a player burst", _dynamics),
+    "e7": ("policy summary table", figures.policy_summary_table),
+    "e8a": ("ablation: update merging on/off", figures.ablation_merging),
+    "e8b": ("ablation: dyconit granularity", figures.ablation_granularity),
+    "e8c": ("ablation: policy evaluation period", figures.ablation_policy_period),
+    "e9": ("resilience: packet loss + session churn sweep", figures.fault_churn_sweep),
+    "e11": ("sharded world: shard-count scaling (S16)", figures.shard_scaling),
+    "all": ("run " + ", ".join(ALL) + " in sequence", None),
+}
+#: The window options of the commands that do not take all of OPTIONS:
+#: e2's ladder takes its fleet sizes from --counts, and e6 runs one
+#: in-process cell with its own warmup.
+WINDOWS = {
+    "e2": tuple(flag for flag in OPTIONS if flag != "--bots"),
+    "e6": ("--bots", "--duration", "--seed", "--telemetry", "--audit"),
+}
+#: Options beyond the window, flag -> ``add_argument`` keywords; each
+#: ``dest`` is the driver keyword it fills.
+EXTRAS = {
+    "e2": {
+        "--counts": dict(
+            dest="bot_counts", type=_counts, default="50,100,150,200",
+            help="comma-separated player counts to sweep",
+        ),
+    },
+    "e11": {
+        "--shards": dict(
+            dest="shard_counts", type=_counts, default="1,2,4",
+            help="comma-separated shard counts to sweep",
+        ),
+        "--movement": dict(
+            dest="movement", default="gathering",
+            help="workload movement model (gathering = border hotspot)",
+        ),
+    },
+}
 
 
-def _window(args) -> dict:
+def _window(args, flags) -> dict:
+    """The driver keywords a command's window options fill."""
     duration_ms = args.duration * 1000.0
-    warmup_ms = args.warmup * 1000.0 if args.warmup is not None else duration_ms / 3.0
-    return dict(
-        bots=args.bots, duration_ms=duration_ms, warmup_ms=warmup_ms, seed=args.seed,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        audit_every_n_ticks=args.audit,
-    )
+    window = dict(duration_ms=duration_ms, seed=args.seed, audit_every_n_ticks=args.audit)
+    if "--bots" in flags:
+        window["bots"] = args.bots
+    if "--warmup" in flags:
+        warmup_ms = args.warmup * 1000.0 if args.warmup is not None else duration_ms / 3.0
+        window["warmup_ms"] = warmup_ms
+    if "--jobs" in flags:
+        window["jobs"] = args.jobs
+    if "--cache-dir" in flags:
+        window["cache_dir"] = args.cache_dir
+    return window
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,102 +139,25 @@ def main(argv: list[str] | None = None) -> int:
         description="regenerate the Dyconits paper's tables and figures",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    for name, help_text in (
-        ("e1", "bandwidth by policy (claim: up to -85%)"),
-        ("e3", "client-observed inconsistency by policy"),
-        ("e4", "latency: network CDF + middleware queue delay"),
-        ("e6", "adaptive policy dynamics under a player burst"),
-        ("e7", "policy summary table"),
-        ("e8a", "ablation: update merging on/off"),
-        ("e8b", "ablation: dyconit granularity"),
-        ("e8c", "ablation: policy evaluation period"),
-        ("e9", "resilience: packet loss + session churn sweep"),
-        ("all", "run every experiment above in sequence"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         sub_parser = sub.add_parser(name, help=help_text)
-        _common(sub_parser)
-
-    e11 = sub.add_parser(
-        "e11", help="sharded world: shard-count scaling (S16)"
-    )
-    _common(e11)
-    e11.add_argument(
-        "--shards", default="1,2,4",
-        help="comma-separated shard counts to sweep",
-    )
-    e11.add_argument(
-        "--movement", default="gathering",
-        help="workload movement model (gathering = border hotspot)",
-    )
-
-    e2 = sub.add_parser("e2", help="player capacity sweep (claim: up to +40%)")
-    _common(e2)
-    e2.add_argument(
-        "--counts", default="50,100,150,200",
-        help="comma-separated player counts to sweep",
-    )
+        for flag in WINDOWS.get(name, OPTIONS):
+            sub_parser.add_argument(flag, **OPTIONS[flag])
+        for flag, options in EXTRAS.get(name, {}).items():
+            sub_parser.add_argument(flag, **options)
 
     args = parser.parse_args(argv)
-    window = _window(args)
+    if args.telemetry and getattr(args, "jobs", 1) > 1:
+        parser.error(
+            "--telemetry needs --jobs 1: sweep workers record into their own "
+            "telemetry hubs, which never reach this process"
+        )
 
     def run_one(name: str) -> None:
-        if name == "e1":
-            print(figures.bandwidth_by_policy(**window)["table"])
-        elif name == "e2":
-            counts = tuple(int(c) for c in args.counts.split(","))
-            out = figures.capacity_sweep(
-                bot_counts=counts,
-                duration_ms=window["duration_ms"],
-                warmup_ms=window["warmup_ms"],
-                seed=window["seed"],
-                jobs=window["jobs"],
-                cache_dir=window["cache_dir"],
-                audit_every_n_ticks=window["audit_every_n_ticks"],
-            )
-            print(out["table"])
-        elif name == "e3":
-            print(figures.inconsistency_by_policy(**window)["table"])
-        elif name == "e4":
-            print(figures.latency_by_policy(**window)["table"])
-        elif name == "e6":
-            duration = window["duration_ms"]
-            out = figures.dynamics_timeline(
-                base_bots=window["bots"],
-                burst_bots=window["bots"] * 2,
-                duration_ms=max(duration, 45_000.0),
-                burst_at_ms=max(duration, 45_000.0) / 3,
-                burst_end_ms=2 * max(duration, 45_000.0) / 3,
-                seed=window["seed"],
-                audit_every_n_ticks=window["audit_every_n_ticks"],
-            )
-            print(out["table"])
-        elif name == "e7":
-            print(figures.policy_summary_table(**window)["table"])
-        elif name == "e8a":
-            print(figures.ablation_merging(**window)["table"])
-        elif name == "e8b":
-            print(figures.ablation_granularity(**window)["table"])
-        elif name == "e8c":
-            print(figures.ablation_policy_period(**window)["table"])
-        elif name == "e9":
-            print(figures.fault_churn_sweep(**window)["table"])
-        elif name == "e11":
-            shard_counts = tuple(int(c) for c in args.shards.split(","))
-            out = figures.shard_scaling(
-                bots=window["bots"],
-                duration_ms=window["duration_ms"],
-                warmup_ms=window["warmup_ms"],
-                seed=window["seed"],
-                shard_counts=shard_counts,
-                movement=args.movement,
-                jobs=window["jobs"],
-                cache_dir=window["cache_dir"],
-                audit_every_n_ticks=window["audit_every_n_ticks"],
-            )
-            print(out["table"])
-        else:
-            raise ValueError(f"unknown experiment {name!r}")
+        window = _window(args, WINDOWS.get(name, OPTIONS))
+        for options in EXTRAS.get(name, {}).values():
+            window[options["dest"]] = getattr(args, options["dest"])
+        print(COMMANDS[name][1](**window)["table"])
 
     hub = None
     previous_hub = None
@@ -173,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.experiment == "all":
-            for name in ("e1", "e3", "e4", "e6", "e7", "e8a", "e8b", "e8c", "e9"):
+            for name in ALL:
                 print(f"=== {name} ===")
                 run_one(name)
                 print()

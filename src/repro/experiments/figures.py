@@ -6,6 +6,12 @@ necessary experiment points and returns ``{"rows": [...], "table": str,
 ``table`` is a rendered ASCII rendition. The ``benchmarks/`` directory
 exposes one pytest-benchmark target per function; EXPERIMENTS.md records
 paper-vs-measured for each.
+
+Every sweep-shaped driver has the same shape (S34): one base
+:class:`ExperimentConfig` holding the window its cells share, a dict of
+points mapping each point's key to its ``with_(...)`` overrides (cell
+name included), :func:`_sweep` to run them, and one row dict per point
+rendered by :func:`_table`.
 """
 
 from __future__ import annotations
@@ -31,6 +37,28 @@ E1_POLICIES = (
 E7_POLICIES = ("vanilla", "zero", "fixed", "aoi", "distance", "adaptive", "infinite")
 
 
+def _sweep(base: ExperimentConfig, points: dict, jobs: int, cache_dir) -> dict:
+    """Run ``base.with_(**overrides)`` for every point, in point order.
+
+    ``points`` maps each point's key to its overrides; the results come
+    back keyed the same way.
+    """
+    cells = [base.with_(**overrides) for overrides in points.values()]
+    # A cell that raises does so on every attempt, so none is retried.
+    results = run_cells(cells, jobs=jobs, cache_dir=cache_dir, retries=0)
+    return dict(zip(points, results))
+
+
+def _table(rows: list[dict], title: str, columns: list[str] | None = None) -> str:
+    """Render row dicts; the columns are the first row's keys unless given."""
+    columns = columns or list(rows[0])
+    return render_table(
+        columns,
+        [[row[column] for column in columns] for row in rows],
+        title=title,
+    )
+
+
 # ----------------------------------------------------------------------
 # E1 — bandwidth by policy (abstract claim: up to 85% reduction)
 # ----------------------------------------------------------------------
@@ -52,45 +80,33 @@ def bandwidth_by_policy(
     one center, so traffic is update-dominated and classic interest
     management has nothing left to filter.
     """
-    plain_policies = [p for p in policies if p != "adaptive-bw"]
-    cells = [
-        ExperimentConfig(
-            name=f"e1-{policy}",
-            policy=policy,
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-            movement="village",
-        )
-        for policy in plain_policies
-    ]
-    results: dict[str, ExperimentResult] = dict(
-        zip(plain_policies, run_cells(cells, jobs=jobs, cache_dir=cache_dir))
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+        movement="village",
     )
-    deferred_budget = "adaptive-bw" in policies
+    points = {
+        policy: dict(name=f"e1-{policy}", policy=policy)
+        for policy in policies
+        if policy != "adaptive-bw"
+    }
+    results: dict[str, ExperimentResult] = _sweep(base, points, jobs, cache_dir)
 
     baseline = results.get("zero") or results.get("vanilla")
     baseline_rate = baseline.steady_bytes_per_second if baseline else 0.0
 
-    if deferred_budget and baseline_rate > 0:
+    if "adaptive-bw" in policies and baseline_rate > 0:
         # The budgeted cell depends on the measured baseline, so it runs
-        # as a second (single-cell) stage after the parallel batch.
-        config = ExperimentConfig(
+        # as a second (single-cell) stage after the first batch.
+        point = dict(
             name="e1-adaptive-bw",
             policy="adaptive",
             policy_kwargs={"bandwidth_budget_bytes_per_s": 0.25 * baseline_rate},
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-            movement="village",
         )
-        results["adaptive-bw"] = run_cells(
-            [config], jobs=1, cache_dir=cache_dir
-        )[0]
+        results.update(_sweep(base, {"adaptive-bw": point}, jobs, cache_dir))
     baseline_update_bytes = _update_bytes(baseline) if baseline else 0
 
     rows = []
@@ -113,15 +129,7 @@ def bandwidth_by_policy(
                 "merge %": 100.0 * result.dyconit_stats.get("merge_ratio", 0.0),
             }
         )
-    table = render_table(
-        ["policy", "kB/s", "B/s/player", "reduction %", "upd reduction %", "merge %"],
-        [
-            [r["policy"], r["kB/s"], r["B/s/player"], r["reduction %"],
-             r["upd reduction %"], r["merge %"]]
-            for r in rows
-        ],
-        title=f"E1 bandwidth by policy ({bots} bots, village workload)",
-    )
+    table = _table(rows, f"E1 bandwidth by policy ({bots} bots, village workload)")
     return {"rows": rows, "table": table, "results": results}
 
 
@@ -163,59 +171,44 @@ def capacity_sweep(
     duration stays within the 50 ms budget, linearly interpolated between
     the last passing and first failing sweep points.
 
-    Serially (``jobs == 1``) each policy's sweep stops at the first
-    over-budget point — deeper overload points only burn wall-clock.
-    With ``jobs > 1`` every (policy, count) cell is dispatched up front
-    (the early exit would serialize the sweep) and the curve is then
-    truncated at the same crossing, so the reported rows are identical
-    either way.
+    The (policy, count) cells queue policy by policy, count by count, and
+    run in rounds of the next ``max(1, jobs)`` queued cells. After each
+    round a policy whose curve crossed the budget drops its queued cells
+    and its curve is cut at the crossing: the crossing is bracketed, and
+    deeper overload points only burn wall-clock (the death spiral makes
+    them disproportionately expensive to simulate). A round spans
+    policies, so workers stay busy, and the rows do not depend on
+    ``jobs``; at ``jobs=1`` each round is the next cell of the serial
+    ladder.
     """
-    curves: dict[str, list[tuple[int, float]]] = {}
-    capacities: dict[str, float] = {}
+    base = ExperimentConfig(
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+    )
+    curves: dict[str, list[tuple[int, float]]] = {policy: [] for policy in policies}
 
-    def cell(policy: str, bots: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            name=f"e2-{policy}-{bots}",
-            policy=policy,
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-        )
+    def crossed(policy: str) -> bool:
+        curve = curves[policy]
+        return bool(curve) and curve[-1][1] > tick_budget_ms
 
-    if jobs > 1:
-        cells = [cell(policy, bots) for policy in policies for bots in bot_counts]
-        all_results = dict(
-            zip(
-                [(policy, bots) for policy in policies for bots in bot_counts],
-                run_cells(cells, jobs=jobs, cache_dir=cache_dir),
+    batch = max(1, jobs)
+    queued = [(policy, bots) for policy in policies for bots in bot_counts]
+    while queued:
+        points = {
+            (policy, bots): dict(
+                name=f"e2-{policy}-{bots}",
+                policy=policy,
+                bots=bots,
             )
-        )
-        for policy in policies:
-            curve = []
-            for bots in bot_counts:
-                p95 = all_results[(policy, bots)].tick_duration.p95
-                curve.append((bots, p95))
-                if p95 > tick_budget_ms:
-                    break
-            curves[policy] = curve
-            capacities[policy] = _capacity_at(curve, tick_budget_ms)
-    else:
-        for policy in policies:
-            curve = []
-            for bots in bot_counts:
-                result = run_cells(
-                    [cell(policy, bots)], jobs=1, cache_dir=cache_dir
-                )[0]
-                curve.append((bots, result.tick_duration.p95))
-                if result.tick_duration.p95 > tick_budget_ms:
-                    # The capacity crossing is bracketed; deeper overload
-                    # points only burn wall-clock (the death spiral makes
-                    # them disproportionately expensive to simulate).
-                    break
-            curves[policy] = curve
-            capacities[policy] = _capacity_at(curve, tick_budget_ms)
+            for policy, bots in queued[:batch]
+        }
+        for (policy, bots), result in _sweep(base, points, jobs, cache_dir).items():
+            if not crossed(policy):
+                curves[policy].append((bots, result.tick_duration.p95))
+        queued = [(policy, bots) for policy, bots in queued[batch:] if not crossed(policy)]
+    capacities = {policy: _capacity_at(curves[policy], tick_budget_ms) for policy in policies}
 
     rows = []
     for policy in policies:
@@ -224,10 +217,12 @@ def capacity_sweep(
     gain = (
         100.0 * (capacities[policies[-1]] / baseline - 1.0) if baseline else 0.0
     )
-    table = render_table(
-        ["policy", "capacity (players @ p95 tick <= 50 ms)"],
-        [[p, capacities[p]] for p in policies],
-        title=f"E2 player capacity (gain of {policies[-1]} over {policies[0]}: {gain:.0f}%)",
+    table = _table(
+        [
+            {"policy": policy, "capacity (players @ p95 tick <= 50 ms)": capacities[policy]}
+            for policy in policies
+        ],
+        f"E2 player capacity (gain of {policies[-1]} over {policies[0]}: {gain:.0f}%)",
     )
     return {
         "rows": rows,
@@ -276,43 +271,31 @@ def inconsistency_by_policy(
     Bounded policies must show bounded error; the AOI strawman must show
     unbounded error outside the interest radius.
     """
-    rows = []
-    results = {}
-    cells = [
-        ExperimentConfig(
-            name=f"e3-{policy}",
-            policy=policy,
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-        )
-        for policy in policies
-    ]
-    for policy, result in zip(
-        policies, run_cells(cells, jobs=jobs, cache_dir=cache_dir)
-    ):
-        results[policy] = result
-        rows.append(
-            {
-                "policy": policy,
-                "err mean": result.positional_error_mean,
-                "err p95": result.positional_error_p95,
-                "err p99": result.positional_error_p99,
-                "err max": result.positional_error_max,
-                "stale p50 ms": result.staleness_p50_ms,
-                "stale p99 ms": result.staleness_p99_ms,
-            }
-        )
-    table = render_table(
-        ["policy", "err mean", "err p95", "err p99", "err max", "stale p50 ms", "stale p99 ms"],
-        [
-            [r["policy"], r["err mean"], r["err p95"], r["err p99"], r["err max"], r["stale p50 ms"], r["stale p99 ms"]]
-            for r in rows
-        ],
-        title=f"E3 client-observed inconsistency ({bots} bots)",
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
     )
+    points = {
+        policy: dict(name=f"e3-{policy}", policy=policy)
+        for policy in policies
+    }
+    results = _sweep(base, points, jobs, cache_dir)
+    rows = [
+        {
+            "policy": policy,
+            "err mean": result.positional_error_mean,
+            "err p95": result.positional_error_p95,
+            "err p99": result.positional_error_p99,
+            "err max": result.positional_error_max,
+            "stale p50 ms": result.staleness_p50_ms,
+            "stale p99 ms": result.staleness_p99_ms,
+        }
+        for policy, result in results.items()
+    ]
+    table = _table(rows, f"E3 client-observed inconsistency ({bots} bots)")
     return {"rows": rows, "table": table, "results": results}
 
 
@@ -336,44 +319,32 @@ def latency_by_policy(
     Dyconits must leave network latency untouched (same CDF as vanilla)
     and keep queue delay within the staleness bounds the policy set.
     """
-    rows = []
-    results = {}
-    cells = [
-        ExperimentConfig(
-            name=f"e4-{policy}",
-            policy=policy,
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-            synchronous_delivery=False,
-            record_latencies=True,
-        )
-        for policy in policies
-    ]
-    for policy, result in zip(
-        policies, run_cells(cells, jobs=jobs, cache_dir=cache_dir)
-    ):
-        results[policy] = result
-        rows.append(
-            {
-                "policy": policy,
-                "net p50 ms": result.packet_latency.p50,
-                "net p95 ms": result.packet_latency.p95,
-                "net p99 ms": result.packet_latency.p99,
-                "queue p50 ms": result.update_queue_delay_p50_ms,
-                "queue p99 ms": result.update_queue_delay_p99_ms,
-            }
-        )
-    table = render_table(
-        ["policy", "net p50 ms", "net p95 ms", "net p99 ms", "queue p50 ms", "queue p99 ms"],
-        [
-            [r["policy"], r["net p50 ms"], r["net p95 ms"], r["net p99 ms"], r["queue p50 ms"], r["queue p99 ms"]]
-            for r in rows
-        ],
-        title=f"E4 latency ({bots} bots)",
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+        synchronous_delivery=False,
+        record_latencies=True,
     )
+    points = {
+        policy: dict(name=f"e4-{policy}", policy=policy)
+        for policy in policies
+    }
+    results = _sweep(base, points, jobs, cache_dir)
+    rows = [
+        {
+            "policy": policy,
+            "net p50 ms": result.packet_latency.p50,
+            "net p95 ms": result.packet_latency.p95,
+            "net p99 ms": result.packet_latency.p99,
+            "queue p50 ms": result.update_queue_delay_p50_ms,
+            "queue p99 ms": result.update_queue_delay_p99_ms,
+        }
+        for policy, result in results.items()
+    ]
+    table = _table(rows, f"E4 latency ({bots} bots)")
     return {"rows": rows, "table": table, "results": results}
 
 
@@ -458,28 +429,20 @@ def policy_summary_table(
     audit_every_n_ticks: int = 0,
 ) -> dict:
     """E7: one row per policy across every headline metric."""
-    cells = [
-        ExperimentConfig(
-            name=f"e7-{policy}",
-            policy=policy,
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-        )
-        for policy in policies
-    ]
-    rows = [
-        result.as_row()
-        for result in run_cells(cells, jobs=jobs, cache_dir=cache_dir)
-    ]
-    headers = list(rows[0].keys())
-    table = render_table(
-        headers,
-        [[row[h] for h in headers] for row in rows],
-        title=f"E7 policy summary ({bots} bots)",
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
     )
+    points = {
+        policy: dict(name=f"e7-{policy}", policy=policy)
+        for policy in policies
+    }
+    results = _sweep(base, points, jobs, cache_dir)
+    rows = [result.as_row() for result in results.values()]
+    table = _table(rows, f"E7 policy summary ({bots} bots)")
     return {"rows": rows, "table": table}
 
 
@@ -498,37 +461,29 @@ def ablation_merging(
     audit_every_n_ticks: int = 0,
 ) -> dict:
     """E8(a): flush-time merging on vs off under the distance policy."""
-    rows = []
-    settings = (True, False)
-    cells = [
-        ExperimentConfig(
-            name=f"e8a-merge-{merging}",
-            policy="distance",
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-            merging_enabled=merging,
-        )
-        for merging in settings
-    ]
-    for merging, result in zip(
-        settings, run_cells(cells, jobs=jobs, cache_dir=cache_dir)
-    ):
-        rows.append(
-            {
-                "merging": "on" if merging else "off",
-                "kB/s": result.steady_bytes_per_second / 1e3,
-                "pkts": result.packets_total,
-                "merge %": 100.0 * result.dyconit_stats.get("merge_ratio", 0.0),
-            }
-        )
-    table = render_table(
-        ["merging", "kB/s", "pkts", "merge %"],
-        [[r["merging"], r["kB/s"], r["pkts"], r["merge %"]] for r in rows],
-        title="E8(a) update merging ablation (distance policy)",
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+        policy="distance",
     )
+    points = {
+        merging: dict(name=f"e8a-merge-{merging}", merging_enabled=merging)
+        for merging in (True, False)
+    }
+    results = _sweep(base, points, jobs, cache_dir)
+    rows = [
+        {
+            "merging": "on" if merging else "off",
+            "kB/s": result.steady_bytes_per_second / 1e3,
+            "pkts": result.packets_total,
+            "merge %": 100.0 * result.dyconit_stats.get("merge_ratio", 0.0),
+        }
+        for merging, result in results.items()
+    ]
+    table = _table(rows, "E8(a) update merging ablation (distance policy)")
     return {"rows": rows, "table": table}
 
 
@@ -543,37 +498,71 @@ def ablation_granularity(
     audit_every_n_ticks: int = 0,
 ) -> dict:
     """E8(b): dyconit granularity sweep under the distance policy."""
-    rows = []
-    cells = [
-        ExperimentConfig(
-            name=f"e8b-{partitioner}",
-            policy="distance",
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-            partitioner=partitioner,
-        )
-        for partitioner in partitioners
-    ]
-    for partitioner, result in zip(
-        partitioners, run_cells(cells, jobs=jobs, cache_dir=cache_dir)
-    ):
-        rows.append(
-            {
-                "granularity": partitioner,
-                "kB/s": result.steady_bytes_per_second / 1e3,
-                "err p99": result.positional_error_p99,
-                "dyconits": result.dyconit_stats.get("dyconits_created", 0),
-                "p95 tick ms": result.tick_duration.p95,
-            }
-        )
-    table = render_table(
-        ["granularity", "kB/s", "err p99", "dyconits", "p95 tick ms"],
-        [[r["granularity"], r["kB/s"], r["err p99"], r["dyconits"], r["p95 tick ms"]] for r in rows],
-        title="E8(b) dyconit granularity ablation",
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+        policy="distance",
     )
+    points = {
+        partitioner: dict(name=f"e8b-{partitioner}", partitioner=partitioner)
+        for partitioner in partitioners
+    }
+    results = _sweep(base, points, jobs, cache_dir)
+    rows = [
+        {
+            "granularity": partitioner,
+            "kB/s": result.steady_bytes_per_second / 1e3,
+            "err p99": result.positional_error_p99,
+            "dyconits": result.dyconit_stats.get("dyconits_created", 0),
+            "p95 tick ms": result.tick_duration.p95,
+        }
+        for partitioner, result in results.items()
+    ]
+    table = _table(rows, "E8(b) dyconit granularity ablation")
+    return {"rows": rows, "table": table}
+
+
+def ablation_policy_period(
+    bots: int = 100,
+    duration_ms: float = 30_000.0,
+    warmup_ms: float = 10_000.0,
+    seed: int = 42,
+    periods_ms: tuple[float, ...] = (250.0, 500.0, 1000.0, 2000.0, 4000.0),
+    jobs: int = 1,
+    cache_dir=None,
+    audit_every_n_ticks: int = 0,
+) -> dict:
+    """E8(c): adaptive-policy evaluation period sweep."""
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+        policy="adaptive",
+    )
+    points = {
+        period: dict(
+            name=f"e8c-{period:.0f}ms",
+            policy_kwargs={"evaluation_period_ms": period},
+        )
+        for period in periods_ms
+    }
+    results = _sweep(base, points, jobs, cache_dir)
+    rows = [
+        {
+            "period ms": period,
+            "kB/s": result.steady_bytes_per_second / 1e3,
+            "p95 tick ms": result.tick_duration.p95,
+            "policy evals": result.dyconit_stats.get("policy_evaluations", 0),
+            "err p99": result.positional_error_p99,
+        }
+        for period, result in results.items()
+    ]
+    table = _table(rows, "E8(c) policy evaluation period ablation (adaptive)")
     return {"rows": rows, "table": table}
 
 
@@ -636,52 +625,44 @@ def fault_churn_sweep(
         if churn
         else None
     )
-    rows = []
-    results: dict[tuple[str, float], ExperimentResult] = {}
-    points = [(policy, loss) for policy in policies for loss in loss_rates]
-    cells = [
-        ExperimentConfig(
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+        churn=churn_spec,
+    )
+    points = {
+        (policy, loss): dict(
             name=f"e9-{policy}-loss{loss:g}",
             policy=policy,
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
             faults=make_fault_plan(loss),
-            churn=churn_spec,
         )
-        for policy, loss in points
-    ]
-    for (policy, loss), result in zip(
-        points, run_cells(cells, jobs=jobs, cache_dir=cache_dir)
-    ):
-        results[(policy, loss)] = result
+        for policy in policies
+        for loss in loss_rates
+    }
+    results: dict[tuple[str, float], ExperimentResult] = _sweep(
+        base, points, jobs, cache_dir
+    )
+    rows = []
+    for (policy, loss), result in results.items():
         sent = max(1, result.packets_total)
         rows.append(
-                {
-                    "policy": policy,
-                    "loss %": 100.0 * loss,
-                    "kB/s": result.steady_bytes_per_second / 1e3,
-                    "dropped": result.packets_dropped,
-                    "drop %": 100.0 * result.packets_dropped / sent,
-                    "reconnects": result.reconnects,
-                    "stale p99 ms": result.staleness_p99_ms,
-                    "tick Hz": result.effective_tick_rate_hz,
-                }
-            )
-    table = render_table(
-        ["policy", "loss %", "kB/s", "dropped", "drop %", "reconnects",
-         "stale p99 ms", "tick Hz"],
-        [
-            [r["policy"], r["loss %"], r["kB/s"], r["dropped"], r["drop %"],
-             r["reconnects"], r["stale p99 ms"], r["tick Hz"]]
-            for r in rows
-        ],
-        title=(
-            f"E9 faults & churn ({bots} bots, churn "
-            f"{'on' if churn else 'off'})"
-        ),
+            {
+                "policy": policy,
+                "loss %": 100.0 * loss,
+                "kB/s": result.steady_bytes_per_second / 1e3,
+                "dropped": result.packets_dropped,
+                "drop %": 100.0 * result.packets_dropped / sent,
+                "reconnects": result.reconnects,
+                "stale p99 ms": result.staleness_p99_ms,
+                "tick Hz": result.effective_tick_rate_hz,
+            }
+        )
+    table = _table(
+        rows,
+        f"E9 faults & churn ({bots} bots, churn {'on' if churn else 'off'})",
     )
     return {"rows": rows, "table": table, "results": results}
 
@@ -744,37 +725,36 @@ def shard_scaling(
     variability columns equal the serial ones exactly unless the
     runtime changed the per-tick work — equality is itself the signal.
     """
-    cells = [
-        ExperimentConfig(
-            name=f"e11-shards{shards}",
-            policy=policy,
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-            movement=movement,
-            shards=shards,
-        )
+    base = ExperimentConfig(
+        bots=bots,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
+        seed=seed,
+        audit_every_n_ticks=audit_every_n_ticks,
+        movement=movement,
+        policy=policy,
+    )
+    points: dict = {
+        shards: dict(name=f"e11-shards{shards}", shards=shards)
         for shards in shard_counts
-    ]
-    parallel_for: dict[int, int] = {}
+    }
     if compare_parallel:
-        for index, shards in enumerate(shard_counts):
+        for shards in shard_counts:
             if shards >= 2:
-                parallel_for[shards] = len(cells)
-                cells.append(
-                    cells[index].with_(
-                        name=f"e11-shards{shards}-par", parallel_ticks=True
-                    )
+                points[("par", shards)] = dict(
+                    points[shards],
+                    name=f"e11-shards{shards}-par",
+                    parallel_ticks=True,
                 )
-    all_results = run_cells(cells, jobs=jobs, cache_dir=cache_dir)
+    all_results = _sweep(base, points, jobs, cache_dir)
+    results = {shards: all_results[shards] for shards in shard_counts}
+    parallel_results = {
+        shards: all_results[("par", shards)]
+        for shards in shard_counts
+        if ("par", shards) in all_results
+    }
     rows = []
-    results: dict[int, ExperimentResult] = {}
-    parallel_results: dict[int, ExperimentResult] = {}
-    for index, shards in enumerate(shard_counts):
-        result = all_results[index]
-        results[shards] = result
+    for shards, result in results.items():
         worst_shard_p95 = (
             max(result.shard_tick_p95_ms)
             if result.shard_tick_p95_ms
@@ -796,9 +776,8 @@ def shard_scaling(
             "par p99/p50": "",
             "par identical": "",
         }
-        if shards in parallel_for:
-            par = all_results[parallel_for[shards]]
-            parallel_results[shards] = par
+        if shards in parallel_results:
+            par = parallel_results[shards]
             par_variability = tick_variability(par, warmup_ms)
             row["par CoV"] = par_variability["cov"]
             row["par p99/p50"] = par_variability["p99_over_p50"]
@@ -813,19 +792,13 @@ def shard_scaling(
                 else "NO"
             )
         rows.append(row)
-    columns = [
-        "shards", "kB/s", "p95 tick ms", "worst shard p95 ms", "tick CoV",
-        "p99/p50", "handoffs", "transfers", "intershard kB/s", "err p99",
-    ]
-    if compare_parallel:
-        columns += ["par CoV", "par p99/p50", "par identical"]
-    table = render_table(
-        columns,
-        [[r[column] for column in columns] for r in rows],
-        title=(
-            f"E11 shard-count scaling ({bots} bots, {movement} workload, "
-            f"{policy} policy)"
-        ),
+    columns = None
+    if not compare_parallel:
+        columns = [column for column in rows[0] if not column.startswith("par ")]
+    table = _table(
+        rows,
+        f"E11 shard-count scaling ({bots} bots, {movement} workload, {policy} policy)",
+        columns=columns,
     )
     return {
         "rows": rows,
@@ -833,48 +806,3 @@ def shard_scaling(
         "results": results,
         "parallel_results": parallel_results,
     }
-
-
-def ablation_policy_period(
-    bots: int = 100,
-    duration_ms: float = 30_000.0,
-    warmup_ms: float = 10_000.0,
-    seed: int = 42,
-    periods_ms: tuple[float, ...] = (250.0, 500.0, 1000.0, 2000.0, 4000.0),
-    jobs: int = 1,
-    cache_dir=None,
-    audit_every_n_ticks: int = 0,
-) -> dict:
-    """E8(c): adaptive-policy evaluation period sweep."""
-    rows = []
-    cells = [
-        ExperimentConfig(
-            name=f"e8c-{period:.0f}ms",
-            policy="adaptive",
-            policy_kwargs={"evaluation_period_ms": period},
-            bots=bots,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            seed=seed,
-            audit_every_n_ticks=audit_every_n_ticks,
-        )
-        for period in periods_ms
-    ]
-    for period, result in zip(
-        periods_ms, run_cells(cells, jobs=jobs, cache_dir=cache_dir)
-    ):
-        rows.append(
-            {
-                "period ms": period,
-                "kB/s": result.steady_bytes_per_second / 1e3,
-                "p95 tick ms": result.tick_duration.p95,
-                "policy evals": result.dyconit_stats.get("policy_evaluations", 0),
-                "err p99": result.positional_error_p99,
-            }
-        )
-    table = render_table(
-        ["period ms", "kB/s", "p95 tick ms", "policy evals", "err p99"],
-        [[r["period ms"], r["kB/s"], r["p95 tick ms"], r["policy evals"], r["err p99"]] for r in rows],
-        title="E8(c) policy evaluation period ablation (adaptive)",
-    )
-    return {"rows": rows, "table": table}

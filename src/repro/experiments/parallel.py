@@ -215,6 +215,8 @@ class CellOutcome:
     attempts: int = 0
     wall_s: float = 0.0
     error: str | None = None
+    #: The exception an in-process (``jobs <= 1``) attempt raised.
+    exception: Exception | None = None
 
 
 @dataclass
@@ -399,12 +401,14 @@ def _run_serial(pending, cache_dir, retries, by_digest) -> None:
             outcome.attempts = attempt
             try:
                 result = run_experiment(cell)
-            except Exception:
+            except Exception as exception:
                 outcome.error = traceback.format_exc()
+                outcome.exception = exception
                 continue
             store_cell(cache_dir, digest, cell.name, result_to_dict(result))
             outcome.source = "run"
             outcome.error = None
+            outcome.exception = None
             break
         else:
             outcome.source = "failed"
@@ -482,16 +486,19 @@ def run_cells(
     cache_dir: str | Path | None = None,
     **kwargs,
 ) -> list[ExperimentResult]:
-    """Run cells and return results in input order; raise if any failed.
+    """Run cells through :func:`run_sweep` and return results in input
+    order; raise if any failed.
 
-    ``jobs <= 1`` with no cache dir short-circuits to plain
-    :func:`run_experiment` calls — identical objects and allocation
-    behaviour to the pre-parallel code path.
+    Every result, serial or parallel, is the one read back from its cell
+    file, so ``jobs`` changes where a cell runs and never what it returns.
+    A cell that failed in-process re-raises its own exception; a worker's
+    failure is raised as a ``RuntimeError`` carrying its traceback.
     """
     cells = list(cells)
-    if jobs <= 1 and cache_dir is None:
-        return [run_experiment(cell) for cell in cells]
     report = run_sweep(cells, jobs=jobs, cache_dir=cache_dir, **kwargs)
+    for outcome in report.cells:
+        if outcome.exception is not None:
+            raise outcome.exception
     report.raise_on_failure()
     return [report.results[cell.name] for cell in cells]
 

@@ -7,7 +7,9 @@ well-formed rows and a rendered table.
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import figures, parallel
+from repro.experiments.runner import ExperimentResult
+from repro.metrics.summary import describe
 
 TINY = dict(bots=6, duration_ms=4_000.0, warmup_ms=1_500.0, seed=9)
 
@@ -27,6 +29,93 @@ def test_capacity_sweep_shapes():
     )
     assert out["capacities"]["vanilla"] == 8.0  # tiny fleet never saturates
     assert len(out["curves"]["vanilla"]) == 2
+
+
+def test_capacity_ladder_is_the_same_at_any_jobs(tmp_path):
+    """A ladder crossed mid-way gives the same rows, curves and capacities
+    serially and in batches of two; the batched ladder stops after the
+    batch holding the crossing and never simulates the points past it."""
+    counts = (4, 8, 12, 16, 20)
+    ladder = dict(
+        policies=("vanilla",), bot_counts=counts,
+        duration_ms=4_000.0, warmup_ms=2_000.0, seed=9,
+    )
+    probe = figures.capacity_sweep(tick_budget_ms=float("inf"), **ladder)
+    p95s = [p95 for _, p95 in probe["curves"]["vanilla"]]
+    assert p95s[0] < p95s[1] < p95s[2]
+    budget = (p95s[1] + p95s[2]) / 2.0
+
+    serial = figures.capacity_sweep(
+        tick_budget_ms=budget, jobs=1, cache_dir=tmp_path / "serial", **ladder
+    )
+    batched = figures.capacity_sweep(
+        tick_budget_ms=budget, jobs=2, cache_dir=tmp_path / "batched", **ladder
+    )
+    for key in ("rows", "curves", "capacities"):
+        assert batched[key] == serial[key]
+    assert [bots for bots, _ in serial["curves"]["vanilla"]] == [4, 8, 12]
+    assert 8.0 < serial["capacities"]["vanilla"] < 12.0
+    # Serial runs up to the crossing; batches of two also run 16 (the
+    # crossing's batch-mate) but not 20.
+    assert len(list((tmp_path / "serial").glob("*.json"))) == 3
+    assert len(list((tmp_path / "batched").glob("*.json"))) == 4
+
+
+def test_capacity_rounds_span_policies(monkeypatch):
+    """Each round holds the next ``jobs`` queued cells across policies, a
+    crossed policy drops its queued cells, and the curves equal the
+    serial ladder's."""
+    rounds = []
+
+    def fake_run_cells(cells, **_):
+        rounds.append([cell.name for cell in cells])
+        # p95 = bots for vanilla and 5 x bots for adaptive.
+        scale = {"vanilla": 1.0, "adaptive": 5.0}
+        return [
+            ExperimentResult(
+                config=cell,
+                tick_duration=describe([scale[cell.policy] * cell.bots]),
+            )
+            for cell in cells
+        ]
+
+    monkeypatch.setattr(figures, "run_cells", fake_run_cells)
+    ladder = dict(
+        policies=("vanilla", "adaptive"),
+        bot_counts=(10, 20, 30, 40),
+        tick_budget_ms=120.0,
+    )
+    serial = figures.capacity_sweep(jobs=1, **ladder)
+    assert [len(names) for names in rounds] == [1] * 7
+    rounds.clear()
+    batched = figures.capacity_sweep(jobs=3, **ladder)
+    assert rounds == [
+        ["e2-vanilla-10", "e2-vanilla-20", "e2-vanilla-30"],
+        ["e2-vanilla-40", "e2-adaptive-10", "e2-adaptive-20"],
+        ["e2-adaptive-30", "e2-adaptive-40"],
+    ]
+    assert batched["curves"] == serial["curves"]
+    assert serial["curves"]["adaptive"] == [(10, 50.0), (20, 100.0), (30, 150.0)]
+    assert batched["capacities"] == serial["capacities"]
+
+
+def test_failing_serial_cell_runs_once_and_raises_its_own_error(monkeypatch):
+    """A cell that raises in-process is not retried: the driver raises the
+    cell's own exception after one attempt."""
+
+    class CellFailure(Exception):
+        pass
+
+    attempts = []
+
+    def failing_run(config, **_):
+        attempts.append(config.name)
+        raise CellFailure(config.name)
+
+    monkeypatch.setattr(parallel, "run_experiment", failing_run)
+    with pytest.raises(CellFailure, match="e3-zero"):
+        figures.inconsistency_by_policy(policies=("zero",), jobs=1, **TINY)
+    assert attempts == ["e3-zero"]
 
 
 def test_capacity_interpolation():
