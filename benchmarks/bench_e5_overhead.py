@@ -13,23 +13,15 @@ import pytest
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.policy import Policy
 from repro.core.subscription import Subscriber
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 
-class StaticPolicy(Policy):
-    def __init__(self, bounds):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
-
-
 def build_system(subscribers: int, bounds: Bounds, telemetry=None) -> DyconitSystem:
     system = DyconitSystem(
-        StaticPolicy(bounds), time_source=lambda: 0.0, telemetry=telemetry
+        FixedBoundsPolicy(bounds), time_source=lambda: 0.0, telemetry=telemetry
     )
     for subscriber_id in range(subscribers):
         subscriber = Subscriber(subscriber_id=subscriber_id, deliver=lambda segments: None)

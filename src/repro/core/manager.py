@@ -21,7 +21,8 @@ A retune (S23, :meth:`DyconitSystem.retune_clients`) is one vectorised
 policy call and one column write per dyconit, not a ``set_bounds`` per
 (subscriber, dyconit) pair; a chunk crossing (S33,
 :meth:`DyconitSystem.retune_subscriber`) is one policy call over the
-subscriber's membership and one scalar install per dyconit. Commit, due
+subscriber's membership and one scalar install per dyconit, the install
+every bounds write to a live subscription goes through (S35). Commit, due
 pass and retune are each one call on the dyconit's handle whatever the
 store (S25): the columns and the row store batch it, and none of the
 three walks subscriptions here.
@@ -376,6 +377,9 @@ class DyconitSystem:
         """
         target_id = self.resolve(target_id)
         target = self.get_or_create(target_id)
+        # subscriber id -> (subscriber, its merged bounds), installed and
+        # checked once every source has moved.
+        merged: dict[int, tuple[Subscriber, Bounds]] = {}
         for source_id in source_ids:
             source_id = self.resolve(source_id)
             if source_id == target_id:
@@ -394,35 +398,21 @@ class DyconitSystem:
             target.commit_count += source.commit_count
             for state in source.subscription_states():
                 subscriber = state.subscriber
-                membership = self._subscriptions_by_subscriber.get(
-                    subscriber.subscriber_id
-                )
+                sub_id = subscriber.subscriber_id
+                membership = self._subscriptions_by_subscriber.get(sub_id)
                 if membership is not None:
                     membership.pop(source_id, None)
-                existing = target.get_state(subscriber.subscriber_id)
-                if existing is None:
+                merged_state = target.get_state(sub_id)
+                if merged_state is None:
                     merged_state = target.subscribe(subscriber, state.bounds)
                     if membership is not None:
                         membership[target_id] = None
-                else:
-                    merged_state = existing
-                    merged_bounds = Bounds(
-                        min(existing.bounds.numerical, state.bounds.numerical),
-                        min(existing.bounds.staleness_ms, state.bounds.staleness_ms),
-                        min(existing.bounds.order, state.bounds.order),
-                    )
-                    if merged_bounds != existing.bounds:
-                        merged_state.bounds = merged_bounds
-                        if merged_state.has_pending:
-                            # Tightening staleness moves the deadline
-                            # *earlier* than the due time recorded under
-                            # the old bounds; without lowering it the
-                            # backlog flushes late.
-                            self._lower_due(
-                                target_id,
-                                merged_state.oldest_pending_time
-                                + merged_bounds.staleness_ms,
-                            )
+                current = merged[sub_id][1] if sub_id in merged else merged_state.bounds
+                merged[sub_id] = merged_state.subscriber, Bounds(
+                    min(current.numerical, state.bounds.numerical),
+                    min(current.staleness_ms, state.bounds.staleness_ms),
+                    min(current.order, state.bounds.order),
+                )
                 if state.has_pending:
                     had_backlog = merged_state.has_pending
                     for update in state.drain():
@@ -432,13 +422,17 @@ class DyconitSystem:
                         # queued on the target; restore the time order the
                         # sort-free drain relies on.
                         merged_state.restore_time_order()
-                    self._lower_due(
-                        target_id,
-                        merged_state.oldest_pending_time
-                        + merged_state.bounds.staleness_ms,
-                    )
             self.state_store.drop_dyconit_state(source_id)
             self.stats.dyconits_removed += 1
+        # A moved backlog or a tightened bound may be over the bound: flush
+        # it now, as set_bounds would, or have the due pass visit it by
+        # its (possibly earlier) deadline.
+        now = self.now
+        for subscriber, bounds in merged.values():
+            self._rebound_one(
+                target_id, target, subscriber,
+                bounds.numerical, bounds.staleness_ms, bounds.order, now,
+            )
         return target
 
     def split_dyconit(self, target_id: Hashable) -> list[Hashable]:
@@ -528,26 +522,41 @@ class DyconitSystem:
         subscriber: Subscriber,
         bounds: Bounds | None = None,
     ) -> SubscriptionState:
-        """Subscribe; bounds default to ``policy.initial_bounds``."""
+        """Subscribe; bounds default to the policy's, a one-row
+        :meth:`policy_bounds`."""
         if subscriber.subscriber_id not in self._subscribers:
             self.register_subscriber(subscriber)
         dyconit_id = self.resolve(dyconit_id)
         dyconit = self.get_or_create(dyconit_id)
         if bounds is None:
-            bounds = self.policy.initial_bounds(self, dyconit_id, subscriber)
+            (bounds,) = self.policy_bounds([dyconit_id], subscriber)
         state = dyconit.get_state(subscriber.subscriber_id)
         if state is not None:
             # Re-subscribing (e.g. an interest refresh) may change the
-            # bounds; that must go through the same re-check/re-push path
-            # as set_bounds, or a tightened staleness bound on a queued
-            # backlog silently keeps its old (later) deadline.
+            # bounds; that must go through the same install-and-check
+            # step as set_bounds, or a tightened staleness bound on a
+            # queued backlog silently keeps its old (later) deadline.
             if bounds != state.bounds:
-                self._apply_bounds(dyconit_id, state, bounds)
+                self._rebound_one(
+                    dyconit_id, dyconit, state.subscriber,
+                    bounds.numerical, bounds.staleness_ms, bounds.order, self.now,
+                )
             return state
         state = dyconit.subscribe(subscriber, bounds)
         self._subscriptions_by_subscriber[subscriber.subscriber_id][dyconit_id] = None
         self.stats.subscriptions += 1
         return state
+
+    def policy_bounds(
+        self, dyconit_ids: Sequence[Hashable], subscriber: Subscriber
+    ) -> list[Bounds]:
+        """The policy's bounds for ``subscriber`` on each of the (resolved)
+        ``dyconit_ids``: one ``bounds_columns`` call, the position read
+        once — what a view change subscribes with."""
+        columns = self.policy.bounds_columns(
+            self, list(dyconit_ids), [subscriber.position] * len(dyconit_ids)
+        )
+        return [Bounds(*row) for row in zip(*(column.tolist() for column in columns))]
 
     def unsubscribe(
         self, dyconit_id: Hashable, subscriber_id: int, flush_pending: bool = True
@@ -583,7 +592,10 @@ class DyconitSystem:
                 "bounds", dyconit_id, subscriber_id,
                 f"numerical={bounds.numerical:g} staleness={bounds.staleness_ms:g}",
             )
-        self._apply_bounds(dyconit_id, state, bounds)
+        self._rebound_one(
+            dyconit_id, dyconit, state.subscriber,
+            bounds.numerical, bounds.staleness_ms, bounds.order, self.now,
+        )
 
     def _decide(
         self, kind: str, dyconit_id: Hashable, subscriber_id: int | None = None, detail: str = ""
@@ -671,9 +683,8 @@ class DyconitSystem:
         The position is read once and ``bounds_columns(system,
         dyconit_ids, positions)`` called once over the subscriber's
         membership, in membership order. Each entry is then installed and
-        checked by one :meth:`~repro.backends.base.DyconitStateHandle.rebound_one`
-        on its dyconit, in that order, and what trips is accounted and
-        handed on as a :meth:`set_bounds` per dyconit would have.
+        checked on its dyconit by :meth:`_rebound_one`, in that order, as
+        a :meth:`set_bounds` per dyconit would have.
         """
         subscriber_id = subscriber.subscriber_id
         dyconit_ids = list(self._subscriptions_by_subscriber.get(subscriber_id, ()))
@@ -686,7 +697,6 @@ class DyconitSystem:
         dyconits = self._dyconits
         aliases = self._aliases
         decide = self._tm_decide
-        checked = 0
         with self._flush_scope():
             for dyconit_id, numerical_bound, staleness_ms, order_bound in zip(
                 dyconit_ids, numerical.tolist(), staleness.tolist(), order.tolist()
@@ -701,36 +711,35 @@ class DyconitSystem:
                         "bounds", dyconit_id, subscriber_id,
                         f"numerical={numerical_bound:g} staleness={staleness_ms:g}",
                     )
-                examined, reason, updates, deadline = dyconit.rebound_one(
-                    subscriber_id, numerical_bound, staleness_ms, order_bound, now
+                self._rebound_one(
+                    dyconit_id, dyconit, subscriber,
+                    numerical_bound, staleness_ms, order_bound, now,
                 )
-                if examined:
-                    checked += 1
-                    if reason is None:
-                        self._lower_due(dyconit_id, deadline)
-                    else:
-                        self._flushed(dyconit_id, subscriber, updates, reason)
-            self.stats.bound_checks += checked
 
-    def _apply_bounds(
-        self, dyconit_id: Hashable, state: SubscriptionState, bounds: Bounds
+    def _rebound_one(
+        self,
+        dyconit_id: Hashable,
+        dyconit: Dyconit,
+        subscriber: Subscriber,
+        numerical: float,
+        staleness_ms: float,
+        order: float,
+        now: float,
     ) -> None:
-        """Install new bounds on a live subscription and re-check them.
-
-        Shared by :meth:`set_bounds` and re-subscription: a tightened
-        bound must take effect immediately — flush if already exceeded,
-        otherwise make sure the due pass looks no later than the deadline
-        the new staleness bound implies.
-        """
-        state.bounds = bounds
-        oldest = state.oldest_pending_time
-        if oldest is not None:
-            self.stats.bound_checks += 1
-            reason = state.tripped_dimension(self.now)
-            if reason is not None:
-                self._deliver(dyconit_id, state, reason=reason)
-            else:
-                self._lower_due(dyconit_id, oldest + bounds.staleness_ms)
+        """Install bounds on one live subscription and check them: the one
+        way a bounds write reaches a subscription (set_bounds,
+        re-subscription, a crossing, a merge). A tightened bound takes
+        effect at once — the queue flushes with the tripped dimension as
+        its reason if already over it, else the due pass visits it by the
+        deadline the new staleness bound implies."""
+        examined, reason, updates, deadline = dyconit.rebound_one(
+            subscriber.subscriber_id, numerical, staleness_ms, order, now
+        )
+        self.stats.bound_checks += examined
+        if reason is None:
+            self._lower_due(dyconit_id, deadline)
+        else:
+            self._flushed(dyconit_id, subscriber, updates, reason)
 
     # ------------------------------------------------------------------
     # Commit path

@@ -2,11 +2,13 @@
 
 Policies are the "dynamically managed" part of dyconits: they decide,
 per (dyconit, subscriber) pair, how much inconsistency is tolerable right
-now. The middleware invokes a policy
-
-* when a subscriber first subscribes to a dyconit (initial bounds), and
-* periodically (every ``evaluation_period_ms``) with fresh
-  :class:`LoadSignals`, letting the policy re-derive every bound.
+now. A policy states its bounds once, as columns (S35):
+:meth:`Policy.bounds_columns` maps (dyconit, subscriber position) pairs
+to ``(numerical, staleness_ms, order)`` float64 columns. The middleware
+subscribes a changed view with them, and a policy re-derives bounds
+through them on a chunk crossing (:meth:`Policy.on_subscriber_moved`)
+and every ``evaluation_period_ms`` (:meth:`Policy.evaluate`, with fresh
+:class:`LoadSignals`).
 
 Concrete policies live in :mod:`repro.policies`.
 """
@@ -16,11 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
+import numpy as np
+
 from repro.core.bounds import Bounds
 from repro.core.subscription import Subscriber
+from repro.world.geometry import Vec3
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import DyconitSystem
+
+
+def constant_columns(bounds: Bounds, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``bounds`` on every row of a ``count``-row column."""
+    return (
+        np.full(count, bounds.numerical, dtype=float),
+        np.full(count, bounds.staleness_ms, dtype=float),
+        np.full(count, bounds.order, dtype=float),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,12 +78,14 @@ class Policy:
     def on_attach(self, system: "DyconitSystem") -> None:
         """Called once when installed into a :class:`DyconitSystem`."""
 
-    def initial_bounds(
-        self, system: "DyconitSystem", dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        """Bounds for a brand-new subscription. Defaults to zero
+    def bounds_columns(
+        self, system: "DyconitSystem", dyconit_ids: list[Hashable], positions: list[Vec3 | None]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bounds of a column of (dyconit, subscriber position) pairs
+        as ``(numerical, staleness_ms, order)`` float64 columns, entry
+        ``i`` for ``(dyconit_ids[i], positions[i])``. Defaults to zero
         (vanilla-equivalent) so forgetting to override fails safe."""
-        return Bounds.ZERO
+        return constant_columns(Bounds.ZERO, len(dyconit_ids))
 
     def evaluate(self, system: "DyconitSystem", signals: LoadSignals) -> None:
         """Periodic re-evaluation; override to adjust bounds dynamically.

@@ -25,7 +25,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.core.bounds import Bounds
 from repro.core.policy import LoadSignals, Policy
 from repro.core.subscription import Subscriber
 from repro.policies.distance import DistanceBasedPolicy
@@ -71,28 +70,14 @@ class AdaptiveBoundsPolicy(Policy):
     # Bound derivation
     # ------------------------------------------------------------------
 
-    def bounds_for(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return self.bounds_from(system, dyconit_id, subscriber.position)
-
-    def bounds_from(
-        self, system, dyconit_id: Hashable, position: Vec3 | None
-    ) -> Bounds:
-        """:meth:`bounds_for` with the subscriber's position already read."""
-        base = self.shape.bounds_from(system, dyconit_id, position)
-        if base.is_zero or base.is_infinite:
-            return base
-        return base.scaled(self.factor)
-
     def bounds_columns(
         self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`bounds_from` over a column of (dyconit, position) pairs
-        (a retune, S23, or a chunk crossing, S33): the shape's columns
-        times the factor, entry for entry what ``Bounds.scaled`` computes,
-        with the zero / infinite short-cuts as masks (without them a
-        factor of 0 would turn ``inf`` into NaN)."""
+        """The shape's columns times the factor, over a column of
+        (dyconit, position) pairs (a view change, a retune, S23, or a
+        chunk crossing, S33): entry for entry what ``Bounds.scaled``
+        computes, except that zero and infinite bounds stay as they are
+        (without that a factor of 0 would turn ``inf`` into NaN)."""
         numerical, staleness, order = self.shape.bounds_columns(
             system, dyconit_ids, positions
         )
@@ -108,11 +93,6 @@ class AdaptiveBoundsPolicy(Policy):
         np.multiply(staleness, factor, out=staleness, where=scale)
         np.multiply(order, factor, out=order, where=scale & ~infinite_order)
         return numerical, staleness, order
-
-    def initial_bounds(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return self.bounds_for(system, dyconit_id, subscriber)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
         system.retune_subscriber(subscriber, self.bounds_columns)

@@ -15,7 +15,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.core.bounds import Bounds
 from repro.core.partition import GLOBAL_DYCONIT, centroid_of
 from repro.core.policy import Policy
 from repro.core.subscription import Subscriber
@@ -34,28 +33,15 @@ class InterestCutoffPolicy(Policy):
             raise ValueError(f"AOI radius must be >= 0, got {aoi_radius_chunks}")
         self.aoi_radius_chunks = aoi_radius_chunks
 
-    def bounds_for(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        if dyconit_id == GLOBAL_DYCONIT:
-            return Bounds.ZERO  # chat is always delivered
-        centroid = centroid_of(dyconit_id, system.partitioner)
-        position = subscriber.position
-        if centroid is None or position is None:
-            return Bounds.ZERO
-        distance_chunks = position.horizontal_distance_to(centroid) / CHUNK_SIZE
-        if distance_chunks <= self.aoi_radius_chunks + 0.5:
-            return Bounds.ZERO
-        return Bounds.INFINITE
-
     def bounds_columns(
         self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`bounds_for` over a column of (dyconit, position) pairs (a
-        chunk crossing, S33): ``(numerical, staleness_ms, order)`` float64
-        columns, ``Bounds.ZERO`` within ``aoi_radius_chunks + 0.5`` and
-        for global and position-less rows, ``Bounds.INFINITE`` beyond —
-        the distance as ``Vec3.horizontal_length`` computes it."""
+        """``(numerical, staleness_ms, order)`` float64 columns over a
+        column of (dyconit, position) pairs (a view change or a chunk
+        crossing, S33): ``Bounds.ZERO`` within ``aoi_radius_chunks + 0.5``
+        chunks of the dyconit's centroid and for global, non-spatial and
+        position-less rows, ``Bounds.INFINITE`` beyond — the distance as
+        ``Vec3.horizontal_length`` computes it."""
         centroids: dict[Hashable, Vec3 | None] = {}
         rows = []  # (x, z, centroid x, centroid z); NaN: always ZERO
         for dyconit_id, position in zip(dyconit_ids, positions):
@@ -75,11 +61,6 @@ class InterestCutoffPolicy(Policy):
         outside = np.sqrt(dx * dx + dz * dz) / CHUNK_SIZE > self.aoi_radius_chunks + 0.5
         bound = np.where(outside, math.inf, 0.0)
         return bound, bound.copy(), np.full(len(rows), math.inf)
-
-    def initial_bounds(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return self.bounds_for(system, dyconit_id, subscriber)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
         system.retune_subscriber(subscriber, self.bounds_columns)

@@ -1,10 +1,11 @@
 """Distance-based bounds.
 
-Bounds grow with the chunk-grid distance between the subscriber's avatar
-and the dyconit's area:
+Bounds grow with the chunk-grid distance ``d`` between the subscriber's
+avatar and the dyconit's area:
 
-    numerical(d)  = numerical_per_chunk * d ** numerical_exponent
     staleness(d)  = staleness_per_chunk_ms * d
+    numerical(d)  = max(numerical_per_chunk * d ** numerical_exponent,
+                        numerical_weight_rate * staleness(d) / 1000)
 
 so the player's own surroundings replicate at full fidelity (d = 0 gives
 zero bounds) while the periphery of the view tolerates progressively more
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro.core.bounds import Bounds
 from repro.core.partition import GLOBAL_DYCONIT, centroid_of
-from repro.core.policy import Policy
+from repro.core.policy import Policy, constant_columns
 from repro.core.subscription import Subscriber
 from repro.world.geometry import CHUNK_SIZE, Vec3
 
@@ -97,53 +98,18 @@ class DistanceBasedPolicy(Policy):
     # Bound surface
     # ------------------------------------------------------------------
 
-    def bounds_at_distance(self, chunk_distance: float) -> Bounds:
-        """The bound surface; ``chunk_distance`` in chunk units."""
-        if chunk_distance <= 0:
-            return Bounds.ZERO
-        staleness_ms = self.staleness_per_chunk_ms * chunk_distance
-        numerical = max(
-            self.numerical_per_chunk * chunk_distance**self.numerical_exponent,
-            self.numerical_weight_rate * staleness_ms / 1000.0,
-        )
-        return Bounds(numerical=numerical, staleness_ms=staleness_ms)
-
-    def bounds_for(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return self.bounds_from(system, dyconit_id, subscriber.position)
-
-    def bounds_from(
-        self, system, dyconit_id: Hashable, position: Vec3 | None
-    ) -> Bounds:
-        """:meth:`bounds_for` with the subscriber's position already read,
-        so a sweep over one subscriber's dyconits reads it once."""
-        try:
-            centroid = self._centroids[dyconit_id]
-        except KeyError:
-            centroid = self._remember_centroid(system, dyconit_id)
-        if centroid is None or position is None:
-            return self.global_bounds
-        # Vec3.horizontal_distance_to, inlined: the same IEEE operations
-        # in the same order, without the intermediate Vec3.
-        dx = position.x - centroid[0]
-        dz = position.z - centroid[1]
-        distance_blocks = math.sqrt(dx * dx + dz * dz)
-        chunk_distance = max(
-            self.min_chunk_distance, distance_blocks / CHUNK_SIZE - 0.5
-        )
-        return self.bounds_at_distance(chunk_distance)
-
     def bounds_columns(
         self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`bounds_from` over a column of (dyconit, position) pairs
-        (a retune, S23, or a chunk crossing, S33): ``(numerical,
-        staleness_ms, order)`` float64 columns whose entry ``i`` is
-        ``bounds_from(system, dyconit_ids[i], positions[i])`` bit for
-        bit — the same IEEE operations in the same order, ``max(a, b)``
-        as ``b > a``, and Python's own ``**`` for the power term, because
-        ``np.power`` rounds a few inputs differently."""
+        """The bound surface over a column of (dyconit, position) pairs
+        (a view change, a retune, S23, or a chunk crossing, S33):
+        ``(numerical, staleness_ms, order)`` float64 columns. The chunk
+        distance is ``max(min_chunk_distance, horizontal distance /
+        CHUNK_SIZE - 0.5)``; ``global_bounds`` for ids with no place in
+        the world and for subscribers with no position. The power term
+        is Python's own ``**``: ``np.power`` rounds a few inputs
+        differently, and the bounds stay those of the scalar formula in
+        the module docstring bit for bit (S35)."""
         if any(position is None for position in positions):
             return self._columns_without_positions(system, dyconit_ids, positions)
         by_id = {}
@@ -161,7 +127,7 @@ class DistanceBasedPolicy(Policy):
         chunk_distance = np.sqrt(dx * dx + dz * dz) / CHUNK_SIZE - 0.5
         floor = self.min_chunk_distance
         chunk_distance = np.where(chunk_distance > floor, chunk_distance, floor)
-        # bounds_at_distance, per entry
+        # The surface, per entry.
         staleness = self.staleness_per_chunk_ms * chunk_distance
         exponent = self.numerical_exponent
         # A zero distance is Bounds.ZERO below (and 0.0 ** a negative
@@ -184,11 +150,7 @@ class DistanceBasedPolicy(Policy):
     def _columns_without_positions(self, system, dyconit_ids, positions):
         """:meth:`bounds_columns` where some subscribers have no position:
         their rows get ``global_bounds``."""
-        glob = self.global_bounds
-        count = len(positions)
-        numerical = np.full(count, glob.numerical)
-        staleness = np.full(count, glob.staleness_ms)
-        order = np.full(count, glob.order)
+        numerical, staleness, order = constant_columns(self.global_bounds, len(positions))
         placed = [i for i, position in enumerate(positions) if position is not None]
         if placed:
             numerical[placed], staleness[placed], order[placed] = self.bounds_columns(
@@ -212,11 +174,6 @@ class DistanceBasedPolicy(Policy):
     # ------------------------------------------------------------------
     # Policy hooks
     # ------------------------------------------------------------------
-
-    def initial_bounds(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return self.bounds_for(system, dyconit_id, subscriber)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
         # Crossing a chunk border shifts every distance; re-derive the

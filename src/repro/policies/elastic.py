@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.bounds import Bounds
 from repro.core.policy import LoadSignals, Policy
 from repro.core.subscription import Subscriber
 from repro.policies.distance import DistanceBasedPolicy
@@ -65,8 +64,8 @@ class ElasticPartitioningPolicy(Policy):
     def on_attach(self, system) -> None:
         self.inner.on_attach(system)
 
-    def initial_bounds(self, system, dyconit_id: Hashable, subscriber: Subscriber) -> Bounds:
-        return self.inner.initial_bounds(system, dyconit_id, subscriber)
+    def bounds_columns(self, system, dyconit_ids, positions):
+        return self.inner.bounds_columns(system, dyconit_ids, positions)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
         self.inner.on_subscriber_moved(system, subscriber)

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from repro.core.bounds import Bounds
-from repro.core.policy import Policy
-from repro.core.subscription import Subscriber
+from repro.core.policy import Policy, constant_columns
 
 #: Tolerates roughly half a second of movement drift from a handful of
 #: entities before flushing; a middle-of-the-road static setting.
@@ -24,10 +21,8 @@ class FixedBoundsPolicy(Policy):
     def __init__(self, bounds: Bounds = DEFAULT_FIXED_BOUNDS) -> None:
         self.bounds = bounds
 
-    def initial_bounds(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return self.bounds
+    def bounds_columns(self, system, dyconit_ids, positions):
+        return constant_columns(self.bounds, len(dyconit_ids))
 
     def __repr__(self) -> str:
         return f"FixedBoundsPolicy({self.bounds!r})"

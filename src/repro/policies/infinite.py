@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from repro.core.bounds import Bounds
-from repro.core.policy import Policy
-from repro.core.subscription import Subscriber
+from repro.core.policy import Policy, constant_columns
 
 
 class InfiniteBoundsPolicy(Policy):
@@ -19,7 +16,5 @@ class InfiniteBoundsPolicy(Policy):
     relative-savings numbers are read against.
     """
 
-    def initial_bounds(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return Bounds.INFINITE
+    def bounds_columns(self, system, dyconit_ids, positions):
+        return constant_columns(Bounds.INFINITE, len(dyconit_ids))

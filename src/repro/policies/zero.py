@@ -2,23 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Hashable
-
-from repro.core.bounds import Bounds
 from repro.core.policy import Policy
-from repro.core.subscription import Subscriber
 
 
 class ZeroBoundsPolicy(Policy):
-    """Every subscription gets zero bounds.
+    """Every subscription gets zero bounds (the base policy's columns).
 
     With zero bounds each committed update immediately exceeds the
     numerical bound and flushes on the spot, so the middleware degenerates
     to vanilla immediate broadcast. The integration test suite verifies
     this equivalence packet-for-packet against the server's direct path.
     """
-
-    def initial_bounds(
-        self, system, dyconit_id: Hashable, subscriber: Subscriber
-    ) -> Bounds:
-        return Bounds.ZERO

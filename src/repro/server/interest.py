@@ -210,9 +210,10 @@ class InterestManager:
         subscriber = dyconits.subscriber(session.client_id)
         if subscriber is None:
             return
-        for dyconit_id in new_ids:
-            if dyconit_id not in old_ids:
-                dyconits.subscribe(dyconit_id, subscriber)
+        # The added ids' bounds come from one policy call (S35).
+        added = [dyconit_id for dyconit_id in new_ids if dyconit_id not in old_ids]
+        for dyconit_id, bounds in zip(added, dyconits.policy_bounds(added, subscriber)):
+            dyconits.subscribe(dyconit_id, subscriber, bounds=bounds)
         for dyconit_id in old_ids:
             if dyconit_id not in new_ids:
                 # Updates about an area leaving the view are obsolete: the

@@ -18,6 +18,8 @@ from repro.cluster.shard import ShardServer
 from repro.core.bounds import Bounds
 from repro.core.dyconit import SubscriptionState
 from repro.core.manager import DyconitSystem
+from repro.core.partition import GLOBAL_DYCONIT, centroid_of
+from repro.core.policy import Policy
 from repro.core.subscription import Subscriber
 from repro.metrics.collector import Histogram
 from repro.net.protocol import (
@@ -26,6 +28,12 @@ from repro.net.protocol import (
     DestroyEntitiesPacket,
     MultiBlockChangePacket,
     SpawnEntityPacket,
+)
+from repro.policies import (
+    AdaptiveBoundsPolicy,
+    DistanceBasedPolicy,
+    ElasticPartitioningPolicy,
+    InterestCutoffPolicy,
 )
 from repro.server.codec import SessionCodec, _move_packet
 from repro.server.config import ServerConfig
@@ -681,3 +689,49 @@ class RecordingSubscriber:
 @pytest.fixture
 def recording_subscriber() -> RecordingSubscriber:
     return RecordingSubscriber()
+
+
+# ----------------------------------------------------------------------
+# The spatial policies' scalar bound formulas: the oracle the product's
+# ``bounds_columns`` is held to bit for bit (S35)
+# ----------------------------------------------------------------------
+
+
+def distance_bounds_at(policy: DistanceBasedPolicy, chunk_distance: float) -> Bounds:
+    """``DistanceBasedPolicy``'s bound surface at one chunk distance."""
+    if chunk_distance <= 0:
+        return Bounds.ZERO
+    staleness_ms = policy.staleness_per_chunk_ms * chunk_distance
+    numerical = max(
+        policy.numerical_per_chunk * chunk_distance**policy.numerical_exponent,
+        policy.numerical_weight_rate * staleness_ms / 1000.0,
+    )
+    return Bounds(numerical=numerical, staleness_ms=staleness_ms)
+
+
+def oracle_bounds(policy: Policy, system: DyconitSystem, dyconit_id, position) -> Bounds:
+    """One (dyconit, subscriber position) pair's bounds under ``policy``,
+    as the scalar formula states them: parse the id, build its centre,
+    measure with ``Vec3.horizontal_distance_to``."""
+    if isinstance(policy, ElasticPartitioningPolicy):
+        return oracle_bounds(policy.inner, system, dyconit_id, position)
+    if isinstance(policy, AdaptiveBoundsPolicy):
+        base = oracle_bounds(policy.shape, system, dyconit_id, position)
+        if base.is_zero or base.is_infinite:
+            return base
+        return base.scaled(policy.factor)
+    centroid = None
+    if dyconit_id != GLOBAL_DYCONIT:
+        centroid = centroid_of(dyconit_id, system.partitioner)
+    if isinstance(policy, InterestCutoffPolicy):
+        if centroid is None or position is None:
+            return Bounds.ZERO  # chat is always delivered
+        distance_chunks = position.horizontal_distance_to(centroid) / CHUNK_SIZE
+        if distance_chunks <= policy.aoi_radius_chunks + 0.5:
+            return Bounds.ZERO
+        return Bounds.INFINITE
+    if centroid is None or position is None:
+        return policy.global_bounds
+    distance_blocks = position.horizontal_distance_to(centroid)
+    chunk_distance = max(policy.min_chunk_distance, distance_blocks / CHUNK_SIZE - 0.5)
+    return distance_bounds_at(policy, chunk_distance)

@@ -43,7 +43,7 @@ from repro.core.dyconit import Dyconit
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import Policy
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.block import BlockType
 from repro.world.events import BlockChangeEvent, EntityMoveEvent
 from repro.world.geometry import BlockPos, Vec3
@@ -51,14 +51,6 @@ from repro.world.geometry import BlockPos, Vec3
 from tests.conftest import RecordingSubscriber
 
 WIDE = Bounds(1e9, 1e9)
-
-
-class StaticPolicy(Policy):
-    def __init__(self, bounds=WIDE):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id=1, time=0.0, x=0.0, distance=1.0):
@@ -466,7 +458,7 @@ class TestLockstepDifferential:
 
         def run(backend):
             system = DyconitSystem(
-                StaticPolicy(Bounds(3.0, 400.0)),
+                FixedBoundsPolicy(Bounds(3.0, 400.0)),
                 ChunkPartitioner(),
                 time_source=lambda: clock["now"],
                 state_store=backend,

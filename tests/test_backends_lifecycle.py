@@ -22,18 +22,13 @@ from repro.backends import SQLiteStateStore, create_state_store
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import Policy
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
 
 WIDE = Bounds(1e9, 1e9)
-
-
-class StaticPolicy(Policy):
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return WIDE
 
 
 def move(entity_id=1, time=0.0):
@@ -121,7 +116,7 @@ class TestRegistryPaths:
 
 def make_system(store_spec):
     return DyconitSystem(
-        StaticPolicy(),
+        FixedBoundsPolicy(WIDE),
         ChunkPartitioner(),
         time_source=lambda: 0.0,
         state_store=store_spec,

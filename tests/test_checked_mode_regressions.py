@@ -27,21 +27,13 @@ from repro.core.bounds import Bounds
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import LoadSignals, Policy
+from repro.core.policy import LoadSignals
 from repro.policies.elastic import ElasticPartitioningPolicy
 from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
-
-
-class StaticPolicy(Policy):
-    def __init__(self, bounds=Bounds(math.inf, math.inf)):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id=1, time=0.0, x=0.0):
@@ -61,7 +53,9 @@ def clock():
 @pytest.fixture
 def system(clock):
     return DyconitSystem(
-        StaticPolicy(), ChunkPartitioner(), time_source=lambda: clock["now"]
+        FixedBoundsPolicy(Bounds(math.inf, math.inf)),
+        ChunkPartitioner(),
+        time_source=lambda: clock["now"],
     )
 
 

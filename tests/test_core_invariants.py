@@ -16,20 +16,11 @@ from repro.core.bounds import Bounds
 from repro.core.invariants import InvariantAuditor, InvariantViolationError, Violation
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import Policy
 from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
-
-
-class StaticPolicy(Policy):
-    def __init__(self, bounds=Bounds(50.0, 1000.0)):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id=1, time=0.0, x=0.0):
@@ -54,7 +45,9 @@ def clock():
 @pytest.fixture
 def system(clock):
     return DyconitSystem(
-        StaticPolicy(), ChunkPartitioner(), time_source=lambda: clock["now"]
+        FixedBoundsPolicy(Bounds(50.0, 1000.0)),
+        ChunkPartitioner(),
+        time_source=lambda: clock["now"],
     )
 
 
@@ -69,7 +62,7 @@ def legacy_system(clock):
     corruption coverage under I9).
     """
     return DyconitSystem(
-        StaticPolicy(),
+        FixedBoundsPolicy(Bounds(50.0, 1000.0)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
         state_store="per-object",

@@ -6,18 +6,11 @@ from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
 from repro.core.policy import LoadSignals, Policy
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
-
-
-class FixedPolicy(Policy):
-    def __init__(self, bounds: Bounds):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 class FakeClock:
@@ -34,7 +27,7 @@ def clock():
 
 
 def make_system(clock, bounds=Bounds(10.0, 1000.0)) -> DyconitSystem:
-    return DyconitSystem(FixedPolicy(bounds), ChunkPartitioner(), time_source=clock)
+    return DyconitSystem(FixedBoundsPolicy(bounds), ChunkPartitioner(), time_source=clock)
 
 
 def move(entity_id=1, time=0.0, distance=1.0, x=0.0):

@@ -6,19 +6,11 @@ import pytest
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.policy import Policy
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
-
-
-class OrderPolicy(Policy):
-    def __init__(self, bounds):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id, time=0.0):
@@ -48,7 +40,7 @@ def test_order_scales():
 
 def test_order_bound_flushes_on_distinct_updates():
     system = DyconitSystem(
-        OrderPolicy(Bounds(math.inf, math.inf, order=2)), time_source=lambda: 0.0
+        FixedBoundsPolicy(Bounds(math.inf, math.inf, order=2)), time_source=lambda: 0.0
     )
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
@@ -63,7 +55,7 @@ def test_merged_updates_do_not_count_against_order():
     """Order error counts *distinct* pending updates: repeated moves of
     one entity merge into a single queue entry."""
     system = DyconitSystem(
-        OrderPolicy(Bounds(math.inf, math.inf, order=2)), time_source=lambda: 0.0
+        FixedBoundsPolicy(Bounds(math.inf, math.inf, order=2)), time_source=lambda: 0.0
     )
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)

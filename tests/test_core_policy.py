@@ -27,7 +27,7 @@ def test_tick_utilization():
 
 
 def test_default_policy_fails_safe_to_zero_bounds():
-    """A policy that forgets to override initial_bounds behaves like
+    """A policy that forgets to override bounds_columns behaves like
     vanilla — it can never silently introduce inconsistency."""
     system = DyconitSystem(Policy(), time_source=lambda: 0.0)
     rec = RecordingSubscriber()

@@ -5,19 +5,11 @@ import pytest
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import Policy
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
-
-
-class StaticPolicy(Policy):
-    def __init__(self, bounds=Bounds(10.0, 1000.0)):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id=1, time=0.0, x=0.0):
@@ -26,7 +18,9 @@ def move(entity_id=1, time=0.0, x=0.0):
 
 @pytest.fixture
 def system():
-    return DyconitSystem(StaticPolicy(), ChunkPartitioner(), time_source=lambda: 0.0)
+    return DyconitSystem(
+        FixedBoundsPolicy(Bounds(10.0, 1000.0)), ChunkPartitioner(), time_source=lambda: 0.0
+    )
 
 
 CHUNK_A = ("chunk", 0, 0)
@@ -178,3 +172,48 @@ def test_merge_out_of_order_backlogs_flush_in_time_order(system):
     system.merge_dyconits([CHUNK_A, CHUNK_B], MERGED)
     system.flush(MERGED, rec.subscriber.subscriber_id)
     assert [update.time for update in rec.delivered_updates] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("state_store", ["memory", "per-object", "sqlite"])
+def test_merge_flushes_a_backlog_it_puts_over_the_bound(state_store):
+    """Two backlogs of error 4 under a numerical bound of 5 merge into one
+    of error 8: the merge flushes it at once, reason numerical, as
+    ``set_bounds`` would — not at the next commit into the target or at
+    its 10 s staleness deadline."""
+    system = DyconitSystem(
+        FixedBoundsPolicy(Bounds(5.0, 10_000.0)),
+        ChunkPartitioner(),
+        time_source=lambda: 0.0,
+        state_store=state_store,
+    )
+    rec = RecordingSubscriber()
+    for entity_id, dyconit_id in enumerate(("A", "B"), start=1):
+        system.subscribe(dyconit_id, rec.subscriber)
+        system.commit_to(
+            dyconit_id, EntityMoveEvent(0.0, entity_id, Vec3(0, 0, 0), Vec3(4, 0, 0))
+        )
+    assert rec.delivered_updates == []
+    checks = system.stats.bound_checks
+    system.merge_dyconits(["A"], "B")
+    assert len(rec.delivered_updates) == 2
+    assert rec.deliveries[0][0] == "B"
+    assert (system.stats.flushes, system.stats.flushes_numerical) == (1, 1)
+    assert system.stats.bound_checks == checks + 1
+    assert not system.get("B").get_state(rec.subscriber.subscriber_id).has_pending
+    system.close()
+
+
+def test_merge_flushes_a_backlog_its_tightened_order_bound_trips(system):
+    """The target's own backlog of two updates meets a source bound with
+    order 1: the tightened bound trips it, reason order, at the merge."""
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber, bounds=Bounds(10.0, 1000.0, order=1.0))
+    system.subscribe(MERGED, rec.subscriber)
+    system.commit_to(MERGED, move(1))
+    system.commit_to(MERGED, move(2))
+    assert rec.delivered_updates == []
+    system.merge_dyconits([CHUNK_A], MERGED)
+    assert len(rec.delivered_updates) == 2
+    assert system.stats.flushes_order == 1
+    state = system.get(MERGED).get_state(rec.subscriber.subscriber_id)
+    assert state.bounds == Bounds(10.0, 1000.0, order=1.0)

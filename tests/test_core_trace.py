@@ -3,18 +3,14 @@
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner
-from repro.core.policy import LoadSignals, Policy
+from repro.core.policy import LoadSignals
 from repro.policies.adaptive import AdaptiveBoundsPolicy
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.telemetry.hub import Telemetry
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
-
-
-class P(Policy):
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return Bounds(0.5, 1e9)
 
 
 def overload() -> LoadSignals:
@@ -33,7 +29,11 @@ def move(entity_id=1, time=0.0):
 
 
 def make_traced_system():
-    return DyconitSystem(P(), time_source=lambda: 0.0, telemetry=Telemetry(enabled=True))
+    return DyconitSystem(
+        FixedBoundsPolicy(Bounds(0.5, 1e9)),
+        time_source=lambda: 0.0,
+        telemetry=Telemetry(enabled=True),
+    )
 
 
 def decisions(system, kind):
@@ -125,7 +125,9 @@ def test_untraced_system_pays_nothing():
     """A disabled hub resolves no decision handle: the flush, bounds and
     retune paths pay one ``is None`` check and record nothing."""
     telemetry = Telemetry(enabled=False)
-    system = DyconitSystem(P(), time_source=lambda: 0.0, telemetry=telemetry)
+    system = DyconitSystem(
+        FixedBoundsPolicy(Bounds(0.5, 1e9)), time_source=lambda: 0.0, telemetry=telemetry
+    )
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
     system.commit(move())

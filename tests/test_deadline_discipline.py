@@ -25,19 +25,11 @@ from repro.core.dyconit import Dyconit
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import Policy
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
-
-
-class StaticPolicy(Policy):
-    def __init__(self, bounds):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id=1, time=0.0, x=0.0):
@@ -63,7 +55,7 @@ def clock():
 
 def make_system(clock, bounds=Bounds(math.inf, 1000.0), **kwargs) -> DyconitSystem:
     return DyconitSystem(
-        StaticPolicy(bounds),
+        FixedBoundsPolicy(bounds),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
         **kwargs,

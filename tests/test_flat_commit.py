@@ -23,20 +23,12 @@ from repro.core.dyconit import Dyconit
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import Policy
 from repro.core.stats import DyconitStats
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import PerObjectDyconit, RecordingSubscriber
-
-
-class StaticPolicy(Policy):
-    def __init__(self, bounds=Bounds(10.0, 1000.0)):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id=1, time=0.0, dx=1.0):
@@ -113,7 +105,7 @@ def make_op_tape(seed: int, length: int = 400) -> list[tuple]:
 def run_tape(ops: list[tuple], state_store: str):
     clock = {"now": 0.0}
     system = DyconitSystem(
-        StaticPolicy(Bounds(50.0, 1000.0)),
+        FixedBoundsPolicy(Bounds(50.0, 1000.0)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
         state_store=state_store,
@@ -195,7 +187,7 @@ def test_differential_with_merging_disabled(seed):
     def run(state_store):
         clock = {"now": 0.0}
         system = DyconitSystem(
-            StaticPolicy(Bounds(50.0, 1000.0)),
+            FixedBoundsPolicy(Bounds(50.0, 1000.0)),
             ChunkPartitioner(),
             time_source=lambda: clock["now"],
             state_store=state_store,
@@ -251,7 +243,7 @@ def clock():
 @pytest.fixture
 def system(clock):
     return DyconitSystem(
-        StaticPolicy(Bounds(50.0, 1000.0)),
+        FixedBoundsPolicy(Bounds(50.0, 1000.0)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
     )
@@ -305,7 +297,7 @@ def test_zero_bounds_flush_immediately(system):
 def test_commit_many_equals_commit_to_loop(clock):
     def run(batched_call):
         system = DyconitSystem(
-            StaticPolicy(Bounds(5.0, 500.0)),
+            FixedBoundsPolicy(Bounds(5.0, 500.0)),
             ChunkPartitioner(),
             time_source=lambda: clock["now"],
         )
@@ -339,7 +331,7 @@ def test_commit_many_survives_mid_batch_repartition(clock):
     lands under the resolution it was made with and the merge moves
     them all."""
     system = DyconitSystem(
-        StaticPolicy(Bounds.ZERO),  # every commit flushes immediately
+        FixedBoundsPolicy(Bounds.ZERO),  # every commit flushes immediately
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
     )
@@ -378,7 +370,9 @@ def test_columnar_from_creation_to_removal(system, clock):
     assert isinstance(target, Dyconit)
     assert [u.time for u in target.get_state(1).pending.values()] == [0.0, 5.0]
     resumed = DyconitSystem(
-        StaticPolicy(), ChunkPartitioner(), time_source=lambda: clock["now"]
+        FixedBoundsPolicy(Bounds(10.0, 1000.0)),
+        ChunkPartitioner(),
+        time_source=lambda: clock["now"],
     )
     resumed.restore(system.snapshot(), {1: rec1.subscriber, 2: rec2.subscriber})
     assert final_states(resumed) == final_states(system)
@@ -467,7 +461,7 @@ def test_i9_commit_buffer_must_drain_at_barrier(sim, server_factory):
 @pytest.mark.parametrize("flat", [True, False])
 def test_hotness_counts_only_received_commits(clock, flat):
     system = DyconitSystem(
-        StaticPolicy(Bounds(math.inf, math.inf)),
+        FixedBoundsPolicy(Bounds(math.inf, math.inf)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
         state_store="memory" if flat else "per-object",
@@ -579,7 +573,7 @@ def test_hypothesis_stalled_cursor_stays_bounded_and_exact(tape):
     def run(state_store):
         clock = {"now": 0.0}
         system = DyconitSystem(
-            StaticPolicy(Bounds(math.inf, math.inf)),
+            FixedBoundsPolicy(Bounds(math.inf, math.inf)),
             ChunkPartitioner(),
             time_source=lambda: clock["now"],
             state_store=state_store,

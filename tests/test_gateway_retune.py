@@ -25,6 +25,7 @@ from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
 from repro.core.invariants import InvariantAuditor
 from repro.experiments.configs import make_policy
 from repro.gateway import ControlPlane, GatewayCore
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
@@ -195,19 +196,16 @@ def test_subnormal_staleness_bound_cannot_livelock_the_tick():
     random-retune property test; the flush loop must deliver instead."""
     from repro.core.manager import DyconitSystem
     from repro.core.partition import ChunkPartitioner
-    from repro.core.policy import Policy
     from repro.core.bounds import Bounds
     from repro.world.events import EntityMoveEvent
     from repro.world.geometry import Vec3
     from tests.conftest import RecordingSubscriber
 
-    class Static(Policy):
-        def initial_bounds(self, system, dyconit_id, subscriber):
-            return Bounds(1e9, 5e-324)
-
     clock = {"now": 1_000.0}
     system = DyconitSystem(
-        Static(), ChunkPartitioner(), time_source=lambda: clock["now"]
+        FixedBoundsPolicy(Bounds(1e9, 5e-324)),
+        ChunkPartitioner(),
+        time_source=lambda: clock["now"],
     )
     recorder = RecordingSubscriber(1)
     system.subscribe(("chunk", 0, 0), recorder.subscriber)
@@ -442,7 +440,6 @@ def test_gateway_refuses_a_parallel_runner():
     lands."""
     from repro.cluster import ParallelShardRunner
     from repro.gateway.app import serve_gateway
-    from repro.policies import FixedBoundsPolicy
 
     runner = ParallelShardRunner(
         Simulation(),
@@ -457,3 +454,39 @@ def test_gateway_refuses_a_parallel_runner():
         assert getattr(runner, "control_plane", None) is None
     finally:
         runner.close()
+
+
+@pytest.mark.parametrize("policy", ["zero", "infinite", "distance", "adaptive", "fixed"])
+def test_only_the_fixed_policy_shows_and_takes_global_bounds(policy):
+    """The gateway tells a static policy by its ``bounds`` attribute. Only
+    ``FixedBoundsPolicy`` has one (every other policy's bounds are its
+    ``bounds_columns``): ``GET /policy`` shows bounds for it alone, and a
+    global bounds ``PUT`` retargets ``policy.bounds`` on it alone."""
+    from repro.core.bounds import Bounds
+
+    sim, server = boot_server(policy=policy, bots=1, audit_every_n_ticks=0)
+    core = GatewayCore(server)
+    sim.run_until(200.0)
+    name = type(server.dyconits.policy).__name__
+
+    def shown():
+        status, __, body = core.handle("GET", "/policy")
+        assert status == 200
+        return json.loads(body)["policies"]
+
+    fixed = policy == "fixed"
+    expected = {"class": name}
+    if fixed:
+        expected["bounds"] = {"numerical": 10.0, "staleness_ms": 500.0, "order": "inf"}
+    assert shown() == [expected]
+    status, __, ___ = core.handle(
+        "PUT", "/policy", json.dumps({"bounds": {"numerical": 3.0, "staleness_ms": 40.0}})
+    )
+    assert status == 202
+    sim.run_until(sim.now + 2 * TICK_MS)
+    assert [op["status"] for op in core.control.log] == ["ok"]
+    assert hasattr(server.dyconits.policy, "bounds") == fixed
+    if fixed:
+        assert server.dyconits.policy.bounds == Bounds(3.0, 40.0)
+        expected["bounds"] = {"numerical": 3.0, "staleness_ms": 40.0, "order": "inf"}
+    assert shown() == [expected]

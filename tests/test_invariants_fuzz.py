@@ -46,7 +46,7 @@ from repro.core.bounds import Bounds
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
 from repro.core.partition import ChunkPartitioner
-from repro.core.policy import LoadSignals, Policy
+from repro.core.policy import LoadSignals
 from repro.core.subscription import Subscriber
 from repro.policies.elastic import ElasticPartitioningPolicy
 from repro.policies.fixed import FixedBoundsPolicy
@@ -55,14 +55,6 @@ from repro.server.config import ServerConfig
 from repro.sim.simulator import Simulation
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
-
-
-class StaticPolicy(Policy):
-    def __init__(self, bounds):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 def move(entity_id: int, time: float, dx: float) -> EntityMoveEvent:
@@ -105,7 +97,7 @@ class DyconitMachine(RuleBasedStateMachine):
         self.now = 0.0
         self.auditor = InvariantAuditor()
         self.system = DyconitSystem(
-            StaticPolicy(Bounds(50.0, 1000.0)),
+            FixedBoundsPolicy(Bounds(50.0, 1000.0)),
             ChunkPartitioner(),
             time_source=lambda: self.now,
             state_store=self.STATE_STORE,
@@ -228,11 +220,12 @@ class DyconitMachine(RuleBasedStateMachine):
             resolved = self.system.resolve(member)
             if resolved != resolved_target and resolved not in resolved_members:
                 resolved_members.append(resolved)
-        self.system.merge_dyconits(members, target)
-        # Mirror the move: per source, supersede-and-append every update
-        # into the target queue (same order as the manager's drain), then
-        # restore time order; the error mirror gains exactly the moved
-        # survivors' weights, matching the real re-enqueue.
+        # Mirror the move *before* merging: per source, supersede-and-append
+        # every update into the target queue (same order as the manager's
+        # drain), then restore time order; the error mirror gains exactly
+        # the moved survivors' weights, matching the real re-enqueue. A
+        # merged queue over its bounds flushes inside the merge, and the
+        # delivery callback compares it against the merged model queue.
         for source in resolved_members:
             for (dyconit_id, sub_id), queue in list(self.queues.items()):
                 if dyconit_id != source or not queue:
@@ -249,6 +242,19 @@ class DyconitMachine(RuleBasedStateMachine):
                 target_queue.clear()
                 target_queue.update(items)
                 self._model_drop((source, sub_id))
+        self.system.merge_dyconits(members, target)
+        # The merge flushes every merged queue its backlog or tightened
+        # bounds put over them, as set_bounds would: none is left over its
+        # numerical or order bound to wait for the next commit or its
+        # deadline (staleness is the due pass's: time passes between ticks).
+        merged = self.system.get(resolved_target)
+        for state in merged.subscription_states() if merged is not None else ():
+            bounds = state.bounds
+            over = state.accumulated_error > bounds.numerical or len(state.pending) > bounds.order
+            assert not over, (
+                f"merged queue of subscriber {state.subscriber.subscriber_id} "
+                f"left over its bounds {bounds}"
+            )
 
     @rule(region_index=st.sampled_from([0, 1]))
     def split_region(self, region_index):

@@ -14,18 +14,10 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.policy import Policy
 from repro.core.subscription import Subscriber
+from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
-
-
-class RandomBoundsPolicy(Policy):
-    def __init__(self, bounds):
-        self.bounds = bounds
-
-    def initial_bounds(self, system, dyconit_id, subscriber):
-        return self.bounds
 
 
 bounds_strategy = st.sampled_from(
@@ -71,7 +63,7 @@ operation_strategy = st.one_of(
 def test_update_conservation_under_random_interleavings(initial_bounds, operations):
     clock = {"now": 0.0}
     system = DyconitSystem(
-        RandomBoundsPolicy(initial_bounds), time_source=lambda: clock["now"]
+        FixedBoundsPolicy(initial_bounds), time_source=lambda: clock["now"]
     )
     delivered_count = {"n": 0}
     subscribers = []
@@ -135,7 +127,7 @@ def test_update_conservation_under_random_interleavings(initial_bounds, operatio
 def test_zero_bounds_never_holds_updates(operations):
     clock = {"now": 0.0}
     system = DyconitSystem(
-        RandomBoundsPolicy(Bounds.ZERO), time_source=lambda: clock["now"]
+        FixedBoundsPolicy(Bounds.ZERO), time_source=lambda: clock["now"]
     )
     subscriber = Subscriber(subscriber_id=1, deliver=lambda segments: None)
     for dyconit_index in range(3):

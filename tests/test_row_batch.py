@@ -122,7 +122,7 @@ def rows(store) -> tuple:
 class Unused(Policy):
     """Every subscription in the tape names its bounds."""
 
-    def initial_bounds(self, system, dyconit_id, subscriber):
+    def bounds_columns(self, system, dyconit_ids, positions):
         raise AssertionError("the tape names every bound")
 
 

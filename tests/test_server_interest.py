@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.manager import DyconitSystem
 from repro.core.partition import GLOBAL_DYCONIT
 from repro.net.protocol import (
     ChunkDataPacket,
@@ -10,9 +11,17 @@ from repro.net.protocol import (
     PlayerActionPacket,
     SpawnEntityPacket,
 )
+from repro.policies import (
+    AdaptiveBoundsPolicy,
+    DistanceBasedPolicy,
+    ElasticPartitioningPolicy,
+    InterestCutoffPolicy,
+)
 from repro.policies.zero import ZeroBoundsPolicy
 from repro.world.geometry import ChunkPos, Vec3
 from repro.world.world import World
+
+from tests.conftest import oracle_bounds
 
 
 class Client:
@@ -149,3 +158,97 @@ def test_leave_clears_view_state(server):
     server.disconnect(session.client_id)
     assert session.view_chunks == set()
     assert session.known_entities == {}
+
+
+# ----------------------------------------------------------------------
+# One bounds formula (S35): a view change subscribes with the bounds a
+# crossing re-derives
+# ----------------------------------------------------------------------
+
+
+def moved_factor() -> AdaptiveBoundsPolicy:
+    policy = AdaptiveBoundsPolicy()
+    policy.factor = 2.56  # as after two loosening steps
+    return policy
+
+
+SPATIAL_POLICIES = {
+    "distance": DistanceBasedPolicy,
+    "adaptive": AdaptiveBoundsPolicy,
+    "adaptive-moved": moved_factor,
+    "aoi": InterestCutoffPolicy,
+    "elastic-distance": lambda: ElasticPartitioningPolicy(inner=DistanceBasedPolicy()),
+}
+
+
+def bounds_of(system, subscriber_id: int) -> dict:
+    return {
+        dyconit_id: system.get(dyconit_id).get_state(subscriber_id).bounds
+        for dyconit_id in system.subscription_ids_of(subscriber_id)
+    }
+
+
+@pytest.mark.parametrize("state_store", ["memory", "sqlite"])
+@pytest.mark.parametrize("policy", SPATIAL_POLICIES.values(), ids=SPATIAL_POLICIES)
+def test_join_subscribes_with_the_bounds_a_crossing_installs(
+    sim, server_factory, policy, state_store
+):
+    """Re-deriving a subscriber's bounds at the same position (what a chunk
+    crossing does) changes no bound, bit for bit, and flushes nothing —
+    right after the join, and again once mobs have queues pending."""
+    server = server_factory(
+        policy=policy(), synchronous_delivery=True, state_store=state_store, mob_count=30
+    )
+    system = server.dyconits
+    session = server.connect("alice", handler=Client(), position=Vec3(21.0, 30.0, -7.5))
+    subscriber = system.subscriber(session.client_id)
+    joined = bounds_of(system, session.client_id)
+    assert len(joined) == (2 * session.view_distance + 1) ** 2 + 1
+    assert len(set(joined.values())) > 1  # the bounds do depend on the place
+    assert joined == {
+        dyconit_id: oracle_bounds(system.policy, system, dyconit_id, subscriber.position)
+        for dyconit_id in joined
+    }
+    for ticks in (0, 6):
+        sim.run_until(sim.now + ticks * 50.0)
+        before = bounds_of(system, session.client_id)
+        pending = [
+            dyconit_id
+            for dyconit_id in before
+            if system.get(dyconit_id).get_state(session.client_id).has_pending
+        ]
+        assert bool(pending) == bool(ticks)
+        flushes = system.stats.flushes
+        with system._flush_scope():  # as notify_subscriber_moved runs it
+            system.retune_subscriber(subscriber, system.policy.bounds_columns)
+        assert bounds_of(system, session.client_id) == before
+        assert system.stats.flushes == flushes
+    server.close()
+
+
+@pytest.mark.parametrize("state_store", ["memory", "sqlite"])
+@pytest.mark.parametrize("policy", SPATIAL_POLICIES.values(), ids=SPATIAL_POLICIES)
+def test_view_change_bounds_equal_one_subscribe_at_a_time(
+    sim, server_factory, policy, state_store, monkeypatch
+):
+    """The bounds a join and a diagonal crossing subscribe with — one
+    policy call per view change — are, id for id, what ``subscribe``
+    without bounds derives for that id alone."""
+    subscribed = []
+    subscribe = DyconitSystem.subscribe
+
+    def spy(system, dyconit_id, subscriber, bounds=None):
+        (alone,) = system.policy_bounds([system.resolve(dyconit_id)], subscriber)
+        subscribed.append((dyconit_id, bounds, alone))
+        return subscribe(system, dyconit_id, subscriber, bounds=bounds)
+
+    monkeypatch.setattr(DyconitSystem, "subscribe", spy)
+    server = server_factory(policy=policy(), synchronous_delivery=True, state_store=state_store)
+    session = server.connect("alice", handler=Client(), position=Vec3(8, 30, 8))
+    row = 2 * session.view_distance + 1
+    assert len(subscribed) == row * row + 1
+    walk_to(sim, server, session, Vec3(24.0, 30.0, 24.0))  # diagonally into chunk (1, 1)
+    assert len(subscribed) == row * row + 1 + 2 * row - 1
+    assert all(bounds is not None for __, bounds, __ in subscribed)
+    assert [bounds for __, bounds, __ in subscribed] == [alone for __, __, alone in subscribed]
+    server.close()
