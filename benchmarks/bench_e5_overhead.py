@@ -5,8 +5,12 @@ the commit path, the flush path, bound re-derivation, and the memory
 footprint per dyconit. These are the only benchmarks in the suite that
 measure *wall-clock* performance of the implementation itself (everything
 else measures simulated quantities).
+
+Under ``--benchmark-disable`` each body runs once, untimed, as a smoke
+test: the rows then report and assert nothing about time.
 """
 
+import math
 import sys
 
 import pytest
@@ -27,6 +31,11 @@ def build_system(subscribers: int, bounds: Bounds, telemetry=None) -> DyconitSys
         subscriber = Subscriber(subscriber_id=subscriber_id, deliver=lambda segments: None)
         system.subscribe(("chunk", 0, 0), subscriber)
     return system
+
+
+def mean_s(benchmark) -> float | None:
+    """Mean seconds per round, or ``None`` when benchmarking is off."""
+    return None if benchmark.stats is None else benchmark.stats.stats.mean
 
 
 def make_moves(count: int):
@@ -52,9 +61,11 @@ def test_e5_commit_throughput_queueing(benchmark):
             system.commit_to(("chunk", 0, 0), move)
 
     benchmark(commit_batch)
-    # 1000 commits x 50 subscribers per round.
-    per_enqueue_us = benchmark.stats.stats.mean * 1e6 / (1000 * 50)
-    print(f"\ncommit+enqueue cost: {per_enqueue_us:.2f} us per (update, subscriber)")
+    mean = mean_s(benchmark)
+    if mean is not None:
+        # 1000 commits x 50 subscribers per round.
+        per_enqueue_us = mean * 1e6 / (1000 * 50)
+        print(f"\ncommit+enqueue cost: {per_enqueue_us:.2f} us per (update, subscriber)")
 
 
 @pytest.mark.benchmark(group="e5-overhead")
@@ -99,7 +110,9 @@ def test_e5_staleness_tick_scales_with_due_flushes_only(benchmark):
         system.commit_to(("chunk", 0, 0), move)
 
     benchmark(system.tick)
-    assert benchmark.stats.stats.mean < 0.001  # < 1 ms with 5k subscriptions
+    mean = mean_s(benchmark)
+    if mean is not None:
+        assert mean < 0.001  # < 1 ms with 5k subscriptions
 
 
 @pytest.mark.benchmark(group="e5-overhead")
@@ -118,8 +131,10 @@ def test_e5_telemetry_overhead_disabled(benchmark):
             system.commit_to(("chunk", 0, 0), move)
 
     benchmark(commit_batch)
-    per_enqueue_us = benchmark.stats.stats.mean * 1e6 / (1000 * 50)
-    print(f"\ntelemetry off: {per_enqueue_us:.3f} us per (update, subscriber)")
+    mean = mean_s(benchmark)
+    if mean is not None:
+        per_enqueue_us = mean * 1e6 / (1000 * 50)
+        print(f"\ntelemetry off: {per_enqueue_us:.3f} us per (update, subscriber)")
 
 
 @pytest.mark.benchmark(group="e5-overhead")
@@ -140,8 +155,10 @@ def test_e5_telemetry_overhead_enabled(benchmark):
             system.commit_to(("chunk", 0, 0), move)
 
     benchmark(commit_batch)
-    per_enqueue_us = benchmark.stats.stats.mean * 1e6 / (1000 * 50)
-    print(f"\ntelemetry on: {per_enqueue_us:.3f} us per (update, subscriber)")
+    mean = mean_s(benchmark)
+    if mean is not None:
+        per_enqueue_us = mean * 1e6 / (1000 * 50)
+        print(f"\ntelemetry on: {per_enqueue_us:.3f} us per (update, subscriber)")
     assert telemetry.counter("dyconit_commits_total").value > 0
 
 
@@ -161,8 +178,9 @@ def test_e5_audit_overhead_off(benchmark):
         system.tick()
 
     benchmark(round_trip)
-    per_round_us = benchmark.stats.stats.mean * 1e6
-    print(f"\naudit off: {per_round_us:.1f} us per 200-commit round")
+    mean = mean_s(benchmark)
+    if mean is not None:
+        print(f"\naudit off: {mean * 1e6:.1f} us per 200-commit round")
 
 
 @pytest.mark.benchmark(group="e5-overhead")
@@ -187,8 +205,75 @@ def test_e5_audit_overhead_on(benchmark):
         assert not violations
 
     benchmark(round_trip)
-    per_round_us = benchmark.stats.stats.mean * 1e6
-    print(f"\naudit on: {per_round_us:.1f} us per 200-commit round + audit")
+    mean = mean_s(benchmark)
+    if mean is not None:
+        print(f"\naudit on: {mean * 1e6:.1f} us per 200-commit round + audit")
+
+
+def retune_crowd(clients: int = 40, view_distance: int = 5):
+    """A bench-shaped crowd: ``clients`` avatars spread over a 48-block disc,
+    each subscribed to its (2 * view_distance + 1)-square view plus the
+    global dyconit under ``AdaptiveBoundsPolicy``, the views overlapping
+    as ``adaptive-hotspot``'s do (40 clients: ~4 900 pairs over ~300
+    dyconits). Returns ``(system, policy, clock, chunk ids)``."""
+    import random
+
+    from repro.core.partition import ChunkPartitioner
+    from repro.policies.adaptive import AdaptiveBoundsPolicy
+
+    policy = AdaptiveBoundsPolicy()
+    clock = {"now": 0.0}
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: clock["now"])
+    rng = random.Random(40)
+    for subscriber_id in range(clients):
+        angle = rng.uniform(0.0, 6.283185307179586)
+        radius = 48.0 * rng.random() ** 0.5
+        position = Vec3(radius * math.cos(angle), 64.0, radius * math.sin(angle))
+        subscriber = Subscriber(
+            subscriber_id=subscriber_id,
+            deliver=lambda segments: None,
+            position_provider=lambda position=position: position,
+        )
+        view = list(
+            system.partitioner.dyconits_for_view(position.to_chunk_pos(), view_distance)
+        )
+        for dyconit_id, bounds in zip(view, system.policy_bounds(view, subscriber)):
+            system.subscribe(dyconit_id, subscriber, bounds=bounds)
+    chunks = [dyconit_id for dyconit_id in system._dyconits if dyconit_id[0] == "chunk"]
+    return system, policy, clock, chunks
+
+
+@pytest.mark.benchmark(group="e5-overhead")
+def test_e5_retune_sweep(benchmark):
+    """One ``retune_clients`` over the crowd above — what the adaptive
+    servo runs each second its factor moves (S23, S36): one bounds
+    derivation over the pair table, one column install and trip check
+    per dyconit. Before each sweep, untimed, every chunk dyconit gets a
+    move queued and the clock advances 100 ms, so each sweep checks
+    pending queues and drains the ones its factor trips."""
+    system, policy, clock, chunks = retune_crowd()
+    pairs = sum(dyconit.subscriber_count for dyconit in system.dyconits())
+    factors = iter([0.5, 1.0] * 1000)
+
+    def refill():
+        clock["now"] += 100.0
+        for index, dyconit_id in enumerate(chunks):
+            system.commit_to(
+                dyconit_id,
+                EntityMoveEvent(clock["now"], index % 16 + 1, Vec3(0, 0, 0), Vec3(1, 0, 0)),
+            )
+        policy.factor = next(factors)
+
+    benchmark.pedantic(
+        system.retune_clients, args=(policy.bounds_columns,), setup=refill, rounds=20
+    )
+    assert 4000 <= pairs <= 6000 and system.stats.bound_checks > pairs
+    mean = mean_s(benchmark)
+    if mean is not None:
+        print(
+            f"\nretune sweep: {mean * 1e3:.2f} ms for {pairs} pairs over "
+            f"{system.dyconit_count} dyconits"
+        )
 
 
 def test_e5_memory_per_dyconit():

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.bounds import Bounds
@@ -128,7 +128,9 @@ class DyconitStateHandle(abc.ABC):
     def subscriber_count(self) -> int: ...
 
     @abc.abstractmethod
-    def subscribers(self) -> list["Subscriber"]: ...
+    def subscriber_ids(self) -> Iterable[int]:
+        """The subscribers' ids in subscription (slot) order, as a live
+        view: read it before subscribing or unsubscribing again."""
 
     @abc.abstractmethod
     def subscription_states(self) -> list: ...
@@ -175,10 +177,13 @@ class DyconitStateHandle(abc.ABC):
         """
 
     @abc.abstractmethod
-    def rebound(self, slots, numerical, staleness, order, now: float):
+    def rebound(self, slots, numerical, staleness, order, now: float, check_order: bool = True):
         """A retune of this dyconit (S23): ``slots`` are ascending
         positions in subscription order, the three float64 columns their
         new bounds. Install them and drain the pending queues they trip.
+        ``check_order=False`` promises every order bound is infinite (the
+        retune decides it once per sweep, S36); a store may then skip
+        counting its queues, and one that counts per row may ignore it.
 
         Returns ``(examined, tripped, next_deadline)``: the pending queues
         among ``slots`` checked, ``(subscriber, reason, updates)`` per

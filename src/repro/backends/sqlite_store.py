@@ -62,7 +62,7 @@ import pickle
 import sqlite3
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Hashable
+from typing import Hashable, Iterable
 
 from repro.backends.base import DyconitStateHandle, StateStore, SubscriptionSnapshot
 from repro.core.bounds import Bounds, tripped_dimension_of
@@ -513,8 +513,8 @@ class SQLiteDyconitState(DyconitStateHandle):
     def subscriber_count(self) -> int:
         return len(self._views)
 
-    def subscribers(self) -> list[Subscriber]:
-        return [view.subscriber for view in self._views.values()]
+    def subscriber_ids(self) -> Iterable[int]:
+        return self._views.keys()
 
     def subscription_states(self) -> list[SQLiteSubscriptionView]:
         return list(self._views.values())
@@ -743,7 +743,7 @@ class SQLiteDyconitState(DyconitStateHandle):
                 next_deadline = deadline
         return examined, self._drain(due, {}) if due else [], next_deadline
 
-    def rebound(self, slots, numerical, staleness, order, now: float):
+    def rebound(self, slots, numerical, staleness, order, now: float, check_order: bool = True):
         """A retune (S23) over rows: one ``executemany`` bound write, one
         read of the pending subscriptions' error and age, and one batched
         drain of the queues the new bounds trip. Returns what

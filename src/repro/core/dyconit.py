@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -409,8 +409,10 @@ class Dyconit:
     def subscriber_count(self) -> int:
         return self.n
 
-    def subscribers(self) -> list[Subscriber]:
-        return list(self.subscriber_by_slot)
+    def subscriber_ids(self) -> Iterable[int]:
+        # ``slots`` is in slot order: subscribe appends a key, unsubscribe
+        # pops one and renumbers the rest in place (I9 checks it).
+        return self.slots.keys()
 
     def subscription_states(self) -> list[FlatSubscriptionView]:
         return [self._views[sub.subscriber_id] for sub in self.subscriber_by_slot]
@@ -622,45 +624,57 @@ class Dyconit:
         staleness: np.ndarray,
         order: np.ndarray,
         now: float,
+        check_order: bool = True,
     ) -> tuple[int, list[tuple[Subscriber, str, list[Update]]], float]:
         """A retune of this dyconit (S23): install new bounds on ``slots``
         (ascending positions in subscription order) and drain the pending
         queues they trip.
 
-        One fancy-indexed write per bound column; then
-        ``Bounds.tripped_dimension`` over the pending slots among
-        ``slots`` as masks, in its precedence (numerical, then staleness
-        ``now - oldest >=``, then order). Returns
+        One fancy-indexed write per bound column (a slice when ``slots``
+        is every slot); then ``Bounds.tripped_dimension`` over the
+        pending slots among ``slots`` as masks, in its precedence
+        (numerical, then staleness ``now - oldest >=``, then order).
+        ``check_order=False`` says every order bound in the sweep is
+        infinite, so no queue is counted (S36). Returns
         ``(examined, tripped, next_deadline)``: the number of pending
         slots checked, ``(subscriber, reason, updates)`` per drained slot
         in slot order, and the earliest ``oldest + staleness`` among the
         checked slots left pending (``inf`` if none) — what the manager
         lowers the dyconit's due time to.
         """
-        # Ascending and as long as the columns: every slot, as a slice.
-        index = slice(0, self.n) if len(slots) == self.n else slots
-        self.b_num[index] = numerical
-        self.b_stale[index] = staleness
-        self.b_order[index] = order
         self._gates_dirty = True
+        # Ascending and as long as the columns: every slot, as a slice.
+        every_slot = len(slots) == self.n
+        if every_slot:
+            self._bnum_v[:] = numerical
+            self._bstale_v[:] = staleness
+            self._border_v[:] = order
+        else:
+            self.b_num[slots] = numerical
+            self.b_stale[slots] = staleness
+            self.b_order[slots] = order
         if not self.n_pending:
             return 0, [], math.inf
-        oldest = self.oldest[index]
-        examined = int(np.count_nonzero(oldest != math.inf))  # inf: an empty slot
-        if not examined:
-            return 0, [], math.inf
+        if every_slot:
+            error, oldest = self._err_v, self._oldest_v
+            examined = self.n_pending
+        else:
+            error, oldest = self.err[slots], self.oldest[slots]
+            examined = int(np.count_nonzero(oldest != math.inf))  # inf: an empty slot
+            if not examined:
+                return 0, [], math.inf
         # An empty slot (error 0, oldest inf, no queue) trips nothing, and
         # a finite age never reaches an infinite staleness bound.
-        numerical_trip = self.err[index] > numerical
+        numerical_trip = error > numerical
         staleness_trip = (now - oldest) >= staleness
         tripped = numerical_trip | staleness_trip
-        if not np.isinf(order).all():
+        if check_order:
             counts = np.fromiter(
                 (len(self.queues[slot]) for slot in slots), dtype=np.int64, count=len(slots)
             )
             tripped |= counts > order
         deadlines = oldest + staleness  # inf for an empty slot
-        hits = np.flatnonzero(tripped).tolist()
+        hits = tripped.nonzero()[0].tolist()
         drained = []
         if hits:
             deadlines[hits] = math.inf

@@ -39,7 +39,12 @@ I4  queue accounting: empty queue ⇔ zeroed error and no oldest-pending
     timestamp; ``pending`` in nondecreasing ``update.time`` order;
     ``oldest_pending_time`` ≤ the first pending update's time;
     ``accumulated_error`` ≥ the surviving pending weight (merging only
-    ever adds error, never subtracts it).
+    ever adds error, never subtracts it); ``I4.queue-within-bounds``: no
+    pending queue meets its numerical trip (``accumulated_error >
+    numerical``) or its order trip (distinct pending updates > ``order``)
+    — commit, ``rebound`` and ``rebound_one`` drain a queue the moment it
+    does, so one found over a bound between operations is a missed flush.
+    Staleness is the due pass's, and I3 covers it.
 I5  viewer index ≡ brute-force scan of per-session state (the
     differential ground truth promoted from the viewindex tests).
 I6  per-link FIFO monotone delivery (observed at delivery time by the
@@ -60,7 +65,8 @@ I8  mirrored border subscriptions (cluster, S16): at the post-pump
     middleware. Pairs with control messages still in flight are skipped
     — the mirror is only promised at the barrier.
 I9  flat columnar store (S17): slot table ↔ subscriber list ↔ view
-    registry ↔ per-slot queue/counter lists mirror; per slot the queue
+    registry ↔ per-slot queue/counter lists mirror, the slot table in
+    slot order; per slot the queue
     and its columns agree (empty queue ⇔ ``oldest == inf`` and
     ``err == 0.0``; ``oldest`` ≤ the first pending update's time); the
     pending-slot counter equals the number of non-empty queues; the
@@ -387,6 +393,27 @@ class InvariantAuditor:
                             f"surviving pending weight {surviving_weight:g}",
                         )
                     )
+                bounds = state.bounds
+                if state.accumulated_error > bounds.numerical:
+                    violations.append(
+                        Violation(
+                            "I4.queue-within-bounds",
+                            subject,
+                            f"accumulated_error {state.accumulated_error:g} over the "
+                            f"numerical bound {bounds.numerical:g} — the queue should "
+                            f"have flushed when it tripped",
+                        )
+                    )
+                if len(updates) > bounds.order:
+                    violations.append(
+                        Violation(
+                            "I4.queue-within-bounds",
+                            subject,
+                            f"{len(updates)} distinct updates pending over the order "
+                            f"bound {bounds.order:g} — the queue should have flushed "
+                            f"when it tripped",
+                        )
+                    )
 
     # ------------------------------------------------------------------
     # I5 — viewer index ≡ brute-force scan
@@ -499,17 +526,18 @@ class InvariantAuditor:
                 Violation("I9.slot-mirror", repr(dyconit_id), f"n={flat.n} but {lengths}")
             )
             return
-        for subscriber_id, slot in flat.slots.items():
+        # In slot order, too: ``subscriber_ids()`` reads the ids off it.
+        for position, (subscriber_id, slot) in enumerate(flat.slots.items()):
             if (
-                not 0 <= slot < flat.n
+                slot != position
                 or flat.subscriber_by_slot[slot].subscriber_id != subscriber_id
             ):
                 violations.append(
                     Violation(
                         "I9.slot-mirror",
                         f"({dyconit_id!r}, subscriber {subscriber_id})",
-                        f"slots[{subscriber_id}]={slot} does not round-trip "
-                        f"through subscriber_by_slot",
+                        f"slots[{subscriber_id}]={slot} at position {position} does "
+                        f"not round-trip through subscriber_by_slot in slot order",
                     )
                 )
                 return

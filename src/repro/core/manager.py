@@ -35,6 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, Sequence
 
+import numpy as np
+
 from repro.backends.base import (
     StateStore,
     SubscriptionSnapshot,
@@ -44,7 +46,7 @@ from repro.backends.registry import create_state_store
 from repro.core.bounds import Bounds
 from repro.core.dyconit import Dyconit, SubscriptionState
 from repro.core.partition import ChunkPartitioner, DyconitPartitioner
-from repro.core.policy import LoadSignals, Policy
+from repro.core.policy import LoadSignals, PairTable, Policy, xz_rows
 from repro.core.stats import DyconitStats
 from repro.core.subscription import Segment, Subscriber
 from repro.core.update import Update
@@ -553,9 +555,7 @@ class DyconitSystem:
         """The policy's bounds for ``subscriber`` on each of the (resolved)
         ``dyconit_ids``: one ``bounds_columns`` call, the position read
         once — what a view change subscribes with."""
-        columns = self.policy.bounds_columns(
-            self, list(dyconit_ids), [subscriber.position] * len(dyconit_ids)
-        )
+        columns = self.policy.bounds_columns(self, PairTable.at(dyconit_ids, subscriber.position))
         return [Bounds(*row) for row in zip(*(column.tolist() for column in columns))]
 
     def unsubscribe(
@@ -616,63 +616,81 @@ class DyconitSystem:
         over the dyconits (S23) — what a load-adaptive policy does when
         its factor moves.
 
-        ``bounds_columns(system, dyconit_ids, positions)`` returns the
-        ``(numerical, staleness, order)`` float64 columns of a column of
-        (dyconit, subscriber position) pairs — here every client
-        subscription, dyconit by dyconit, each client's position read
-        once — in one call. Each dyconit then installs its slice and
-        checks its pending queues against it in one call, and what trips
-        is accounted and handed on as a per-pair ``set_bounds`` sweep
-        would have: reasons by ``Bounds.tripped_dimension``, subscribers
-        in registration order, each one's queues in membership order.
+        Each client's position is read once into a position row (NaN for
+        none), and each dyconit's subscriber ids are mapped to rows in
+        slot order in one walk: the pairs go to
+        ``bounds_columns(system, table)`` as one :class:`PairTable`
+        (S36), which returns their ``(numerical, staleness, order)``
+        float64 columns. Each dyconit then installs its slice and checks
+        its pending queues against it in one call, and what trips is
+        accounted and handed on as a per-pair ``set_bounds`` sweep would
+        have: reasons by ``Bounds.tripped_dimension``, subscribers in
+        registration order, each one's queues in membership order.
 
         Peer subscriptions (S16) are left alone: their bounds were chosen
         by the *subscribing* shard, and the publisher's load servo has no
         business rewriting another server's error budget.
         """
         now = self.now
-        positions = {
-            subscriber_id: subscriber.position
-            for subscriber_id, subscriber in self._subscribers.items()
-            if subscriber.kind == "client"
-        }
+        rows: dict[int, int] = {}  # client id -> its position row
+        positions = []
+        for subscriber_id, subscriber in self._subscribers.items():
+            if subscriber.kind == "client":
+                rows[subscriber_id] = len(positions)
+                positions.append(subscriber.position)
+        has_peers = len(rows) < len(self._subscribers)
         runs = []  # (dyconit id, handle, its client slots)
-        pair_dyconits: list[Hashable] = []
-        pair_subscribers: list[int] = []
+        position_rows: list[int] = []
         for dyconit_id, dyconit in self._dyconits.items():
-            subscriber_ids = [subscriber.subscriber_id for subscriber in dyconit.subscribers()]
-            slots = [slot for slot, sub_id in enumerate(subscriber_ids) if sub_id in positions]
+            start = len(position_rows)
+            position_rows += map(rows.get, dyconit.subscriber_ids())
+            slots = range(len(position_rows) - start)
+            if has_peers and None in position_rows[start:]:  # a peer's slot
+                mapped = position_rows[start:]
+                slots = [slot for slot, row in enumerate(mapped) if row is not None]
+                position_rows[start:] = [mapped[slot] for slot in slots]
             if slots:
                 runs.append((dyconit_id, dyconit, slots))
-                pair_dyconits += [dyconit_id] * len(slots)
-                pair_subscribers += [subscriber_ids[slot] for slot in slots]
         if not runs:
             return
-        numerical, staleness, order = bounds_columns(
-            self, pair_dyconits, [positions[sub_id] for sub_id in pair_subscribers]
+        table = PairTable(
+            [dyconit_id for dyconit_id, __, __ in runs],
+            np.repeat(np.arange(len(runs)), [len(slots) for __, __, slots in runs]),
+            xz_rows(positions),
+            np.fromiter(position_rows, np.intp, len(position_rows)),
         )
+        numerical, staleness, order = bounds_columns(self, table)
         if self._tm_decide is not None:
-            for dyconit_id, sub_id, numerical_bound, staleness_ms in zip(
-                pair_dyconits, pair_subscribers, numerical.tolist(), staleness.tolist()
+            subscriber_ids = list(rows)
+            for id_row, position_row, numerical_bound, staleness_ms in zip(
+                table.id_rows.tolist(), position_rows, numerical.tolist(), staleness.tolist()
             ):
                 self._tm_decide(
-                    "bounds", dyconit_id, sub_id,
+                    "bounds", table.dyconit_ids[id_row], subscriber_ids[position_row],
                     f"numerical={numerical_bound:g} staleness={staleness_ms:g}",
                 )
+        # Decided once for the sweep: an all-infinite order column trips
+        # nothing on order, so no store need count its queues.
+        check_order = not np.isinf(order).all()
         by_subscriber: dict[int, list] = {}
+        examined_total = 0
         start = 0
         with self._flush_scope():
             for dyconit_id, dyconit, slots in runs:
                 end = start + len(slots)
-                columns = numerical[start:end], staleness[start:end], order[start:end]
+                examined, tripped, next_deadline = dyconit.rebound(
+                    slots, numerical[start:end], staleness[start:end], order[start:end],
+                    now, check_order,
+                )
                 start = end
-                examined, tripped, next_deadline = dyconit.rebound(slots, *columns, now)
-                self.stats.bound_checks += examined
-                self._lower_due(dyconit_id, next_deadline)
+                examined_total += examined
+                if next_deadline != math.inf:
+                    self._lower_due(dyconit_id, next_deadline)
                 for subscriber, reason, updates in tripped:
                     by_subscriber.setdefault(subscriber.subscriber_id, []).append(
                         (0.0, dyconit_id, subscriber, updates, reason)
                     )
+            self.stats.bound_checks += examined_total
             self._hand_on(by_subscriber)
 
     def retune_subscriber(self, subscriber: Subscriber, bounds_columns) -> None:
@@ -680,18 +698,19 @@ class DyconitSystem:
         one column (S33) — what a spatial policy does when the
         subscriber's avatar crosses a chunk border.
 
-        The position is read once and ``bounds_columns(system,
-        dyconit_ids, positions)`` called once over the subscriber's
-        membership, in membership order. Each entry is then installed and
-        checked on its dyconit by :meth:`_rebound_one`, in that order, as
-        a :meth:`set_bounds` per dyconit would have.
+        The position is read once and ``bounds_columns(system, table)``
+        called once over the subscriber's membership, in membership
+        order, paired with that one position (``PairTable.at``). Each
+        entry is then installed and checked on its dyconit by
+        :meth:`_rebound_one`, in that order, as a :meth:`set_bounds` per
+        dyconit would have.
         """
         subscriber_id = subscriber.subscriber_id
         dyconit_ids = list(self._subscriptions_by_subscriber.get(subscriber_id, ()))
         if not dyconit_ids:
             return
         numerical, staleness, order = bounds_columns(
-            self, dyconit_ids, [subscriber.position] * len(dyconit_ids)
+            self, PairTable.at(dyconit_ids, subscriber.position)
         )
         now = self.now
         dyconits = self._dyconits

@@ -14,6 +14,7 @@ Chat is global under every partitioner.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable
 
 from repro.world.events import ChatEvent, WorldEvent
@@ -151,6 +152,17 @@ def centroid_of(dyconit_id: Hashable, partitioner: DyconitPartitioner):
     if chunk is None:
         return None
     return chunk.center()
+
+
+def centroid_xz(dyconit_id: Hashable, partitioner: DyconitPartitioner) -> tuple[float, float]:
+    """``(x, z)`` of :func:`centroid_of`, the row a spatial policy measures
+    a :class:`~repro.core.policy.PairTable` against; NaN for the global
+    dyconit and for ids with no place in the world."""
+    if dyconit_id != GLOBAL_DYCONIT:
+        center = centroid_of(dyconit_id, partitioner)
+        if center is not None:
+            return (center.x, center.z)
+    return (math.nan, math.nan)
 
 
 def view_dyconits(

@@ -3,20 +3,22 @@
 Policies are the "dynamically managed" part of dyconits: they decide,
 per (dyconit, subscriber) pair, how much inconsistency is tolerable right
 now. A policy states its bounds once, as columns (S35):
-:meth:`Policy.bounds_columns` maps (dyconit, subscriber position) pairs
-to ``(numerical, staleness_ms, order)`` float64 columns. The middleware
-subscribes a changed view with them, and a policy re-derives bounds
-through them on a chunk crossing (:meth:`Policy.on_subscriber_moved`)
-and every ``evaluation_period_ms`` (:meth:`Policy.evaluate`, with fresh
-:class:`LoadSignals`).
+:meth:`Policy.bounds_columns` maps a :class:`PairTable` of (dyconit,
+subscriber position) pairs (S36) to ``(numerical, staleness_ms, order)``
+float64 columns. The middleware subscribes a changed view with them, and
+a policy re-derives bounds through them on a chunk crossing
+(:meth:`Policy.on_subscriber_moved`) and every ``evaluation_period_ms``
+(:meth:`Policy.evaluate`, with fresh :class:`LoadSignals`).
 
 Concrete policies live in :mod:`repro.policies`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +28,67 @@ from repro.world.geometry import Vec3
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import DyconitSystem
+
+
+def xz_rows(positions: Iterable[Vec3 | None]) -> np.ndarray:
+    """``(x, z)`` of each position as a ``(count, 2)`` float64 array, a
+    NaN row for ``None``."""
+    rows = [
+        (math.nan, math.nan) if position is None else (position.x, position.z)
+        for position in positions
+    ]
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PairTable:
+    """(dyconit, subscriber position) pairs as columns (S36): what
+    :meth:`Policy.bounds_columns` derives bounds for.
+
+    Pair ``i`` is ``(dyconit_ids[id_rows[i]], positions[position_rows[i]])``.
+    The ids are distinct, so a policy resolves each one once and gathers
+    per pair; ``positions`` is ``(x, z)`` per subscriber (:func:`xz_rows`),
+    a NaN row for one without a position. A retune sweep is every client
+    pair over every dyconit; a view change or a chunk crossing is one
+    position row paired with each of its ids (:meth:`at`).
+    """
+
+    dyconit_ids: Sequence[Hashable]
+    #: Per pair, its row in ``dyconit_ids``.
+    id_rows: np.ndarray
+    positions: np.ndarray
+    #: Per pair, its row in ``positions``.
+    position_rows: np.ndarray
+
+    @classmethod
+    def at(cls, dyconit_ids: Sequence[Hashable], position: Vec3 | None) -> "PairTable":
+        """Each of ``dyconit_ids`` paired with one position."""
+        count = len(dyconit_ids)
+        return cls(
+            dyconit_ids, np.arange(count), xz_rows([position]), np.zeros(count, dtype=np.intp)
+        )
+
+    def __len__(self) -> int:
+        return len(self.id_rows)
+
+    def horizontal_distances(
+        self, centroid: Callable[[Hashable], tuple[float, float]]
+    ) -> np.ndarray:
+        """Per pair, the horizontal distance from its position to
+        ``centroid(dyconit id)``, an ``(x, z)`` asked once per id, as
+        ``Vec3.horizontal_distance_to`` computes it. NaN where the
+        position or the centroid is NaN."""
+        ids = self.dyconit_ids
+        centroids = np.fromiter(
+            chain.from_iterable(map(centroid, ids)), float, 2 * len(ids)
+        ).reshape(-1, 2)
+        # ``take`` gathers rows several times faster than ``[rows]``.
+        offset = self.positions.take(self.position_rows, axis=0) - centroids.take(
+            self.id_rows, axis=0
+        )
+        dx = offset[:, 0]
+        dz = offset[:, 1]
+        return np.sqrt(dx * dx + dz * dz)
 
 
 def constant_columns(bounds: Bounds, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,13 +142,13 @@ class Policy:
         """Called once when installed into a :class:`DyconitSystem`."""
 
     def bounds_columns(
-        self, system: "DyconitSystem", dyconit_ids: list[Hashable], positions: list[Vec3 | None]
+        self, system: "DyconitSystem", table: PairTable
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The bounds of a column of (dyconit, subscriber position) pairs
-        as ``(numerical, staleness_ms, order)`` float64 columns, entry
-        ``i`` for ``(dyconit_ids[i], positions[i])``. Defaults to zero
-        (vanilla-equivalent) so forgetting to override fails safe."""
-        return constant_columns(Bounds.ZERO, len(dyconit_ids))
+        """The bounds of the pairs of ``table`` as ``(numerical,
+        staleness_ms, order)`` float64 columns, entry ``i`` for pair
+        ``i``. Defaults to zero (vanilla-equivalent) so forgetting to
+        override fails safe."""
+        return constant_columns(Bounds.ZERO, len(table))
 
     def evaluate(self, system: "DyconitSystem", signals: LoadSignals) -> None:
         """Periodic re-evaluation; override to adjust bounds dynamically.

@@ -21,14 +21,11 @@ the tick budget the policy trades imperceptible peripheral fidelity for
 
 from __future__ import annotations
 
-from typing import Hashable
-
 import numpy as np
 
-from repro.core.policy import LoadSignals, Policy
+from repro.core.policy import LoadSignals, PairTable, Policy
 from repro.core.subscription import Subscriber
 from repro.policies.distance import DistanceBasedPolicy
-from repro.world.geometry import Vec3
 
 
 class AdaptiveBoundsPolicy(Policy):
@@ -70,17 +67,13 @@ class AdaptiveBoundsPolicy(Policy):
     # Bound derivation
     # ------------------------------------------------------------------
 
-    def bounds_columns(
-        self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The shape's columns times the factor, over a column of
-        (dyconit, position) pairs (a view change, a retune, S23, or a
-        chunk crossing, S33): entry for entry what ``Bounds.scaled``
-        computes, except that zero and infinite bounds stay as they are
-        (without that a factor of 0 would turn ``inf`` into NaN)."""
-        numerical, staleness, order = self.shape.bounds_columns(
-            system, dyconit_ids, positions
-        )
+    def bounds_columns(self, system, table: PairTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The shape's columns times the factor, over the pairs of
+        ``table`` (a view change, a retune, S23, or a chunk crossing,
+        S33): entry for entry what ``Bounds.scaled`` computes, except
+        that zero and infinite bounds stay as they are (without that a
+        factor of 0 would turn ``inf`` into NaN)."""
+        numerical, staleness, order = self.shape.bounds_columns(system, table)
         factor = self.factor
         if factor < 0:
             raise ValueError(f"scale factor must be >= 0, got {factor}")

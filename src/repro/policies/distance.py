@@ -17,15 +17,16 @@ et al.) exploits, recast as conit bounds.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Hashable
 
 import numpy as np
 
 from repro.core.bounds import Bounds
-from repro.core.partition import GLOBAL_DYCONIT, centroid_of
-from repro.core.policy import Policy, constant_columns
+from repro.core.partition import centroid_xz
+from repro.core.policy import PairTable, Policy
 from repro.core.subscription import Subscriber
-from repro.world.geometry import CHUNK_SIZE, Vec3
+from repro.world.geometry import CHUNK_SIZE
 
 #: Bounds for the global (chat) dyconit: chat batches briefly but a chat
 #: event's weight (10) exceeds the numerical bound, so messages flush on
@@ -35,10 +36,6 @@ GLOBAL_BOUNDS = Bounds(numerical=5.0, staleness_ms=250.0)
 #: The centroid cache is emptied when it reaches this many ids (a view
 #: holds ~120; only a world-crossing trek ever gets here).
 _CENTROID_CACHE_SIZE = 16384
-
-#: The centroid :meth:`DistanceBasedPolicy.bounds_columns` gives an id with
-#: no place in the world: NaN marks the rows that get global_bounds.
-_NOWHERE = (math.nan, math.nan)
 
 
 class DistanceBasedPolicy(Policy):
@@ -79,11 +76,11 @@ class DistanceBasedPolicy(Policy):
         #: imperceptible (numerical 2*0.25^2 = 0.125 blocks).
         self.min_chunk_distance = min_chunk_distance
         self.global_bounds = global_bounds
-        #: dyconit id -> centroid ``(x, z)``, or ``None`` for ids with no
-        #: place in the world (global). An id's centroid never changes (a
-        #: policy serves one system, hence one partitioner), and a bound
-        #: sweep asks for it once per (subscriber, dyconit) pair.
-        self._centroids: dict[Hashable, tuple[float, float] | None] = {}
+        #: dyconit id -> centroid ``(x, z)``, NaN for ids with no place in
+        #: the world (global). An id's centroid never changes (a policy
+        #: serves one system, hence one partitioner), and every bound
+        #: derivation asks for it.
+        self._centroids: dict[Hashable, tuple[float, float]] = {}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -98,74 +95,50 @@ class DistanceBasedPolicy(Policy):
     # Bound surface
     # ------------------------------------------------------------------
 
-    def bounds_columns(
-        self, system, dyconit_ids: list[Hashable], positions: list[Vec3 | None]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The bound surface over a column of (dyconit, position) pairs
-        (a view change, a retune, S23, or a chunk crossing, S33):
-        ``(numerical, staleness_ms, order)`` float64 columns. The chunk
-        distance is ``max(min_chunk_distance, horizontal distance /
-        CHUNK_SIZE - 0.5)``; ``global_bounds`` for ids with no place in
-        the world and for subscribers with no position. The power term
-        is Python's own ``**``: ``np.power`` rounds a few inputs
-        differently, and the bounds stay those of the scalar formula in
-        the module docstring bit for bit (S35)."""
-        if any(position is None for position in positions):
-            return self._columns_without_positions(system, dyconit_ids, positions)
-        by_id = {}
-        for dyconit_id in dict.fromkeys(dyconit_ids):
-            try:
-                centroid = self._centroids[dyconit_id]
-            except KeyError:
-                centroid = self._remember_centroid(system, dyconit_id)
-            by_id[dyconit_id] = _NOWHERE if centroid is None else centroid
-        centroids = [by_id[dyconit_id] for dyconit_id in dyconit_ids]
-        cx = np.array([centroid[0] for centroid in centroids])
-        cz = np.array([centroid[1] for centroid in centroids])
-        dx = np.array([position.x for position in positions], dtype=float) - cx
-        dz = np.array([position.z for position in positions], dtype=float) - cz
-        chunk_distance = np.sqrt(dx * dx + dz * dz) / CHUNK_SIZE - 0.5
+    def bounds_columns(self, system, table: PairTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bound surface over the pairs of ``table`` (a view change, a
+        retune, S23, or a chunk crossing, S33): ``(numerical,
+        staleness_ms, order)`` float64 columns. Each id's centroid is
+        looked up once and gathered per pair (S36). The chunk distance is
+        ``max(min_chunk_distance, horizontal distance / CHUNK_SIZE -
+        0.5)``; ``global_bounds`` for ids with no place in the world and
+        for subscribers with no position. The power term is libm ``pow``,
+        as Python's own ``**`` computes it: ``np.power`` rounds a few
+        inputs differently, and the bounds stay those of the scalar
+        formula in the module docstring bit for bit (S35)."""
+        distance = table.horizontal_distances(
+            lambda dyconit_id: self._centroids.get(dyconit_id)
+            or self._remember_centroid(system, dyconit_id)
+        )
+        nowhere = np.isnan(distance)
+        chunk_distance = distance / CHUNK_SIZE - 0.5
         floor = self.min_chunk_distance
         chunk_distance = np.where(chunk_distance > floor, chunk_distance, floor)
         # The surface, per entry.
         staleness = self.staleness_per_chunk_ms * chunk_distance
-        exponent = self.numerical_exponent
         # A zero distance is Bounds.ZERO below (and 0.0 ** a negative
         # exponent would raise).
-        power = np.array([c**exponent if c > 0 else 0.0 for c in chunk_distance.tolist()])
+        zero = chunk_distance <= 0
+        positive = ~zero
+        power = np.zeros(len(chunk_distance))
+        lengths = chunk_distance[positive].tolist()
+        power[positive] = np.fromiter(
+            map(math.pow, lengths, repeat(self.numerical_exponent)), float, len(lengths)
+        )
         surface = self.numerical_per_chunk * power
         rate = self.numerical_weight_rate * staleness / 1000.0
         numerical = np.where(rate > surface, rate, surface)
-        zero = chunk_distance <= 0  # Bounds.ZERO
         numerical[zero] = 0.0
         staleness[zero] = 0.0
-        order = np.full(len(positions), math.inf)
+        order = np.full(len(chunk_distance), math.inf)
         glob = self.global_bounds
-        nowhere = np.isnan(cx)
         numerical[nowhere] = glob.numerical
         staleness[nowhere] = glob.staleness_ms
         order[nowhere] = glob.order
         return numerical, staleness, order
 
-    def _columns_without_positions(self, system, dyconit_ids, positions):
-        """:meth:`bounds_columns` where some subscribers have no position:
-        their rows get ``global_bounds``."""
-        numerical, staleness, order = constant_columns(self.global_bounds, len(positions))
-        placed = [i for i, position in enumerate(positions) if position is not None]
-        if placed:
-            numerical[placed], staleness[placed], order[placed] = self.bounds_columns(
-                system, [dyconit_ids[i] for i in placed], [positions[i] for i in placed]
-            )
-        return numerical, staleness, order
-
-    def _remember_centroid(
-        self, system, dyconit_id: Hashable
-    ) -> tuple[float, float] | None:
-        centroid = None
-        if dyconit_id != GLOBAL_DYCONIT:
-            center = centroid_of(dyconit_id, system.partitioner)
-            if center is not None:
-                centroid = (center.x, center.z)
+    def _remember_centroid(self, system, dyconit_id: Hashable) -> tuple[float, float]:
+        centroid = centroid_xz(dyconit_id, system.partitioner)
         if len(self._centroids) >= _CENTROID_CACHE_SIZE:
             self._centroids.clear()  # a long trek leaves dead ids behind
         self._centroids[dyconit_id] = centroid

@@ -64,8 +64,8 @@ class ElasticPartitioningPolicy(Policy):
     def on_attach(self, system) -> None:
         self.inner.on_attach(system)
 
-    def bounds_columns(self, system, dyconit_ids, positions):
-        return self.inner.bounds_columns(system, dyconit_ids, positions)
+    def bounds_columns(self, system, table):
+        return self.inner.bounds_columns(system, table)
 
     def on_subscriber_moved(self, system, subscriber: Subscriber) -> None:
         self.inner.on_subscriber_moved(system, subscriber)

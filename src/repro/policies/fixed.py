@@ -21,8 +21,8 @@ class FixedBoundsPolicy(Policy):
     def __init__(self, bounds: Bounds = DEFAULT_FIXED_BOUNDS) -> None:
         self.bounds = bounds
 
-    def bounds_columns(self, system, dyconit_ids, positions):
-        return constant_columns(self.bounds, len(dyconit_ids))
+    def bounds_columns(self, system, table):
+        return constant_columns(self.bounds, len(table))
 
     def __repr__(self) -> str:
         return f"FixedBoundsPolicy({self.bounds!r})"

@@ -16,5 +16,5 @@ class InfiniteBoundsPolicy(Policy):
     relative-savings numbers are read against.
     """
 
-    def bounds_columns(self, system, dyconit_ids, positions):
-        return constant_columns(Bounds.INFINITE, len(dyconit_ids))
+    def bounds_columns(self, system, table):
+        return constant_columns(Bounds.INFINITE, len(table))

@@ -19,7 +19,7 @@ from repro.core.bounds import Bounds
 from repro.core.dyconit import SubscriptionState
 from repro.core.manager import DyconitSystem
 from repro.core.partition import GLOBAL_DYCONIT, centroid_of
-from repro.core.policy import Policy
+from repro.core.policy import PairTable, Policy, xz_rows
 from repro.core.subscription import Subscriber
 from repro.metrics.collector import Histogram
 from repro.net.protocol import (
@@ -33,6 +33,8 @@ from repro.policies import (
     AdaptiveBoundsPolicy,
     DistanceBasedPolicy,
     ElasticPartitioningPolicy,
+    FixedBoundsPolicy,
+    InfiniteBoundsPolicy,
     InterestCutoffPolicy,
 )
 from repro.server.codec import SessionCodec, _move_packet
@@ -74,8 +76,8 @@ class PerObjectDyconit(DyconitStateHandle):
     def subscriber_count(self) -> int:
         return len(self._subscriptions)
 
-    def subscribers(self) -> list[Subscriber]:
-        return [state.subscriber for state in self._subscriptions.values()]
+    def subscriber_ids(self):
+        return self._subscriptions.keys()
 
     def subscription_states(self) -> list[SubscriptionState]:
         return list(self._subscriptions.values())
@@ -166,7 +168,7 @@ class PerObjectDyconit(DyconitStateHandle):
                 next_deadline = deadline
         return examined, due, next_deadline
 
-    def rebound(self, slots, numerical, staleness, order, now):
+    def rebound(self, slots, numerical, staleness, order, now, check_order=True):
         states = list(self._subscriptions.values())
         examined = 0
         tripped = []
@@ -709,6 +711,27 @@ def distance_bounds_at(policy: DistanceBasedPolicy, chunk_distance: float) -> Bo
     return Bounds(numerical=numerical, staleness_ms=staleness_ms)
 
 
+def pair_table(dyconit_ids, positions) -> PairTable:
+    """The pairs ``zip(dyconit_ids, positions)`` as a :class:`PairTable`:
+    each distinct id one row, each distinct position object (``None``
+    too) one row, as the retune shares them."""
+    ids = {dyconit_id: None for dyconit_id in dyconit_ids}
+    id_row = {dyconit_id: row for row, dyconit_id in enumerate(ids)}
+    unique = {id(position): position for position in positions}
+    position_row = {key: row for row, key in enumerate(unique)}
+    return PairTable(
+        list(ids),
+        np.array([id_row[dyconit_id] for dyconit_id in dyconit_ids], dtype=np.intp),
+        xz_rows(unique.values()),
+        np.array([position_row[id(position)] for position in positions], dtype=np.intp),
+    )
+
+
+def columns_as_bounds(columns) -> list[Bounds]:
+    """``(numerical, staleness, order)`` columns as one ``Bounds`` per row."""
+    return [Bounds(*row) for row in zip(*(column.tolist() for column in columns))]
+
+
 def oracle_bounds(policy: Policy, system: DyconitSystem, dyconit_id, position) -> Bounds:
     """One (dyconit, subscriber position) pair's bounds under ``policy``,
     as the scalar formula states them: parse the id, build its centre,
@@ -720,6 +743,12 @@ def oracle_bounds(policy: Policy, system: DyconitSystem, dyconit_id, position) -
         if base.is_zero or base.is_infinite:
             return base
         return base.scaled(policy.factor)
+    if isinstance(policy, FixedBoundsPolicy):
+        return policy.bounds
+    if isinstance(policy, InfiniteBoundsPolicy):
+        return Bounds.INFINITE
+    if not isinstance(policy, (InterestCutoffPolicy, DistanceBasedPolicy)):
+        return Bounds.ZERO  # the base policy's, and ZeroBoundsPolicy's
     centroid = None
     if dyconit_id != GLOBAL_DYCONIT:
         centroid = centroid_of(dyconit_id, system.partitioner)

@@ -142,7 +142,7 @@ class TestSubscriptionLifecycle:
         assert handle.subscriber_count == 1
         assert handle.is_subscribed(1)
         assert not handle.is_subscribed(2)
-        assert [s.subscriber_id for s in handle.subscribers()] == [1]
+        assert list(handle.subscriber_ids()) == [1]
         assert handle.get_state(1) is state
         assert handle.get_state(99) is None
 

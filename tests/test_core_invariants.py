@@ -294,6 +294,36 @@ def test_i4_detects_error_below_pending_weight(legacy_system, auditor):
     assert "I4.queue-error-floor" in keys(auditor.check(legacy_system))
 
 
+@pytest.mark.parametrize("store", ["memory", "per-object", "sqlite"])
+def test_i4_detects_a_queue_over_its_bounds(store, clock, auditor):
+    """A queue pushed over its numerical bound, then one whose order bound
+    was tightened under two pending updates, each behind the system's
+    back (no commit, no rebound): the flushes that should have happened
+    did not, and the audit says so."""
+    system = DyconitSystem(
+        FixedBoundsPolicy(Bounds(2.5, 1000.0)),
+        ChunkPartitioner(),
+        time_source=lambda: clock["now"],
+        state_store=store,
+    )
+    rec = RecordingSubscriber()
+    system.subscribe(CHUNK_A, rec.subscriber)
+    system.commit_to(CHUNK_A, move(1, time=0.0))
+    system.commit_to(CHUNK_A, move(2, time=1.0))
+    assert auditor.check(system) == []  # error 2.0 is within 2.5
+    state = system.get(CHUNK_A).get_state(rec.subscriber.subscriber_id)
+    state.enqueue(move(3, time=2.0))  # error 3.0, and no commit checked it
+    violations = [v for v in auditor.check(system) if v.invariant == "I4.queue-within-bounds"]
+    assert len(violations) == 1 and "numerical bound 2.5" in violations[0].message
+    system.flush(CHUNK_A, rec.subscriber.subscriber_id)
+    system.commit_to(CHUNK_A, move(1, time=3.0))
+    system.commit_to(CHUNK_A, move(2, time=4.0))
+    state.bounds = Bounds(1e9, 1000.0, 1.0)  # two distinct updates over order 1
+    violations = [v for v in auditor.check(system) if v.invariant == "I4.queue-within-bounds"]
+    assert len(violations) == 1 and "order bound 1" in violations[0].message
+    system.close()
+
+
 def test_i4_allows_error_above_pending_weight(system, auditor):
     # Superseded updates keep contributing error by design.
     rec = RecordingSubscriber()

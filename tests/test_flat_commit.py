@@ -440,6 +440,14 @@ def test_i9_detects_slot_table_tamper(corrupt_ready):
     assert "I9.slot-mirror" in _keys(InvariantAuditor().check(system))
 
 
+def test_i9_detects_slot_table_out_of_slot_order(corrupt_ready):
+    """Every entry still round-trips, but the retune reads subscriber ids
+    off the table in its order (``subscriber_ids``), so that is checked."""
+    system, flat = corrupt_ready
+    flat.slots = dict(reversed(list(flat.slots.items())))
+    assert "I9.slot-mirror" in _keys(InvariantAuditor().check(system))
+
+
 def test_i9_commit_buffer_must_drain_at_barrier(sim, server_factory):
     from repro.policies.fixed import FixedBoundsPolicy
 

@@ -14,7 +14,7 @@ from repro.policies.adaptive import AdaptiveBoundsPolicy
 from repro.policies.distance import DistanceBasedPolicy
 from repro.world.geometry import CHUNK_SIZE, Vec3
 
-from tests.conftest import RecordingSubscriber, oracle_bounds
+from tests.conftest import RecordingSubscriber, oracle_bounds, pair_table
 
 
 def signals(utilization: float, now: float = 0.0, bytes_per_s: float = 0.0):
@@ -242,7 +242,8 @@ def test_bounds_columns_equal_bounds_for_bit_for_bit(shape):
     base = [
         oracle_bounds(policy.shape, system, dyconit_id, position) for dyconit_id, position in pairs
     ]
-    assert_columns_are(policy.shape.bounds_columns(system, dyconit_ids, pair_positions), base)
+    table = pair_table(dyconit_ids, pair_positions)
+    assert_columns_are(policy.shape.bounds_columns(system, table), base)
     if "min_chunk_distance" in shape:
         assert Bounds.ZERO in base
     for factor in (1.0, 0.4375, 3.7, 0.0):
@@ -250,7 +251,7 @@ def test_bounds_columns_equal_bounds_for_bit_for_bit(shape):
         expected = [
             oracle_bounds(policy, system, dyconit_id, position) for dyconit_id, position in pairs
         ]
-        assert_columns_are(policy.bounds_columns(system, dyconit_ids, pair_positions), expected)
+        assert_columns_are(policy.bounds_columns(system, table), expected)
         if "global_bounds" in shape:
             assert Bounds.INFINITE in expected  # not NaN, whatever the factor
 

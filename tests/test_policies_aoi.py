@@ -11,7 +11,7 @@ from repro.policies.aoi import InterestCutoffPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
-from tests.conftest import RecordingSubscriber, oracle_bounds
+from tests.conftest import RecordingSubscriber, columns_as_bounds, oracle_bounds, pair_table
 
 
 def build(radius=2.0, position=Vec3(8.0, 30.0, 8.0)):
@@ -90,12 +90,11 @@ def test_bounds_columns_equal_bounds_for(radius):
     expected = [
         oracle_bounds(policy, system, dyconit_id, position) for dyconit_id, position in pairs
     ]
-    numerical, staleness, order = policy.bounds_columns(
-        system, [dyconit_id for dyconit_id, __ in pairs], [position for __, position in pairs]
+    columns = policy.bounds_columns(
+        system,
+        pair_table([dyconit_id for dyconit_id, __ in pairs], [position for __, position in pairs]),
     )
-    assert [
-        Bounds(*row) for row in zip(numerical.tolist(), staleness.tolist(), order.tolist())
-    ] == expected
+    assert columns_as_bounds(columns) == expected
     assert Bounds.ZERO in expected and Bounds.INFINITE in expected
     on_edge = [
         bounds

@@ -13,7 +13,13 @@ from repro.policies.aoi import InterestCutoffPolicy
 from repro.policies.distance import DistanceBasedPolicy
 from repro.world.geometry import CHUNK_SIZE, Vec3
 
-from tests.conftest import RecordingSubscriber, distance_bounds_at, oracle_bounds
+from tests.conftest import (
+    RecordingSubscriber,
+    columns_as_bounds,
+    distance_bounds_at,
+    oracle_bounds,
+    pair_table,
+)
 
 
 def build(policy=None, position=Vec3(8.0, 30.0, 8.0)):
@@ -144,9 +150,8 @@ def test_repr_mentions_surface():
 # ----------------------------------------------------------------------
 
 
-def columns_as_bounds(policy, system, dyconit_ids, positions) -> list[Bounds]:
-    columns = policy.bounds_columns(system, dyconit_ids, positions)
-    return [Bounds(*row) for row in zip(*(column.tolist() for column in columns))]
+def bounds_of_pairs(policy, system, dyconit_ids, positions) -> list[Bounds]:
+    return columns_as_bounds(policy.bounds_columns(system, pair_table(dyconit_ids, positions)))
 
 
 SPATIAL_IDS = [
@@ -160,7 +165,7 @@ SPATIAL_IDS = [
 ]
 
 
-@pytest.mark.parametrize("exponent", [2.0, 1.7])
+@pytest.mark.parametrize("exponent", [2.0, 1.7, 1.5])
 def test_bounds_for_is_bit_identical_to_the_reference_derivation(exponent):
     """``bounds_columns`` equals :func:`tests.conftest.oracle_bounds` on
     every row, with the centroids parsed fresh and out of the cache."""
@@ -176,9 +181,24 @@ def test_bounds_for_is_bit_identical_to_the_reference_derivation(exponent):
         ]
         # Twice: the second answer comes out of the centroid cache.
         for __ in range(2):
-            assert columns_as_bounds(
+            assert bounds_of_pairs(
                 policy, system, SPATIAL_IDS, [position] * len(SPATIAL_IDS)
             ) == expected
+
+
+@pytest.mark.parametrize("exponent", [0.0, -1.0, 2.0])
+def test_zero_floor_gives_distance_zero_pairs_zero_bounds(exponent):
+    """``min_chunk_distance=0``: pairs on (or within half a chunk of) a
+    centroid are ``Bounds.ZERO`` — no ``0.0 ** exponent``, which raises
+    for a negative exponent — and every pair of a table with repeated ids
+    and positions equals the scalar formula."""
+    policy = DistanceBasedPolicy(min_chunk_distance=0.0, numerical_exponent=exponent)
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+    positions = [Vec3(8.0, 30.0, 8.0), Vec3(12.0, 30.0, 3.0), Vec3(-50.0, 30.0, 90.0), None]
+    pairs = [(dyconit_id, position) for dyconit_id in SPATIAL_IDS for position in positions]
+    expected = [oracle_bounds(policy, system, *pair) for pair in pairs]
+    assert bounds_of_pairs(policy, system, *zip(*pairs)) == expected
+    assert expected.count(Bounds.ZERO) == 2  # the first two positions on chunk (0, 0)
 
 
 def test_sweep_reads_the_subscriber_position_once():
@@ -203,10 +223,10 @@ def test_centroid_cache_is_bounded_and_stays_out_of_pickles(monkeypatch):
         cx: oracle_bounds(policy, system, ("chunk", cx, 0), position) for cx in range(20)
     }
     for cx in range(20):
-        assert columns_as_bounds(policy, system, [("chunk", cx, 0)], [position]) == [
+        assert bounds_of_pairs(policy, system, [("chunk", cx, 0)], [position]) == [
             expected[cx]
         ]
         assert len(policy._centroids) <= 8
     clone = pickle.loads(pickle.dumps(policy))
     assert clone._centroids == {}
-    assert columns_as_bounds(clone, system, [("chunk", 3, 0)], [position]) == [expected[3]]
+    assert bounds_of_pairs(clone, system, [("chunk", 3, 0)], [position]) == [expected[3]]

@@ -4,14 +4,16 @@ import pytest
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.partition import ChunkPartitioner
+from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner
 from repro.core.policy import LoadSignals
+from repro.policies.adaptive import AdaptiveBoundsPolicy
+from repro.policies.distance import DistanceBasedPolicy
 from repro.policies.elastic import ElasticPartitioningPolicy
 from repro.policies.fixed import FixedBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
-from tests.conftest import RecordingSubscriber
+from tests.conftest import RecordingSubscriber, columns_as_bounds, oracle_bounds, pair_table
 
 
 def signals(now: float):
@@ -111,3 +113,23 @@ def test_bounds_delegate_to_inner(setup):
 def test_repr_reports_activity(setup):
     __, policy, __ = setup
     assert "merges=0" in repr(policy)
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [DistanceBasedPolicy(), AdaptiveBoundsPolicy(), FixedBoundsPolicy(Bounds(3.0, 70.0))],
+    ids=["distance", "adaptive", "fixed"],
+)
+def test_bounds_columns_delegate_the_table(inner):
+    """Elastic hands the pair table (S36) to its inner policy whole: a
+    merged region id, a non-spatial id and a missing position get the
+    inner policy's bounds pair for pair, bit for bit."""
+    policy = ElasticPartitioningPolicy(inner)
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+    ids = [("chunk", 0, 0), ("region", 4, 0, 0), GLOBAL_DYCONIT, "not-spatial"]
+    positions = [Vec3(8.0, 64.0, 8.0), Vec3(70.25, 64.0, -33.0), None]
+    pairs = [(dyconit_id, position) for position in positions for dyconit_id in ids]
+    table = pair_table(*zip(*pairs))
+    expected = [oracle_bounds(inner, system, *pair) for pair in pairs]
+    assert columns_as_bounds(policy.bounds_columns(system, table)) == expected
+    assert columns_as_bounds(inner.bounds_columns(system, table)) == expected

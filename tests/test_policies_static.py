@@ -1,14 +1,17 @@
 """Unit tests for the static policies (zero, infinite, fixed)."""
 
+import pytest
+
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
+from repro.core.partition import GLOBAL_DYCONIT
 from repro.policies.fixed import DEFAULT_FIXED_BOUNDS, FixedBoundsPolicy
 from repro.policies.infinite import InfiniteBoundsPolicy
 from repro.policies.zero import ZeroBoundsPolicy
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
-from tests.conftest import RecordingSubscriber
+from tests.conftest import RecordingSubscriber, columns_as_bounds, oracle_bounds, pair_table
 
 
 def move(entity_id=1, time=0.0):
@@ -89,3 +92,22 @@ class TestFixedBounds:
 
     def test_repr_shows_bounds(self):
         assert "3.0" in repr(FixedBoundsPolicy(Bounds(3.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [ZeroBoundsPolicy(), InfiniteBoundsPolicy(), FixedBoundsPolicy(Bounds(3.0, 70.0, 2.0))],
+    ids=["zero", "infinite", "fixed"],
+)
+def test_constant_columns_cover_every_pair_of_a_table(policy):
+    """A retune-shaped pair table (S36) — ids repeated across positions,
+    one position missing — gets the policy's one bound on every pair."""
+    system = build_system(policy)
+    ids = [("chunk", 0, 0), ("chunk", 1, 0), GLOBAL_DYCONIT]
+    positions = [Vec3(8.0, 64.0, 8.0), None, Vec3(-40.0, 64.0, 3.0)]
+    pairs = [(dyconit_id, position) for position in positions for dyconit_id in ids]
+    table = pair_table(*zip(*pairs))
+    assert len(table) == 9 and len(table.dyconit_ids) == 3
+    assert columns_as_bounds(policy.bounds_columns(system, table)) == [
+        oracle_bounds(policy, system, *pair) for pair in pairs
+    ]

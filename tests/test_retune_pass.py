@@ -40,9 +40,17 @@ import pytest
 from repro.bots.workload import BUILDER_MIX, Workload, WorkloadSpec
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
-from repro.core.partition import ChunkPartitioner
-from repro.core.policy import Policy
-from repro.policies import AdaptiveBoundsPolicy, DistanceBasedPolicy, InterestCutoffPolicy
+from repro.core.partition import GLOBAL_DYCONIT, ChunkPartitioner
+from repro.core.policy import PairTable, Policy
+from repro.policies import (
+    AdaptiveBoundsPolicy,
+    DistanceBasedPolicy,
+    ElasticPartitioningPolicy,
+    FixedBoundsPolicy,
+    InfiniteBoundsPolicy,
+    InterestCutoffPolicy,
+    ZeroBoundsPolicy,
+)
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
@@ -50,7 +58,7 @@ from repro.telemetry.hub import Telemetry
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
-from tests.conftest import RecordingSubscriber, oracle_bounds
+from tests.conftest import RecordingSubscriber, columns_as_bounds, oracle_bounds
 
 BOTS = 16
 SEED = 1
@@ -242,8 +250,9 @@ class BoundsBySubscriber(Policy):
     def bounds_from(self, system, dyconit_id, position):
         return Bounds(*BOUNDARY_BOUNDS[int(position.x)])
 
-    def bounds_columns(self, system, dyconit_ids, positions):
-        rows = [BOUNDARY_BOUNDS[int(position.x)] for position in positions]
+    def bounds_columns(self, system, table):
+        xs = table.positions[table.position_rows, 0].tolist()
+        rows = [BOUNDARY_BOUNDS[int(x)] for x in xs]
         return tuple(np.array(column) for column in zip(*rows))
 
 
@@ -473,3 +482,147 @@ def test_crossing_logs_the_decisions_set_bounds_would(policy_class):
     kinds = [kind for kind, __ in product]
     assert kinds.count("trace.bounds") == 9 and "trace.flush" in kinds
 
+
+
+# ----------------------------------------------------------------------
+# The pair table's edges (S36)
+# ----------------------------------------------------------------------
+
+
+#: Policies whose bounds the edge crowd below is retuned with: the ones
+#: with a distance surface at its corners (a zero floor with a non-positive
+#: exponent on distance-0 pairs, a fractional exponent, a scaled surface),
+#: AOI, the constant policies (one with a finite order bound) and Elastic.
+EDGE_POLICIES = {
+    "adaptive-zero-floor": lambda: AdaptiveBoundsPolicy(
+        shape=DistanceBasedPolicy(min_chunk_distance=0.0, numerical_exponent=-1.0)
+    ),
+    "distance-exponent-0": lambda: DistanceBasedPolicy(
+        min_chunk_distance=0.0, numerical_exponent=0.0
+    ),
+    "distance-exponent-1.5": lambda: DistanceBasedPolicy(numerical_exponent=1.5),
+    "aoi": lambda: InterestCutoffPolicy(1.0),
+    "fixed": lambda: FixedBoundsPolicy(Bounds(1.5, 60.0, 1.0)),
+    "infinite": InfiniteBoundsPolicy,
+    "zero": ZeroBoundsPolicy,
+    "elastic": lambda: ElasticPartitioningPolicy(AdaptiveBoundsPolicy()),
+}
+
+#: The peer's bounds: chosen by its own shard, never retuned here.
+PEER_BOUNDS = Bounds(7.0, 70.0, 3.0)
+
+
+def edge_system(state_store, policy):
+    """Clients 1, 2 and 4 standing on the centroid of chunk (0, 0), between
+    chunks and far off; client 3 with no position; a peer (9) subscribed
+    to two client dyconits and alone on ("chunk", 9, 9); chunks (2, 0)
+    and (3, 0) merged into one region after the subscriptions. Every
+    queue holds moves from t=0..40 but client 5's, subscribed after them;
+    the clock stands at 150 ms."""
+    clock = {"now": 0.0}
+    system = DyconitSystem(
+        policy, ChunkPartitioner(), time_source=lambda: clock["now"], state_store=state_store
+    )
+    positions = {
+        1: Vec3(8.0, 64.0, 8.0),
+        2: Vec3(40.5, 64.0, -20.25),
+        4: Vec3(-30.0, 64.0, 50.0),
+        5: Vec3(100.0, 64.0, -100.0),
+    }
+    recorders = {
+        sub_id: RecordingSubscriber(sub_id, position=positions.get(sub_id))
+        for sub_id in (1, 2, 3, 4, 5, 9)
+    }
+    recorders[9].subscriber.kind = "peer"
+    chunks = [("chunk", cx, 0) for cx in range(-2, 4)] + [GLOBAL_DYCONIT]
+    for sub_id in (1, 2, 3, 4):
+        for dyconit_id in chunks[:: 1 if sub_id % 2 else -1]:
+            system.subscribe(dyconit_id, recorders[sub_id].subscriber, bounds=Bounds(1e9, 1e9))
+    for dyconit_id in (("chunk", 0, 0), ("chunk", 1, 0), ("chunk", 9, 9)):
+        system.subscribe(dyconit_id, recorders[9].subscriber, bounds=PEER_BOUNDS)
+    system.merge_dyconits([("chunk", 2, 0), ("chunk", 3, 0)], ("region", 4, 0, 0))
+    for time in (0.0, 20.0, 40.0):
+        clock["now"] = time
+        for entity_id, dyconit_id in enumerate([*chunks, ("chunk", 9, 9)]):
+            update = EntityMoveEvent(time, entity_id % 3 + 1, Vec3(0, 0, 0), Vec3(0.5, 0, 0))
+            system.commit_to(dyconit_id, update)
+    for dyconit_id in chunks:
+        system.subscribe(dyconit_id, recorders[5].subscriber, bounds=Bounds(1e9, 1e9))
+    clock["now"] = 150.0
+    return system, recorders
+
+
+def everything(system, recorders) -> tuple:
+    return (
+        system.stats,
+        dict(system._due_at),
+        {sub_id: recorder.deliveries for sub_id, recorder in recorders.items()},
+        [
+            (repr(dyconit.dyconit_id), state.subscriber.subscriber_id, state.bounds)
+            for dyconit in system.dyconits()
+            for state in dyconit.subscription_states()
+        ],
+    )
+
+
+@pytest.mark.parametrize("policy_name", EDGE_POLICIES)
+@pytest.mark.parametrize("state_store", ["memory", "per-object", "sqlite"])
+def test_retune_table_edges_equal_the_per_pair_sweep(state_store, policy_name):
+    """Peers mixed into client dyconits, a client without a position, a
+    merged dyconit, a dyconit with no client slot and the surface's
+    corners, on every store: the retune ≡ the per-pair sweep, the table's
+    columns ≡ :func:`tests.conftest.oracle_bounds` pair for pair, bit for
+    bit, and the peer's bounds untouched."""
+    outcomes = []
+    for retune in (DyconitSystem.retune_clients, per_pair_retune):
+        policy = EDGE_POLICIES[policy_name]()
+        system, recorders = edge_system(state_store, policy)
+        if retune is per_pair_retune:
+            bounds_columns = policy.bounds_columns
+        else:
+            tables = []
+
+            def bounds_columns(system, table, derive=policy.bounds_columns):
+                tables.append(table)
+                return derive(system, table)
+
+        with system._flush_scope():  # as evaluate_policy runs it
+            retune(system, bounds_columns)
+        outcomes.append(everything(system, recorders))
+        if retune is DyconitSystem.retune_clients:
+            (table,) = tables
+            columns = columns_as_bounds(policy.bounds_columns(system, table))
+            pairs = [
+                (
+                    table.dyconit_ids[id_row],
+                    None if math.isnan(x) else Vec3(x, 64.0, z),
+                )
+                for id_row, (x, z) in zip(
+                    table.id_rows.tolist(), table.positions[table.position_rows].tolist()
+                )
+            ]
+            assert columns == [oracle_bounds(policy, system, *pair) for pair in pairs]
+            assert ("chunk", 9, 9) not in table.dyconit_ids  # no client slot
+            assert ("region", 4, 0, 0) in table.dyconit_ids
+            assert len(table) == 5 * 6  # 5 clients x (4 chunks + region + global)
+        system.close()
+    product, reference = outcomes
+    assert product == reference
+    bounds = product[3]
+    assert [b for __, sub_id, b in bounds if sub_id == 9] == [PEER_BOUNDS] * 3
+    assert product[0].bound_checks > 0
+
+
+@pytest.mark.parametrize("policy_name", EDGE_POLICIES)
+def test_one_position_tables_equal_the_oracle(policy_name):
+    """A view change's and a crossing's table (``PairTable.at``): one
+    position paired with every id, including a subscriber with none."""
+    policy = EDGE_POLICIES[policy_name]()
+    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: 0.0)
+    ids = [("chunk", cx, cz) for cx in range(-2, 3) for cz in range(-2, 3)]
+    ids += [GLOBAL_DYCONIT, "not-spatial", ("region", 4, 0, 0)]
+    for position in (Vec3(8.0, 64.0, 8.0), Vec3(-3.25, 64.0, 17.5), None):
+        columns = policy.bounds_columns(system, PairTable.at(ids, position))
+        assert columns_as_bounds(columns) == [
+            oracle_bounds(policy, system, dyconit_id, position) for dyconit_id in ids
+        ]

@@ -83,7 +83,7 @@ class RowWalkState(SQLiteDyconitState):
                 next_deadline = min(next_deadline, deadline)
         return examined, due, next_deadline
 
-    def rebound(self, slots, numerical, staleness, order, now):
+    def rebound(self, slots, numerical, staleness, order, now, check_order=True):
         views = self.subscription_states()
         rows = list(zip(numerical.tolist(), staleness.tolist(), order.tolist()))
         for slot, row in zip(slots, rows):
@@ -122,7 +122,7 @@ def rows(store) -> tuple:
 class Unused(Policy):
     """Every subscription in the tape names its bounds."""
 
-    def bounds_columns(self, system, dyconit_ids, positions):
+    def bounds_columns(self, system, table):
         raise AssertionError("the tape names every bound")
 
 
@@ -233,13 +233,16 @@ class Lockstep:
             )
 
     @staticmethod
-    def _retune_columns(system, dyconit_ids, positions):
+    def _retune_columns(system, table):
+        pairs = zip(
+            [table.dyconit_ids[row] for row in table.id_rows.tolist()],
+            table.positions[table.position_rows, 0].tolist(),
+        )
         bounds = [
             RETUNE.get(
-                (dyconit_id, int(position.x)),
-                system.get(dyconit_id).get_state(int(position.x)).bounds,
+                (dyconit_id, int(x)), system.get(dyconit_id).get_state(int(x)).bounds
             )
-            for dyconit_id, position in zip(dyconit_ids, positions)
+            for dyconit_id, x in pairs
         ]
         return tuple(
             np.array([getattr(b, name) for b in bounds], dtype=np.float64)
