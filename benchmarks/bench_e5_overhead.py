@@ -210,12 +210,14 @@ def test_e5_audit_overhead_on(benchmark):
         print(f"\naudit on: {mean * 1e6:.1f} us per 200-commit round + audit")
 
 
-def retune_crowd(clients: int = 40, view_distance: int = 5):
+def retune_crowd(clients: int = 40, view_distance: int = 5, state_store: str = "memory"):
     """A bench-shaped crowd: ``clients`` avatars spread over a 48-block disc,
     each subscribed to its (2 * view_distance + 1)-square view plus the
     global dyconit under ``AdaptiveBoundsPolicy``, the views overlapping
     as ``adaptive-hotspot``'s do (40 clients: ~4 900 pairs over ~300
-    dyconits). Returns ``(system, policy, clock, chunk ids)``."""
+    dyconits). ``positions`` maps each client to its avatar's position,
+    which a row may move. Returns ``(system, policy, clock, chunk ids,
+    positions)``."""
     import random
 
     from repro.core.partition import ChunkPartitioner
@@ -223,16 +225,23 @@ def retune_crowd(clients: int = 40, view_distance: int = 5):
 
     policy = AdaptiveBoundsPolicy()
     clock = {"now": 0.0}
-    system = DyconitSystem(policy, ChunkPartitioner(), time_source=lambda: clock["now"])
+    system = DyconitSystem(
+        policy,
+        ChunkPartitioner(),
+        time_source=lambda: clock["now"],
+        state_store=state_store,
+    )
     rng = random.Random(40)
+    positions = {}
     for subscriber_id in range(clients):
         angle = rng.uniform(0.0, 6.283185307179586)
         radius = 48.0 * rng.random() ** 0.5
         position = Vec3(radius * math.cos(angle), 64.0, radius * math.sin(angle))
+        positions[subscriber_id] = position
         subscriber = Subscriber(
             subscriber_id=subscriber_id,
             deliver=lambda segments: None,
-            position_provider=lambda position=position: position,
+            position_provider=lambda subscriber_id=subscriber_id: positions[subscriber_id],
         )
         view = list(
             system.partitioner.dyconits_for_view(position.to_chunk_pos(), view_distance)
@@ -240,32 +249,39 @@ def retune_crowd(clients: int = 40, view_distance: int = 5):
         for dyconit_id, bounds in zip(view, system.policy_bounds(view, subscriber)):
             system.subscribe(dyconit_id, subscriber, bounds=bounds)
     chunks = [dyconit_id for dyconit_id in system._dyconits if dyconit_id[0] == "chunk"]
-    return system, policy, clock, chunks
+    return system, policy, clock, chunks, positions
+
+
+def refill(system, clock, chunks) -> None:
+    """Queue a move on every chunk dyconit and advance the clock 100 ms,
+    so the next retune checks pending queues and drains what it trips."""
+    clock["now"] += 100.0
+    for index, dyconit_id in enumerate(chunks):
+        system.commit_to(
+            dyconit_id,
+            EntityMoveEvent(clock["now"], index % 16 + 1, Vec3(0, 0, 0), Vec3(1, 0, 0)),
+        )
 
 
 @pytest.mark.benchmark(group="e5-overhead")
 def test_e5_retune_sweep(benchmark):
     """One ``retune_clients`` over the crowd above — what the adaptive
-    servo runs each second its factor moves (S23, S36): one bounds
-    derivation over the pair table, one column install and trip check
-    per dyconit. Before each sweep, untimed, every chunk dyconit gets a
-    move queued and the clock advances 100 ms, so each sweep checks
-    pending queues and drains the ones its factor trips."""
-    system, policy, clock, chunks = retune_crowd()
+    servo runs each second its factor moves (S23, S36, S37): one bounds
+    derivation over the pair table, one column install per dyconit and
+    one trip check over every pending queue. Before each sweep, untimed,
+    every chunk dyconit gets a move queued and the clock advances 100 ms,
+    so each sweep checks pending queues and drains the ones its factor
+    trips."""
+    system, policy, clock, chunks, __ = retune_crowd()
     pairs = sum(dyconit.subscriber_count for dyconit in system.dyconits())
     factors = iter([0.5, 1.0] * 1000)
 
-    def refill():
-        clock["now"] += 100.0
-        for index, dyconit_id in enumerate(chunks):
-            system.commit_to(
-                dyconit_id,
-                EntityMoveEvent(clock["now"], index % 16 + 1, Vec3(0, 0, 0), Vec3(1, 0, 0)),
-            )
+    def setup():
+        refill(system, clock, chunks)
         policy.factor = next(factors)
 
     benchmark.pedantic(
-        system.retune_clients, args=(policy.bounds_columns,), setup=refill, rounds=20
+        system.retune_clients, args=(policy.bounds_columns,), setup=setup, rounds=20
     )
     assert 4000 <= pairs <= 6000 and system.stats.bound_checks > pairs
     mean = mean_s(benchmark)
@@ -274,6 +290,65 @@ def test_e5_retune_sweep(benchmark):
             f"\nretune sweep: {mean * 1e3:.2f} ms for {pairs} pairs over "
             f"{system.dyconit_count} dyconits"
         )
+
+
+@pytest.mark.benchmark(group="e5-overhead")
+@pytest.mark.parametrize("state_store", ["memory", "sqlite"])
+def test_e5_chunk_crossing(benchmark, state_store):
+    """One ``retune_subscriber`` (S33, S37): a client of the crowd above
+    steps across a chunk border and back, and each step re-derives the
+    bounds of its whole membership — its 121-chunk view plus the global
+    dyconit — as one column and installs and checks each on its
+    dyconit. Before each step, untimed, every chunk dyconit gets a move
+    queued, so the step checks pending queues and drains what it trips."""
+    system, policy, clock, chunks, positions = retune_crowd(state_store=state_store)
+    subscriber = system.subscriber(0)
+    home = positions[0]
+    steps = iter([Vec3(home.x + 16.0, home.y, home.z), home] * 1000)
+    membership = len(system.subscription_ids_of(0))
+
+    def setup():
+        refill(system, clock, chunks)
+        positions[0] = next(steps)
+
+    checks = system.stats.bound_checks
+    benchmark.pedantic(
+        system.notify_subscriber_moved, args=(0,), setup=setup, rounds=20
+    )
+    assert membership == 122 and system.stats.bound_checks > checks
+    assert system.subscriber(0) is subscriber
+    mean = mean_s(benchmark)
+    if mean is not None:
+        print(f"\nchunk crossing ({state_store}): {mean * 1e6:.0f} us over {membership} dyconits")
+    system.close()
+
+
+@pytest.mark.benchmark(group="e5-overhead")
+def test_e5_view_change(benchmark):
+    """One edge view change (S35): the bounds of the 11 chunks a step
+    brings into a client's view as one ``policy_bounds`` call, then 11
+    ``subscribe`` with them and, to leave the crowd as it was, 11
+    ``unsubscribe`` — what a straight chunk crossing costs the interest
+    refresh besides the crossing itself."""
+    system, policy, clock, chunks, positions = retune_crowd()
+    subscriber = system.subscriber(0)
+    home = positions[0].to_chunk_pos()
+    row = [("chunk", home.cx + 6, home.cz + dz) for dz in range(-5, 6)]
+    assert not set(row) & set(system.subscription_ids_of(0))
+
+    def view_change():
+        for dyconit_id, bounds in zip(row, system.policy_bounds(row, subscriber)):
+            system.subscribe(dyconit_id, subscriber, bounds=bounds)
+        for dyconit_id in row:
+            system.unsubscribe(dyconit_id, 0)
+
+    subscriptions = system.stats.subscriptions
+    benchmark(view_change)
+    assert system.stats.subscriptions > subscriptions
+    assert not set(row) & set(system.subscription_ids_of(0))
+    mean = mean_s(benchmark)
+    if mean is not None:
+        print(f"\nview change: {mean * 1e6:.0f} us for 11 ids in and out")
 
 
 def test_e5_memory_per_dyconit():

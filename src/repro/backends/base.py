@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    import numpy as np
+
     from repro.core.bounds import Bounds
     from repro.core.subscription import Subscriber
     from repro.core.update import Update
@@ -100,10 +102,11 @@ class DyconitStateHandle(abc.ABC):
     Required attributes: ``dyconit_id``, ``total_committed_weight``,
     ``commit_count``, ``default_bounds`` and ``merging``. The manager's
     three hot paths are one batched call each — :meth:`commit`,
-    :meth:`drain_due` and :meth:`rebound` (S25) — and a chunk crossing is
-    one :meth:`rebound_one` per subscription (S33), so a store chooses its
-    representation and batches behind them; the manager never asks which
-    one it got.
+    :meth:`drain_due` and :meth:`rebound` (S25; a sweep then drains what
+    its one trip check finds through :meth:`drain_slots`, S37) — and a
+    chunk crossing is one :meth:`rebound_one` per subscription (S33), so
+    a store chooses its representation and batches behind them; the
+    manager never asks which one it got.
 
     Subscription-state objects returned by :meth:`get_state` /
     :meth:`subscription_states` / :meth:`subscribe` /
@@ -128,9 +131,11 @@ class DyconitStateHandle(abc.ABC):
     def subscriber_count(self) -> int: ...
 
     @abc.abstractmethod
-    def subscriber_ids(self) -> Iterable[int]:
-        """The subscribers' ids in subscription (slot) order, as a live
-        view: read it before subscribing or unsubscribing again."""
+    def subscriber_ids(self) -> np.ndarray:
+        """The subscribers' ids in subscription (slot) order, as an int64
+        array — possibly a live view of the store's own column: read it
+        before subscribing or unsubscribing again. A retune sweep maps
+        them to position rows all at once (S37)."""
 
     @abc.abstractmethod
     def subscription_states(self) -> list: ...
@@ -177,27 +182,36 @@ class DyconitStateHandle(abc.ABC):
         """
 
     @abc.abstractmethod
-    def rebound(self, slots, numerical, staleness, order, now: float, check_order: bool = True):
-        """A retune of this dyconit (S23): ``slots`` are ascending
-        positions in subscription order, the three float64 columns their
-        new bounds. Install them and drain the pending queues they trip.
-        ``check_order=False`` promises every order bound is infinite (the
-        retune decides it once per sweep, S36); a store may then skip
-        counting its queues, and one that counts per row may ignore it.
+    def rebound(self, slots, bounds, check_order: bool = True):
+        """A retune sweep's install on this dyconit (S23, S37): ``slots``
+        are ascending positions in subscription order, ``bounds`` a
+        ``(3, len(slots))`` float64 block of their new numerical,
+        staleness and order bounds. Install them; check nothing.
 
-        Returns ``(examined, tripped, next_deadline)``: the pending queues
-        among ``slots`` checked, ``(subscriber, reason, updates)`` per
-        drained queue in slot order, and the earliest ``oldest +
-        staleness`` among the checked queues left pending (``inf`` if
-        none).
+        Returns ``None`` when no queue among ``slots`` is pending, else
+        ``(error, oldest, counts)`` aligned with ``slots``: float64
+        accumulated errors, oldest pending times (``inf`` for an empty
+        queue, whose error is 0) and, if ``check_order``, int64 queue
+        lengths, else ``None`` (``check_order=False`` promises every
+        order bound of the sweep is infinite, S36). The manager checks
+        the pending queues of all dyconits against the sweep's columns
+        at once and drains what trips through :meth:`drain_slots`. The
+        arrays may be views of the store's columns, valid until its next
+        mutation.
         """
+
+    @abc.abstractmethod
+    def drain_slots(self, slots):
+        """Drain the queues at ``slots`` (ascending positions in
+        subscription order) together. Returns ``(subscriber, updates)``
+        per slot, in order."""
 
     @abc.abstractmethod
     def rebound_one(
         self, subscriber_id: int, numerical: float, staleness: float, order: float, now: float
     ):
-        """:meth:`rebound` for one subscription, on scalars (a chunk
-        crossing, S33): install the three bounds on ``subscriber_id``'s
+        """A retune of one subscription, on scalars (a chunk crossing,
+        S33): install the three bounds on ``subscriber_id``'s
         subscription and, if its queue is pending, check it in
         ``Bounds.tripped_dimension``'s precedence and drain it if tripped.
 

@@ -61,8 +61,11 @@ import math
 import pickle
 import sqlite3
 from dataclasses import dataclass
+from itertools import repeat
 from types import SimpleNamespace
-from typing import Hashable, Iterable
+from typing import Hashable
+
+import numpy as np
 
 from repro.backends.base import DyconitStateHandle, StateStore, SubscriptionSnapshot
 from repro.core.bounds import Bounds, tripped_dimension_of
@@ -513,8 +516,8 @@ class SQLiteDyconitState(DyconitStateHandle):
     def subscriber_count(self) -> int:
         return len(self._views)
 
-    def subscriber_ids(self) -> Iterable[int]:
-        return self._views.keys()
+    def subscriber_ids(self) -> np.ndarray:
+        return np.fromiter(self._views, np.int64, len(self._views))
 
     def subscription_states(self) -> list[SQLiteSubscriptionView]:
         return list(self._views.values())
@@ -743,48 +746,41 @@ class SQLiteDyconitState(DyconitStateHandle):
                 next_deadline = deadline
         return examined, self._drain(due, {}) if due else [], next_deadline
 
-    def rebound(self, slots, numerical, staleness, order, now: float, check_order: bool = True):
-        """A retune (S23) over rows: one ``executemany`` bound write, one
-        read of the pending subscriptions' error and age, and one batched
-        drain of the queues the new bounds trip. Returns what
-        :meth:`~repro.core.dyconit.Dyconit.rebound`
-        returns."""
+    def rebound(self, slots, bounds, check_order: bool = True):
+        """A retune sweep's install (S23, S37) over rows: one
+        ``executemany`` bound write and one read of the pending
+        subscriptions' error and age (a count read too if
+        ``check_order``). Returns what
+        :meth:`~repro.core.dyconit.Dyconit.rebound` returns."""
         conn, sql, dk = self._conn, self._sql, self._dk
-        views = list(self._views.items())
-        chosen = [views[slot] for slot in slots]
-        columns = list(zip(numerical.tolist(), staleness.tolist(), order.tolist()))
+        sub_ids = list(self._views)
+        chosen = [sub_ids[slot] for slot in slots]
         conn.cursor().executemany(
-            sql.set_bounds,
-            [(*row, dk, sub_id) for (sub_id, __), row in zip(chosen, columns)],
+            sql.set_bounds, list(zip(*bounds.tolist(), repeat(dk), chosen))
         )
         pending = {
             sub_id: (error, oldest)
             for sub_id, error, oldest, __ in conn.execute(sql.subs_pending, (dk,)).fetchall()
         }
-        counts = None  # queue lengths, read only if an order bound is finite
-        examined = 0
-        tripped = []  # (sub_id, subscriber, reason)
-        next_deadline = math.inf
-        for (sub_id, view), (b_num, b_stale, b_order) in zip(chosen, columns):
-            row = pending.get(sub_id)
-            if row is None:
-                continue
-            examined += 1
-            error, oldest = row
-            count = 0
-            if b_order != math.inf:
-                if counts is None:
-                    counts = dict(conn.execute(sql.pending_counts, (dk,)).fetchall())
-                count = counts.get(sub_id, 0)
-            reason = tripped_dimension_of(error, now - oldest, count, b_num, b_stale, b_order)
-            if reason is not None:
-                tripped.append((sub_id, view.subscriber, reason))
-            elif oldest + b_stale < next_deadline:
-                next_deadline = oldest + b_stale
-        return examined, self._drain(tripped, {}) if tripped else [], next_deadline
+        if pending.keys().isdisjoint(chosen):
+            return None
+        rows = [pending.get(sub_id, (0.0, math.inf)) for sub_id in chosen]
+        error, oldest = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+        counts = None
+        if check_order:
+            queued = dict(conn.execute(sql.pending_counts, (dk,)).fetchall())
+            counts = np.array([queued.get(sub_id, 0) for sub_id in chosen], dtype=np.int64)
+        return error, oldest, counts
+
+    def drain_slots(self, slots):
+        """Drain the queues at ``slots`` in one batched drain. Returns
+        what :meth:`~repro.core.dyconit.Dyconit.drain_slots` returns."""
+        views = list(self._views.items())
+        entries = [(views[slot][0], views[slot][1].subscriber, None) for slot in slots]
+        return [(subscriber, updates) for subscriber, __, updates in self._drain(entries, {})]
 
     def rebound_one(self, subscriber_id, numerical, staleness, order, now: float):
-        """:meth:`rebound` for one subscription (a chunk crossing, S33):
+        """A retune of one subscription (a chunk crossing, S33):
         one bound write, one read of the row's error and age, and the
         drain if the new bounds trip it. Returns what
         :meth:`~repro.core.dyconit.Dyconit.rebound_one` returns."""

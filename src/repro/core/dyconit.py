@@ -27,7 +27,11 @@ columns, per dyconit:
   ``list(queue.values())``;
 * dense numpy **columns** indexed by slot for the five floats a commit
   or a due pass scans — numerical-error accumulator, oldest-pending
-  time, the three bound dimensions;
+  time, the three bound dimensions — as the columns of one ``(cap, 5)``
+  float64 block over an ``array.array`` buffer, a slot's five floats
+  side by side: numpy for the scans, the buffer's own C indexing for
+  one-slot reads and writes (a crossing's), which cost a fraction of a
+  numpy scalar index;
 * the enqueued/merged counters as plain per-slot ints, and one counter
   of slots whose queue is non-empty.
 
@@ -37,9 +41,11 @@ entirely* when conservative scalar gates (min staleness deadline,
 pending-count upper bound, "any finite numerical bound") prove nothing
 can trip. Because the queue is the same object in both representations,
 restore, merge and split write slots directly: a dyconit is columnar
-from creation to removal. A retune (S23) writes the three bound
-columns by fancy indexing and checks only the pending slots; a chunk
-crossing's retune (S33) writes one slot's three bounds as scalars.
+from creation to removal. A retune sweep (S23, S37) installs a
+dyconit's slice of the sweep's bounds in one block write and hands the
+sweep its pending slots' error and age, which the sweep checks for all
+dyconits at once; a chunk crossing's retune (S33) writes one slot's
+three bounds as scalars.
 
 Exactness contract (the differential tests and the fuzz reference model
 assert bit-equality, not approximate equality):
@@ -52,8 +58,11 @@ assert bit-equality, not approximate equality):
   vectorized add (never add-then-subtract, which can change the value);
 * the scalar gates are *conservative only*: they may fire early (an
   exact vectorized re-check decides), never late. ``commit`` maintains
-  them incrementally; every other mutation just marks them dirty and
-  the next commit (their only reader) recomputes them first.
+  them incrementally, and so does a one-slot bounds write (subscribe,
+  unsubscribe, ``set_bounds``, ``rebound_one``) unless it raises a
+  bound that holds a minimum; that write and every other mutation just
+  mark them dirty, and the next commit (their only reader) recomputes
+  them first.
 
 Slot ids are dense: ``unsubscribe`` compacts the columns immediately so
 iteration order over slots equals the reference's dict insertion order
@@ -64,12 +73,13 @@ delete + re-add).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, NamedTuple
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.bounds import Bounds, tripped_dimension_of
+from repro.core.bounds import Bounds
 from repro.core.subscription import Subscriber
 from repro.core.update import Update
 
@@ -79,7 +89,15 @@ from repro.core.update import Update
 #: harmless: an exact vectorized check makes the actual decision).
 _GATE_MARGIN_MS = 1e-6
 
-_FLOAT_COLUMNS = ("err", "oldest", "b_num", "b_stale", "b_order")
+#: Columns of the float block, in order: a slot's floats are
+#: ``_floats[5 * slot : 5 * slot + 5]``.
+_ERR, _OLDEST, _B_NUM, _B_STALE, _B_ORDER = range(5)
+
+#: What a one-slot retune returns when it checked no queue.
+_UNCHECKED = (0, None, None, math.inf)
+
+#: A fresh slot's floats: no error, no pending queue, infinite bounds.
+_EMPTY_SLOT = array("d", (0.0, math.inf, math.inf, math.inf, math.inf))
 
 
 class EnqueueResult(NamedTuple):
@@ -295,21 +313,25 @@ class Dyconit:
 
     Subscription accessors return :class:`FlatSubscriptionView` objects
     that are drop-in compatible with :class:`SubscriptionState`;
-    :meth:`commit`, :meth:`drain_due`, :meth:`rebound` and
-    :meth:`rebound_one` run on the columns (one vectorized add + gated
-    threshold scan per commit). Restore, merge and split write slots.
+    :meth:`commit`, :meth:`drain_due`, :meth:`rebound`,
+    :meth:`drain_slots` and :meth:`rebound_one` run on the columns (one
+    vectorized add + gated threshold scan per commit). Restore, merge and
+    split write slots.
     """
 
     # Slotted: past 29 attributes CPython stops sharing instance-dict
     # keys, and a private dict per dyconit costs ~1 KiB on worlds of
-    # thousands of chunks.
+    # thousands of chunks. Slots are laid out in this order: what a
+    # crossing's rebound_one reads comes first, on as few cache lines as
+    # it can take.
     __slots__ = (
+        "slots", "queues", "_floats", "_gates_dirty", "n_finite_bnum",
+        "min_bstale", "min_border", "min_deadline", "n_pending",
         "dyconit_id", "default_bounds", "merging", "total_committed_weight",
-        "commit_count", "n", "_cap", *_FLOAT_COLUMNS, "_tripbuf", "queues",
-        "enq", "mrg", "n_pending", "slots", "subscriber_by_slot", "_views",
-        "_gates_dirty", "n_finite_bnum", "any_finite_stale", "min_bstale",
-        "min_deadline", "min_border", "count_ub", "_err_v", "_oldest_v",
-        "_bnum_v", "_bstale_v", "_border_v", "_trip_v",
+        "commit_count", "n", "_cap", "_rows", "_ids", "enq", "mrg",
+        "subscriber_by_slot", "_views", "any_finite_stale", "count_ub",
+        "_err_v", "_oldest_v", "_block_v", "_sid_v", "_bnum_v", "_bstale_v",
+        "_border_v",
     )
 
     def __init__(
@@ -326,14 +348,7 @@ class Dyconit:
         self.total_committed_weight = 0.0
         self.commit_count = 0
         self.n = 0
-        self._cap = 8
-        # float columns
-        self.err = np.zeros(self._cap)
-        self.oldest = np.full(self._cap, math.inf)
-        self.b_num = np.zeros(self._cap)
-        self.b_stale = np.zeros(self._cap)
-        self.b_order = np.zeros(self._cap)
-        self._tripbuf = np.zeros(self._cap, dtype=bool)
+        self._allocate(8)
         # per-slot queue and counters, parallel to the columns
         self.queues: list[dict[tuple, Update]] = []
         self.enq: list[int] = []
@@ -345,7 +360,8 @@ class Dyconit:
         self.subscriber_by_slot: list[Subscriber] = []
         self._views: dict[int, FlatSubscriptionView] = {}
         # conservative scalar gates; read only by commit(), which keeps
-        # them current itself — every other mutation marks them dirty
+        # them current itself, as a one-slot bounds write does when it can
+        # (_write_bounds) — every other mutation marks them dirty
         self._gates_dirty = False
         self.n_finite_bnum = 0
         self.any_finite_stale = False
@@ -361,21 +377,56 @@ class Dyconit:
 
     def _refresh_column_views(self) -> None:
         n = self.n
-        self._err_v = self.err[:n]
-        self._oldest_v = self.oldest[:n]
-        self._bnum_v = self.b_num[:n]
-        self._bstale_v = self.b_stale[:n]
-        self._border_v = self.b_order[:n]
-        self._trip_v = self._tripbuf[:n]
+        rows = self._rows[:n]
+        self._err_v = rows[:, _ERR]
+        self._oldest_v = rows[:, _OLDEST]
+        # the three bound columns as the rows of one view: a sweep
+        # installs them in one write
+        self._block_v = rows[:, _B_NUM:].T
+        self._bnum_v, self._bstale_v, self._border_v = self._block_v
+        self._sid_v = self._ids[:n]
+
+    def _allocate(self, cap: int) -> None:
+        """Point the columns at a fresh ``(cap, 5)`` float block and a
+        fresh id column.
+
+        ``_floats`` owns the memory and ``_rows`` is its numpy view:
+        ``_floats[5 * slot + column]`` is ``_rows[slot, column]``; ``_ids``
+        holds each slot's subscriber id. Only the ``[:n]`` views the scans
+        read are kept (a dyconit is small, and worlds hold thousands). An
+        exported buffer cannot resize, so growing allocates new ones."""
+        self._cap = cap
+        self._ids = np.zeros(cap, dtype=np.int64)
+        self._floats = array("d", bytes(8 * 5 * cap))
+        self._rows = np.ndarray((cap, 5), buffer=self._floats)
+
+    @property
+    def err(self) -> np.ndarray:
+        """The error column (a view, every slot of the capacity)."""
+        return self._rows[:, _ERR]
+
+    @property
+    def oldest(self) -> np.ndarray:
+        """The oldest-pending-time column (a view; ``inf``: empty)."""
+        return self._rows[:, _OLDEST]
+
+    @property
+    def b_num(self) -> np.ndarray:
+        return self._rows[:, _B_NUM]
+
+    @property
+    def b_stale(self) -> np.ndarray:
+        return self._rows[:, _B_STALE]
+
+    @property
+    def b_order(self) -> np.ndarray:
+        return self._rows[:, _B_ORDER]
 
     def _grow(self) -> None:
-        self._cap *= 2
-        for name in _FLOAT_COLUMNS:
-            old = getattr(self, name)
-            fresh = np.zeros(self._cap)
-            fresh[: old.size] = old
-            setattr(self, name, fresh)
-        self._tripbuf = np.zeros(self._cap, dtype=bool)
+        floats, ids = self._floats, self._ids
+        self._allocate(2 * self._cap)
+        self._floats[: len(floats)] = floats
+        self._ids[: len(ids)] = ids
 
     def refresh_gates(self) -> None:
         """Bring the scalar gates up to date if a mutation left them
@@ -409,10 +460,10 @@ class Dyconit:
     def subscriber_count(self) -> int:
         return self.n
 
-    def subscriber_ids(self) -> Iterable[int]:
-        # ``slots`` is in slot order: subscribe appends a key, unsubscribe
-        # pops one and renumbers the rest in place (I9 checks it).
-        return self.slots.keys()
+    def subscriber_ids(self) -> np.ndarray:
+        # The id column, kept in slot order beside the slot table (I9
+        # checks the two agree).
+        return self._sid_v
 
     def subscription_states(self) -> list[FlatSubscriptionView]:
         return [self._views[sub.subscriber_id] for sub in self.subscriber_by_slot]
@@ -433,8 +484,10 @@ class Dyconit:
         if self.n == self._cap:
             self._grow()
         slot = self.n
-        self.err[slot] = 0.0
-        self.oldest[slot] = math.inf
+        # An empty queue; infinite bounds move no gate, and the write
+        # below counts the slot in.
+        self._floats[5 * slot : 5 * slot + 5] = _EMPTY_SLOT
+        self._ids[slot] = sub
         self.queues.append({})
         self.enq.append(0)
         self.mrg.append(0)
@@ -442,7 +495,9 @@ class Dyconit:
         self._refresh_column_views()
         self.slots[sub] = slot
         self.subscriber_by_slot.append(subscriber)
-        self.set_bounds(sub, bounds if bounds is not None else self.default_bounds)
+        if bounds is None:
+            bounds = self.default_bounds
+        self._write_bounds(slot, bounds.numerical, bounds.staleness_ms, bounds.order)
         view = self._views[sub] = FlatSubscriptionView(self, subscriber)
         return view
 
@@ -455,27 +510,30 @@ class Dyconit:
         if slot is None:
             return None
         queue = self.queues.pop(slot)
+        floats = self._floats
         state = SubscriptionState(
             subscriber=self.subscriber_by_slot.pop(slot),
             bounds=self.bounds_of(slot),
             pending=queue,
-            accumulated_error=float(self.err[slot]),
-            oldest_pending_time=float(self.oldest[slot]) if queue else None,
+            accumulated_error=floats[5 * slot + _ERR],
+            oldest_pending_time=floats[5 * slot + _OLDEST] if queue else None,
             enqueued_count=self.enq.pop(slot),
             merged_count=self.mrg.pop(slot),
             merging=self.merging,
         )
+        # Infinite bounds take the slot out of the gates' minima and count.
+        self._write_bounds(slot, math.inf, math.inf, math.inf)
         n = self.n
-        for name in _FLOAT_COLUMNS:
-            arr = getattr(self, name)
-            arr[slot : n - 1] = arr[slot + 1 : n]
+        if slot < n - 1:  # an empty slice assignment counts as a resize
+            floats, ids = self._floats, self._ids
+            floats[5 * slot : 5 * (n - 1)] = floats[5 * (slot + 1) : 5 * n]
+            ids[slot : n - 1] = ids[slot + 1 : n]
         self.n = n - 1
         for i in range(slot, self.n):
             self.slots[self.subscriber_by_slot[i].subscriber_id] = i
         self.n_pending -= bool(queue)
         del self._views[subscriber_id]
         self._refresh_column_views()
-        self._gates_dirty = True
         return state
 
     def get_state(self, subscriber_id: int) -> FlatSubscriptionView | None:
@@ -504,12 +562,12 @@ class Dyconit:
         self.enq[slot] = snap.enqueued_count
         self.mrg[slot] = snap.merged_count
         self.n_pending += bool(snap.pending)
+        self._gates_dirty = True  # a restored backlog moves min_deadline and count_ub
         return view
 
     def bounds_of(self, slot: int) -> Bounds:
-        return Bounds(
-            float(self.b_num[slot]), float(self.b_stale[slot]), float(self.b_order[slot])
-        )
+        floats, at = self._floats, 5 * slot + _B_NUM
+        return Bounds(floats[at], floats[at + 1], floats[at + 2])
 
     def set_bounds(self, subscriber_id: int, bounds: Bounds) -> None:
         slot = self.slots.get(subscriber_id)
@@ -517,14 +575,47 @@ class Dyconit:
             raise KeyError(
                 f"subscriber {subscriber_id} is not subscribed to {self.dyconit_id}"
             )
-        self.b_num[slot] = bounds.numerical
-        self.b_stale[slot] = bounds.staleness_ms
-        self.b_order[slot] = bounds.order
-        # A tightened staleness bound can move the earliest deadline
-        # before the current gate value, so every gate must be recomputed
-        # — but only commit() reads them, and bounds may change on many
-        # slots between two commits. Defer to the next one.
-        self._gates_dirty = True
+        self._write_bounds(slot, bounds.numerical, bounds.staleness_ms, bounds.order)
+
+    def _write_bounds(
+        self, slot: int, numerical: float, staleness: float, order: float
+    ) -> None:
+        """Write one slot's three bounds and keep clean gates exact in
+        O(1) (S37): the finite count moves by the slot's difference, a
+        lowered staleness or order bound lowers its minimum (a lowered
+        staleness bound also the pending queue's deadline), and a raised
+        one leaves them where they are — unless the slot held a minimum,
+        which only a recompute can replace. Then, and for a negative or
+        NaN bound or minimum, the gates are marked dirty for the next
+        commit to recompute, as every other mutation marks them."""
+        floats = self._floats
+        at = 5 * slot + _B_NUM
+        if not self._gates_dirty:
+            old = floats[at]
+            if numerical != old:
+                # ``x - x == 0.0`` is np.isfinite(x): inf - inf and NaN are NaN.
+                self.n_finite_bnum += (numerical - numerical == 0.0) - (old - old == 0.0)
+            old = floats[at + 1]
+            if staleness != old:
+                if 0.0 <= staleness < old:
+                    if staleness < self.min_bstale:
+                        self.min_bstale = staleness
+                        self.any_finite_stale = True
+                    deadline = floats[5 * slot + _OLDEST] + staleness  # inf when empty
+                    if deadline < self.min_deadline:
+                        self.min_deadline = deadline
+                elif not (old < staleness and old > self.min_bstale >= 0.0):
+                    self._gates_dirty = True
+            old = floats[at + 2]
+            if order != old:
+                if 0.0 <= order < old:
+                    if order < self.min_border:
+                        self.min_border = order
+                elif not (old < order and old > self.min_border >= 0.0):
+                    self._gates_dirty = True
+        floats[at] = numerical
+        floats[at + 1] = staleness
+        floats[at + 2] = order
 
     # ------------------------------------------------------------------
     # One slot: the state surface behind FlatSubscriptionView
@@ -573,8 +664,10 @@ class Dyconit:
     # ------------------------------------------------------------------
 
     def _drain_slots(self, slots: list[int]) -> list[list[Update]]:
-        """Drain ``slots`` together: empty their queues, then one
-        fancy-indexed reset of their columns."""
+        """Drain ``slots`` together: empty their queues and reset their
+        error and oldest time through the buffer, no numpy call per
+        drain."""
+        floats = self._floats
         batches = []
         for slot in slots:
             queue = self.queues[slot]
@@ -582,8 +675,8 @@ class Dyconit:
                 self.n_pending -= 1
             batches.append(list(queue.values()))
             queue.clear()
-        self.err[slots] = 0.0
-        self.oldest[slots] = math.inf
+            floats[5 * slot + _ERR] = 0.0
+            floats[5 * slot + _OLDEST] = math.inf
         return batches
 
     def drain_due(
@@ -601,15 +694,16 @@ class Dyconit:
             return 0, [], math.inf
         examined = self.n_pending
         deadlines = self._oldest_v + self._bstale_v  # inf for an empty slot
-        due_mask = deadlines <= now
-        if not due_mask.any():
+        # A dyconit's few slots are scanned in Python: cheaper than the
+        # fixed cost of a mask, an ``any`` and a ``nonzero``.
+        due_at = deadlines.tolist()
+        slots = [slot for slot, deadline in enumerate(due_at) if deadline <= now]
+        if not slots:
             return examined, [], float(deadlines.min())
-        slots = np.nonzero(due_mask)[0].tolist()
-        due_at = deadlines[slots].tolist()
         subscribers = self.subscriber_by_slot
         due = [
-            (subscribers[slot], deadline, updates)
-            for slot, deadline, updates in zip(slots, due_at, self._drain_slots(slots))
+            (subscribers[slot], due_at[slot], updates)
+            for slot, updates in zip(slots, self._drain_slots(slots))
         ]
         deadlines[slots] = math.inf
         # Exact, so the commit-time staleness gate stops firing on the
@@ -618,86 +712,57 @@ class Dyconit:
         return examined, due, next_deadline
 
     def rebound(
-        self,
-        slots: list[int],
-        numerical: np.ndarray,
-        staleness: np.ndarray,
-        order: np.ndarray,
-        now: float,
-        check_order: bool = True,
-    ) -> tuple[int, list[tuple[Subscriber, str, list[Update]]], float]:
-        """A retune of this dyconit (S23): install new bounds on ``slots``
-        (ascending positions in subscription order) and drain the pending
-        queues they trip.
+        self, slots: Sequence[int], bounds: np.ndarray, check_order: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+        """A retune sweep's install on this dyconit (S23, S37): ``bounds``
+        is a ``(3, len(slots))`` block of numerical, staleness and order
+        rows for ``slots`` (ascending positions in subscription order),
+        written in one block write (a slice when ``slots`` is every slot).
 
-        One fancy-indexed write per bound column (a slice when ``slots``
-        is every slot); then ``Bounds.tripped_dimension`` over the
-        pending slots among ``slots`` as masks, in its precedence
-        (numerical, then staleness ``now - oldest >=``, then order).
-        ``check_order=False`` says every order bound in the sweep is
-        infinite, so no queue is counted (S36). Returns
-        ``(examined, tripped, next_deadline)``: the number of pending
-        slots checked, ``(subscriber, reason, updates)`` per drained slot
-        in slot order, and the earliest ``oldest + staleness`` among the
-        checked slots left pending (``inf`` if none) — what the manager
-        lowers the dyconit's due time to.
+        Returns ``None`` when no queue is pending, else what the sweep's
+        one trip check reads, aligned with ``slots``: ``(error, oldest,
+        counts)`` — the error column, the oldest pending time (``inf`` for
+        an empty queue) and, if ``check_order``, the queue lengths (else
+        ``None``: every order bound in the sweep is infinite, S36). The
+        arrays may be views of the columns: read them before the next
+        mutation. What trips is drained through :meth:`drain_slots`.
         """
         self._gates_dirty = True
-        # Ascending and as long as the columns: every slot, as a slice.
-        every_slot = len(slots) == self.n
-        if every_slot:
-            self._bnum_v[:] = numerical
-            self._bstale_v[:] = staleness
-            self._border_v[:] = order
-        else:
-            self.b_num[slots] = numerical
-            self.b_stale[slots] = staleness
-            self.b_order[slots] = order
-        if not self.n_pending:
-            return 0, [], math.inf
-        if every_slot:
+        if len(slots) == self.n:  # ascending and as long as the columns
+            self._block_v[:] = bounds
+            if not self.n_pending:
+                return None
             error, oldest = self._err_v, self._oldest_v
-            examined = self.n_pending
+            queues = self.queues
         else:
-            error, oldest = self.err[slots], self.oldest[slots]
-            examined = int(np.count_nonzero(oldest != math.inf))  # inf: an empty slot
-            if not examined:
-                return 0, [], math.inf
-        # An empty slot (error 0, oldest inf, no queue) trips nothing, and
-        # a finite age never reaches an infinite staleness bound.
-        numerical_trip = error > numerical
-        staleness_trip = (now - oldest) >= staleness
-        tripped = numerical_trip | staleness_trip
+            self._rows[slots, _B_NUM:] = bounds.T
+            if not self.n_pending:
+                return None
+            oldest = self._rows[slots, _OLDEST]
+            if not (oldest != math.inf).any():  # inf: an empty queue
+                return None
+            error = self._rows[slots, _ERR]
+            queues = [self.queues[slot] for slot in slots]
+        counts = None
         if check_order:
-            counts = np.fromiter(
-                (len(self.queues[slot]) for slot in slots), dtype=np.int64, count=len(slots)
-            )
-            tripped |= counts > order
-        deadlines = oldest + staleness  # inf for an empty slot
-        hits = tripped.nonzero()[0].tolist()
-        drained = []
-        if hits:
-            deadlines[hits] = math.inf
-            at = [slots[i] for i in hits]
-            subscribers = self.subscriber_by_slot
-            for i, slot, updates in zip(hits, at, self._drain_slots(at)):
-                if numerical_trip[i]:
-                    reason = "numerical"
-                elif staleness_trip[i]:
-                    reason = "staleness"
-                else:
-                    reason = "order"
-                drained.append((subscribers[slot], reason, updates))
-        # fmin skips a NaN deadline, as the scalar ``<`` comparisons do.
-        next_deadline = float(np.fmin.reduce(deadlines, initial=math.inf))
-        return examined, drained, next_deadline
+            counts = np.fromiter(map(len, queues), dtype=np.int64, count=len(slots))
+        return error, oldest, counts
+
+    def drain_slots(self, slots: list[int]) -> list[tuple[Subscriber, list[Update]]]:
+        """Drain the queues at ``slots`` (positions in subscription
+        order) together: ``(subscriber, updates)`` per slot, in order."""
+        subscribers = self.subscriber_by_slot
+        return [
+            (subscribers[slot], updates)
+            for slot, updates in zip(slots, self._drain_slots(slots))
+        ]
 
     def rebound_one(
         self, subscriber_id: int, numerical: float, staleness: float, order: float, now: float
     ) -> tuple[int, str | None, list[Update] | None, float]:
-        """:meth:`rebound` for one subscription, on scalars (a chunk
-        crossing, S33): write the three bounds into the subscriber's slot,
-        then ``Bounds.tripped_dimension`` on its queue.
+        """A retune of one subscription, on scalars (a chunk crossing,
+        S33): write the three bounds into the subscriber's slot, then
+        ``Bounds.tripped_dimension`` on its queue.
 
         Returns ``(examined, reason, updates, deadline)``: 1 if a pending
         queue was checked, else 0; the tripped dimension and the drained
@@ -707,19 +772,20 @@ class Dyconit:
         """
         slot = self.slots.get(subscriber_id)
         if slot is None:
-            return 0, None, None, math.inf
-        self.b_num[slot] = numerical
-        self.b_stale[slot] = staleness
-        self.b_order[slot] = order
-        self._gates_dirty = True
-        queue = self.queues[slot]
-        if not queue:
-            return 0, None, None, math.inf
-        oldest = self.oldest.item(slot)
-        reason = tripped_dimension_of(
-            self.err.item(slot), now - oldest, len(queue), numerical, staleness, order
-        )
-        if reason is None:
+            return _UNCHECKED
+        self._write_bounds(slot, numerical, staleness, order)
+        floats = self._floats
+        oldest = floats[5 * slot + _OLDEST]
+        if oldest == math.inf:  # an empty queue (I9), read off the slot's floats
+            return _UNCHECKED
+        # tripped_dimension_of's comparisons, in its precedence
+        if floats[5 * slot + _ERR] > numerical:
+            reason = "numerical"
+        elif now - oldest >= staleness != math.inf:
+            reason = "staleness"
+        elif order != math.inf and len(self.queues[slot]) > order:
+            reason = "order"
+        else:
             return 1, None, None, oldest + staleness
         return 1, reason, self._drain_slots([slot])[0], math.inf
 
@@ -780,23 +846,25 @@ class Dyconit:
                 enq[slot] += 1
 
         # ---- columns: one elementwise add, the excluded slot untouched
-        err = self.err
+        floats = self._floats
         if e >= 0:
-            old = err[e]
+            old = floats[5 * e + _ERR]
             self._err_v += update.weight
-            err[e] = old
+            floats[5 * e + _ERR] = old
         else:
             self._err_v += update.weight
         if became:
-            self.oldest[became] = update.time
+            time = update.time
+            for slot in became:
+                floats[5 * slot + _OLDEST] = time
             self.n_pending += len(became)
-            self.min_deadline = min(self.min_deadline, update.time + self.min_bstale)
+            self.min_deadline = min(self.min_deadline, time + self.min_bstale)
 
         # ---- bound checks: conservative gates, exact vectorized scans
         self.count_ub += 1
         numerical = stale = order = None
         if self.n_finite_bnum:
-            numerical = np.greater(self._err_v, self._bnum_v, out=self._trip_v)
+            numerical = self._err_v > self._bnum_v
             if e >= 0:
                 numerical[e] = False
         if self.any_finite_stale and now >= self.min_deadline - _GATE_MARGIN_MS:
@@ -834,8 +902,11 @@ class Dyconit:
         became_due = math.inf
         if became and not math.isinf(self.min_bstale):
             # Drained above means ``oldest`` is inf again: only queues
-            # still pending count.
-            became_due = float((self.oldest[became] + self.b_stale[became]).min())
+            # still pending count. A few slots: read off the buffer.
+            became_due = min(
+                math.inf,
+                *[floats[5 * slot + _OLDEST] + floats[5 * slot + _B_STALE] for slot in became],
+            )
         return n_eff, merged_n, became_due, flushed
 
     def __repr__(self) -> str:

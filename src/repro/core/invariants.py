@@ -256,7 +256,7 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
 
     def _check_subscription_mirror(self, system, violations: list[Violation]) -> None:
-        membership: dict[int, dict[Hashable, None]] = system._subscriptions_by_subscriber
+        membership: dict[int, dict[Hashable, int]] = system._subscriptions_by_subscriber
         registered = set(system._subscribers)
         if set(membership) != registered:
             violations.append(
@@ -526,7 +526,7 @@ class InvariantAuditor:
                 Violation("I9.slot-mirror", repr(dyconit_id), f"n={flat.n} but {lengths}")
             )
             return
-        # In slot order, too: ``subscriber_ids()`` reads the ids off it.
+        # In slot order, too, as the id column ``subscriber_ids()`` returns.
         for position, (subscriber_id, slot) in enumerate(flat.slots.items()):
             if (
                 slot != position
@@ -541,6 +541,15 @@ class InvariantAuditor:
                     )
                 )
                 return
+        if flat.subscriber_ids().tolist() != list(flat.slots):
+            violations.append(
+                Violation(
+                    "I9.slot-mirror",
+                    repr(dyconit_id),
+                    f"id column {flat.subscriber_ids().tolist()} != slot table "
+                    f"{list(flat.slots)} (a retune sweep maps slots by it)",
+                )
+            )
         if set(flat._views) != set(flat.slots):
             violations.append(
                 Violation(

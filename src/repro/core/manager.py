@@ -18,14 +18,16 @@ loosened, costs one examined dyconit later, never an entry per pair.
 Flushes made inside a *flush scope* (a batch of commits, a tick, a
 policy step) reach each subscriber as one delivery when it closes.
 A retune (S23, :meth:`DyconitSystem.retune_clients`) is one vectorised
-policy call and one column write per dyconit, not a ``set_bounds`` per
-(subscriber, dyconit) pair; a chunk crossing (S33,
+policy call, one install per dyconit and one trip check over the pending
+queues of all of them (S37), not a ``set_bounds`` per (subscriber,
+dyconit) pair; a chunk crossing (S33,
 :meth:`DyconitSystem.retune_subscriber`) is one policy call over the
-subscriber's membership and one scalar install per dyconit, the install
-every bounds write to a live subscription goes through (S35). Commit, due
-pass and retune are each one call on the dyconit's handle whatever the
-store (S25): the columns and the row store batch it, and none of the
-three walks subscriptions here.
+subscriber's membership and one loop of scalar installs, each the
+handle's ``rebound_one`` — the install every bounds write to a live
+subscription goes through (S35) — accounted inline (S37). Commit, due
+pass and retune are each one call per dyconit on its handle whatever
+the store (S25): the columns and the row store batch it, and none of
+the three walks subscriptions here.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count, repeat
+from operator import itemgetter, methodcaller
 from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -51,6 +55,47 @@ from repro.core.stats import DyconitStats
 from repro.core.subscription import Segment, Subscriber
 from repro.core.update import Update
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
+
+_subscriber_ids = methodcaller("subscriber_ids")
+
+
+def _position_rows(subscriber_ids: np.ndarray, rows: dict[int, int]) -> np.ndarray:
+    """Each subscriber's row in ``rows`` (client id -> position row), -1
+    for one that is not a client: one gather from a table over the
+    client ids' span, with a -1 at either end for ids beyond it, when
+    that span is of the order of the client count (client ids number
+    connections); a dict lookup per id otherwise."""
+    if not rows:
+        return np.full(len(subscriber_ids), -1, dtype=np.intp)
+    low, high = min(rows), max(rows)
+    if high - low > 16 * len(rows) + 4096:
+        return np.fromiter(
+            map(rows.get, subscriber_ids.tolist(), repeat(-1)), np.intp, len(subscriber_ids)
+        )
+    table = [-1] * (high - low + 3)
+    for client_id, row in rows.items():
+        table[client_id - low + 1] = row
+    return np.array(table, dtype=np.intp).take(subscriber_ids - (low - 1), mode="clip")
+
+
+def _client_slots(
+    dyconit_ids: list, handles: list, slots: list, clients: list[bool]
+) -> tuple[list, list, list]:
+    """Keep each dyconit's client slots (``clients`` flags every slot of
+    ``slots`` in order) and the dyconits left with one: their ids,
+    handles and slots."""
+    kept: tuple[list, list, list] = ([], [], [])
+    start = 0
+    for dyconit_id, handle, run in zip(dyconit_ids, handles, slots):
+        flags = clients[start : start + len(run)]
+        start += len(run)
+        if not all(flags):
+            run = list(compress(run, flags))
+        if run:
+            kept[0].append(dyconit_id)
+            kept[1].append(handle)
+            kept[2].append(run)
+    return kept
 
 
 @dataclass
@@ -135,7 +180,10 @@ class DyconitSystem:
         #: iterate in string-hash order — randomized per process — and
         #: policies sweeping a subscriber's subscriptions would flush in
         #: a different order each run, breaking run-to-run determinism.
-        self._subscriptions_by_subscriber: dict[int, dict[Hashable, None]] = {}
+        #: Each id maps to a number from ``_joined``, increasing in that
+        #: order, so ``_hand_on`` ranks an entry by one lookup.
+        self._subscriptions_by_subscriber: dict[int, dict[Hashable, int]] = {}
+        self._joined = count()
         #: dyconit id -> lower bound on the earliest ``oldest_pending_time
         #: + staleness_ms`` among its pending subscriptions. Live ids
         #: only; lowered wherever a deadline is created or advanced,
@@ -295,7 +343,7 @@ class DyconitSystem:
                         sub.oldest_pending_time + sub.bounds.staleness_ms,
                     )
         self._subscriptions_by_subscriber = {
-            sub_id: dict.fromkeys(ids) for sub_id, ids in snap.membership.items()
+            sub_id: dict(zip(ids, self._joined)) for sub_id, ids in snap.membership.items()
         }
         self._aliases = dict(snap.aliases)
         self._alias_sources = {
@@ -408,7 +456,7 @@ class DyconitSystem:
                 if merged_state is None:
                     merged_state = target.subscribe(subscriber, state.bounds)
                     if membership is not None:
-                        membership[target_id] = None
+                        membership.setdefault(target_id, next(self._joined))
                 current = merged[sub_id][1] if sub_id in merged else merged_state.bounds
                 merged[sub_id] = merged_state.subscriber, Bounds(
                     min(current.numerical, state.bounds.numerical),
@@ -545,7 +593,9 @@ class DyconitSystem:
                 )
             return state
         state = dyconit.subscribe(subscriber, bounds)
-        self._subscriptions_by_subscriber[subscriber.subscriber_id][dyconit_id] = None
+        self._subscriptions_by_subscriber[subscriber.subscriber_id][dyconit_id] = next(
+            self._joined
+        )
         self.stats.subscriptions += 1
         return state
 
@@ -618,13 +668,14 @@ class DyconitSystem:
 
         Each client's position is read once into a position row (NaN for
         none), and each dyconit's subscriber ids are mapped to rows in
-        slot order in one walk: the pairs go to
-        ``bounds_columns(system, table)`` as one :class:`PairTable`
-        (S36), which returns their ``(numerical, staleness, order)``
-        float64 columns. Each dyconit then installs its slice and checks
-        its pending queues against it in one call, and what trips is
-        accounted and handed on as a per-pair ``set_bounds`` sweep would
-        have: reasons by ``Bounds.tripped_dimension``, subscribers in
+        slot order: the pairs go to ``bounds_columns(system, table)`` as
+        one :class:`PairTable` (S36), which returns their ``(numerical,
+        staleness, order)`` float64 columns. Each dyconit installs its
+        slice in one call and reports its pending queues' error and age;
+        those of every dyconit are then checked against the sweep's
+        columns at once (S37), and only what trips is drained, accounted
+        and handed on as a per-pair ``set_bounds`` sweep would have:
+        reasons by ``Bounds.tripped_dimension``, subscribers in
         registration order, each one's queues in membership order.
 
         Peer subscriptions (S16) are left alone: their bounds were chosen
@@ -638,32 +689,40 @@ class DyconitSystem:
             if subscriber.kind == "client":
                 rows[subscriber_id] = len(positions)
                 positions.append(subscriber.position)
-        has_peers = len(rows) < len(self._subscribers)
-        runs = []  # (dyconit id, handle, its client slots)
-        position_rows: list[int] = []
-        for dyconit_id, dyconit in self._dyconits.items():
-            start = len(position_rows)
-            position_rows += map(rows.get, dyconit.subscriber_ids())
-            slots = range(len(position_rows) - start)
-            if has_peers and None in position_rows[start:]:  # a peer's slot
-                mapped = position_rows[start:]
-                slots = [slot for slot, row in enumerate(mapped) if row is not None]
-                position_rows[start:] = [mapped[slot] for slot in slots]
-            if slots:
-                runs.append((dyconit_id, dyconit, slots))
-        if not runs:
+        handles = self._dyconits
+        id_views = list(map(_subscriber_ids, handles.values()))
+        lengths = list(map(len, id_views))
+        # The dyconits with a subscriber, each with its client slots.
+        dyconit_ids = list(compress(handles, lengths))
+        runs = list(compress(handles.values(), lengths))
+        slots = list(map(range, filter(None, lengths)))
+        if not slots:
             return
+        position_rows = _position_rows(np.concatenate(id_views), rows)
+        if len(rows) < len(self._subscribers):  # peers: keep the client slots
+            clients = position_rows >= 0
+            if not clients.all():
+                dyconit_ids, runs, slots = _client_slots(
+                    dyconit_ids, runs, slots, clients.tolist()
+                )
+                position_rows = position_rows[clients]
+                if not slots:
+                    return
+        lengths = list(map(len, slots))
         table = PairTable(
-            [dyconit_id for dyconit_id, __, __ in runs],
-            np.repeat(np.arange(len(runs)), [len(slots) for __, __, slots in runs]),
+            dyconit_ids,
+            np.repeat(np.arange(len(dyconit_ids)), lengths),
             xz_rows(positions),
-            np.fromiter(position_rows, np.intp, len(position_rows)),
+            position_rows,
         )
         numerical, staleness, order = bounds_columns(self, table)
         if self._tm_decide is not None:
             subscriber_ids = list(rows)
             for id_row, position_row, numerical_bound, staleness_ms in zip(
-                table.id_rows.tolist(), position_rows, numerical.tolist(), staleness.tolist()
+                table.id_rows.tolist(),
+                position_rows.tolist(),
+                numerical.tolist(),
+                staleness.tolist(),
             ):
                 self._tm_decide(
                     "bounds", table.dyconit_ids[id_row], subscriber_ids[position_row],
@@ -672,25 +731,63 @@ class DyconitSystem:
         # Decided once for the sweep: an all-infinite order column trips
         # nothing on order, so no store need count its queues.
         check_order = not np.isinf(order).all()
-        by_subscriber: dict[int, list] = {}
-        examined_total = 0
+        block = np.stack((numerical, staleness, order))
+        pending = []  # (dyconit id, handle, slots) of each one with a pending queue
+        parts = []  # their (bounds, error, oldest, counts)
         start = 0
+        for dyconit_id, handle, run, end in zip(dyconit_ids, runs, slots, accumulate(lengths)):
+            bounds = block[:, start:end]
+            start = end
+            found = handle.rebound(run, bounds, check_order)
+            if found is not None:
+                pending.append((dyconit_id, handle, run))
+                parts.append((bounds, *found))
+        if not pending:
+            return
+        # One trip check over the pending queues of every dyconit, in
+        # Bounds.tripped_dimension's precedence (S37). An empty queue
+        # (error 0, oldest inf) trips nothing, and a finite age never
+        # reaches an infinite staleness bound.
+        bounds, errors, oldests, counts = zip(*parts)
+        pair_bounds = np.concatenate(bounds, axis=1)
+        oldest = np.concatenate(oldests)
+        numerical_trip = np.concatenate(errors) > pair_bounds[0]
+        staleness_trip = (now - oldest) >= pair_bounds[1]
+        tripped = numerical_trip | staleness_trip
+        if check_order:
+            tripped |= np.concatenate(counts) > pair_bounds[2]
+        hits = tripped.nonzero()[0]
+        deadlines = oldest + pair_bounds[1]
+        deadlines[hits] = math.inf
+        self.stats.bound_checks += int(np.count_nonzero(oldest != math.inf))
+        ends = np.cumsum([len(run) for __, __, run in pending])
+        starts = [0, *ends[:-1].tolist()]
+        # fmin skips a NaN deadline, as the scalar ``<`` comparisons do.
+        for (dyconit_id, __, __), deadline in zip(
+            pending, np.fmin.reduceat(deadlines, starts).tolist()
+        ):
+            self._lower_due(dyconit_id, deadline)
+        if not len(hits):
+            return
+        # Each hit's dyconit, its slot there, and its reason.
+        drains: dict[int, list] = {}
+        for index, hit, numerical_hit, staleness_hit in zip(
+            np.searchsorted(ends, hits, side="right").tolist(),
+            hits.tolist(),
+            numerical_trip[hits].tolist(),
+            staleness_trip[hits].tolist(),
+        ):
+            reason = "numerical" if numerical_hit else "staleness" if staleness_hit else "order"
+            drains.setdefault(index, []).append((pending[index][2][hit - starts[index]], reason))
+        by_subscriber: dict[int, list] = {}
         with self._flush_scope():
-            for dyconit_id, dyconit, slots in runs:
-                end = start + len(slots)
-                examined, tripped, next_deadline = dyconit.rebound(
-                    slots, numerical[start:end], staleness[start:end], order[start:end],
-                    now, check_order,
-                )
-                start = end
-                examined_total += examined
-                if next_deadline != math.inf:
-                    self._lower_due(dyconit_id, next_deadline)
-                for subscriber, reason, updates in tripped:
+            for index, entries in drains.items():
+                dyconit_id, handle, __ = pending[index]
+                drained = handle.drain_slots([slot for slot, __ in entries])
+                for (subscriber, updates), (__, reason) in zip(drained, entries):
                     by_subscriber.setdefault(subscriber.subscriber_id, []).append(
                         (0.0, dyconit_id, subscriber, updates, reason)
                     )
-            self.stats.bound_checks += examined_total
             self._hand_on(by_subscriber)
 
     def retune_subscriber(self, subscriber: Subscriber, bounds_columns) -> None:
@@ -700,10 +797,11 @@ class DyconitSystem:
 
         The position is read once and ``bounds_columns(system, table)``
         called once over the subscriber's membership, in membership
-        order, paired with that one position (``PairTable.at``). Each
-        entry is then installed and checked on its dyconit by
-        :meth:`_rebound_one`, in that order, as a :meth:`set_bounds` per
-        dyconit would have.
+        order, paired with that one position (``PairTable.at``). One
+        loop then installs and checks each entry on its dyconit's handle
+        (``rebound_one``) and accounts it as :meth:`_rebound_one` does,
+        in that order, as a :meth:`set_bounds` per dyconit would have
+        (S37).
         """
         subscriber_id = subscriber.subscriber_id
         dyconit_ids = list(self._subscriptions_by_subscriber.get(subscriber_id, ()))
@@ -712,17 +810,20 @@ class DyconitSystem:
         numerical, staleness, order = bounds_columns(
             self, PairTable.at(dyconit_ids, subscriber.position)
         )
+        if self._aliases:
+            dyconit_ids = list(map(self.resolve, dyconit_ids))
         now = self.now
-        dyconits = self._dyconits
-        aliases = self._aliases
+        due_at = self._due_at
         decide = self._tm_decide
+        examined_total = 0
         with self._flush_scope():
-            for dyconit_id, numerical_bound, staleness_ms, order_bound in zip(
-                dyconit_ids, numerical.tolist(), staleness.tolist(), order.tolist()
+            for dyconit_id, dyconit, numerical_bound, staleness_ms, order_bound in zip(
+                dyconit_ids,
+                map(self._dyconits.get, dyconit_ids),
+                numerical.tolist(),
+                staleness.tolist(),
+                order.tolist(),
             ):
-                if dyconit_id in aliases:
-                    dyconit_id = self.resolve(dyconit_id)
-                dyconit = dyconits.get(dyconit_id)
                 if dyconit is None:
                     continue
                 if decide is not None and dyconit.is_subscribed(subscriber_id):
@@ -730,10 +831,16 @@ class DyconitSystem:
                         "bounds", dyconit_id, subscriber_id,
                         f"numerical={numerical_bound:g} staleness={staleness_ms:g}",
                     )
-                self._rebound_one(
-                    dyconit_id, dyconit, subscriber,
-                    numerical_bound, staleness_ms, order_bound, now,
+                examined, reason, updates, deadline = dyconit.rebound_one(
+                    subscriber_id, numerical_bound, staleness_ms, order_bound, now
                 )
+                if examined:  # a pending queue: flushed, or due by its deadline
+                    examined_total += 1
+                    if reason is not None:
+                        self._flushed(dyconit_id, subscriber, updates, reason)
+                    elif deadline < due_at.get(dyconit_id, math.inf):
+                        due_at[dyconit_id] = deadline
+            self.stats.bound_checks += examined_total
 
     def _rebound_one(
         self,
@@ -841,7 +948,8 @@ class DyconitSystem:
         self._lower_due(dyconit_id, became_due)
 
     def _lower_due(self, dyconit_id: Hashable, deadline: float) -> None:
-        """Have the due pass visit ``dyconit_id`` by ``deadline`` (never inf)."""
+        """Have the due pass visit ``dyconit_id`` by ``deadline`` (an
+        infinite or NaN deadline changes nothing)."""
         if deadline < self._due_at.get(dyconit_id, math.inf):
             self._due_at[dyconit_id] = deadline
 
@@ -907,7 +1015,9 @@ class DyconitSystem:
         Both orders are snapshotted and hash-seed independent, so neither
         the order the queues were drained in nor a string hash can show —
         not even in ``DyconitStats.queue_delay_total_ms``, a float sum.
-        Returns the number of flushes."""
+        Returns the number of flushes. A tie in rank looks up only the
+        tied entries' own ids: a membership maps each id to a number
+        increasing in membership order."""
         flushed = 0
         if not by_subscriber:
             return flushed
@@ -915,10 +1025,9 @@ class DyconitSystem:
             entries = by_subscriber.get(subscriber_id)
             if entries is None:
                 continue
-            entries.sort(key=lambda entry: entry[0])
+            entries.sort(key=itemgetter(0))
             if any(a[0] == b[0] for a, b in zip(entries, entries[1:])):
-                position = {dyconit_id: i for i, dyconit_id in enumerate(membership)}
-                entries.sort(key=lambda entry: (entry[0], position[entry[1]]))
+                entries.sort(key=lambda entry: (entry[0], membership[entry[1]]))
             for __, dyconit_id, subscriber, updates, reason in entries:
                 self._flushed(dyconit_id, subscriber, updates, reason)
             flushed += len(entries)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,24 +71,23 @@ class PairTable:
     def __len__(self) -> int:
         return len(self.id_rows)
 
-    def horizontal_distances(
-        self, centroid: Callable[[Hashable], tuple[float, float]]
-    ) -> np.ndarray:
-        """Per pair, the horizontal distance from its position to
-        ``centroid(dyconit id)``, an ``(x, z)`` asked once per id, as
-        ``Vec3.horizontal_distance_to`` computes it. NaN where the
-        position or the centroid is NaN."""
-        ids = self.dyconit_ids
+    def horizontal_distances(self, centroids: Sequence[tuple[float, float]]) -> np.ndarray:
+        """Per pair, the horizontal distance from its position to its
+        id's centroid, as ``Vec3.horizontal_distance_to`` computes it.
+        ``centroids`` holds one ``(x, z)`` per id of ``dyconit_ids``, in
+        order; NaN where the position or the centroid is NaN."""
         centroids = np.fromiter(
-            chain.from_iterable(map(centroid, ids)), float, 2 * len(ids)
+            chain.from_iterable(centroids), float, 2 * len(centroids)
         ).reshape(-1, 2)
-        # ``take`` gathers rows several times faster than ``[rows]``.
-        offset = self.positions.take(self.position_rows, axis=0) - centroids.take(
-            self.id_rows, axis=0
-        )
-        dx = offset[:, 0]
-        dz = offset[:, 1]
-        return np.sqrt(dx * dx + dz * dz)
+        # ``take`` gathers rows several times faster than ``[rows]``; one
+        # position row (a view change, a crossing) broadcasts instead.
+        positions = self.positions
+        if len(positions) > 1:
+            positions = positions.take(self.position_rows, axis=0)
+        offset = positions - centroids.take(self.id_rows, axis=0)
+        offset *= offset  # (dx * dx, dz * dz)
+        squared = offset[:, 0] + offset[:, 1]
+        return np.sqrt(squared, out=squared)
 
 
 def constant_columns(bounds: Bounds, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,6 +21,8 @@ the tick budget the policy trades imperceptible peripheral fidelity for
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.policy import LoadSignals, PairTable, Policy
@@ -78,6 +80,13 @@ class AdaptiveBoundsPolicy(Policy):
         if factor < 0:
             raise ValueError(f"scale factor must be >= 0, got {factor}")
         infinite_order = np.isinf(order)
+        if 0.0 < factor < math.inf and infinite_order.all():
+            # A positive finite factor keeps a zero zero and an infinite
+            # bound infinite, and no order bound is scaled: every mask
+            # below is the plain product.
+            numerical *= factor
+            staleness *= factor
+            return numerical, staleness, order
         scale = ~(
             ((numerical == 0.0) & (staleness == 0.0))
             | (np.isinf(numerical) & np.isinf(staleness) & infinite_order)

@@ -36,8 +36,9 @@ class InterestCutoffPolicy(Policy):
         pairs, ``Bounds.INFINITE`` beyond — the distance as
         ``Vec3.horizontal_length`` computes it. Each id's centroid is
         resolved once and gathered per pair (S36)."""
+        partitioner = system.partitioner
         distance = table.horizontal_distances(
-            lambda dyconit_id: centroid_xz(dyconit_id, system.partitioner)
+            [centroid_xz(dyconit_id, partitioner) for dyconit_id in table.dyconit_ids]
         )
         # ``not distance <= radius``, with a NaN pair inside.
         outside = distance / CHUNK_SIZE > self.aoi_radius_chunks + 0.5

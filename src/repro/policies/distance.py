@@ -37,6 +37,13 @@ GLOBAL_BOUNDS = Bounds(numerical=5.0, staleness_ms=250.0)
 #: holds ~120; only a world-crossing trek ever gets here).
 _CENTROID_CACHE_SIZE = 16384
 
+#: How far (relative, then absolute) ``rate`` must beat np.power's
+#: estimate of the surface for the surface to lose to it whatever libm
+#: ``pow`` rounds: np.power is within a few ulps of it (a relative 1e-15),
+#: and the absolute term covers results numpy flushes to zero.
+_POW_SLACK = 1.0 + 1e-9
+_POW_FLOOR = 1e-300
+
 
 class DistanceBasedPolicy(Policy):
     """Bounds proportional to avatar-to-dyconit distance."""
@@ -105,36 +112,56 @@ class DistanceBasedPolicy(Policy):
         for subscribers with no position. The power term is libm ``pow``,
         as Python's own ``**`` computes it: ``np.power`` rounds a few
         inputs differently, and the bounds stay those of the scalar
-        formula in the module docstring bit for bit (S35)."""
-        distance = table.horizontal_distances(
-            lambda dyconit_id: self._centroids.get(dyconit_id)
-            or self._remember_centroid(system, dyconit_id)
-        )
+        formula in the module docstring bit for bit (S35). It is
+        evaluated only where it can win the maximum: np.power's estimate
+        rules out the rest (S37)."""
+        ids = table.dyconit_ids
+        centroids = list(map(self._centroids.get, ids))
+        if None in centroids:
+            centroids = [
+                self._remember_centroid(system, dyconit_id) if centroid is None else centroid
+                for dyconit_id, centroid in zip(ids, centroids)
+            ]
+        distance = table.horizontal_distances(centroids)
         nowhere = np.isnan(distance)
         chunk_distance = distance / CHUNK_SIZE - 0.5
         floor = self.min_chunk_distance
-        chunk_distance = np.where(chunk_distance > floor, chunk_distance, floor)
+        # ``max(floor, d)``; fmax takes the floor for a NaN distance too.
+        chunk_distance = np.fmax(chunk_distance, floor)
         # The surface, per entry.
         staleness = self.staleness_per_chunk_ms * chunk_distance
-        # A zero distance is Bounds.ZERO below (and 0.0 ** a negative
-        # exponent would raise).
-        zero = chunk_distance <= 0
-        positive = ~zero
-        power = np.zeros(len(chunk_distance))
-        lengths = chunk_distance[positive].tolist()
-        power[positive] = np.fromiter(
-            map(math.pow, lengths, repeat(self.numerical_exponent)), float, len(lengths)
-        )
-        surface = self.numerical_per_chunk * power
         rate = self.numerical_weight_rate * staleness / 1000.0
-        numerical = np.where(rate > surface, rate, surface)
-        numerical[zero] = 0.0
-        staleness[zero] = 0.0
-        order = np.full(len(chunk_distance), math.inf)
-        glob = self.global_bounds
-        numerical[nowhere] = glob.numerical
-        staleness[nowhere] = glob.staleness_ms
-        order[nowhere] = glob.order
+        # A zero distance is Bounds.ZERO below (and 0.0 ** a negative
+        # exponent would raise); over a positive floor there is none.
+        zero = None if floor > 0.0 else chunk_distance <= 0
+        if zero is not None and zero.any():
+            chunk_distance = np.where(zero, 1.0, chunk_distance)
+        # ``numerical`` is ``max(surface, rate)``. np.power is within a few
+        # ulps of libm pow, so where ``rate`` beats that estimate of the
+        # surface by more than the slack, the maximum is ``rate`` whatever
+        # pow's last bits: pow runs only on the other entries.
+        estimate = np.power(chunk_distance, self.numerical_exponent)
+        estimate *= self.numerical_per_chunk * _POW_SLACK
+        estimate += _POW_FLOOR
+        numerical = rate
+        certain = rate > estimate
+        if not certain.all():
+            rows = (~certain).nonzero()[0]
+            lengths = chunk_distance[rows].tolist()
+            surface = self.numerical_per_chunk * np.fromiter(
+                map(math.pow, lengths, repeat(self.numerical_exponent)), float, len(lengths)
+            )
+            candidates = rate[rows]
+            numerical[rows] = np.where(candidates > surface, candidates, surface)
+        if zero is not None:
+            numerical[zero] = 0.0
+            staleness[zero] = 0.0
+        order = np.full(len(distance), math.inf)
+        if nowhere.any():
+            glob = self.global_bounds
+            numerical[nowhere] = glob.numerical
+            staleness[nowhere] = glob.staleness_ms
+            order[nowhere] = glob.order
         return numerical, staleness, order
 
     def _remember_centroid(self, system, dyconit_id: Hashable) -> tuple[float, float]:

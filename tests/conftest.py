@@ -77,7 +77,7 @@ class PerObjectDyconit(DyconitStateHandle):
         return len(self._subscriptions)
 
     def subscriber_ids(self):
-        return self._subscriptions.keys()
+        return np.fromiter(self._subscriptions, np.int64, len(self._subscriptions))
 
     def subscription_states(self) -> list[SubscriptionState]:
         return list(self._subscriptions.values())
@@ -168,24 +168,29 @@ class PerObjectDyconit(DyconitStateHandle):
                 next_deadline = deadline
         return examined, due, next_deadline
 
-    def rebound(self, slots, numerical, staleness, order, now, check_order=True):
+    def rebound(self, slots, bounds, check_order=True):
         states = list(self._subscriptions.values())
-        examined = 0
-        tripped = []
-        next_deadline = math.inf
-        for slot, row in zip(slots, zip(numerical.tolist(), staleness.tolist(), order.tolist())):
-            state = states[slot]
+        chosen = [states[slot] for slot in slots]
+        for state, row in zip(chosen, zip(*bounds.tolist())):
             state.bounds = Bounds(*row)
-            oldest = state.oldest_pending_time
-            if oldest is None:
-                continue
-            examined += 1
-            reason = state.tripped_dimension(now)
-            if reason is not None:
-                tripped.append((state.subscriber, reason, state.drain()))
-            elif oldest + row[1] < next_deadline:
-                next_deadline = oldest + row[1]
-        return examined, tripped, next_deadline
+        if not any(state.has_pending for state in chosen):
+            return None
+        error = np.array([state.accumulated_error for state in chosen], dtype=np.float64)
+        oldest = np.array(
+            [
+                math.inf if state.oldest_pending_time is None else state.oldest_pending_time
+                for state in chosen
+            ],
+            dtype=np.float64,
+        )
+        counts = None
+        if check_order:
+            counts = np.array([len(state.pending) for state in chosen], dtype=np.int64)
+        return error, oldest, counts
+
+    def drain_slots(self, slots):
+        states = list(self._subscriptions.values())
+        return [(states[slot].subscriber, states[slot].drain()) for slot in slots]
 
     def rebound_one(self, subscriber_id, numerical, staleness, order, now):
         state = self._subscriptions.get(subscriber_id)

@@ -308,37 +308,49 @@ class TestBoundsSurface:
         assert state.tripped_dimension(now=200.0) is None
 
     def test_rebound_drains_what_trips(self, store):
-        """The retune surface (S23): new bounds on some positions in one
-        call; only the pending queues among them are checked, and those
-        the new bounds trip drain."""
+        """The retune surface (S23, S37): new bounds on some positions in
+        one call, which reports only the pending queues' error, age and
+        length among them (``None`` when none is pending); the queues a
+        sweep's trip check finds over its bounds drain through
+        ``drain_slots``, and only those."""
         handle = make_handle(store)
         states = [subscribed(handle, sub_id)[1] for sub_id in (3, 1, 2)]
-        assert handle.rebound(
-            [0, 2], *columns((5.0, 50.0, 7.0), (4.0, 40.0, math.inf)), 0.0
-        ) == (0, [], math.inf)
+        assert handle.rebound([0, 2], block_of((5.0, 50.0, 7.0), (4.0, 40.0, math.inf))) is None
         assert [state.bounds for state in states] == [
             Bounds(5.0, 50.0, 7.0), WIDE, Bounds(4.0, 40.0)
         ]
         first = move(1, time=12.5)
         states[2].enqueue(first)
         states[0].enqueue(move(1, time=20.0))
+        states[0].enqueue(block(time=21.0))
         states[1].enqueue(move(2, time=5.0, distance=9.0))
-        examined, tripped, next_deadline = handle.rebound(
-            [0, 2], *columns((5.0, 50.0, 7.0), (0.5, 40.0, math.inf)), 30.0
+        error, oldest, counts = handle.rebound(
+            [0, 2], block_of((5.0, 50.0, 7.0), (0.5, 40.0, math.inf))
         )
-        assert examined == 2
-        assert [(s.subscriber_id, reason, updates) for s, reason, updates in tripped] == [
-            (2, "numerical", [first])
-        ]
-        assert next_deadline == 70.0  # subscriber 3: 20 + 50
+        assert error.tolist() == [2.0, 1.0]
+        assert oldest.tolist() == [20.0, 12.5]
+        assert counts.tolist() == [2, 1]
         assert states[2].bounds == Bounds(0.5, 40.0)
+        # Subscriber 2's error is over its new numerical bound: it drains.
+        assert [
+            (subscriber.subscriber_id, updates) for subscriber, updates in handle.drain_slots([2])
+        ] == [(2, [first])]
         assert not states[2].has_pending
         assert states[0].has_pending and states[1].has_pending  # 1 was not a slot
+        # Without the order check no queue is counted; an empty queue
+        # reports error 0 and an infinite oldest time.
+        error, oldest, counts = handle.rebound([0, 2], block_of(WIDE_ROW, WIDE_ROW), False)
+        assert counts is None
+        assert error.tolist() == [2.0, 0.0] and oldest.tolist() == [20.0, math.inf]
+        assert handle.rebound([2], block_of(WIDE_ROW)) is None
 
 
-def columns(*rows):
-    """``(numerical, staleness, order)`` float64 columns of bound rows."""
-    return [np.array(column, dtype=np.float64) for column in zip(*rows)]
+WIDE_ROW = (WIDE.numerical, WIDE.staleness_ms, WIDE.order)
+
+
+def block_of(*rows):
+    """A ``(3, len(rows))`` float64 block of bound rows."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 3).T.copy()
 
 
 # ---------------------------------------------------------------------------

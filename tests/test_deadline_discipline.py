@@ -278,11 +278,12 @@ def test_tightened_staleness_flushes_at_the_very_next_commit(clock):
     assert isinstance(flat, Dyconit)
     assert flat.min_deadline == 10_000.0 and not flat._gates_dirty
     # A retune tightens one backlog's staleness to a deadline of 600 —
-    # not due yet, so set_bounds itself flushes nothing and only marks
-    # the gates dirty (their values still say "nothing due before 10 s").
+    # not due yet, so set_bounds itself flushes nothing; a lowered bound
+    # keeps the gates exact in O(1) (S37): the staleness gate now says
+    # "due at 600", with no recompute pending.
     clock["now"] = 500.0
     system.set_bounds(CHUNK_A, 1, Bounds(math.inf, 600.0))
-    assert flat._gates_dirty and flat.min_deadline == 10_000.0
+    assert not flat._gates_dirty and flat.min_deadline == 600.0
     assert not near.deliveries
     # No tick in between: the commit's own staleness scan must catch it.
     clock["now"] = 650.0
@@ -306,13 +307,23 @@ def test_sweep_recomputes_gates_once_not_per_set_bounds(clock, monkeypatch):
         "_recompute_aggregates",
         lambda self: (recomputes.append(1), original(self)),
     )
+    # Tightening keeps the gates exact as it goes (S37): no recompute.
     for rec in recs:
         system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(40.0, 900.0))
     assert recomputes == []
     system.commit_to(CHUNK_A, move(time=0.0))
     system.commit_to(CHUNK_A, move(time=0.0))
-    assert recomputes == [1]
+    assert recomputes == []
     assert flat.min_bstale == 900.0 and flat.min_deadline == 900.0
+    # Loosening raises the minimum's holders: the gates go dirty once,
+    # and the next commit recomputes them once, not per set_bounds.
+    for rec in recs:
+        system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(40.0, 950.0))
+    assert recomputes == [] and flat._gates_dirty
+    system.commit_to(CHUNK_A, move(time=10.0))
+    system.commit_to(CHUNK_A, move(time=10.0))
+    assert recomputes == [1]
+    assert flat.min_bstale == 950.0
 
 
 def test_auditor_checks_gates_exactly_after_refreshing_them(clock):
@@ -320,12 +331,13 @@ def test_auditor_checks_gates_exactly_after_refreshing_them(clock):
     rec = RecordingSubscriber()
     system.subscribe(CHUNK_A, rec.subscriber)
     system.commit_to(CHUNK_A, move(time=0.0))
-    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(40.0, 900.0))
+    # Loosened: the slot held the minimum, so the gates go dirty (S37).
+    system.set_bounds(CHUNK_A, rec.subscriber.subscriber_id, Bounds(60.0, 1100.0))
     flat = system.get(CHUNK_A)
     assert isinstance(flat, Dyconit)
     assert flat._gates_dirty
     assert InvariantAuditor().check(system) == []  # refreshed, then exact
-    assert not flat._gates_dirty and flat.min_bstale == 900.0
+    assert not flat._gates_dirty and flat.min_bstale == 1100.0
     # Clean gates get no such grace: a wrong value is a violation.
     flat.min_deadline = 5000.0
     assert "I9.gates" in {v.invariant for v in InvariantAuditor().check(system)}

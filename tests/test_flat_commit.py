@@ -448,6 +448,14 @@ def test_i9_detects_slot_table_out_of_slot_order(corrupt_ready):
     assert "I9.slot-mirror" in _keys(InvariantAuditor().check(system))
 
 
+def test_i9_detects_id_column_out_of_step(corrupt_ready):
+    """The retune sweep maps each slot to its client by the id column
+    (``subscriber_ids``), so it must name the slot table's ids in order."""
+    system, flat = corrupt_ready
+    flat._ids[:2] = flat._ids[1::-1]
+    assert "I9.slot-mirror" in _keys(InvariantAuditor().check(system))
+
+
 def test_i9_commit_buffer_must_drain_at_barrier(sim, server_factory):
     from repro.policies.fixed import FixedBoundsPolicy
 

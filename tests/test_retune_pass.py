@@ -626,3 +626,23 @@ def test_one_position_tables_equal_the_oracle(policy_name):
         assert columns_as_bounds(columns) == [
             oracle_bounds(policy, system, dyconit_id, position) for dyconit_id in ids
         ]
+
+
+@pytest.mark.parametrize("span", ["narrow", "wide"])
+def test_sweep_maps_subscriber_ids_to_position_rows(span):
+    """The sweep maps every slot's subscriber id to its client's position
+    row all at once (S37): by a table over the client ids' span when it
+    is narrow, one dict lookup per id when it is wide. Either way it is
+    the client's row, and -1 for a peer or an unregistered id."""
+    from repro.core.manager import _position_rows
+
+    rng = np.random.default_rng(37)
+    stride = 1 if span == "narrow" else 10**9
+    clients = [int(client) * stride + 5 for client in rng.permutation(40)]
+    rows = {client: row for row, client in enumerate(clients)}
+    ids = [*clients, -1, -2, max(clients) + 1, min(clients) - 1, 0]
+    subscriber_ids = np.array([ids[i] for i in rng.integers(0, len(ids), 2000)], dtype=np.int64)
+    assert _position_rows(subscriber_ids, rows).tolist() == [
+        rows.get(subscriber_id, -1) for subscriber_id in subscriber_ids.tolist()
+    ]
+    assert _position_rows(subscriber_ids, {}).tolist() == [-1] * len(subscriber_ids)

@@ -1,7 +1,8 @@
 """The batched row store (S25) against the per-object reference.
 
-``SQLiteDyconitState`` answers ``commit``, ``drain_due`` and ``rebound`` in
-a few statements per dyconit. Two references hold it to the rules:
+``SQLiteDyconitState`` answers ``commit``, ``drain_due``, ``rebound`` and
+``drain_slots`` in a few statements per dyconit. Two references hold it
+to the rules:
 
 * the ``per-object`` store (``tests/conftest.py``): the same calls as
   walks over plain ``SubscriptionState`` objects. Every tuple a handle
@@ -83,24 +84,26 @@ class RowWalkState(SQLiteDyconitState):
                 next_deadline = min(next_deadline, deadline)
         return examined, due, next_deadline
 
-    def rebound(self, slots, numerical, staleness, order, now, check_order=True):
+    def rebound(self, slots, bounds, check_order=True):
         views = self.subscription_states()
-        rows = list(zip(numerical.tolist(), staleness.tolist(), order.tolist()))
-        for slot, row in zip(slots, rows):
-            views[slot].bounds = Bounds(*row)
-        examined, tripped, next_deadline = 0, [], math.inf
-        for slot, row in zip(slots, rows):
-            view = views[slot]
-            oldest = view.oldest_pending_time
-            if oldest is None:
-                continue
-            examined += 1
-            reason = view.tripped_dimension(now)
-            if reason is not None:
-                tripped.append((view.subscriber, reason, view.drain()))
-            else:
-                next_deadline = min(next_deadline, oldest + row[1])
-        return examined, tripped, next_deadline
+        chosen = [views[slot] for slot in slots]
+        for view, row in zip(chosen, zip(*bounds.tolist())):
+            view.bounds = Bounds(*row)
+        if not any(view.has_pending for view in chosen):
+            return None
+        oldest = [view.oldest_pending_time for view in chosen]
+        counts = None
+        if check_order:
+            counts = np.array([len(view.pending) for view in chosen], dtype=np.int64)
+        return (
+            np.array([view.accumulated_error for view in chosen], dtype=np.float64),
+            np.array([math.inf if t is None else t for t in oldest], dtype=np.float64),
+            counts,
+        )
+
+    def drain_slots(self, slots):
+        views = self.subscription_states()
+        return [(views[slot].subscriber, views[slot].drain()) for slot in slots]
 
 
 def walk_store(name):
@@ -253,8 +256,9 @@ class Lockstep:
         return {sub_id: r.deliveries for sub_id, r in self.recorders.items()}
 
 
-def _plain(result):
-    """A batched call's result with each subscriber as its id."""
+def _plain(name, result):
+    """A batched call's result with each subscriber as its id and each
+    array as a list."""
 
     def by_id(drained):
         if drained is None:
@@ -264,8 +268,14 @@ def _plain(result):
             for subscriber, tag, updates in drained
         ]
 
-    if len(result) == 4:  # commit
+    if name == "commit":
         return (*result[:3], by_id(result[3]))
+    if name == "rebound":
+        return None if result is None else [
+            None if column is None else column.tolist() for column in result
+        ]
+    if name == "drain_slots":
+        return [(subscriber.subscriber_id, list(updates)) for subscriber, updates in result]
     return (result[0], by_id(result[1]), result[2])
 
 
@@ -274,12 +284,12 @@ def recorded_calls(monkeypatch):
     """Log every batched call's plain result, per handle class."""
     calls = {PerObjectDyconit: [], SQLiteDyconitState: []}
     for cls, log in calls.items():
-        for name in ("commit", "drain_due", "rebound"):
+        for name in ("commit", "drain_due", "rebound", "drain_slots"):
             original = getattr(cls, name)
 
             def recording(handle, *args, _original=original, _log=log, _name=name):
                 result = _original(handle, *args)
-                _log.append((_name, handle.dyconit_id, _plain(result)))
+                _log.append((_name, handle.dyconit_id, _plain(_name, result)))
                 return result
 
             monkeypatch.setattr(cls, name, recording)
@@ -294,10 +304,20 @@ def test_lockstep_with_per_object_reference(name, recorded_calls):
     walk = Lockstep(lambda: walk_store(name), clock)
     assert all(type(handle) is SQLiteDyconitState for handle in product.system.dyconits())
     assert all(type(handle) is RowWalkState for handle in walk.system.dyconits())
+    retune_reasons = set()
     for position, (time, op, args) in enumerate(TAPE):
         clock[0] = time
+        stats = reference.system.stats
+        before = (stats.flushes_numerical, stats.flushes_staleness, stats.flushes_order)
         for each in (product, reference, walk):
             each.step(op, args)
+        if op == "retune":
+            after = (stats.flushes_numerical, stats.flushes_staleness, stats.flushes_order)
+            retune_reasons = {
+                reason
+                for reason, was, now in zip(("numerical", "staleness", "order"), before, after)
+                if now > was
+            }
         where = f"step {position} ({op} at t={time})"
         assert recorded_calls[SQLiteDyconitState] == recorded_calls[PerObjectDyconit], where
         assert product.system.stats == reference.system.stats, where
@@ -319,10 +339,8 @@ def test_lockstep_with_per_object_reference(name, recorded_calls):
         reason for *__, flushed in commits if flushed for __, reason, __ in flushed
     }
     assert commit_reasons == {"numerical", "staleness", "order"}
-    rebound_reasons = {
-        reason for op, __, result in calls if op == "rebound" for __, reason, __ in result[1]
-    }
-    assert rebound_reasons == {"numerical", "staleness", "order"}
+    assert retune_reasons == {"numerical", "staleness", "order"}
+    assert any(op == "drain_slots" for op, __, __ in calls)
     assert any(op == "drain_due" and result[1] for op, __, result in calls)
     assert product.system.stats.updates_merged > 0
     assert product.system.stats.flushes_staleness > 0
