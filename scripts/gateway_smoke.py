@@ -13,7 +13,10 @@ Checks, over an actual loopback socket (stdlib server, stdlib client):
    tick" acceptance bar, read back from ``GET /ops``.
 3. The retune is live: the policy view reflects the new bounds, and a
    post-retune run flushes on every commit (zero bounds ⇒ no batching).
-4. Bad requests (policy "vanilla", a ``bounds`` that is not an object)
+4. ``GET /stats`` reports the middleware counters the server holds.
+5. ``POST /checkpoint`` is accepted (202), and after the next tick
+   barrier ``GET /store`` lists the checkpoint's key.
+6. Bad requests (policy "vanilla", a ``bounds`` that is not an object)
    are rejected with 400, no op is queued, and the gateway still answers
    ``GET /healthz`` afterwards.
 
@@ -23,6 +26,7 @@ Exit code 0 on success; any assertion failure is fatal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import urllib.error
@@ -71,12 +75,15 @@ def main() -> int:
         with urllib.request.urlopen(base + path) as response:
             return response.status, response.read().decode()
 
-    def put(path: str, payload: dict) -> tuple[int, str]:
+    def send(method: str, path: str, payload: dict) -> tuple[int, str]:
         request = urllib.request.Request(
-            base + path, method="PUT", data=json.dumps(payload).encode()
+            base + path, method=method, data=json.dumps(payload).encode()
         )
         with urllib.request.urlopen(request) as response:
             return response.status, response.read().decode()
+
+    def put(path: str, payload: dict) -> tuple[int, str]:
+        return send("PUT", path, payload)
 
     # 1. Liveness + telemetry out.
     status, body = get("/healthz")
@@ -122,7 +129,24 @@ def main() -> int:
     print(f"  post-retune deliveries: {stats.updates_delivered - flushed_before}, "
           f"pending after tick: {pending}")
 
-    # 4. Bad requests bounce with 400, queue nothing and leave the
+    # 4. The counters over HTTP are the server's own.
+    status, body = get("/stats")
+    assert status == 200, status
+    (served,) = json.loads(body)["stats"]
+    for name, value in dataclasses.asdict(server.dyconits.stats).items():
+        assert served[name] == value, (name, served[name], value)
+    print(f"  /stats: {len(served)} counters, equal to the server's")
+
+    # 5. A checkpoint requested over HTTP is taken at the next barrier.
+    status, body = send("POST", "/checkpoint", {"key": "smoke"})
+    assert status == 202, (status, body)
+    sim.run_until(sim.now + 100.0)
+    status, body = get("/store")
+    (store,) = json.loads(body)["stores"]
+    assert store["checkpoints"] == ["smoke"], store
+    print(f"  checkpoint 'smoke' listed by /store ({store['backend']})")
+
+    # 6. Bad requests bounce with 400, queue nothing and leave the
     #    gateway answering.
     for bad in ({"policy": "vanilla"}, {"bounds": 5}):
         try:

@@ -1,7 +1,7 @@
 """Pluggable state stores (S19).
 
 >>> from repro.backends import create_state_store
->>> store = create_state_store("sqlite")            # or "memory", a URL, ...
+>>> store = create_state_store("sqlite")            # or "memory", "sqlite:///path"
 >>> system = DyconitSystem(policy, state_store=store)
 
 See :mod:`repro.backends.base` for the protocol and
@@ -9,14 +9,12 @@ See :mod:`repro.backends.base` for the protocol and
 """
 
 from repro.backends.base import (
-    BackendUnavailable,
     DyconitStateHandle,
     StateStore,
     SubscriptionSnapshot,
     snapshot_subscription,
 )
 from repro.backends.memory import InMemoryStateStore
-from repro.backends.postgres_store import POSTGRES_URL_ENV, PostgresStateStore
 from repro.backends.registry import (
     create_state_store,
     register_state_store,
@@ -25,11 +23,8 @@ from repro.backends.registry import (
 from repro.backends.sqlite_store import SQLiteStateStore
 
 __all__ = [
-    "BackendUnavailable",
     "DyconitStateHandle",
     "InMemoryStateStore",
-    "POSTGRES_URL_ENV",
-    "PostgresStateStore",
     "SQLiteStateStore",
     "StateStore",
     "SubscriptionSnapshot",

@@ -7,7 +7,7 @@ a :class:`~repro.core.dyconit.Dyconit` directly; it asks its store for
 a *dyconit state handle* and talks to that handle through the surface
 documented on :class:`DyconitStateHandle`. The in-memory store hands
 back ``Dyconit`` objects, whose state is S17 columns; the SQL row store
-hands back handles whose queues live in a database (SQLite or Postgres).
+hands back handles whose queues live in a SQLite database.
 
 The protocol is *synchronous and single-writer by design*: the
 simulation owns the only mutating thread, exactly as before. A store
@@ -29,15 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.bounds import Bounds
     from repro.core.subscription import Subscriber
     from repro.core.update import Update
-
-
-class BackendUnavailable(RuntimeError):
-    """Raised when a backend's driver or service is not reachable.
-
-    The conformance suite treats this as a *skip*, not a failure: a
-    registered backend may legitimately be absent from a given
-    environment (e.g. the Postgres store without a ``REPRO_POSTGRES_URL``).
-    """
 
 
 @dataclass
@@ -249,7 +240,7 @@ class StateStore(abc.ABC):
     store when a dyconit is gone so persistent rows can be collected.
     """
 
-    #: Registry name (``"memory"``, ``"sqlite"``, ``"postgres"``).
+    #: Registry name (``"memory"``, ``"sqlite"``).
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -268,12 +259,12 @@ class StateStore(abc.ABC):
     def reset(self) -> None:
         """Delete every dyconit row this store can see (checkpoints stay).
 
-        Persistent/shared backends (a file, a Postgres server) may
-        hold rows from an earlier run in the same database; the
-        restore path wipes them before replaying a checkpoint so stale
-        rows — including rows written *after* the checkpoint by a run
-        that was later killed — can never leak into the resumed run.
-        The in-memory store starts empty, so the default is a no-op.
+        A file-backed store may hold rows from an earlier run in the
+        same database; the restore path wipes them before replaying a
+        checkpoint so stale rows — including rows written *after* the
+        checkpoint by a run that was later killed — can never leak into
+        the resumed run. The in-memory store starts empty, so the
+        default is a no-op.
         """
 
     def save_checkpoint(self, key: str, blob: bytes) -> None:

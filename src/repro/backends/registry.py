@@ -6,12 +6,7 @@ a **spec** — either an already-constructed store instance or a string:
 * ``"memory"`` — in-memory store (the default; byte-identical legacy
   behaviour);
 * ``"sqlite"`` — SQLite store in ``:memory:``;
-* ``"sqlite:///path/to.db"`` — SQLite store on disk;
-* ``"postgres"`` / ``"postgres://..."`` / ``"postgresql://..."`` — the
-  same row store on a Postgres server named by the URL or
-  ``REPRO_POSTGRES_URL`` (requires the ``psycopg`` driver and a
-  reachable server, else
-  :class:`~repro.backends.base.BackendUnavailable`).
+* ``"sqlite:///path/to.db"`` — SQLite store on disk.
 
 The conformance suite iterates :func:`state_store_factories`, so
 registering a new store is all it takes to put it under the full
@@ -24,7 +19,6 @@ from typing import Callable
 
 from repro.backends.base import StateStore
 from repro.backends.memory import InMemoryStateStore
-from repro.backends.postgres_store import PostgresStateStore
 from repro.backends.sqlite_store import SQLiteStateStore
 
 _STATE_STORES: dict[str, Callable[[], StateStore]] = {}
@@ -48,8 +42,6 @@ def create_state_store(spec: "StateStore | str | None") -> StateStore:
         return spec
     if spec.startswith("sqlite:///"):
         return SQLiteStateStore(spec[len("sqlite:///"):])
-    if spec.startswith(("postgres://", "postgresql://")):
-        return PostgresStateStore(url=spec)
     factory = _STATE_STORES.get(spec)
     if factory is None:
         raise ValueError(
@@ -60,6 +52,3 @@ def create_state_store(spec: "StateStore | str | None") -> StateStore:
 
 register_state_store("memory", InMemoryStateStore)
 register_state_store("sqlite", SQLiteStateStore)
-# Constructing the Postgres store verifies the driver + server and
-# raises BackendUnavailable otherwise; the contract suite skips on that.
-register_state_store("postgres", PostgresStateStore)

@@ -1,4 +1,4 @@
-"""The SQL row store: :class:`StateStore` over a SQL database.
+"""The SQLite row store: :class:`StateStore` over a SQLite database.
 
 Subscription queues and conit accounting live in two tables:
 
@@ -16,11 +16,11 @@ Dyconit ids and merge keys are pickled to blobs (equal tuples of
 primitives pickle to equal bytes within a process); updates are pickled
 whole — world events are frozen dataclasses, so an unpickled update is
 value-equal to the committed one and encodes to identical packets.
-Floats round-trip exactly (the float column is IEEE-754 binary64 in
-every dialect), and every read-modify-write performs the same Python
-float additions in the same order as the in-memory path, so the
-accounting is *bit*-compatible, not just approximately equal — the
-conformance suite and the SQLite fuzz twin assert as much.
+Floats round-trip exactly (``REAL`` is IEEE-754 binary64), and every
+read-modify-write performs the same Python float additions in the same
+order as the in-memory path, so the accounting is *bit*-compatible, not
+just approximately equal — the conformance suite and the SQLite fuzz
+twin assert as much.
 
 The manager's three hot calls — a commit, the due pass over a dyconit
 and a retune — each run as a few statements for the whole dyconit
@@ -29,16 +29,6 @@ and one three-statement drain for every queue that tripped. A chunk
 crossing's retune is one bound write and one row read per subscription
 (S33). The per-subscription views serve everything else
 (repartitioning, restore, the gateway's new bounds, forced flushes).
-
-One implementation, several databases: store, handle and view talk to a
-connection that offers ``execute(sql, params) -> cursor`` and
-``cursor()`` with ``executemany`` (``sqlite3.Connection`` and a psycopg
-3 connection both do), and
-everything that differs between databases is a :class:`Dialect` fixed
-when the store is built. Statement texts are written once below with
-``?`` placeholders and rendered once per store. The handle and view
-classes keep their ``SQLite…`` names (SQLite is the dialect that runs
-everywhere); :mod:`repro.backends.postgres_store` adds the Postgres one.
 
 Persistence semantics: dropping a dyconit (or the whole system) deletes
 its rows, but a handle re-created over surviving rows *re-attaches* —
@@ -60,7 +50,6 @@ from __future__ import annotations
 import math
 import pickle
 import sqlite3
-from dataclasses import dataclass
 from itertools import repeat
 from types import SimpleNamespace
 from typing import Hashable
@@ -78,62 +67,37 @@ def _blob(value) -> bytes:
     return pickle.dumps(value, protocol=4)
 
 
-@dataclass(frozen=True)
-class Dialect:
-    """Everything that differs between the databases the row store runs on."""
-
-    placeholder: str
-    blob: str
-    real: str
-    integer: str
-    #: Statements run on a fresh connection before the schema.
-    setup: tuple[str, ...]
-    #: Opens the checkpoint write's explicit transaction.
-    begin: str
-
-
-SQLITE = Dialect(
-    placeholder="?",
-    blob="BLOB",
-    real="REAL",
-    integer="INTEGER",
-    # The simulation is the single writer and owns durability at the
-    # run level; per-statement fsync would only distort benchmarks.
-    setup=("PRAGMA synchronous=OFF",),
-    begin="BEGIN IMMEDIATE",
-)
-
 _SCHEMA = (
     """
 CREATE TABLE IF NOT EXISTS subs (
-    dyconit {blob} NOT NULL,
-    sub_id {integer} NOT NULL,
-    pos {integer} NOT NULL,
-    b_num {real} NOT NULL,
-    b_stale {real} NOT NULL,
-    b_order {real} NOT NULL,
-    acc_error {real} NOT NULL,
-    oldest {real},
-    enqueued {integer} NOT NULL,
-    merged {integer} NOT NULL,
+    dyconit BLOB NOT NULL,
+    sub_id INTEGER NOT NULL,
+    pos INTEGER NOT NULL,
+    b_num REAL NOT NULL,
+    b_stale REAL NOT NULL,
+    b_order REAL NOT NULL,
+    acc_error REAL NOT NULL,
+    oldest REAL,
+    enqueued INTEGER NOT NULL,
+    merged INTEGER NOT NULL,
     PRIMARY KEY (dyconit, sub_id)
 )""",
     """
 CREATE TABLE IF NOT EXISTS pending (
-    dyconit {blob} NOT NULL,
-    sub_id {integer} NOT NULL,
-    seq {integer} NOT NULL,
-    mkey {blob} NOT NULL,
-    time {real} NOT NULL,
-    blob {blob} NOT NULL,
+    dyconit BLOB NOT NULL,
+    sub_id INTEGER NOT NULL,
+    seq INTEGER NOT NULL,
+    mkey BLOB NOT NULL,
+    time REAL NOT NULL,
+    blob BLOB NOT NULL,
     PRIMARY KEY (dyconit, sub_id, seq)
 )""",
     "CREATE INDEX IF NOT EXISTS pending_by_key ON pending (dyconit, sub_id, mkey)",
     """
 CREATE TABLE IF NOT EXISTS checkpoints (
     key TEXT PRIMARY KEY,
-    ord {integer} NOT NULL,
-    blob {blob} NOT NULL
+    ord INTEGER NOT NULL,
+    blob BLOB NOT NULL
 )""",
 )
 
@@ -142,8 +106,7 @@ _ONE_SUB = "WHERE dyconit = ? AND sub_id = ?"
 #: with one placeholder per subscriber id at the call.
 _SOME_SUBS = "WHERE dyconit = ? AND sub_id IN ({subs})"
 
-#: Every parameterised statement the store issues, by name, written with
-#: ``?``; :class:`SQLRowStore` renders them in its dialect's placeholder.
+#: Every parameterised statement the store issues, by name.
 _STATEMENTS = {
     "drop_subs": "DELETE FROM subs WHERE dyconit = ?",
     "drop_pending": "DELETE FROM pending WHERE dyconit = ?",
@@ -202,32 +165,29 @@ _STATEMENTS = {
 }
 
 
-class SQLRowStore(StateStore):
-    """Dyconit state as rows behind ``conn``, spoken to in ``dialect``.
+class SQLiteStateStore(StateStore):
+    """Dyconit state in a SQLite database (``:memory:`` by default)."""
 
-    ``conn`` is an autocommit connection with ``execute(sql, params)``
-    returning a cursor, and ``close()``; the store owns it from here on.
-    """
+    name = "sqlite"
 
-    def __init__(self, conn, dialect: Dialect) -> None:
-        self._conn = conn
-        self._closed = False
-        self._begin = dialect.begin
-        self._placeholder = dialect.placeholder
-        self._sql = SimpleNamespace(
-            **{
-                name: text.replace("?", dialect.placeholder)
-                for name, text in _STATEMENTS.items()
-            }
+    def __init__(self, path: str = ":memory:") -> None:
+        self.path = path
+        # Autocommit: the driver's default implicit-transaction mode
+        # would roll every write back at close (nothing here commits).
+        # check_same_thread=False: the gateway serves GET /store from
+        # its HTTP thread while the simulation owns all writes; SQLite's
+        # serialized threading mode makes the shared connection safe for
+        # that single-writer/concurrent-reader split.
+        conn = self._conn = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False
         )
-        for statement in dialect.setup:
-            conn.execute(statement)
+        self._closed = False
+        self._sql = SimpleNamespace(**_STATEMENTS)
+        # The simulation is the single writer and owns durability at the
+        # run level; per-statement fsync would only distort benchmarks.
+        conn.execute("PRAGMA synchronous=OFF")
         for statement in _SCHEMA:
-            conn.execute(
-                statement.format(
-                    blob=dialect.blob, real=dialect.real, integer=dialect.integer
-                )
-            )
+            conn.execute(statement)
         row = conn.execute("SELECT MAX(seq) FROM pending").fetchone()
         self._seq = (row[0] or 0) + 1
         row = conn.execute("SELECT MAX(pos) FROM subs").fetchone()
@@ -266,7 +226,7 @@ class SQLRowStore(StateStore):
 
     def save_checkpoint(self, key: str, blob: bytes) -> None:
         conn, sql = self._conn, self._sql
-        conn.execute(self._begin)
+        conn.execute("BEGIN IMMEDIATE")
         try:
             row = conn.execute(sql.checkpoint_ord, (key,)).fetchone()
             if row is not None:
@@ -294,25 +254,6 @@ class SQLRowStore(StateStore):
             return
         self._closed = True
         self._conn.close()
-
-
-class SQLiteStateStore(SQLRowStore):
-    """Dyconit state in a SQLite database (``:memory:`` by default)."""
-
-    name = "sqlite"
-
-    def __init__(self, path: str = ":memory:") -> None:
-        self.path = path
-        # Autocommit: the driver's default implicit-transaction mode
-        # would roll every write back at close (nothing here commits).
-        # check_same_thread=False: the gateway serves GET /store from
-        # its HTTP thread while the simulation owns all writes; SQLite's
-        # serialized threading mode makes the shared connection safe for
-        # that single-writer/concurrent-reader split.
-        super().__init__(
-            sqlite3.connect(path, isolation_level=None, check_same_thread=False),
-            SQLITE,
-        )
 
 
 class SQLiteSubscriptionView:
@@ -495,7 +436,7 @@ class SQLiteDyconitState(DyconitStateHandle):
     """One dyconit's subscriptions, resident in the store's database."""
 
     def __init__(
-        self, store: SQLRowStore, dyconit_id: Hashable, merging: bool = True
+        self, store: SQLiteStateStore, dyconit_id: Hashable, merging: bool = True
     ) -> None:
         self._store = store
         self._conn = store._conn
@@ -813,7 +754,7 @@ class SQLiteDyconitState(DyconitStateHandle):
         together share one update object per committed update.
         """
         sub_ids = [sub_id for sub_id, __, __ in entries]
-        subs = ", ".join([self._store._placeholder] * len(sub_ids))
+        subs = ", ".join("?" * len(sub_ids))
         params = (self._dk, *sub_ids)
         conn, sql = self._conn, self._sql
         queues: dict[int, list[Update]] = {sub_id: [] for sub_id in sub_ids}

@@ -40,14 +40,3 @@ class ShardRouter:
     def owns(self, shard_id: int, chunk: ChunkPos) -> bool:
         return self.shard_for_chunk(chunk) == shard_id
 
-    def is_border_chunk(self, chunk: ChunkPos) -> bool:
-        """True if any of the chunk's 8 neighbours has a different owner."""
-        owner = self.shard_for_chunk(chunk)
-        for dcx in (-1, 0, 1):
-            for dcz in (-1, 0, 1):
-                if dcx == 0 and dcz == 0:
-                    continue
-                neighbour = ChunkPos(chunk.cx + dcx, chunk.cz + dcz)
-                if self.shard_for_chunk(neighbour) != owner:
-                    return True
-        return False

@@ -98,14 +98,6 @@ class Bounds:
             self.order if math.isinf(self.order) else self.order * factor,
         )
 
-    def clamped(self, low: "Bounds", high: "Bounds") -> "Bounds":
-        """Component-wise clamp of this bound into [low, high]."""
-        return Bounds(
-            min(max(self.numerical, low.numerical), high.numerical),
-            min(max(self.staleness_ms, low.staleness_ms), high.staleness_ms),
-            min(max(self.order, low.order), high.order),
-        )
-
 
 def tripped_dimension_of(
     error: float, age_ms: float, count: int, numerical: float, staleness_ms: float, order: float

@@ -152,10 +152,10 @@ class DyconitSystem:
         self.partitioner = partitioner if partitioner is not None else ChunkPartitioner()
         #: S19 backend seam: where per-dyconit subscription state lives.
         #: Accepts a StateStore instance or a registry spec ("memory",
-        #: "sqlite", "sqlite:///path", "postgres://..."); default is the
-        #: in-memory store. The store alone decides how a dyconit is
-        #: represented (S17 columns, rows); every handle answers the same
-        #: batched commit, due pass and retune calls (S25).
+        #: "sqlite", "sqlite:///path"); default is the in-memory store.
+        #: The store alone decides how a dyconit is represented (S17
+        #: columns, rows); every handle answers the same batched commit,
+        #: due pass and retune calls (S25).
         self.state_store = create_state_store(state_store)
         # A store built here from a spec is this system's to close; an
         # instance handed in stays the caller's (a restart harness keeps
@@ -1079,7 +1079,8 @@ class DyconitSystem:
                 self.flush(dyconit_id, subscriber_id)
 
     def flush_all(self) -> None:
-        """Force-flush every queue (end-of-run barrier in experiments)."""
+        """Force-flush every pending queue now, in dyconit and subscription
+        order; no experiment or server path calls it (tests drain with it)."""
         with self._flush_scope():
             for dyconit_id, dyconit in list(self._dyconits.items()):
                 for state in dyconit.subscription_states():

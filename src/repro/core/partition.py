@@ -15,7 +15,7 @@ Chat is global under every partitioner.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.world.events import ChatEvent, WorldEvent
 from repro.world.geometry import ChunkPos, chunks_in_radius
@@ -163,9 +163,3 @@ def centroid_xz(dyconit_id: Hashable, partitioner: DyconitPartitioner) -> tuple[
         if center is not None:
             return (center.x, center.z)
     return (math.nan, math.nan)
-
-
-def view_dyconits(
-    partitioner: DyconitPartitioner, center: ChunkPos, radius: int
-) -> Iterable[Hashable]:
-    return partitioner.dyconits_for_view(center, radius)

@@ -100,7 +100,7 @@ class ExperimentConfig:
     #: during the run (0 = off); any violation aborts the experiment.
     audit_every_n_ticks: int = 0
     #: S19 storage backend spec for dyconit subscription state
-    #: ("memory", "sqlite", "sqlite:///path", "postgres://...").
+    #: ("memory", "sqlite", "sqlite:///path").
     state_store: str = "memory"
     #: Sharded world (S16): number of logical shards. 1 = the classic
     #: single-server path; N > 1 runs a :class:`ShardedCluster` with

@@ -312,8 +312,9 @@ def run_sweep(
         retries: how many times a failing cell is retried before being
             reported in ``report.failures`` (total attempts =
             ``retries + 1``).
-        store_path: when given, the merged ``save_results``-format store
-            is atomically written here, in input cell order.
+        store_path: when given, the merged store (cell name ->
+            ``result_to_dict``) is atomically written here, in input
+            cell order.
         telemetry: hub for per-cell timing rows (defaults to ambient).
         mp_context: multiprocessing start method for workers; defaults
             to :func:`default_start_method` (``fork`` on POSIX, else

@@ -13,7 +13,6 @@ truncated JSON file. The parallel sweep executor
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import fields
@@ -110,12 +109,6 @@ def result_from_dict(data: dict) -> ExperimentResult:
     return ExperimentResult(**values)
 
 
-def save_results(path: str | Path, results: dict[str, ExperimentResult]) -> None:
-    """Atomically write a named collection of results as JSON."""
-    payload = {name: result_to_dict(result) for name, result in results.items()}
-    atomic_write_text(path, json.dumps(payload, indent=2, default=_jsonify))
-
-
 def save_telemetry(path: str | Path, telemetry) -> tuple[Path, Path]:
     """Archive a run's telemetry next to its JSON results.
 
@@ -133,16 +126,3 @@ def save_telemetry(path: str | Path, telemetry) -> tuple[Path, Path]:
     export_jsonl(telemetry, jsonl_path)
     export_prometheus(telemetry, prom_path)
     return jsonl_path, prom_path
-
-
-def load_results(path: str | Path) -> dict[str, ExperimentResult]:
-    payload = json.loads(Path(path).read_text())
-    return {name: result_from_dict(data) for name, data in payload.items()}
-
-
-def _jsonify(value):
-    if isinstance(value, float):
-        return value
-    if hasattr(value, "as_dict"):
-        return value.as_dict()
-    raise TypeError(f"cannot serialize {type(value).__name__}")

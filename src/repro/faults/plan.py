@@ -88,20 +88,6 @@ class FaultPlan:
     def has_spikes(self) -> bool:
         return self.spike_probability > 0.0 and self.spike_ms > 0.0
 
-    def is_null(self) -> bool:
-        """True when the plan injects nothing at all.
-
-        A null plan still builds a :class:`FaultyLink` when explicitly
-        configured — the differential test relies on that link being
-        packet-for-packet identical to a plain one.
-        """
-        return (
-            self.loss_rate == 0.0
-            and not self.has_burst_model
-            and not self.has_spikes
-            and not self.degraded_windows
-        )
-
 
 #: Convenience null plan (useful for overhead benchmarks: installs the
 #: fault layer with every rate at zero).

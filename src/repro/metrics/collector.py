@@ -24,13 +24,6 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
         self.value += amount
 
-    def add(self, amount: float = 1.0) -> None:
-        """Alias for :meth:`increment` (same verb as :meth:`Gauge.add`)."""
-        self.increment(amount)
-
-    def reset(self) -> None:
-        self.value = 0.0
-
 
 @dataclass
 class Gauge:
@@ -41,12 +34,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 @dataclass
@@ -167,15 +154,6 @@ class Histogram:
                 # Representative value: geometric middle of the bucket.
                 return self.min_value * self.growth ** (bucket + 0.5)
         return self.max_value
-
-    def reset(self) -> None:
-        """Forget every sample; bucketing configuration is preserved."""
-        self._buckets.clear()
-        self.count = 0
-        self.total = 0.0
-        self.max_value = float("-inf")
-        self.min_seen = float("inf")
-        self._zero_count = 0
 
     def merge(self, other: "Histogram") -> None:
         if other.min_value != self.min_value or other.growth != self.growth:

@@ -9,24 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-#: Characters from "low" to "high" for the braille-less bar fallback.
-_BARS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line sparkline of ``values`` (empty input -> empty string)."""
-    if not values:
-        return ""
-    low = min(values)
-    high = max(values)
-    span = high - low
-    if span == 0:
-        return _BARS[4] * len(values)
-    steps = len(_BARS) - 1
-    return "".join(
-        _BARS[round((value - low) / span * steps)] for value in values
-    )
-
 
 def line_plot(
     series: dict[str, Sequence[tuple[float, float]]],

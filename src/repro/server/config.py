@@ -31,10 +31,10 @@ class ServerConfig:
     #: big capacity sweeps enable this to cut simulation overhead.
     synchronous_delivery: bool = False
     #: S19 storage backend for dyconit subscription state: a registry
-    #: spec ("memory", "sqlite", "sqlite:///path", "postgres://...").
-    #: The store alone decides a dyconit's representation: "memory"
-    #: keeps S17 flat columns, row stores batch each commit, due pass
-    #: and retune per dyconit (S25).
+    #: spec ("memory", "sqlite", "sqlite:///path"). The store alone
+    #: decides a dyconit's representation: "memory" keeps S17 flat
+    #: columns, the sqlite row store batches each commit, due pass and
+    #: retune per dyconit (S25).
     state_store: str = "memory"
     #: Fleet-wide fault plan applied to every client link (None = no
     #: fault layer; per-client plans can be passed to ``connect``).

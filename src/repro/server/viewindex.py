@@ -114,9 +114,6 @@ class ViewerIndex:
             return []
         return list(bucket.values())
 
-    def viewer_count(self, chunk: ChunkPos) -> int:
-        return len(self._viewers_by_chunk.get(chunk, ()))
-
     # ------------------------------------------------------------------
     # Introspection (telemetry + tests)
     # ------------------------------------------------------------------

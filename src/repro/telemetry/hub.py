@@ -283,21 +283,6 @@ class Telemetry:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def reset(self) -> None:
-        """Drop all recorded data but keep configuration and time source."""
-        self.spans.clear()
-        self.events.clear()
-        self.dropped_spans = 0
-        self.dropped_events = 0
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._span_durations.clear()
-        self._span_counts.clear()
-        self._span_self_ms.clear()
-        self._span_stack.clear()
-        self._span_seq = 0
-
 
 def _flat_name(name: str, labels: LabelSet) -> str:
     if not labels:

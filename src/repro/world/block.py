@@ -28,14 +28,6 @@ class BlockType(IntEnum):
     BRICK = 12
     BEDROCK = 13
 
-    @property
-    def is_solid(self) -> bool:
-        return self not in (BlockType.AIR, BlockType.WATER, BlockType.TORCH)
-
-    @property
-    def is_breakable(self) -> bool:
-        return self not in (BlockType.AIR, BlockType.BEDROCK)
-
 
 #: Block types bots choose from when building structures.
 BUILDING_BLOCKS = (

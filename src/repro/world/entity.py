@@ -21,10 +21,6 @@ class EntityKind(Enum):
     SHEEP = "sheep"
     ITEM = "item"
 
-    @property
-    def is_mob(self) -> bool:
-        return self in (EntityKind.ZOMBIE, EntityKind.SKELETON, EntityKind.COW, EntityKind.SHEEP)
-
 
 @dataclass(slots=True)
 class Entity:
@@ -45,10 +41,6 @@ class Entity:
     @property
     def chunk_pos(self) -> ChunkPos:
         return self.position.to_chunk_pos()
-
-    @property
-    def is_player(self) -> bool:
-        return self.kind == EntityKind.PLAYER
 
     def __repr__(self) -> str:
         return (

@@ -88,15 +88,9 @@ class BlockPos(NamedTuple):
         """Coordinates within the owning chunk: (x % 16, y, z % 16)."""
         return (self.x & (CHUNK_SIZE - 1), self.y, self.z & (CHUNK_SIZE - 1))
 
-    def center(self) -> Vec3:
-        """Continuous position of this block's center."""
-        return Vec3(self.x + 0.5, self.y + 0.5, self.z + 0.5)
-
     def offset(self, dx: int = 0, dy: int = 0, dz: int = 0) -> "BlockPos":
         return BlockPos(self.x + dx, self.y + dy, self.z + dz)
 
-    def manhattan_distance_to(self, other: "BlockPos") -> int:
-        return abs(self.x - other.x) + abs(self.y - other.y) + abs(self.z - other.z)
 
 
 class ChunkPos(NamedTuple):
@@ -119,14 +113,6 @@ class ChunkPos(NamedTuple):
     def chebyshev_distance_to(self, other: "ChunkPos") -> int:
         """Chunk-grid distance used by view-distance interest management."""
         return max(abs(self.cx - other.cx), abs(self.cz - other.cz))
-
-    def neighbors(self) -> Iterator["ChunkPos"]:
-        """The 8 surrounding chunks."""
-        for dx in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == 0 and dz == 0:
-                    continue
-                yield ChunkPos(self.cx + dx, self.cz + dz)
 
 
 def chunks_in_radius(center: ChunkPos, radius: int) -> Iterator[ChunkPos]:

@@ -83,9 +83,6 @@ class World:
     def add_listener(self, listener: WorldListener) -> None:
         self._listeners.append(listener)
 
-    def remove_listener(self, listener: WorldListener) -> None:
-        self._listeners.remove(listener)
-
     def _emit(self, event: WorldEvent) -> None:
         for listener in self._listeners:
             listener(event)

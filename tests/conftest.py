@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import sqlite3
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,8 +11,6 @@ import pytest
 
 from repro.backends import InMemoryStateStore, register_state_store
 from repro.backends.base import DyconitStateHandle
-from repro.backends.postgres_store import POSTGRES
-from repro.backends.sqlite_store import SQLRowStore
 from repro.cluster.shard import ShardServer
 from repro.core.bounds import Bounds
 from repro.core.dyconit import SubscriptionState
@@ -225,47 +222,6 @@ class PerObjectStateStore(InMemoryStateStore):
 
 
 register_state_store("per-object", PerObjectStateStore)
-
-
-class SqliteAsPsycopg:
-    """A psycopg-3-shaped connection over ``sqlite3``: ``%s`` becomes
-    ``?`` and nothing else is translated (sqlite accepts the Postgres
-    column types). A statement still carrying a bare ``?`` did not go
-    through the dialect, and is refused."""
-
-    def __init__(self) -> None:
-        self._conn = sqlite3.connect(":memory:", isolation_level=None)
-
-    def execute(self, sql: str, params=()):
-        return self._conn.execute(_from_dialect(sql), params)
-
-    def cursor(self):
-        return self
-
-    def executemany(self, sql: str, rows):
-        return self._conn.executemany(_from_dialect(sql), rows)
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-def _from_dialect(sql: str) -> str:
-    if "?" in sql:
-        raise AssertionError(f"statement bypassed the dialect: {sql}")
-    return sql.replace("%s", "?")
-
-
-class PostgresDialectStore(SQLRowStore):
-    """The Postgres dialect of the row store, runnable without a server:
-    registered, so the contract suite holds it to every row."""
-
-    name = "postgres-dialect"
-
-    def __init__(self) -> None:
-        super().__init__(SqliteAsPsycopg(), POSTGRES)
-
-
-register_state_store("postgres-dialect", PostgresDialectStore)
 
 
 def _reference_lattice_values(seed: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 One contract, every registered backend: each test runs against every
 :func:`~repro.backends.registry.state_store_factories` entry, so a new
-store is under the full contract the moment it registers. The one backend whose service may be
-absent (``postgres`` without ``REPRO_POSTGRES_URL``) raises
-:class:`BackendUnavailable` and skips — honestly, per test; its dialect
-runs here regardless, as ``postgres-dialect`` (see ``tests/conftest.py``).
+store is under the full contract the moment it registers: ``memory``,
+``sqlite`` and the test suite's ``per-object`` reference
+(``tests/conftest.py``).
 
 The contract is *the in-memory semantics*, bit-for-bit:
 
@@ -30,12 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import (
-    POSTGRES_URL_ENV,
-    BackendUnavailable,
-    create_state_store,
-    state_store_factories,
-)
+from repro.backends import create_state_store, state_store_factories
 from repro.backends.base import snapshot_subscription
 from repro.backends.memory import InMemoryStateStore
 from repro.core.bounds import Bounds
@@ -63,52 +57,33 @@ def block(x=0, time=0.0, new=BlockType.STONE):
     return BlockChangeEvent(time, BlockPos(x, 10, 0), BlockType.AIR, new)
 
 
-def fresh_store(name):
-    """Build one store instance, skipping unavailable backends.
+#: The stores held to the in-memory one by the differentials.
+OTHER_STORES = [name for name in sorted(state_store_factories()) if name != "memory"]
 
-    ``reset()`` guards against shared-database pollution: the Postgres
-    factory points at a *service*, so rows left by an earlier crashed
-    test run (or a parallel suite) would otherwise leak into this one. Checkpoints survive reset by design, so stored restart
-    snapshots are wiped explicitly too.
-    """
-    try:
-        store = state_store_factories()[name]()
-    except BackendUnavailable as exc:
-        pytest.skip(f"{name}: {exc}")
+
+def fresh_store(name):
+    """Build one store instance with no dyconit rows (``reset()``)."""
+    store = state_store_factories()[name]()
     store.reset()
     return store
 
 
-def test_only_postgres_may_skip(monkeypatch):
-    """A store whose service is absent turns its rows yellow and the
-    suite green, so only ``postgres`` may need one: every other
-    registered store constructs here, with no environment variable."""
-    monkeypatch.delenv(POSTGRES_URL_ENV, raising=False)
-    for name, factory in state_store_factories().items():
-        if name == "postgres":
-            with pytest.raises(BackendUnavailable, match=POSTGRES_URL_ENV):
-                factory()
-        else:
-            factory().close()
-
-
-def test_postgres_dialect_adapter_refuses_sqlite_literals():
-    """What makes the ``postgres-dialect`` rows evidence: a statement
-    that did not go through the dialect cannot execute."""
-    store = fresh_store("postgres-dialect")
-    with pytest.raises(AssertionError, match="bypassed the dialect"):
-        store._conn.execute("SELECT 1 FROM subs WHERE sub_id = ?", (1,))
-    store.close()
-
-
 def test_unregistered_scheme_names_the_registered_stores():
-    with pytest.raises(ValueError, match="registered:.*'postgres'.*'sqlite'"):
+    with pytest.raises(ValueError, match="registered:.*'memory'.*'sqlite'"):
         create_state_store("kv://localhost:6379/0")
 
 
 @pytest.fixture(params=sorted(state_store_factories()))
 def store(request):
-    """Every registered state store, skipping the unavailable ones."""
+    """Every registered state store."""
+    store = fresh_store(request.param)
+    yield store
+    store.close()
+
+
+@pytest.fixture(params=OTHER_STORES)
+def other_store(request):
+    """Every registered state store but the in-memory reference."""
     store = fresh_store(request.param)
     yield store
     store.close()
@@ -433,13 +408,11 @@ def observables(state, now=10.0):
 
 
 class TestLockstepDifferential:
-    def test_handle_matches_memory_after_every_op(self, store):
-        if isinstance(store, InMemoryStateStore):
-            pytest.skip("memory is the reference")
+    def test_handle_matches_memory_after_every_op(self, other_store):
         reference_store = InMemoryStateStore()
         for merging in (True, False):
             ref = make_handle(reference_store, ("d", merging), merging=merging)
-            handle = make_handle(store, ("d", merging), merging=merging)
+            handle = make_handle(other_store, ("d", merging), merging=merging)
             states: dict[int, tuple] = {}
             for op, sub_id, *rest in TAPE:
                 if op == "sub":
@@ -459,12 +432,10 @@ class TestLockstepDifferential:
                 for ref_state, backend_state in states.values():
                     assert observables(backend_state) == observables(ref_state)
 
-    def test_system_level_differential_with_repartitioning(self, store):
+    def test_system_level_differential_with_repartitioning(self, other_store):
         """Same scenario through two DyconitSystems — commits, bound
         retunes, merge, split — delivering identical streams with the
         invariant auditor at every step."""
-        if isinstance(store, InMemoryStateStore):
-            pytest.skip("memory is the reference")
         auditor = InvariantAuditor()
         clock = {"now": 0.0}
 
@@ -515,7 +486,7 @@ class TestLockstepDifferential:
             ], system.stats
 
         mem_deliveries, mem_stats = run("memory")
-        backend_deliveries, backend_stats = run(store)
+        backend_deliveries, backend_stats = run(other_store)
         assert backend_deliveries == mem_deliveries
         assert backend_stats == mem_stats
 
@@ -576,14 +547,9 @@ def run_engine_capture(store_spec: str):
     return captures
 
 
-@pytest.mark.parametrize("name", sorted(state_store_factories()))
+@pytest.mark.parametrize("name", OTHER_STORES)
 def test_engine_packets_identical_to_memory(name):
-    if name == "memory":
-        pytest.skip("memory is the reference")
-    try:
-        backend = run_engine_capture(name)
-    except BackendUnavailable as exc:
-        pytest.skip(f"{name}: {exc}")
+    backend = run_engine_capture(name)
     reference = run_engine_capture("memory")
     assert set(backend) == set(reference)
     for client in reference:
@@ -681,13 +647,8 @@ class TestRestartConformance:
         hypothesis schedule below samples kill points, this pins one
         deep mid-tape kill (right after the mid-tape re-subscription)
         for every backend, deterministically."""
-        for name in sorted(state_store_factories()):
-            if name == "memory":
-                continue
-            try:
-                self._run_killed_tape(name, kill=11)
-            except pytest.skip.Exception:  # fresh_store: service absent
-                continue
+        for name in OTHER_STORES:
+            self._run_killed_tape(name, kill=11)
 
     @staticmethod
     def _run_killed_tape(name, kill):
@@ -722,9 +683,7 @@ class TestRestartConformance:
         store.close()
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in sorted(state_store_factories()) if n != "memory"]
-)
+@pytest.mark.parametrize("name", OTHER_STORES)
 @settings(max_examples=8, deadline=None)
 @given(kill=st.integers(min_value=1, max_value=len(TAPE) - 1))
 def test_restart_kill_point_schedule(name, kill):

@@ -66,23 +66,6 @@ def test_owns_agrees_with_shard_for_chunk():
             assert router.owns(shard, chunk) == (shard == owner)
 
 
-def test_border_chunks_touch_foreign_strips():
-    router = ShardRouter(2, 4)
-    # Interior of a width-4 strip: neighbours all same owner.
-    assert not router.is_border_chunk(ChunkPos(1, 0))
-    assert not router.is_border_chunk(ChunkPos(2, 5))
-    # Strip edges: an 8-neighbourhood crosses into the next strip.
-    assert router.is_border_chunk(ChunkPos(0, 0))
-    assert router.is_border_chunk(ChunkPos(3, 0))
-    assert router.is_border_chunk(ChunkPos(4, -7))
-
-
-def test_single_shard_has_no_borders():
-    router = ShardRouter(1, 4)
-    assert not router.is_border_chunk(ChunkPos(0, 0))
-    assert not router.is_border_chunk(ChunkPos(3, 9))
-
-
 @pytest.mark.parametrize("shards,strip_width", [(0, 4), (-1, 4), (2, 0), (2, -3)])
 def test_invalid_construction_rejected(shards, strip_width):
     with pytest.raises(ValueError):

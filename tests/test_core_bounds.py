@@ -76,14 +76,6 @@ class TestScaling:
         with pytest.raises(ValueError):
             Bounds(1.0, 1.0).scaled(-1.0)
 
-    def test_clamped(self):
-        low = Bounds(1.0, 100.0)
-        high = Bounds(10.0, 1000.0)
-        assert Bounds(0.5, 50.0).clamped(low, high) == low
-        assert Bounds(20.0, 2000.0).clamped(low, high) == high
-        middle = Bounds(5.0, 500.0)
-        assert middle.clamped(low, high) == middle
-
 
 def test_bounds_are_immutable_and_hashable():
     bounds = Bounds(1.0, 2.0)

@@ -64,8 +64,3 @@ def test_merged_updates_do_not_count_against_order():
     assert rec.delivered_updates == []
 
 
-def test_clamp_includes_order():
-    low = Bounds(0.0, 0.0, order=2)
-    high = Bounds(10.0, 10.0, order=8)
-    assert Bounds(5.0, 5.0, order=100).clamped(low, high).order == 8
-    assert Bounds(5.0, 5.0, order=0).clamped(low, high).order == 2

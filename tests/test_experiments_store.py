@@ -6,7 +6,7 @@ from dataclasses import fields
 from repro.core.bounds import Bounds
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.store import load_results, result_from_dict, result_to_dict, save_results
+from repro.experiments.store import result_from_dict, result_to_dict
 
 
 def small_result():
@@ -38,15 +38,6 @@ def test_dict_roundtrip_preserves_config():
     assert rebuilt.config.fixed_bounds == Bounds(5.0, 400.0)
     assert rebuilt.config.bots == 4
     assert rebuilt.config.seed == 13
-
-
-def test_file_roundtrip(tmp_path):
-    result = small_result()
-    path = tmp_path / "results.json"
-    save_results(path, {"e-test": result})
-    loaded = load_results(path)
-    assert set(loaded) == {"e-test"}
-    assert loaded["e-test"].bytes_total == result.bytes_total
 
 
 def test_rebuilt_result_renders_row():

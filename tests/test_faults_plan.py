@@ -8,19 +8,9 @@ from repro.faults.plan import NULL_FAULT_PLAN
 
 def test_default_plan_is_null():
     plan = FaultPlan()
-    assert plan.is_null()
     assert not plan.has_burst_model
     assert not plan.has_spikes
-    assert NULL_FAULT_PLAN.is_null()
-
-
-def test_any_active_component_makes_plan_non_null():
-    assert not FaultPlan(loss_rate=0.01).is_null()
-    assert not FaultPlan(burst_loss_rate=0.5, p_good_to_bad=0.1).is_null()
-    assert not FaultPlan(spike_probability=0.1, spike_ms=50.0).is_null()
-    assert not FaultPlan(
-        degraded_windows=(DegradedWindow(0.0, 100.0, 0.5),)
-    ).is_null()
+    assert NULL_FAULT_PLAN == plan
 
 
 def test_inactive_components_do_not_arm_models():

@@ -33,33 +33,13 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("c").increment(-1)
 
-    def test_add_is_increment_alias(self):
-        counter = Counter("c")
-        counter.add(4.0)
-        counter.add()
-        assert counter.value == 5.0
-        with pytest.raises(ValueError):
-            counter.add(-1)
-
-    def test_reset(self):
-        counter = Counter("c")
-        counter.increment(9)
-        counter.reset()
-        assert counter.value == 0.0
-
 
 class TestGauge:
-    def test_set_and_add(self):
+    def test_set(self):
         gauge = Gauge("g")
         gauge.set(10.0)
-        gauge.add(-3.0)
+        gauge.set(7.0)
         assert gauge.value == 7.0
-
-    def test_reset(self):
-        gauge = Gauge("g")
-        gauge.set(-4.0)
-        gauge.reset()
-        assert gauge.value == 0.0
 
 
 class TestTimeSeries:
@@ -177,19 +157,6 @@ class TestHistogram:
             hist.record_many([0.5, 3.0, -1.0, 7.0])
         assert (hist.count, hist.total, hist.max_value, hist.min_seen) == (2, 3.5, 3.0, 0.5)
         assert hist._zero_count == 1
-
-    def test_reset_restores_empty_state(self):
-        hist = Histogram("h", min_value=1.0)
-        hist.record(0.0)
-        hist.record(50.0)
-        hist.reset()
-        assert hist.count == 0
-        assert hist.total == 0.0
-        assert hist.quantile(0.99) == 0.0
-        # Recording after reset behaves like a fresh histogram.
-        hist.record(7.0)
-        assert hist.count == 1
-        assert hist.max_value == 7.0
 
 
 class TestRegistry:

@@ -1,30 +1,6 @@
 """Unit tests for terminal plotting."""
 
-from repro.metrics.plot import line_plot, sparkline
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_constant_series_is_flat(self):
-        line = sparkline([5.0, 5.0, 5.0])
-        assert len(line) == 3
-        assert len(set(line)) == 1
-
-    def test_monotone_series_is_nondecreasing_glyphs(self):
-        from repro.metrics.plot import _BARS
-
-        line = sparkline([0.0, 1.0, 2.0, 3.0])
-        indices = [_BARS.index(ch) for ch in line]
-        assert indices == sorted(indices)
-
-    def test_extremes_map_to_extreme_glyphs(self):
-        from repro.metrics.plot import _BARS
-
-        line = sparkline([0.0, 10.0])
-        assert line[0] == _BARS[0]
-        assert line[-1] == _BARS[-1]
+from repro.metrics.plot import line_plot
 
 
 class TestLinePlot:

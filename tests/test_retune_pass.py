@@ -284,7 +284,7 @@ def boundary_system(state_store):
     return system, recorders
 
 
-@pytest.mark.parametrize("state_store", ["memory", "per-object", "sqlite", "postgres-dialect"])
+@pytest.mark.parametrize("state_store", ["memory", "per-object", "sqlite"])
 def test_retune_trips_exactly_what_set_bounds_would(state_store):
     """Every ``Bounds.tripped_dimension`` boundary through the pass, on
     every store, against the per-pair sweep installing the same bounds."""
@@ -334,7 +334,7 @@ def test_retune_pass_equals_the_per_pair_sweep(state_store, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("state_store", ["memory", "per-object", "sqlite", "postgres-dialect"])
+@pytest.mark.parametrize("state_store", ["memory", "per-object", "sqlite"])
 def test_crossing_trips_exactly_what_set_bounds_would(state_store):
     """Every ``Bounds.tripped_dimension`` boundary through the crossing
     pass, on every store: each client's crossing, in registration order,
@@ -405,7 +405,7 @@ def rebound_rows(state_store):
     ], bounds, pending
 
 
-@pytest.mark.parametrize("state_store", ["memory", "sqlite", "postgres-dialect"])
+@pytest.mark.parametrize("state_store", ["memory", "sqlite"])
 def test_rebound_one_equals_the_per_object_reference(state_store):
     """One scalar install-and-check per row, on every store, equal to the
     per-object reference's: returned tuples, installed bounds bit for bit,

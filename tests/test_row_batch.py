@@ -296,7 +296,7 @@ def recorded_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["sqlite", "postgres-dialect"])
+@pytest.mark.parametrize("name", ["sqlite"])
 def test_lockstep_with_per_object_reference(name, recorded_calls):
     clock = [0.0]
     product = Lockstep(lambda: create_state_store(name), clock)

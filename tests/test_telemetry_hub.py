@@ -133,18 +133,6 @@ def test_gauge_and_histogram_accessors():
     assert telemetry.histogram("latency_ms").count == 1
 
 
-def test_reset_clears_everything_but_keeps_config():
-    telemetry = Telemetry(enabled=True, max_spans=5)
-    with telemetry.span("s"):
-        telemetry.counter("c").increment()
-        telemetry.event("e")
-    telemetry.reset()
-    assert telemetry.spans == [] and telemetry.events == []
-    assert telemetry.snapshot() == {}
-    assert telemetry.span_names() == []
-    assert telemetry.max_spans == 5 and telemetry.enabled
-
-
 def test_ambient_hub_install_and_restore():
     hub = Telemetry(enabled=True)
     previous = set_telemetry(hub)

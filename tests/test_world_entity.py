@@ -4,25 +4,11 @@ from repro.world.entity import Entity, EntityKind
 from repro.world.geometry import ChunkPos, Vec3
 
 
-def test_kinds():
-    assert EntityKind.PLAYER.is_mob is False
-    assert EntityKind.ZOMBIE.is_mob
-    assert EntityKind.COW.is_mob
-    assert EntityKind.ITEM.is_mob is False
-
-
 def test_entity_chunk_follows_position():
     entity = Entity(entity_id=1, kind=EntityKind.PLAYER, position=Vec3(17.0, 30.0, -1.0))
     assert entity.chunk_pos == ChunkPos(1, -1)
     entity.position = Vec3(0.0, 30.0, 0.0)
     assert entity.chunk_pos == ChunkPos(0, 0)
-
-
-def test_is_player():
-    player = Entity(1, EntityKind.PLAYER, Vec3.zero())
-    cow = Entity(2, EntityKind.COW, Vec3.zero())
-    assert player.is_player
-    assert not cow.is_player
 
 
 def test_defaults():

@@ -56,14 +56,8 @@ class TestBlockPos:
         assert BlockPos(17, 5, 31).local() == (1, 5, 15)
         assert BlockPos(-1, 3, -16).local() == (15, 3, 0)
 
-    def test_center(self):
-        assert BlockPos(1, 2, 3).center() == Vec3(1.5, 2.5, 3.5)
-
     def test_offset(self):
         assert BlockPos(0, 0, 0).offset(dy=3, dz=-1) == BlockPos(0, 3, -1)
-
-    def test_manhattan_distance(self):
-        assert BlockPos(0, 0, 0).manhattan_distance_to(BlockPos(1, 2, 3)) == 6
 
 
 class TestChunkPos:
@@ -77,12 +71,6 @@ class TestChunkPos:
     def test_chebyshev_distance(self):
         assert ChunkPos(0, 0).chebyshev_distance_to(ChunkPos(3, -2)) == 3
         assert ChunkPos(5, 5).chebyshev_distance_to(ChunkPos(5, 5)) == 0
-
-    def test_neighbors(self):
-        neighbors = set(ChunkPos(0, 0).neighbors())
-        assert len(neighbors) == 8
-        assert ChunkPos(0, 0) not in neighbors
-        assert ChunkPos(1, 1) in neighbors
 
 
 class TestChunksInRadius:

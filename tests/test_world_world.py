@@ -155,13 +155,6 @@ def test_chat_emits_global_event(world, events):
     assert chats[0].text == "hello world"
 
 
-def test_listener_removal(world, events):
-    listener = events.append
-    world.remove_listener(listener)
-    world.chat(1, "unheard")
-    assert events == []
-
-
 def test_surface_position_is_above_ground(world):
     position = world.surface_position(10.0, 10.0)
     below = position.to_block_pos().offset(dy=-1)
