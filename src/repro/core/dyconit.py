@@ -329,7 +329,7 @@ class Dyconit:
         "min_bstale", "min_border", "min_deadline", "n_pending",
         "dyconit_id", "default_bounds", "merging", "total_committed_weight",
         "commit_count", "n", "_cap", "_rows", "_ids", "enq", "mrg",
-        "subscriber_by_slot", "_views", "any_finite_stale", "count_ub",
+        "subscriber_by_slot", "_views", "count_ub",
         "_err_v", "_oldest_v", "_block_v", "_sid_v", "_bnum_v", "_bstale_v",
         "_border_v",
     )
@@ -364,7 +364,6 @@ class Dyconit:
         # (_write_bounds) — every other mutation marks them dirty
         self._gates_dirty = False
         self.n_finite_bnum = 0
-        self.any_finite_stale = False
         self.min_bstale = math.inf
         self.min_deadline = math.inf
         self.min_border = math.inf
@@ -439,14 +438,12 @@ class Dyconit:
         self._gates_dirty = False
         if self.n == 0:
             self.n_finite_bnum = 0
-            self.any_finite_stale = False
             self.min_bstale = math.inf
             self.min_deadline = math.inf
             self.min_border = math.inf
             self.count_ub = 0
             return
         self.n_finite_bnum = int(np.isfinite(self._bnum_v).sum())
-        self.any_finite_stale = bool(np.isfinite(self._bstale_v).any())
         self.min_bstale = float(self._bstale_v.min())
         self.min_deadline = float((self._oldest_v + self._bstale_v).min())
         self.min_border = float(self._border_v.min())
@@ -600,7 +597,6 @@ class Dyconit:
                 if 0.0 <= staleness < old:
                     if staleness < self.min_bstale:
                         self.min_bstale = staleness
-                        self.any_finite_stale = True
                     deadline = floats[5 * slot + _OLDEST] + staleness  # inf when empty
                     if deadline < self.min_deadline:
                         self.min_deadline = deadline
@@ -867,8 +863,9 @@ class Dyconit:
             numerical = self._err_v > self._bnum_v
             if e >= 0:
                 numerical[e] = False
-        if self.any_finite_stale and now >= self.min_deadline - _GATE_MARGIN_MS:
-            stale = (now - self._oldest_v) >= self._bstale_v
+        # min_deadline is inf (or NaN) while no staleness bound is finite.
+        if now >= self.min_deadline - _GATE_MARGIN_MS:
+            stale =(now - self._oldest_v) >= self._bstale_v
             # Conservative refresh (uses pre-drain oldest values; a drain
             # below only moves the true minimum later, so stale-low is
             # safe and self-corrects at the next gate fire).

@@ -6,10 +6,10 @@ A one-slot bounds write — subscribe, unsubscribe, ``set_bounds``,
 only when it raises a bound that holds a minimum; every other mutation
 marks them dirty. Whatever the mix, the gates a commit reads (after its
 own ``refresh_gates``) must equal a fresh ``_recompute_aggregates()``:
-exactly for the finite count, ``any_finite_stale``, ``min_bstale`` and
-``min_border``, conservatively (never later, never lower) for
-``min_deadline`` and ``count_ub``. The probes run on shallow copies, so
-the dyconit under test keeps its own lazy state between steps.
+exactly for the finite count, ``min_bstale`` and ``min_border``,
+conservatively (never later, never lower) for ``min_deadline`` and
+``count_ub``. The probes run on shallow copies, so the dyconit under
+test keeps its own lazy state between steps.
 
 CI runs this module under two ``PYTHONHASHSEED`` values.
 """
@@ -42,7 +42,6 @@ def move(entity_id: int, time: float, distance: float = 1.0) -> EntityMoveEvent:
 def gates(dyconit: Dyconit) -> tuple:
     return (
         dyconit.n_finite_bnum,
-        dyconit.any_finite_stale,
         dyconit.min_bstale,
         dyconit.min_border,
         dyconit.min_deadline,
@@ -132,7 +131,7 @@ def test_lowering_writes_keep_the_gates_clean_and_raising_the_minimum_does_not()
     assert dyconit._gates_dirty
     assert_gates_hold(dyconit, "raised the minimum")
     dyconit.refresh_gates()
-    assert dyconit.min_bstale == 40.0 and dyconit.any_finite_stale
+    assert dyconit.min_bstale == 40.0
 
     # A tied minimum raised: dirty too, and the recompute keeps the value.
     dyconit.rebound_one(2, 5.0, 40.0, math.inf, 1.0)
@@ -148,7 +147,7 @@ def test_lowering_writes_keep_the_gates_clean_and_raising_the_minimum_does_not()
     dyconit.unsubscribe(2)
     assert_gates_hold(dyconit, "unsubscribed the minimum")
     dyconit.refresh_gates()
-    assert not dyconit.any_finite_stale and dyconit.min_bstale == math.inf
+    assert dyconit.min_bstale == math.inf
 
     # The order minimum follows the same rule.
     dyconit.set_bounds(1, Bounds(5.0, math.inf, 3.0))
