@@ -1,10 +1,16 @@
 """Inter-shard wire messages.
 
-Everything that crosses a shard boundary is one of these frozen records.
-They are deliberately *plain data* — entity kinds travel as their enum
-value, positions as floats — so a future process-per-shard deployment
-could serialize them unchanged; in-process they double as the unit of
-the bus's deterministic FIFO ordering.
+Everything that crosses a shard boundary is one of these frozen
+messages, and the bus orders them FIFO per edge. A peer shard subscribes
+to the same dyconits a client does, so the records inside
+:class:`PeerUpdates` and :class:`PeerSnapshot` are the world's own
+events — :class:`~repro.world.events.EntitySpawnEvent`,
+:class:`~repro.world.events.EntityDespawnEvent`,
+:class:`~repro.world.events.BlockChangeEvent` and
+:class:`~repro.world.events.ChatEvent` — with one exception: a move
+travels as :class:`GhostMove`, which also names the entity's kind for a
+subscriber that first sees it mid-flight. The parallel runner's pipe
+pickles every message and record by constructor (DESIGN.md S28).
 
 Each message models a wire size (same style as
 :mod:`repro.net.protocol`: a fixed header plus a payload estimate) so
@@ -17,7 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.bounds import Bounds
-from repro.world.geometry import ChunkPos
+from repro.world.entity import EntityKind
+from repro.world.events import (
+    BlockChangeEvent,
+    ChatEvent,
+    EntityDespawnEvent,
+    EntitySpawnEvent,
+)
+from repro.world.geometry import ChunkPos, Vec3
 
 #: Fixed per-message envelope: edge ids, sequence number, kind tag.
 MESSAGE_OVERHEAD = 12
@@ -35,27 +48,15 @@ class ShardMessage:
 
 
 # ----------------------------------------------------------------------
-# Ghost records: one world mutation, enriched for replay without access
-# to the publisher's world. Carried inside PeerUpdates / PeerSnapshot.
+# Records: one world mutation each, carried inside PeerUpdates /
+# PeerSnapshot.
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class GhostSpawn:
-    entity_id: int
-    kind_value: str  #: EntityKind.value
-    x: float
-    y: float
-    z: float
-    name: str = ""
-    time: float = 0.0
-
-    def body_size(self) -> int:
-        return 26 + len(self.name)
-
-
-@dataclass(frozen=True, slots=True)
 class GhostMove:
+    """An entity move, flat: the hot record of a border crowd."""
+
     entity_id: int
     x: float
     y: float
@@ -68,53 +69,34 @@ class GhostMove:
     kind_value: str = ""
     name: str = ""
 
-    def body_size(self) -> int:
-        return 22
-
     @property
     def spawnable(self) -> bool:
         return bool(self.kind_value)
 
 
-@dataclass(frozen=True, slots=True)
-class GhostDespawn:
-    entity_id: int
-    x: float
-    y: float
-    z: float
-    time: float = 0.0
+GhostRecord = (
+    GhostMove | EntitySpawnEvent | EntityDespawnEvent | BlockChangeEvent | ChatEvent
+)
 
-    def body_size(self) -> int:
+
+def record_size(record: GhostRecord) -> int:
+    """Modelled payload bytes of one record."""
+    cls = type(record)
+    if cls is GhostMove:
+        return 22
+    if cls is EntitySpawnEvent:
+        return 26 + len(record.name)
+    if cls is EntityDespawnEvent:
         return 8
-
-
-@dataclass(frozen=True, slots=True)
-class GhostBlock:
-    x: int
-    y: int
-    z: int
-    block_value: int
-    time: float = 0.0
-
-    def body_size(self) -> int:
+    if cls is BlockChangeEvent:
         return 12
-
-
-@dataclass(frozen=True, slots=True)
-class GhostChat:
-    sender_id: int
-    text: str
-    time: float = 0.0
-
-    def body_size(self) -> int:
-        return 6 + len(self.text)
-
-
-GhostRecord = GhostSpawn | GhostMove | GhostDespawn | GhostBlock | GhostChat
+    if cls is ChatEvent:
+        return 6 + len(record.text)
+    raise TypeError(f"{cls.__name__} is not a bus record")
 
 
 def records_size(records: tuple) -> int:
-    return sum(record.body_size() for record in records)
+    return sum(map(record_size, records))
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +126,9 @@ class PeerUnsubscribe(ShardMessage):
 
 @dataclass(frozen=True, slots=True)
 class PeerSnapshot(ShardMessage):
-    """Initial state of a freshly peer-subscribed chunk: every entity the
-    owner holds there (the dyconit stream only carries deltas)."""
+    """Initial state of a freshly peer-subscribed chunk: a spawn event for
+    every entity the owner holds there (the dyconit stream only carries
+    deltas)."""
 
     chunk: ChunkPos
     records: tuple
@@ -181,9 +164,7 @@ class SessionHandoff(ShardMessage):
 
     client_id: int
     entity_id: int
-    x: float
-    y: float
-    z: float
+    position: Vec3
     yaw: float = 0.0
     pitch: float = 0.0
 
@@ -196,10 +177,8 @@ class EntityTransfer(ShardMessage):
     """A server-owned entity (mob) that wandered across the border."""
 
     entity_id: int
-    kind_value: str
-    x: float
-    y: float
-    z: float
+    kind: EntityKind
+    position: Vec3
     name: str = ""
 
     def body_size(self) -> int:

@@ -24,8 +24,6 @@ from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
 from repro.cluster import ParallelShardRunner, ShardedCluster
 from repro.cluster.bus import InterShardBus
 from repro.cluster.messages import (
-    GhostBlock,
-    GhostSpawn,
     PeerSnapshot,
     PeerSubscribe,
     PeerUpdates,
@@ -39,6 +37,8 @@ from repro.server.config import ServerConfig
 from repro.sim.simulator import Simulation
 from repro.world.block import BlockType
 from repro.world.entity import EntityKind
+from repro.world.events import BlockChangeEvent, EntitySpawnEvent
+from repro.world.geometry import BlockPos
 
 SEED = 77
 TICK_MS = 50.0
@@ -306,7 +306,13 @@ def _inject_tape(cluster):
     def block(dx, value):
         x, z = chunk.cx * 16 + dx, chunk.cz * 16 + 8
         y = shard1.world.surface_height(x, z) + 3
-        return PeerUpdates(records=(GhostBlock(x=x, y=y, z=z, block_value=value),))
+        record = BlockChangeEvent(
+            time=0.0,
+            pos=BlockPos(x, y, z),
+            old_block=BlockType.AIR,
+            new_block=BlockType(value),
+        )
+        return PeerUpdates(records=(record,))
 
     client_id = sorted(shard0.sessions)[0]
     session = shard0.sessions[client_id]
@@ -316,14 +322,12 @@ def _inject_tape(cluster):
     snapshot = PeerSnapshot(
         chunk=foreign[0],
         records=tuple(
-            GhostSpawn(
-                entity_id=e.entity_id,
-                kind_value=e.kind.value,
-                x=e.position.x,
-                y=e.position.y,
-                z=e.position.z,
-                name=e.name,
+            EntitySpawnEvent(
                 time=cluster.sim.now,
+                entity_id=e.entity_id,
+                kind=e.kind,
+                position=e.position,
+                name=e.name,
             )
             for e in sorted(
                 shard0.world.entities_in_chunk(foreign[0]), key=lambda e: e.entity_id
@@ -344,9 +348,7 @@ def _inject_tape(cluster):
         SessionHandoff(
             client_id=client_id,
             entity_id=entity.entity_id,
-            x=target.x,
-            y=target.y,
-            z=target.z,
+            position=target,
             yaw=entity.yaw,
             pitch=entity.pitch,
         ),
