@@ -30,7 +30,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.cluster.bus import InterShardBus, by_destination
+from repro.cluster.bus import InterShardBus, Round, by_destination
+from repro.cluster.messages import SessionHandoff
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import build_shard
 from repro.core.bounds import Bounds
@@ -46,7 +47,12 @@ from repro.world.geometry import Vec3
 
 @dataclass(frozen=True, slots=True)
 class ClientProfile:
-    """Everything needed to rebuild a session on another shard."""
+    """Everything needed to rebuild a session on another shard.
+
+    The handler is runtime only: a profile that crosses the worker pipe
+    or enters a checkpoint carries ``handler=None``, and the receiving
+    side attaches its own.
+    """
 
     name: str
     handler: object
@@ -262,9 +268,27 @@ class ShardedCluster:
         part as one unit; returns the messages delivered."""
         delivered = 0
         for round_batches in self.bus.rounds():
+            self._stage_handoffs(round_batches)
             for dst, segment in by_destination(round_batches):
                 delivered += self.shards[dst].deliver_round(segment)
         return delivered
+
+    def _stage_handoffs(self, round_batches: Round) -> None:
+        """The facade's half of every adoption in a round, before the
+        round is delivered: in the round's edge order, each handed-off
+        client leaves transit and its profile is staged on the target
+        shard. A client that disconnected mid-flight has no profile left
+        to stage, and the target drops its message."""
+        for (__, dst), messages in round_batches:
+            for message in messages:
+                if not isinstance(message, SessionHandoff):
+                    continue
+                client_id = message.client_id
+                if self._in_transit.pop(client_id, None) is None:
+                    continue
+                profile = self._profiles.get(client_id)
+                if profile is not None:
+                    self.shards[dst].stage_handoff(client_id, profile)
 
     # ------------------------------------------------------------------
     # Single-server facade
@@ -352,12 +376,6 @@ class ShardedCluster:
     def on_handoff_started(self, client_id: int, src: int, dst: int) -> None:
         self._shard_by_client.pop(client_id, None)
         self._in_transit[client_id] = (src, dst)
-
-    def take_handoff(self, client_id: int) -> ClientProfile | None:
-        if client_id not in self._in_transit:
-            return None
-        del self._in_transit[client_id]
-        return self._profiles.get(client_id)
 
     def on_handoff_completed(self, client_id: int, shard_id: int) -> None:
         self._shard_by_client[client_id] = shard_id
