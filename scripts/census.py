@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Reachability census: the functions of ``src/repro`` that no run enters.
+"""Reachability and option census: the functions of ``src/repro`` that
+no run enters, and the values each option in scope receives.
 
 Usage: python3 scripts/census.py
 
@@ -20,6 +21,13 @@ that sit in functions no run entered, then those functions with their
 line counts. Everything is written to a temporary directory: ``bench/``
 runs from a copy there, so its ``bench/out`` never touches the checkout.
 
+The same hook records, on each call of a function in ``OPTION_FUNCTIONS``,
+the ``repr`` of every argument and the caller's file and function, up to
+``VALUE_CAP`` distinct values per parameter. An argument that is one of
+the ``OPTION_CONFIGS`` dataclasses is also recorded field by field.
+The second table lists every option in scope (each parameter with a
+default, each config field) with its default and the values runs passed.
+
 ``scripts/run_paper_scale.py`` is not run: it calls the same
 ``repro.experiments.figures`` drivers as the CLI runs below, at sizes
 that take minutes per group. This is a report, not a gate: it exits 0
@@ -29,7 +37,12 @@ whatever it finds, and says which runs failed.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -41,29 +54,128 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "repro"
 
+#: The option census's scope, as ``module path:qualified name`` under the
+#: package: each function's parameters with a default ...
+OPTION_FUNCTIONS = (
+    "server/engine.py:GameServer.__init__",
+    "server/engine.py:GameServer.connect",
+    "cluster/facade.py:ShardedCluster.__init__",
+    "cluster/facade.py:ShardedCluster.connect",
+    "cluster/runner.py:ParallelShardRunner.__init__",
+    "cluster/shard.py:build_shard",
+    "cluster/shard.py:ShardServer.__init__",
+    "net/transport.py:Transport.__init__",
+    "net/transport.py:Transport.connect",
+    "core/manager.py:DyconitSystem.__init__",
+    "telemetry/hub.py:Telemetry.__init__",
+    "bots/workload.py:Workload.__init__",
+    "bots/workload.py:ChurnWorkload.__init__",
+    "bots/bot.py:BotClient.__init__",
+    "bots/bot.py:BotClient.connect",
+    "experiments/runner.py:run_experiment",
+    "experiments/parallel.py:run_sweep",
+)
+#: ... and each config dataclass's fields.
+OPTION_CONFIGS = (
+    "server/config.py:ServerConfig",
+    "experiments/configs.py:ExperimentConfig",
+    "bots/workload.py:WorkloadSpec",
+    "bots/workload.py:ChurnSpec",
+    "net/link.py:LinkConfig",
+    "server/costmodel.py:CostCoefficients",
+    "cluster/facade.py:ClientProfile",
+)
+#: Distinct values (and callers per value) kept per option.
+VALUE_CAP = 8
+#: An object's address in its ``repr``, which differs run to run.
+ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
+
 HOOK = '''\
-"""Census hook: notes each code object under the census roots entered here."""
+"""Census hook: notes each code object under the census roots entered
+here, and the arguments of each call of an in-scope function."""
 import atexit
+import dataclasses
+import json
 import os
+import re
 import sys
 import tempfile
 import threading
 
 _ROOTS = {roots!r}
 _OUT = {out!r}
+#: (path under a root, first line) -> label of an in-scope function.
+_SCOPE = {scope!r}
+#: "module.Class" -> label of an in-scope config dataclass.
+_CONFIGS = {configs!r}
+_CAP = {cap!r}
+#: File-name prefixes a caller's location is given relative to.
+_TRIM = {trim!r}
+_ADDRESS = re.compile({address!r})
 _seen = {{}}  # id(code) -> code, held so that no id is reused
 _entered = set()
+_calls = {{}}  # id(code) -> label, for the in-scope functions
+_values = {{}}  # option -> {{value repr -> set of callers}}
 
 
 def _trace(frame, event, arg):
     code = frame.f_code
-    if id(code) not in _seen:
-        _seen[id(code)] = code
+    key = id(code)
+    if key not in _seen:
+        _seen[key] = code
         for root in _ROOTS:
             if code.co_filename.startswith(root):
                 name = code.co_filename[len(root):]
                 _entered.add((name, code.co_firstlineno, code.co_name))
+                label = _SCOPE.get((name, code.co_firstlineno))
+                if label is not None:
+                    _calls[key] = label
                 break
+    label = _calls.get(key)
+    if label is not None:
+        _note_call(frame, label)
+
+
+def _where(frame):
+    if frame is None:
+        return "?"
+    path = frame.f_code.co_filename
+    for prefix, replacement in _TRIM:
+        if path.startswith(prefix):
+            path = replacement + path[len(prefix):]
+            break
+    else:
+        path = os.path.basename(path)
+    return f"{{path}}:{{frame.f_code.co_name}}"
+
+
+def _note_call(frame, label):
+    code = frame.f_code
+    caller = _where(frame.f_back)
+    arguments = frame.f_locals
+    for name in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]:
+        if name != "self" and name in arguments:
+            _note(f"{{label}}({{name}})", arguments[name], caller)
+
+
+def _note(option, value, caller):
+    kind = type(value)
+    config = _CONFIGS.get(f"{{kind.__module__}}.{{kind.__qualname__}}")
+    if config is not None and dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _note(f"{{config}}.{{field.name}}", getattr(value, field.name), option)
+    try:
+        text = _ADDRESS.sub("", repr(value))
+    except Exception:
+        text = f"<{{kind.__name__}}>"
+    seen = _values.setdefault(option, {{}})
+    callers = seen.get(text)
+    if callers is None:
+        if len(seen) > _CAP:
+            return
+        callers = seen[text] = set()
+    if len(callers) <= _CAP:
+        callers.add(caller)
 
 
 def _install():
@@ -73,9 +185,15 @@ def _install():
 
 def _dump():
     if _entered:
-        fd, path = tempfile.mkstemp(dir=_OUT, suffix=".txt")
+        fd, path = tempfile.mkstemp(dir=_OUT, suffix=".json")
         with os.fdopen(fd, "w") as out:
-            out.writelines(f"{{n}}\\t{{line}}\\t{{code}}\\n" for n, line, code in _entered)
+            json.dump({{
+                "entered": sorted(_entered),
+                "values": {{
+                    option: {{text: sorted(callers) for text, callers in seen.items()}}
+                    for option, seen in _values.items()
+                }},
+            }}, out)
 
 
 _os_exit = os._exit
@@ -151,17 +269,25 @@ def entry_points(work: Path) -> list[tuple[str, list[str]]]:
 
 
 def run_all(
-    package: Path, runs, work: Path, roots=(), pythonpath=()
-) -> tuple[set[tuple[str, int, str]], list[tuple[str, int, float]]]:
+    package: Path, runs, work: Path, roots=(), pythonpath=(), functions_in_scope=(),
+    configs_in_scope=(), trim=(),
+) -> tuple[set[tuple[str, int, str]], dict[str, dict[str, set[str]]], list]:
     """Run ``runs`` in ``work`` under the hook. Returns the code objects
     entered under ``package`` (or any of ``roots``, other paths to it) as
-    ``(path relative to package, first line, name)``, and per run its
-    label, exit code and wall seconds."""
+    ``(path relative to package, first line, name)``; per option of
+    ``functions_in_scope`` and ``configs_in_scope`` (see :func:`scope`)
+    the ``repr`` of each value passed and its callers, whose file names
+    are given relative to the first matching ``(prefix, replacement)`` of
+    ``trim``; and per run its label, exit code and wall seconds."""
     hook, records = work / "hook", work / "records"
     hook.mkdir(exist_ok=True)
     records.mkdir(exist_ok=True)
     prefixes = tuple(str(root) + os.sep for root in (package, *roots))
-    (hook / "sitecustomize.py").write_text(HOOK.format(roots=prefixes, out=str(records)))
+    calls, configs = scope(package, functions_in_scope, configs_in_scope)
+    (hook / "sitecustomize.py").write_text(HOOK.format(
+        roots=prefixes, out=str(records), scope=calls, configs=configs, cap=VALUE_CAP,
+        trim=tuple(trim), address=ADDRESS.pattern,
+    ))
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join([str(hook), *map(str, pythonpath)]),
@@ -175,12 +301,94 @@ def run_all(
             argv, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
         )
         outcomes.append((label, done.returncode, time.perf_counter() - started))
-    entered = set()
-    for path in records.glob("*.txt"):
-        for line in path.read_text().splitlines():
-            name, first, code = line.split("\t")
-            entered.add((name, int(first), code))
-    return entered, outcomes
+    entered: set[tuple[str, int, str]] = set()
+    values: dict[str, dict[str, set[str]]] = {}
+    for path in records.glob("*.json"):
+        notes = json.loads(path.read_text())
+        entered.update((name, first, code) for name, first, code in notes["entered"])
+        for option, seen in notes["values"].items():
+            merged = values.setdefault(option, {})
+            for text, callers in seen.items():
+                merged.setdefault(text, set()).update(callers)
+    return entered, values, outcomes
+
+
+def scope(package: Path, functions_in_scope, configs_in_scope) -> tuple[dict, dict]:
+    """The hook's view of the option scope: ``(path, first line) ->
+    label`` of each function and ``"module.Class" -> label`` of each
+    config dataclass, both named ``path:qualified name`` under
+    ``package``; a label is the qualified name."""
+    wanted: dict[str, set[str]] = {}
+    for target in functions_in_scope:
+        path, __, qualname = target.partition(":")
+        wanted.setdefault(path, set()).add(qualname)
+    calls = {}
+    for path, qualnames in wanted.items():
+        tree = ast.parse((package / path).read_text())
+        for qualname, __, first, __ in functions(tree):
+            if qualname in qualnames:
+                calls[(path, first)] = qualname
+    configs = {}
+    for target in configs_in_scope:
+        path, __, qualname = target.partition(":")
+        configs[f"{_module_name(package, path)}.{qualname}"] = qualname
+    return calls, configs
+
+
+def _module_name(package: Path, path: str) -> str:
+    return ".".join([package.name, *Path(path).with_suffix("").parts])
+
+
+@dataclass
+class Option:
+    """One option in scope: its default and the values runs passed, each
+    with its callers (for a config field, the functions it reached)."""
+
+    name: str
+    default: str
+    values: dict[str, set[str]]
+
+    @property
+    def default_only(self) -> bool:
+        return bool(self.values) and set(self.values) == {self.default}
+
+
+def _resolve(package: Path, target: str):
+    path, __, qualname = target.partition(":")
+    obj = importlib.import_module(_module_name(package, path))
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return qualname, obj
+
+
+def options(package: Path, values, functions_in_scope, configs_in_scope) -> list[Option]:
+    """Every option in scope, in scope order: each parameter with a
+    default of the functions, then each field of the config dataclasses
+    (the package must be importable)."""
+    found = []
+    for target in functions_in_scope:
+        qualname, function = _resolve(package, target)
+        for parameter in inspect.signature(function).parameters.values():
+            if parameter.default is not inspect.Parameter.empty:
+                name = f"{qualname}({parameter.name})"
+                found.append(Option(name, _shown(parameter.default), values.get(name, {})))
+    for target in configs_in_scope:
+        qualname, config = _resolve(package, target)
+        for spec in dataclasses.fields(config):
+            if spec.default is not dataclasses.MISSING:
+                default = _shown(spec.default)
+            elif spec.default_factory is not dataclasses.MISSING:
+                default = _shown(spec.default_factory())
+            else:
+                default = "(required)"
+            name = f"{qualname}.{spec.name}"
+            found.append(Option(name, default, values.get(name, {})))
+    return found
+
+
+def _shown(value) -> str:
+    """A default as the hook records a value."""
+    return ADDRESS.sub("", repr(value))
 
 
 def functions(tree: ast.AST):
@@ -245,6 +453,48 @@ def render(modules: list[Module], outcomes) -> str:
     return "\n".join(out)
 
 
+def render_options(found: list[Option]) -> str:
+    """The option table: each option's default and the values and
+    callers runs passed, the first few of each and their count."""
+    default_only = sum(option.default_only for option in found)
+    unreached = sum(not option.values for option in found)
+    out = [
+        f"{len(found)} options in scope: {default_only} only ever carry their default, "
+        f"{unreached} no run reaches, {len(found) - default_only - unreached} take "
+        "other values.",
+        "",
+        "| option | default | values runs passed | callers |",
+        "|---|---|---|---|",
+    ]
+    for option in found:
+        if not option.values:
+            passed = "not reached"
+        elif option.default_only:
+            passed = "default only"
+        else:
+            passed = _listed(sorted(option.values), "values")
+        callers = _listed(sorted(set().union(*option.values.values())), "callers")
+        out.append(f"| `{option.name}` | `{_cell(option.default)}` | {passed} | {callers} |")
+    return "\n".join(out)
+
+
+def _listed(items: list[str], noun: str, shown: int = 4) -> str:
+    """The first ``shown`` distinct cells of ``items``, then how many
+    ``items`` there are in all."""
+    cells = list(dict.fromkeys(_cell(item) for item in items))
+    text = ", ".join(f"`{cell}`" for cell in cells[:shown])
+    more = f"{len(items)}+" if len(items) > VALUE_CAP else str(len(items))
+    return text if len(items) <= shown and len(cells) == len(items) else (
+        f"{text}, ... ({more} {noun})"
+    )
+
+
+def _cell(text: str, width: int = 40) -> str:
+    """``text`` fit for one table cell: no pipe, at most ``width`` long."""
+    text = text.replace("|", "/").replace("`", "'")
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         work = Path(tmp)
@@ -253,11 +503,18 @@ def main() -> int:
         shutil.copytree(REPO_ROOT / "bench", work / "bench", ignore=shutil.ignore_patterns(
             "out", "__pycache__", "tests"))
         (work / "src").symlink_to(REPO_ROOT / "src")
-        entered, outcomes = run_all(
+        copy = work / "src" / "repro"
+        entered, values, outcomes = run_all(
             PACKAGE, entry_points(work), work,
-            roots=[work / "src" / "repro"], pythonpath=[REPO_ROOT / "src"],
+            roots=[copy], pythonpath=[REPO_ROOT / "src"],
+            functions_in_scope=OPTION_FUNCTIONS, configs_in_scope=OPTION_CONFIGS,
+            trim=[(str(root) + os.sep, "src/repro/") for root in (copy, PACKAGE)]
+            + [(str(root) + os.sep, "") for root in (work, REPO_ROOT)],
         )
     print(render(unreached(PACKAGE, entered), outcomes))
+    sys.path.insert(0, str(PACKAGE.parent))
+    print()
+    print(render_options(options(PACKAGE, values, OPTION_FUNCTIONS, OPTION_CONFIGS)))
     return 0
 
 

@@ -33,7 +33,9 @@ from repro.world.geometry import BlockPos, ChunkPos, Vec3
 from repro.bots.movement import WALK_SPEED, MovementModel, RandomWaypointModel
 
 #: Upstream (client -> server) one-way latency for bot actions, ms.
-DEFAULT_UPSTREAM_LATENCY_MS = 25.0
+UPSTREAM_LATENCY_MS = 25.0
+#: A bot acts (one client frame) this often, ms.
+ACT_INTERVAL_MS = 100.0
 
 
 @dataclass
@@ -92,22 +94,18 @@ class BotClient:
         name: str,
         seed: int,
         movement: MovementModel | None = None,
-        act_interval_ms: float = 100.0,
         build_probability: float = 0.0,
         dig_probability: float = 0.0,
         chat_probability: float = 0.0,
-        upstream_latency_ms: float = DEFAULT_UPSTREAM_LATENCY_MS,
     ) -> None:
         self.sim = sim
         self.server = server
         self.name = name
         self.rng = derive_rng(seed, "bot", name)
         self.movement = movement if movement is not None else RandomWaypointModel()
-        self.act_interval_ms = act_interval_ms
         self.build_probability = build_probability
         self.dig_probability = dig_probability
         self.chat_probability = chat_probability
-        self.upstream_latency_ms = upstream_latency_ms
 
         self.perceived = PerceivedWorld()
         self.position: Vec3 | None = None
@@ -127,19 +125,17 @@ class BotClient:
     # Connection lifecycle
     # ------------------------------------------------------------------
 
-    def connect(
-        self, position: Vec3 | None = None, reuse_client_id: bool = False
-    ) -> None:
+    def connect(self, position: Vec3 | None = None) -> None:
         """(Re)connect. A reconnect models a fresh client process: the
         perceived replica starts empty and is rebuilt purely from the
-        packets of the new session. ``reuse_client_id=True`` keeps the
-        previous client id (exercising the transport's connection
-        generations against in-flight packets from the old socket)."""
+        packets of the new session. It keeps the previous client id
+        (exercising the transport's connection generations against
+        in-flight packets from the old socket)."""
         if self.cancelled:
             return
         if self.connected:
             raise RuntimeError(f"bot {self.name} is already connected")
-        previous_id = self.client_id if reuse_client_id else None
+        previous_id = self.client_id
         self.perceived = PerceivedWorld()
         self.waypoint = None
         session = self.server.connect(
@@ -190,7 +186,7 @@ class BotClient:
     # ------------------------------------------------------------------
 
     def _schedule_act(self) -> None:
-        self._act_event = self.sim.schedule(self.act_interval_ms, self.act)
+        self._act_event = self.sim.schedule(ACT_INTERVAL_MS, self.act)
 
     def act(self) -> None:
         """One client frame: walk a step, maybe build/dig/chat."""
@@ -209,7 +205,7 @@ class BotClient:
     def _step_movement(self) -> None:
         if self.waypoint is None or self._horizontal_distance(self.waypoint) < 1.0:
             self.waypoint = self.movement.next_waypoint(self.rng, self.position)
-        step = WALK_SPEED * (self.act_interval_ms / 1000.0)
+        step = WALK_SPEED * (ACT_INTERVAL_MS / 1000.0)
         direction = Vec3(
             self.waypoint.x - self.position.x, 0.0, self.waypoint.z - self.position.z
         )
@@ -261,7 +257,7 @@ class BotClient:
         def arrive() -> None:
             self.server.submit_action(client_id, action)
 
-        self.sim.schedule(self.upstream_latency_ms, arrive)
+        self.sim.schedule(UPSTREAM_LATENCY_MS, arrive)
 
     # ------------------------------------------------------------------
     # Inconsistency measurement

@@ -54,7 +54,6 @@ class WorkloadSpec:
     seed: int = 0
     movement: str = "hotspot"  # "hotspot" | "village" | "uniform" | "trek" | "gathering"
     behavior: BehaviorMix = field(default_factory=lambda: BUILDER_MIX)
-    act_interval_ms: float = 100.0
     #: Delay between successive bot connects (0 = all at once).
     arrival_stagger_ms: float = 20.0
     #: Radius of the disc bots spawn in, centered on the main hotspot.
@@ -69,40 +68,32 @@ class WorkloadSpec:
             raise ValueError(f"unknown movement model {self.movement!r}")
 
 
+#: Probability a churn step crashes somebody (vs doing nothing).
+CRASH_PROBABILITY = 0.5
+
+
 @dataclass(frozen=True, slots=True)
 class ChurnSpec:
     """Seeded session-churn schedule (crash/rejoin).
 
     Every churn step (roughly every ``interval_ms``, uniformly jittered
-    to stay aperiodic) one connected bot may *crash* — an abrupt
+    to stay aperiodic) one connected bot crashes with probability
+    :data:`CRASH_PROBABILITY`, unless only one is left — an abrupt
     disconnect, no goodbye, pending updates dropped — and rejoins
-    ``rejoin_delay_ms`` later as a fresh client. The whole schedule is a
-    pure function of the workload seed.
+    ``rejoin_delay_ms`` later as a fresh client under its old client id.
+    The whole schedule is a pure function of the workload seed.
     """
 
     interval_ms: float = 1_000.0
-    #: Probability a churn step crashes somebody (vs doing nothing).
-    crash_probability: float = 0.5
     rejoin_delay_ms: float = 2_000.0
-    #: Never crash below this many connected bots.
-    min_connected: int = 1
-    #: Rejoin under the previous client id (exercises the transport's
-    #: connection generations); False joins under a fresh id.
-    reuse_client_ids: bool = True
     #: Let the fleet settle before the first crash.
     start_after_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.interval_ms <= 0:
             raise ValueError(f"churn interval must be positive, got {self.interval_ms}")
-        if not (0.0 <= self.crash_probability <= 1.0):
-            raise ValueError(
-                f"crash probability must be in [0, 1], got {self.crash_probability}"
-            )
         if self.rejoin_delay_ms < 0 or self.start_after_ms < 0:
             raise ValueError("rejoin delay and start offset must be >= 0")
-        if self.min_connected < 0:
-            raise ValueError(f"min_connected must be >= 0, got {self.min_connected}")
 
 
 class Workload:
@@ -160,7 +151,6 @@ class Workload:
                 name=f"bot-{index:04d}",
                 seed=self.spec.seed,
                 movement=self._movement_for(index),
-                act_interval_ms=self.spec.act_interval_ms,
                 build_probability=self.spec.behavior.build,
                 dig_probability=self.spec.behavior.dig,
                 chat_probability=self.spec.behavior.chat,
@@ -197,7 +187,6 @@ class Workload:
                 name=f"{name_prefix}-{base + offset:04d}",
                 seed=self.spec.seed,
                 movement=self._movement_for(base + offset),
-                act_interval_ms=self.spec.act_interval_ms,
                 build_probability=self.spec.behavior.build,
                 dig_probability=self.spec.behavior.dig,
                 chat_probability=self.spec.behavior.chat,
@@ -265,8 +254,8 @@ class ChurnWorkload(Workload):
     whose client process died), and the rejoin is a from-scratch session
     — the bot's perceived replica starts empty and the server rebuilds
     view chunks, entity replicas, and dyconit subscriptions as for any
-    new player. With ``reuse_client_ids`` the rejoin also reuses the old
-    client id, which is what flushes out stale in-flight-packet bugs.
+    new player. The rejoin reuses the old client id, which is what
+    flushes out stale in-flight-packet bugs.
     """
 
     def __init__(
@@ -300,10 +289,7 @@ class ChurnWorkload(Workload):
         if not self._churning:
             return
         connected = [bot for bot in self.bots if bot.connected]
-        if (
-            len(connected) > self.churn.min_connected
-            and self._churn_rng.random() < self.churn.crash_probability
-        ):
+        if len(connected) > 1 and self._churn_rng.random() < CRASH_PROBABILITY:
             victim = connected[self._churn_rng.randrange(len(connected))]
             victim.disconnect()
             self.crashes += 1
@@ -314,10 +300,7 @@ class ChurnWorkload(Workload):
         def rejoin() -> None:
             if not self._churning or bot.cancelled or bot.connected:
                 return
-            bot.connect(
-                self._spawn_position(),
-                reuse_client_id=self.churn.reuse_client_ids,
-            )
+            bot.connect(self._spawn_position())
             self.rejoins += 1
 
         return rejoin

@@ -34,11 +34,10 @@ from repro.cluster.bus import InterShardBus, Round, by_destination
 from repro.cluster.messages import SessionHandoff
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import build_shard
-from repro.core.bounds import Bounds
 from repro.core.invariants import InvariantAuditor, InvariantViolationError
 from repro.net.protocol import PlayerActionPacket
 from repro.server import engine as engine_module
-from repro.server.config import ServerConfig
+from repro.server.config import TICK_INTERVAL_MS, ServerConfig
 from repro.sim.simulator import Simulation
 from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
 from repro.world.entity import Entity
@@ -56,9 +55,6 @@ class ClientProfile:
 
     name: str
     handler: object
-    link: object
-    view_distance: int | None
-    faults: object
 
 
 class ClusterWorldView:
@@ -118,8 +114,6 @@ class ShardedCluster:
         config: ServerConfig | None = None,
         policy_factory=None,
         partitioner_factory=None,
-        peer_bounds: Bounds | None = None,
-        direct_mode: bool = False,
         telemetry: Telemetry | None = None,
         state_stores=None,
     ) -> None:
@@ -130,17 +124,15 @@ class ShardedCluster:
                 f"state_stores must have one entry per shard: got "
                 f"{len(state_stores)} for {shards} shards"
             )
-        if shards > 1 and (direct_mode or policy_factory is None):
+        if policy_factory is None:
             raise ValueError(
                 "cross-shard federation runs on inter-server dyconits: a "
-                "multi-shard cluster needs a policy_factory and "
-                "direct_mode=False (only the 1-shard facade supports vanilla)"
+                "cluster needs a policy_factory"
             )
         self.sim = sim
         self.config = config if config is not None else ServerConfig()
         self.router = ShardRouter(shards, strip_width)
         self.bus = InterShardBus()
-        self.peer_bounds = peer_bounds if peer_bounds is not None else Bounds.ZERO
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._next_client_id = 1
         self._shard_by_client: dict[int, int] = {}
@@ -159,14 +151,10 @@ class ShardedCluster:
             self.config.audit_every_n_ticks
             or engine_module.AUDIT_DEFAULT_EVERY_N_TICKS
         )
-        self.shards = self._build_shards(
-            policy_factory, partitioner_factory, direct_mode, state_stores
-        )
+        self.shards = self._build_shards(policy_factory, partitioner_factory, state_stores)
         self.world = ClusterWorldView(self)
 
-    def _build_shards(
-        self, policy_factory, partitioner_factory, direct_mode, state_stores
-    ) -> list:
+    def _build_shards(self, policy_factory, partitioner_factory, state_stores) -> list:
         """One live :class:`ShardServer` per shard, in shard-id order."""
         shards = []
         for shard_id in range(self.router.shards):
@@ -182,11 +170,9 @@ class ShardedCluster:
                 shard_id,
                 self.router,
                 self.bus,
-                self.peer_bounds,
                 shard_config,
                 policy_factory,
                 partitioner_factory,
-                direct_mode=direct_mode,
                 telemetry=self.telemetry,
             )
             shard.cluster = self
@@ -204,11 +190,11 @@ class ShardedCluster:
         for shard in self.shards:
             shard.start()
         for shard in self.shards:
-            shard.ensure_peers(len(self.shards), self.peer_bounds)
+            shard.ensure_peers(len(self.shards))
         # Scheduled after every shard scheduled its tick at the same
         # cadence, so at each timestamp the pump's sequence number sorts
         # after the ticks: tick 0..N-1, then the barrier.
-        self._pump_event = self.sim.schedule(self.config.tick_interval_ms, self._pump)
+        self._pump_event = self.sim.schedule(TICK_INTERVAL_MS, self._pump)
 
     def stop(self) -> None:
         self._running = False
@@ -261,7 +247,7 @@ class ShardedCluster:
             and self.pump_count % self._audit_every_n_pumps == 0
         ):
             self.audit_now()
-        self._pump_event = self.sim.schedule(self.config.tick_interval_ms, self._pump)
+        self._pump_event = self.sim.schedule(TICK_INTERVAL_MS, self._pump)
 
     def _relay_bus(self) -> int:
         """Deliver the bus to empty, round by round, each destination's
@@ -299,10 +285,7 @@ class ShardedCluster:
         name: str,
         handler,
         position: Vec3 | None = None,
-        link=None,
-        view_distance: int | None = None,
         client_id: int | None = None,
-        faults=None,
     ):
         """Connect a client to whichever shard owns its spawn position."""
         if client_id is None:
@@ -315,21 +298,9 @@ class ShardedCluster:
         if position is None:
             position = self.shards[0].world.surface_position(8.0, 8.0)
         shard_id = self.router.shard_for_position(position)
-        self._profiles[client_id] = ClientProfile(
-            name=name,
-            handler=handler,
-            link=link,
-            view_distance=view_distance,
-            faults=faults,
-        )
+        self._profiles[client_id] = ClientProfile(name=name, handler=handler)
         session = self.shards[shard_id].connect(
-            name,
-            handler,
-            position=position,
-            link=link,
-            view_distance=view_distance,
-            client_id=client_id,
-            faults=faults,
+            name, handler, position=position, client_id=client_id
         )
         self._shard_by_client[client_id] = shard_id
         return session

@@ -73,7 +73,7 @@ from repro.core.invariants import InvariantAuditor, InvariantViolationError, Vio
 from repro.net import protocol as protocol_module
 from repro.net.transport import DeliveredPacket
 from repro.server import engine as engine_module
-from repro.server.config import ServerConfig
+from repro.server.config import TICK_INTERVAL_MS, ServerConfig
 from repro.sim.simulator import Simulation
 from repro.telemetry.hub import Telemetry, set_telemetry
 from repro.world import events as events_module
@@ -139,7 +139,6 @@ class _WorkerSpec:
     config: ServerConfig
     policy_factory: object
     partitioner_factory: object
-    peer_bounds: Bounds
     telemetry_enabled: bool
     #: Parent-side :data:`engine.AUDIT_DEFAULT_EVERY_N_TICKS` at spawn
     #: time (checked mode is often enabled via that module global, which
@@ -239,21 +238,14 @@ class _WorkerClusterStub:
     def on_handoff_completed(self, client_id: int, shard_id: int) -> None:
         session = self.shard.sessions[client_id]
         self._out.events.append(
-            (
-                "handoff_completed",
-                client_id,
-                shard_id,
-                session.entity_id,
-                session.name,
-                session.view_distance,
-            )
+            ("handoff_completed", client_id, shard_id, session.entity_id, session.name)
         )
 
 
 def _handle_command(shard, sim, out, spec, hub, cmd, payload):
     if cmd == "start":
         shard.start(schedule_ticks=False)
-        shard.ensure_peers(spec.router.shards, spec.peer_bounds)
+        shard.ensure_peers(spec.router.shards)
         return out.drain(shard)
     if cmd == "connect":
         sim.clock.advance_to(payload["time"])
@@ -262,18 +254,10 @@ def _handle_command(shard, sim, out, spec, hub, cmd, payload):
             payload["name"],
             out.handler_for(payload["client_id"]),
             position=Vec3(x, y, z),
-            link=payload["link"],
-            view_distance=payload["view_distance"],
             client_id=payload["client_id"],
-            faults=payload["faults"],
         )
         result = out.drain(shard)
-        result["session"] = (
-            session.client_id,
-            session.entity_id,
-            session.name,
-            session.view_distance,
-        )
+        result["session"] = (session.client_id, session.entity_id, session.name)
         return result
     if cmd == "disconnect":
         sim.clock.advance_to(payload["time"])
@@ -373,7 +357,6 @@ def _shard_worker_main(spec: _WorkerSpec, conn) -> None:
         spec.shard_id,
         spec.router,
         _RecordingBus(out),
-        spec.peer_bounds,
         spec.config,
         spec.policy_factory,
         spec.partitioner_factory,
@@ -483,7 +466,6 @@ class _HandleSession:
     client_id: int
     entity_id: int
     name: str
-    view_distance: int
 
 
 class _TransportSnapshot:
@@ -625,16 +607,7 @@ class _ShardHandle:
 
     # -- Facade-facing shard API ---------------------------------------
 
-    def connect(
-        self,
-        name,
-        handler,
-        position=None,
-        link=None,
-        view_distance=None,
-        client_id=None,
-        faults=None,
-    ) -> _HandleSession:
+    def connect(self, name, handler, position=None, client_id=None) -> _HandleSession:
         self._runner._client_handlers[client_id] = handler
         out = self._rpc(
             "connect",
@@ -643,9 +616,6 @@ class _ShardHandle:
                 "client_id": client_id,
                 "name": name,
                 "position": (position.x, position.y, position.z),
-                "link": link,
-                "view_distance": view_distance,
-                "faults": faults,
             },
         )
         session = _HandleSession(*out.pop("session"))
@@ -690,15 +660,11 @@ class ParallelShardRunner(ShardedCluster):
         config: ServerConfig | None = None,
         policy_factory=None,
         partitioner_factory=None,
-        peer_bounds: Bounds | None = None,
         telemetry: Telemetry | None = None,
         mp_context: str | None = None,
     ) -> None:
         if policy_factory is None:
-            raise ValueError(
-                "the parallel runner needs a policy_factory (direct/vanilla "
-                "mode is serial-only)"
-            )
+            raise ValueError("the parallel runner needs a policy_factory")
         config = config if config is not None else ServerConfig()
         if not config.synchronous_delivery:
             raise ValueError(
@@ -721,13 +687,10 @@ class ParallelShardRunner(ShardedCluster):
             config=config,
             policy_factory=policy_factory,
             partitioner_factory=partitioner_factory,
-            peer_bounds=peer_bounds,
             telemetry=telemetry,
         )
 
-    def _build_shards(
-        self, policy_factory, partitioner_factory, direct_mode, state_stores
-    ) -> list:
+    def _build_shards(self, policy_factory, partitioner_factory, state_stores) -> list:
         """One worker process per shard, rebuilding it from a spec."""
         handles = []
         for shard_id in range(self.router.shards):
@@ -738,7 +701,6 @@ class ParallelShardRunner(ShardedCluster):
                 config=self.config,
                 policy_factory=policy_factory,
                 partitioner_factory=partitioner_factory,
-                peer_bounds=self.peer_bounds,
                 telemetry_enabled=self.telemetry.enabled,
                 audit_default_every_n_ticks=engine_module.AUDIT_DEFAULT_EVERY_N_TICKS,
             )
@@ -769,8 +731,8 @@ class ParallelShardRunner(ShardedCluster):
         # Same event-insertion order as the serial cluster: shard ticks
         # 0..N-1, then the pump barrier.
         for handle in self.shards:
-            handle.schedule_tick(self.config.tick_interval_ms)
-        self._pump_event = self.sim.schedule(self.config.tick_interval_ms, self._pump)
+            handle.schedule_tick(TICK_INTERVAL_MS)
+        self._pump_event = self.sim.schedule(TICK_INTERVAL_MS, self._pump)
 
     def finalize(self) -> None:
         """Pull final transports/metrics/stats/telemetry from the
@@ -845,7 +807,7 @@ class ParallelShardRunner(ShardedCluster):
                 held.append(out["packets"])
             else:
                 self._replay(out["packets"])
-            handle.schedule_tick(max(self.config.tick_interval_ms, out["duration"]))
+            handle.schedule_tick(max(TICK_INTERVAL_MS, out["duration"]))
         if pre_ship:
             rounds = self.bus.rounds()
             self._in_flight = (rounds, self._ship_round(rounds))
@@ -931,10 +893,8 @@ class ParallelShardRunner(ShardedCluster):
                 handle.handoffs_out += 1
                 self.on_handoff_started(client_id, src, dst)
             else:  # handoff_completed
-                __, client_id, shard_id, entity_id, name, view_distance = event
-                handle.sessions[client_id] = _HandleSession(
-                    client_id, entity_id, name, view_distance
-                )
+                __, client_id, shard_id, entity_id, name = event
+                handle.sessions[client_id] = _HandleSession(client_id, entity_id, name)
                 handle.handoffs_in += 1
                 self.on_handoff_completed(client_id, shard_id)
         for dst, message in out["posts"]:

@@ -14,7 +14,7 @@ the four cluster behaviours:
   this shard's *own world* as ghost entities/blocks. Local clients then
   see them through the completely unchanged broadcast path, so remote
   state experiences exactly two dyconit hops: the publisher's peer bounds
-  and the local client's bounds.
+  (``Bounds.ZERO``) and the local client's bounds.
 * **Remote interest.** The viewer index reports when a chunk gains its
   first or loses its last viewing session; for chunks owned by a
   neighbour this drives PeerSubscribe/PeerUnsubscribe control messages,
@@ -81,11 +81,9 @@ def build_shard(
     shard_id: int,
     router: ShardRouter,
     bus,
-    peer_bounds: Bounds,
     config,
     policy_factory=None,
     partitioner_factory=None,
-    direct_mode: bool = False,
     telemetry=None,
 ) -> "ShardServer":
     """Shard ``shard_id`` of the cluster ``router`` partitions, on its own
@@ -101,12 +99,10 @@ def build_shard(
         shard_id=shard_id,
         router=router,
         bus=bus,
-        peer_bounds=peer_bounds,
         world=world,
         config=config,
         policy=policy_factory() if policy_factory is not None else None,
         partitioner=partitioner_factory() if partitioner_factory is not None else None,
-        direct_mode=direct_mode,
         telemetry=telemetry,
     )
 
@@ -150,14 +146,12 @@ class ShardServer(GameServer):
         shard_id: int,
         router: ShardRouter,
         bus: InterShardBus,
-        peer_bounds: Bounds | None = None,
         **server_kwargs,
     ) -> None:
         super().__init__(sim, **server_kwargs)
         self.shard_id = shard_id
         self.router = router
         self.bus = bus
-        self.peer_bounds = peer_bounds if peer_bounds is not None else Bounds.ZERO
         #: Back-reference set by the facade; handoff bookkeeping lives there.
         self.cluster = None
         #: Replicas of entities another shard owns, present in our world.
@@ -187,7 +181,7 @@ class ShardServer(GameServer):
     # Peer mesh (publisher side)
     # ------------------------------------------------------------------
 
-    def ensure_peers(self, num_shards: int, bounds: Bounds) -> None:
+    def ensure_peers(self, num_shards: int) -> None:
         """Register every other shard of the cluster as a peer, in shard
         order: the eager full mesh at cluster start. The global dyconit
         (chat and other world-wide updates) must flow between all shards
@@ -195,9 +189,9 @@ class ShardServer(GameServer):
         lazily by PeerSubscribe as interest appears."""
         for peer_shard in range(num_shards):
             if peer_shard != self.shard_id:
-                self.ensure_peer(peer_shard, bounds)
+                self.ensure_peer(peer_shard)
 
-    def ensure_peer(self, peer_shard: int, bounds: Bounds) -> Subscriber:
+    def ensure_peer(self, peer_shard: int) -> Subscriber:
         """Register ``peer_shard`` as a subscriber of this shard (its
         global-dyconit subscription included), once."""
         subscriber = self._peer_subscribers.get(peer_shard)
@@ -211,7 +205,7 @@ class ShardServer(GameServer):
             self._peer_subscribers[peer_shard] = subscriber
             self.peer_registry.setdefault(peer_shard, {})
             self.dyconits.register_subscriber(subscriber)
-            self.dyconits.subscribe(GLOBAL_DYCONIT, subscriber, bounds=bounds)
+            self.dyconits.subscribe(GLOBAL_DYCONIT, subscriber, bounds=Bounds.ZERO)
         return subscriber
 
     def _make_peer_delivery(self, peer_shard: int):
@@ -278,7 +272,7 @@ class ShardServer(GameServer):
             return
         interest[chunk] = None
         self.bus.post(
-            self.shard_id, owner, PeerSubscribe(chunk=chunk, bounds=self.peer_bounds)
+            self.shard_id, owner, PeerSubscribe(chunk=chunk, bounds=Bounds.ZERO)
         )
 
     def _on_chunk_last_viewed(self, chunk: ChunkPos) -> None:
@@ -353,7 +347,7 @@ class ShardServer(GameServer):
         self.codec.clear_moves()
 
     def _handle_peer_subscribe(self, src: int, message: PeerSubscribe) -> None:
-        subscriber = self.ensure_peer(src, message.bounds)
+        subscriber = self.ensure_peer(src)
         registry = self.peer_registry[src]
         if message.chunk in registry:
             return
@@ -424,18 +418,14 @@ class ShardServer(GameServer):
     def _apply_record(self, src: int, record) -> None:
         if isinstance(record, ChatEvent):
             # Chat is global and unowned; re-emitting it into our world
-            # would publish it back to every peer. Encode straight to the
-            # local sessions instead (legacy chat is an unbounded global
-            # broadcast, so skipping the local dyconit hop matches it).
-            # Direct sends bypass the commit buffer: flush first so the
-            # per-session packet order matches the unbatched path.
+            # would publish it back to every peer. Broadcast it straight
+            # to the local sessions instead (legacy chat is an unbounded
+            # global broadcast, so skipping the local dyconit hop matches
+            # it). Direct sends bypass the commit buffer: flush first so
+            # the per-session packet order matches the unbatched path.
             if self._commit_buffer:
                 self._flush_commits()
-            segments = ((None, (record,)),)
-            for session in self.sessions.values():
-                packets = self.codec.encode(session, segments)
-                if packets:
-                    self.send_packets(session, packets)
+            self._broadcast_direct(record, None)
             return
         if isinstance(record, BlockChangeEvent):
             self.world.set_block(record.pos, record.new_block)
@@ -640,10 +630,7 @@ class ShardServer(GameServer):
             profile.name,
             profile.handler,
             position=message.position,
-            link=profile.link,
-            view_distance=profile.view_distance,
             client_id=message.client_id,
-            faults=profile.faults,
             entity_id=message.entity_id,
         )
         self.cluster.on_handoff_completed(message.client_id, self.shard_id)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 
-from repro.bots.workload import BUILDER_MIX, BehaviorMix, ChurnSpec, WorkloadSpec
-from repro.core.bounds import Bounds
+from repro.bots.workload import ChurnSpec, WorkloadSpec
 from repro.faults.plan import DegradedWindow, FaultPlan
 from repro.core.partition import (
     ChunkPartitioner,
@@ -77,9 +76,6 @@ class ExperimentConfig:
 
     bots: int = 50
     movement: str = "hotspot"
-    behavior: BehaviorMix = field(default_factory=lambda: BUILDER_MIX)
-    act_interval_ms: float = 100.0
-    mob_count: int = 0
 
     duration_ms: float = 30_000.0
     #: Measurements (bandwidth rate, tick percentiles) use the window
@@ -91,7 +87,6 @@ class ExperimentConfig:
     synchronous_delivery: bool = True
     record_latencies: bool = False
     cost: CostCoefficients = field(default_factory=CostCoefficients)
-    fixed_bounds: Bounds | None = None
     #: Fleet-wide network fault plan (None = no fault layer at all).
     faults: FaultPlan | None = None
     #: Session churn schedule (None = stable population).
@@ -146,15 +141,11 @@ class ExperimentConfig:
         return replace(self, **overrides)
 
     def build_policy(self) -> Policy | None:
-        kwargs = dict(self.policy_kwargs)
-        if self.policy == "fixed" and self.fixed_bounds is not None:
-            kwargs.setdefault("bounds", self.fixed_bounds)
-        return make_policy(self.policy, **kwargs)
+        return make_policy(self.policy, **self.policy_kwargs)
 
     def build_server_config(self) -> ServerConfig:
         return ServerConfig(
             view_distance=self.view_distance,
-            mob_count=self.mob_count,
             synchronous_delivery=self.synchronous_delivery,
             cost=self.cost,
             faults=self.faults,
@@ -170,16 +161,14 @@ class ExperimentConfig:
             bots=self.bots,
             seed=self.seed,
             movement=self.movement,
-            behavior=self.behavior,
-            act_interval_ms=self.act_interval_ms,
         )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-safe dictionary of a config (inverse of :func:`config_from_dict`).
 
-    Nested value objects (behavior mix, cost model, bounds, fault plan,
-    churn spec) become plain dicts via :func:`dataclasses.asdict`.
+    Nested value objects (cost model, fault plan, churn spec) become
+    plain dicts via :func:`dataclasses.asdict`.
     """
     return asdict(config)
 
@@ -193,9 +182,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     their fields).
     """
     data = dict(data)
-    behavior = BehaviorMix(**data.pop("behavior"))
     cost = CostCoefficients(**data.pop("cost"))
-    fixed_bounds = data.pop("fixed_bounds", None)
     faults = data.pop("faults", None)
     churn = data.pop("churn", None)
     if faults is not None and not isinstance(faults, FaultPlan):
@@ -207,12 +194,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         faults = FaultPlan(degraded_windows=windows, **faults)
     if churn is not None and not isinstance(churn, ChurnSpec):
         churn = ChurnSpec(**churn)
-    if fixed_bounds is not None and not isinstance(fixed_bounds, Bounds):
-        fixed_bounds = Bounds(**fixed_bounds)
     return ExperimentConfig(
-        behavior=behavior,
         cost=cost,
-        fixed_bounds=fixed_bounds,
         faults=faults,
         churn=churn,
         **data,

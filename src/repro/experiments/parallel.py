@@ -54,7 +54,10 @@ from repro.telemetry.hub import Telemetry, get_telemetry, set_telemetry
 #: config (``dyconit_stats.bound_checks``, reservoir-mode
 #: ``packet_latency``) without a bump. /7: ``bound_checks`` counts the
 #: pending subscriptions a due pass examines (S22), not heap pops.
-CACHE_SCHEMA = "sweep-cell/7"
+#: /8: configs lost ``fixed_bounds`` and ``act_interval_ms``, and the
+#: churn spec ``crash_probability``, ``min_connected`` and
+#: ``reuse_client_ids`` (S40): options no run set.
+CACHE_SCHEMA = "sweep-cell/8"
 
 
 def default_start_method() -> str:
@@ -294,8 +297,6 @@ def run_sweep(
     cache_dir: str | Path | None = None,
     retries: int = 1,
     store_path: str | Path | None = None,
-    telemetry: Telemetry | None = None,
-    mp_context: str | None = None,
 ) -> SweepReport:
     """Execute a list of experiment cells, possibly in parallel.
 
@@ -315,11 +316,9 @@ def run_sweep(
         store_path: when given, the merged store (cell name ->
             ``result_to_dict``) is atomically written here, in input
             cell order.
-        telemetry: hub for per-cell timing rows (defaults to ambient).
-        mp_context: multiprocessing start method for workers; defaults
-            to :func:`default_start_method` (``fork`` on POSIX, else
-            ``spawn``). Both are equally deterministic — every cell
-            builds a fresh ``Simulation`` either way.
+
+    Workers start by :func:`default_start_method`, and per-cell timing
+    rows go to the ambient telemetry hub.
 
     Returns:
         A :class:`SweepReport`; failed cells are absent from
@@ -330,8 +329,7 @@ def run_sweep(
     if len(set(names)) != len(names):
         duplicates = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"cell names must be unique, duplicated: {duplicates}")
-    if telemetry is None:
-        telemetry = get_telemetry()
+    telemetry = get_telemetry()
 
     private_cache = cache_dir is None
     if private_cache:
@@ -359,7 +357,7 @@ def run_sweep(
         if jobs <= 1:
             _run_serial(pending, cache_dir, retries, by_digest)
         else:
-            _run_parallel(pending, cache_dir, retries, by_digest, jobs, mp_context)
+            _run_parallel(pending, cache_dir, retries, by_digest, jobs)
 
         for cell, digest in pending:
             outcome = by_digest[digest]
@@ -416,14 +414,14 @@ def _run_serial(pending, cache_dir, retries, by_digest) -> None:
         outcome.wall_s = perf_counter() - start
 
 
-def _run_parallel(pending, cache_dir, retries, by_digest, jobs, mp_context) -> None:
+def _run_parallel(pending, cache_dir, retries, by_digest, jobs) -> None:
     """Shard pending cells over ``jobs`` worker processes.
 
     Workers hand results back through the cell store only; the parent
     just tracks exit codes, retries crashed/raising cells up to
     ``retries`` times, and never blocks on a single wedged cell slot.
     """
-    context = multiprocessing.get_context(mp_context or default_start_method())
+    context = multiprocessing.get_context(default_start_method())
     queue: list[tuple[ExperimentConfig, str, int]] = [
         (cell, digest, 1) for cell, digest in pending
     ]
@@ -537,7 +535,6 @@ def default_bench_cells(
 def sweep_benchmark(
     cells=None,
     jobs: int = 4,
-    mp_context: str | None = None,
 ) -> dict:
     """Measure cold-serial vs cold-parallel vs warm-cache sweep times.
 
@@ -559,10 +556,7 @@ def sweep_benchmark(
 
     def one(mode: str, run_jobs: int, cache: Path, store: Path) -> float:
         start = perf_counter()
-        report = run_sweep(
-            cells, jobs=run_jobs, cache_dir=cache, store_path=store,
-            mp_context=mp_context,
-        )
+        report = run_sweep(cells, jobs=run_jobs, cache_dir=cache, store_path=store)
         elapsed = perf_counter() - start
         report.raise_on_failure()
         stores.append(store.read_bytes())
@@ -594,7 +588,7 @@ def sweep_benchmark(
         "params": {
             "cells": [cell.name for cell in cells],
             "jobs": jobs,
-            "mp_context": mp_context,
+            "mp_context": default_start_method(),
             "cpu_count": cpu_count,
         },
         "rows": rows,

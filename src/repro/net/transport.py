@@ -151,8 +151,8 @@ class Transport:
             self._tm_dropped = None
             self._tm_reconnects = None
         self.default_link = default_link if default_link is not None else LinkConfig()
-        #: Fleet-wide fault plan applied to every link unless a per-client
-        #: plan is passed to :meth:`connect`. ``None`` = no fault layer.
+        #: Fault plan applied to every link. ``None`` = no fault layer (a
+        #: null :class:`FaultPlan` still installs it; it injects nothing).
         self.default_faults = faults
         self.seed = seed
         #: When True, handlers run at send time (latency is still computed
@@ -245,24 +245,18 @@ class Transport:
         self,
         client_id: int,
         handler: PacketHandler,
-        link: LinkConfig | None = None,
-        faults: FaultPlan | None = None,
     ) -> ClientLink:
-        """Register a client; returns its link.
-
-        ``faults`` overrides the transport's fleet-wide plan for this one
-        client (a null :class:`FaultPlan` still installs the fault layer —
-        useful for overhead measurements; it injects nothing).
-        """
+        """Register a client on the transport's link config and fault
+        plan; returns its link."""
         if client_id in self._links:
             raise ValueError(f"client {client_id} is already connected")
-        config = link if link is not None else self.default_link
+        config = self.default_link
         jitter = None
         if config.jitter_ms > 0:
             rng = derive_rng(self.seed, "link-jitter", client_id)
             jitter_span = config.jitter_ms
             jitter = lambda: rng.random() * jitter_span  # noqa: E731
-        plan = faults if faults is not None else self.default_faults
+        plan = self.default_faults
         if plan is not None:
             client_link: ClientLink = FaultyLink(
                 client_id,

@@ -8,6 +8,13 @@ from repro.faults.plan import FaultPlan
 from repro.net.link import LinkConfig
 from repro.server.costmodel import CostCoefficients
 
+#: The server ticks at 20 Hz.
+TICK_INTERVAL_MS = 50.0
+#: Every session is sent a keepalive this often.
+KEEPALIVE_INTERVAL_MS = 5000.0
+#: Ambient mobs take a random step every this many ticks.
+MOB_STEP_TICKS = 4
+
 
 @dataclass(frozen=True, slots=True)
 class ServerConfig:
@@ -18,15 +25,11 @@ class ServerConfig:
     links.
     """
 
-    tick_interval_ms: float = 50.0
     view_distance: int = 5
-    keepalive_interval_ms: float = 5000.0
     link: LinkConfig = field(default_factory=LinkConfig)
     cost: CostCoefficients = field(default_factory=CostCoefficients)
     #: Ambient mobs wandering near the spawn area (0 disables).
     mob_count: int = 0
-    #: Mobs take a random step every this many ticks.
-    mob_step_ticks: int = 4
     #: Deliver packets synchronously (latency still modelled & recorded);
     #: big capacity sweeps enable this to cut simulation overhead.
     synchronous_delivery: bool = False
@@ -36,8 +39,7 @@ class ServerConfig:
     #: columns, the sqlite row store batches each commit, due pass and
     #: retune per dyconit (S25).
     state_store: str = "memory"
-    #: Fleet-wide fault plan applied to every client link (None = no
-    #: fault layer; per-client plans can be passed to ``connect``).
+    #: Fault plan applied to every client link (None = no fault layer).
     faults: FaultPlan | None = None
     #: Checked mode (S15): run the cross-structure invariant audit every
     #: N ticks and abort the run on the first violation. 0 disables it
@@ -52,8 +54,6 @@ class ServerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tick_interval_ms <= 0:
-            raise ValueError(f"tick interval must be positive, got {self.tick_interval_ms}")
         if self.view_distance < 1:
             raise ValueError(f"view distance must be >= 1, got {self.view_distance}")
         if self.mob_count < 0:

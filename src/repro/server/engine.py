@@ -26,12 +26,10 @@ from typing import Hashable, Sequence
 
 from repro.core.invariants import InvariantAuditor, InvariantViolationError
 from repro.core.manager import DyconitSystem
-from repro.faults.plan import FaultPlan
 from repro.core.partition import ChunkPartitioner, DyconitPartitioner
 from repro.core.policy import LoadSignals, Policy
 from repro.core.subscription import Subscriber
 from repro.metrics.collector import MetricsRegistry
-from repro.net.link import LinkConfig
 from repro.net.protocol import (
     JoinGamePacket,
     KeepAlivePacket,
@@ -53,7 +51,12 @@ from repro.world.events import (
 from repro.world.geometry import Vec3
 from repro.world.world import World
 from repro.server.codec import SessionCodec
-from repro.server.config import ServerConfig
+from repro.server.config import (
+    KEEPALIVE_INTERVAL_MS,
+    MOB_STEP_TICKS,
+    TICK_INTERVAL_MS,
+    ServerConfig,
+)
 from repro.server.costmodel import TickCostModel, TickWorkload
 from repro.server.interest import InterestManager
 from repro.server.session import PlayerSession
@@ -85,7 +88,6 @@ class GameServer:
         self.sim = sim
         self.config = config if config is not None else ServerConfig()
         self.world = world if world is not None else World(seed=self.config.seed)
-        self.direct_mode = direct_mode
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         if self.telemetry.enabled:
             # Stamp spans/events with this server's simulated clock.
@@ -180,7 +182,7 @@ class GameServer:
         if self._tick_event is not None:
             self._tick_event.cancel()
         if schedule_ticks:
-            self._tick_event = self.sim.schedule(self.config.tick_interval_ms, self._tick)
+            self._tick_event = self.sim.schedule(TICK_INTERVAL_MS, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -215,10 +217,7 @@ class GameServer:
         name: str,
         handler,
         position: Vec3 | None = None,
-        link: LinkConfig | None = None,
-        view_distance: int | None = None,
         client_id: int | None = None,
-        faults: FaultPlan | None = None,
         entity_id: int | None = None,
     ) -> PlayerSession:
         """Connect a new player; returns its session.
@@ -228,8 +227,8 @@ class GameServer:
         previous id (a fresh session is still built from scratch —
         ``known_entities``, ``view_chunks`` and dyconit subscriptions all
         start empty; the transport's generation tag keeps in-flight
-        packets from the old connection away from the new one). ``faults``
-        installs a per-client fault plan on the new link. ``entity_id``
+        packets from the old connection away from the new one). Every
+        link, view distance and fault plan is the config's. ``entity_id``
         preserves an avatar identity minted elsewhere — a cross-shard
         session handoff (S16) respawns the avatar here under the id every
         other replica in the cluster already knows it by.
@@ -241,7 +240,7 @@ class GameServer:
             if client_id in self.sessions:
                 raise ValueError(f"client {client_id} is already connected")
             self._next_client_id = max(self._next_client_id, client_id + 1)
-        self.transport.connect(client_id, handler, link, faults=faults)
+        self.transport.connect(client_id, handler)
 
         if position is None:
             position = self.world.surface_position(8.0, 8.0)
@@ -255,9 +254,7 @@ class GameServer:
             client_id=client_id,
             entity_id=entity.entity_id,
             name=name,
-            view_distance=(
-                view_distance if view_distance is not None else self.config.view_distance
-            ),
+            view_distance=self.config.view_distance,
             connected_at=self.sim.now,
         )
         self.sessions[client_id] = session
@@ -392,7 +389,7 @@ class GameServer:
                         event.entity_id, old_chunk, new_chunk
                     )
 
-        if self.direct_mode or self.dyconits is None:
+        if self.dyconits is None:
             self._broadcast_direct(event, exclude)
         elif buffering:
             if self._bufferable(event):
@@ -522,7 +519,7 @@ class GameServer:
 
         # 8. Schedule the next tick. An overloaded tick pushes the next
         #    one out, dropping the effective tick rate below 20 Hz.
-        delay = max(self.config.tick_interval_ms, duration)
+        delay = max(TICK_INTERVAL_MS, duration)
         self._tick_event = self.sim.schedule(delay, self._tick)
 
     def tick_once(self) -> float:
@@ -565,7 +562,7 @@ class GameServer:
                     self._apply_action(client_id, action)
 
             # 2. Ambient mobs.
-            if self._mob_ids and self.tick_count % self.config.mob_step_ticks == 0:
+            if self._mob_ids and self.tick_count % MOB_STEP_TICKS == 0:
                 with telemetry.span("tick.simulate"), self._commit_batching():
                     self._step_mobs()
 
@@ -575,7 +572,7 @@ class GameServer:
                     self.dyconits.tick()
 
             # 4. Keepalives.
-            if self.sim.now - self._last_keepalive >= self.config.keepalive_interval_ms:
+            if self.sim.now - self._last_keepalive >= KEEPALIVE_INTERVAL_MS:
                 self._last_keepalive = self.sim.now
                 with telemetry.span("tick.keepalive"):
                     for session in self.sessions.values():
@@ -605,7 +602,7 @@ class GameServer:
         self.smoothed_tick_ms = (
             TICK_EWMA_ALPHA * duration + (1 - TICK_EWMA_ALPHA) * self.smoothed_tick_ms
         )
-        tick_bytes_per_s = work.bytes_sent / (self.config.tick_interval_ms / 1000.0)
+        tick_bytes_per_s = work.bytes_sent / (TICK_INTERVAL_MS / 1000.0)
         self._smoothed_bytes_per_s = (
             TICK_EWMA_ALPHA * tick_bytes_per_s
             + (1 - TICK_EWMA_ALPHA) * self._smoothed_bytes_per_s
@@ -660,7 +657,7 @@ class GameServer:
                 else self.smoothed_tick_ms
             ),
             smoothed_tick_duration_ms=self.smoothed_tick_ms,
-            tick_budget_ms=self.config.tick_interval_ms,
+            tick_budget_ms=TICK_INTERVAL_MS,
             outgoing_bytes_per_second=self._smoothed_bytes_per_s,
         )
 

@@ -68,8 +68,12 @@ from repro.world.world import World
 #: ``ServerConfig`` carries ``record_latencies`` and ``merging_enabled``.
 #: ``/6``: queued bus records are world events, the handoff messages
 #: carry a ``Vec3`` and an ``EntityKind``, and each cluster profile is a
-#: ``ClientProfile``.
-CHECKPOINT_FORMAT = "repro-checkpoint/6"
+#: ``ClientProfile``. ``/7``: the options no run set are gone —
+#: ``ServerConfig`` loses ``tick_interval_ms``, ``keepalive_interval_ms``
+#: and ``mob_step_ticks``, ``SessionSnapshot`` its ``link`` and
+#: ``faults``, ``ClusterSnapshot`` its ``peer_bounds``, and
+#: ``ClientProfile`` is ``(name, handler)``.
+CHECKPOINT_FORMAT = "repro-checkpoint/7"
 
 # ----------------------------------------------------------------------
 # Snapshot dataclasses (plain picklable data)
@@ -93,11 +97,6 @@ class SessionSnapshot:
     connected_at: float
     actions_received: int
     packets_sent: int
-    #: The client link's config (None = transport default) and fault
-    #: plan. Link *RNG state* is not captured: a restored connection is
-    #: a reconnect, and jitter/fault draws restart like one.
-    link: Any = None
-    faults: Any = None
 
 
 @dataclass
@@ -186,7 +185,6 @@ class ClusterSnapshot:
     shard_count: int
     strip_width: int
     config: ServerConfig
-    peer_bounds: Any
     shards: list[ShardSnapshot]
     bus: BusSnapshot
     next_client_id: int
@@ -233,8 +231,7 @@ def _capture_world(world: World) -> WorldSnapshot:
     )
 
 
-def _capture_session(server: GameServer, session: PlayerSession) -> SessionSnapshot:
-    link = server.transport.link(session.client_id)
+def _capture_session(session: PlayerSession) -> SessionSnapshot:
     return SessionSnapshot(
         client_id=session.client_id,
         entity_id=session.entity_id,
@@ -247,8 +244,6 @@ def _capture_session(server: GameServer, session: PlayerSession) -> SessionSnaps
         connected_at=session.connected_at,
         actions_received=session.actions_received,
         packets_sent=session.packets_sent,
-        link=link.config if link is not None else None,
-        faults=getattr(link, "plan", None),
     )
 
 
@@ -271,7 +266,7 @@ def capture_server(server: GameServer) -> ServerSnapshot:
         partitioner=server.dyconits.partitioner,
         world=_capture_world(server.world),
         sessions=[
-            _capture_session(server, session)
+            _capture_session(session)
             for session in server.sessions.values()
         ],
         system=server.dyconits.snapshot(),
@@ -320,7 +315,6 @@ def capture_cluster(cluster) -> ClusterSnapshot:
         shard_count=len(cluster.shards),
         strip_width=cluster.router.strip_width,
         config=_portable_config(cluster.config),
-        peer_bounds=cluster.peer_bounds,
         shards=shards,
         bus=BusSnapshot(
             queues={edge: list(queue) for edge, queue in bus._queues.items()},
@@ -433,9 +427,9 @@ def _restore_engine_state(
         for entity_id, position in s.known_entities:
             session.known_entities[entity_id] = position
         server.viewers.add_view(session, s.view_chunks)
-        server.transport.connect(
-            s.client_id, handlers[s.client_id], link=s.link, faults=s.faults
-        )
+        # Link *RNG state* is not captured: a restored connection is a
+        # reconnect, and jitter/fault draws restart like one.
+        server.transport.connect(s.client_id, handlers[s.client_id])
         subscribers[s.client_id] = Subscriber(
             subscriber_id=s.client_id,
             deliver=server._make_delivery_handler(session),
@@ -515,7 +509,6 @@ def restore_cluster(
         config=snap.config,
         policy_factory=lambda: next(policies),
         partitioner_factory=lambda: next(partitioners),
-        peer_bounds=snap.peer_bounds,
         telemetry=telemetry,
         state_stores=list(state_stores),
     )

@@ -4,7 +4,8 @@ Quick tour::
 
     from repro.telemetry import Telemetry, export_jsonl, prometheus_text
 
-    telemetry = Telemetry(enabled=True, time_source=lambda: sim.now)
+    telemetry = Telemetry(enabled=True)
+    telemetry.set_time_source(lambda: sim.now)
     with telemetry.span("tick.flush"):
         system.tick()
     telemetry.counter("dyconit_commits_total").increment()

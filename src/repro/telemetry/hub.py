@@ -115,12 +115,12 @@ class Telemetry:
     def __init__(
         self,
         enabled: bool = True,
-        time_source: Callable[[], float] | None = None,
         max_spans: int = 100_000,
         max_events: int = 100_000,
     ) -> None:
         self.enabled = enabled
-        self.time_source = time_source if time_source is not None else (lambda: 0.0)
+        #: Sim-time stamping; :meth:`set_time_source` points it at a clock.
+        self.time_source: Callable[[], float] = lambda: 0.0
         self.max_spans = max_spans
         self.max_events = max_events
         self.spans: list[SpanRecord] = []

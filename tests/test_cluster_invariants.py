@@ -180,7 +180,7 @@ def test_parallel_audit_names_a_seeded_defect_like_the_serial_audit(monkeypatch)
     monkeypatch.setattr(engine, "AUDIT_DEFAULT_EVERY_N_TICKS", 0)
 
     def register_only(self, src, message):
-        self.ensure_peer(src, message.bounds)
+        self.ensure_peer(src)
         self.peer_registry[src][message.chunk] = None
 
     monkeypatch.setattr(ShardServer, "_handle_peer_subscribe", register_only)

@@ -12,7 +12,7 @@ from repro.experiments.store import result_from_dict, result_to_dict
 def small_result():
     config = ExperimentConfig(
         policy="fixed",
-        fixed_bounds=Bounds(5.0, 400.0),
+        policy_kwargs={"bounds": Bounds(5.0, 400.0)},
         bots=4,
         duration_ms=3_000.0,
         warmup_ms=1_000.0,
@@ -35,7 +35,8 @@ def test_dict_roundtrip_preserves_config():
     result = small_result()
     rebuilt = result_from_dict(result_to_dict(result))
     assert rebuilt.config.policy == "fixed"
-    assert rebuilt.config.fixed_bounds == Bounds(5.0, 400.0)
+    # Policy kwargs come back as plain data: the bounds as their fields.
+    assert Bounds(**rebuilt.config.policy_kwargs["bounds"]) == Bounds(5.0, 400.0)
     assert rebuilt.config.bots == 4
     assert rebuilt.config.seed == 13
 

@@ -10,7 +10,7 @@ import pytest
 from repro.bots.workload import BehaviorMix, Workload, WorkloadSpec
 from repro.core.bounds import Bounds
 from repro.policies.fixed import FixedBoundsPolicy
-from repro.server.config import ServerConfig
+from repro.server.config import TICK_INTERVAL_MS, ServerConfig
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
 from repro.world.world import World
@@ -43,7 +43,7 @@ def test_staleness_bound_caps_queue_delay():
     sim, server, __ = run_fixed_bounds(Bounds(numerical=1e9, staleness_ms=staleness_ms))
     delay_hist = server.metrics.histogram("update_queue_delay_ms", min_value=0.1)
     assert delay_hist.count > 0
-    assert delay_hist.max_value <= staleness_ms + 2 * server.config.tick_interval_ms
+    assert delay_hist.max_value <= staleness_ms + 2 * TICK_INTERVAL_MS
 
 
 def test_tighter_staleness_means_fresher_replicas():

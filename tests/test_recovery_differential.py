@@ -331,8 +331,12 @@ class TestRecoveryErrors:
             "repro-checkpoint/2",
             "repro-checkpoint/1",
             "repro-checkpoint/3",
+            "repro-checkpoint/6",
         ],
-        ids=["untagged", "wrong-tag", "previous-tag", "older-tag", "dataclass-geometry-tag"],
+        ids=[
+            "untagged", "wrong-tag", "previous-tag", "older-tag", "dataclass-geometry-tag",
+            "per-client-link-tag",
+        ],
     )
     def test_blob_of_another_format_is_refused(self, tmp_path, tag):
         """A slotted ``ServerConfig`` un-pickles positionally, so a blob

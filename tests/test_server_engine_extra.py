@@ -20,10 +20,12 @@ class Client:
         self.packets.append(delivered.packet)
 
 
-def test_per_session_view_distance_override(server_factory):
-    server = server_factory(policy=ZeroBoundsPolicy(), synchronous_delivery=True)
+def test_configured_view_distance_sizes_the_joining_view(server_factory):
+    server = server_factory(
+        policy=ZeroBoundsPolicy(), synchronous_delivery=True, view_distance=2
+    )
     client = Client()
-    session = server.connect("near-sighted", handler=client, view_distance=2)
+    session = server.connect("near-sighted", handler=client)
     assert session.view_distance == 2
     chunk_packets = [p for p in client.packets if isinstance(p, ChunkDataPacket)]
     assert len(chunk_packets) == 25  # (2*2+1)^2

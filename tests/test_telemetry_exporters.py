@@ -16,7 +16,8 @@ from repro.telemetry.phases import phase_rows
 
 
 def build_hub() -> Telemetry:
-    telemetry = Telemetry(enabled=True, time_source=lambda: 100.0)
+    telemetry = Telemetry(enabled=True)
+    telemetry.set_time_source(lambda: 100.0)
     with telemetry.span("tick.input"):
         with telemetry.span("tick.serialize", session="3"):
             pass

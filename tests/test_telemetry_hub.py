@@ -13,7 +13,8 @@ from repro.telemetry.hub import (
 
 def test_span_records_wall_and_sim_time():
     clock = [125.0]
-    telemetry = Telemetry(enabled=True, time_source=lambda: clock[0])
+    telemetry = Telemetry(enabled=True)
+    telemetry.set_time_source(lambda: clock[0])
     with telemetry.span("tick.flush"):
         pass
     assert len(telemetry.spans) == 1
@@ -99,7 +100,8 @@ def test_disabled_event_records_nothing():
 
 def test_event_records_fields_and_times():
     clock = [50.0]
-    telemetry = Telemetry(enabled=True, time_source=lambda: clock[0])
+    telemetry = Telemetry(enabled=True)
+    telemetry.set_time_source(lambda: clock[0])
     telemetry.event("trace.flush", dyconit="('chunk', 0, 0)", reason="numerical")
     event = telemetry.events[0]
     assert event.kind == "trace.flush"
